@@ -115,15 +115,25 @@ def _validate(cfg: dict) -> None:
         if key.startswith("tolerance.") and not cfg[key] > 0.0:
             raise ConfigError(f"invalid value for {key!r}: tolerances must "
                               "be positive")
-    if cfg["grid.n"] < 16 or cfg["linear.n"] < 16 or cfg["symbol.matrix_n"] < 16:
-        raise ConfigError("invalid value for 'grid.n': need at least 16 nodes")
-    if not (cfg["grid.L"] > 0 and cfg["linear.L"] > 0):
-        raise ConfigError("invalid value for 'grid.L': need a positive box")
+    for key in ("grid.n", "linear.n", "symbol.matrix_n"):
+        if cfg[key] < 16:
+            raise ConfigError(f"invalid value for {key!r}: need at least 16 "
+                              "nodes")
+    for key in ("grid.n", "linear.n"):
+        if cfg[key] & (cfg[key] - 1):
+            raise ConfigError(f"invalid value for {key!r}: need a power of "
+                              "two")
+    try:
+        OperatorParams(cfg["operator.s"], cfg["operator.m"])
+    except ConfigError as exc:
+        raise ConfigError(f"invalid value for 'operator.s' or 'operator.m': "
+                          f"{exc}") from exc
+    for key in ("grid.L", "linear.L", "quadratic.alpha", "quadratic.R"):
+        if not cfg[key] > 0:
+            raise ConfigError(f"invalid value for {key!r}: need a positive "
+                              "value")
     if cfg["sweep.count"] < 1:
         raise ConfigError("invalid value for 'sweep.count': need at least 1")
-    if not (cfg["quadratic.alpha"] > 0 and cfg["quadratic.R"] > 0):
-        raise ConfigError("invalid value for 'quadratic.alpha': need positive "
-                          "weight parameters")
 
 
 def _split_rng(seed: int, suite: str, check: str, index: int = 0):

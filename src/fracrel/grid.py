@@ -93,21 +93,28 @@ def require_seam_decay(g: GridFunction, tol: float = SEAM_TOL,
             f"(allowed {tol:.1e}); enlarge the box or window the data")
 
 
+def smooth_step(u: np.ndarray) -> np.ndarray:
+    """C^inf step: 0 for u <= 0, 1 for u >= 1, and the standard
+    exp(-1/u)-based transition in between."""
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    out[u >= 1.0] = 1.0
+    mid = (u > 0.0) & (u < 1.0)
+    um = u[mid]
+    f1 = np.exp(-1.0 / um)
+    f2 = np.exp(-1.0 / (1.0 - um))
+    out[mid] = f1 / (f1 + f2)
+    return out
+
+
 def smooth_window(L: float, n: int, inner: float, outer: float) -> GridFunction:
     """C^inf cutoff: identically 1 for |x| <= inner, 0 for |x| >= outer,
-    with the standard exp(-1/t)-based transition in between."""
+    with the smooth step in between."""
     if not (0.0 < inner < outer <= 0.5 * L):
         raise DomainError("need 0 < inner < outer <= L/2")
     x = -0.5 * L + (L / n) * np.arange(n)
     t = (outer - np.abs(x)) / (outer - inner)
-    vals = np.zeros(n)
-    vals[t >= 1.0] = 1.0
-    mid = (t > 0.0) & (t < 1.0)
-    tm = t[mid]
-    f1 = np.exp(-1.0 / tm)
-    f2 = np.exp(-1.0 / (1.0 - tm))
-    vals[mid] = f1 / (f1 + f2)
-    return GridFunction(L, n, vals)
+    return GridFunction(L, n, smooth_step(t))
 
 
 def gaussian(L: float, n: int, sigma: float = 1.0, center: float = 0.0,
@@ -161,35 +168,6 @@ def band_limited_noise(L: float, n: int, k_max: int, rng: np.random.Generator,
     if windowed:
         vals = vals * smooth_window(L, n, L / 8.0, L / 4.0).values
     return GridFunction(L, n, vals)
-
-
-def from_csv(path, L: float, n: int) -> GridFunction:
-    """Load (x, value) pairs and resample linearly onto the grid.
-
-    Outside the sampled range the profile is taken as zero.
-    """
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
-    if data.shape[1] != 2:
-        raise DomainError(f"expected two columns (x, value) in {path}")
-    xs, vs = data[:, 0], data[:, 1]
-    order = np.argsort(xs)
-    xs, vs = xs[order], vs[order]
-    g = GridFunction(L, n, np.zeros(n))
-    vals = np.interp(g.x, xs, vs, left=0.0, right=0.0)
-    return g.with_values(vals)
-
-
-def named_profile(name: str, L: float, n: int, **params) -> GridFunction:
-    """Dispatch for the built-in profile names used by the CLI."""
-    builders = {
-        "gaussian": gaussian,
-        "mode": fourier_mode,
-        "windowed-exponential": windowed_exponential,
-    }
-    if name not in builders:
-        raise DomainError(
-            f"unknown profile {name!r}; expected one of {sorted(builders)}")
-    return builders[name](L, n, **params)
 
 
 def centered_d1(g: GridFunction) -> np.ndarray:

@@ -75,12 +75,20 @@ class PotentialField:
 
     @staticmethod
     def static(profile: GridFunction) -> "PotentialField":
-        """Time-independent potential given on a grid; resampled periodically."""
-        xs, vs, L = profile.x, profile.values, profile.L
+        """Time-independent potential given by its samples on a grid.
+
+        Sampling returns those samples, so it is only defined on the
+        profile's own grid; any other grid raises PreconditionError.
+        """
+        xs, vs = profile.x, profile.values.copy()
 
         def evaluate(t, x):
-            return np.interp(np.mod(x + 0.5 * L, L) - 0.5 * L, xs, vs,
-                             period=L)
+            if not np.array_equal(x, xs):
+                raise PreconditionError(
+                    f"static potential lives on its profile's grid "
+                    f"(L={profile.L:g}, n={profile.n}); resample the "
+                    f"profile onto the query grid first")
+            return vs
 
         return PotentialField(evaluate, float(np.max(np.abs(vs))))
 

@@ -198,11 +198,12 @@ def functional_D(u: HeatState, w: LinearWeight, p: OperatorParams, *,
 
 
 # ----------------------------------------------------------------------
-# per-state term bundles
+# tilted series along a trajectory
 
-@dataclass(frozen=True)
-class _StateTerms:
-    """Raw tilted integrals at one snapshot, drift factored out.
+def _tilted_series(traj: list[HeatState], lam: float, p: OperatorParams,
+                   V: PotentialField | None, with_energy: bool = True
+                   ) -> tuple[np.ndarray, dict]:
+    """Raw tilted integrals at every state, drift factored out.
 
     Every integral carries exp(lam x) only; the caller multiplies by
     exp(drift t) (or sweeps over drifts without re-integrating).  The
@@ -216,57 +217,59 @@ class _StateTerms:
     let the tilt amplify the transform's far-field roundoff floor (about
     1e-16 of scale) up to exp(lam L / 2), which already rivals the true
     integral on the production corpus geometry.
+
+    Returns the state times and one array per term:
+
+        mass        int e^(lam x) u^2
+        op_pair     int e^(lam x) u L^s u
+        form_s      int e^(lam x) H_s(u, u), via transfer
+        forcing_sq  int e^(lam x) F^2
+        cross       2 int e^(lam x) u F
+        kinetic     int e^(lam x) (u_t)^2          (with_energy only)
+        form_2s     int e^(lam x) H_2s(u, u)       (with_energy only)
     """
-
-    t: float
-    mass: float          # int e^(lam x) u^2
-    op_pair: float       # int e^(lam x) u L^s u
-    kinetic: float       # int e^(lam x) (u_t)^2
-    form_s: float        # int e^(lam x) H_s(u, u), via transfer
-    form_2s: float       # int e^(lam x) H_2s(u, u), via transfer
-    forcing_sq: float    # int e^(lam x) F^2
-    cross: float         # 2 int e^(lam x) u F
-
-
-def _state_terms(state: HeatState, lam: float, p: OperatorParams,
-                 V: PotentialField | None,
-                 with_energy: bool = True) -> _StateTerms:
-    g = state.u
-    flat = LinearWeight(lam, 0.0)
-    flat.require_tilt(p)
-    lsu = apply_spectral(g, p).values
-    if V is None:
-        f_vals = None
-        u_t = -lsu
-    else:
-        f_vals = V.sample(state.t, g) * g.values
-        u_t = f_vals - lsu
-    mass = weighted_l2(g, lam, what="tilted mass integrand")
-    op_pair = _tilted_integral(g.values * lsu, g, flat, 0.0,
-                               "production integrand")
-    mu = flat.eigenvalue(p)
-    form_s = mu * mass - 2.0 * op_pair
+    mu = LinearWeight(lam, 0.0).eigenvalue(p)
+    doubled = OperatorParams(2.0 * p.s, p.m, p.dim) if with_energy else None
+    names = ("mass", "op_pair", "form_s", "forcing_sq", "cross")
     if with_energy:
-        kinetic = _tilted_integral(u_t * u_t, g, flat, 0.0,
-                                   "kinetic integrand")
-        doubled = OperatorParams(2.0 * p.s, p.m, p.dim)
-        l2su = apply_spectral(g, doubled).values
-        op_pair_2s = _tilted_integral(g.values * l2su, g, flat, 0.0,
-                                      "order-2s pairing integrand")
-        form_2s = mu * mu * mass - 2.0 * op_pair_2s
-    else:
-        kinetic = math.nan
-        form_2s = math.nan
-    if f_vals is None:
-        forcing_sq = 0.0
-        cross = 0.0
-    else:
-        forcing_sq = _tilted_integral(f_vals * f_vals, g, flat, 0.0,
-                                      "forcing integrand")
-        cross = 2.0 * _tilted_integral(g.values * f_vals, g, flat, 0.0,
-                                       "cross integrand")
-    return _StateTerms(state.t, mass, op_pair, kinetic, form_s, form_2s,
-                       forcing_sq, cross)
+        names += ("kinetic", "form_2s")
+    series = {name: np.zeros(len(traj)) for name in names}
+    for i, state in enumerate(traj):
+        g = state.u
+        u = g.values
+        tilt = np.exp(lam * g.x)
+
+        def integral(values, what):
+            tilted = g.with_values(tilt * values)
+            if lam != 0.0:
+                require_seam_decay(tilted, what=what)
+            return trapezoid(tilted)
+
+        lsu = apply_spectral(g, p).values
+        f_vals = None if V is None else V.sample(state.t, g) * u
+        mass = integral(u ** 2, "tilted mass integrand")
+        op_pair = integral(u * lsu, "production integrand")
+        series["mass"][i] = mass
+        series["op_pair"][i] = op_pair
+        series["form_s"][i] = mu * mass - 2.0 * op_pair
+        if with_energy:
+            u_t = -lsu if f_vals is None else f_vals - lsu
+            series["kinetic"][i] = integral(u_t * u_t, "kinetic integrand")
+            l2su = apply_spectral(g, doubled).values
+            series["form_2s"][i] = mu * mu * mass - 2.0 * integral(
+                u * l2su, "order-2s pairing integrand")
+        if f_vals is not None:
+            series["forcing_sq"][i] = integral(f_vals * f_vals,
+                                               "forcing integrand")
+            series["cross"][i] = 2.0 * integral(u * f_vals,
+                                                "cross integrand")
+    return np.array([state.t for state in traj]), series
+
+
+def _weighted(times: np.ndarray, series: dict, drift: float) -> dict:
+    """The series under the full weight: every term times exp(drift t)."""
+    weight = np.exp(drift * times)
+    return {name: weight * values for name, values in series.items()}
 
 
 def _uniform_spacing(times: np.ndarray, what: str) -> float:
@@ -329,16 +332,14 @@ def monotonicity_check(u0: GridFunction, V: PotentialField | None,
     cfg = PicardConfig(dt=1e-3) if cfg is None else cfg
     V_eff = PotentialField.constant(0.0) if V is None else V
     traj = evolve_with_potential(u0, V_eff, T, p, cfg)
-    times = np.array([st.t for st in traj])
-    dt = _uniform_spacing(times, "monotonicity trajectory")
+    dt = _uniform_spacing(np.array([st.t for st in traj]),
+                          "monotonicity trajectory")
     forced = V is not None and V.sup_norm > 0.0
-    bundles = [_state_terms(st, w.lam, p, V if forced else None,
-                            with_energy=False) for st in traj]
-    drift_fac = np.exp(w.drift * times)
-    mass = drift_fac * np.array([b.mass for b in bundles])
-    phi = drift_fac * np.array([-b.form_s for b in bundles])
-    gsq = drift_fac * np.array([b.forcing_sq for b in bundles])
-    cross = drift_fac * np.array([b.cross for b in bundles])
+    times, series = _tilted_series(traj, w.lam, p, V if forced else None,
+                                   with_energy=False)
+    terms = _weighted(times, series, w.drift)
+    mass, gsq, cross = terms["mass"], terms["forcing_sq"], terms["cross"]
+    phi = -terms["form_s"]
     a = w.drift_gap(p)
 
     def rolled(series, exponent):
@@ -394,6 +395,27 @@ def _resolve_constants(constants, p: OperatorParams,
     return float(c1), float(c2)
 
 
+def _production_rate(times: np.ndarray, terms: dict, w: LinearWeight,
+                     p: OperatorParams, c1: float):
+    """Centered dD/dt and its five-term lower bound at the interior times.
+
+    ``terms`` is the weighted series.  Returns (ddot, rhs, scale), where
+    scale sums the magnitudes of the five terms and of ddot.
+    """
+    production = w.drift * terms["mass"] - 2.0 * terms["op_pair"]
+    ddot = (production[2:] - production[:-2]) / (2.0 * (times[1] - times[0]))
+    inner = slice(1, -1)
+    lead = 0.75 * (w.eigenvalue(p) - w.drift) ** 2
+    parts = (lead * terms["mass"][inner],
+             -c1 * terms["forcing_sq"][inner],
+             2.0 * terms["kinetic"][inner],
+             (w.drift + p.m ** (2.0 * p.s)) * terms["form_s"][inner],
+             -terms["form_2s"][inner])
+    rhs = sum(parts)
+    scale = sum(np.abs(part) for part in parts) + np.abs(ddot) + 1e-300
+    return ddot, rhs, scale
+
+
 def ddot_lower_bound_check(trajectory: list[HeatState], w: LinearWeight,
                            p: OperatorParams,
                            V: PotentialField | None = None,
@@ -418,49 +440,28 @@ def ddot_lower_bound_check(trajectory: list[HeatState], w: LinearWeight,
             f"the energy split needs s <= 1/2, got s={p.s:g}")
     c1, c2 = _resolve_constants(constants, p, w)
     w.require_admissible(p, c2)
-    times = np.array([st.t for st in trajectory])
-    dt = _uniform_spacing(times, "production trajectory")
+    dt = _uniform_spacing(np.array([st.t for st in trajectory]),
+                          "production trajectory")
     if dt > 2.5e-3:
         raise PreconditionError(
             f"need spacing <= 2.5e-3 for the centered differences, "
             f"got {dt:g}")
-    bundles = [_state_terms(st, w.lam, p, V) for st in trajectory]
-    drift_fac = np.exp(w.drift * times)
-    mass = drift_fac * np.array([b.mass for b in bundles])
-    op_pair = drift_fac * np.array([b.op_pair for b in bundles])
-    kinetic = drift_fac * np.array([b.kinetic for b in bundles])
-    form_s = drift_fac * np.array([b.form_s for b in bundles])
-    form_2s = drift_fac * np.array([b.form_2s for b in bundles])
-    gsq = drift_fac * np.array([b.forcing_sq for b in bundles])
-    production = w.drift * mass - 2.0 * op_pair
-    mu = w.eigenvalue(p)
-    zero_order = p.m ** (2.0 * p.s)
-    lead = 0.75 * (mu - w.drift) ** 2
-    worst = None
-    worst_slack = math.inf
-    slacks = []
-    for k in range(1, len(trajectory) - 1):
-        ddot = (production[k + 1] - production[k - 1]) / (2.0 * dt)
-        terms = (lead * mass[k], -c1 * gsq[k], 2.0 * kinetic[k],
-                 (w.drift + zero_order) * form_s[k], -form_2s[k])
-        rhs = sum(terms)
-        scale = sum(abs(term) for term in terms) + abs(ddot) + 1e-300
-        slack = (ddot - rhs) / scale
-        slacks.append(slack)
-        if slack < worst_slack:
-            worst_slack = slack
-            worst = {"t": float(times[k]), "ddot": float(ddot),
-                     "rhs": float(rhs), "scale": float(scale)}
-    violation = -min(slacks)
+    times, series = _tilted_series(trajectory, w.lam, p, V)
+    ddot, rhs, scale = _production_rate(
+        times, _weighted(times, series, w.drift), w, p, c1)
+    slacks = (ddot - rhs) / scale
+    k = int(np.argmin(slacks))
+    worst = {"t": float(times[k + 1]), "ddot": float(ddot[k]),
+             "rhs": float(rhs[k]), "scale": float(scale[k])}
     return finish_report(
         "linear_carleman.ddot_lower_bound",
         inputs={"s": p.s, "m": p.m, "lam": w.lam, "drift": w.drift,
                 "C1": c1, "C2": c2, "dt": dt, "states": len(trajectory),
                 "sup_v": 0.0 if V is None else V.sup_norm},
-        measured={"worst_slack": float(min(slacks)),
+        measured={"worst_slack": float(slacks[k]),
                   "median_slack": float(np.median(slacks))},
         tolerance=tolerance,
-        violation=violation,
+        violation=-float(slacks[k]),
         witness=worst,
         t_start=t_start)
 
@@ -668,21 +669,13 @@ def carleman_linear_check(u0: GridFunction, V: PotentialField | None,
     w.require_admissible(p, c2)
     cfg = DEFAULT_LEDGER_STEPPING if cfg is None else cfg
     V_eff = PotentialField.constant(0.0) if V is None else V
-    traj = evolve_with_potential(u0, V_eff, 1.0, p, cfg)
-    times = np.array([st.t for st in traj])
-    bundles = [_state_terms(st, w.lam, p, V) for st in traj]
-    drift_fac = np.exp(w.drift * times)
-    series = {
-        "mass": drift_fac * np.array([b.mass for b in bundles]),
-        "kinetic": drift_fac * np.array([b.kinetic for b in bundles]),
-        "form_s": drift_fac * np.array([b.form_s for b in bundles]),
-        "form_2s": drift_fac * np.array([b.form_2s for b in bundles]),
-        "forcing_sq": drift_fac * np.array([b.forcing_sq for b in bundles]),
-    }
+    times, series = _tilted_series(
+        evolve_with_potential(u0, V_eff, 1.0, p, cfg), w.lam, p, V)
     inputs = {"s": p.s, "m": p.m, "lam": w.lam, "drift": w.drift,
               "L": u0.L, "n": u0.n, "dt": cfg.dt,
               "sup_v": V_eff.sup_norm}
-    return _assemble_ledger(times, series, w, p, c1, c2, inputs)
+    return _assemble_ledger(times, _weighted(times, series, w.drift), w, p,
+                            c1, c2, inputs)
 
 
 # ----------------------------------------------------------------------
@@ -738,53 +731,27 @@ def calibrate_constants(p: OperatorParams, lam: float, *,
     corpus = carleman_corpus(L, n, draws, seed, k_max=k_max, sup_v=sup_v)
     fine, coarse = [], []
     for u0, V in corpus:
-        traj_f = evolve_with_potential(u0, V, fine_T, p,
-                                       PicardConfig(dt=fine_dt))
-        traj_c = evolve_with_potential(u0, V, 1.0, p,
-                                       PicardConfig(dt=ledger_dt))
-        fine.append(([_state_terms(st, lam, p, V) for st in traj_f],
-                     np.array([st.t for st in traj_f])))
-        coarse.append(([_state_terms(st, lam, p, V) for st in traj_c],
-                       np.array([st.t for st in traj_c])))
+        fine.append(_tilted_series(evolve_with_potential(
+            u0, V, fine_T, p, PicardConfig(dt=fine_dt)), lam, p, V))
+        coarse.append(_tilted_series(evolve_with_potential(
+            u0, V, 1.0, p, PicardConfig(dt=ledger_dt)), lam, p, V))
 
-    def ddot_stats(bundles, times, drift, c1):
-        drift_fac = np.exp(drift * times)
-        mass = drift_fac * np.array([b.mass for b in bundles])
-        op_pair = drift_fac * np.array([b.op_pair for b in bundles])
-        kinetic = drift_fac * np.array([b.kinetic for b in bundles])
-        form_s = drift_fac * np.array([b.form_s for b in bundles])
-        form_2s = drift_fac * np.array([b.form_2s for b in bundles])
-        gsq = drift_fac * np.array([b.forcing_sq for b in bundles])
-        production = drift * mass - 2.0 * op_pair
-        dt = times[1] - times[0]
-        lead = 0.75 * (mu - drift) ** 2
-        worst_slack = math.inf
-        worst_deficit = 0.0
-        for k in range(1, len(bundles) - 1):
-            ddot = (production[k + 1] - production[k - 1]) / (2.0 * dt)
-            terms = (lead * mass[k], -c1 * gsq[k], 2.0 * kinetic[k],
-                     (drift + zero_order) * form_s[k], -form_2s[k])
-            rhs = sum(terms)
-            scale = sum(abs(x) for x in terms) + abs(ddot) + 1e-300
-            worst_slack = min(worst_slack, (ddot - rhs) / scale)
-            if gsq[k] > 0.0:
-                # deficit: extra forcing weight the bound still needs
-                worst_deficit = max(worst_deficit,
-                                    (rhs - ddot) / gsq[k] + c1)
-        return worst_slack, worst_deficit
+    def ddot_stats(times, series, drift, c1):
+        terms = _weighted(times, series, drift)
+        ddot, rhs, scale = _production_rate(
+            times, terms, LinearWeight(lam, drift), p, c1)
+        # deficit: extra forcing weight the bound still needs
+        gsq = terms["forcing_sq"][1:-1]
+        forced = gsq > 0.0
+        deficits = (rhs - ddot)[forced] / gsq[forced] + c1
+        return (float(np.min((ddot - rhs) / scale)),
+                float(np.max(deficits, initial=0.0)))
 
-    def ledger_stats(bundles, times, drift, c1):
-        drift_fac = np.exp(drift * times)
-        series = {key: drift_fac * np.array([getattr(b, attr)
-                                             for b in bundles])
-                  for key, attr in (("mass", "mass"),
-                                    ("kinetic", "kinetic"),
-                                    ("form_s", "form_s"),
-                                    ("form_2s", "form_2s"),
-                                    ("forcing_sq", "forcing_sq"))}
-        led = _assemble_ledger(times, series, LinearWeight(lam, drift), p,
+    def ledger_stats(times, series, drift, c1):
+        terms = _weighted(times, series, drift)
+        led = _assemble_ledger(times, terms, LinearWeight(lam, drift), p,
                                c1, 0.0, {})
-        forcing = _time_integral(series["forcing_sq"],
+        forcing = _time_integral(terms["forcing_sq"],
                                  float(times[1] - times[0]))
         deficit_main = (led.lhs_total - led.rhs_terms["initial_mass"]
                         - led.rhs_terms["final_mass"])
@@ -803,9 +770,9 @@ def calibrate_constants(p: OperatorParams, lam: float, *,
     for offset in gap_offsets:
         drift = -(zero_order + offset)
         ok = True
-        for (fb, ft), (cb, ct) in zip(fine, coarse):
-            slack_d, _ = ddot_stats(fb, ft, drift, probe_c1)
-            slack_l, _ = ledger_stats(cb, ct, drift, probe_c1)
+        for f_series, c_series in zip(fine, coarse):
+            slack_d, _ = ddot_stats(*f_series, drift, probe_c1)
+            slack_l, _ = ledger_stats(*c_series, drift, probe_c1)
             if slack_d < -tolerance or slack_l < -FLAG_TOL:
                 ok = False
                 break
@@ -820,9 +787,9 @@ def calibrate_constants(p: OperatorParams, lam: float, *,
 
     c1_need = 0.0
     for drift in (-(zero_order + operating_offset), mu - threshold_gap):
-        for (fb, ft), (cb, ct) in zip(fine, coarse):
-            _, need_d = ddot_stats(fb, ft, drift, 0.0)
-            _, need_l = ledger_stats(cb, ct, drift, 1e-300)
+        for f_series, c_series in zip(fine, coarse):
+            _, need_d = ddot_stats(*f_series, drift, 0.0)
+            _, need_l = ledger_stats(*c_series, drift, 1e-300)
             c1_need = max(c1_need, need_d, need_l)
     c1 = max(1.0, 2.0 * c1_need)
     return {

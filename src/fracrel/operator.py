@@ -226,22 +226,13 @@ def _kernel_weights(p: OperatorParams, L: float, n: int,
     w0 = float(stencil.sum())
     stencil_hat = np.fft.rfft(stencil)
 
-    # per-unit-sup truncation tail: C m^nu int_(r_far)^(r_far + 40/m) g dz
-    nu = 0.5 + p.s
-    c_full = frac_power_constant(1, p.s) * p.m**nu
-    zt = r_far + (0.5 + 0.5 * nodes) * (40.0 / p.m)
-    gt = _kernel_radial(p, zt, bessel_cfg)
-    tail = float(c_full * (20.0 / p.m) * (gt * gl_w).sum())
-
     out = {
         "h": h,
         "w": w,
         "w0": w0,
         "stencil_hat": stencil_hat,
         "moment": jin + j2_total,
-        "c_full": c_full,
-        "tail_per_unit": tail,
-        "r_far": r_far,
+        "c_full": frac_power_constant(1, p.s) * p.m ** (0.5 + p.s),
     }
     _weights_cache[key] = out
     return out
@@ -297,15 +288,6 @@ def apply_singular_at(f: GridFunction, p: OperatorParams,
     d2 = (np.take(v, idx + 1, mode="wrap") - 2.0 * vi
           + np.take(v, idx - 1, mode="wrap")) / kw["h"] ** 2
     return kw["c_full"] * (acc - d2 * kw["moment"]) + p.m ** (2.0 * p.s) * vi
-
-
-def singular_tail_bound(f: GridFunction, p: OperatorParams,
-                        quad: SingularQuadConfig = DEFAULT_SINGULAR_CONFIG,
-                        bessel_cfg: BesselEvalConfig = DEFAULT_BESSEL_CONFIG,
-                        ) -> float:
-    """Upper bound on the truncation error of the kernel cutoff."""
-    kw = _kernel_weights(p, f.L, f.n, quad, bessel_cfg)
-    return 4.0 * float(np.max(np.abs(f.values))) * abs(kw["tail_per_unit"])
 
 
 def carre_du_champ(f: GridFunction, g: GridFunction, p: OperatorParams,

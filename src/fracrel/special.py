@@ -8,9 +8,10 @@ The Macdonald function K_nu is evaluated by three cooperating strategies:
   (the I-pair difference cancels catastrophically near integer order);
 * trapezoid quadrature of the integral representation
   K_nu(z) = int_0^inf exp(-z cosh w) cosh(nu w) dw, refined until the
-  requested relative tolerance is met.  This path is valid for every
-  (nu, z) and also backs the integer-order limit: at integer nu the
-  function is evaluated at nu +- 1e-6 and averaged;
+  requested relative tolerance is met (QuadratureError if the node cap
+  comes first).  This path is valid for every (nu, z) and also backs the
+  integer-order limit: at integer nu the function is evaluated at
+  nu +- 1e-6 and averaged;
 * the large-argument expansion sqrt(pi/(2z)) exp(-z) (1 + ...), with the
   running term monitored and a fallback to quadrature whenever the
   expansion cannot reach tolerance.
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, PoleError
+from .errors import ConfigError, DomainError, PoleError, QuadratureError
 
 # Branch switch to the large-argument expansion.
 ASYMPTOTIC_SWITCH_Z = 30.0
@@ -117,7 +118,9 @@ def _kv_quadrature(nu: float, z: np.ndarray, cfg: BesselEvalConfig) -> np.ndarra
     while True:
         n_next = 2 * n - 1
         if n_next > cfg.max_quad_nodes:
-            return prev
+            raise QuadratureError(
+                f"Macdonald quadrature for nu={nu:g} did not converge "
+                f"within max_quad_nodes={cfg.max_quad_nodes}")
         cur = evaluate(n_next)
         done = np.abs(cur - prev) <= cfg.quad_rel_tol * np.abs(cur)
         prev, n = cur, n_next

@@ -49,7 +49,7 @@ from .errors import (
     PreconditionError,
     SupportError,
 )
-from .grid import GridFunction, band_limited_noise
+from .grid import GridFunction, band_limited_noise, smooth_step
 from .operator import OperatorParams, frequencies
 from .report import CheckReport, finish_report
 
@@ -939,19 +939,6 @@ def elliptic_test_family(w: QuadraticWeight, L: float, n: int, count: int,
     return out
 
 
-def _smooth_step(u: np.ndarray) -> np.ndarray:
-    """0 below 0, 1 above 1, the exp-flat joint in between."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    out[u >= 1.0] = 1.0
-    mid = (u > 0.0) & (u < 1.0)
-    um = u[mid]
-    f1 = np.exp(-1.0 / um)
-    f2 = np.exp(-1.0 / (1.0 - um))
-    out[mid] = f1 / (f1 + f2)
-    return out
-
-
 def _sigma_window(w: QuadraticWeight, L: float, n: int, t: float,
                   lo: float, hi: float) -> np.ndarray:
     """C^inf window in x equal to 1 well inside offsets [lo, hi]."""
@@ -960,7 +947,7 @@ def _sigma_window(w: QuadraticWeight, L: float, n: int, t: float,
     x = -0.5 * L + (L / n) * np.arange(n)
     sig = w.offset(t, x)
     rise = 0.2 * (hi - lo)
-    return _smooth_step((sig - lo) / rise) * _smooth_step((hi - sig) / rise)
+    return smooth_step((sig - lo) / rise) * smooth_step((hi - sig) / rise)
 
 
 def parabolic_test_family(w: QuadraticWeight, L: float, n: int,
@@ -973,8 +960,8 @@ def parabolic_test_family(w: QuadraticWeight, L: float, n: int,
     t_lo = times[0] + 0.1 * span
     t_hi = times[-1] - 0.1 * span
     rise = 0.15 * span
-    bump = (_smooth_step((times - t_lo) / rise)
-            * _smooth_step((t_hi - times) / rise))
+    bump = (smooth_step((times - t_lo) / rise)
+            * smooth_step((t_hi - times) / rise))
     windows = []
     for t in times:
         psi_val = float(w.psi_at(t))

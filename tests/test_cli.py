@@ -6,6 +6,7 @@ the frozen calibration tables.
 """
 import csv
 import json
+import re
 import subprocess
 import sys
 
@@ -65,10 +66,18 @@ def test_load_config_rejects_bad_values(tmp_path):
             ({"suite": "everything"}, "suite"),
             ({"tolerance.energy": 0.0}, "tolerance.energy"),
             ({"grid.n": 4}, "grid.n"),
+            ({"grid.n": 1000}, "grid.n"),
+            ({"linear.n": 1000}, "linear.n"),
+            ({"symbol.matrix_n": 8}, "symbol.matrix_n"),
+            ({"linear.L": -1.0}, "linear.L"),
+            ({"quadratic.R": 0.0}, "quadratic.R"),
+            ({"operator.s": 1.5}, "operator.s"),
+            ({"operator.s": 0.0}, "operator.s"),
+            ({"operator.m": -1.0}, "operator.m"),
             ({"sweep.count": 0}, "sweep.count"),
             ({"output.dir": ""}, "output.dir")):
         path = write_config(tmp_path, **overrides)
-        with pytest.raises(ConfigError, match=key.split(".")[0]):
+        with pytest.raises(ConfigError, match=re.escape(key)):
             load_config(path)
 
 
@@ -169,6 +178,11 @@ def test_run_malformed_config_exit_code(tmp_path, capsys):
     cfg2.write_text("{")
     assert main(["run", str(cfg2)]) == 2
     assert main(["run", str(tmp_path / "missing.json")]) == 2
+    # out of the domain: rejected at load time, before any suite runs
+    cfg3 = symbol_config(tmp_path, outname="domain", **{"operator.s": 1.5})
+    assert main(["run", str(cfg3)]) == 2
+    assert "operator.s" in capsys.readouterr().err
+    assert not (tmp_path / "domain").exists()
 
 
 def test_defaults_subcommand_prints_reference(tmp_path, capsys):

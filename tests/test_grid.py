@@ -11,9 +11,7 @@ from fracrel.grid import (
     centered_d1,
     centered_d2,
     fourier_mode,
-    from_csv,
     gaussian,
-    named_profile,
     require_seam_decay,
     smooth_window,
     spectral_d1,
@@ -98,27 +96,6 @@ def test_band_limited_noise_determinism_and_band():
     spec = np.fft.rfft(raw.values)
     assert np.max(np.abs(spec[51:])) < 1e-10 * np.max(np.abs(spec))
     assert np.max(np.abs(raw.values)) == pytest.approx(1.0)
-
-
-def test_from_csv_roundtrip(tmp_path):
-    path = tmp_path / "profile.csv"
-    xs = np.linspace(-20.0, 20.0, 401)
-    np.savetxt(path, np.column_stack([xs, np.exp(-xs**2)]), delimiter=",")
-    f = from_csv(path, L=40.0, n=512)
-    want = np.exp(-f.x**2)
-    # linear interpolation from 0.1-spaced samples: error ~ f'' h^2 / 8
-    assert np.max(np.abs(f.values - want)) < 5e-3
-
-
-def test_named_profile_dispatch():
-    f = named_profile("gaussian", 40.0, 512, sigma=2.0)
-    assert f.values.max() == pytest.approx(1.0)
-    g = named_profile("mode", 40.0, 512, k=3)
-    assert g.values.max() <= 1.0
-    h = named_profile("windowed-exponential", 40.0, 512, lam=0.3)
-    assert h.n == 512
-    with pytest.raises(DomainError):
-        named_profile("does-not-exist", 40.0, 512)
 
 
 def test_centered_derivatives_converge():

@@ -316,8 +316,12 @@ def test_potential_field_contract():
     assert const.sup_norm == pytest.approx(0.7)
     prof = gaussian(40.0, 1024, sigma=3.0)
     static = PotentialField.static(prof)
-    np.testing.assert_allclose(static.sample(0.0, prof), prof.values,
-                               atol=1e-12)
+    np.testing.assert_array_equal(static.sample(0.0, prof), prof.values)
+    assert static.sup_norm == np.max(np.abs(prof.values))
+    # the samples define the potential only on the profile's own grid
+    for other in (gaussian(40.0, 2048), gaussian(80.0, 1024)):
+        with pytest.raises(PreconditionError):
+            static.sample(0.0, other)
 
 
 def test_picard_config_validation():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from fracrel.errors import ConfigError, DomainError, PoleError
+from fracrel.errors import ConfigError, DomainError, PoleError, QuadratureError
 from fracrel.special import (
     BesselEvalConfig,
     frac_power_constant,
@@ -117,6 +117,14 @@ def test_config_validation():
         BesselEvalConfig(quad_rel_tol=1e-3)
     with pytest.raises(ConfigError):
         BesselEvalConfig(max_quad_nodes=10)
+
+
+def test_quadrature_node_cap_raises():
+    # the cap sits below the first refinement level, so convergence can
+    # never be confirmed and no unconverged value may come back
+    with pytest.raises(QuadratureError, match="nu=0.7"):
+        macdonald_k(0.7, np.array([5.0]),
+                    BesselEvalConfig(max_quad_nodes=64))
 
 
 def test_gamma_wrapper():
