@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CalibrationError, ConfigError, FracrelError
-from .grid import band_limited_noise, gaussian
+from .grid import band_limited_noise, gaussian, grid_points
 from .heat import (PicardConfig, PotentialField, energy_identity_check,
                    evolve_with_potential, log_convexity_check,
                    weighted_decay_check)
@@ -142,6 +142,12 @@ def _split_rng(seed: int, suite: str, check: str, index: int = 0):
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
 
+def _corpus_seed(cfg) -> int:
+    """Seed of the linear Carleman corpus, shared by run and calibrate."""
+    return int.from_bytes(hashlib.sha256(
+        f"{cfg['seed']}|linear|corpus".encode()).digest()[:8], "little")
+
+
 # ------------------------------------------------------------------ suites
 
 def _suite_equivalence(cfg) -> list:
@@ -192,17 +198,15 @@ def _suite_linear(cfg) -> list:
     p = OperatorParams(cfg["operator.s"], cfg["operator.m"])
     w = LinearWeight(cfg["linear.lam"], cfg["linear.drift"])
     out = []
-    u0 = gaussian(L, n, sigma=2.0)
-    out.append(monotonicity_check(u0, None, w, p))
-    # the tent residual is quadratic in the step, so the trajectory for the
-    # identity check needs the fine spacing
-    traj = evolve_with_potential(u0, PotentialField.constant(0.0), 1.0, p,
+    # one free trajectory serves both checks; the tent residual is
+    # quadratic in the step, so it needs the fine spacing
+    traj = evolve_with_potential(gaussian(L, n, sigma=2.0),
+                                 PotentialField.constant(0.0), 1.0, p,
                                  PicardConfig(dt=1e-3))
+    out.append(monotonicity_check(traj, None, w, p))
     out.append(tent_identity_check(traj, w,
                                    tolerance=cfg["tolerance.tent"]))
-    corpus_seed = int.from_bytes(hashlib.sha256(
-        f"{cfg['seed']}|linear|corpus".encode()).digest()[:8], "little")
-    corpus = carleman_corpus(L, n, int(cfg["sweep.count"]), corpus_seed)
+    corpus = carleman_corpus(L, n, int(cfg["sweep.count"]), _corpus_seed(cfg))
     for i, (f0, V) in enumerate(corpus):
         t0 = time.perf_counter()
         ledger = carleman_linear_check(f0, V, w, p)
@@ -221,7 +225,7 @@ def _suite_linear(cfg) -> list:
 
 
 def _analytic_operands(L: float, n: int) -> list:
-    x = -L / 2.0 + (L / n) * np.arange(n)
+    x = grid_points(L, n)
     core = np.exp(-((x / 0.35) ** 2))
     ops = [core]
     for k in (1, 2, 3):
@@ -422,7 +426,7 @@ def _corpus_hash(corpus) -> str:
     h = hashlib.sha256()
     for f0, V in corpus:
         h.update(np.ascontiguousarray(f0.values).tobytes())
-        h.update(np.ascontiguousarray(V.sample(0.0, f0)).tobytes())
+        h.update(np.ascontiguousarray(V.sample(f0)).tobytes())
     return h.hexdigest()
 
 
@@ -435,9 +439,7 @@ def cmd_calibrate(cfg: dict) -> int:
             p = OperatorParams(cfg["operator.s"], cfg["operator.m"])
             L, n = cfg["linear.L"], int(cfg["linear.n"])
             draws = int(cfg["sweep.count"])
-            corpus_seed = int.from_bytes(hashlib.sha256(
-                f"{cfg['seed']}|linear|corpus".encode()).digest()[:8],
-                "little")
+            corpus_seed = _corpus_seed(cfg)
             tables["linear"] = calibrate_constants(
                 p, cfg["linear.lam"], L=L, n=n, draws=draws,
                 seed=corpus_seed)
@@ -463,21 +465,17 @@ def cmd_calibrate(cfg: dict) -> int:
             raise ConfigError(
                 f"suite {suite!r} has no calibrated constants; pick one of "
                 "'linear-carleman', 'symbol', 'quadratic-carleman', 'all'")
+        body, failure = {"tables": tables, "provenance": provenance}, None
     except CalibrationError as exc:
-        outdir = Path(cfg["output.dir"])
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "calibration.json").write_text(json.dumps(
-            {"body": {"error": str(exc), "tables": tables},
-             "meta": {"generated_unix": time.time()}},
-            indent=2, sort_keys=True) + "\n")
-        print(f"calibration failed: {exc}", file=sys.stderr)
-        return 1
+        body, failure = {"error": str(exc), "tables": tables}, exc
     outdir = Path(cfg["output.dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "calibration.json").write_text(json.dumps(
-        {"body": {"tables": tables, "provenance": provenance},
-         "meta": {"generated_unix": time.time()}},
+        {"body": body, "meta": {"generated_unix": time.time()}},
         indent=2, sort_keys=True) + "\n")
+    if failure is not None:
+        print(f"calibration failed: {failure}", file=sys.stderr)
+        return 1
     print(f"calibration table written to {outdir / 'calibration.json'}")
     return 0
 

@@ -25,6 +25,11 @@ def _is_pow2(n: int) -> bool:
     return n >= 2 and (n & (n - 1)) == 0
 
 
+def grid_points(L: float, n: int) -> np.ndarray:
+    """The sample positions x_j = -L/2 + j*L/n, j = 0..n-1, of the box."""
+    return -0.5 * L + (L / n) * np.arange(n)
+
+
 @dataclass
 class GridFunction:
     """Real samples of a function on the periodic box [-L/2, L/2).
@@ -57,13 +62,54 @@ class GridFunction:
 
     @property
     def x(self) -> np.ndarray:
-        return -0.5 * self.L + self.h * np.arange(self.n)
+        return grid_points(self.L, self.n)
 
     def with_values(self, values: np.ndarray) -> "GridFunction":
         return GridFunction(self.L, self.n, np.asarray(values, dtype=float))
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.L, self.n, self.values.copy())
+
+@dataclass(frozen=True)
+class SpaceTimeFunction:
+    """Samples f(t_i, x_j) on the periodic box at strictly increasing times.
+
+    The one trajectory type: row i of ``values`` (shape (nt, n)) is the
+    state at ``times[i]``.  Checks that need more of the time grid (uniform
+    spacing, a minimum number of samples) impose it themselves.
+    """
+
+    L: float
+    n: int
+    times: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        times = np.asarray(self.times, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        if (times.ndim != 1 or values.size == 0
+                or values.shape != (times.size, int(self.n))):
+            raise ConfigError(
+                f"need times of shape (nt,) and values of shape (nt, "
+                f"{self.n}), got {times.shape} and {values.shape}")
+        # min and max propagate nan without allocating, unlike isfinite on
+        # a trajectory of tens of megabytes
+        if not (np.all(np.isfinite(times)) and math.isfinite(values.min())
+                and math.isfinite(values.max())):
+            raise ConfigError("samples must be finite")
+        if np.any(np.diff(times) <= 0.0):
+            raise ConfigError("times must be strictly increasing")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def nt(self) -> int:
+        return int(self.times.size)
+
+    @property
+    def x(self) -> np.ndarray:
+        return grid_points(self.L, self.n)
+
+    def slice(self, i: int) -> GridFunction:
+        return GridFunction(self.L, self.n, self.values[i])
 
 
 def trapezoid(g: GridFunction) -> float:
@@ -112,30 +158,27 @@ def smooth_window(L: float, n: int, inner: float, outer: float) -> GridFunction:
     with the smooth step in between."""
     if not (0.0 < inner < outer <= 0.5 * L):
         raise DomainError("need 0 < inner < outer <= L/2")
-    x = -0.5 * L + (L / n) * np.arange(n)
-    t = (outer - np.abs(x)) / (outer - inner)
+    t = (outer - np.abs(grid_points(L, n))) / (outer - inner)
     return GridFunction(L, n, smooth_step(t))
 
 
 def gaussian(L: float, n: int, sigma: float = 1.0, center: float = 0.0,
              amplitude: float = 1.0) -> GridFunction:
-    g = GridFunction(L, n, np.zeros(n))
-    vals = amplitude * np.exp(-0.5 * ((g.x - center) / sigma) ** 2)
-    return g.with_values(vals)
+    x = grid_points(L, n)
+    return GridFunction(L, n, amplitude * np.exp(-0.5 * ((x - center) / sigma) ** 2))
 
 
 def fourier_mode(L: float, n: int, k: int, kind: str = "cos",
                  amplitude: float = 1.0) -> GridFunction:
     """Single periodic mode cos/sin(2 pi k x / L)."""
-    g = GridFunction(L, n, np.zeros(n))
-    phase = 2.0 * math.pi * k * g.x / L
+    phase = 2.0 * math.pi * k * grid_points(L, n) / L
     if kind == "cos":
         vals = amplitude * np.cos(phase)
     elif kind == "sin":
         vals = amplitude * np.sin(phase)
     else:
         raise DomainError(f"kind must be 'cos' or 'sin', got {kind!r}")
-    return g.with_values(vals)
+    return GridFunction(L, n, vals)
 
 
 def windowed_exponential(L: float, n: int, lam: float,

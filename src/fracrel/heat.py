@@ -2,10 +2,12 @@
 
 The free semigroup is applied exactly per Fourier mode, so the fundamental
 solution, mass decay and the semigroup property hold to rounding on the grid.
-A bounded potential enters through the Duhamel form, solved per step by a
-short Picard iteration.  Weighted energies refuse to integrate data that has
-not decayed at the periodic seam, since the exponential weight would turn
-wrap-around into silent garbage.
+A bounded time-independent potential V enters through the Duhamel form,
+solved per step by a short Picard iteration; it is sampled once per
+trajectory.  Trajectories come back as one SpaceTimeFunction (times and an
+(nt, n) array of states); HeatState is a single snapshot.  Weighted energies
+refuse to integrate data that has not decayed at the periodic seam, since
+the exponential weight would turn wrap-around into silent garbage.
 """
 from __future__ import annotations
 
@@ -22,7 +24,8 @@ from .errors import (
     DomainError,
     PreconditionError,
 )
-from .grid import GridFunction, require_seam_decay, trapezoid
+from .grid import (GridFunction, SpaceTimeFunction, require_seam_decay,
+                   trapezoid)
 from .operator import OperatorParams, frequencies, symbol
 from .report import CheckReport, finish_report
 
@@ -41,14 +44,14 @@ class HeatState:
 
 @dataclass(frozen=True)
 class PotentialField:
-    """Bounded potential V(t, x) with a declared sup-norm.
+    """Bounded time-independent potential V(x) with a declared sup-norm.
 
     The declared bound is part of the contract: sampling raises if the
     evaluator exceeds it, because the contraction step size and the
     existence theory both key off sup_norm.
     """
 
-    evaluator: Callable[[float, np.ndarray], np.ndarray]
+    evaluator: Callable[[np.ndarray], np.ndarray]
     sup_norm: float
 
     def __post_init__(self):
@@ -56,10 +59,11 @@ class PotentialField:
             raise ConfigError(
                 f"sup_norm must be finite and >= 0, got {self.sup_norm!r}")
 
-    def sample(self, t: float, grid: GridFunction) -> np.ndarray:
+    def sample(self, grid: GridFunction | SpaceTimeFunction) -> np.ndarray:
+        """V at the nodes of the grid's box, checked against sup_norm."""
+        x = grid.x
         vals = np.broadcast_to(
-            np.asarray(self.evaluator(t, grid.x), dtype=float),
-            grid.x.shape).copy()
+            np.asarray(self.evaluator(x), dtype=float), x.shape).copy()
         if not np.all(np.isfinite(vals)):
             raise DomainError("potential evaluated to non-finite values")
         peak = float(np.max(np.abs(vals))) if vals.size else 0.0
@@ -71,7 +75,7 @@ class PotentialField:
 
     @staticmethod
     def constant(c: float) -> "PotentialField":
-        return PotentialField(lambda t, x: np.full_like(x, float(c)), abs(c))
+        return PotentialField(lambda x: np.full_like(x, float(c)), abs(c))
 
     @staticmethod
     def static(profile: GridFunction) -> "PotentialField":
@@ -82,7 +86,7 @@ class PotentialField:
         """
         xs, vs = profile.x, profile.values.copy()
 
-        def evaluate(t, x):
+        def evaluate(x):
             if not np.array_equal(x, xs):
                 raise PreconditionError(
                     f"static potential lives on its profile's grid "
@@ -191,18 +195,27 @@ def energy_identity_check(u0: GridFunction, p: OperatorParams, T: float = 1.0,
     )
 
 
-def weighted_l2(g: GridFunction, lam: float,
-                what: str = "weighted integrand") -> float:
-    """Integral of e^(lam x) g^2, guarded against seam leakage.
+def weighted_integral(g: GridFunction, values: np.ndarray, lam: float,
+                      what: str = "weighted integrand",
+                      tilt: np.ndarray | None = None) -> float:
+    """Integral of e^(lam x) values over g's box, guarded against seam
+    leakage; ``tilt`` may carry e^(lam x) precomputed on g's grid.
 
     At lam = 0 the integrand is periodic and the guard is skipped; any
     nonzero weight jumps across the seam, so there the data must have died
     out first.
     """
-    integrand = g.with_values(np.exp(lam * g.x) * g.values ** 2)
+    tilt = np.exp(lam * g.x) if tilt is None else tilt
+    integrand = g.with_values(tilt * values)
     if lam != 0.0:
         require_seam_decay(integrand, what=what)
     return trapezoid(integrand)
+
+
+def weighted_l2(g: GridFunction, lam: float,
+                what: str = "weighted integrand") -> float:
+    """Integral of e^(lam x) g^2, guarded against seam leakage."""
+    return weighted_integral(g, g.values ** 2, lam, what)
 
 
 def shifted_kernel(t: float, mu: float, p: OperatorParams, L: float,
@@ -355,13 +368,18 @@ def log_convexity_check(u0: GridFunction, lam: float, p: OperatorParams,
 def evolve_with_potential(u0: GridFunction, V: PotentialField, T: float,
                           p: OperatorParams,
                           cfg: PicardConfig | None = None,
-                          diagnostics: dict | None = None) -> list[HeatState]:
+                          diagnostics: dict | None = None
+                          ) -> SpaceTimeFunction:
     """March the potential problem with a per-step Duhamel fixed point.
 
-    Each step solves w = K_dt u + (dt/2)(K_dt(V u) + V w) by Picard
-    iteration; the linear part contracts with ratio (dt/2)||V||, half the
-    documented budget.  Pass a dict as ``diagnostics`` to get back the
-    observed per-step contraction ratios and iteration counts.
+    V is time-independent, so it is sampled once on u0's grid and the same
+    samples serve both ends of every step.  Each step solves
+    w = K_dt u + (dt/2)(K_dt(V u) + V w) by Picard iteration; the linear
+    part contracts with ratio (dt/2)||V||, half the documented budget.
+    Steps are cfg.dt except a final shorter one that lands on T.  Returns
+    the trajectory at t = 0 and after every step.  Pass a dict as
+    ``diagnostics`` to get back the observed per-step contraction ratios
+    and iteration counts.
     """
     cfg = DEFAULT_PICARD_CONFIG if cfg is None else cfg
     if T <= 0.0:
@@ -370,26 +388,31 @@ def evolve_with_potential(u0: GridFunction, V: PotentialField, T: float,
         raise PreconditionError(
             f"need ||V|| * dt < 1/2 for the contraction, got "
             f"{V.sup_norm * cfg.dt:g}")
+    # the step grid first, so the states go straight into one array
+    times, steps = [0.0], []
+    t = 0.0
+    while t < T - 1e-12 * max(1.0, T):
+        steps.append(min(cfg.dt, T - t))
+        t += steps[-1]
+        times.append(t)
+    values = np.empty((len(times), u0.n))
+    values[0] = u0.values
     sig = symbol(p, frequencies(u0.L, u0.n))
     decay_full = np.exp(-cfg.dt * sig)
-    states = [HeatState(0.0, u0.copy())]
+    v = V.sample(u0)
     ratios: list[float] = []
     iterations: list[int] = []
-    t = 0.0
-    u = u0.values.copy()
-    while t < T - 1e-12 * max(1.0, T):
-        dt = min(cfg.dt, T - t)
+    for k, dt in enumerate(steps):
+        u = values[k]
         decay = decay_full if dt == cfg.dt else np.exp(-dt * sig)
-        v_left = V.sample(t, u0)
-        v_right = V.sample(t + dt, u0)
-        base = np.fft.irfft(np.fft.rfft(u + 0.5 * dt * v_left * u) * decay,
+        base = np.fft.irfft(np.fft.rfft(u + 0.5 * dt * v * u) * decay,
                             u0.n)
         w = base
         prev_res = None
         step_ratio = 0.0
         converged = False
         for it in range(1, cfg.max_iters + 1):
-            w_new = base + 0.5 * dt * v_right * w
+            w_new = base + 0.5 * dt * v * w
             res = math.sqrt(u0.h * float(((w_new - w) ** 2).sum()))
             if prev_res is not None and prev_res > 0.0:
                 step_ratio = max(step_ratio, res / prev_res)
@@ -400,44 +423,34 @@ def evolve_with_potential(u0: GridFunction, V: PotentialField, T: float,
             prev_res = res
         if not converged:
             raise ConvergenceError(
-                f"Picard iteration stalled at t={t:g} "
+                f"Picard iteration stalled at t={times[k]:g} "
                 f"(residual {res:.3e} after {cfg.max_iters} iterations)")
         ratios.append(step_ratio)
         iterations.append(it)
-        t += dt
-        u = w
-        states.append(HeatState(t, u0.with_values(u.copy())))
+        values[k + 1] = w
     if diagnostics is not None:
         diagnostics["contraction_ratios"] = ratios
         diagnostics["iterations"] = iterations
-    return states
+    return SpaceTimeFunction(u0.L, u0.n, np.array(times), values)
 
 
-def backward_uc_check(u0: GridFunction, V: PotentialField | None,
-                      p: OperatorParams, T: float = 1.0, samples: int = 21,
-                      tolerance: float = 1e-8,
-                      cfg: PicardConfig | None = None) -> CheckReport:
+def backward_uc_check(traj: SpaceTimeFunction, V: PotentialField | None,
+                      p: OperatorParams, samples: int = 21,
+                      tolerance: float = 1e-8) -> CheckReport:
     """Backward uniqueness surrogate: log-convexity of ||u(t)||^2.
 
-    With V = 0 the bound is asserted.  With a bounded potential the check is
-    report-only: it measures the smallest kappa with
+    ``traj`` is the flow evolved under V (None for the free flow); the
+    check reads ||u||^2 at the states nearest to ``samples`` evenly spaced
+    times.  With V = 0 the bound is asserted.  With a bounded potential the
+    check is report-only: it measures the smallest kappa with
     H(t) <= kappa H(0)^(1-theta) H(T)^theta over the trajectory.
     """
     t_start = time.perf_counter()
     free = V is None or V.sup_norm == 0.0
-    times = np.linspace(0.0, T, samples)
-    if free:
-        snapshots = [evolve_free(u0, float(t), p).u for t in times]
-        energies = np.array([
-            trapezoid(g.with_values(g.values ** 2)) for g in snapshots])
-    else:
-        states = evolve_with_potential(u0, V, T, p, cfg=cfg)
-        state_times = np.array([st.t for st in states])
-        picks = [int(np.argmin(np.abs(state_times - t))) for t in times]
-        times = state_times[picks]
-        energies = np.array([
-            trapezoid(states[i].u.with_values(states[i].u.values ** 2))
-            for i in picks])
+    picks = [int(np.argmin(np.abs(traj.times - t)))
+             for t in np.linspace(traj.times[0], traj.times[-1], samples)]
+    times = traj.times[picks]
+    energies = (traj.L / traj.n) * np.sum(traj.values[picks] ** 2, axis=1)
     if energies[0] == 0.0 or energies[-1] == 0.0:
         return finish_report(
             name="heat.backward_uc",

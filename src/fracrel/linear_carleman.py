@@ -22,12 +22,11 @@ tilt-times-box products.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
 from dataclasses import dataclass, field
-from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
@@ -40,16 +39,16 @@ from .errors import (
 )
 from .grid import (
     GridFunction,
+    SpaceTimeFunction,
     band_limited_noise,
-    require_seam_decay,
     smooth_window,
-    trapezoid,
 )
 from .heat import (
     HeatState,
     PicardConfig,
     PotentialField,
     evolve_with_potential,
+    weighted_integral,
     weighted_l2,
 )
 from .operator import (
@@ -59,7 +58,7 @@ from .operator import (
     frequencies,
     symbol,
 )
-from .report import CheckReport, finish_report
+from .report import CheckReport, calibration_tables, finish_report
 
 # Coefficient of the t(1-t)-weighted mass on the ledger's left side.  The
 # averaging argument only yields 3/8 once the endpoint cross term has been
@@ -121,19 +120,6 @@ class LinearWeight:
                 f"C2 = {c2:g}")
 
 
-def _tilted_integral(values: np.ndarray, g: GridFunction, w: LinearWeight,
-                     t: float, what: str) -> float:
-    """Trapezoid of exp(drift t + lam x) * values, seam guarded.
-
-    At lam = 0 the spatial factor is periodic and the guard is skipped,
-    mirroring the plain weighted integrals of the heat module.
-    """
-    tilted = g.with_values(np.exp(w.lam * g.x) * np.asarray(values, float))
-    if w.lam != 0.0:
-        require_seam_decay(tilted, what=what)
-    return math.exp(w.drift * t) * trapezoid(tilted)
-
-
 def functional_H(u: HeatState, w: LinearWeight) -> float:
     """Tilted mass int exp(drift t + lam x) u^2 dx at the state's time."""
     return math.exp(w.drift * u.t) * weighted_l2(
@@ -180,8 +166,9 @@ def functional_D(u: HeatState, w: LinearWeight, p: OperatorParams, *,
             form = carre_du_champ(g, g, p)
         else:
             form = carre_du_champ(g, g, p, quad=quad)
-        return w.drift_gap(p) * mass + _tilted_integral(
-            form.values, g, w, u.t, "quadratic-form integrand")
+        return w.drift_gap(p) * mass + math.exp(w.drift * u.t) * (
+            weighted_integral(g, form.values, w.lam,
+                              "quadratic-form integrand"))
     if route != "direct":
         raise ConfigError(f"unknown route {route!r}")
     if u_t is not None:
@@ -193,17 +180,20 @@ def functional_D(u: HeatState, w: LinearWeight, p: OperatorParams, *,
             lsu = forcing.values - u_t.values
     else:
         lsu = apply_spectral(g, p).values
-    return w.drift * mass - 2.0 * _tilted_integral(
-        g.values * lsu, g, w, u.t, "production integrand")
+    return w.drift * mass - 2.0 * (math.exp(w.drift * u.t) * weighted_integral(
+        g, g.values * lsu, w.lam, "production integrand"))
 
 
 # ----------------------------------------------------------------------
 # tilted series along a trajectory
 
-def _tilted_series(traj: list[HeatState], lam: float, p: OperatorParams,
+def _tilted_series(traj: SpaceTimeFunction, lam: float, p: OperatorParams,
                    V: PotentialField | None, with_energy: bool = True
                    ) -> tuple[np.ndarray, dict]:
     """Raw tilted integrals at every state, drift factored out.
+
+    V is the potential the trajectory was evolved with (None for none); it
+    is sampled once, and the states are processed one row at a time.
 
     Every integral carries exp(lam x) only; the caller multiplies by
     exp(drift t) (or sweeps over drifts without re-integrating).  The
@@ -233,20 +223,18 @@ def _tilted_series(traj: list[HeatState], lam: float, p: OperatorParams,
     names = ("mass", "op_pair", "form_s", "forcing_sq", "cross")
     if with_energy:
         names += ("kinetic", "form_2s")
-    series = {name: np.zeros(len(traj)) for name in names}
-    for i, state in enumerate(traj):
-        g = state.u
+    series = {name: np.zeros(traj.nt) for name in names}
+    tilt = np.exp(lam * traj.x)
+    v = None if V is None else V.sample(traj)
+    for i in range(traj.nt):
+        g = traj.slice(i)
         u = g.values
-        tilt = np.exp(lam * g.x)
 
         def integral(values, what):
-            tilted = g.with_values(tilt * values)
-            if lam != 0.0:
-                require_seam_decay(tilted, what=what)
-            return trapezoid(tilted)
+            return weighted_integral(g, values, lam, what, tilt)
 
         lsu = apply_spectral(g, p).values
-        f_vals = None if V is None else V.sample(state.t, g) * u
+        f_vals = None if v is None else v * u
         mass = integral(u ** 2, "tilted mass integrand")
         op_pair = integral(u * lsu, "production integrand")
         series["mass"][i] = mass
@@ -263,7 +251,7 @@ def _tilted_series(traj: list[HeatState], lam: float, p: OperatorParams,
                                                "forcing integrand")
             series["cross"][i] = 2.0 * integral(u * f_vals,
                                                 "cross integrand")
-    return np.array([state.t for state in traj]), series
+    return traj.times, series
 
 
 def _weighted(times: np.ndarray, series: dict, drift: float) -> dict:
@@ -297,11 +285,13 @@ def _time_integral(values: np.ndarray, dt: float) -> float:
 # ----------------------------------------------------------------------
 # persistence of the tilted mass
 
-def monotonicity_check(u0: GridFunction, V: PotentialField | None,
-                       w: LinearWeight, p: OperatorParams, T: float = 1.0,
-                       cfg: PicardConfig | None = None,
+def monotonicity_check(traj: SpaceTimeFunction, V: PotentialField | None,
+                       w: LinearWeight, p: OperatorParams,
                        tolerance: float = 2e-4) -> CheckReport:
     """Gronwall accounting of the tilted mass along the forced flow.
+
+    ``traj`` is the flow evolved under V (None for the free flow) from
+    t = 0 on a uniform step grid; the callers use dt = 1e-3.
 
     Writing a = drift - (m^2 - lam^2)^s and Phi = -int w H_s(u, u) >= 0,
     the flow satisfies the exact balance
@@ -324,16 +314,15 @@ def monotonicity_check(u0: GridFunction, V: PotentialField | None,
     """
     t_start = time.perf_counter()
     w.require_tilt(p)
+    if traj.times[0] != 0.0:
+        raise PreconditionError("the persistence balance starts at t = 0")
+    T = float(traj.times[-1])
     rate = abs(w.drift_gap(p))
     if rate * T > _RATE_HORIZON_CAP:
         raise OverflowGuardError(
             f"|drift gap| * T = {rate * T:g} would overflow the "
             f"persistence weights")
-    cfg = PicardConfig(dt=1e-3) if cfg is None else cfg
-    V_eff = PotentialField.constant(0.0) if V is None else V
-    traj = evolve_with_potential(u0, V_eff, T, p, cfg)
-    dt = _uniform_spacing(np.array([st.t for st in traj]),
-                          "monotonicity trajectory")
+    dt = _uniform_spacing(traj.times, "monotonicity trajectory")
     forced = V is not None and V.sup_norm > 0.0
     times, series = _tilted_series(traj, w.lam, p, V if forced else None,
                                    with_energy=False)
@@ -367,8 +356,8 @@ def monotonicity_check(u0: GridFunction, V: PotentialField | None,
     return finish_report(
         "linear_carleman.monotonicity",
         inputs={"s": p.s, "m": p.m, "lam": w.lam, "drift": w.drift,
-                "T": T, "dt": dt, "sup_v": V_eff.sup_norm,
-                "L": u0.L, "n": u0.n},
+                "T": T, "dt": dt, "sup_v": 0.0 if V is None else V.sup_norm,
+                "L": traj.L, "n": traj.n},
         measured={"identity_violation": identity_violation,
                   "groenwall_violation": groen_violation,
                   "claimed_slack_min": float(np.min(claimed_slack)),
@@ -384,15 +373,25 @@ def monotonicity_check(u0: GridFunction, V: PotentialField | None,
 # ----------------------------------------------------------------------
 # lower bound on the production rate
 
-def _resolve_constants(constants, p: OperatorParams,
-                       w: LinearWeight) -> tuple[float, float]:
+def _require_energy_split(p: OperatorParams) -> None:
+    if p.s > 0.5:
+        raise PreconditionError(
+            f"the energy split needs s <= 1/2, got s={p.s:g}")
+
+
+def _admissible_constants(constants, p: OperatorParams,
+                          w: LinearWeight) -> tuple[float, float]:
+    """(C1, C2) from ``constants`` (None: the frozen table) once s <= 1/2
+    holds, with the weight's drift passed through the admissibility gate."""
+    _require_energy_split(p)
     if constants is None:
         entry = load_calibration(p, w.lam)
-        return float(entry["C1"]), float(entry["C2"])
-    if isinstance(constants, dict):
-        return float(constants["C1"]), float(constants["C2"])
-    c1, c2 = constants
-    return float(c1), float(c2)
+        constants = entry["C1"], entry["C2"]
+    elif isinstance(constants, dict):
+        constants = constants["C1"], constants["C2"]
+    c1, c2 = (float(c) for c in constants)
+    w.require_admissible(p, c2)
+    return c1, c2
 
 
 def _production_rate(times: np.ndarray, terms: dict, w: LinearWeight,
@@ -416,7 +415,7 @@ def _production_rate(times: np.ndarray, terms: dict, w: LinearWeight,
     return ddot, rhs, scale
 
 
-def ddot_lower_bound_check(trajectory: list[HeatState], w: LinearWeight,
+def ddot_lower_bound_check(traj: SpaceTimeFunction, w: LinearWeight,
                            p: OperatorParams,
                            V: PotentialField | None = None,
                            constants=None,
@@ -435,18 +434,13 @@ def ddot_lower_bound_check(trajectory: list[HeatState], w: LinearWeight,
     needs s <= 1/2; the drift must pass the calibrated admissibility gate.
     """
     t_start = time.perf_counter()
-    if p.s > 0.5:
-        raise PreconditionError(
-            f"the energy split needs s <= 1/2, got s={p.s:g}")
-    c1, c2 = _resolve_constants(constants, p, w)
-    w.require_admissible(p, c2)
-    dt = _uniform_spacing(np.array([st.t for st in trajectory]),
-                          "production trajectory")
+    c1, c2 = _admissible_constants(constants, p, w)
+    dt = _uniform_spacing(traj.times, "production trajectory")
     if dt > 2.5e-3:
         raise PreconditionError(
             f"need spacing <= 2.5e-3 for the centered differences, "
             f"got {dt:g}")
-    times, series = _tilted_series(trajectory, w.lam, p, V)
+    times, series = _tilted_series(traj, w.lam, p, V)
     ddot, rhs, scale = _production_rate(
         times, _weighted(times, series, w.drift), w, p, c1)
     slacks = (ddot - rhs) / scale
@@ -456,7 +450,7 @@ def ddot_lower_bound_check(trajectory: list[HeatState], w: LinearWeight,
     return finish_report(
         "linear_carleman.ddot_lower_bound",
         inputs={"s": p.s, "m": p.m, "lam": w.lam, "drift": w.drift,
-                "C1": c1, "C2": c2, "dt": dt, "states": len(trajectory),
+                "C1": c1, "C2": c2, "dt": dt, "states": traj.nt,
                 "sup_v": 0.0 if V is None else V.sup_norm},
         measured={"worst_slack": float(slacks[k]),
                   "median_slack": float(np.median(slacks))},
@@ -496,19 +490,20 @@ def _tent_residuals(times: np.ndarray, h_values: np.ndarray
     return (h - recon)[1:-1]
 
 
-def tent_identity_check(trajectory: list[HeatState], w: LinearWeight,
+def tent_identity_check(traj: SpaceTimeFunction, w: LinearWeight,
                         tolerance: float = 1e-4) -> CheckReport:
     """Verify the tent representation of the tilted mass on [0, 1]."""
     t_start = time.perf_counter()
-    times = np.array([st.t for st in trajectory])
-    h = np.array([functional_H(st, w) for st in trajectory])
+    times = traj.times
+    h = np.array([functional_H(HeatState(t, traj.slice(i)), w)
+                  for i, t in enumerate(times)])
     residuals = _tent_residuals(times, h)
     scale = float(np.max(h)) + 1e-300
     rel = np.abs(residuals) / scale
     worst = int(np.argmax(rel))
     return finish_report(
         "linear_carleman.tent_identity",
-        inputs={"lam": w.lam, "drift": w.drift, "states": len(trajectory)},
+        inputs={"lam": w.lam, "drift": w.drift, "states": traj.nt},
         measured={"max_residual": float(np.max(rel)),
                   "mass_span": [float(np.min(h)), float(np.max(h))]},
         tolerance=tolerance,
@@ -562,19 +557,7 @@ class CarlemanLedger:
 
     def to_dict(self) -> dict:
         from .report import _jsonable
-        return _jsonable({
-            "lhs_terms": self.lhs_terms,
-            "rhs_terms": self.rhs_terms,
-            "corollary_lhs_terms": self.corollary_lhs_terms,
-            "corollary_rhs_terms": self.corollary_rhs_terms,
-            "constants": self.constants,
-            "inputs": self.inputs,
-            "flagged": self.flagged,
-            "slack": self.slack,
-            "corollary_slack": self.corollary_slack,
-            "passed": self.passed,
-            "corollary_passed": self.corollary_passed,
-        })
+        return _jsonable(dataclasses.asdict(self))
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), **kwargs)
@@ -662,11 +645,7 @@ def carleman_linear_check(u0: GridFunction, V: PotentialField | None,
     through the persistence bound.  All time integrals are trapezoid sums
     over the solver's uniform step grid.
     """
-    if p.s > 0.5:
-        raise PreconditionError(
-            f"the energy split needs s <= 1/2, got s={p.s:g}")
-    c1, c2 = _resolve_constants(constants, p, w)
-    w.require_admissible(p, c2)
+    c1, c2 = _admissible_constants(constants, p, w)
     cfg = DEFAULT_LEDGER_STEPPING if cfg is None else cfg
     V_eff = PotentialField.constant(0.0) if V is None else V
     times, series = _tilted_series(
@@ -722,11 +701,8 @@ def calibrate_constants(p: OperatorParams, lam: float, *,
     observed (floor 1), evaluated at the threshold and at the operating
     drift -m^(2s) - operating_offset.
     """
-    if p.s > 0.5:
-        raise PreconditionError(
-            f"the energy split needs s <= 1/2, got s={p.s:g}")
-    w_probe = LinearWeight(lam, 0.0)
-    mu = w_probe.eigenvalue(p)
+    _require_energy_split(p)
+    mu = LinearWeight(lam, 0.0).eigenvalue(p)
     zero_order = p.m ** (2.0 * p.s)
     corpus = carleman_corpus(L, n, draws, seed, k_max=k_max, sup_v=sup_v)
     fine, coarse = [], []
@@ -807,18 +783,18 @@ def calibrate_constants(p: OperatorParams, lam: float, *,
 
 
 def load_calibration(p: OperatorParams, lam: float, path=None) -> dict:
-    """Fetch the frozen constants for (dim, s, m, lam of the weight)."""
-    if path is None:
-        text = resources.files("fracrel").joinpath(
-            "data", _CALIBRATION_RESOURCE).read_text()
-    else:
-        text = Path(path).read_text()
-    table = json.loads(text)
+    """Fetch the frozen constants for (dim, s, m, lam of the weight).
+
+    ``path`` may also name a ``fracrel calibrate`` bundle, whose linear
+    table is a single entry rather than a list of ``entries``."""
+    tables = calibration_tables(_CALIBRATION_RESOURCE, path)
+    entries = tables.get("entries", [tables["linear"]] if "linear" in tables
+                         else [])
 
     def close(x, y):
         return abs(x - y) <= 1e-9
 
-    for entry in table.get("entries", []):
+    for entry in entries:
         if (entry["dim"] == p.dim and close(entry["s"], p.s)
                 and close(entry["m"], p.m) and close(entry["lam"], lam)):
             return entry

@@ -393,20 +393,26 @@ def apply_subordination(f: GridFunction, p: OperatorParams,
 _I0_ASY = (1.0, 0.125, 9.0 / 128.0, 75.0 / 1024.0, 11025.0 / 98304.0)
 
 
-def _i0_minus_1(x: np.ndarray) -> np.ndarray:
-    # I_0(x) - 1 by the ascending series without its leading 1; every term
-    # is positive, so small arguments keep full relative precision.
-    q = 0.25 * x * x
-    term = np.array(q, copy=True)
-    total = np.array(q, copy=True)
-    if x.size == 0:
+def _positive_series(first: np.ndarray, step) -> np.ndarray:
+    # sum of a positive series from its first term, term_j = step(term_{j-1},
+    # j) for j >= 2, stopped once the terms fall below 1e-17 of the total
+    term = first
+    total = np.array(first, copy=True)
+    if total.size == 0:
         return total
     for j in range(2, 80):
-        term = term * q / (j * j)
+        term = step(term, j)
         total += term
         if term.max() <= 1e-17 * max(float(total.max()), 1e-300):
             break
     return total
+
+
+def _i0_minus_1(x: np.ndarray) -> np.ndarray:
+    # I_0(x) - 1 by the ascending series without its leading 1; every term
+    # is positive, so small arguments keep full relative precision.
+    q = 0.25 * x * x
+    return _positive_series(q, lambda term, j: term * q / (j * j))
 
 
 def _scaled_i0_large(x: np.ndarray) -> np.ndarray:
@@ -420,16 +426,8 @@ def _scaled_i0_large(x: np.ndarray) -> np.ndarray:
 def _sinhc_minus_1(x: np.ndarray) -> np.ndarray:
     # sinh(x)/x - 1, positive ascending series.
     q = x * x
-    term = q / 6.0
-    total = np.array(term, copy=True)
-    if x.size == 0:
-        return total
-    for j in range(2, 80):
-        term = term * q / ((2.0 * j) * (2.0 * j + 1.0))
-        total += term
-        if term.max() <= 1e-17 * max(float(total.max()), 1e-300):
-            break
-    return total
+    return _positive_series(
+        q / 6.0, lambda term, j: term * q / ((2.0 * j) * (2.0 * j + 1.0)))
 
 
 def _angular_excess(N: int, lam: float, r: np.ndarray) -> np.ndarray:

@@ -11,6 +11,8 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from importlib import resources
+from pathlib import Path
 from typing import Any
 
 
@@ -74,6 +76,18 @@ class CheckReport:
     def __str__(self):
         status = "PASS" if self.passed else "FAIL"
         return f"[{status}] {self.name} (tol={self.tolerance:g})"
+
+
+def calibration_tables(resource: str, path=None) -> dict:
+    """The calibration tables in the packaged ``data/<resource>``, or in the
+    file at ``path``: a table of the same layout or a ``fracrel calibrate``
+    bundle, whose tables sit under ``body.tables``."""
+    if path is None:
+        text = resources.files("fracrel").joinpath("data", resource).read_text()
+    else:
+        text = Path(path).read_text()
+    table = json.loads(text)
+    return table["body"].get("tables", {}) if "body" in table else table
 
 
 def finish_report(name, inputs, measured, tolerance, violation, witness,

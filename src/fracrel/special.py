@@ -204,30 +204,26 @@ def macdonald_k(nu: float, z, cfg: BesselEvalConfig | None = None,
         series_mask = small
         quad_mask = mid
 
+    def quadrature(zq):
+        if nu == round(nu):
+            # integer order: average the two neighbouring orders
+            return 0.5 * (_kv_quadrature(nu + INTEGER_EPS, zq, cfg)
+                          + _kv_quadrature(max(nu - INTEGER_EPS, 0.0), zq, cfg))
+        return _kv_quadrature(nu, zq, cfg)
+
     if np.any(series_mask):
         zs = flat[series_mask]
         vals = _kv_series(nu, zs)
         out[series_mask] = vals * np.exp(zs) if scaled else vals
     if np.any(quad_mask):
         zq = flat[quad_mask]
-        if nu == round(nu):
-            # integer order: average the two neighbouring orders
-            v = 0.5 * (_kv_quadrature(nu + INTEGER_EPS, zq, cfg)
-                       + _kv_quadrature(max(nu - INTEGER_EPS, 0.0), zq, cfg))
-        else:
-            v = _kv_quadrature(nu, zq, cfg)
+        v = quadrature(zq)
         out[quad_mask] = v if scaled else v * np.exp(-zq)
     if np.any(large):
         zl = flat[large]
         v, ok = _kv_asymptotic(nu, zl, cfg.quad_rel_tol)
         if not np.all(ok):
-            zbad = zl[~ok]
-            if nu == round(nu):
-                vb = 0.5 * (_kv_quadrature(nu + INTEGER_EPS, zbad, cfg)
-                            + _kv_quadrature(max(nu - INTEGER_EPS, 0.0), zbad, cfg))
-            else:
-                vb = _kv_quadrature(nu, zbad, cfg)
-            v[~ok] = vb
+            v[~ok] = quadrature(zl[~ok])
         out[large] = v if scaled else v * np.exp(-zl)
 
     out = out.reshape(z_arr.shape)

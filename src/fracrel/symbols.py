@@ -29,13 +29,10 @@ frozen in data/symbol_calibration.json.
 """
 from __future__ import annotations
 
-import json
 import math
 import time
-from dataclasses import dataclass, field
-from importlib import resources
-from pathlib import Path
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,9 +46,10 @@ from .errors import (
     PreconditionError,
     SupportError,
 )
-from .grid import GridFunction, band_limited_noise, smooth_step
-from .operator import OperatorParams, frequencies
-from .report import CheckReport, finish_report
+from .grid import (GridFunction, SpaceTimeFunction, band_limited_noise,
+                   grid_points, smooth_step)
+from .operator import OperatorParams, apply_spectral, frequencies
+from .report import CheckReport, calibration_tables, finish_report
 
 # Exponent cap for e^{phi} evaluated on a grid; past this the weight itself
 # is unrepresentable and the caller must shrink alpha or the box.
@@ -227,19 +225,16 @@ class SupportAnnulus:
         off = np.abs(self.weight.offset(t, x))
         return (off >= self.inner) & (off <= self.outer)
 
-    def mask(self, g: GridFunction, t: float = 0.0):
-        return self.contains(t, g.x)
-
     def leak_fraction(self, g: GridFunction, t: float = 0.0) -> float:
         """Squared-mass fraction of g sitting outside the annulus."""
         w2 = g.values ** 2
         total = float(np.sum(w2))
         if total == 0.0:
             return 0.0
-        return float(np.sum(w2[~self.mask(g, t)]) / total)
+        return float(np.sum(w2[~self.contains(t, g.x)]) / total)
 
     def require_nonempty(self, L: float, n: int, t_grid=(0.0,)) -> None:
-        x = -0.5 * L + (L / n) * np.arange(n)
+        x = grid_points(L, n)
         for t in np.atleast_1d(np.asarray(t_grid, dtype=float)):
             if not np.any(self.contains(float(t), x)):
                 raise ConfigError(
@@ -250,19 +245,48 @@ class SupportAnnulus:
 # pointwise symbol algebra (vectorized cores, scalar wrappers)
 
 
-def _symbol_ab(xi, px, m: float, s: float):
-    """a, b and the squared modulus of w = xi^2+m^2-px^2 + 2 i xi px."""
+class _SymbolCore(NamedTuple):
+    """Modulus and argument of w = xi^2 + m^2 - px^2 + 2 i xi px.
+
+    rho2 = |w|^2, cos_s and sin_s are cos and sin of s theta with
+    theta = arg w on (-pi, pi], and grad_scale = 2 s rho^(s-2), the factor
+    every xi-derivative of w^s carries (infinite where rho = 0, s < 2).
+    """
+
+    xi: np.ndarray
+    px: np.ndarray
+    m: float
+    s: float
+    rho2: np.ndarray
+    cos_s: np.ndarray
+    sin_s: np.ndarray
+    grad_scale: np.ndarray
+
+
+def _symbol_core(xi, px, m: float, s: float) -> _SymbolCore:
     xi = np.asarray(xi, dtype=float)
     px = np.asarray(px, dtype=float)
     u = xi * xi + m * m - px * px
     v = 2.0 * xi * px
     rho2 = u * u + v * v
     theta = np.arctan2(v, u)
-    amp = rho2 ** (0.5 * s)
-    return amp * np.cos(s * theta), amp * np.sin(s * theta), rho2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grad_scale = 2.0 * s * rho2 ** (0.5 * s - 1.0)
+    return _SymbolCore(xi, px, m, s, rho2, np.cos(s * theta),
+                       np.sin(s * theta), grad_scale)
 
 
-def _symbol_xi_grad(xi, px, m: float, s: float):
+def _core_at(pt: SymbolPoint, w: QuadraticWeight, p: OperatorParams):
+    return _symbol_core(pt.xi, float(w.phi_x(pt.t, pt.x)), p.m, p.s)
+
+
+def _symbol_ab(c: _SymbolCore):
+    """a = rho^s cos(s theta) and b = rho^s sin(s theta)."""
+    amp = c.rho2 ** (0.5 * c.s)
+    return amp * c.cos_s, amp * c.sin_s
+
+
+def _symbol_xi_grad(c: _SymbolCore):
     """Closed-form (a_xi, b_xi) from d_xi w^s = s w^{s-1} w_xi.
 
     With p = xi (xi^2+m^2+px^2) and q = px (xi^2+px^2-m^2):
@@ -270,33 +294,19 @@ def _symbol_xi_grad(xi, px, m: float, s: float):
       b_xi = 2 s rho^{s-2} ( p sin(s th) - q cos(s th) )
     Diverges where rho = 0 and s < 2; callers mask singular points.
     """
-    xi = np.asarray(xi, dtype=float)
-    px = np.asarray(px, dtype=float)
-    u = xi * xi + m * m - px * px
-    v = 2.0 * xi * px
-    rho2 = u * u + v * v
-    theta = np.arctan2(v, u)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = 2.0 * s * rho2 ** (0.5 * s - 1.0)
-        p = xi * (xi * xi + m * m + px * px)
-        q = px * (xi * xi + px * px - m * m)
-        cos_s = np.cos(s * theta)
-        sin_s = np.sin(s * theta)
-        a_xi = scale * (p * cos_s + q * sin_s)
-        b_xi = scale * (p * sin_s - q * cos_s)
-    return a_xi, b_xi, rho2
+    xi, px, m = c.xi, c.px, c.m
+    p = xi * (xi * xi + m * m + px * px)
+    q = px * (xi * xi + px * px - m * m)
+    with np.errstate(invalid="ignore"):
+        return (c.grad_scale * (p * c.cos_s + q * c.sin_s),
+                c.grad_scale * (p * c.sin_s - q * c.cos_s))
 
 
-def _bracket_ab(xi, px, m: float, s: float, phi_xx: float):
+def _bracket_ab(c: _SymbolCore, phi_xx: float):
     """{a, b} = 4 s^2 phi_xx rho^{2(s-1)} (xi^2 + px^2), vectorized."""
-    xi = np.asarray(xi, dtype=float)
-    px = np.asarray(px, dtype=float)
-    u = xi * xi + m * m - px * px
-    v = 2.0 * xi * px
-    rho2 = u * u + v * v
+    s, xi, px = c.s, c.xi, c.px
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = 4.0 * s * s * phi_xx * rho2 ** (s - 1.0) * (xi * xi + px * px)
-    return out, rho2
+        return 4.0 * s * s * phi_xx * c.rho2 ** (s - 1.0) * (xi * xi + px * px)
 
 
 def conjugated_symbol(pt: SymbolPoint, w: QuadraticWeight,
@@ -308,8 +318,7 @@ def conjugated_symbol(pt: SymbolPoint, w: QuadraticWeight,
     the continuous branch (-pi, pi] from the two-argument arctangent.  The
     only zero of rho is xi = 0 with m = |phi_x|, where both parts vanish.
     """
-    px = float(w.phi_x(pt.t, pt.x))
-    a, b, _ = _symbol_ab(pt.xi, px, p.m, p.s)
+    a, b = _symbol_ab(_core_at(pt, w, p))
     return float(a), float(b)
 
 
@@ -322,8 +331,7 @@ def symbol_gradient(pt: SymbolPoint, w: QuadraticWeight,
       a_x = -phi_xx b_xi    b_x = phi_xx a_xi
       a_t = -phi_tx b_xi    b_t = phi_tx a_xi
     """
-    px = float(w.phi_x(pt.t, pt.x))
-    a_xi, b_xi, _ = _symbol_xi_grad(pt.xi, px, p.m, p.s)
+    a_xi, b_xi = _symbol_xi_grad(_core_at(pt, w, p))
     a_xi = float(a_xi)
     b_xi = float(b_xi)
     ptx = float(w.phi_tx(pt.t))
@@ -341,12 +349,11 @@ def bracket_singular(pt: SymbolPoint, w: QuadraticWeight, p: OperatorParams,
     """
     if p.s >= 1.0:
         return False
-    px = float(w.phi_x(pt.t, pt.x))
-    _, _, rho2 = _symbol_ab(pt.xi, px, p.m, p.s)
-    local = pt.xi * pt.xi + p.m * p.m + px * px
+    c = _core_at(pt, w, p)
+    local = pt.xi * pt.xi + p.m * p.m + c.px * c.px
     if local == 0.0:
         return True
-    return bool(rho2 <= (floor * local) ** 2)
+    return bool(c.rho2 <= (floor * local) ** 2)
 
 
 def poisson_bracket(pt: SymbolPoint, w: QuadraticWeight,
@@ -356,9 +363,7 @@ def poisson_bracket(pt: SymbolPoint, w: QuadraticWeight,
     At a singular point (rho = 0, s < 1) the closed form diverges; the
     limit value +inf is returned and bracket_singular carries the flag.
     """
-    px = float(w.phi_x(pt.t, pt.x))
-    val, rho2 = _bracket_ab(pt.xi, px, p.m, p.s, w.phi_xx)
-    val = float(val)
+    val = float(_bracket_ab(_core_at(pt, w, p), w.phi_xx))
     if math.isnan(val):
         # 0 * inf at a fully degenerate point; resolve by the xi -> 0 limit
         # of 4 s^2 phi_xx xi^{4s-2}.
@@ -375,7 +380,7 @@ def poisson_bracket_fd(pt: SymbolPoint, w: QuadraticWeight, p: OperatorParams,
 
     def ab(x, xi):
         px = float(w.phi_x(pt.t, x))
-        a, b, _ = _symbol_ab(xi, px, p.m, p.s)
+        a, b = _symbol_ab(_symbol_core(xi, px, p.m, p.s))
         return float(a), float(b)
 
     a_pl, b_pl = ab(pt.x + h_x, pt.xi)
@@ -400,9 +405,9 @@ def parabolic_bracket_terms(pt: SymbolPoint, w: QuadraticWeight,
       curvature  phi_tt
       transport  -a_t (equal to mixed, since a_t = -phi_tx b_xi)
     """
-    px = float(w.phi_x(pt.t, pt.x))
-    base, _ = _bracket_ab(pt.xi, px, p.m, p.s, w.phi_xx)
-    _, b_xi, _ = _symbol_xi_grad(pt.xi, px, p.m, p.s)
+    core = _core_at(pt, w, p)
+    base = _bracket_ab(core, w.phi_xx)
+    _, b_xi = _symbol_xi_grad(core)
     ptx = float(w.phi_tx(pt.t))
     mixed = ptx * float(b_xi)
     return {"base": float(base), "mixed": mixed,
@@ -421,10 +426,9 @@ def parabolic_bracket_terms_fd(pt: SymbolPoint, w: QuadraticWeight,
     paths: symbol differences in (x, xi, t) and weight differences in t."""
     h_t = step
     h_xi = step * max(abs(pt.xi), 2.0 * w.alpha / w.R)
-    px = float(w.phi_x(pt.t, pt.x))
 
     def ab_at(t, xi):
-        a, b, _ = _symbol_ab(xi, float(w.phi_x(t, pt.x)), p.m, p.s)
+        a, b = _symbol_ab(_symbol_core(xi, float(w.phi_x(t, pt.x)), p.m, p.s))
         return float(a), float(b)
 
     _, b_pl = ab_at(pt.t, pt.xi + h_xi)
@@ -443,17 +447,8 @@ def parabolic_bracket_terms_fd(pt: SymbolPoint, w: QuadraticWeight,
 # frozen calibration table
 
 
-def _load_symbol_table(path=None) -> dict:
-    if path is None:
-        source = resources.files("fracrel").joinpath("data", _CALIBRATION_RESOURCE)
-        text = source.read_text()
-    else:
-        text = Path(path).read_text()
-    return json.loads(text)
-
-
-def _pick_entry(entries, what: str, **keys):
-    for entry in entries:
+def _pick_entry(path, what: str, **keys):
+    for entry in calibration_tables(_CALIBRATION_RESOURCE, path).get(what, []):
         if all(abs(entry[k] - v) <= 1e-9 * max(1.0, abs(v)) if isinstance(v, float)
                else entry[k] == v for k, v in keys.items()):
             return entry
@@ -462,19 +457,17 @@ def _pick_entry(entries, what: str, **keys):
 
 def positivity_constants(s: float, m_ratio: float, path=None) -> tuple:
     """Frozen (c_hyp, c_min) of the positivity sweep for this (s, m-ratio)."""
-    entry = _pick_entry(_load_symbol_table(path)["positivity"],
-                        "positivity", s=float(s), m_ratio=float(m_ratio))
+    entry = _pick_entry(path, "positivity", s=float(s), m_ratio=float(m_ratio))
     return float(entry["c_hyp"]), float(entry["c_min"])
 
 
 def garding_constants(s: float, m_ratio: float, path=None) -> dict:
-    return _pick_entry(_load_symbol_table(path)["garding"],
-                       "garding", s=float(s), m_ratio=float(m_ratio))
+    return _pick_entry(path, "garding", s=float(s), m_ratio=float(m_ratio))
 
 
 def quadratic_constants(mode: str, s: float, m_ratio: float, path=None) -> dict:
-    return _pick_entry(_load_symbol_table(path)["quadratic"],
-                       "quadratic", mode=mode, s=float(s), m_ratio=float(m_ratio))
+    return _pick_entry(path, "quadratic", mode=mode, s=float(s),
+                       m_ratio=float(m_ratio))
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +500,13 @@ def _sigma_branches(psi_val: float, inner: float = 1.0, outer: float = 4.0):
     if lo <= hi:
         spans.append((lo, hi))
     return spans
+
+
+def _require_sweep_params(p: OperatorParams, what: str) -> None:
+    if p.dim != 1:
+        raise PreconditionError("symbol sweeps cover dim = 1 only")
+    if not (0.5 < p.s < 1.0):
+        raise PreconditionError(f"{what} 1/2 < s < 1, got s={p.s!r}")
 
 
 def require_admissible_weight(w: QuadraticWeight, p: OperatorParams,
@@ -544,11 +544,7 @@ def positivity_sweep(w: QuadraticWeight, p: OperatorParams, *,
     positivity breaks; the gate failures still land in the report.
     """
     t_start = time.perf_counter()
-    if p.dim != 1:
-        raise PreconditionError("symbol sweeps cover dim = 1 only")
-    if not (0.5 < p.s < 1.0):
-        raise PreconditionError(
-            f"positivity sweep needs 1/2 < s < 1, got s={p.s!r}")
+    _require_sweep_params(p, "positivity sweep needs")
     if constants is None:
         c_hyp, c_min = positivity_constants(p.s, w.m_ratio(p.m))
     else:
@@ -595,17 +591,15 @@ def positivity_sweep(w: QuadraticWeight, p: OperatorParams, *,
             sigma = np.linspace(lo, hi, sigma_nodes)[:, None]
             px = 2.0 * (w.alpha / w.R) * sigma
             xr = xi[None, :]
-            base, rho2 = _bracket_ab(xr, px, m, s, w.phi_xx)
-            _, b_xi, _ = _symbol_xi_grad(xr, px, m, s)
+            core = _symbol_core(xr, px, m, s)
+            rho2, scale = core.rho2, core.grad_scale
+            base = _bracket_ab(core, w.phi_xx)
+            _, b_xi = _symbol_xi_grad(core)
             # proof split of phi_tx b_xi into its odd (sin) and even (cos)
             # pieces, matching the two cross terms the ladder hides.
-            u = xr * xr + m * m - px * px
-            v = 2.0 * xr * px
-            theta = np.arctan2(v, u)
             with np.errstate(divide="ignore", invalid="ignore"):
-                scale = 2.0 * s * rho2 ** (0.5 * s - 1.0)
-                odd = ptx * scale * xr * (xr * xr + m * m + px * px) * np.sin(s * theta)
-                even = -ptx * scale * px * (xr * xr + px * px - m * m) * np.cos(s * theta)
+                odd = ptx * scale * xr * (xr * xr + m * m + px * px) * core.sin_s
+                even = -ptx * scale * px * (xr * xr + px * px - m * m) * core.cos_s
             curv_psi1 = 2.0 * w.alpha * d1 * d1
             curv_psi2 = 2.0 * w.alpha * sigma * d2 + 0.0 * xr
             mixed = ptx * b_xi
@@ -690,11 +684,7 @@ def garding_hypothesis_check(w: QuadraticWeight, p: OperatorParams, *,
     should stay near or below one).
     """
     t_start = time.perf_counter()
-    if p.dim != 1:
-        raise PreconditionError("symbol sweeps cover dim = 1 only")
-    if not (0.5 < p.s < 1.0):
-        raise PreconditionError(
-            f"derivative bounds need 1/2 < s < 1, got s={p.s!r}")
+    _require_sweep_params(p, "derivative bounds need")
     if constants is None:
         c_ref = float(garding_constants(p.s, w.m_ratio(p.m))["C_ref"])
     else:
@@ -726,8 +716,9 @@ def garding_hypothesis_check(w: QuadraticWeight, p: OperatorParams, *,
     def bracket_at(sig, ts, xis):
         # parabolic bracket parameterized by the annulus offset sigma
         px = unit_xi * sig
-        base, _ = _bracket_ab(xis, px, m, s, w.phi_xx)
-        _, b_xi, _ = _symbol_xi_grad(xis, px, m, s)
+        core = _symbol_core(xis, px, m, s)
+        base = _bracket_ab(core, w.phi_xx)
+        _, b_xi = _symbol_xi_grad(core)
         d1 = np.asarray(w.psi_d1(ts), dtype=float)
         d2 = np.asarray(w.psi_d2(ts), dtype=float)
         curv = 2.0 * w.alpha * d1 * d1 + 2.0 * w.alpha * sig * d2
@@ -745,8 +736,6 @@ def garding_hypothesis_check(w: QuadraticWeight, p: OperatorParams, *,
         for j in range(0, max_order + 1 - i):
             for k in range(max(0, 4 - i - j), max_order + 1 - i - j):
                 order = i + j + k
-                if order < 4:
-                    continue
                 off_i, wt_i = _fd_stencil(i)
                 off_j, wt_j = _fd_stencil(j)
                 off_k, wt_k = _fd_stencil(k)
@@ -808,13 +797,7 @@ def conjugated_operator_matrix(w: QuadraticWeight, p: OperatorParams,
 
     The caller keeps operands supported inside the annulus and |x| <= R;
     the matrix itself only needs max phi on the grid under the cap."""
-    x = -0.5 * L + (L / n) * np.arange(n)
-    ph = np.asarray(w.phi(t, x), dtype=float)
-    top = float(np.max(ph))
-    if top > PHI_CAP:
-        raise OverflowGuardError(
-            f"max phi on the grid is {top:.4g}, past the e^phi cap "
-            f"{PHI_CAP:g}; shrink alpha or the box")
+    ph = _grid_exponent(w, L, n, t)
     W = spectral_operator_matrix(L, n, p)
     return np.exp(ph)[:, None] * W * np.exp(-ph)[None, :]
 
@@ -830,52 +813,13 @@ def s1_commutator_target(w: QuadraticWeight, p: OperatorParams,
     """Closed-form commutator 4 phi_xx (-lap + phi_x^2) of the s = 1 split."""
     if p.s != 1.0:
         raise PreconditionError("the closed-form commutator needs s = 1")
-    x = -0.5 * L + (L / n) * np.arange(n)
     lap = spectral_operator_matrix(L, n, OperatorParams(1.0, 0.0, p.dim))
-    px = np.asarray(w.phi_x(t, x), dtype=float)
+    px = np.asarray(w.phi_x(t, grid_points(L, n)), dtype=float)
     return 4.0 * w.phi_xx * (lap + np.diag(px * px))
 
 
 # ---------------------------------------------------------------------------
 # grid-level weighted inequalities
-
-
-@dataclass(frozen=True)
-class SpaceTimeFunction:
-    """Samples f(t_i, x_j) on a uniform time grid over the periodic box."""
-
-    L: float
-    n: int
-    times: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if times.ndim != 1 or times.size < 9:
-            raise ConfigError("need at least 9 time samples")
-        steps = np.diff(times)
-        if steps.size and (np.any(steps <= 0.0) or
-                           np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]):
-            raise ConfigError("time grid must be uniform and increasing")
-        if values.shape != (times.size, int(self.n)):
-            raise ConfigError(
-                f"values must have shape ({times.size}, {self.n}), got {values.shape}")
-        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(times))):
-            raise ConfigError("samples must be finite")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def nt(self) -> int:
-        return int(self.times.size)
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    def slice(self, i: int) -> GridFunction:
-        return GridFunction(self.L, self.n, self.values[i])
 
 
 _D1_STENCIL_8 = np.array([1.0 / 280.0, -4.0 / 105.0, 1.0 / 5.0, -4.0 / 5.0,
@@ -895,12 +839,13 @@ def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _grid_exponent(w: QuadraticWeight, L: float, n: int, t: float) -> np.ndarray:
-    x = -0.5 * L + (L / n) * np.arange(n)
-    ph = np.asarray(w.phi(t, x), dtype=float)
+    """phi(t, .) on the grid, refused past the e^phi cap."""
+    ph = np.asarray(w.phi(t, grid_points(L, n)), dtype=float)
     top = float(np.max(ph))
     if top > PHI_CAP:
         raise OverflowGuardError(
-            f"max phi on the grid is {top:.4g}, past the e^phi cap {PHI_CAP:g}")
+            f"max phi on the grid is {top:.4g}, past the e^phi cap "
+            f"{PHI_CAP:g}; shrink alpha or the box")
     return ph
 
 
@@ -908,9 +853,7 @@ def _conjugated_apply(vals: np.ndarray, L: float, n: int, w: QuadraticWeight,
                       p: OperatorParams, t: float) -> np.ndarray:
     """e^phi (-lap+m^2)^s (e^-phi vals) at a time slice."""
     ph = _grid_exponent(w, L, n, t)
-    xi = frequencies(L, n)
-    mult = (xi * xi + p.m * p.m) ** p.s
-    inner = np.fft.irfft(mult * np.fft.rfft(np.exp(-ph) * vals), n)
+    inner = apply_spectral(GridFunction(L, n, np.exp(-ph) * vals), p).values
     return np.exp(ph) * inner
 
 
@@ -944,8 +887,7 @@ def _sigma_window(w: QuadraticWeight, L: float, n: int, t: float,
     """C^inf window in x equal to 1 well inside offsets [lo, hi]."""
     if not lo < hi:
         raise ConfigError("empty support window; widen the annulus margins")
-    x = -0.5 * L + (L / n) * np.arange(n)
-    sig = w.offset(t, x)
+    sig = w.offset(t, grid_points(L, n))
     rise = 0.2 * (hi - lo)
     return smooth_step((sig - lo) / rise) * smooth_step((hi - sig) / rise)
 
@@ -979,9 +921,69 @@ def parabolic_test_family(w: QuadraticWeight, L: float, n: int,
     return out
 
 
+def _operand_terms(i: int, f, w: QuadraticWeight, p: OperatorParams,
+                   mode: str, annulus: SupportAnnulus,
+                   leak_tol: float) -> tuple:
+    """(rhs, order-(s-1/2) norm, L^2 norm) of one operand, all squared.
+
+    rhs is || e^phi (d_t +) (-lap+m^2)^s e^{-phi} f ||^2; the two norms are
+    the left side's || (-lap+m^2)^{(2s-1)/2} f ||^2 and || f ||^2.  In
+    parabolic mode each is integrated over the time window.  Raises when
+    the operand has the wrong type or leaves its support.
+    """
+    s = p.s
+    if mode == "elliptic":
+        if not isinstance(f, GridFunction):
+            raise ConfigError("elliptic operands must be GridFunction")
+        leak = annulus.leak_fraction(f, 0.0)
+        if leak > leak_tol:
+            raise SupportError(
+                f"operand {i} leaks mass fraction {leak:.3g} outside the annulus")
+        out = _conjugated_apply(f.values, f.L, f.n, w, p, 0.0)
+        return (float(np.sum(out * out) * f.h),
+                _order_applied_sq(f.values, f.L, f.n, p.m, s - 0.5),
+                float(np.sum(f.values ** 2) * f.h))
+    if not isinstance(f, SpaceTimeFunction):
+        raise ConfigError("parabolic operands must be SpaceTimeFunction")
+    # the eighth-order time stencil needs a uniform grid of 9 samples or more
+    if f.nt < 9:
+        raise ConfigError("need at least 9 time samples")
+    steps = np.diff(f.times)
+    dt = float(steps[0])
+    if np.max(np.abs(steps - dt)) > 1e-9 * dt:
+        raise ConfigError("time grid must be uniform")
+    total = float(np.sum(f.values ** 2))
+    # the time stencil reaches 4 slices past each sample, so the
+    # operand must vanish on the outermost 4 slices of the window
+    ends = float(np.sum(f.values[:4] ** 2) + np.sum(f.values[-4:] ** 2))
+    if total > 0.0 and ends / total > leak_tol:
+        raise SupportError(
+            f"operand {i} is not compactly supported inside the time "
+            "window (stencil margin of 4 slices)")
+    h_x = f.L / f.n
+    rhs = 0.0
+    q_order = 0.0
+    q_l2 = 0.0
+    dtf = _time_derivative(f.values, dt)
+    x = f.x
+    for j, t in enumerate(f.times):
+        leak = annulus.leak_fraction(f.slice(j), float(t))
+        if leak > leak_tol:
+            raise SupportError(
+                f"operand {i} leaks mass fraction {leak:.3g} outside "
+                f"the annulus at t={float(t):g}")
+        row = (dtf[j] - np.asarray(w.phi_t(float(t), x), dtype=float) * f.values[j]
+               + _conjugated_apply(f.values[j], f.L, f.n, w, p, float(t)))
+        rhs += float(np.sum(row * row) * h_x) * dt
+        q_order += _order_applied_sq(f.values[j], f.L, f.n, p.m, s - 0.5) * dt
+        q_l2 += float(np.sum(f.values[j] ** 2) * h_x) * dt
+    return rhs, q_order, q_l2
+
+
 def carleman_quadratic_check(fs, w: QuadraticWeight, p: OperatorParams,
                              mode: str, *, constants=None,
-                             leak_tol: float = 1e-12) -> CheckReport:
+                             leak_tol: float = 1e-12,
+                             diagnostics: dict | None = None) -> CheckReport:
     """Grid-level verification of the weighted lower-bound inequality.
 
     For every operand f the check computes
@@ -992,8 +994,11 @@ def carleman_quadratic_check(fs, w: QuadraticWeight, p: OperatorParams,
     time derivative is an eighth-order difference) and asserts lhs <= rhs.
 
     fs is a list of GridFunction (elliptic) or SpaceTimeFunction
-    (parabolic).  constants is a dict with c1, c2, C_weight; None loads the
-    frozen table entry for (mode, s, m R/(2 alpha)).
+    (parabolic, on a uniform grid of at least 9 times).  constants is a
+    dict with c1, c2, C_weight; None loads the frozen table entry for
+    (mode, s, m R/(2 alpha)).  Pass a dict as ``diagnostics`` to get back
+    each operand's (rhs, order-(s-1/2) norm, L^2 norm) under
+    ``"operand_terms"``.
     """
     t_start = time.perf_counter()
     if p.dim != 1:
@@ -1027,55 +1032,19 @@ def carleman_quadratic_check(fs, w: QuadraticWeight, p: OperatorParams,
     s = p.s
     coef1 = c1 * s * s * (w.alpha / w.R ** 2)
     coef2 = c2 * s * s * (w.alpha ** (4.0 * s - 1.0) / w.R ** (4.0 * s))
+    terms = [_operand_terms(i, f, w, p, mode, annulus, leak_tol)
+             for i, f in enumerate(fs)]
     slacks = []
     worst = None
-    for i, f in enumerate(fs):
-        if mode == "elliptic":
-            if not isinstance(f, GridFunction):
-                raise ConfigError("elliptic operands must be GridFunction")
-            leak = annulus.leak_fraction(f, 0.0)
-            if leak > leak_tol:
-                raise SupportError(
-                    f"operand {i} leaks mass fraction {leak:.3g} outside the annulus")
-            out = _conjugated_apply(f.values, f.L, f.n, w, p, 0.0)
-            rhs = float(np.sum(out * out) * f.h)
-            lhs = (coef1 * _order_applied_sq(f.values, f.L, f.n, p.m, s - 0.5)
-                   + coef2 * float(np.sum(f.values ** 2) * f.h))
-        else:
-            if not isinstance(f, SpaceTimeFunction):
-                raise ConfigError("parabolic operands must be SpaceTimeFunction")
-            total = float(np.sum(f.values ** 2))
-            # the time stencil reaches 4 slices past each sample, so the
-            # operand must vanish on the outermost 4 slices of the window
-            ends = float(np.sum(f.values[:4] ** 2) + np.sum(f.values[-4:] ** 2))
-            if total > 0.0 and ends / total > leak_tol:
-                raise SupportError(
-                    f"operand {i} is not compactly supported inside the time "
-                    "window (stencil margin of 4 slices)")
-            h_x = f.L / f.n
-            rhs = 0.0
-            lhs1 = 0.0
-            lhs2 = 0.0
-            dtf = _time_derivative(f.values, f.dt)
-            x = -0.5 * f.L + h_x * np.arange(f.n)
-            for j, t in enumerate(f.times):
-                g = f.slice(j)
-                leak = annulus.leak_fraction(g, float(t))
-                if leak > leak_tol:
-                    raise SupportError(
-                        f"operand {i} leaks mass fraction {leak:.3g} outside "
-                        f"the annulus at t={float(t):g}")
-                row = (dtf[j] - np.asarray(w.phi_t(float(t), x), dtype=float) * f.values[j]
-                       + _conjugated_apply(f.values[j], f.L, f.n, w, p, float(t)))
-                rhs += float(np.sum(row * row) * h_x) * f.dt
-                lhs1 += _order_applied_sq(f.values[j], f.L, f.n, p.m, s - 0.5) * f.dt
-                lhs2 += float(np.sum(f.values[j] ** 2) * h_x) * f.dt
-            lhs = coef1 * lhs1 + coef2 * lhs2
+    for i, (rhs, q_order, q_l2) in enumerate(terms):
+        lhs = coef1 * q_order + coef2 * q_l2
         scale = max(rhs, 1e-300)
         slack = (rhs - lhs) / scale
         slacks.append(slack)
         if worst is None or slack < worst["slack"]:
             worst = {"operand": i, "slack": slack, "lhs": lhs, "rhs": rhs}
+    if diagnostics is not None:
+        diagnostics["operand_terms"] = terms
 
     slacks = np.array(slacks) if slacks else np.array([0.0])
     violation = float(max(0.0, -np.min(slacks)))
@@ -1231,22 +1200,14 @@ def calibrate_quadratic(mode: str, s: float, m_ratio: float, *,
         fs = parabolic_test_family(w, L, n, times, count, rng)
     coef1 = s * s * (alpha / R ** 2)
     coef2 = s * s * (alpha ** (4.0 * s - 1.0) / R ** (4.0 * s))
+    # a probe with zero constants gathers every operand's terms in one pass
+    diag = {}
+    carleman_quadratic_check(
+        fs, w, p, mode, constants={"c1": 0.0, "c2": 0.0, "C_weight": c_weight},
+        diagnostics=diag)
     headroom = math.inf
-    for f in fs:
-        probe = carleman_quadratic_check(
-            [f], w, p, mode,
-            constants={"c1": 0.0, "c2": 0.0, "C_weight": c_weight})
-        rhs = probe.witness["rhs"] if probe.witness else 0.0
-        if mode == "elliptic":
-            q1 = coef1 * _order_applied_sq(f.values, f.L, f.n, m, s - 0.5)
-            q2 = coef2 * float(np.sum(f.values ** 2) * f.h)
-        else:
-            q1 = 0.0
-            q2 = 0.0
-            for j in range(f.nt):
-                q1 += coef1 * _order_applied_sq(f.values[j], f.L, f.n, m, s - 0.5) * f.dt
-                q2 += coef2 * float(np.sum(f.values[j] ** 2) * (f.L / f.n)) * f.dt
-        denom = q1 + q2
+    for rhs, q_order, q_l2 in diag["operand_terms"]:
+        denom = coef1 * q_order + coef2 * q_l2
         if denom > 0.0:
             headroom = min(headroom, rhs / denom)
     c_joint = min(1.0, 0.5 * headroom)

@@ -185,10 +185,10 @@ def test_criterion_08_mild_solution():
     free = evolve_free(u0, 1.0, P_HALF).u.values
     cfg = PicardConfig(dt=5e-3)
     for c in (1.0, -1.0, 0.5):
-        states = evolve_with_potential(u0, PotentialField.constant(c), 1.0,
-                                       P_HALF, cfg)
+        traj = evolve_with_potential(u0, PotentialField.constant(c), 1.0,
+                                     P_HALF, cfg)
         want = math.exp(c) * free
-        rel = np.max(np.abs(states[-1].u.values - want)) / np.max(np.abs(want))
+        rel = np.max(np.abs(traj.values[-1] - want)) / np.max(np.abs(want))
         if rel > 1e-5:
             bad.append(f"constant oracle c={c} rel={rel:.2e}")
     rng = np.random.default_rng(SEED)

@@ -12,9 +12,14 @@ import sys
 
 import pytest
 
+from fracrel import cli, heat, linear_carleman
 from fracrel.cli import (DEFAULTS, SUITES, _split_rng, cmd_calibrate,
                          load_config, main)
-from fracrel.errors import ConfigError
+from fracrel.errors import CalibrationError, ConfigError
+from fracrel.linear_carleman import load_calibration
+from fracrel.operator import OperatorParams
+from fracrel.symbols import (garding_constants, positivity_constants,
+                             quadratic_constants)
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -185,6 +190,25 @@ def test_run_malformed_config_exit_code(tmp_path, capsys):
     assert not (tmp_path / "domain").exists()
 
 
+def test_linear_suite_evolves_each_trajectory_once(monkeypatch):
+    # the free Gaussian feeds both the monotonicity and the tent check, and
+    # each ledger draw is evolved once
+    horizons = []
+
+    def counting(u0, V, T, *args, **kwargs):
+        horizons.append(T)
+        return heat.evolve_with_potential(u0, V, T, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "evolve_with_potential", counting)
+    monkeypatch.setattr(linear_carleman, "evolve_with_potential", counting)
+    cfg = dict(DEFAULTS, **{"sweep.count": 1})
+    reports = cli._suite_linear(cfg)
+    assert len(horizons) == 1 + cfg["sweep.count"]
+    assert [r.name for r in reports[:2]] == [
+        "linear_carleman.monotonicity", "linear_carleman.tent_identity"]
+    assert len(reports) == 2 + cfg["sweep.count"]
+
+
 def test_defaults_subcommand_prints_reference(tmp_path, capsys):
     assert main(["defaults"]) == 0
     printed = json.loads(capsys.readouterr().out)
@@ -237,3 +261,30 @@ def test_calibrate_rejects_suite_without_constants(tmp_path, capsys):
         "suite": "equivalence", "output.dir": str(tmp_path / "cal")})
     assert main(["calibrate", str(cfg)]) == 2
     assert "equivalence" in capsys.readouterr().err
+
+
+def test_calibrate_output_loads_back(tmp_path):
+    cfg = write_config(tmp_path, **{
+        "suite": "all", "output.dir": str(tmp_path / "cal"),
+        "sweep.count": 1})
+    assert main(["calibrate", str(cfg)]) == 0
+    path = tmp_path / "cal" / "calibration.json"
+    tables = json.loads(path.read_text())["body"]["tables"]
+    assert load_calibration(OperatorParams(0.5, 1.0), 0.5,
+                            path=path) == tables["linear"]
+    for i, m_ratio in enumerate((0.0, 1.0)):
+        entry = tables["positivity"][i]
+        assert positivity_constants(0.75, m_ratio, path=path) == (
+            entry["c_hyp"], entry["c_min"])
+        assert garding_constants(0.75, m_ratio,
+                                 path=path) == tables["garding"][i]
+    assert quadratic_constants("parabolic", 0.75, 1.0,
+                               path=path) == tables["quadratic"][-1]
+    # entries the bundle lacks are calibration errors, not lookup crashes
+    with pytest.raises(CalibrationError):
+        load_calibration(OperatorParams(0.5, 1.0), 0.25, path=path)
+    linear_only = tmp_path / "linear_only.json"
+    linear_only.write_text(json.dumps(
+        {"body": {"tables": {"linear": tables["linear"]}}}))
+    with pytest.raises(CalibrationError):
+        positivity_constants(0.75, 0.0, path=linear_only)

@@ -7,6 +7,7 @@ import pytest
 from fracrel.errors import ConfigError, DomainError, SeamLeakError
 from fracrel.grid import (
     GridFunction,
+    SpaceTimeFunction,
     band_limited_noise,
     centered_d1,
     centered_d2,
@@ -82,6 +83,35 @@ def test_windowed_exponential_seam_safe():
     core = np.abs(x) <= 4.0
     np.testing.assert_allclose(f.values[core], np.exp(0.9 * x[core]),
                                rtol=1e-12)
+
+
+def test_space_time_function_validation():
+    times = np.linspace(0.0, 1.0, 12)
+    vals = np.zeros((12, 16))
+    f = SpaceTimeFunction(8.0, 16, times, vals)
+    assert f.nt == 12
+    assert f.slice(3).n == 16
+    np.testing.assert_array_equal(f.x, GridFunction(8.0, 16, vals[0]).x)
+    # few or uneven samples are the parabolic check's concern, not the type's
+    assert SpaceTimeFunction(8.0, 16, times[:5], vals[:5]).nt == 5
+    with pytest.raises(ConfigError):
+        SpaceTimeFunction(8.0, 16, times[::-1], vals)
+    with pytest.raises(ConfigError):
+        SpaceTimeFunction(8.0, 16, np.concatenate([times[:1], times[:-1]]),
+                          vals)
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = vals.copy()
+        broken[7, 3] = bad
+        with pytest.raises(ConfigError):
+            SpaceTimeFunction(8.0, 16, times, broken)
+        with pytest.raises(ConfigError):
+            SpaceTimeFunction(8.0, 16, np.where(times == times[4], bad,
+                                                times), vals)
+    for shape in ((12, 8), (11, 16), (12,), (12, 16, 1)):
+        with pytest.raises(ConfigError):
+            SpaceTimeFunction(8.0, 16, times, np.zeros(shape))
+    with pytest.raises(ConfigError):
+        SpaceTimeFunction(8.0, 16, times[None, :], vals)
 
 
 def test_band_limited_noise_determinism_and_band():

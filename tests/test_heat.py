@@ -244,11 +244,11 @@ def test_log_convexity_zero_data_trivial():
 
 def test_picard_zero_potential_matches_free():
     u0 = gaussian(40.0, 4096, sigma=2.0)
-    states = evolve_with_potential(u0, PotentialField.constant(0.0), 1.0,
-                                   P_HALF)
+    traj = evolve_with_potential(u0, PotentialField.constant(0.0), 1.0,
+                                 P_HALF)
     free = evolve_free(u0, 1.0, P_HALF)
-    assert states[-1].t == pytest.approx(1.0)
-    assert np.max(np.abs(states[-1].u.values - free.u.values)) <= 1e-9
+    assert traj.times[-1] == pytest.approx(1.0)
+    assert np.max(np.abs(traj.values[-1] - free.u.values)) <= 1e-9
 
 
 def test_picard_constant_potential_oracle():
@@ -257,10 +257,10 @@ def test_picard_constant_potential_oracle():
     cfg = PicardConfig(dt=5e-3)
     free = evolve_free(u0, 1.0, P_HALF).u.values
     for c in (1.0, -1.0, 0.5):
-        states = evolve_with_potential(u0, PotentialField.constant(c), 1.0,
-                                       P_HALF, cfg)
+        traj = evolve_with_potential(u0, PotentialField.constant(c), 1.0,
+                                     P_HALF, cfg)
         want = math.exp(c) * free
-        rel = np.max(np.abs(states[-1].u.values - want)) / np.max(np.abs(want))
+        rel = np.max(np.abs(traj.values[-1] - want)) / np.max(np.abs(want))
         assert rel <= 1e-5, (c, rel)
 
 
@@ -298,30 +298,47 @@ def test_picard_nonconvergence_raises():
 
 def test_positivity_preserved():
     u0 = gaussian(40.0, 4096, sigma=1.0)
-    states = evolve_with_potential(u0, PotentialField.constant(0.3), 1.0,
-                                   P_HALF)
-    assert min(st.u.values.min() for st in states) >= -1e-10
+    traj = evolve_with_potential(u0, PotentialField.constant(0.3), 1.0,
+                                 P_HALF)
+    assert traj.values.min() >= -1e-10
+
+
+def test_evolution_trajectory_layout_and_single_sampling():
+    # one (nt, n) array on the solver's step grid, with V sampled once
+    u0 = gaussian(40.0, 1024, sigma=2.0)
+    calls = []
+
+    def evaluator(x):
+        calls.append(x.size)
+        return 0.2 * np.cos(x)
+
+    traj = evolve_with_potential(u0, PotentialField(evaluator, 0.2), 0.25,
+                                 P_HALF, PicardConfig(dt=0.1))
+    assert calls == [1024]
+    assert traj.values.shape == (4, 1024)
+    np.testing.assert_array_equal(traj.times, [0.0, 0.1, 0.2, 0.25])
+    np.testing.assert_array_equal(traj.values[0], u0.values)
 
 
 def test_potential_field_contract():
     with pytest.raises(ConfigError):
-        PotentialField(lambda t, x: x, -1.0)
-    lying = PotentialField(lambda t, x: np.full_like(x, 3.0), 1.0)
+        PotentialField(lambda x: x, -1.0)
+    lying = PotentialField(lambda x: np.full_like(x, 3.0), 1.0)
     with pytest.raises(DomainError):
-        lying.sample(0.0, gaussian(40.0, 1024))
-    broken = PotentialField(lambda t, x: np.full_like(x, np.inf), 1.0)
+        lying.sample(gaussian(40.0, 1024))
+    broken = PotentialField(lambda x: np.full_like(x, np.inf), 1.0)
     with pytest.raises(DomainError):
-        broken.sample(0.0, gaussian(40.0, 1024))
+        broken.sample(gaussian(40.0, 1024))
     const = PotentialField.constant(-0.7)
     assert const.sup_norm == pytest.approx(0.7)
     prof = gaussian(40.0, 1024, sigma=3.0)
     static = PotentialField.static(prof)
-    np.testing.assert_array_equal(static.sample(0.0, prof), prof.values)
+    np.testing.assert_array_equal(static.sample(prof), prof.values)
     assert static.sup_norm == np.max(np.abs(prof.values))
     # the samples define the potential only on the profile's own grid
     for other in (gaussian(40.0, 2048), gaussian(80.0, 1024)):
         with pytest.raises(PreconditionError):
-            static.sample(0.0, other)
+            static.sample(other)
 
 
 def test_picard_config_validation():
@@ -336,7 +353,9 @@ def test_picard_config_validation():
 # -------------------------------------------------- backward uniqueness
 
 def test_backward_uc_free():
-    rep = backward_uc_check(gaussian(40.0, 4096), None, P_HALF)
+    traj = evolve_with_potential(gaussian(40.0, 4096),
+                                 PotentialField.constant(0.0), 1.0, P_HALF)
+    rep = backward_uc_check(traj, None, P_HALF)
     assert rep.passed
     assert rep.measured["kappa"] <= 1.0 + 1e-8
 
@@ -345,7 +364,8 @@ def test_backward_uc_with_potential_reports_kappa():
     rng = np.random.default_rng(11)
     V = PotentialField.static(band_limited_noise(40.0, 4096, k_max=20,
                                                  rng=rng, windowed=False))
-    rep = backward_uc_check(gaussian(40.0, 4096), V, P_HALF)
+    traj = evolve_with_potential(gaussian(40.0, 4096), V, 1.0, P_HALF)
+    rep = backward_uc_check(traj, V, P_HALF)
     assert rep.passed  # report-only path
     assert math.isfinite(rep.measured["kappa"])
     assert rep.measured["kappa"] >= 0.9

@@ -17,8 +17,9 @@ import pytest
 from fracrel.errors import (AdmissibilityError, CalibrationError,
                             ConfigError, OverflowGuardError,
                             PreconditionError, SeamLeakError)
-from fracrel.grid import (GridFunction, fourier_mode, gaussian,
-                          smooth_window, trapezoid, windowed_exponential)
+from fracrel.grid import (GridFunction, SpaceTimeFunction, fourier_mode,
+                          gaussian, smooth_window, trapezoid,
+                          windowed_exponential)
 from fracrel.heat import (HeatState, PicardConfig, PotentialField,
                           evolve_with_potential)
 from fracrel.linear_carleman import (CarlemanLedger, LinearWeight,
@@ -47,12 +48,21 @@ def corpus_draw(i, L=128.0, n=4096):
     return pairs[i]
 
 
+def fine_flow(u0, V, T):
+    """The flow under V (None for none) at the fine step 1e-3."""
+    pot = PotentialField.constant(0.0) if V is None else V
+    return evolve_with_potential(u0, pot, T, P_HALF, PicardConfig(dt=1e-3))
+
+
+def rows(traj, picks):
+    """The sub-trajectory of the given states."""
+    return SpaceTimeFunction(traj.L, traj.n, traj.times[picks],
+                             traj.values[picks])
+
+
 @functools.lru_cache(maxsize=None)
-def free_gaussian_unit_trajectory(drift_dt=1e-3):
-    u0 = gaussian(128.0, 4096, sigma=2.0)
-    return tuple(evolve_with_potential(u0, PotentialField.constant(0.0),
-                                       1.0, P_HALF,
-                                       PicardConfig(dt=drift_dt)))
+def free_gaussian_unit_trajectory():
+    return fine_flow(gaussian(128.0, 4096, sigma=2.0), None, 1.0)
 
 
 # ---------------------------------------------------------------- weight
@@ -212,7 +222,8 @@ def test_monotonicity_single_mode_oracle():
     xi = 2.0 * math.pi * k / L
     sig = (xi * xi + 1.0) ** 0.5
     w = LinearWeight(0.0, -2.0)
-    rep = monotonicity_check(u0, None, w, P_HALF, T=0.2, tolerance=1e-5)
+    rep = monotonicity_check(fine_flow(u0, None, 0.2), None, w, P_HALF,
+                             tolerance=1e-5)
     assert rep.passed
     assert rep.measured["identity_violation"] <= 1e-5
     assert rep.measured["mass_ratio"] == pytest.approx(
@@ -225,8 +236,8 @@ def test_monotonicity_single_mode_oracle():
 def test_monotonicity_energy_identity_reduction():
     # F = 0, lam = 0, drift = 0: the balance is the plain energy identity
     u0 = gaussian(40.0, 1024, sigma=1.5)
-    rep = monotonicity_check(u0, None, LinearWeight(0.0, 0.0), P_HALF,
-                             T=0.25)
+    rep = monotonicity_check(fine_flow(u0, None, 0.25), None,
+                             LinearWeight(0.0, 0.0), P_HALF)
     assert rep.passed
     assert rep.measured["identity_violation"] <= 1e-6
     assert rep.measured["groenwall_violation"] <= 0.0
@@ -236,7 +247,7 @@ def test_monotonicity_forced_draws():
     worst = 0.0
     for i in range(4):
         u0, V = corpus_draw(i)
-        rep = monotonicity_check(u0, V, W_MAIN, P_HALF, T=0.25)
+        rep = monotonicity_check(fine_flow(u0, V, 0.25), V, W_MAIN, P_HALF)
         assert rep.passed
         worst = max(worst, rep.measured["violation"])
     assert worst <= 1e-5
@@ -244,15 +255,20 @@ def test_monotonicity_forced_draws():
 
 def test_monotonicity_rejects_overflowing_drift():
     u0 = gaussian(40.0, 1024, sigma=1.5)
+    traj = fine_flow(u0, None, 1.0)
     with pytest.raises(OverflowGuardError):
-        monotonicity_check(u0, None, LinearWeight(0.0, -3000.0), P_HALF)
+        monotonicity_check(traj, None, LinearWeight(0.0, -3000.0), P_HALF)
+    # the balance is anchored at H(0): a trajectory starting later is refused
+    with pytest.raises(PreconditionError):
+        monotonicity_check(rows(traj, slice(1, None)), None,
+                           LinearWeight(0.0, -2.0), P_HALF)
 
 
 def test_monotonicity_tilted_mode_leaks():
     u0 = fourier_mode(40.0, 1024, 2)
     with pytest.raises(SeamLeakError):
-        monotonicity_check(u0, None, LinearWeight(0.5, -11.0), P_HALF,
-                           T=0.05)
+        monotonicity_check(fine_flow(u0, None, 0.05), None,
+                           LinearWeight(0.5, -11.0), P_HALF)
 
 
 # ---------------------------------------------------------------- dD/dt
@@ -264,15 +280,12 @@ def fine_trajectory(which):
         V = None
     else:
         u0, V = corpus_draw(int(which))
-    pot = PotentialField.constant(0.0) if V is None else V
-    traj = evolve_with_potential(u0, pot, 0.05, P_HALF,
-                                 PicardConfig(dt=1e-3))
-    return tuple(traj), V
+    return fine_flow(u0, V, 0.05), V
 
 
 def test_ddot_bound_free_gaussian():
     traj, _ = fine_trajectory("gaussian")
-    rep = ddot_lower_bound_check(list(traj), W_MAIN, P_HALF)
+    rep = ddot_lower_bound_check(traj, W_MAIN, P_HALF)
     assert rep.passed
     assert rep.measured["worst_slack"] > 0.05
 
@@ -280,7 +293,7 @@ def test_ddot_bound_free_gaussian():
 def test_ddot_bound_forced_draws():
     for i in range(2):
         traj, V = fine_trajectory(str(i))
-        rep = ddot_lower_bound_check(list(traj), W_MAIN, P_HALF, V=V)
+        rep = ddot_lower_bound_check(traj, W_MAIN, P_HALF, V=V)
         assert rep.passed
         assert rep.measured["worst_slack"] > 0.0
 
@@ -291,8 +304,7 @@ def test_ddot_bound_plateau_margin():
     # (3/4 (mu - drift)^2 + 2 + |drift + 1| + 1) H, so the normalized
     # slack lands near 48/290
     wide = plateau()
-    traj = evolve_with_potential(wide, PotentialField.constant(0.0), 0.05,
-                                 P_HALF, PicardConfig(dt=1e-3))
+    traj = fine_flow(wide, None, 0.05)
     w0 = LinearWeight(0.0, -11.0)
     rep = ddot_lower_bound_check(traj, w0, P_HALF, constants=(1.0, 4.0))
     assert rep.passed
@@ -300,24 +312,23 @@ def test_ddot_bound_plateau_margin():
 
 
 def test_ddot_bound_zero_data():
-    z = GridFunction(128.0, 4096, np.zeros(4096))
-    traj = [HeatState(k * 1e-3, z) for k in range(5)]
+    traj = SpaceTimeFunction(128.0, 4096, np.arange(5) * 1e-3,
+                             np.zeros((5, 4096)))
     rep = ddot_lower_bound_check(traj, W_MAIN, P_HALF)
     assert rep.passed
 
 
 def test_ddot_bound_gatekeeping():
     traj, _ = fine_trajectory("gaussian")
-    traj = list(traj)
     with pytest.raises(AdmissibilityError):
         ddot_lower_bound_check(traj, LinearWeight(0.5, -1.2), P_HALF)
     with pytest.raises(PreconditionError):
         ddot_lower_bound_check(traj, W_MAIN, OperatorParams(0.7, 1.0))
-    coarse = traj[::10]
+    coarse = rows(traj, slice(None, None, 10))
     with pytest.raises(PreconditionError):
         ddot_lower_bound_check(coarse, W_MAIN, P_HALF)
     with pytest.raises(PreconditionError):
-        ddot_lower_bound_check([traj[0], traj[1], traj[3]], W_MAIN, P_HALF)
+        ddot_lower_bound_check(rows(traj, [0, 1, 3]), W_MAIN, P_HALF)
 
 
 # ---------------------------------------------------------------- tent
@@ -334,7 +345,7 @@ def test_tent_residual_polynomial_histories():
 
 
 def test_tent_identity_free_flow():
-    traj = list(free_gaussian_unit_trajectory())
+    traj = free_gaussian_unit_trajectory()
     for drift in (-2.0, -11.0):
         rep = tent_identity_check(traj, LinearWeight(0.5, drift))
         assert rep.passed
@@ -342,9 +353,10 @@ def test_tent_identity_free_flow():
 
 
 def test_tent_identity_needs_unit_interval():
-    traj = list(free_gaussian_unit_trajectory())
+    traj = free_gaussian_unit_trajectory()
     with pytest.raises(PreconditionError):
-        tent_identity_check(traj[:500], LinearWeight(0.5, -2.0))
+        tent_identity_check(rows(traj, slice(0, 500)),
+                            LinearWeight(0.5, -2.0))
 
 
 # ---------------------------------------------------------------- ledger

@@ -15,9 +15,9 @@ from fracrel.errors import (AdmissibilityError, CalibrationError,
                             ConditioningError, ConfigError, DomainError,
                             OverflowGuardError, PreconditionError,
                             SupportError)
-from fracrel.grid import GridFunction
+from fracrel.grid import GridFunction, SpaceTimeFunction
 from fracrel.operator import OperatorParams
-from fracrel.symbols import (QuadraticWeight, SpaceTimeFunction, SymbolPoint,
+from fracrel.symbols import (QuadraticWeight, SymbolPoint,
                              SupportAnnulus, appendix_conjugation_check,
                              bracket_singular, carleman_quadratic_check,
                              conjugated_operator_matrix, conjugated_symbol,
@@ -575,16 +575,18 @@ def test_time_derivative_exact_on_cubics():
     assert np.max(np.abs(d[4:-4, 0] - expect[4:-4])) < 1e-12
 
 
-def test_space_time_function_validation():
+def test_parabolic_check_needs_a_uniform_time_window():
+    # the eighth-order time stencil needs 9 uniform samples; a trajectory
+    # with fewer, or with uneven steps, is a valid SpaceTimeFunction but
+    # not a parabolic operand
+    w = QuadraticWeight.decaying(2.0, 1.0)
+    con = {"c1": 0.1, "c2": 0.1, "C_weight": 1.0}
     times = np.linspace(0.0, 1.0, 12)
-    vals = np.zeros((12, 16))
-    f = SpaceTimeFunction(8.0, 16, times, vals)
-    assert f.nt == 12
-    assert f.slice(3).n == 16
-    with pytest.raises(ConfigError):
-        SpaceTimeFunction(8.0, 16, times[:5], vals[:5])
-    with pytest.raises(ConfigError):
-        SpaceTimeFunction(8.0, 16, times[::-1], vals)
+    for ts in (times[:5], np.concatenate([times[:6], times[7:]])):
+        f = SpaceTimeFunction(8.0, 16, ts, np.zeros((ts.size, 16)))
+        with pytest.raises(ConfigError):
+            carleman_quadratic_check([f], w, OperatorParams(0.75, 0.0),
+                                     "parabolic", constants=con)
 
 
 def test_quadratic_elliptic_inequality_on_fresh_corpus():
