@@ -11,7 +11,6 @@ from .errors import (
     CalibrationError,
     ConditioningError,
     ConfigError,
-    ConvergenceError,
     DomainError,
     FracrelError,
     OverflowGuardError,

@@ -8,7 +8,8 @@ writes a JSON report bundle plus a CSV table into ``output.dir``;
 the resulting table with its corpus provenance.
 
 Exit status: 0 all checks passed, 1 at least one failed (reports are
-still written), 2 the config did not validate.
+still written; a check that raises becomes its own failed report), 2 the
+config did not validate.
 
 Determinism: a single ``seed`` feeds every randomized check through a
 per-check hash split, so identical configs produce byte-identical report
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import CalibrationError, ConfigError, FracrelError
 from .grid import band_limited_noise, gaussian, grid_points
-from .heat import (PicardConfig, PotentialField, energy_identity_check,
+from .heat import (PotentialField, energy_identity_check,
                    evolve_with_potential, log_convexity_check,
                    weighted_decay_check)
 from .linear_carleman import (LinearWeight, calibrate_constants,
@@ -134,6 +135,13 @@ def _validate(cfg: dict) -> None:
                               "value")
     if cfg["sweep.count"] < 1:
         raise ConfigError("invalid value for 'sweep.count': need at least 1")
+    # the linear corpus (run and calibrate) draws 40 modes inside |x| <= 12
+    if cfg["linear.n"] <= 80:
+        raise ConfigError("invalid value for 'linear.n': the linear corpus "
+                          "needs more than 80 nodes")
+    if cfg["linear.L"] < 24.0:
+        raise ConfigError("invalid value for 'linear.L': the linear corpus "
+                          "window needs a box of at least 24")
 
 
 def _split_rng(seed: int, suite: str, check: str, index: int = 0):
@@ -150,30 +158,53 @@ def _corpus_seed(cfg) -> int:
 
 # ------------------------------------------------------------------ suites
 
+def _checked(name: str, check) -> CheckReport:
+    """The report of ``check()``; a FracrelError it raises becomes the
+    failed report ``name``, so one failure leaves the rest of its suite
+    in place."""
+    t0 = time.perf_counter()
+    try:
+        return check()
+    except FracrelError as exc:
+        return CheckReport(
+            name=name, inputs={},
+            measured={"error": f"{type(exc).__name__}: {exc}"},
+            tolerance=0.0, passed=False, witness=None,
+            wall_time_s=time.perf_counter() - t0)
+
+
 def _suite_equivalence(cfg) -> list:
     L, n = cfg["grid.L"], cfg["grid.n"]
     tol = cfg["tolerance.equivalence"]
+    f = gaussian(L, n, sigma=1.0)
+    mid = np.abs(f.x) <= L / 4.0
+    applies = {"spectral": apply_spectral,
+               "singular": apply_singular_integral,
+               "subordination": apply_subordination}
     out = []
     for s in (0.3, 0.5, 0.7):
         for m in (0.5, 1.0, 2.0):
             p = OperatorParams(s, m)
-            f = gaussian(L, n, sigma=1.0)
-            t0 = time.perf_counter()
-            routes = {"spectral": apply_spectral(f, p).values,
-                      "singular": apply_singular_integral(f, p).values,
-                      "subordination": apply_subordination(f, p).values}
-            mid = np.abs(f.x) <= L / 4.0
-            ref = float(np.max(np.abs(routes["spectral"][mid])))
+            routes = {}
+
+            def compare(one, two):
+                t0 = time.perf_counter()
+                # each realization is applied once per (s, m)
+                for route in ("spectral", one, two):
+                    if route not in routes:
+                        routes[route] = applies[route](f, p).values[mid]
+                ref = float(np.max(np.abs(routes["spectral"])))
+                err = float(np.max(np.abs(routes[one] - routes[two])) / ref)
+                return finish_report(
+                    f"equivalence.{one}_vs_{two}",
+                    {"s": s, "m": m, "L": L, "n": int(n)},
+                    {"rel_error": err}, tol, err, None, t0)
+
             for one, two in (("spectral", "singular"),
                              ("spectral", "subordination"),
                              ("singular", "subordination")):
-                err = float(np.max(np.abs(routes[one][mid]
-                                          - routes[two][mid])) / ref)
-                out.append(finish_report(
-                    f"equivalence.{one}_vs_{two}",
-                    {"s": s, "m": m, "L": L, "n": int(n)},
-                    {"rel_error": err}, tol, err, None, t0))
-                t0 = time.perf_counter()
+                out.append(_checked(f"equivalence.{one}_vs_{two}",
+                                    lambda: compare(one, two)))
     return out
 
 
@@ -182,15 +213,34 @@ def _suite_heat(cfg) -> list:
     p = OperatorParams(cfg["operator.s"], cfg["operator.m"])
     out = []
     u0 = gaussian(L, n, sigma=2.0)
-    out.append(energy_identity_check(u0, p, tolerance=cfg["tolerance.energy"]))
+    out.append(_checked("heat.energy_identity", lambda: energy_identity_check(
+        u0, p, tolerance=cfg["tolerance.energy"])))
     for lam in (0.0, p.m / 2.0):
-        out.append(weighted_decay_check(u0, lam, p))
+        out.append(_checked("heat.weighted_decay",
+                            lambda: weighted_decay_check(u0, lam, p)))
     rng = _split_rng(cfg["seed"], "heat", "log_convexity")
-    for i in range(int(cfg["sweep.count"])):
-        u = band_limited_noise(L, n, 12, rng, windowed=True)
-        out.append(log_convexity_check(
-            u, p.m / 2.0, p, tolerance=cfg["tolerance.log_convexity"]))
+    for _ in range(int(cfg["sweep.count"])):
+        out.append(_checked("heat.log_convexity", lambda: log_convexity_check(
+            band_limited_noise(L, n, 12, rng, windowed=True), p.m / 2.0, p,
+            tolerance=cfg["tolerance.log_convexity"])))
     return out
+
+
+def _ledger_report(i: int, f0, V, w: LinearWeight,
+                   p: OperatorParams) -> CheckReport:
+    t0 = time.perf_counter()
+    ledger = carleman_linear_check(f0, V, w, p)
+    return CheckReport(
+        name="linear_carleman.ledger",
+        inputs={"draw": i, "lam": w.lam, "drift": w.drift,
+                "s": p.s, "m": p.m},
+        measured={"slack": ledger.slack,
+                  "corollary_slack": ledger.corollary_slack,
+                  "flagged": list(ledger.flagged)},
+        tolerance=0.0,
+        passed=bool(ledger.passed and ledger.corollary_passed),
+        witness=None if ledger.passed else ledger.to_dict(),
+        wall_time_s=time.perf_counter() - t0)
 
 
 def _suite_linear(cfg) -> list:
@@ -202,25 +252,16 @@ def _suite_linear(cfg) -> list:
     # quadratic in the step, so it needs the fine spacing
     traj = evolve_with_potential(gaussian(L, n, sigma=2.0),
                                  PotentialField.constant(0.0), 1.0, p,
-                                 PicardConfig(dt=1e-3))
-    out.append(monotonicity_check(traj, None, w, p))
-    out.append(tent_identity_check(traj, w,
-                                   tolerance=cfg["tolerance.tent"]))
+                                 dt=1e-3)
+    out.append(_checked("linear_carleman.monotonicity",
+                        lambda: monotonicity_check(traj, None, w, p)))
+    out.append(_checked("linear_carleman.tent_identity",
+                        lambda: tent_identity_check(
+                            traj, w, tolerance=cfg["tolerance.tent"])))
     corpus = carleman_corpus(L, n, int(cfg["sweep.count"]), _corpus_seed(cfg))
     for i, (f0, V) in enumerate(corpus):
-        t0 = time.perf_counter()
-        ledger = carleman_linear_check(f0, V, w, p)
-        out.append(CheckReport(
-            name="linear_carleman.ledger",
-            inputs={"draw": i, "lam": w.lam, "drift": w.drift,
-                    "s": p.s, "m": p.m},
-            measured={"slack": ledger.slack,
-                      "corollary_slack": ledger.corollary_slack,
-                      "flagged": list(ledger.flagged)},
-            tolerance=0.0,
-            passed=bool(ledger.passed and ledger.corollary_passed),
-            witness=None if ledger.passed else ledger.to_dict(),
-            wall_time_s=time.perf_counter() - t0))
+        out.append(_checked("linear_carleman.ledger",
+                            lambda: _ledger_report(i, f0, V, w, p)))
     return out
 
 
@@ -234,30 +275,20 @@ def _analytic_operands(L: float, n: int) -> list:
     return ops
 
 
-def _suite_symbol(cfg) -> list:
-    out = []
-    p34 = OperatorParams(0.75, 0.0)
-    alpha, R = cfg["quadratic.alpha"], cfg["quadratic.R"]
-
-    out.append(symbols.positivity_sweep(
-        symbols.QuadraticWeight.decaying(alpha, R), p34))
-    out.append(symbols.positivity_sweep(
-        symbols.QuadraticWeight.constant(50.0 * R, R, 1.0), p34))
-
+def _falsification_report(p34: OperatorParams) -> CheckReport:
     # expected negative: an oscillating profile outside the admissible set
     rep = symbols.positivity_sweep(
         symbols.QuadraticWeight.oscillating(2.0, 1.0, rate=3.0), p34,
         constants=(1.0, 1.0), enforce=False)
-    out.append(CheckReport(
+    return CheckReport(
         name="symbol.falsification_witness",
         inputs=rep.inputs, measured=rep.measured, tolerance=0.0,
         passed=bool((not rep.measured["gate_ok"])
                     and rep.measured["ratio_min"] < 0.0),
-        witness=rep.witness, wall_time_s=rep.wall_time_s))
+        witness=rep.witness, wall_time_s=rep.wall_time_s)
 
-    out.append(symbols.garding_hypothesis_check(
-        symbols.QuadraticWeight.constant(40.0, 1.0, 3.0), p34))
 
+def _bracket_fd_report(cfg) -> CheckReport:
     # closed-form bracket against finite differences at random points
     t0 = time.perf_counter()
     rng = _split_rng(cfg["seed"], "symbol", "bracket_fd")
@@ -281,10 +312,12 @@ def _suite_symbol(cfg) -> list:
         closed = symbols.poisson_bracket(pt, w, pp)
         fd = symbols.poisson_bracket_fd(pt, w, pp)
         worst = max(worst, abs(closed - fd) / max(abs(closed), 1e-30))
-    out.append(finish_report("symbol.bracket_fd", {"points": kept},
-                             {"rel_error": worst},
-                             cfg["tolerance.bracket"], worst, None, t0))
+    return finish_report("symbol.bracket_fd", {"points": kept},
+                         {"rel_error": worst},
+                         cfg["tolerance.bracket"], worst, None, t0)
 
+
+def _s1_commutator_report(cfg) -> CheckReport:
     # s = 1 commutator action against the closed form
     n_mat = int(cfg["symbol.matrix_n"])
     t0 = time.perf_counter()
@@ -300,40 +333,62 @@ def _suite_symbol(cfg) -> list:
             err = float(np.linalg.norm(comm @ f - T @ f)
                         / np.linalg.norm(T @ f))
             worst = max(worst, err)
-    out.append(finish_report("symbol.s1_commutator", {"n": n_mat},
-                             {"rel_error": worst},
-                             cfg["tolerance.commutator"], worst, None, t0))
+    return finish_report("symbol.s1_commutator", {"n": n_mat},
+                         {"rel_error": worst},
+                         cfg["tolerance.commutator"], worst, None, t0)
 
+
+def _suite_symbol(cfg) -> list:
+    p34 = OperatorParams(0.75, 0.0)
+    alpha, R = cfg["quadratic.alpha"], cfg["quadratic.R"]
+    out = [
+        _checked("symbols.positivity_sweep", lambda: symbols.positivity_sweep(
+            symbols.QuadraticWeight.decaying(alpha, R), p34)),
+        _checked("symbols.positivity_sweep", lambda: symbols.positivity_sweep(
+            symbols.QuadraticWeight.constant(50.0 * R, R, 1.0), p34)),
+        _checked("symbol.falsification_witness",
+                 lambda: _falsification_report(p34)),
+        _checked("symbols.garding_hypothesis",
+                 lambda: symbols.garding_hypothesis_check(
+                     symbols.QuadraticWeight.constant(40.0, 1.0, 3.0), p34)),
+        _checked("symbol.bracket_fd", lambda: _bracket_fd_report(cfg)),
+        _checked("symbol.s1_commutator", lambda: _s1_commutator_report(cfg)),
+    ]
     rng = _split_rng(cfg["seed"], "symbol", "appendix")
     for s in (-0.5, 0.3, 0.5, 1.0):
         phi = 0.2 * rng.standard_normal(64)
-        out.append(symbols.appendix_conjugation_check(
-            64, s, phi, tolerance=cfg["tolerance.appendix"]))
+        out.append(_checked("symbols.appendix_conjugation",
+                            lambda: symbols.appendix_conjugation_check(
+                                64, s, phi,
+                                tolerance=cfg["tolerance.appendix"])))
     return out
+
+
+def _quadratic_report(seed: int, mode: str, s: float, mr: float,
+                      count: int) -> CheckReport:
+    entry = symbols.quadratic_constants(mode, s, mr)
+    alpha = entry["corpus"]["alpha"]
+    p = OperatorParams(s, mr * 2.0 * alpha)
+    if mode == "elliptic":
+        w = symbols.QuadraticWeight.constant(alpha, 1.0, 3.0)
+        rng = _split_rng(seed, "quadratic", f"elliptic|{s}|{mr}")
+        fs = symbols.elliptic_test_family(w, 8.0, 512, count, rng)
+    else:
+        w = symbols.QuadraticWeight.decaying(alpha, 1.0)
+        rng = _split_rng(seed, "quadratic", f"parabolic|{mr}")
+        fs = symbols.parabolic_test_family(
+            w, 8.0, 512, np.linspace(0.0, 1.0, 48), count, rng)
+    return symbols.carleman_quadratic_check(fs, w, p, mode)
 
 
 def _suite_quadratic(cfg) -> list:
-    out = []
     count = max(3, int(cfg["sweep.count"]) // 2)
-    for s in (0.5, 0.75):
-        for mr in (0.0, 1.0):
-            entry = symbols.quadratic_constants("elliptic", s, mr)
-            alpha = entry["corpus"]["alpha"]
-            w = symbols.QuadraticWeight.constant(alpha, 1.0, 3.0)
-            p = OperatorParams(s, mr * 2.0 * alpha)
-            rng = _split_rng(cfg["seed"], "quadratic", f"elliptic|{s}|{mr}")
-            fs = symbols.elliptic_test_family(w, 8.0, 512, count, rng)
-            out.append(symbols.carleman_quadratic_check(fs, w, p, "elliptic"))
-    for mr in (0.0, 1.0):
-        entry = symbols.quadratic_constants("parabolic", 0.75, mr)
-        alpha = entry["corpus"]["alpha"]
-        w = symbols.QuadraticWeight.decaying(alpha, 1.0)
-        p = OperatorParams(0.75, mr * 2.0 * alpha)
-        rng = _split_rng(cfg["seed"], "quadratic", f"parabolic|{mr}")
-        fs = symbols.parabolic_test_family(
-            w, 8.0, 512, np.linspace(0.0, 1.0, 48), 3, rng)
-        out.append(symbols.carleman_quadratic_check(fs, w, p, "parabolic"))
-    return out
+    runs = [("elliptic", s, mr, count) for s in (0.5, 0.75)
+            for mr in (0.0, 1.0)]
+    runs += [("parabolic", 0.75, mr, 3) for mr in (0.0, 1.0)]
+    return [_checked("symbols.carleman_quadratic",
+                     lambda: _quadratic_report(cfg["seed"], *run))
+            for run in runs]
 
 
 SUITE_RUNNERS = {
@@ -403,14 +458,7 @@ def cmd_run(cfg: dict) -> int:
     wanted = SUITES[:-1] if cfg["suite"] == "all" else (cfg["suite"],)
     suites = []
     for name in wanted:
-        reports = []
-        try:
-            reports = SUITE_RUNNERS[name](cfg)
-        except FracrelError as exc:
-            reports.append(CheckReport(
-                name=f"{name}.error", inputs={},
-                measured={"error": f"{type(exc).__name__}: {exc}"},
-                tolerance=0.0, passed=False, witness=None, wall_time_s=0.0))
+        reports = SUITE_RUNNERS[name](cfg)
         suites.append((name, reports))
         for rep in reports:
             print(rep)

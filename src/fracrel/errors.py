@@ -27,10 +27,6 @@ class QuadratureError(FracrelError, RuntimeError):
     """A quadrature failed to converge within its node budget."""
 
 
-class ConvergenceError(FracrelError, RuntimeError):
-    """An iteration (fixed point, refinement) did not converge."""
-
-
 class PreconditionError(FracrelError, ValueError):
     """A documented precondition of an operation does not hold."""
 

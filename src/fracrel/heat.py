@@ -3,11 +3,12 @@
 The free semigroup is applied exactly per Fourier mode, so the fundamental
 solution, mass decay and the semigroup property hold to rounding on the grid.
 A bounded time-independent potential V enters through the Duhamel form,
-solved per step by a short Picard iteration; it is sampled once per
-trajectory.  Trajectories come back as one SpaceTimeFunction (times and an
-(nt, n) array of states); HeatState is a single snapshot.  Weighted energies
-refuse to integrate data that has not decayed at the periodic seam, since
-the exponential weight would turn wrap-around into silent garbage.
+whose per-step equation is pointwise diagonal and is solved in closed form;
+V is sampled once per trajectory.  Trajectories come back as one
+SpaceTimeFunction (times and an (nt, n) array of states); HeatState is a
+single snapshot.  Weighted energies refuse to integrate data that has not
+decayed at the periodic seam, since the exponential weight would turn
+wrap-around into silent garbage.
 """
 from __future__ import annotations
 
@@ -18,12 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DomainError,
-    PreconditionError,
-)
+from .errors import ConfigError, DomainError, PreconditionError
 from .grid import (GridFunction, SpaceTimeFunction, require_seam_decay,
                    trapezoid)
 from .operator import OperatorParams, frequencies, symbol
@@ -47,7 +43,7 @@ class PotentialField:
     """Bounded time-independent potential V(x) with a declared sup-norm.
 
     The declared bound is part of the contract: sampling raises if the
-    evaluator exceeds it, because the contraction step size and the
+    evaluator exceeds it, because the solver's step-size bound and the
     existence theory both key off sup_norm.
     """
 
@@ -97,25 +93,6 @@ class PotentialField:
         return PotentialField(evaluate, float(np.max(np.abs(vs))))
 
 
-@dataclass(frozen=True)
-class PicardConfig:
-    dt: float = 1e-2
-    max_iters: int = 60
-    fix_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise ConfigError(f"dt must be positive, got {self.dt!r}")
-        if self.max_iters < 1:
-            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters!r}")
-        if not (0.0 < self.fix_tol <= 1e-2):
-            raise ConfigError(
-                f"fix_tol must lie in (0, 1e-2], got {self.fix_tol!r}")
-
-
-DEFAULT_PICARD_CONFIG = PicardConfig()
-
-
 def fundamental_solution(t: float, p: OperatorParams, L: float = 40.0,
                          n: int = 4096) -> GridFunction:
     """Heat kernel on the periodic box, centered at x = 0.
@@ -126,8 +103,6 @@ def fundamental_solution(t: float, p: OperatorParams, L: float = 40.0,
     """
     if t <= 0.0:
         raise DomainError(f"time must be positive, got t={t:g}")
-    if p.dim != 1:
-        raise DomainError("kernel construction is one-dimensional here")
     mult = np.exp(-t * symbol(p, frequencies(L, n)))
     vals = np.fft.irfft(mult, n) * (n / L)
     return GridFunction(L, n, np.roll(vals, n // 2))
@@ -366,71 +341,45 @@ def log_convexity_check(u0: GridFunction, lam: float, p: OperatorParams,
 
 
 def evolve_with_potential(u0: GridFunction, V: PotentialField, T: float,
-                          p: OperatorParams,
-                          cfg: PicardConfig | None = None,
-                          diagnostics: dict | None = None
+                          p: OperatorParams, dt: float = 1e-2
                           ) -> SpaceTimeFunction:
-    """March the potential problem with a per-step Duhamel fixed point.
+    """March the potential problem with the trapezoid Duhamel step.
 
     V is time-independent, so it is sampled once on u0's grid and the same
     samples serve both ends of every step.  Each step solves
-    w = K_dt u + (dt/2)(K_dt(V u) + V w) by Picard iteration; the linear
-    part contracts with ratio (dt/2)||V||, half the documented budget.
-    Steps are cfg.dt except a final shorter one that lands on T.  Returns
-    the trajectory at t = 0 and after every step.  Pass a dict as
-    ``diagnostics`` to get back the observed per-step contraction ratios
-    and iteration counts.
+
+        u_{k+1} = K_dt (u_k + (dt/2) V u_k) + (dt/2) V u_{k+1},
+
+    which is pointwise diagonal in u_{k+1}, so it is solved exactly by one
+    division; ||V|| dt < 1/2 keeps the divisor above 3/4.  Steps are dt
+    except a final shorter one that lands on T.  Returns the trajectory at
+    t = 0 and after every step.
     """
-    cfg = DEFAULT_PICARD_CONFIG if cfg is None else cfg
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ConfigError(f"dt must be positive and finite, got {dt!r}")
     if T <= 0.0:
         raise DomainError(f"horizon must be positive, got T={T:g}")
-    if V.sup_norm * cfg.dt >= 0.5:
+    if V.sup_norm * dt >= 0.5:
         raise PreconditionError(
-            f"need ||V|| * dt < 1/2 for the contraction, got "
-            f"{V.sup_norm * cfg.dt:g}")
+            f"need ||V|| * dt < 1/2 for the step, got {V.sup_norm * dt:g}")
     # the step grid first, so the states go straight into one array
     times, steps = [0.0], []
     t = 0.0
     while t < T - 1e-12 * max(1.0, T):
-        steps.append(min(cfg.dt, T - t))
+        steps.append(min(dt, T - t))
         t += steps[-1]
         times.append(t)
     values = np.empty((len(times), u0.n))
     values[0] = u0.values
     sig = symbol(p, frequencies(u0.L, u0.n))
-    decay_full = np.exp(-cfg.dt * sig)
+    decay_full = np.exp(-dt * sig)
     v = V.sample(u0)
-    ratios: list[float] = []
-    iterations: list[int] = []
-    for k, dt in enumerate(steps):
+    for k, step in enumerate(steps):
         u = values[k]
-        decay = decay_full if dt == cfg.dt else np.exp(-dt * sig)
-        base = np.fft.irfft(np.fft.rfft(u + 0.5 * dt * v * u) * decay,
+        decay = decay_full if step == dt else np.exp(-step * sig)
+        base = np.fft.irfft(np.fft.rfft(u + 0.5 * step * v * u) * decay,
                             u0.n)
-        w = base
-        prev_res = None
-        step_ratio = 0.0
-        converged = False
-        for it in range(1, cfg.max_iters + 1):
-            w_new = base + 0.5 * dt * v * w
-            res = math.sqrt(u0.h * float(((w_new - w) ** 2).sum()))
-            if prev_res is not None and prev_res > 0.0:
-                step_ratio = max(step_ratio, res / prev_res)
-            w = w_new
-            if res < cfg.fix_tol:
-                converged = True
-                break
-            prev_res = res
-        if not converged:
-            raise ConvergenceError(
-                f"Picard iteration stalled at t={times[k]:g} "
-                f"(residual {res:.3e} after {cfg.max_iters} iterations)")
-        ratios.append(step_ratio)
-        iterations.append(it)
-        values[k + 1] = w
-    if diagnostics is not None:
-        diagnostics["contraction_ratios"] = ratios
-        diagnostics["iterations"] = iterations
+        values[k + 1] = base / (1.0 - 0.5 * step * v)
     return SpaceTimeFunction(u0.L, u0.n, np.array(times), values)
 
 

@@ -45,7 +45,6 @@ from .grid import (
 )
 from .heat import (
     HeatState,
-    PicardConfig,
     PotentialField,
     evolve_with_potential,
     weighted_integral,
@@ -72,7 +71,8 @@ _RATE_HORIZON_CAP = 600.0
 
 _CALIBRATION_RESOURCE = "calibration.json"
 
-DEFAULT_LEDGER_STEPPING = PicardConfig(dt=1e-2)
+# Step of the evolutions behind the inequality ledger.
+LEDGER_DT = 1e-2
 
 
 @dataclass(frozen=True)
@@ -157,8 +157,6 @@ def functional_D(u: HeatState, w: LinearWeight, p: OperatorParams, *,
     tightens its cell quadrature.
     """
     w.require_tilt(p)
-    if p.dim != 1:
-        raise PreconditionError("tilted functionals are grid-path only")
     g = u.u
     mass = functional_H(u, w)
     if route == "carre":
@@ -219,7 +217,7 @@ def _tilted_series(traj: SpaceTimeFunction, lam: float, p: OperatorParams,
         form_2s     int e^(lam x) H_2s(u, u)       (with_energy only)
     """
     mu = LinearWeight(lam, 0.0).eigenvalue(p)
-    doubled = OperatorParams(2.0 * p.s, p.m, p.dim) if with_energy else None
+    doubled = OperatorParams(2.0 * p.s, p.m) if with_energy else None
     names = ("mass", "op_pair", "form_s", "forcing_sq", "cross")
     if with_energy:
         names += ("kinetic", "form_2s")
@@ -630,8 +628,7 @@ def _assemble_ledger(times: np.ndarray, series: dict, w: LinearWeight,
 
 def carleman_linear_check(u0: GridFunction, V: PotentialField | None,
                           w: LinearWeight, p: OperatorParams,
-                          constants=None, cfg: PicardConfig | None = None,
-                          ) -> CarlemanLedger:
+                          constants=None) -> CarlemanLedger:
     """Evolve the forced flow over [0, 1] and fill the inequality ledger.
 
     Asserted (as the ledger's ``passed``) is
@@ -643,15 +640,14 @@ def carleman_linear_check(u0: GridFunction, V: PotentialField | None,
 
     together with the corollary form in which the final mass is absorbed
     through the persistence bound.  All time integrals are trapezoid sums
-    over the solver's uniform step grid.
+    over the solver's uniform step grid of spacing LEDGER_DT.
     """
     c1, c2 = _admissible_constants(constants, p, w)
-    cfg = DEFAULT_LEDGER_STEPPING if cfg is None else cfg
     V_eff = PotentialField.constant(0.0) if V is None else V
     times, series = _tilted_series(
-        evolve_with_potential(u0, V_eff, 1.0, p, cfg), w.lam, p, V)
+        evolve_with_potential(u0, V_eff, 1.0, p, dt=LEDGER_DT), w.lam, p, V)
     inputs = {"s": p.s, "m": p.m, "lam": w.lam, "drift": w.drift,
-              "L": u0.L, "n": u0.n, "dt": cfg.dt,
+              "L": u0.L, "n": u0.n, "dt": LEDGER_DT,
               "sup_v": V_eff.sup_norm}
     return _assemble_ledger(times, _weighted(times, series, w.drift), w, p,
                             c1, c2, inputs)
@@ -688,7 +684,7 @@ def calibrate_constants(p: OperatorParams, lam: float, *,
                         gap_offsets=(0.25, 0.5, 1.0, 2.0, 4.0, 7.0, 10.0),
                         operating_offset: float = 10.0,
                         fine_dt: float = 1e-3, fine_T: float = 0.05,
-                        ledger_dt: float = 1e-2,
+                        ledger_dt: float = LEDGER_DT,
                         tolerance: float = 1e-3) -> dict:
     """Empirical sweep that fixes the two free constants.
 
@@ -708,9 +704,9 @@ def calibrate_constants(p: OperatorParams, lam: float, *,
     fine, coarse = [], []
     for u0, V in corpus:
         fine.append(_tilted_series(evolve_with_potential(
-            u0, V, fine_T, p, PicardConfig(dt=fine_dt)), lam, p, V))
+            u0, V, fine_T, p, dt=fine_dt), lam, p, V))
         coarse.append(_tilted_series(evolve_with_potential(
-            u0, V, 1.0, p, PicardConfig(dt=ledger_dt)), lam, p, V))
+            u0, V, 1.0, p, dt=ledger_dt), lam, p, V))
 
     def ddot_stats(times, series, drift, c1):
         terms = _weighted(times, series, drift)
@@ -769,7 +765,7 @@ def calibrate_constants(p: OperatorParams, lam: float, *,
             c1_need = max(c1_need, need_d, need_l)
     c1 = max(1.0, 2.0 * c1_need)
     return {
-        "dim": p.dim, "s": p.s, "m": p.m, "lam": lam,
+        "dim": 1, "s": p.s, "m": p.m, "lam": lam,
         "C1": c1, "C2": c2,
         "A_threshold": mu - threshold_gap,
         "A_operating": -(zero_order + operating_offset),
@@ -783,7 +779,8 @@ def calibrate_constants(p: OperatorParams, lam: float, *,
 
 
 def load_calibration(p: OperatorParams, lam: float, path=None) -> dict:
-    """Fetch the frozen constants for (dim, s, m, lam of the weight).
+    """Fetch the frozen constants for (s, m, lam of the weight); tables
+    keep a "dim" key and only its one-dimensional entries match.
 
     ``path`` may also name a ``fracrel calibrate`` bundle, whose linear
     table is a single entry rather than a list of ``entries``."""
@@ -795,9 +792,8 @@ def load_calibration(p: OperatorParams, lam: float, path=None) -> dict:
         return abs(x - y) <= 1e-9
 
     for entry in entries:
-        if (entry["dim"] == p.dim and close(entry["s"], p.s)
+        if (entry["dim"] == 1 and close(entry["s"], p.s)
                 and close(entry["m"], p.m) and close(entry["lam"], lam)):
             return entry
     raise CalibrationError(
-        f"no calibration entry for dim={p.dim}, s={p.s:g}, m={p.m:g}, "
-        f"lam={lam:g}")
+        f"no calibration entry for s={p.s:g}, m={p.m:g}, lam={lam:g}")

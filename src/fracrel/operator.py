@@ -48,21 +48,19 @@ from .special import (
 class OperatorParams:
     """Parameters of (-lap + m^2)^s.
 
-    s in (0, 1] (the kernel paths need s < 1), mass m >= 0, dim = 1 for
-    the grid paths; higher dim is spectral-only.
+    s in (0, 1] (the kernel paths need s < 1), mass m >= 0.  The grid
+    paths are one-dimensional; apply_spectral_nd reads its dimension from
+    the array it is given.
     """
 
     s: float
     m: float
-    dim: int = 1
 
     def __post_init__(self):
         if not (0.0 < self.s <= 1.0):
             raise ConfigError(f"power must lie in (0, 1], got s={self.s!r}")
         if not (self.m >= 0.0 and math.isfinite(self.m)):
             raise ConfigError(f"mass must be finite and >= 0, got m={self.m!r}")
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise ConfigError(f"dim must be a positive integer, got {self.dim!r}")
 
 
 @dataclass(frozen=True)
@@ -129,38 +127,34 @@ def symbol(p: OperatorParams, xi: np.ndarray) -> np.ndarray:
 
 def apply_spectral(f: GridFunction, p: OperatorParams) -> GridFunction:
     """Apply the operator through the discrete transform."""
-    if p.dim != 1:
-        raise PreconditionError("grid path requires dim = 1; see apply_spectral_nd")
     xi = frequencies(f.L, f.n)
     out = np.fft.irfft(symbol(p, xi) * np.fft.rfft(f.values), f.n)
     return f.with_values(out)
 
 
 def apply_spectral_nd(values: np.ndarray, L, p: OperatorParams) -> np.ndarray:
-    """Spectral application in dim >= 2 on a periodic box of side(s) L.
+    """Spectral application on a periodic box of side(s) L in any dimension.
 
     ``values`` has one axis per dimension; ``L`` is a scalar or one side
     length per axis.
     """
     values = np.asarray(values, dtype=float)
-    if values.ndim != p.dim:
-        raise PreconditionError(
-            f"values have {values.ndim} axes but dim={p.dim}")
-    sides = np.broadcast_to(np.asarray(L, dtype=float), (p.dim,))
+    dim = values.ndim
+    sides = np.broadcast_to(np.asarray(L, dtype=float), (dim,))
     spec = np.fft.rfftn(values)
     xi2 = np.zeros(spec.shape)
-    for axis in range(p.dim):
+    for axis in range(dim):
         nk = values.shape[axis]
         d = sides[axis] / nk
-        if axis == p.dim - 1:
+        if axis == dim - 1:
             xi = 2.0 * math.pi * np.fft.rfftfreq(nk, d=d)
         else:
             xi = 2.0 * math.pi * np.fft.fftfreq(nk, d=d)
-        shape = [1] * p.dim
+        shape = [1] * dim
         shape[axis] = len(xi)
         xi2 = xi2 + xi.reshape(shape) ** 2
     spec *= (xi2 + p.m * p.m) ** p.s
-    return np.fft.irfftn(spec, values.shape, axes=tuple(range(p.dim)))
+    return np.fft.irfftn(spec, values.shape, axes=tuple(range(dim)))
 
 
 # ----------------------------------------------------------------------
@@ -239,8 +233,6 @@ def _kernel_weights(p: OperatorParams, L: float, n: int,
 
 
 def _require_singular_ok(p: OperatorParams) -> None:
-    if p.dim != 1:
-        raise PreconditionError("singular-integral path requires dim = 1")
     if not (0.0 < p.s < 1.0):
         raise PreconditionError("singular-integral path requires s in (0, 1)")
     if p.m <= 0.0:
@@ -376,8 +368,6 @@ def apply_subordination(f: GridFunction, p: OperatorParams,
                         t_quad: SubordinationQuad = DEFAULT_SUBORDINATION_QUAD,
                         ) -> GridFunction:
     """Apply the operator through the subordinated heat semigroup."""
-    if p.dim != 1:
-        raise PreconditionError("grid path requires dim = 1")
     if not (0.0 < p.s < 1.0):
         raise PreconditionError("subordination requires s in (0, 1)")
     xi = frequencies(f.L, f.n)

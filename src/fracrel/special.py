@@ -9,9 +9,8 @@ The Macdonald function K_nu is evaluated by three cooperating strategies:
 * trapezoid quadrature of the integral representation
   K_nu(z) = int_0^inf exp(-z cosh w) cosh(nu w) dw, refined until the
   requested relative tolerance is met (QuadratureError if the node cap
-  comes first).  This path is valid for every (nu, z) and also backs the
-  integer-order limit: at integer nu the function is evaluated at
-  nu +- 1e-6 and averaged;
+  comes first).  The representation holds at every real nu, so this path
+  is valid for every (nu, z), integer orders included;
 * the large-argument expansion sqrt(pi/(2z)) exp(-z) (1 + ...), with the
   running term monitored and a fallback to quadrature whenever the
   expansion cannot reach tolerance.
@@ -32,8 +31,6 @@ from .errors import ConfigError, DomainError, PoleError, QuadratureError
 ASYMPTOTIC_SWITCH_Z = 30.0
 # Below this distance to the nearest integer the I-pair series is abandoned.
 INTEGER_GUARD = 0.05
-# Offset used when averaging around an exactly integer order.
-INTEGER_EPS = 1e-6
 
 _SERIES_MAX_TERMS = 60
 
@@ -204,26 +201,19 @@ def macdonald_k(nu: float, z, cfg: BesselEvalConfig | None = None,
         series_mask = small
         quad_mask = mid
 
-    def quadrature(zq):
-        if nu == round(nu):
-            # integer order: average the two neighbouring orders
-            return 0.5 * (_kv_quadrature(nu + INTEGER_EPS, zq, cfg)
-                          + _kv_quadrature(max(nu - INTEGER_EPS, 0.0), zq, cfg))
-        return _kv_quadrature(nu, zq, cfg)
-
     if np.any(series_mask):
         zs = flat[series_mask]
         vals = _kv_series(nu, zs)
         out[series_mask] = vals * np.exp(zs) if scaled else vals
     if np.any(quad_mask):
         zq = flat[quad_mask]
-        v = quadrature(zq)
+        v = _kv_quadrature(nu, zq, cfg)
         out[quad_mask] = v if scaled else v * np.exp(-zq)
     if np.any(large):
         zl = flat[large]
         v, ok = _kv_asymptotic(nu, zl, cfg.quad_rel_tol)
         if not np.all(ok):
-            v[~ok] = quadrature(zl[~ok])
+            v[~ok] = _kv_quadrature(nu, zl[~ok], cfg)
         out[large] = v if scaled else v * np.exp(-zl)
 
     out = out.reshape(z_arr.shape)

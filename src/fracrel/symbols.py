@@ -503,8 +503,6 @@ def _sigma_branches(psi_val: float, inner: float = 1.0, outer: float = 4.0):
 
 
 def _require_sweep_params(p: OperatorParams, what: str) -> None:
-    if p.dim != 1:
-        raise PreconditionError("symbol sweeps cover dim = 1 only")
     if not (0.5 < p.s < 1.0):
         raise PreconditionError(f"{what} 1/2 < s < 1, got s={p.s!r}")
 
@@ -813,7 +811,7 @@ def s1_commutator_target(w: QuadraticWeight, p: OperatorParams,
     """Closed-form commutator 4 phi_xx (-lap + phi_x^2) of the s = 1 split."""
     if p.s != 1.0:
         raise PreconditionError("the closed-form commutator needs s = 1")
-    lap = spectral_operator_matrix(L, n, OperatorParams(1.0, 0.0, p.dim))
+    lap = spectral_operator_matrix(L, n, OperatorParams(1.0, 0.0))
     px = np.asarray(w.phi_x(t, grid_points(L, n)), dtype=float)
     return 4.0 * w.phi_xx * (lap + np.diag(px * px))
 
@@ -1001,8 +999,6 @@ def carleman_quadratic_check(fs, w: QuadraticWeight, p: OperatorParams,
     ``"operand_terms"``.
     """
     t_start = time.perf_counter()
-    if p.dim != 1:
-        raise PreconditionError("grid inequalities cover dim = 1 only")
     if mode == "elliptic":
         if not (0.5 <= p.s <= 1.0):
             raise PreconditionError(

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from fracrel.cli import main as cli_main
-from fracrel.grid import (GridFunction, band_limited_noise, gaussian,
-                          smooth_window, trapezoid, windowed_exponential)
-from fracrel.heat import (PicardConfig, PotentialField, energy_identity_check,
+from fracrel.grid import (GridFunction, SpaceTimeFunction,
+                          band_limited_noise, gaussian, smooth_window,
+                          trapezoid, windowed_exponential)
+from fracrel.heat import (PotentialField, energy_identity_check,
                           evolve_free, evolve_with_potential,
                           fundamental_solution, log_convexity_check,
                           weighted_decay_check, weighted_l1_kernel)
@@ -25,7 +26,8 @@ from fracrel.linear_carleman import (LinearWeight, calibrate_constants,
                                      tent_identity_check)
 from fracrel.operator import (OperatorParams, apply_singular_integral,
                               apply_spectral, apply_subordination,
-                              bessel_identity_check, eigenfunction_residual)
+                              bessel_identity_check, eigenfunction_residual,
+                              frequencies, symbol)
 from fracrel.special import half_kernel_explicit, macdonald_k
 from fracrel.symbols import (QuadraticWeight, SymbolPoint,
                              appendix_conjugation_check, bracket_singular,
@@ -179,32 +181,58 @@ def test_criterion_07_log_convexity_sweep():
     _conclude(7, "log_convexity", bad)
 
 
+def _duhamel_residuals(traj, v, p):
+    """Per step, sup |u_{k+1} - K_dt(u_k + dt/2 V u_k) - dt/2 V u_{k+1}|
+    relative to max |u_{k+1}|, with K_dt applied through its own rfft."""
+    sig = symbol(p, frequencies(traj.L, traj.n))
+    out = []
+    for k, dt in enumerate(np.diff(traj.times)):
+        u, nxt = traj.values[k], traj.values[k + 1]
+        flow = np.fft.irfft(np.fft.rfft(u + 0.5 * dt * v * u)
+                            * np.exp(-dt * sig), traj.n)
+        res = nxt - flow - 0.5 * dt * v * nxt
+        out.append(np.max(np.abs(res)) / np.max(np.abs(nxt)))
+    return np.array(out)
+
+
+def _residual_draws(count):
+    """(trajectory, V samples) for seeded static potentials, n = 2048,
+    dt = 1e-2, T = 0.5."""
+    rng = np.random.default_rng(SEED)
+    u0 = gaussian(40.0, 2048, sigma=2.0)
+    for _ in range(count):
+        prof = band_limited_noise(40.0, 2048, k_max=30, rng=rng,
+                                  windowed=False)
+        yield (evolve_with_potential(u0, PotentialField.static(prof), 0.5,
+                                     P_HALF, dt=1e-2), prof.values)
+
+
 def test_criterion_08_mild_solution():
     bad = []
     u0 = gaussian(40.0, 4096, sigma=2.0)
     free = evolve_free(u0, 1.0, P_HALF).u.values
-    cfg = PicardConfig(dt=5e-3)
     for c in (1.0, -1.0, 0.5):
         traj = evolve_with_potential(u0, PotentialField.constant(c), 1.0,
-                                     P_HALF, cfg)
+                                     P_HALF, dt=5e-3)
         want = math.exp(c) * free
         rel = np.max(np.abs(traj.values[-1] - want)) / np.max(np.abs(want))
         if rel > 1e-5:
             bad.append(f"constant oracle c={c} rel={rel:.2e}")
-    rng = np.random.default_rng(SEED)
-    u0s = gaussian(40.0, 2048, sigma=2.0)
-    step = PicardConfig()
-    for i in range(20):
-        prof = band_limited_noise(40.0, 2048, k_max=30, rng=rng,
-                                  windowed=False)
-        V = PotentialField.static(prof)
-        diag = {}
-        evolve_with_potential(u0s, V, 0.5, P_HALF, step, diagnostics=diag)
-        ceiling = V.sup_norm * step.dt
-        if max(diag["contraction_ratios"]) > ceiling:
-            bad.append(f"potential {i} ratio "
-                       f"{max(diag['contraction_ratios']):.2e} > {ceiling:.2e}")
+    for i, (traj, v) in enumerate(_residual_draws(20)):
+        worst = float(np.max(_duhamel_residuals(traj, v, P_HALF)))
+        if worst > 1e-12:
+            bad.append(f"potential {i} Duhamel residual {worst:.2e}")
     _conclude(8, "mild_solution", bad)
+
+
+def test_criterion_08_residual_flags_a_perturbed_row():
+    # negative control: one state off by 1e-9 relative must be caught
+    traj, v = next(_residual_draws(1))
+    bent = traj.values.copy()
+    bent[25] *= 1.0 + 1e-9
+    bent_traj = SpaceTimeFunction(traj.L, traj.n, traj.times, bent)
+    assert np.max(_duhamel_residuals(traj, v, P_HALF)) <= 1e-12
+    assert np.max(_duhamel_residuals(bent_traj, v, P_HALF)) > 1e-12
 
 
 def test_criterion_09_linear_carleman():
@@ -215,14 +243,13 @@ def test_criterion_09_linear_carleman():
         led = carleman_linear_check(u0, V, w, P_HALF)
         if not (led.passed and led.corollary_passed):
             bad.append(f"ledger draw {i} slack={led.slack:.3e}")
-        traj = evolve_with_potential(u0, V, 0.05, P_HALF,
-                                     PicardConfig(dt=1e-3))
+        traj = evolve_with_potential(u0, V, 0.05, P_HALF, dt=1e-3)
         rep = ddot_lower_bound_check(traj, w, P_HALF, V=V)
         if not rep.passed:
             bad.append(f"production-rate bound draw {i}")
     u0 = gaussian(128.0, 4096, sigma=2.0)
     traj = evolve_with_potential(u0, PotentialField.constant(0.0), 1.0,
-                                 P_HALF, PicardConfig(dt=1e-3))
+                                 P_HALF, dt=1e-3)
     tent = tent_identity_check(traj, w, tolerance=1e-4)
     if tent.measured["max_residual"] > 1e-4:
         bad.append(f"tent residual {tent.measured['max_residual']:.2e}")

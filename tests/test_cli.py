@@ -73,6 +73,8 @@ def test_load_config_rejects_bad_values(tmp_path):
             ({"grid.n": 4}, "grid.n"),
             ({"grid.n": 1000}, "grid.n"),
             ({"linear.n": 1000}, "linear.n"),
+            ({"linear.n": 64}, "linear.n"),
+            ({"linear.L": 20.0}, "linear.L"),
             ({"symbol.matrix_n": 8}, "symbol.matrix_n"),
             ({"linear.L": -1.0}, "linear.L"),
             ({"quadratic.R": 0.0}, "quadratic.R"),
@@ -207,6 +209,24 @@ def test_linear_suite_evolves_each_trajectory_once(monkeypatch):
     assert [r.name for r in reports[:2]] == [
         "linear_carleman.monotonicity", "linear_carleman.tent_identity"]
     assert len(reports) == 2 + cfg["sweep.count"]
+
+
+def test_failing_check_keeps_the_rest_of_its_suite(tmp_path, capsys):
+    # at linear.n = 1024 the ledger draw leaks at the seam; that error is
+    # the ledger's own failed report, and the checks that passed stay
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, **{
+        "suite": "linear-carleman", "linear.n": 1024, "sweep.count": 1,
+        "output.dir": str(out)})
+    assert main(["run", str(cfg)]) == 1
+    reports = json.loads((out / "report.json").read_text())["body"]["reports"]
+    assert [r["name"] for r in reports] == [
+        "linear_carleman.monotonicity", "linear_carleman.tent_identity",
+        "linear_carleman.ledger"]
+    assert reports[0]["passed"] and reports[1]["passed"]
+    assert not reports[2]["passed"]
+    assert reports[2]["measured"]["error"].startswith("SeamLeakError: ")
+    assert "2/3 checks passed" in capsys.readouterr().out
 
 
 def test_defaults_subcommand_prints_reference(tmp_path, capsys):

@@ -11,17 +11,17 @@ import time
 import numpy as np
 import pytest
 
-from fracrel.errors import (ConfigError, ConvergenceError, DomainError,
-                            PreconditionError, SeamLeakError)
+from fracrel.errors import (ConfigError, DomainError, PreconditionError,
+                            SeamLeakError)
 from fracrel.grid import (GridFunction, band_limited_noise, fourier_mode,
                           gaussian, smooth_window, trapezoid)
-from fracrel.heat import (HeatState, PicardConfig, PotentialField,
+from fracrel.heat import (HeatState, PotentialField,
                           backward_uc_check, energy_identity_check,
                           evolve_free, evolve_with_potential,
                           fundamental_solution, log_convexity_check,
                           shifted_kernel, weighted_decay_check,
                           weighted_l1_kernel, weighted_l2)
-from fracrel.operator import OperatorParams
+from fracrel.operator import OperatorParams, frequencies, symbol
 from fracrel.special import half_kernel_explicit
 
 P_HALF = OperatorParams(0.5, 1.0)
@@ -254,46 +254,42 @@ def test_picard_zero_potential_matches_free():
 def test_picard_constant_potential_oracle():
     # exact solution e^{ct} K_t u0 since constants commute with the flow
     u0 = gaussian(40.0, 4096, sigma=2.0)
-    cfg = PicardConfig(dt=5e-3)
     free = evolve_free(u0, 1.0, P_HALF).u.values
     for c in (1.0, -1.0, 0.5):
         traj = evolve_with_potential(u0, PotentialField.constant(c), 1.0,
-                                     P_HALF, cfg)
+                                     P_HALF, dt=5e-3)
         want = math.exp(c) * free
         rel = np.max(np.abs(traj.values[-1] - want)) / np.max(np.abs(want))
         assert rel <= 1e-5, (c, rel)
 
 
-def test_picard_contraction_ratios():
+def test_step_solves_duhamel_equation():
+    # every step: u1 = K_dt(u0 + dt/2 V u0) + dt/2 V u1 to roundoff
     rng = np.random.default_rng(90)
     u0 = gaussian(40.0, 2048, sigma=2.0)
-    cfg = PicardConfig()
+    sig = symbol(P_HALF, frequencies(40.0, 2048))
     for _ in range(5):
         prof = band_limited_noise(40.0, 2048, k_max=30, rng=rng,
                                   windowed=False)
-        V = PotentialField.static(prof)
-        diag = {}
-        evolve_with_potential(u0, V, 0.5, P_HALF, cfg, diagnostics=diag)
-        assert diag["contraction_ratios"], "no steps recorded"
-        assert max(diag["contraction_ratios"]) <= V.sup_norm * cfg.dt
-        assert all(it <= cfg.max_iters for it in diag["iterations"])
+        v = prof.values
+        traj = evolve_with_potential(u0, PotentialField.static(prof), 0.5,
+                                     P_HALF)
+        assert traj.nt == 51
+        for k, dt in enumerate(np.diff(traj.times)):
+            now, nxt = traj.values[k], traj.values[k + 1]
+            flow = np.fft.irfft(np.fft.rfft(now + 0.5 * dt * v * now)
+                                * np.exp(-dt * sig), 2048)
+            res = np.max(np.abs(nxt - flow - 0.5 * dt * v * nxt))
+            assert res <= 1e-12 * np.max(np.abs(nxt)), (k, res)
 
 
 def test_picard_preconditions():
     u0 = gaussian(40.0, 1024)
     with pytest.raises(PreconditionError):
         evolve_with_potential(u0, PotentialField.constant(2.0), 1.0, P_HALF,
-                              PicardConfig(dt=0.3))
+                              dt=0.3)
     with pytest.raises(DomainError):
         evolve_with_potential(u0, PotentialField.constant(0.1), -1.0, P_HALF)
-
-
-def test_picard_nonconvergence_raises():
-    u0 = gaussian(40.0, 1024)
-    cfg = PicardConfig(max_iters=1, fix_tol=1e-10)
-    with pytest.raises(ConvergenceError):
-        evolve_with_potential(u0, PotentialField.constant(1.0), 0.1, P_HALF,
-                              cfg)
 
 
 def test_positivity_preserved():
@@ -313,7 +309,7 @@ def test_evolution_trajectory_layout_and_single_sampling():
         return 0.2 * np.cos(x)
 
     traj = evolve_with_potential(u0, PotentialField(evaluator, 0.2), 0.25,
-                                 P_HALF, PicardConfig(dt=0.1))
+                                 P_HALF, dt=0.1)
     assert calls == [1024]
     assert traj.values.shape == (4, 1024)
     np.testing.assert_array_equal(traj.times, [0.0, 0.1, 0.2, 0.25])
@@ -341,13 +337,12 @@ def test_potential_field_contract():
             static.sample(other)
 
 
-def test_picard_config_validation():
-    with pytest.raises(ConfigError):
-        PicardConfig(dt=0.0)
-    with pytest.raises(ConfigError):
-        PicardConfig(fix_tol=0.5)
-    with pytest.raises(ConfigError):
-        PicardConfig(max_iters=0)
+def test_step_size_validation():
+    u0 = gaussian(40.0, 1024)
+    for dt in (0.0, -1.0, math.nan):
+        with pytest.raises(ConfigError):
+            evolve_with_potential(u0, PotentialField.constant(0.1), 1.0,
+                                  P_HALF, dt=dt)
 
 
 # -------------------------------------------------- backward uniqueness

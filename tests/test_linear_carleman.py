@@ -20,7 +20,7 @@ from fracrel.errors import (AdmissibilityError, CalibrationError,
 from fracrel.grid import (GridFunction, SpaceTimeFunction, fourier_mode,
                           gaussian, smooth_window, trapezoid,
                           windowed_exponential)
-from fracrel.heat import (HeatState, PicardConfig, PotentialField,
+from fracrel.heat import (HeatState, PotentialField,
                           evolve_with_potential)
 from fracrel.linear_carleman import (CarlemanLedger, LinearWeight,
                                      TILTED_MASS_COEFF, _assemble_ledger,
@@ -51,7 +51,7 @@ def corpus_draw(i, L=128.0, n=4096):
 def fine_flow(u0, V, T):
     """The flow under V (None for none) at the fine step 1e-3."""
     pot = PotentialField.constant(0.0) if V is None else V
-    return evolve_with_potential(u0, pot, T, P_HALF, PicardConfig(dt=1e-3))
+    return evolve_with_potential(u0, pot, T, P_HALF, dt=1e-3)
 
 
 def rows(traj, picks):

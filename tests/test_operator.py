@@ -220,17 +220,16 @@ def test_eigenfunction_rejects_super_mass():
 def test_spectral_nd_consistent_with_1d():
     f = gaussian(20.0, 128, sigma=1.0)
     V = np.tile(f.values[:, None], (1, 64))
-    p2 = op.OperatorParams(s=0.5, m=1.0, dim=2)
-    got = op.apply_spectral_nd(V, (20.0, 10.0), p2)
-    p1 = op.OperatorParams(s=0.5, m=1.0)
-    want = op.apply_spectral(f, p1).values
+    p = op.OperatorParams(s=0.5, m=1.0)
+    got = op.apply_spectral_nd(V, (20.0, 10.0), p)
+    want = op.apply_spectral(f, p).values
     np.testing.assert_allclose(got, want[:, None] * np.ones((1, 64)),
                                atol=1e-12)
 
 
 def test_param_validation():
     for bad in ({"s": 0.0, "m": 1.0}, {"s": 1.2, "m": 1.0},
-                {"s": 0.5, "m": -1.0}, {"s": 0.5, "m": 1.0, "dim": 0}):
+                {"s": 0.5, "m": -1.0}):
         with pytest.raises(ConfigError):
             op.OperatorParams(**bad)
     with pytest.raises(ConfigError):

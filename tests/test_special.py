@@ -33,6 +33,17 @@ def test_against_scipy_sweep(nu):
     assert rel < 1e-8, f"nu={nu}: max rel err {rel:.3e}"
 
 
+@pytest.mark.parametrize("nu", [0.0, 1.0, 2.0, 3.0])
+def test_integer_order_quadrature_is_exact_order(nu):
+    # integer orders run the quadrature at nu itself; averaging nu +- eps
+    # would leave an O(eps^2) bias near 1e-11
+    z = np.linspace(0.01, 30.0, 2002)[1:-1]
+    got = macdonald_k(nu, z, scaled=True)
+    want = sp.kve(nu, z)
+    rel = np.max(np.abs(got - want) / want)
+    assert rel <= 1e-13, f"nu={nu}: max rel err {rel:.3e}"
+
+
 @pytest.mark.parametrize("nu,z,want", [
     # frozen mpmath 30-digit references
     (0.8, 0.37, 1.8768930091575145067),
