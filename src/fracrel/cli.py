@@ -8,8 +8,9 @@ writes a JSON report bundle plus a CSV table into ``output.dir``;
 the resulting table with its corpus provenance.
 
 Exit status: 0 all checks passed, 1 at least one failed (reports are
-still written; a check that raises becomes its own failed report), 2 the
-config did not validate.
+still written; a check that raises becomes its own failed report) or a
+calibration stopped on an error (the tables done so far are still
+written, under the error), 2 the config did not validate.
 
 Determinism: a single ``seed`` feeds every randomized check through a
 per-check hash split, so identical configs produce byte-identical report
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CalibrationError, ConfigError, FracrelError
+from .errors import ConfigError, FracrelError
 from .grid import band_limited_noise, gaussian, grid_points
 from .heat import (PotentialField, energy_identity_check,
                    evolve_with_potential, log_convexity_check,
@@ -514,8 +515,11 @@ def cmd_calibrate(cfg: dict) -> int:
                 f"suite {suite!r} has no calibrated constants; pick one of "
                 "'linear-carleman', 'symbol', 'quadratic-carleman', 'all'")
         body, failure = {"tables": tables, "provenance": provenance}, None
-    except CalibrationError as exc:
-        body, failure = {"error": str(exc), "tables": tables}, exc
+    except ConfigError:
+        raise
+    except FracrelError as exc:
+        failure = f"{type(exc).__name__}: {exc}"
+        body = {"error": failure, "tables": tables}
     outdir = Path(cfg["output.dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "calibration.json").write_text(json.dumps(

@@ -224,8 +224,3 @@ def centered_d2(g: GridFunction) -> np.ndarray:
     v = g.values
     return (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / (g.h * g.h)
 
-
-def spectral_d1(g: GridFunction) -> np.ndarray:
-    """First derivative via the discrete transform."""
-    xi = 2.0 * math.pi * np.fft.rfftfreq(g.n, d=g.h)
-    return np.fft.irfft(1j * xi * np.fft.rfft(g.values), g.n)

@@ -4,11 +4,11 @@ The free semigroup is applied exactly per Fourier mode, so the fundamental
 solution, mass decay and the semigroup property hold to rounding on the grid.
 A bounded time-independent potential V enters through the Duhamel form,
 whose per-step equation is pointwise diagonal and is solved in closed form;
-V is sampled once per trajectory.  Trajectories come back as one
-SpaceTimeFunction (times and an (nt, n) array of states); HeatState is a
-single snapshot.  Weighted energies refuse to integrate data that has not
-decayed at the periodic seam, since the exponential weight would turn
-wrap-around into silent garbage.
+V is sampled once per trajectory.  Both flows come back as one
+SpaceTimeFunction (times and an (nt, n) array of states).  Weighted
+energies refuse to integrate data that has not decayed at the periodic
+seam, since the exponential weight would turn wrap-around into silent
+garbage.
 """
 from __future__ import annotations
 
@@ -24,18 +24,6 @@ from .grid import (GridFunction, SpaceTimeFunction, require_seam_decay,
                    trapezoid)
 from .operator import OperatorParams, frequencies, symbol
 from .report import CheckReport, finish_report
-
-
-@dataclass(frozen=True)
-class HeatState:
-    """Snapshot of the evolution at one time."""
-
-    t: float
-    u: GridFunction
-
-    def __post_init__(self):
-        if not (math.isfinite(self.t) and self.t >= 0.0):
-            raise DomainError(f"time must be finite and >= 0, got {self.t!r}")
 
 
 @dataclass(frozen=True)
@@ -108,13 +96,23 @@ def fundamental_solution(t: float, p: OperatorParams, L: float = 40.0,
     return GridFunction(L, n, np.roll(vals, n // 2))
 
 
-def evolve_free(u0: GridFunction, t: float, p: OperatorParams) -> HeatState:
-    """Propagate the potential-free equation by exact mode-wise decay."""
-    if t < 0.0:
-        raise DomainError(f"time must be >= 0, got t={t:g}")
+def evolve_free(u0: GridFunction, times, p: OperatorParams
+                ) -> SpaceTimeFunction:
+    """The potential-free flow from u0 at the given times.
+
+    One transform of u0 is decayed mode-wise by the exact factor
+    exp(-t sigma) for each time; row i is the state at times[i].  Times
+    must be finite and >= 0 (DomainError) and strictly increasing
+    (ConfigError, from the trajectory type).
+    """
+    times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times) & (times >= 0.0)):
+        raise DomainError(f"times must be finite and >= 0, got {times!r}")
     spec = np.fft.rfft(u0.values)
-    spec *= np.exp(-t * symbol(p, frequencies(u0.L, u0.n)))
-    return HeatState(t, u0.with_values(np.fft.irfft(spec, u0.n)))
+    sig = symbol(p, frequencies(u0.L, u0.n))
+    values = [np.fft.irfft(spec * np.exp(-t * sig), u0.n)
+              for t in np.atleast_1d(times)]
+    return SpaceTimeFunction(u0.L, u0.n, times, values)
 
 
 def _mode_quadratic(coeffs: np.ndarray, L: float, n: int,
@@ -187,10 +185,14 @@ def weighted_integral(g: GridFunction, values: np.ndarray, lam: float,
     return trapezoid(integrand)
 
 
-def weighted_l2(g: GridFunction, lam: float,
-                what: str = "weighted integrand") -> float:
-    """Integral of e^(lam x) g^2, guarded against seam leakage."""
-    return weighted_integral(g, g.values ** 2, lam, what)
+def weighted_l2(traj: SpaceTimeFunction, lam: float,
+                what: str = "weighted integrand") -> np.ndarray:
+    """Integral of e^(lam x) u^2 at every state of ``traj``, each guarded
+    against seam leakage."""
+    tilt = np.exp(lam * traj.x)
+    return np.array([weighted_integral(traj.slice(i), row ** 2, lam, what,
+                                       tilt)
+                     for i, row in enumerate(traj.values)])
 
 
 def shifted_kernel(t: float, mu: float, p: OperatorParams, L: float,
@@ -266,22 +268,21 @@ def weighted_l1_kernel(t: float, lam: float, p: OperatorParams,
 
 
 def weighted_decay_check(u0: GridFunction, lam: float, p: OperatorParams,
-                         times=None, tolerance: float = 1e-12) -> CheckReport:
-    """Weighted energy never exceeds its predicted exponential envelope."""
+                         tolerance: float = 1e-12) -> CheckReport:
+    """Weighted energy never exceeds its predicted exponential envelope,
+    sampled at 11 evenly spaced times on [0, 1]."""
     t_start = time.perf_counter()
     if abs(lam) > 2.0 * p.m:
         raise PreconditionError(
             f"need |lam| <= 2m, got lam={lam:g}, m={p.m:g}")
-    if times is None:
-        times = np.linspace(0.0, 1.0, 11)
-    times = np.asarray(times, dtype=float)
+    times = np.linspace(0.0, 1.0, 11)
     rate = (p.m ** 2 - 0.25 * lam ** 2) ** p.s
-    w_start = weighted_l2(u0, lam, what="initial weighted energy")
+    w_start = weighted_integral(u0, u0.values ** 2, lam,
+                                "initial weighted energy")
+    energies = weighted_l2(evolve_free(u0, times, p), lam, "weighted energy")
     worst_slack = math.inf
     worst_t = 0.0
-    for t in times:
-        w_t = weighted_l2(evolve_free(u0, float(t), p).u, lam,
-                          what=f"weighted energy at t={t:g}")
+    for t, w_t in zip(times, energies):
         slack = math.exp(-rate * t) * w_start - w_t
         if slack < worst_slack:
             worst_slack, worst_t = slack, float(t)
@@ -298,22 +299,16 @@ def weighted_decay_check(u0: GridFunction, lam: float, p: OperatorParams,
 
 
 def log_convexity_check(u0: GridFunction, lam: float, p: OperatorParams,
-                        times=None, tolerance: float = 1e-6) -> CheckReport:
-    """H(t) = int e^(lam x) u^2 against the endpoint interpolation bound."""
+                        tolerance: float = 1e-6) -> CheckReport:
+    """H(t) = int e^(lam x) u^2 against the endpoint interpolation bound,
+    sampled at 21 evenly spaced times on [0, 1]."""
     t_start = time.perf_counter()
     if abs(lam) > p.m:
         raise PreconditionError(
             f"need |lam| <= m for the weighted theory, got lam={lam:g}, "
             f"m={p.m:g}")
-    if times is None:
-        times = np.linspace(0.0, 1.0, 21)
-    times = np.asarray(times, dtype=float)
-    if len(times) < 3 or np.any(np.diff(times) <= 0.0):
-        raise DomainError("times must be a strictly increasing grid")
-    values = np.array([
-        weighted_l2(evolve_free(u0, float(t), p).u, lam,
-                    what=f"weighted energy at t={t:g}")
-        for t in times])
+    times = np.linspace(0.0, 1.0, 21)
+    values = weighted_l2(evolve_free(u0, times, p), lam, "weighted energy")
     h_first, h_last = values[0], values[-1]
     if h_first == 0.0 or h_last == 0.0:
         # zero data stays zero; nothing to bound

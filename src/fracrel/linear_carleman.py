@@ -14,11 +14,10 @@ minus signs.  And the weight itself is never pushed through the discrete
 operator: exp(lam x) jumps at the periodic seam, so every formula is first
 rewritten through the eigen relation L^s exp(lam x) = (m^2 - lam^2)^s
 exp(lam x), and the remaining integrands all vanish with the (windowed)
-data.  The one exception is the kernel-cell cross-check route of the
-production functional, whose integrand decays only like
-exp(-(m - |lam|)|x|) past the data's support and rides on the transform's
-far-field roundoff floor; the seam guard restricts it honestly to mild
-tilt-times-box products.
+data.  The kernel-cell cross-check of the production functional lives in
+the tests: its integrand decays only like exp(-(m - |lam|)|x|) past the
+data's support and rides on the transform's far-field roundoff floor, so
+the seam guard restricts it honestly to mild tilt-times-box products.
 """
 from __future__ import annotations
 
@@ -44,19 +43,12 @@ from .grid import (
     smooth_window,
 )
 from .heat import (
-    HeatState,
     PotentialField,
     evolve_with_potential,
     weighted_integral,
     weighted_l2,
 )
-from .operator import (
-    OperatorParams,
-    apply_spectral,
-    carre_du_champ,
-    frequencies,
-    symbol,
-)
+from .operator import OperatorParams, apply_spectral, frequencies, symbol
 from .report import CheckReport, calibration_tables, finish_report
 
 # Coefficient of the t(1-t)-weighted mass on the ledger's left side.  The
@@ -120,10 +112,10 @@ class LinearWeight:
                 f"C2 = {c2:g}")
 
 
-def functional_H(u: HeatState, w: LinearWeight) -> float:
-    """Tilted mass int exp(drift t + lam x) u^2 dx at the state's time."""
-    return math.exp(w.drift * u.t) * weighted_l2(
-        u.u, w.lam, what="tilted mass integrand")
+def functional_H(traj: SpaceTimeFunction, w: LinearWeight) -> np.ndarray:
+    """Tilted mass int exp(drift t + lam x) u^2 dx at every state."""
+    return np.exp(w.drift * traj.times) * weighted_l2(
+        traj, w.lam, what="tilted mass integrand")
 
 
 def spectral_carre(f: GridFunction, p: OperatorParams) -> GridFunction:
@@ -140,46 +132,18 @@ def spectral_carre(f: GridFunction, p: OperatorParams) -> GridFunction:
     return f.with_values(lf2 - 2.0 * fv * lf)
 
 
-def functional_D(u: HeatState, w: LinearWeight, p: OperatorParams, *,
-                 u_t: GridFunction | None = None,
-                 forcing: GridFunction | None = None,
-                 route: str = "direct", quad=None) -> float:
-    """Production term int (w_t - L^s w) u^2 dx + int w H(u, u) dx.
+def functional_D(traj: SpaceTimeFunction, w: LinearWeight,
+                 p: OperatorParams) -> np.ndarray:
+    """Production int (w_t - L^s w) u^2 dx + int w H(u, u) dx at every
+    state.
 
     Through the weight's eigen relation this equals
-    drift * H - 2 int w u L^s u, which is what the default route sums; its
-    integrand vanishes with u, so the tilt cannot leak around the seam.
-    When u_t is supplied it is trusted as F - L^s u straight from the
-    evolution equation (forcing defaults to zero) and the operator is not
-    reapplied.  route="carre" assembles the same number from the
-    kernel-cell quadratic form instead, a genuinely different
-    discretization that is useful as a cross-check; quad optionally
-    tightens its cell quadrature.
+    drift * H - 2 int w u L^s u, whose integrand vanishes with u, so the
+    tilt cannot leak around the seam; it is the quantity the production
+    rate check differentiates.
     """
-    w.require_tilt(p)
-    g = u.u
-    mass = functional_H(u, w)
-    if route == "carre":
-        if quad is None:
-            form = carre_du_champ(g, g, p)
-        else:
-            form = carre_du_champ(g, g, p, quad=quad)
-        return w.drift_gap(p) * mass + math.exp(w.drift * u.t) * (
-            weighted_integral(g, form.values, w.lam,
-                              "quadratic-form integrand"))
-    if route != "direct":
-        raise ConfigError(f"unknown route {route!r}")
-    if u_t is not None:
-        if (u_t.L, u_t.n) != (g.L, g.n):
-            raise PreconditionError("u_t must live on the state's grid")
-        if forcing is None:
-            lsu = -u_t.values
-        else:
-            lsu = forcing.values - u_t.values
-    else:
-        lsu = apply_spectral(g, p).values
-    return w.drift * mass - 2.0 * (math.exp(w.drift * u.t) * weighted_integral(
-        g, g.values * lsu, w.lam, "production integrand"))
+    times, series = _tilted_series(traj, w.lam, p, None, with_energy=False)
+    return _production(_weighted(times, series, w.drift), w.drift)
 
 
 # ----------------------------------------------------------------------
@@ -256,6 +220,11 @@ def _weighted(times: np.ndarray, series: dict, drift: float) -> dict:
     """The series under the full weight: every term times exp(drift t)."""
     weight = np.exp(drift * times)
     return {name: weight * values for name, values in series.items()}
+
+
+def _production(terms: dict, drift: float) -> np.ndarray:
+    """D = drift H - 2 int w u L^s u from the weighted series."""
+    return drift * terms["mass"] - 2.0 * terms["op_pair"]
 
 
 def _uniform_spacing(times: np.ndarray, what: str) -> float:
@@ -399,7 +368,7 @@ def _production_rate(times: np.ndarray, terms: dict, w: LinearWeight,
     ``terms`` is the weighted series.  Returns (ddot, rhs, scale), where
     scale sums the magnitudes of the five terms and of ddot.
     """
-    production = w.drift * terms["mass"] - 2.0 * terms["op_pair"]
+    production = _production(terms, w.drift)
     ddot = (production[2:] - production[:-2]) / (2.0 * (times[1] - times[0]))
     inner = slice(1, -1)
     lead = 0.75 * (w.eigenvalue(p) - w.drift) ** 2
@@ -493,8 +462,7 @@ def tent_identity_check(traj: SpaceTimeFunction, w: LinearWeight,
     """Verify the tent representation of the tilted mass on [0, 1]."""
     t_start = time.perf_counter()
     times = traj.times
-    h = np.array([functional_H(HeatState(t, traj.slice(i)), w)
-                  for i, t in enumerate(times)])
+    h = functional_H(traj, w)
     residuals = _tent_residuals(times, h)
     scale = float(np.max(h)) + 1e-300
     rel = np.abs(residuals) / scale

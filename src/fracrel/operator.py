@@ -48,9 +48,7 @@ from .special import (
 class OperatorParams:
     """Parameters of (-lap + m^2)^s.
 
-    s in (0, 1] (the kernel paths need s < 1), mass m >= 0.  The grid
-    paths are one-dimensional; apply_spectral_nd reads its dimension from
-    the array it is given.
+    s in (0, 1] (the kernel paths need s < 1), mass m >= 0.
     """
 
     s: float
@@ -130,31 +128,6 @@ def apply_spectral(f: GridFunction, p: OperatorParams) -> GridFunction:
     xi = frequencies(f.L, f.n)
     out = np.fft.irfft(symbol(p, xi) * np.fft.rfft(f.values), f.n)
     return f.with_values(out)
-
-
-def apply_spectral_nd(values: np.ndarray, L, p: OperatorParams) -> np.ndarray:
-    """Spectral application on a periodic box of side(s) L in any dimension.
-
-    ``values`` has one axis per dimension; ``L`` is a scalar or one side
-    length per axis.
-    """
-    values = np.asarray(values, dtype=float)
-    dim = values.ndim
-    sides = np.broadcast_to(np.asarray(L, dtype=float), (dim,))
-    spec = np.fft.rfftn(values)
-    xi2 = np.zeros(spec.shape)
-    for axis in range(dim):
-        nk = values.shape[axis]
-        d = sides[axis] / nk
-        if axis == dim - 1:
-            xi = 2.0 * math.pi * np.fft.rfftfreq(nk, d=d)
-        else:
-            xi = 2.0 * math.pi * np.fft.fftfreq(nk, d=d)
-        shape = [1] * dim
-        shape[axis] = len(xi)
-        xi2 = xi2 + xi.reshape(shape) ** 2
-    spec *= (xi2 + p.m * p.m) ** p.s
-    return np.fft.irfftn(spec, values.shape, axes=tuple(range(dim)))
 
 
 # ----------------------------------------------------------------------

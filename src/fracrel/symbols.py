@@ -233,13 +233,6 @@ class SupportAnnulus:
             return 0.0
         return float(np.sum(w2[~self.contains(t, g.x)]) / total)
 
-    def require_nonempty(self, L: float, n: int, t_grid=(0.0,)) -> None:
-        x = grid_points(L, n)
-        for t in np.atleast_1d(np.asarray(t_grid, dtype=float)):
-            if not np.any(self.contains(float(t), x)):
-                raise ConfigError(
-                    f"annulus misses the grid box entirely at t={float(t):g}")
-
 
 # ---------------------------------------------------------------------------
 # pointwise symbol algebra (vectorized cores, scalar wrappers)
@@ -659,6 +652,20 @@ def _fd_stencil(order: int):
     return offsets, weights
 
 
+def _bracket_at_offset(w: QuadraticWeight, p: OperatorParams, sig, ts,
+                       xis):
+    """Parabolic bracket {a~, b~} at annulus offset sigma = x/R + psi(t),
+    time t and frequency xi, vectorized: the base bracket, the mixed and
+    transport terms 2 phi_tx b_xi, and the curvature phi_tt."""
+    core = _symbol_core(xis, (2.0 * w.alpha / w.R) * sig, p.m, p.s)
+    base = _bracket_ab(core, w.phi_xx)
+    _, b_xi = _symbol_xi_grad(core)
+    d1 = np.asarray(w.psi_d1(ts), dtype=float)
+    d2 = np.asarray(w.psi_d2(ts), dtype=float)
+    curv = 2.0 * w.alpha * d1 * d1 + 2.0 * w.alpha * sig * d2
+    return base + 2.0 * w.phi_tx(ts) * b_xi + curv
+
+
 def garding_hypothesis_check(w: QuadraticWeight, p: OperatorParams, *,
                              t_grid=None, constants=None, step: float = 0.04,
                              probe_order_8: bool = False) -> CheckReport:
@@ -711,17 +718,6 @@ def garding_hypothesis_check(w: QuadraticWeight, p: OperatorParams, *,
     pts_t = np.array(pts_t)
     pts_xi = np.array(pts_xi)
 
-    def bracket_at(sig, ts, xis):
-        # parabolic bracket parameterized by the annulus offset sigma
-        px = unit_xi * sig
-        core = _symbol_core(xis, px, m, s)
-        base = _bracket_ab(core, w.phi_xx)
-        _, b_xi = _symbol_xi_grad(core)
-        d1 = np.asarray(w.psi_d1(ts), dtype=float)
-        d2 = np.asarray(w.psi_d2(ts), dtype=float)
-        curv = 2.0 * w.alpha * d1 * d1 + 2.0 * w.alpha * sig * d2
-        return base + 2.0 * (unit_xi / w.R) * d1 * b_xi + curv
-
     # steps in the depth and frequency directions must follow the local
     # variation scale of the bracket, or orders >= 5 drown in roundoff
     lam = np.sqrt(pts_xi ** 2 + unit_xi ** 2 * np.maximum(pts_sig ** 2, 1.0)
@@ -743,14 +739,16 @@ def garding_hypothesis_check(w: QuadraticWeight, p: OperatorParams, *,
                         sig_o = pts_sig + oi * h_loc / unit_xi
                         xi_o = pts_xi + ok * h_loc
                         if j == 0:
-                            acc += (wi * wk) * bracket_at(sig_o, pts_t, xi_o)
+                            acc += (wi * wk) * _bracket_at_offset(
+                                w, p, sig_o, pts_t, xi_o)
                             continue
                         # time stencil weights sum to zero, so accumulate
                         # differences against a reference slice: summands
                         # shrink from the bracket's magnitude to its actual
                         # variation, which keeps the quotient below out of
                         # roundoff (and makes steady profiles exactly zero)
-                        vals = [bracket_at(sig_o, pts_t + oj * h_t, xi_o)
+                        vals = [_bracket_at_offset(w, p, sig_o,
+                                                   pts_t + oj * h_t, xi_o)
                                 for oj in off_j]
                         inner = np.zeros_like(acc)
                         for wj, slice_vals in zip(wt_j, vals):

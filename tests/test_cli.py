@@ -283,6 +283,20 @@ def test_calibrate_rejects_suite_without_constants(tmp_path, capsys):
     assert "equivalence" in capsys.readouterr().err
 
 
+def test_calibrate_error_is_written_not_raised(tmp_path, capsys):
+    # the seam leak that fails the ledger at linear.n = 1024 also stops the
+    # linear calibration: it lands in calibration.json with exit 1
+    out = tmp_path / "cal"
+    cfg = write_config(tmp_path, **{
+        "suite": "linear-carleman", "linear.n": 1024, "sweep.count": 1,
+        "output.dir": str(out)})
+    assert main(["calibrate", str(cfg)]) == 1
+    body = json.loads((out / "calibration.json").read_text())["body"]
+    assert body["error"].startswith("SeamLeakError: ")
+    assert body["tables"] == {}
+    assert "calibration failed: SeamLeakError" in capsys.readouterr().err
+
+
 def test_calibrate_output_loads_back(tmp_path):
     cfg = write_config(tmp_path, **{
         "suite": "all", "output.dir": str(tmp_path / "cal"),

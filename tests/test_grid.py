@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from fracrel.grid import (
     gaussian,
     require_seam_decay,
     smooth_window,
-    spectral_d1,
     trapezoid,
     windowed_exponential,
 )
@@ -136,13 +134,6 @@ def test_centered_derivatives_converge():
     d2 = centered_d2(f)
     assert np.max(np.abs(d1 - (-0.25 * x * core))) < 1e-4
     assert np.max(np.abs(d2 - ((-0.25 + x * x / 16.0) * core))) < 1e-4
-
-
-def test_spectral_d1_exact_on_mode():
-    f = fourier_mode(40.0, 512, 7, kind="sin")
-    xi = 2.0 * math.pi * 7 / 40.0
-    want = xi * np.cos(xi * f.x)
-    np.testing.assert_allclose(spectral_d1(f), want, atol=1e-11)
 
 
 def test_report_serialization():

@@ -13,9 +13,10 @@ import pytest
 
 from fracrel.errors import (ConfigError, DomainError, PreconditionError,
                             SeamLeakError)
-from fracrel.grid import (GridFunction, band_limited_noise, fourier_mode,
-                          gaussian, smooth_window, trapezoid)
-from fracrel.heat import (HeatState, PotentialField,
+from fracrel.grid import (GridFunction, SpaceTimeFunction,
+                          band_limited_noise, fourier_mode, gaussian,
+                          smooth_window, trapezoid)
+from fracrel.heat import (PotentialField,
                           backward_uc_check, energy_identity_check,
                           evolve_free, evolve_with_potential,
                           fundamental_solution, log_convexity_check,
@@ -124,36 +125,51 @@ def test_weighted_l1_rejects_super_mass():
 
 def test_evolve_free_zero_time_is_identity():
     u0 = gaussian(40.0, 4096)
-    st = evolve_free(u0, 0.0, P_HALF)
-    np.testing.assert_allclose(st.u.values, u0.values, atol=1e-14)
+    traj = evolve_free(u0, [0.0], P_HALF)
+    np.testing.assert_allclose(traj.values[0], u0.values, atol=1e-14)
 
 
 def test_evolve_free_semigroup():
     u0 = gaussian(40.0, 4096, sigma=2.0)
-    two_hops = evolve_free(evolve_free(u0, 0.3, P_HALF).u, 0.7, P_HALF)
-    one_hop = evolve_free(u0, 1.0, P_HALF)
-    assert np.max(np.abs(two_hops.u.values - one_hop.u.values)) <= 1e-12
+    hop = evolve_free(u0, [0.3], P_HALF)
+    two_hops = evolve_free(hop.slice(0), [0.7], P_HALF)
+    one_hop = evolve_free(u0, [1.0], P_HALF)
+    assert np.max(np.abs(two_hops.values[0] - one_hop.values[0])) <= 1e-12
+
+
+def test_evolve_free_rows_are_single_time_evolutions():
+    u0 = gaussian(40.0, 2048, sigma=1.5)
+    times = np.linspace(0.0, 1.0, 6)
+    traj = evolve_free(u0, times, P_HALF)
+    assert isinstance(traj, SpaceTimeFunction)
+    assert np.array_equal(traj.times, times)
+    for t, row in zip(times, traj.values):
+        assert np.array_equal(row, evolve_free(u0, [t], P_HALF).values[0])
 
 
 def test_evolution_mass_decay():
     u0 = gaussian(40.0, 4096, sigma=1.5)
     base = trapezoid(u0)
     for s, m in [(0.3, 1.0), (0.5, 1.0), (0.7, 2.0)]:
-        st = evolve_free(u0, 0.8, OperatorParams(s, m))
+        traj = evolve_free(u0, [0.8], OperatorParams(s, m))
         want = math.exp(-(m ** (2 * s)) * 0.8) * base
-        assert abs(trapezoid(st.u) - want) <= 1e-12
+        assert abs(trapezoid(traj.slice(0)) - want) <= 1e-12
 
 
 def test_evolve_free_rejects_negative_time():
     with pytest.raises(DomainError):
-        evolve_free(gaussian(40.0, 1024), -0.1, P_HALF)
+        evolve_free(gaussian(40.0, 1024), [-0.1], P_HALF)
 
 
-def test_heat_state_validation():
-    with pytest.raises(DomainError):
-        HeatState(-1.0, gaussian(40.0, 1024))
-    with pytest.raises(DomainError):
-        HeatState(float("nan"), gaussian(40.0, 1024))
+def test_evolve_free_rejects_bad_times():
+    u0 = gaussian(40.0, 1024)
+    for bad in ([0.0, -1.0], [float("nan")], [float("inf")]):
+        with pytest.raises(DomainError):
+            evolve_free(u0, bad, P_HALF)
+    # the trajectory type refuses times that do not increase
+    for bad in ([0.5, 0.2], [0.3, 0.3]):
+        with pytest.raises(ConfigError):
+            evolve_free(u0, bad, P_HALF)
 
 
 # --------------------------------------------------------- energy balance
@@ -197,11 +213,11 @@ def test_weighted_decay_rejects_beyond_two_mass():
 
 
 def test_weighted_l2_seam_guard():
-    flat = GridFunction(40.0, 1024, np.ones(1024))
+    flat = SpaceTimeFunction(40.0, 1024, [0.0], np.ones((1, 1024)))
     with pytest.raises(SeamLeakError):
         weighted_l2(flat, 0.5)
     # unweighted integrals are periodic and exempt
-    assert weighted_l2(flat, 0.0) == pytest.approx(40.0)
+    assert weighted_l2(flat, 0.0) == pytest.approx([40.0])
 
 
 # -------------------------------------------------------- log-convexity
@@ -246,15 +262,15 @@ def test_picard_zero_potential_matches_free():
     u0 = gaussian(40.0, 4096, sigma=2.0)
     traj = evolve_with_potential(u0, PotentialField.constant(0.0), 1.0,
                                  P_HALF)
-    free = evolve_free(u0, 1.0, P_HALF)
+    free = evolve_free(u0, [1.0], P_HALF)
     assert traj.times[-1] == pytest.approx(1.0)
-    assert np.max(np.abs(traj.values[-1] - free.u.values)) <= 1e-9
+    assert np.max(np.abs(traj.values[-1] - free.values[-1])) <= 1e-9
 
 
 def test_picard_constant_potential_oracle():
     # exact solution e^{ct} K_t u0 since constants commute with the flow
     u0 = gaussian(40.0, 4096, sigma=2.0)
-    free = evolve_free(u0, 1.0, P_HALF).u.values
+    free = evolve_free(u0, [1.0], P_HALF).values[-1]
     for c in (1.0, -1.0, 0.5):
         traj = evolve_with_potential(u0, PotentialField.constant(c), 1.0,
                                      P_HALF, dt=5e-3)

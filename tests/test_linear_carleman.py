@@ -20,18 +20,20 @@ from fracrel.errors import (AdmissibilityError, CalibrationError,
 from fracrel.grid import (GridFunction, SpaceTimeFunction, fourier_mode,
                           gaussian, smooth_window, trapezoid,
                           windowed_exponential)
-from fracrel.heat import (HeatState, PotentialField,
-                          evolve_with_potential)
+from fracrel.heat import (PotentialField, evolve_with_potential,
+                          weighted_integral)
 from fracrel.linear_carleman import (CarlemanLedger, LinearWeight,
                                      TILTED_MASS_COEFF, _assemble_ledger,
-                                     _tent_residuals, calibrate_constants,
+                                     _production_rate, _tent_residuals,
+                                     _tilted_series, _weighted,
+                                     calibrate_constants,
                                      carleman_corpus, carleman_linear_check,
                                      ddot_lower_bound_check, functional_D,
                                      functional_H, load_calibration,
                                      monotonicity_check, spectral_carre,
                                      tent_identity_check)
 from fracrel.operator import (OperatorParams, SingularQuadConfig,
-                              apply_spectral)
+                              carre_du_champ)
 
 P_HALF = OperatorParams(0.5, 1.0)
 W_MAIN = LinearWeight(0.5, -11.0)          # the operating drift -(m^(2s)+10)
@@ -52,6 +54,20 @@ def fine_flow(u0, V, T):
     """The flow under V (None for none) at the fine step 1e-3."""
     pot = PotentialField.constant(0.0) if V is None else V
     return evolve_with_potential(u0, pot, T, P_HALF, dt=1e-3)
+
+
+def one_row(g, t=0.0):
+    """g as the one-state trajectory at time t."""
+    return SpaceTimeFunction(g.L, g.n, [t], g.values[None, :])
+
+
+def kernel_cell_production(g, w, p, **quad):
+    """D at t = 0 from the kernel-cell quadratic form rather than the
+    transform, a genuinely different discretization:
+    (drift - mu) H + int e^(lam x) H(u, u)."""
+    form = carre_du_champ(g, g, p, **quad)
+    return w.drift_gap(p) * functional_H(one_row(g), w)[0] \
+        + weighted_integral(g, form.values, w.lam, "quadratic-form integrand")
 
 
 def rows(traj, picks):
@@ -106,7 +122,7 @@ def test_tilted_mass_gaussian_oracle():
         w = LinearWeight(lam, drift)
         want = (sig * math.sqrt(math.pi) * math.exp((lam * sig) ** 2 / 4.0)
                 * math.exp(drift * t))
-        got = functional_H(HeatState(t, g), w)
+        got = functional_H(one_row(g, t), w)[0]
         assert math.isclose(got, want, rel_tol=1e-10)
         assert got >= 0.0
 
@@ -114,7 +130,14 @@ def test_tilted_mass_gaussian_oracle():
 def test_tilted_mass_rejects_seam_leak():
     flat = GridFunction(64.0, 1024, np.ones(1024))
     with pytest.raises(SeamLeakError):
-        functional_H(HeatState(0.0, flat), LinearWeight(0.5, 0.0))
+        functional_H(one_row(flat), LinearWeight(0.5, 0.0))
+
+
+def test_tilted_mass_is_the_series_mass_column():
+    traj, _ = fine_trajectory("gaussian")
+    times, series = _tilted_series(traj, W_MAIN.lam, P_HALF, None)
+    want = np.exp(W_MAIN.drift * times) * series["mass"]
+    assert np.array_equal(functional_H(traj, W_MAIN), want)
 
 
 # ---------------------------------------------------------------- production
@@ -123,12 +146,11 @@ def test_production_routes_agree():
     # kernel-cell route vs the spectral route, mild tilt so the tilted
     # far field stays above the kernel transform's roundoff floor
     g = gaussian(64.0, 2048, sigma=2.0)
-    st = HeatState(0.0, g)
     tight = SingularQuadConfig(far_cutoff=45.0, near_cells=64, gl_nodes=24)
     for lam in (0.25, 0.0):
         w = LinearWeight(lam, -5.0)
-        d_direct = functional_D(st, w, P_HALF)
-        d_kernel = functional_D(st, w, P_HALF, route="carre", quad=tight)
+        d_direct = functional_D(one_row(g), w, P_HALF)[0]
+        d_kernel = kernel_cell_production(g, w, P_HALF, quad=tight)
         assert abs(d_direct - d_kernel) <= 1e-6 * abs(d_direct)
 
 
@@ -137,33 +159,29 @@ def test_production_kernel_route_refuses_strong_tilt():
     # floor past the seam budget; the guard must refuse, not mislead
     g = gaussian(128.0, 4096, sigma=2.0)
     with pytest.raises(SeamLeakError):
-        functional_D(HeatState(0.0, g), W_MAIN, P_HALF, route="carre")
+        kernel_cell_production(g, W_MAIN, P_HALF)
 
 
-def test_production_accepts_evolution_time_derivative():
-    g = gaussian(64.0, 2048, sigma=2.0)
-    st = HeatState(0.0, g)
-    lsu = apply_spectral(g, P_HALF)
-    w = LinearWeight(0.5, -11.0)
-    base = functional_D(st, w, P_HALF)
-    via_ut = functional_D(st, w, P_HALF, u_t=g.with_values(-lsu.values))
-    assert via_ut == pytest.approx(base, rel=1e-13)
-    # forced variant: u_t = F - L^s u hands back the same operator action
-    F = g.with_values(0.7 * g.values)
-    ut = g.with_values(F.values - lsu.values)
-    assert functional_D(st, w, P_HALF, u_t=ut, forcing=F) == \
-        pytest.approx(base, rel=1e-13)
+def test_production_difference_is_the_production_rate():
+    # the centered difference of D along the trajectory is exactly the
+    # ddot the production-rate bound is checked against
+    traj, _ = fine_trajectory("gaussian")
+    d = functional_D(traj, W_MAIN, P_HALF)
+    times, series = _tilted_series(traj, W_MAIN.lam, P_HALF, None)
+    ddot, _, _ = _production_rate(
+        times, _weighted(times, series, W_MAIN.drift), W_MAIN, P_HALF, 1.0)
+    assert np.array_equal((d[2:] - d[:-2]) / (2.0 * (times[1] - times[0])),
+                          ddot)
 
 
 def test_production_plateau_reduction():
     # on a wide plateau D/H -> drift - 2 (m^2 - lam^2)^s: the zero-order
     # form contributes -m^(2s) u^2 and the transfer identity another -mu H
-    wide = plateau()
-    st = HeatState(0.0, wide)
+    st = one_row(plateau())
     for lam in (0.0, 0.02):
         w = LinearWeight(lam, -11.0)
         mu = w.eigenvalue(P_HALF)
-        ratio = functional_D(st, w, P_HALF) / functional_H(st, w)
+        ratio = functional_D(st, w, P_HALF)[0] / functional_H(st, w)[0]
         assert abs(ratio - (-11.0 - 2.0 * mu)) <= 5e-3
 
 
@@ -171,20 +189,18 @@ def test_production_windowed_exponential_degenerate():
     # the pure eigenfunction would give D/H = drift - 2 mu, but the
     # window ramp dominates the e^(3 lam x) weighted integrals at this
     # tilt; only the one-sided bound D/H <= drift - mu - m^(2s) survives
-    u = windowed_exponential(128.0, 4096, 0.5)
-    st = HeatState(0.0, u)
+    st = one_row(windowed_exponential(128.0, 4096, 0.5))
     w = LinearWeight(0.5, -11.0)
-    ratio = functional_D(st, w, P_HALF) / functional_H(st, w)
+    ratio = functional_D(st, w, P_HALF)[0] / functional_H(st, w)[0]
     assert math.isfinite(ratio)
     assert ratio <= -11.0 - MU_MAIN - 1.0 + 1e-6
 
 
 def test_production_vanishes_with_data():
     z = GridFunction(64.0, 1024, np.zeros(1024))
-    st = HeatState(0.0, z)
-    assert functional_H(st, W_MAIN) == 0.0
-    assert functional_D(st, W_MAIN, P_HALF) == 0.0
-    assert functional_D(st, W_MAIN, P_HALF, route="carre") == 0.0
+    assert functional_H(one_row(z), W_MAIN)[0] == 0.0
+    assert functional_D(one_row(z), W_MAIN, P_HALF)[0] == 0.0
+    assert kernel_cell_production(z, W_MAIN, P_HALF) == 0.0
 
 
 def test_production_transfer_identity_is_exact_untilted():
@@ -192,11 +208,11 @@ def test_production_transfer_identity_is_exact_untilted():
     # that the transform's zero mode integrates L^s(u^2) to m^(2s) |u|^2,
     # so the assembled form integral matches the pointwise one exactly
     u0, _ = corpus_draw(0)
-    st = HeatState(0.0, u0)
+    st = one_row(u0)
     w0 = LinearWeight(0.0, -11.0)
     form_integral = trapezoid(spectral_carre(u0, P_HALF))
-    assembled = functional_D(st, w0, P_HALF) \
-        - (w0.drift - 1.0) * functional_H(st, w0)
+    assembled = functional_D(st, w0, P_HALF)[0] \
+        - (w0.drift - 1.0) * functional_H(st, w0)[0]
     assert assembled == pytest.approx(form_integral, rel=1e-12)
 
 

@@ -217,16 +217,6 @@ def test_eigenfunction_rejects_super_mass():
         op.eigenfunction_residual(1.0, p, w)
 
 
-def test_spectral_nd_consistent_with_1d():
-    f = gaussian(20.0, 128, sigma=1.0)
-    V = np.tile(f.values[:, None], (1, 64))
-    p = op.OperatorParams(s=0.5, m=1.0)
-    got = op.apply_spectral_nd(V, (20.0, 10.0), p)
-    want = op.apply_spectral(f, p).values
-    np.testing.assert_allclose(got, want[:, None] * np.ones((1, 64)),
-                               atol=1e-12)
-
-
 def test_param_validation():
     for bad in ({"s": 0.0, "m": 1.0}, {"s": 1.2, "m": 1.0},
                 {"s": 0.5, "m": -1.0}):

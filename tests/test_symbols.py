@@ -29,7 +29,8 @@ from fracrel.symbols import (QuadraticWeight, SymbolPoint,
                              positivity_constants, positivity_sweep,
                              quadratic_constants, require_admissible_weight,
                              s1_commutator_target, spectral_operator_matrix,
-                             symbol_gradient, _time_derivative)
+                             symbol_gradient, _bracket_at_offset,
+                             _time_derivative)
 
 W_STEEP = QuadraticWeight.decaying(215.0, 1.0)
 P_34 = OperatorParams(0.75, 0.0)
@@ -443,9 +444,6 @@ def test_annulus_membership_and_leaks():
     assert 0.0 < ann.leak_fraction(g) < 1.0
     zero = GridFunction(8.0, 256, np.zeros(256))
     assert ann.leak_fraction(zero) == 0.0
-    with pytest.raises(ConfigError):
-        SupportAnnulus(QuadraticWeight.constant(1.0, 1.0, 0.0)).require_nonempty(
-            1.0, 64)
 
 
 # ------------------------------------------------------------- garding
@@ -486,6 +484,22 @@ def test_garding_requires_interior_exponent():
     w = QuadraticWeight.constant(80.0, 1.0, 3.0)
     with pytest.raises(PreconditionError):
         garding_hypothesis_check(w, OperatorParams(0.5, 0.0), constants=1.0)
+
+
+def test_garding_bracket_matches_parabolic_bracket():
+    # the differenced bracket carries the mixed term 2 phi_tx b_xi, so it
+    # must equal the pointwise parabolic bracket off R = 1 as well
+    ts = np.array([0.0, 0.5, 0.5, 1.5])
+    sigmas = np.array([1.2, 2.5, 3.9, 2.0])
+    for R in (1.0, 2.0):
+        w = QuadraticWeight.decaying(30.0, R)
+        xis = (2.0 * w.alpha / w.R) * np.array([0.3, 7.0 * R / 60.0, -1.5,
+                                                4.0])
+        got = _bracket_at_offset(w, P_34, sigmas, ts, xis)
+        for k, (t, sig, xi) in enumerate(zip(ts, sigmas, xis)):
+            x = R * (sig - float(w.psi_at(t)))
+            want = parabolic_poisson_bracket(SymbolPoint(x, xi, t), w, P_34)
+            assert abs(got[k] - want) <= 1e-12 * abs(want), (R, t, sig, xi)
 
 
 # ------------------------------------------------------------- matrices
