@@ -9,8 +9,9 @@ the resulting table with its corpus provenance.
 
 Exit status: 0 all checks passed, 1 at least one failed (reports are
 still written; a check that raises becomes its own failed report) or a
-calibration stopped on an error (the tables done so far are still
-written, under the error), 2 the config did not validate.
+calibration table failed (every other table of the suite is still
+computed and written, next to the per-table errors), 2 the config did
+not validate.
 
 Determinism: a single ``seed`` feeds every randomized check through a
 per-check hash split, so identical configs produce byte-identical report
@@ -479,54 +480,66 @@ def _corpus_hash(corpus) -> str:
     return h.hexdigest()
 
 
-def cmd_calibrate(cfg: dict) -> int:
-    tables = {}
-    provenance = {"seed": cfg["seed"]}
+def _calibration_jobs(cfg: dict, provenance: dict) -> dict:
+    """Table name -> zero-argument builder, for each table of the suite."""
     suite = cfg["suite"]
-    try:
-        if suite in ("linear-carleman", "all"):
+    jobs = {}
+    if suite in ("linear-carleman", "all"):
+        def linear():
             p = OperatorParams(cfg["operator.s"], cfg["operator.m"])
             L, n = cfg["linear.L"], int(cfg["linear.n"])
             draws = int(cfg["sweep.count"])
             corpus_seed = _corpus_seed(cfg)
-            tables["linear"] = calibrate_constants(
+            table = calibrate_constants(
                 p, cfg["linear.lam"], L=L, n=n, draws=draws,
                 seed=corpus_seed)
             provenance["linear"] = {
                 "grid": {"L": L, "n": n}, "draws": draws,
                 "corpus_sha256": _corpus_hash(
                     carleman_corpus(L, n, draws, corpus_seed))}
-        if suite in ("symbol", "all"):
-            tables["positivity"] = [
-                symbols.calibrate_positivity(0.75, mr) for mr in (0.0, 1.0)]
-            tables["garding"] = [
-                symbols.calibrate_garding(0.75, mr) for mr in (0.0, 1.0)]
-        if suite in ("quadratic-carleman", "all"):
-            quad = []
+            return table
+        jobs["linear"] = linear
+    if suite in ("symbol", "all"):
+        jobs["positivity"] = lambda: [
+            symbols.calibrate_positivity(0.75, mr) for mr in (0.0, 1.0)]
+        jobs["garding"] = lambda: [
+            symbols.calibrate_garding(0.75, mr) for mr in (0.0, 1.0)]
+    if suite in ("quadratic-carleman", "all"):
+        jobs["quadratic"] = lambda: [
+            symbols.calibrate_quadratic(mode, s, mr, seed=cfg["seed"])
             for mode, svals in (("elliptic", (0.5, 0.75)),
-                                ("parabolic", (0.75,))):
-                for s in svals:
-                    for mr in (0.0, 1.0):
-                        quad.append(symbols.calibrate_quadratic(
-                            mode, s, mr, seed=cfg["seed"]))
-            tables["quadratic"] = quad
-        if not tables:
-            raise ConfigError(
-                f"suite {suite!r} has no calibrated constants; pick one of "
-                "'linear-carleman', 'symbol', 'quadratic-carleman', 'all'")
-        body, failure = {"tables": tables, "provenance": provenance}, None
-    except ConfigError:
-        raise
-    except FracrelError as exc:
-        failure = f"{type(exc).__name__}: {exc}"
-        body = {"error": failure, "tables": tables}
+                                ("parabolic", (0.75,)))
+            for s in svals for mr in (0.0, 1.0)]
+    if not jobs:
+        raise ConfigError(
+            f"suite {suite!r} has no calibrated constants; pick one of "
+            "'linear-carleman', 'symbol', 'quadratic-carleman', 'all'")
+    return jobs
+
+
+def cmd_calibrate(cfg: dict) -> int:
+    provenance = {"seed": cfg["seed"]}
+    tables, errors = {}, {}
+    # each table in its own guard, so one failure leaves the others written
+    for name, build in _calibration_jobs(cfg, provenance).items():
+        try:
+            tables[name] = build()
+        except ConfigError:
+            raise
+        except FracrelError as exc:
+            errors[name] = f"{type(exc).__name__}: {exc}"
+    body = {"tables": tables, "provenance": provenance}
+    if errors:
+        body["errors"] = errors
     outdir = Path(cfg["output.dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "calibration.json").write_text(json.dumps(
         {"body": body, "meta": {"generated_unix": time.time()}},
         indent=2, sort_keys=True) + "\n")
-    if failure is not None:
-        print(f"calibration failed: {failure}", file=sys.stderr)
+    for name, failure in errors.items():
+        print(f"calibration failed: {failure} (table {name})",
+              file=sys.stderr)
+    if errors:
         return 1
     print(f"calibration table written to {outdir / 'calibration.json'}")
     return 0

@@ -20,6 +20,7 @@ kernel cells, which keeps H(f,f) <= 0 exactly in the discretization.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -69,7 +70,10 @@ class SingularQuadConfig:
                  puts the dropped exponential tail below 5e-5).
     near_cells : number of cells next to the singularity that receive the
                  second-moment Taylor correction.
-    gl_nodes   : Gauss-Legendre nodes per exact cell integral.
+    gl_nodes   : Gauss-Legendre nodes per exact cell integral on the 32
+                 cells next to the singularity (and on the innermost
+                 half cell); farther cells take 4 nodes, whose error on
+                 cell k scales like (1/2k)^8.
     """
 
     far_cutoff: float = 25.0
@@ -111,6 +115,10 @@ class SubordinationQuad:
 
 DEFAULT_SINGULAR_CONFIG = SingularQuadConfig()
 DEFAULT_SUBORDINATION_QUAD = SubordinationQuad()
+# Kernel cells past the first _NEAR_TIER_CELLS take _FAR_GL_NODES
+# Gauss-Legendre nodes; the n-node error on cell k scales like (1/2k)^(2n).
+_NEAR_TIER_CELLS = 32
+_FAR_GL_NODES = 4
 
 
 def frequencies(L: float, n: int) -> np.ndarray:
@@ -141,19 +149,12 @@ def _kernel_radial(p: OperatorParams, z: np.ndarray,
     return z ** (-nu) * macdonald_k(nu, p.m * z, bessel_cfg)
 
 
-_weights_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=16)
 def _kernel_weights(p: OperatorParams, L: float, n: int,
                     quad: SingularQuadConfig,
                     bessel_cfg: BesselEvalConfig) -> dict:
     """Cell-integrated kernel weights, Taylor moments and the stencil
-    transform, cached per (params, grid, config)."""
-    key = (p.s, p.m, L, n, quad, bessel_cfg)
-    hit = _weights_cache.get(key)
-    if hit is not None:
-        return hit
-
+    transform, cached per (params, grid, config) for the 16 latest keys."""
     h = L / n
     r_far = min(quad.far_cutoff / p.m, 0.5 * L)
     k_far = min(n // 2, int(math.floor(r_far / h)))
@@ -162,21 +163,28 @@ def _kernel_weights(p: OperatorParams, L: float, n: int,
             "grid too coarse for the kernel cutoff: "
             f"only {k_far} cells inside the truncation radius")
 
-    nodes, gl_w = leggauss(quad.gl_nodes)
-    k = np.arange(1, k_far + 1)
-    centers = k * h
-    # cell [kh - h/2, kh + h/2] mapped from [-1, 1]
-    z = centers[:, None] + 0.5 * h * nodes[None, :]
-    gvals = _kernel_radial(p, z.ravel(), bessel_cfg).reshape(z.shape)
-    w = 0.5 * h * (gvals * gl_w[None, :]).sum(axis=1)
+    # cell [kh - h/2, kh + h/2] mapped from [-1, 1], near and far tier
+    # evaluated in one Macdonald call
+    centers = np.arange(1, k_far + 1)[:, None] * h
+    tiers = [(centers[:_NEAR_TIER_CELLS], *leggauss(quad.gl_nodes)),
+             (centers[_NEAR_TIER_CELLS:], *leggauss(_FAR_GL_NODES))]
+    zs = [c + 0.5 * h * nodes[None, :] for c, nodes, _ in tiers]
+    gflat = _kernel_radial(p, np.concatenate([z.ravel() for z in zs]),
+                           bessel_cfg)
+    w, j2 = [], []
+    for (c, _, gl_w), z, g in zip(tiers, zs, np.split(gflat, [zs[0].size])):
+        gvals = g.reshape(z.shape)
+        w.append(0.5 * h * (gvals * gl_w[None, :]).sum(axis=1))
+        j2.append(0.5 * h * (gvals * (z * z - c**2)
+                             * gl_w[None, :]).sum(axis=1))
+    w = np.concatenate(w)
     # second-moment mismatch of the near cells
-    j2 = 0.5 * h * (gvals * (z * z - centers[:, None] ** 2)
-                    * gl_w[None, :]).sum(axis=1)
-    j2_total = float(j2[: quad.near_cells].sum())
+    j2_total = float(np.concatenate(j2)[: quad.near_cells].sum())
 
     # innermost half cell: int_0^(h/2) z^2 g(z) dz; the z^(1-2s) behaviour
     # is flattened by the substitution z = (h/2) u^(1/(2-2s)), u in [0, 1]
     beta = 1.0 / (2.0 - 2.0 * p.s)
+    nodes, gl_w = leggauss(quad.gl_nodes)
     u = 0.5 * (nodes + 1.0)
     zin = 0.5 * h * u**beta
     gin = _kernel_radial(p, zin, bessel_cfg)
@@ -201,7 +209,6 @@ def _kernel_weights(p: OperatorParams, L: float, n: int,
         "moment": jin + j2_total,
         "c_full": frac_power_constant(1, p.s) * p.m ** (0.5 + p.s),
     }
-    _weights_cache[key] = out
     return out
 
 

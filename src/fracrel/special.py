@@ -7,10 +7,14 @@ The Macdonald function K_nu is evaluated by three cooperating strategies:
   I_{-nu}, used for small arguments when nu is safely away from an integer
   (the I-pair difference cancels catastrophically near integer order);
 * trapezoid quadrature of the integral representation
-  K_nu(z) = int_0^inf exp(-z cosh w) cosh(nu w) dw, refined until the
-  requested relative tolerance is met (QuadratureError if the node cap
-  comes first).  The representation holds at every real nu, so this path
-  is valid for every (nu, z), integer orders included;
+  K_nu(z) = int_0^inf exp(-z cosh w) cosh(nu w) dw, in the sum form.  The
+  sorted arguments are taken in blocks of 2048, so the (points x nodes)
+  matrix stays a few MB at any input size, and each block is refined by
+  nested doubling (every level adds only the new odd nodes to half the
+  previous sum) until its own points meet the requested relative
+  tolerance (QuadratureError if the node cap comes first).  The
+  representation holds at every real nu, so this path is valid for every
+  (nu, z), integer orders included;
 * the large-argument expansion sqrt(pi/(2z)) exp(-z) (1 + ...), with the
   running term monitored and a fallback to quadrature whenever the
   expansion cannot reach tolerance.
@@ -33,9 +37,8 @@ ASYMPTOTIC_SWITCH_Z = 30.0
 INTEGER_GUARD = 0.05
 
 _SERIES_MAX_TERMS = 60
-
-# numpy 2.x renamed trapz; support both.
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
+# Points per quadrature block; bounds the (points x nodes) matrix.
+_QUAD_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -97,28 +100,44 @@ def _kv_series(nu: float, z: np.ndarray) -> np.ndarray:
 
 
 def _kv_quadrature(nu: float, z: np.ndarray, cfg: BesselEvalConfig) -> np.ndarray:
-    # Trapezoid on [0, w_max] of exp(-z(cosh w - 1)) cosh(nu w); returns the
-    # scaled value exp(z) K_nu(z).  w_max makes the dropped tail < 1e-14
-    # relative: past sinh w = (nu+30)/z the exponent falls at rate >= 30.
-    zmin = float(np.min(z))
-    w_max = math.asinh((nu + 30.0) / zmin) + 2.0
-    zc = z[:, None]
+    # Scaled value exp(z) K_nu(z), one block of _QUAD_BLOCK sorted points at
+    # a time, so the (points x nodes) matrix stays bounded.
+    order = np.argsort(z)
+    out = np.empty_like(z)
+    for start in range(0, z.size, _QUAD_BLOCK):
+        idx = order[start : start + _QUAD_BLOCK]
+        out[idx] = _kv_quadrature_block(nu, z[idx], cfg)
+    return out
 
-    def evaluate(n_nodes: int) -> np.ndarray:
-        w = np.linspace(0.0, w_max, n_nodes)
-        expo = -zc * (np.cosh(w)[None, :] - 1.0) + _log_cosh(nu * w)[None, :]
-        vals = np.exp(expo)
-        return _trapezoid(vals, dx=w[1] - w[0], axis=1)
+
+def _kv_quadrature_block(nu: float, z: np.ndarray,
+                         cfg: BesselEvalConfig) -> np.ndarray:
+    # Trapezoid on [0, w_max] of exp(-z(cosh w - 1)) cosh(nu w).  w_max makes
+    # the dropped tail < 1e-14 relative: past sinh w = (nu+30)/z the exponent
+    # falls at rate >= 30.  Each doubling is nested, T_{2n-1} = T_n / 2 +
+    # h' sum f(new odd nodes), and runs until every point of the block agrees
+    # with the previous level to quad_rel_tol.
+    w_max = math.asinh((nu + 30.0) / float(np.min(z))) + 2.0
+
+    def integrand(w: np.ndarray) -> np.ndarray:
+        vals = np.multiply.outer(z, 1.0 - np.cosh(w))
+        vals += _log_cosh(nu * w)
+        return np.exp(vals, out=vals)
 
     n = max(256, int(w_max / 0.25) + 1)
-    prev = evaluate(n)
+    h = w_max / (n - 1)
+    vals = integrand(np.linspace(0.0, w_max, n))
+    prev = h * (0.5 * vals[:, 0] + vals[:, 1:-1].sum(axis=1)
+                + 0.5 * vals[:, -1])
     while True:
         n_next = 2 * n - 1
         if n_next > cfg.max_quad_nodes:
             raise QuadratureError(
                 f"Macdonald quadrature for nu={nu:g} did not converge "
                 f"within max_quad_nodes={cfg.max_quad_nodes}")
-        cur = evaluate(n_next)
+        h *= 0.5
+        cur = 0.5 * prev + h * integrand(
+            h * np.arange(1, n_next, 2)).sum(axis=1)
         done = np.abs(cur - prev) <= cfg.quad_rel_tol * np.abs(cur)
         prev, n = cur, n_next
         if np.all(done):

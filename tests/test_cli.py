@@ -292,9 +292,33 @@ def test_calibrate_error_is_written_not_raised(tmp_path, capsys):
         "output.dir": str(out)})
     assert main(["calibrate", str(cfg)]) == 1
     body = json.loads((out / "calibration.json").read_text())["body"]
-    assert body["error"].startswith("SeamLeakError: ")
+    assert body["errors"]["linear"].startswith("SeamLeakError: ")
     assert body["tables"] == {}
     assert "calibration failed: SeamLeakError" in capsys.readouterr().err
+
+
+def test_calibrate_failed_table_leaves_the_others(tmp_path, monkeypatch):
+    # the symbol and quadratic sweeps never read the linear grid, so the
+    # linear seam leak must not cost their tables; stubs keep this fast
+    monkeypatch.setattr(cli.symbols, "calibrate_positivity",
+                        lambda s, mr: {"stub": "positivity", "m": mr})
+    monkeypatch.setattr(cli.symbols, "calibrate_garding",
+                        lambda s, mr: {"stub": "garding", "m": mr})
+    monkeypatch.setattr(cli.symbols, "calibrate_quadratic",
+                        lambda mode, s, mr, seed: {"stub": mode, "s": s})
+    out = tmp_path / "cal"
+    cfg = write_config(tmp_path, **{
+        "suite": "all", "linear.n": 1024, "sweep.count": 1,
+        "output.dir": str(out)})
+    assert main(["calibrate", str(cfg)]) == 1
+    body = json.loads((out / "calibration.json").read_text())["body"]
+    assert list(body["errors"]) == ["linear"]
+    assert body["errors"]["linear"].startswith("SeamLeakError: ")
+    assert sorted(body["tables"]) == ["garding", "positivity", "quadratic"]
+    assert body["tables"]["positivity"] == [
+        {"stub": "positivity", "m": 0.0}, {"stub": "positivity", "m": 1.0}]
+    assert body["tables"]["garding"][1] == {"stub": "garding", "m": 1.0}
+    assert len(body["tables"]["quadratic"]) == 6
 
 
 def test_calibrate_output_loads_back(tmp_path):

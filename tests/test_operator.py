@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special as sp
 
 from fracrel.errors import ConfigError, PreconditionError, QuadratureError
 from fracrel.grid import (
@@ -240,3 +242,48 @@ def test_grid_too_coarse_for_kernel():
     f = gaussian(L, 64, sigma=1.0)
     with pytest.raises(PreconditionError):
         op.apply_singular_integral(f, op.OperatorParams(s=0.5, m=8.0))
+
+
+# ------------------------------------------------------------------ kernel
+# cell weights: tiered order, bounded cache, bounded memory
+
+
+def _build_weights(s, m, n=N):
+    return op._kernel_weights(op.OperatorParams(s, m), L, n,
+                              op.DEFAULT_SINGULAR_CONFIG,
+                              op.DEFAULT_BESSEL_CONFIG)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+def test_tiered_cell_weights_match_full_order(s, m):
+    # reference: gl_nodes on every cell, kernel from scipy's K_nu
+    w = _build_weights(s, m)["w"]
+    h, nu = L / N, 0.5 + s
+    nodes, gl_w = np.polynomial.legendre.leggauss(
+        op.DEFAULT_SINGULAR_CONFIG.gl_nodes)
+    z = np.arange(1, len(w) + 1)[:, None] * h + 0.5 * h * nodes[None, :]
+    ref = 0.5 * h * (z ** (-nu) * sp.kv(nu, m * z) * gl_w).sum(axis=1)
+    rel = np.max(np.abs(w - ref) / ref)
+    assert rel <= 1e-13, f"max rel deviation {rel:.3e}"
+
+
+def test_kernel_weights_cache_is_bounded():
+    first = _build_weights(0.5, 1.0, n=256)
+    assert _build_weights(0.5, 1.0, n=256) is first
+    for i in range(20):
+        _build_weights(0.5, 1.0 + 0.01 * i, n=256)
+    assert op._kernel_weights.cache_info().currsize <= 16
+
+
+def test_cold_kernel_build_memory_is_bounded():
+    # the dense (points x nodes) quadrature matrix used to peak at 384 MB
+    tracemalloc.start()
+    try:
+        op._kernel_weights.__wrapped__(
+            op.OperatorParams(0.5, 0.5), L, N, op.DEFAULT_SINGULAR_CONFIG,
+            op.DEFAULT_BESSEL_CONFIG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MB"

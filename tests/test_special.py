@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,3 +192,24 @@ def test_half_kernel_positive_even():
     vals = half_kernel_explicit(0.7, x, 1.3)
     assert np.all(vals > 0.0)
     np.testing.assert_allclose(vals, vals[::-1], rtol=1e-13)
+
+
+def test_quadrature_longer_than_one_block_matches_scipy():
+    # integer order routes every z < 30 to the quadrature, several blocks
+    z = np.linspace(0.01, 30.0, 5000)[::-1]
+    got = macdonald_k(1.0, z, scaled=True)
+    want = sp.kve(1.0, z)
+    rel = np.max(np.abs(got - want) / want)
+    assert rel < 1e-8, f"max rel err {rel:.3e}"
+
+
+def test_large_evaluation_memory_is_bounded():
+    # the dense (points x nodes) matrix used to peak at 1.56 GB here
+    z = np.linspace(0.01, 30.0, 100_000)
+    tracemalloc.start()
+    try:
+        macdonald_k(1.0, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
