@@ -16,7 +16,9 @@ not validate.
 Determinism: a single ``seed`` feeds every randomized check through a
 per-check hash split, so identical configs produce byte-identical report
 bodies and CSV tables; wall-clock data lives only under the bundle's
-``meta`` key.
+``meta`` key.  A calibration's ``meta`` also records each table's wall
+time, the fracrel and numpy versions and the git commit of the package
+checkout (null outside a git checkout).
 """
 import argparse
 import csv
@@ -517,25 +519,44 @@ def _calibration_jobs(cfg: dict, provenance: dict) -> dict:
     return jobs
 
 
+def _checkout_sha():
+    """Git commit of the checkout holding the package, or None when git or
+    the repository is unavailable (an installed, non-checkout package)."""
+    import subprocess
+    try:
+        out = subprocess.run(
+            ["git", "-C", str(Path(__file__).resolve().parent),
+             "rev-parse", "HEAD"],
+            capture_output=True, text=True, timeout=10, check=True)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip() or None
+
+
 def cmd_calibrate(cfg: dict) -> int:
+    from . import __version__
     provenance = {"seed": cfg["seed"]}
-    tables, errors = {}, {}
+    tables, errors, table_wall = {}, {}, {}
     # each table in its own guard, so one failure leaves the others written
     for name, build in _calibration_jobs(cfg, provenance).items():
+        t0 = time.perf_counter()
         try:
             tables[name] = build()
         except ConfigError:
             raise
         except FracrelError as exc:
             errors[name] = f"{type(exc).__name__}: {exc}"
+        table_wall[name] = time.perf_counter() - t0
     body = {"tables": tables, "provenance": provenance}
     if errors:
         body["errors"] = errors
+    meta = {"generated_unix": time.time(), "table_wall_s": table_wall,
+            "fracrel_version": __version__, "numpy_version": np.__version__,
+            "git_sha": _checkout_sha()}
     outdir = Path(cfg["output.dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "calibration.json").write_text(json.dumps(
-        {"body": body, "meta": {"generated_unix": time.time()}},
-        indent=2, sort_keys=True) + "\n")
+        {"body": body, "meta": meta}, indent=2, sort_keys=True) + "\n")
     for name, failure in errors.items():
         print(f"calibration failed: {failure} (table {name})",
               file=sys.stderr)

@@ -10,8 +10,10 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import fracrel
 from fracrel import cli, heat, linear_carleman
 from fracrel.cli import (DEFAULTS, SUITES, _split_rng, cmd_calibrate,
                          load_config, main)
@@ -319,6 +321,31 @@ def test_calibrate_failed_table_leaves_the_others(tmp_path, monkeypatch):
         {"stub": "positivity", "m": 0.0}, {"stub": "positivity", "m": 1.0}]
     assert body["tables"]["garding"][1] == {"stub": "garding", "m": 1.0}
     assert len(body["tables"]["quadratic"]) == 6
+
+
+def test_calibrate_meta_records_timings_and_versions(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.symbols, "calibrate_positivity",
+                        lambda s, mr: {"stub": "positivity", "m": mr})
+    monkeypatch.setattr(cli.symbols, "calibrate_garding",
+                        lambda s, mr: {"stub": "garding", "m": mr})
+    cfg = write_config(tmp_path, **{
+        "suite": "symbol", "output.dir": str(tmp_path / "cal")})
+    path = tmp_path / "cal" / "calibration.json"
+    assert main(["calibrate", str(cfg)]) == 0
+    bundle = json.loads(path.read_text())
+    meta = bundle["meta"]
+    assert sorted(meta["table_wall_s"]) == sorted(bundle["body"]["tables"])
+    assert all(v >= 0.0 for v in meta["table_wall_s"].values())
+    assert meta["fracrel_version"] == fracrel.__version__
+    assert meta["numpy_version"] == np.__version__
+    sha = meta["git_sha"]
+    assert sha is None or re.fullmatch("[0-9a-f]{40}", sha)
+    # without git the commit is unknown, and the run still succeeds
+    monkeypatch.setenv("PATH", str(tmp_path / "no-such-bin"))
+    assert main(["calibrate", str(cfg)]) == 0
+    again = json.loads(path.read_text())
+    assert again["meta"]["git_sha"] is None
+    assert again["body"] == bundle["body"]
 
 
 def test_calibrate_output_loads_back(tmp_path):

@@ -15,11 +15,14 @@ from fracrel.errors import (AdmissibilityError, CalibrationError,
                             ConditioningError, ConfigError, DomainError,
                             OverflowGuardError, PreconditionError,
                             SupportError)
+from fracrel import symbols
 from fracrel.grid import GridFunction, SpaceTimeFunction
 from fracrel.operator import OperatorParams
+from fracrel.report import calibration_tables
 from fracrel.symbols import (QuadraticWeight, SymbolPoint,
                              SupportAnnulus, appendix_conjugation_check,
-                             bracket_singular, carleman_quadratic_check,
+                             bracket_singular, calibrate_garding,
+                             calibrate_positivity, carleman_quadratic_check,
                              conjugated_operator_matrix, conjugated_symbol,
                              default_xi_grid, elliptic_test_family,
                              garding_constants, garding_hypothesis_check,
@@ -29,7 +32,9 @@ from fracrel.symbols import (QuadraticWeight, SymbolPoint,
                              positivity_constants, positivity_sweep,
                              quadratic_constants, require_admissible_weight,
                              s1_commutator_target, spectral_operator_matrix,
-                             symbol_gradient, _bracket_at_offset,
+                             symbol_gradient, _bracket_ab,
+                             _bracket_at_offset, _mixed_pieces,
+                             _symbol_core, _symbol_xi_grad,
                              _time_derivative)
 
 W_STEEP = QuadraticWeight.decaying(215.0, 1.0)
@@ -423,6 +428,81 @@ def test_positivity_argmin_stable_under_refinement():
     assert d12 <= 0.05
 
 
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def assert_bitwise_even(at_xi, at_minus_xi):
+    np.testing.assert_array_equal(_bits(at_xi), _bits(at_minus_xi))
+
+
+@pytest.mark.parametrize("profile", ["decaying", "oscillating"])
+@pytest.mark.parametrize("branch", [1.0, -1.0])
+@pytest.mark.parametrize("m_ratio", [0.0, 1.0])
+@pytest.mark.parametrize("s", [0.55, 0.75, 0.95])
+def test_sweep_terms_are_bitwise_even_in_xi(s, m_ratio, branch, profile):
+    """The half-grid positivity sweep rests on every swept term taking the
+    same bits at xi and -xi (and sin(s theta) being exactly negated)."""
+    w = getattr(QuadraticWeight, profile)(30.0, 1.0)
+    m = m_ratio * 2.0 * w.alpha / w.R
+    sigma = branch * np.linspace(1.0, 4.0, 33)[:, None]
+    px = 2.0 * (w.alpha / w.R) * sigma
+    xi = default_xi_grid(w, 120)[None, :]
+    for t in (0.0, 0.35, 1.3):
+        ptx = float(w.phi_tx(t))
+        pos = _symbol_core(xi, px, m, s)
+        neg = _symbol_core(-xi, px, m, s)
+        for field in ("rho2", "cos_s", "grad_scale"):
+            assert_bitwise_even(getattr(pos, field), getattr(neg, field))
+        np.testing.assert_array_equal(_bits(pos.sin_s), _bits(-neg.sin_s))
+        assert_bitwise_even(_symbol_xi_grad(pos)[1], _symbol_xi_grad(neg)[1])
+        assert_bitwise_even(_bracket_ab(pos, w.phi_xx),
+                            _bracket_ab(neg, w.phi_xx))
+        for piece_pos, piece_neg in zip(_mixed_pieces(pos, ptx),
+                                        _mixed_pieces(neg, ptx)):
+            assert_bitwise_even(piece_pos, piece_neg)
+        # negative control: a_xi is odd in xi, and the assertion sees it
+        with pytest.raises(AssertionError):
+            assert_bitwise_even(_symbol_xi_grad(pos)[0],
+                                _symbol_xi_grad(neg)[0])
+
+
+def test_positivity_sweep_evaluates_the_half_grid(monkeypatch):
+    widths = []
+    real = symbols._symbol_core
+
+    def recording(xi, px, m, s):
+        widths.append(np.shape(xi)[-1])
+        return real(xi, px, m, s)
+
+    monkeypatch.setattr(symbols, "_symbol_core", recording)
+    grid = default_xi_grid(W_STEEP, 60)
+    positivity_sweep(W_STEEP, P_34, xi_grid=grid,
+                     t_grid=np.linspace(0.0, 2.0, 5), sigma_nodes=9)
+    assert widths and set(widths) == {len(grid)}
+
+
+def test_positivity_counts_singular_points_over_the_signed_grid():
+    # at m = 2 alpha/R the modulus vanishes at sigma = 1, xi -> 0; the
+    # scalar flag, applied at every signed grid point, is the reference
+    w = QuadraticWeight.decaying(30.0, 1.0)
+    p = OperatorParams(0.75, 2.0 * w.alpha / w.R)
+    grid = (w.alpha / w.R) * np.array([1e-9, 1e-2, 1.0])
+    t_grid = np.array([0.5, 1.0, 2.0])
+    rep = positivity_sweep(w, p, xi_grid=grid, t_grid=t_grid, sigma_nodes=5,
+                           constants=(0.0, 0.0), enforce=False)
+    want = 0
+    for t in t_grid:
+        psi = float(w.psi_at(t))
+        for lo, hi in symbols._sigma_branches(psi):
+            for sig in np.linspace(lo, hi, 5):
+                for xi in np.concatenate([-grid, grid]):
+                    pt = SymbolPoint(w.R * (sig - psi), float(xi), float(t))
+                    want += bracket_singular(pt, w, p)
+    assert want == 6
+    assert rep.measured["singular_points"] == want
+
+
 def test_xi_grid_covers_range_and_split():
     w = QuadraticWeight.constant(5.0, 2.0, 3.0)
     grid = default_xi_grid(w)
@@ -478,6 +558,25 @@ def test_garding_extra_derivatives_decay_better():
     rep = garding_hypothesis_check(w, OperatorParams(0.75, 0.0),
                                    constants=1.0, probe_order_8=True)
     assert rep.measured["order8_over_order7"] <= 1.0
+
+
+def test_garding_evaluates_each_stencil_point_once(monkeypatch):
+    # 575 distinct (depth, time, frequency) offset triples over orders
+    # 4..7, and 833 with order 8
+    calls = []
+    real = symbols._bracket_at_offset
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(symbols, "_bracket_at_offset", counting)
+    w = QuadraticWeight.decaying(80.0, 1.0)
+    for probe, most in ((False, 575), (True, 833)):
+        calls.clear()
+        garding_hypothesis_check(w, P_34, constants=1.0,
+                                 probe_order_8=probe)
+        assert 0 < len(calls) <= most
 
 
 def test_garding_requires_interior_exponent():
@@ -713,6 +812,16 @@ def test_appendix_domain_and_conditioning_guards():
 
 
 # ------------------------------------------------------------- tables
+
+def test_symbol_calibration_reproduces_frozen_tables():
+    frozen = calibration_tables("symbol_calibration.json")
+    positivity = [e for e in frozen["positivity"]
+                  if e["s"] == 0.75 and e["m_ratio"] == 1.0]
+    garding = [e for e in frozen["garding"]
+               if e["s"] == 0.75 and e["m_ratio"] == 0.0]
+    assert [calibrate_positivity(0.75, 1.0)] == positivity
+    assert [calibrate_garding(0.75, 0.0)] == garding
+
 
 def test_calibration_loaders():
     c_hyp, c_min = positivity_constants(0.75, 0.0)
