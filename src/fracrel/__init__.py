@@ -22,7 +22,6 @@ from .errors import (
 )
 from .report import CheckReport
 from .special import (
-    BesselEvalConfig,
     frac_power_constant,
     gamma,
     half_kernel_explicit,

@@ -25,6 +25,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -110,7 +111,15 @@ def _validate(cfg: dict) -> None:
         else:
             if not isinstance(value, (int, float)):
                 raise ConfigError(f"invalid value for {key!r}: need a number")
-            cfg[key] = float(value)
+            # json reads Infinity and NaN, and an integer literal may
+            # overflow a float
+            try:
+                cfg[key] = float(value)
+            except OverflowError:
+                cfg[key] = math.inf
+            if not math.isfinite(cfg[key]):
+                raise ConfigError(f"invalid value for {key!r}: need a finite "
+                                  "number")
     if cfg["suite"] not in SUITES:
         raise ConfigError(f"invalid value for 'suite': pick one of {SUITES}")
     if not 0 <= cfg["seed"] < 2 ** 64:
@@ -372,16 +381,18 @@ def _quadratic_report(seed: int, mode: str, s: float, mr: float,
                       count: int) -> CheckReport:
     entry = symbols.quadratic_constants(mode, s, mr)
     alpha = entry["corpus"]["alpha"]
-    p = OperatorParams(s, mr * 2.0 * alpha)
+    R, L, n = symbols.CALIBRATION_R, symbols.QUADRATIC_L, symbols.QUADRATIC_N
+    p = OperatorParams(s, mr * 2.0 * alpha / R)
     if mode == "elliptic":
-        w = symbols.QuadraticWeight.constant(alpha, 1.0, 3.0)
+        w = symbols.QuadraticWeight.constant(alpha, R, 3.0)
         rng = _split_rng(seed, "quadratic", f"elliptic|{s}|{mr}")
-        fs = symbols.elliptic_test_family(w, 8.0, 512, count, rng)
+        fs = symbols.elliptic_test_family(w, L, n, count, rng)
     else:
-        w = symbols.QuadraticWeight.decaying(alpha, 1.0)
+        w = symbols.QuadraticWeight.decaying(alpha, R)
         rng = _split_rng(seed, "quadratic", f"parabolic|{mr}")
-        fs = symbols.parabolic_test_family(
-            w, 8.0, 512, np.linspace(0.0, 1.0, 48), count, rng)
+        times = np.linspace(0.0, symbols.QUADRATIC_T_SPAN,
+                            symbols.QUADRATIC_NT)
+        fs = symbols.parabolic_test_family(w, L, n, times, count, rng)
     return symbols.carleman_quadratic_check(fs, w, p, mode)
 
 

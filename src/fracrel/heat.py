@@ -125,6 +125,14 @@ def _mode_quadratic(coeffs: np.ndarray, L: float, n: int,
     return float(total * L / n ** 2)
 
 
+def _cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
+    """Running trapezoid integral over a uniform grid, starting at 0."""
+    out = np.empty(len(values))
+    out[0] = 0.0
+    np.cumsum(0.5 * dt * (values[1:] + values[:-1]), out=out[1:])
+    return out
+
+
 def energy_identity_check(u0: GridFunction, p: OperatorParams, T: float = 1.0,
                           steps: int = 100,
                           tolerance: float = 1e-4) -> CheckReport:
@@ -146,9 +154,7 @@ def energy_identity_check(u0: GridFunction, p: OperatorParams, T: float = 1.0,
         ct = c0 * np.exp(-t * sig)
         energy[i] = _mode_quadratic(ct, u0.L, u0.n)
         dissipation[i] = _mode_quadratic(ct, u0.L, u0.n, weights=sig)
-    dt = T / steps
-    cumulative = np.concatenate(
-        [[0.0], np.cumsum(0.5 * dt * (dissipation[1:] + dissipation[:-1]))])
+    cumulative = _cumulative_trapezoid(dissipation, T / steps)
     base = energy[0]
     if base == 0.0:
         residuals = np.zeros_like(times)

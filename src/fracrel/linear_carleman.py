@@ -44,6 +44,7 @@ from .grid import (
 )
 from .heat import (
     PotentialField,
+    _cumulative_trapezoid,
     evolve_with_potential,
     weighted_integral,
     weighted_l2,
@@ -65,6 +66,22 @@ _CALIBRATION_RESOURCE = "calibration.json"
 
 # Step of the evolutions behind the inequality ledger.
 LEDGER_DT = 1e-2
+
+# Seeded corpus: modes up to _CORPUS_K_MAX in both the data and the static
+# potential (sup-norm _CORPUS_SUP_V); the data window is flat on
+# |x| <= _CORPUS_INNER and zero past _CORPUS_OUTER.
+_CORPUS_K_MAX = 40
+_CORPUS_SUP_V = 1.0
+_CORPUS_INNER = 8.0
+_CORPUS_OUTER = 12.0
+
+# Calibration scan: drift gaps below -m^(2s), tried in order; the operating
+# drift's offset below -m^(2s); the step of the short fine evolutions that
+# the production-rate bound is checked on, and that bound's slack tolerance.
+_GAP_OFFSETS = (0.25, 0.5, 1.0, 2.0, 4.0, 7.0, 10.0)
+_OPERATING_OFFSET = 10.0
+_FINE_DT = 1e-3
+_DDOT_TOLERANCE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -235,13 +252,6 @@ def _uniform_spacing(times: np.ndarray, what: str) -> float:
     if dt <= 0.0 or np.max(np.abs(gaps - dt)) > 1e-9 * max(dt, 1.0):
         raise PreconditionError(f"{what} needs a uniform time grid")
     return dt
-
-
-def _cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
-    out = np.empty(len(values))
-    out[0] = 0.0
-    np.cumsum(0.5 * dt * (values[1:] + values[:-1]), out=out[1:])
-    return out
 
 
 def _time_integral(values: np.ndarray, dt: float) -> float:
@@ -625,22 +635,21 @@ def carleman_linear_check(u0: GridFunction, V: PotentialField | None,
 # calibration of (C1, C2)
 
 def carleman_corpus(L: float, n: int, draws: int, seed: int,
-                    k_max: int = 40, sup_v: float = 1.0,
-                    inner: float = 8.0, outer: float = 12.0,
                     ) -> list[tuple[GridFunction, PotentialField]]:
     """Seeded (u0, V) pairs: windowed band-limited data, bounded static V.
 
-    The data window is kept at |x| <= outer regardless of the box so the
-    tilted quadratic-form integrands have room to die out before the seam.
+    The data window is kept at |x| <= _CORPUS_OUTER regardless of the box
+    so the tilted quadratic-form integrands have room to die out before the
+    seam.
     """
     rng = np.random.default_rng(seed)
-    win = smooth_window(L, n, inner, outer).values
+    win = smooth_window(L, n, _CORPUS_INNER, _CORPUS_OUTER).values
     pairs = []
     for _ in range(draws):
-        raw = band_limited_noise(L, n, k_max, rng, windowed=False)
+        raw = band_limited_noise(L, n, _CORPUS_K_MAX, rng, windowed=False)
         u0 = raw.with_values(raw.values * win)
-        v_raw = band_limited_noise(L, n, k_max, rng, amplitude=sup_v,
-                                   windowed=False)
+        v_raw = band_limited_noise(L, n, _CORPUS_K_MAX, rng,
+                                   amplitude=_CORPUS_SUP_V, windowed=False)
         pairs.append((u0, PotentialField.static(v_raw)))
     return pairs
 
@@ -648,33 +657,28 @@ def carleman_corpus(L: float, n: int, draws: int, seed: int,
 def calibrate_constants(p: OperatorParams, lam: float, *,
                         L: float = 128.0, n: int = 4096,
                         draws: int = 50, seed: int = 20260822,
-                        k_max: int = 40, sup_v: float = 1.0,
-                        gap_offsets=(0.25, 0.5, 1.0, 2.0, 4.0, 7.0, 10.0),
-                        operating_offset: float = 10.0,
-                        fine_dt: float = 1e-3, fine_T: float = 0.05,
-                        ledger_dt: float = LEDGER_DT,
-                        tolerance: float = 1e-3) -> dict:
+                        fine_T: float = 0.05) -> dict:
     """Empirical sweep that fixes the two free constants.
 
     For each corpus draw the trajectory and its tilted integrals are
     computed once with the drift factored out; candidate drifts then reuse
     them.  The admissibility threshold is the least drift gap (scanned
-    over ``gap_offsets`` below -m^(2s)) at which the production-rate bound
+    over _GAP_OFFSETS below -m^(2s)) at which the production-rate bound
     and both ledger inequalities hold corpus-wide with C1 free, and C2
     freezes its square.  C1 freezes at twice the worst forcing deficit
     observed (floor 1), evaluated at the threshold and at the operating
-    drift -m^(2s) - operating_offset.
+    drift -m^(2s) - _OPERATING_OFFSET.
     """
     _require_energy_split(p)
     mu = LinearWeight(lam, 0.0).eigenvalue(p)
     zero_order = p.m ** (2.0 * p.s)
-    corpus = carleman_corpus(L, n, draws, seed, k_max=k_max, sup_v=sup_v)
+    corpus = carleman_corpus(L, n, draws, seed)
     fine, coarse = [], []
     for u0, V in corpus:
         fine.append(_tilted_series(evolve_with_potential(
-            u0, V, fine_T, p, dt=fine_dt), lam, p, V))
+            u0, V, fine_T, p, dt=_FINE_DT), lam, p, V))
         coarse.append(_tilted_series(evolve_with_potential(
-            u0, V, 1.0, p, dt=ledger_dt), lam, p, V))
+            u0, V, 1.0, p, dt=LEDGER_DT), lam, p, V))
 
     def ddot_stats(times, series, drift, c1):
         terms = _weighted(times, series, drift)
@@ -707,18 +711,18 @@ def calibrate_constants(p: OperatorParams, lam: float, *,
     probe_c1 = 1.0
     threshold_gap = None
     saturated = False
-    for offset in gap_offsets:
+    for offset in _GAP_OFFSETS:
         drift = -(zero_order + offset)
         ok = True
         for f_series, c_series in zip(fine, coarse):
             slack_d, _ = ddot_stats(*f_series, drift, probe_c1)
             slack_l, _ = ledger_stats(*c_series, drift, probe_c1)
-            if slack_d < -tolerance or slack_l < -FLAG_TOL:
+            if slack_d < -_DDOT_TOLERANCE or slack_l < -FLAG_TOL:
                 ok = False
                 break
         if ok:
             threshold_gap = mu - drift
-            saturated = offset == gap_offsets[0]
+            saturated = offset == _GAP_OFFSETS[0]
             break
     if threshold_gap is None:
         raise CalibrationError(
@@ -726,7 +730,7 @@ def calibrate_constants(p: OperatorParams, lam: float, *,
     c2 = (threshold_gap / p.m ** (2.0 * p.s)) ** 2
 
     c1_need = 0.0
-    for drift in (-(zero_order + operating_offset), mu - threshold_gap):
+    for drift in (-(zero_order + _OPERATING_OFFSET), mu - threshold_gap):
         for f_series, c_series in zip(fine, coarse):
             _, need_d = ddot_stats(*f_series, drift, 0.0)
             _, need_l = ledger_stats(*c_series, drift, 1e-300)
@@ -736,13 +740,14 @@ def calibrate_constants(p: OperatorParams, lam: float, *,
         "dim": 1, "s": p.s, "m": p.m, "lam": lam,
         "C1": c1, "C2": c2,
         "A_threshold": mu - threshold_gap,
-        "A_operating": -(zero_order + operating_offset),
+        "A_operating": -(zero_order + _OPERATING_OFFSET),
         "empirical": {"c1_need": c1_need,
                       "threshold_gap": threshold_gap,
                       "threshold_saturated": saturated},
         "corpus": {"L": L, "n": n, "draws": draws, "seed": seed,
-                   "k_max": k_max, "sup_v": sup_v, "fine_dt": fine_dt,
-                   "fine_T": fine_T, "ledger_dt": ledger_dt},
+                   "k_max": _CORPUS_K_MAX, "sup_v": _CORPUS_SUP_V,
+                   "fine_dt": _FINE_DT, "fine_T": fine_T,
+                   "ledger_dt": LEDGER_DT},
     }
 
 

@@ -7,13 +7,17 @@ Three equivalent realizations are provided and cross-checked:
 * ``apply_singular_integral``: the principal-value integral against the
   Macdonald kernel.  The PV is realized by pairing y <-> 2x - y; each
   kernel cell weight is the exact integral of the kernel over that cell,
-  the innermost half-cell and the first few cells get Taylor corrections
-  proportional to f'', and the kernel is truncated once its exponential
-  tail is negligible.
+  the innermost half-cell and the first KERNEL_NEAR_CELLS cells get
+  Taylor corrections proportional to f'', and the kernel is truncated at
+  distance KERNEL_FAR_CUTOFF / m, where its exponential tail is
+  negligible.  The weights are cached per (params, grid).
 * ``apply_subordination``: the heat-semigroup average
   (1/Gamma(-s)) int_0^inf (e^(t(lap - m^2)) f - f) t^(-1-s) dt
-  on a log-uniform time grid, refined until the requested tolerance holds
+  on a log-uniform time grid, refined until SUBORDINATION_REL_TOL holds
   per Fourier mode.
+
+Every discretization control is a module constant below: one value of
+each is in use, so none is a parameter.
 
 The carre du champ H(f,g) = L(fg) - f Lg - g Lf is computed from the same
 kernel cells, which keeps H(f,f) <= 0 exactly in the discretization.
@@ -36,13 +40,7 @@ from .errors import (
 )
 from .grid import GridFunction, centered_d1, centered_d2
 from .report import CheckReport, finish_report
-from .special import (
-    BesselEvalConfig,
-    DEFAULT_BESSEL_CONFIG,
-    frac_power_constant,
-    gamma,
-    macdonald_k,
-)
+from .special import frac_power_constant, gamma, macdonald_k
 
 
 @dataclass(frozen=True)
@@ -62,63 +60,27 @@ class OperatorParams:
             raise ConfigError(f"mass must be finite and >= 0, got m={self.m!r}")
 
 
-@dataclass(frozen=True)
-class SingularQuadConfig:
-    """Controls of the singular-integral discretization.
-
-    far_cutoff : kernel truncated at distance far_cutoff / m (>= 10, which
-                 puts the dropped exponential tail below 5e-5).
-    near_cells : number of cells next to the singularity that receive the
-                 second-moment Taylor correction.
-    gl_nodes   : Gauss-Legendre nodes per exact cell integral on the 32
-                 cells next to the singularity (and on the innermost
-                 half cell); farther cells take 4 nodes, whose error on
-                 cell k scales like (1/2k)^8.
-    """
-
-    far_cutoff: float = 25.0
-    near_cells: int = 16
-    gl_nodes: int = 12
-
-    def __post_init__(self):
-        if self.far_cutoff < 10.0:
-            raise ConfigError("far_cutoff must be at least 10")
-        if self.near_cells < 1:
-            raise ConfigError("near_cells must be at least 1")
-        if self.gl_nodes < 4:
-            raise ConfigError("gl_nodes must be at least 4")
-
-
-@dataclass(frozen=True)
-class SubordinationQuad:
-    """Quadrature spec of the subordination time integral (log-uniform grid).
-
-    rel_tol         : per-mode relative tolerance of the refinement.
-    initial_spacing : starting log-time spacing, halved on each refinement.
-    max_refinements : refinement budget before QuadratureError.
-    max_nodes       : cap on the per-mode node count of one evaluation.
-    """
-
-    rel_tol: float = 1e-10
-    initial_spacing: float = 0.2
-    max_refinements: int = 6
-    max_nodes: int = 100_000
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1e-2):
-            raise ConfigError("rel_tol must lie in (0, 1e-2)")
-        if not (0.0 < self.initial_spacing <= 1.0):
-            raise ConfigError("initial_spacing must lie in (0, 1]")
-        if self.max_refinements < 1 or self.max_nodes < 1024:
-            raise ConfigError("refinement budget too small")
-
-
-DEFAULT_SINGULAR_CONFIG = SingularQuadConfig()
-DEFAULT_SUBORDINATION_QUAD = SubordinationQuad()
-# Kernel cells past the first _NEAR_TIER_CELLS take _FAR_GL_NODES
-# Gauss-Legendre nodes; the n-node error on cell k scales like (1/2k)^(2n).
+# Singular-integral discretization.  The kernel is truncated at distance
+# KERNEL_FAR_CUTOFF / m (at least 10 puts the dropped exponential tail below
+# 5e-5).  The KERNEL_NEAR_CELLS cells next to the singularity receive the
+# second-moment Taylor correction.  The first _NEAR_TIER_CELLS cells (and the
+# innermost half cell) are integrated with KERNEL_GL_NODES Gauss-Legendre
+# nodes, every farther cell with _FAR_GL_NODES; the n-node error on cell k
+# scales like (1/2k)^(2n).
+KERNEL_FAR_CUTOFF = 25.0
+KERNEL_NEAR_CELLS = 16
+KERNEL_GL_NODES = 12
 _NEAR_TIER_CELLS = 32
 _FAR_GL_NODES = 4
+
+# Subordination time integral on a log-uniform grid: per-mode relative
+# tolerance, starting log-time spacing (halved on each refinement), the
+# refinement budget before QuadratureError, and the cap on the per-mode
+# node count of one evaluation.
+SUBORDINATION_REL_TOL = 1e-10
+SUBORDINATION_INITIAL_SPACING = 0.2
+SUBORDINATION_MAX_REFINEMENTS = 6
+SUBORDINATION_MAX_NODES = 100_000
 
 
 def frequencies(L: float, n: int) -> np.ndarray:
@@ -142,23 +104,20 @@ def apply_spectral(f: GridFunction, p: OperatorParams) -> GridFunction:
 # singular-integral path
 
 
-def _kernel_radial(p: OperatorParams, z: np.ndarray,
-                   bessel_cfg: BesselEvalConfig) -> np.ndarray:
+def _kernel_radial(p: OperatorParams, z: np.ndarray) -> np.ndarray:
     # |z|^(-nu) K_nu(m |z|) with nu = (1 + 2s)/2 in one dimension
     nu = 0.5 + p.s
-    return z ** (-nu) * macdonald_k(nu, p.m * z, bessel_cfg)
+    return z ** (-nu) * macdonald_k(nu, p.m * z)
 
 
 @functools.lru_cache(maxsize=16)
-def _kernel_weights(p: OperatorParams, L: float, n: int,
-                    quad: SingularQuadConfig,
-                    bessel_cfg: BesselEvalConfig) -> dict:
+def _kernel_weights(p: OperatorParams, L: float, n: int) -> dict:
     """Cell-integrated kernel weights, Taylor moments and the stencil
-    transform, cached per (params, grid, config) for the 16 latest keys."""
+    transform, cached per (params, grid) for the 16 latest keys."""
     h = L / n
-    r_far = min(quad.far_cutoff / p.m, 0.5 * L)
+    r_far = min(KERNEL_FAR_CUTOFF / p.m, 0.5 * L)
     k_far = min(n // 2, int(math.floor(r_far / h)))
-    if k_far < quad.near_cells + 2:
+    if k_far < KERNEL_NEAR_CELLS + 2:
         raise PreconditionError(
             "grid too coarse for the kernel cutoff: "
             f"only {k_far} cells inside the truncation radius")
@@ -166,11 +125,10 @@ def _kernel_weights(p: OperatorParams, L: float, n: int,
     # cell [kh - h/2, kh + h/2] mapped from [-1, 1], near and far tier
     # evaluated in one Macdonald call
     centers = np.arange(1, k_far + 1)[:, None] * h
-    tiers = [(centers[:_NEAR_TIER_CELLS], *leggauss(quad.gl_nodes)),
+    tiers = [(centers[:_NEAR_TIER_CELLS], *leggauss(KERNEL_GL_NODES)),
              (centers[_NEAR_TIER_CELLS:], *leggauss(_FAR_GL_NODES))]
     zs = [c + 0.5 * h * nodes[None, :] for c, nodes, _ in tiers]
-    gflat = _kernel_radial(p, np.concatenate([z.ravel() for z in zs]),
-                           bessel_cfg)
+    gflat = _kernel_radial(p, np.concatenate([z.ravel() for z in zs]))
     w, j2 = [], []
     for (c, _, gl_w), z, g in zip(tiers, zs, np.split(gflat, [zs[0].size])):
         gvals = g.reshape(z.shape)
@@ -179,15 +137,15 @@ def _kernel_weights(p: OperatorParams, L: float, n: int,
                              * gl_w[None, :]).sum(axis=1))
     w = np.concatenate(w)
     # second-moment mismatch of the near cells
-    j2_total = float(np.concatenate(j2)[: quad.near_cells].sum())
+    j2_total = float(np.concatenate(j2)[:KERNEL_NEAR_CELLS].sum())
 
     # innermost half cell: int_0^(h/2) z^2 g(z) dz; the z^(1-2s) behaviour
     # is flattened by the substitution z = (h/2) u^(1/(2-2s)), u in [0, 1]
     beta = 1.0 / (2.0 - 2.0 * p.s)
-    nodes, gl_w = leggauss(quad.gl_nodes)
+    nodes, gl_w = leggauss(KERNEL_GL_NODES)
     u = 0.5 * (nodes + 1.0)
     zin = 0.5 * h * u**beta
-    gin = _kernel_radial(p, zin, bessel_cfg)
+    gin = _kernel_radial(p, zin)
     jin = 0.5 * h * beta * 0.5 * float(
         (zin**2 * gin * u ** (beta - 1.0) * gl_w).sum())
 
@@ -219,13 +177,11 @@ def _require_singular_ok(p: OperatorParams) -> None:
         raise PreconditionError("singular-integral path requires m > 0")
 
 
-def apply_singular_integral(f: GridFunction, p: OperatorParams,
-                            quad: SingularQuadConfig = DEFAULT_SINGULAR_CONFIG,
-                            bessel_cfg: BesselEvalConfig = DEFAULT_BESSEL_CONFIG,
+def apply_singular_integral(f: GridFunction, p: OperatorParams
                             ) -> GridFunction:
     """Apply the operator through its principal-value kernel integral."""
     _require_singular_ok(p)
-    kw = _kernel_weights(p, f.L, f.n, quad, bessel_cfg)
+    kw = _kernel_weights(p, f.L, f.n)
     v = f.values
     conv = np.fft.irfft(kw["stencil_hat"] * np.fft.rfft(v), f.n)
     pv = kw["w0"] * v - conv - centered_d2(f) * kw["moment"]
@@ -234,10 +190,7 @@ def apply_singular_integral(f: GridFunction, p: OperatorParams,
 
 
 def apply_singular_at(f: GridFunction, p: OperatorParams,
-                      indices: np.ndarray,
-                      quad: SingularQuadConfig = DEFAULT_SINGULAR_CONFIG,
-                      bessel_cfg: BesselEvalConfig = DEFAULT_BESSEL_CONFIG,
-                      ) -> np.ndarray:
+                      indices: np.ndarray) -> np.ndarray:
     """Kernel application evaluated only at the given indices by direct
     summation.
 
@@ -249,7 +202,7 @@ def apply_singular_at(f: GridFunction, p: OperatorParams,
     """
     _require_singular_ok(p)
     idx = np.asarray(indices, dtype=int)
-    kw = _kernel_weights(p, f.L, f.n, quad, bessel_cfg)
+    kw = _kernel_weights(p, f.L, f.n)
     v = f.values
     w = kw["w"]
     vi = v[idx]
@@ -262,9 +215,7 @@ def apply_singular_at(f: GridFunction, p: OperatorParams,
     return kw["c_full"] * (acc - d2 * kw["moment"]) + p.m ** (2.0 * p.s) * vi
 
 
-def carre_du_champ(f: GridFunction, g: GridFunction, p: OperatorParams,
-                   quad: SingularQuadConfig = DEFAULT_SINGULAR_CONFIG,
-                   bessel_cfg: BesselEvalConfig = DEFAULT_BESSEL_CONFIG,
+def carre_du_champ(f: GridFunction, g: GridFunction, p: OperatorParams
                    ) -> GridFunction:
     """H(f, g) = L(fg) - f Lg - g Lf through the kernel cells.
 
@@ -276,7 +227,7 @@ def carre_du_champ(f: GridFunction, g: GridFunction, p: OperatorParams,
     _require_singular_ok(p)
     if (f.L, f.n) != (g.L, g.n):
         raise PreconditionError("operands must share one grid")
-    kw = _kernel_weights(p, f.L, f.n, quad, bessel_cfg)
+    kw = _kernel_weights(p, f.L, f.n)
     fv, gv = f.values, g.values
     conv_f = np.fft.irfft(kw["stencil_hat"] * np.fft.rfft(fv), f.n)
     conv_g = np.fft.irfft(kw["stencil_hat"] * np.fft.rfft(gv), f.n)
@@ -291,8 +242,7 @@ def carre_du_champ(f: GridFunction, g: GridFunction, p: OperatorParams,
 # subordination path
 
 
-def subordination_multiplier(gam: np.ndarray, s: float,
-                             t_quad: SubordinationQuad) -> np.ndarray:
+def subordination_multiplier(gam: np.ndarray, s: float) -> np.ndarray:
     """(1/Gamma(-s)) int_0^inf (exp(-t*gam) - 1) t^(-1-s) dt per entry,
     by refined trapezoid in u = log t.  Converges to gam^s."""
     if not (0.0 < s < 1.0):
@@ -308,8 +258,8 @@ def subordination_multiplier(gam: np.ndarray, s: float,
     scale = abs(gamma_neg) * g_lo**s
 
     # window: the small-t side contributes at most g_hi e^((1-s)u)/(1-s),
-    # the large-t side e^(-s u)/s; both pushed below rel_tol * scale.
-    tol = t_quad.rel_tol * scale
+    # the large-t side e^(-s u)/s; both pushed below the tolerance * scale.
+    tol = SUBORDINATION_REL_TOL * scale
     u_lo = math.log(tol * (1.0 - s) / g_hi) / (1.0 - s)
     u_hi = -math.log(tol * s) / s
     if u_hi <= u_lo:
@@ -319,39 +269,38 @@ def subordination_multiplier(gam: np.ndarray, s: float,
 
     def evaluate(du: float) -> np.ndarray:
         n_nodes = int(math.ceil((u_hi - u_lo) / du)) + 1
-        if n_nodes > t_quad.max_nodes:
+        if n_nodes > SUBORDINATION_MAX_NODES:
             raise QuadratureError(
                 f"subordination window needs {n_nodes} nodes "
-                f"(cap {t_quad.max_nodes}); s={s:g} is too extreme for "
-                f"rel_tol={t_quad.rel_tol:g}")
+                f"(cap {SUBORDINATION_MAX_NODES}); s={s:g} is too extreme "
+                f"for rel_tol={SUBORDINATION_REL_TOL:g}")
         u = np.linspace(u_lo, u_hi, n_nodes)
         vals = np.expm1(-gcol * np.exp(u)[None, :]) * np.exp(-s * u)[None, :]
         total = vals.sum(axis=1) - 0.5 * (vals[:, 0] + vals[:, -1])
         return total * (u[1] - u[0])
 
-    du = t_quad.initial_spacing
+    du = SUBORDINATION_INITIAL_SPACING
     prev = evaluate(du)
-    for _ in range(t_quad.max_refinements):
+    for _ in range(SUBORDINATION_MAX_REFINEMENTS):
         du *= 0.5
         cur = evaluate(du)
         if np.all(np.abs(cur - prev)
-                  <= t_quad.rel_tol * np.maximum(np.abs(cur), scale)):
+                  <= SUBORDINATION_REL_TOL * np.maximum(np.abs(cur), scale)):
             out[pos] = cur / gamma_neg
             return out
         prev = cur
     raise QuadratureError(
-        f"subordination quadrature stalled above rel_tol={t_quad.rel_tol:g} "
-        f"after {t_quad.max_refinements} refinements")
+        f"subordination quadrature stalled above "
+        f"rel_tol={SUBORDINATION_REL_TOL:g} after "
+        f"{SUBORDINATION_MAX_REFINEMENTS} refinements")
 
 
-def apply_subordination(f: GridFunction, p: OperatorParams,
-                        t_quad: SubordinationQuad = DEFAULT_SUBORDINATION_QUAD,
-                        ) -> GridFunction:
+def apply_subordination(f: GridFunction, p: OperatorParams) -> GridFunction:
     """Apply the operator through the subordinated heat semigroup."""
     if not (0.0 < p.s < 1.0):
         raise PreconditionError("subordination requires s in (0, 1)")
     xi = frequencies(f.L, f.n)
-    mult = subordination_multiplier(xi * xi + p.m * p.m, p.s, t_quad)
+    mult = subordination_multiplier(xi * xi + p.m * p.m, p.s)
     out = np.fft.irfft(mult * np.fft.rfft(f.values), f.n)
     return f.with_values(out)
 
@@ -434,7 +383,6 @@ def _angular_excess(N: int, lam: float, r: np.ndarray) -> np.ndarray:
 
 
 def bessel_identity_check(lambda_abs: float, N: int, s: float,
-                          bessel_cfg: BesselEvalConfig = DEFAULT_BESSEL_CONFIG,
                           tolerance: float = 1e-5) -> CheckReport:
     """Weighted kernel integral against its closed form.
 
@@ -468,7 +416,7 @@ def bessel_identity_check(lambda_abs: float, N: int, s: float,
 
     def integrand(v: np.ndarray) -> np.ndarray:
         r = np.exp(v)
-        ktil = macdonald_k(nu, r, bessel_cfg, scaled=True)
+        ktil = macdonald_k(nu, r, scaled=True)
         # minus sign: the identity integrand carries (1 - e^(lam.z))
         return -_angular_excess(N, lam, r) * ktil * r ** (N - nu)
 
@@ -501,8 +449,6 @@ def bessel_identity_check(lambda_abs: float, N: int, s: float,
 
 def eigenfunction_residual(lam: float, p: OperatorParams,
                            window: GridFunction,
-                           quad: SingularQuadConfig = DEFAULT_SINGULAR_CONFIG,
-                           bessel_cfg: BesselEvalConfig = DEFAULT_BESSEL_CONFIG,
                            tolerance: float = 1e-3) -> CheckReport:
     """Residual of L e^(lambda x) = (m^2 - lambda^2)^s e^(lambda x).
 
@@ -519,7 +465,7 @@ def eigenfunction_residual(lam: float, p: OperatorParams,
     x = window.x
     f = window.with_values(window.values * np.exp(lam * x))
     core = np.nonzero(np.abs(x) <= window.L / 16.0)[0]
-    applied = apply_singular_at(f, p, core, quad, bessel_cfg)
+    applied = apply_singular_at(f, p, core)
     mu = (p.m * p.m - lam * lam) ** p.s
     target = mu * np.exp(lam * x[core])
     rel = np.abs(applied - target) / np.max(np.abs(target))

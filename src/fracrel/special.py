@@ -1,23 +1,25 @@
 """Macdonald functions, the fractional-power normalization constant, and the
 closed-form half-power heat kernel.
 
-The Macdonald function K_nu is evaluated by three cooperating strategies:
+The Macdonald function K_nu is evaluated by three cooperating strategies,
+with fixed module constants as their controls:
 
 * an ascending series built from the modified Bessel functions I_{+nu} and
-  I_{-nu}, used for small arguments when nu is safely away from an integer
-  (the I-pair difference cancels catastrophically near integer order);
+  I_{-nu}, used below SERIES_CUTOFF_Z when nu is safely away from an
+  integer (the I-pair difference cancels catastrophically near integer
+  order);
 * trapezoid quadrature of the integral representation
   K_nu(z) = int_0^inf exp(-z cosh w) cosh(nu w) dw, in the sum form.  The
   sorted arguments are taken in blocks of 2048, so the (points x nodes)
   matrix stays a few MB at any input size, and each block is refined by
   nested doubling (every level adds only the new odd nodes to half the
-  previous sum) until its own points meet the requested relative
-  tolerance (QuadratureError if the node cap comes first).  The
+  previous sum) until its own points meet the relative tolerance
+  QUAD_REL_TOL (QuadratureError if the cap MAX_QUAD_NODES comes first).  The
   representation holds at every real nu, so this path is valid for every
   (nu, z), integer orders included;
-* the large-argument expansion sqrt(pi/(2z)) exp(-z) (1 + ...), with the
-  running term monitored and a fallback to quadrature whenever the
-  expansion cannot reach tolerance.
+* the large-argument expansion sqrt(pi/(2z)) exp(-z) (1 + ...) from
+  ASYMPTOTIC_SWITCH_Z on, with the running term monitored and a fallback
+  to quadrature whenever the expansion cannot reach QUAD_REL_TOL.
 
 The series and quadrature branches are required to agree to 1e-8 relative
 in an overlap window around the series cutoff; the test-suite enforces it.
@@ -25,45 +27,26 @@ in an overlap window around the series cutoff; the test-suite enforces it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, PoleError, QuadratureError
+from .errors import DomainError, PoleError, QuadratureError
 
+# Arguments below this go to the ascending series.
+SERIES_CUTOFF_Z = 2.0
 # Branch switch to the large-argument expansion.
 ASYMPTOTIC_SWITCH_Z = 30.0
+# Relative tolerance of the quadrature refinement and of the asymptotic
+# expansion's running term.
+QUAD_REL_TOL = 1e-12
+# Hard cap on quadrature nodes per refinement level (QuadratureError past it).
+MAX_QUAD_NODES = 20000
 # Below this distance to the nearest integer the I-pair series is abandoned.
 INTEGER_GUARD = 0.05
 
 _SERIES_MAX_TERMS = 60
 # Points per quadrature block; bounds the (points x nodes) matrix.
 _QUAD_BLOCK = 2048
-
-
-@dataclass(frozen=True)
-class BesselEvalConfig:
-    """Evaluation controls for :func:`macdonald_k`.
-
-    series_cutoff_z : arguments below this go to the ascending series.
-    quad_rel_tol    : relative tolerance of the quadrature refinement.
-    max_quad_nodes  : hard cap on quadrature nodes per refinement level.
-    """
-
-    series_cutoff_z: float = 2.0
-    quad_rel_tol: float = 1e-12
-    max_quad_nodes: int = 20000
-
-    def __post_init__(self):
-        if not (0.5 <= self.series_cutoff_z <= 10.0):
-            raise ConfigError("series_cutoff_z must lie in [0.5, 10]")
-        if not (0.0 < self.quad_rel_tol <= 1e-6):
-            raise ConfigError("quad_rel_tol must lie in (0, 1e-6]")
-        if self.max_quad_nodes < 64:
-            raise ConfigError("max_quad_nodes must be at least 64")
-
-
-DEFAULT_BESSEL_CONFIG = BesselEvalConfig()
 
 
 def gamma(x: float) -> float:
@@ -99,24 +82,23 @@ def _kv_series(nu: float, z: np.ndarray) -> np.ndarray:
     return 0.5 * math.pi * (i_minus - i_plus) / math.sin(math.pi * nu)
 
 
-def _kv_quadrature(nu: float, z: np.ndarray, cfg: BesselEvalConfig) -> np.ndarray:
+def _kv_quadrature(nu: float, z: np.ndarray) -> np.ndarray:
     # Scaled value exp(z) K_nu(z), one block of _QUAD_BLOCK sorted points at
     # a time, so the (points x nodes) matrix stays bounded.
     order = np.argsort(z)
     out = np.empty_like(z)
     for start in range(0, z.size, _QUAD_BLOCK):
         idx = order[start : start + _QUAD_BLOCK]
-        out[idx] = _kv_quadrature_block(nu, z[idx], cfg)
+        out[idx] = _kv_quadrature_block(nu, z[idx])
     return out
 
 
-def _kv_quadrature_block(nu: float, z: np.ndarray,
-                         cfg: BesselEvalConfig) -> np.ndarray:
+def _kv_quadrature_block(nu: float, z: np.ndarray) -> np.ndarray:
     # Trapezoid on [0, w_max] of exp(-z(cosh w - 1)) cosh(nu w).  w_max makes
     # the dropped tail < 1e-14 relative: past sinh w = (nu+30)/z the exponent
     # falls at rate >= 30.  Each doubling is nested, T_{2n-1} = T_n / 2 +
     # h' sum f(new odd nodes), and runs until every point of the block agrees
-    # with the previous level to quad_rel_tol.
+    # with the previous level to QUAD_REL_TOL.
     w_max = math.asinh((nu + 30.0) / float(np.min(z))) + 2.0
 
     def integrand(w: np.ndarray) -> np.ndarray:
@@ -131,14 +113,14 @@ def _kv_quadrature_block(nu: float, z: np.ndarray,
                 + 0.5 * vals[:, -1])
     while True:
         n_next = 2 * n - 1
-        if n_next > cfg.max_quad_nodes:
+        if n_next > MAX_QUAD_NODES:
             raise QuadratureError(
                 f"Macdonald quadrature for nu={nu:g} did not converge "
-                f"within max_quad_nodes={cfg.max_quad_nodes}")
+                f"within {MAX_QUAD_NODES} nodes")
         h *= 0.5
         cur = 0.5 * prev + h * integrand(
             h * np.arange(1, n_next, 2)).sum(axis=1)
-        done = np.abs(cur - prev) <= cfg.quad_rel_tol * np.abs(cur)
+        done = np.abs(cur - prev) <= QUAD_REL_TOL * np.abs(cur)
         prev, n = cur, n_next
         if np.all(done):
             return prev
@@ -173,8 +155,7 @@ def _kv_asymptotic(nu: float, z: np.ndarray, rel_tol: float):
     return np.sqrt(0.5 * math.pi / z) * total, converged
 
 
-def macdonald_k(nu: float, z, cfg: BesselEvalConfig | None = None,
-                scaled: bool = False):
+def macdonald_k(nu: float, z, scaled: bool = False):
     """Macdonald function K_nu(z) for nu >= 0, z > 0.
 
     Parameters
@@ -183,8 +164,6 @@ def macdonald_k(nu: float, z, cfg: BesselEvalConfig | None = None,
         Order, nonnegative.
     z : float or array_like
         Argument(s), strictly positive.
-    cfg : BesselEvalConfig, optional
-        Evaluation controls.
     scaled : bool
         When True, return exp(z) * K_nu(z), which stays representable for
         large arguments.
@@ -193,7 +172,6 @@ def macdonald_k(nu: float, z, cfg: BesselEvalConfig | None = None,
     -------
     float or ndarray matching the shape of ``z``.
     """
-    cfg = cfg or DEFAULT_BESSEL_CONFIG
     nu = float(nu)
     if nu < 0.0:
         raise DomainError(f"order must be nonnegative, got nu={nu:g}")
@@ -207,7 +185,7 @@ def macdonald_k(nu: float, z, cfg: BesselEvalConfig | None = None,
     out = np.empty_like(flat)
 
     near_int = abs(nu - round(nu)) < INTEGER_GUARD
-    small = flat < cfg.series_cutoff_z
+    small = flat < SERIES_CUTOFF_Z
     large = flat >= ASYMPTOTIC_SWITCH_Z
     mid = ~small & ~large
 
@@ -226,13 +204,13 @@ def macdonald_k(nu: float, z, cfg: BesselEvalConfig | None = None,
         out[series_mask] = vals * np.exp(zs) if scaled else vals
     if np.any(quad_mask):
         zq = flat[quad_mask]
-        v = _kv_quadrature(nu, zq, cfg)
+        v = _kv_quadrature(nu, zq)
         out[quad_mask] = v if scaled else v * np.exp(-zq)
     if np.any(large):
         zl = flat[large]
-        v, ok = _kv_asymptotic(nu, zl, cfg.quad_rel_tol)
+        v, ok = _kv_asymptotic(nu, zl, QUAD_REL_TOL)
         if not np.all(ok):
-            v[~ok] = _kv_quadrature(nu, zl[~ok], cfg)
+            v[~ok] = _kv_quadrature(nu, zl[~ok])
         out[large] = v if scaled else v * np.exp(-zl)
 
     out = out.reshape(z_arr.shape)
@@ -254,8 +232,7 @@ def frac_power_constant(N: int, s: float) -> float:
     return -(2.0 ** (1.0 + s - N / 2.0)) / (math.pi ** (N / 2.0) * gamma(-s))
 
 
-def half_kernel_explicit(t: float, x, m: float, N: int = 1,
-                         cfg: BesselEvalConfig | None = None):
+def half_kernel_explicit(t: float, x, m: float, N: int = 1):
     """Closed-form heat kernel of the half power (s = 1/2) with mass m.
 
     K_t(x) = 2^((1-N)/2) pi^(-(N+1)/2) m^((N+1)/2) t
@@ -276,7 +253,7 @@ def half_kernel_explicit(t: float, x, m: float, N: int = 1,
     nu = 0.5 * (N + 1.0)
     pref = (2.0 ** (0.5 * (1.0 - N)) * math.pi ** (-0.5 * (N + 1.0))
             * m ** (0.5 * (N + 1.0)) * t)
-    vals = pref * rho ** (-0.5 * (N + 1.0)) * macdonald_k(nu, m * rho, cfg)
+    vals = pref * rho ** (-0.5 * (N + 1.0)) * macdonald_k(nu, m * rho)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(vals)
     return vals

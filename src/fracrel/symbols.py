@@ -71,6 +71,21 @@ _DOMINANCE_SLACK = 1e-9
 
 _CALIBRATION_RESOURCE = "symbol_calibration.json"
 
+# Every symbol calibration runs at R = 1 and freezes its measured constant
+# with a safety factor of 2.
+CALIBRATION_R = 1.0
+_CALIBRATION_SAFETY = 2.0
+
+# Quadratic Carleman corpus geometry, shared by the calibration and the CLI
+# suite: a periodic box of length QUADRATIC_L with QUADRATIC_N nodes and, in
+# parabolic mode, QUADRATIC_NT uniform times on [0, QUADRATIC_T_SPAN].
+QUADRATIC_L = 8.0
+QUADRATIC_N = 512
+QUADRATIC_NT = 48
+QUADRATIC_T_SPAN = 1.0
+# Operands per mode in the quadratic calibration.
+_QUADRATIC_CALIBRATION_COUNT = 20
+
 
 # ---------------------------------------------------------------------------
 # weight, phase-space point, support region
@@ -500,13 +515,17 @@ def _require_sweep_params(p: OperatorParams, what: str) -> None:
         raise PreconditionError(f"{what} 1/2 < s < 1, got s={p.s!r}")
 
 
+def _require_admissible_mass(w: QuadraticWeight, p: OperatorParams) -> None:
+    if p.m > 2.0 * w.alpha / w.R * (1.0 + 1e-12):
+        raise AdmissibilityError(
+            f"mass {p.m:g} exceeds 2 alpha/R = {2.0 * w.alpha / w.R:g}")
+
+
 def require_admissible_weight(w: QuadraticWeight, p: OperatorParams,
                               c_hyp: float) -> None:
     """The two gate constraints: m <= 2 alpha/R and steepness over the
     profile norms.  Raises AdmissibilityError with the failing margin."""
-    if p.m > 2.0 * w.alpha / w.R * (1.0 + 1e-12):
-        raise AdmissibilityError(
-            f"mass {p.m:g} exceeds 2 alpha/R = {2.0 * w.alpha / w.R:g}")
+    _require_admissible_mass(w, p)
     need = c_hyp * w.profile_norm()
     if w.slope(p.s) < need * (1.0 - 1e-12):
         raise AdmissibilityError(
@@ -1040,9 +1059,7 @@ def carleman_quadratic_check(fs, w: QuadraticWeight, p: OperatorParams,
     c1 = float(constants["c1"])
     c2 = float(constants["c2"])
     c_weight = float(constants["C_weight"])
-    if p.m > 2.0 * w.alpha / w.R * (1.0 + 1e-12):
-        raise AdmissibilityError(
-            f"mass {p.m:g} exceeds 2 alpha/R = {2.0 * w.alpha / w.R:g}")
+    _require_admissible_mass(w, p)
     if w.alpha ** (4.0 * p.s - 1.0) < c_weight * w.R ** (4.0 * p.s) * (1.0 - 1e-12):
         raise AdmissibilityError(
             f"alpha^(4s-1) = {w.alpha ** (4.0 * p.s - 1.0):.6g} is under the "
@@ -1140,18 +1157,15 @@ def appendix_conjugation_check(dim_matrix: int, s: float, phi_values,
 # calibration (run offline; results frozen in data/symbol_calibration.json)
 
 
-def calibrate_positivity(s: float, m_ratio: float, *, R: float = 1.0,
-                         alphas=None, safety: float = 2.0,
-                         operating_alphas=None) -> dict:
-    """Scan the weight steepness downward to the first dominance failure
-    and freeze the admissibility constant with a safety factor, plus a
-    certified floor on the sweep ratio at the operating configs (by default
-    the first admissible steepness and two doublings of it)."""
-    if alphas is None:
-        alphas = np.geomspace(0.5, 400.0, 40)
+def calibrate_positivity(s: float, m_ratio: float) -> dict:
+    """Scan the weight steepness upward to the first steepness whose
+    dominance ladder holds, freeze the admissibility constant with the
+    safety factor, and certify a floor on the sweep ratio at three
+    operating steepnesses: the first admissible one and two doublings."""
+    R, safety = CALIBRATION_R, _CALIBRATION_SAFETY
     profile = lambda a: QuadraticWeight.decaying(a, R)
     breaking = None
-    for a in sorted(alphas):
+    for a in np.geomspace(0.5, 400.0, 40):
         w = profile(float(a))
         p = OperatorParams(s, m_ratio * 2.0 * w.alpha / w.R)
         rep = positivity_sweep(w, p, constants=(0.0, 0.0), enforce=False)
@@ -1164,13 +1178,11 @@ def calibrate_positivity(s: float, m_ratio: float, *, R: float = 1.0,
         raise CalibrationError("no alpha in the scan satisfied the ladder")
     w_floor = profile(breaking)
     c_hyp = safety * w_floor.slope(s) / w_floor.profile_norm()
-    if operating_alphas is None:
-        # admissibility with the safety factor starts at
-        # safety^{1/(2s-1)} * alpha_floor; pad by 5% and double twice
-        base = 1.05 * safety ** (1.0 / (2.0 * s - 1.0)) * breaking
-        operating_alphas = (base, 2.0 * base, 4.0 * base)
+    # admissibility with the safety factor starts at
+    # safety^{1/(2s-1)} * alpha_floor; pad by 5% and double twice
+    base = 1.05 * safety ** (1.0 / (2.0 * s - 1.0)) * breaking
     ratios = []
-    for a in operating_alphas:
+    for a in (base, 2.0 * base, 4.0 * base):
         w = profile(float(a))
         p = OperatorParams(s, m_ratio * 2.0 * w.alpha / w.R)
         rep = positivity_sweep(w, p, constants=(c_hyp, 0.0))
@@ -1181,31 +1193,31 @@ def calibrate_positivity(s: float, m_ratio: float, *, R: float = 1.0,
             "operating_ratio_min": float(min(ratios))}
 
 
-def calibrate_garding(s: float, m_ratio: float, *, R: float = 1.0,
-                      alphas=(40.0, 100.0, 250.0), safety: float = 2.0) -> dict:
+def calibrate_garding(s: float, m_ratio: float) -> dict:
     """Measure the derivative-bound constant over steady-profile operating
-    configs and freeze it with a safety factor.  Steady profiles keep the
+    configs and freeze it with the safety factor.  Steady profiles keep the
     profile-driven terms out, which is the regime where the envelope's
     alpha-scaling is exact; moving profiles are measured with an explicit
     constants override."""
     worst = 0.0
-    for a in alphas:
-        w = QuadraticWeight.constant(float(a), R, 3.0)
+    for a in (40.0, 100.0, 250.0):
+        w = QuadraticWeight.constant(a, CALIBRATION_R, 3.0)
         p = OperatorParams(s, m_ratio * 2.0 * w.alpha / w.R)
         rep = garding_hypothesis_check(w, p, constants=1.0)
         worst = max(worst, rep.measured["measured"] / rep.measured["bound"])
     return {"s": float(s), "m_ratio": float(m_ratio),
-            "C_ref": float(safety * worst), "profile": "constant"}
+            "C_ref": float(_CALIBRATION_SAFETY * worst),
+            "profile": "constant"}
 
 
 def calibrate_quadratic(mode: str, s: float, m_ratio: float, *,
-                        R: float = 1.0, L: float = 8.0, n: int = 512,
-                        count: int = 20, seed: int = 20260822,
-                        nt: int = 48, t_span: float = 1.0) -> dict:
+                        n: int = QUADRATIC_N, seed: int = 20260822) -> dict:
     """Pick the largest joint (c1, c2) leaving a factor-2 margin over the
     operand family, capped at 1.  The steepness floor C_weight = 1 is
     recorded with them; the measured headroom shows how far the inequality
     sits from binding."""
+    R, L = CALIBRATION_R, QUADRATIC_L
+    count, nt = _QUADRATIC_CALIBRATION_COUNT, QUADRATIC_NT
     c_weight = 1.0
     alpha = 2.0 * (c_weight * R ** (4.0 * s)) ** (1.0 / (4.0 * s - 1.0))
     m = m_ratio * 2.0 * alpha / R
@@ -1216,7 +1228,7 @@ def calibrate_quadratic(mode: str, s: float, m_ratio: float, *,
         fs = elliptic_test_family(w, L, n, count, rng)
     else:
         w = QuadraticWeight.decaying(alpha, R)
-        times = np.linspace(0.0, t_span, nt)
+        times = np.linspace(0.0, QUADRATIC_T_SPAN, nt)
         fs = parabolic_test_family(w, L, n, times, count, rng)
     coef1 = s * s * (alpha / R ** 2)
     coef2 = s * s * (alpha ** (4.0 * s - 1.0) / R ** (4.0 * s))

@@ -84,7 +84,16 @@ def test_load_config_rejects_bad_values(tmp_path):
             ({"operator.s": 0.0}, "operator.s"),
             ({"operator.m": -1.0}, "operator.m"),
             ({"sweep.count": 0}, "sweep.count"),
-            ({"output.dir": ""}, "output.dir")):
+            ({"output.dir": ""}, "output.dir"),
+            ({"tolerance.energy": float("inf")}, "tolerance.energy"),
+            ({"grid.L": float("inf")}, "grid.L"),
+            ({"quadratic.alpha": float("inf")}, "quadratic.alpha"),
+            ({"linear.drift": float("-inf")}, "linear.drift"),
+            ({"linear.lam": float("nan")}, "linear.lam"),
+            ({"operator.m": float("nan")}, "operator.m"),
+            ({"grid.L": 10 ** 400}, "grid.L"),
+            ({"grid.n": float("inf")}, "grid.n"),
+            ({"seed": float("nan")}, "seed")):
         path = write_config(tmp_path, **overrides)
         with pytest.raises(ConfigError, match=re.escape(key)):
             load_config(path)
@@ -192,6 +201,18 @@ def test_run_malformed_config_exit_code(tmp_path, capsys):
     assert main(["run", str(cfg3)]) == 2
     assert "operator.s" in capsys.readouterr().err
     assert not (tmp_path / "domain").exists()
+
+
+def test_run_rejects_non_finite_tolerances(tmp_path, capsys):
+    # json reads Infinity; an infinite tolerance would pass every check
+    cfg = write_config(tmp_path, **{
+        "suite": "heat", "output.dir": str(tmp_path / "out"),
+        "tolerance.energy": float("inf"),
+        "tolerance.log_convexity": float("inf")})
+    assert "Infinity" in cfg.read_text()
+    assert main(["run", str(cfg)]) == 2
+    assert "tolerance.energy" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_linear_suite_evolves_each_trajectory_once(monkeypatch):

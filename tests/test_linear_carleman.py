@@ -32,8 +32,8 @@ from fracrel.linear_carleman import (CarlemanLedger, LinearWeight,
                                      functional_H, load_calibration,
                                      monotonicity_check, spectral_carre,
                                      tent_identity_check)
-from fracrel.operator import (OperatorParams, SingularQuadConfig,
-                              carre_du_champ)
+from fracrel import operator as op
+from fracrel.operator import OperatorParams, carre_du_champ
 
 P_HALF = OperatorParams(0.5, 1.0)
 W_MAIN = LinearWeight(0.5, -11.0)          # the operating drift -(m^(2s)+10)
@@ -61,11 +61,11 @@ def one_row(g, t=0.0):
     return SpaceTimeFunction(g.L, g.n, [t], g.values[None, :])
 
 
-def kernel_cell_production(g, w, p, **quad):
+def kernel_cell_production(g, w, p):
     """D at t = 0 from the kernel-cell quadratic form rather than the
     transform, a genuinely different discretization:
     (drift - mu) H + int e^(lam x) H(u, u)."""
-    form = carre_du_champ(g, g, p, **quad)
+    form = carre_du_champ(g, g, p)
     return w.drift_gap(p) * functional_H(one_row(g), w)[0] \
         + weighted_integral(g, form.values, w.lam, "quadratic-form integrand")
 
@@ -142,15 +142,26 @@ def test_tilted_mass_is_the_series_mass_column():
 
 # ---------------------------------------------------------------- production
 
-def test_production_routes_agree():
+@pytest.fixture
+def tight_kernel(monkeypatch):
+    """The kernel cells at a wider cutoff, more corrected cells and a higher
+    order than the production constants (there the routes differ by 4e-6)."""
+    monkeypatch.setattr(op, "KERNEL_FAR_CUTOFF", 45.0)
+    monkeypatch.setattr(op, "KERNEL_NEAR_CELLS", 64)
+    monkeypatch.setattr(op, "KERNEL_GL_NODES", 24)
+    op._kernel_weights.cache_clear()
+    yield
+    op._kernel_weights.cache_clear()
+
+
+def test_production_routes_agree(tight_kernel):
     # kernel-cell route vs the spectral route, mild tilt so the tilted
     # far field stays above the kernel transform's roundoff floor
     g = gaussian(64.0, 2048, sigma=2.0)
-    tight = SingularQuadConfig(far_cutoff=45.0, near_cells=64, gl_nodes=24)
     for lam in (0.25, 0.0):
         w = LinearWeight(lam, -5.0)
         d_direct = functional_D(one_row(g), w, P_HALF)[0]
-        d_kernel = kernel_cell_production(g, w, P_HALF, quad=tight)
+        d_kernel = kernel_cell_production(g, w, P_HALF)
         assert abs(d_direct - d_kernel) <= 1e-6 * abs(d_direct)
 
 

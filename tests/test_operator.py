@@ -83,12 +83,10 @@ def test_apply_singular_at_matches_fft_route():
 def test_subordination_multiplier_matches_power():
     gam = np.array([0.25, 1.0, 7.3, 1.4e5])
     for s in (0.1, 0.45, 0.9):
-        got = op.subordination_multiplier(gam, s,
-                                          op.DEFAULT_SUBORDINATION_QUAD)
+        got = op.subordination_multiplier(gam, s)
         np.testing.assert_allclose(got, gam**s, rtol=5e-10)
     # frozen spot value (mpmath): 7.3^0.45
-    got = op.subordination_multiplier(np.array([7.3]), 0.45,
-                                      op.DEFAULT_SUBORDINATION_QUAD)
+    got = op.subordination_multiplier(np.array([7.3]), 0.45)
     assert got[0] == pytest.approx(2.4462187296425368975, rel=1e-9)
 
 
@@ -101,11 +99,12 @@ def test_subordination_zero_mode_massless():
     np.testing.assert_allclose(got, want, atol=1e-9)
 
 
-def test_subordination_node_cap_raises():
-    q = op.SubordinationQuad(rel_tol=1e-10, initial_spacing=0.002,
-                             max_refinements=2, max_nodes=1024)
+def test_subordination_node_cap_raises(monkeypatch):
+    # the window for gam up to 1e8 needs 634 nodes at the starting spacing
+    # and 1267 after one halving, past the lowered cap
+    monkeypatch.setattr(op, "SUBORDINATION_MAX_NODES", 1024)
     with pytest.raises(QuadratureError):
-        op.subordination_multiplier(np.array([1.0, 1e8]), 0.5, q)
+        op.subordination_multiplier(np.array([1.0, 1e8]), 0.5)
 
 
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
@@ -224,10 +223,6 @@ def test_param_validation():
                 {"s": 0.5, "m": -1.0}):
         with pytest.raises(ConfigError):
             op.OperatorParams(**bad)
-    with pytest.raises(ConfigError):
-        op.SingularQuadConfig(far_cutoff=5.0)
-    with pytest.raises(ConfigError):
-        op.SubordinationQuad(rel_tol=0.5)
 
 
 def test_singular_needs_positive_mass_and_fractional_power():
@@ -249,19 +244,16 @@ def test_grid_too_coarse_for_kernel():
 
 
 def _build_weights(s, m, n=N):
-    return op._kernel_weights(op.OperatorParams(s, m), L, n,
-                              op.DEFAULT_SINGULAR_CONFIG,
-                              op.DEFAULT_BESSEL_CONFIG)
+    return op._kernel_weights(op.OperatorParams(s, m), L, n)
 
 
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
 @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
 def test_tiered_cell_weights_match_full_order(s, m):
-    # reference: gl_nodes on every cell, kernel from scipy's K_nu
+    # reference: the near-tier order on every cell, kernel from scipy's K_nu
     w = _build_weights(s, m)["w"]
     h, nu = L / N, 0.5 + s
-    nodes, gl_w = np.polynomial.legendre.leggauss(
-        op.DEFAULT_SINGULAR_CONFIG.gl_nodes)
+    nodes, gl_w = np.polynomial.legendre.leggauss(op.KERNEL_GL_NODES)
     z = np.arange(1, len(w) + 1)[:, None] * h + 0.5 * h * nodes[None, :]
     ref = 0.5 * h * (z ** (-nu) * sp.kv(nu, m * z) * gl_w).sum(axis=1)
     rel = np.max(np.abs(w - ref) / ref)
@@ -280,9 +272,7 @@ def test_cold_kernel_build_memory_is_bounded():
     # the dense (points x nodes) quadrature matrix used to peak at 384 MB
     tracemalloc.start()
     try:
-        op._kernel_weights.__wrapped__(
-            op.OperatorParams(0.5, 0.5), L, N, op.DEFAULT_SINGULAR_CONFIG,
-            op.DEFAULT_BESSEL_CONFIG)
+        op._kernel_weights.__wrapped__(op.OperatorParams(0.5, 0.5), L, N)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

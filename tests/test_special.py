@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from fracrel.errors import ConfigError, DomainError, PoleError, QuadratureError
+from fracrel import special
+from fracrel.errors import DomainError, PoleError, QuadratureError
 from fracrel.special import (
-    BesselEvalConfig,
+    _kv_quadrature,
+    _kv_series,
     frac_power_constant,
     gamma,
     half_kernel_explicit,
@@ -104,11 +106,12 @@ def test_large_argument_law(nu):
 
 
 def test_series_quadrature_overlap():
-    # the same z evaluated on either side of the route switch must agree
+    # the same z evaluated by either route around the switch must agree
     z = np.linspace(1.0, 3.0, 41)
-    lo = macdonald_k(0.7, z, BesselEvalConfig(series_cutoff_z=0.9))
-    hi = macdonald_k(0.7, z, BesselEvalConfig(series_cutoff_z=3.5))
-    np.testing.assert_allclose(lo, hi, rtol=1e-8)
+    assert z[0] < special.SERIES_CUTOFF_Z < z[-1]
+    series = _kv_series(0.7, z)
+    quad = _kv_quadrature(0.7, z) * np.exp(-z)
+    np.testing.assert_allclose(series, quad, rtol=1e-8)
 
 
 def test_domain_errors():
@@ -122,21 +125,12 @@ def test_domain_errors():
         macdonald_k(0.5, float("nan"))
 
 
-def test_config_validation():
-    with pytest.raises(ConfigError):
-        BesselEvalConfig(series_cutoff_z=0.1)
-    with pytest.raises(ConfigError):
-        BesselEvalConfig(quad_rel_tol=1e-3)
-    with pytest.raises(ConfigError):
-        BesselEvalConfig(max_quad_nodes=10)
-
-
-def test_quadrature_node_cap_raises():
+def test_quadrature_node_cap_raises(monkeypatch):
     # the cap sits below the first refinement level, so convergence can
     # never be confirmed and no unconverged value may come back
+    monkeypatch.setattr(special, "MAX_QUAD_NODES", 64)
     with pytest.raises(QuadratureError, match="nu=0.7"):
-        macdonald_k(0.7, np.array([5.0]),
-                    BesselEvalConfig(max_quad_nodes=64))
+        macdonald_k(0.7, np.array([5.0]))
 
 
 def test_gamma_wrapper():

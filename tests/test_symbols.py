@@ -22,7 +22,8 @@ from fracrel.report import calibration_tables
 from fracrel.symbols import (QuadraticWeight, SymbolPoint,
                              SupportAnnulus, appendix_conjugation_check,
                              bracket_singular, calibrate_garding,
-                             calibrate_positivity, carleman_quadratic_check,
+                             calibrate_positivity, calibrate_quadratic,
+                             carleman_quadratic_check,
                              conjugated_operator_matrix, conjugated_symbol,
                              default_xi_grid, elliptic_test_family,
                              garding_constants, garding_hypothesis_check,
@@ -775,7 +776,6 @@ def test_quadratic_admissibility_errors():
 
 
 def test_quadratic_refinement_keeps_constants():
-    from fracrel.symbols import calibrate_quadratic
     coarse = quadratic_constants("elliptic", 0.75, 0.0)
     fine = calibrate_quadratic("elliptic", 0.75, 0.0, n=1024)
     assert 0.5 <= fine["c1"] / coarse["c1"] <= 2.0
@@ -821,6 +821,11 @@ def test_symbol_calibration_reproduces_frozen_tables():
                if e["s"] == 0.75 and e["m_ratio"] == 0.0]
     assert [calibrate_positivity(0.75, 1.0)] == positivity
     assert [calibrate_garding(0.75, 0.0)] == garding
+    quadratic = [calibrate_quadratic(mode, s, mr)
+                 for mode, svals in (("elliptic", (0.5, 0.75)),
+                                     ("parabolic", (0.75,)))
+                 for s in svals for mr in (0.0, 1.0)]
+    assert quadratic == frozen["quadratic"]
 
 
 def test_calibration_loaders():
