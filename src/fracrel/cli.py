@@ -43,7 +43,7 @@ from .linear_carleman import (LinearWeight, calibrate_constants,
 from .operator import (OperatorParams, apply_singular_integral,
                        apply_spectral, apply_subordination)
 from .report import CheckReport, finish_report
-from . import symbols
+from . import linear_carleman, symbols
 
 SUITES = ("equivalence", "heat", "linear-carleman", "symbol",
           "quadratic-carleman", "all")
@@ -148,13 +148,15 @@ def _validate(cfg: dict) -> None:
                               "value")
     if cfg["sweep.count"] < 1:
         raise ConfigError("invalid value for 'sweep.count': need at least 1")
-    # the linear corpus (run and calibrate) draws 40 modes inside |x| <= 12
-    if cfg["linear.n"] <= 80:
+    # the linear corpus (run and calibrate) draws k_max modes in |x| <= outer
+    k_max = linear_carleman._CORPUS_K_MAX
+    outer = linear_carleman._CORPUS_OUTER
+    if cfg["linear.n"] // 2 <= k_max:
         raise ConfigError("invalid value for 'linear.n': the linear corpus "
-                          "needs more than 80 nodes")
-    if cfg["linear.L"] < 24.0:
+                          f"needs more than {2 * k_max} nodes")
+    if cfg["linear.L"] < 2.0 * outer:
         raise ConfigError("invalid value for 'linear.L': the linear corpus "
-                          "window needs a box of at least 24")
+                          f"window needs a box of at least {2.0 * outer:g}")
 
 
 def _split_rng(seed: int, suite: str, check: str, index: int = 0):
@@ -243,6 +245,7 @@ def _ledger_report(i: int, f0, V, w: LinearWeight,
                    p: OperatorParams) -> CheckReport:
     t0 = time.perf_counter()
     ledger = carleman_linear_check(f0, V, w, p)
+    passed = bool(ledger.passed and ledger.corollary_passed)
     return CheckReport(
         name="linear_carleman.ledger",
         inputs={"draw": i, "lam": w.lam, "drift": w.drift,
@@ -251,8 +254,8 @@ def _ledger_report(i: int, f0, V, w: LinearWeight,
                   "corollary_slack": ledger.corollary_slack,
                   "flagged": list(ledger.flagged)},
         tolerance=0.0,
-        passed=bool(ledger.passed and ledger.corollary_passed),
-        witness=None if ledger.passed else ledger.to_dict(),
+        passed=passed,
+        witness=None if passed else ledger.to_dict(),
         wall_time_s=time.perf_counter() - t0)
 
 

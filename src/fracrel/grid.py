@@ -14,9 +14,6 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, SeamLeakError
 
-DEFAULT_L = 40.0
-DEFAULT_N = 4096
-
 # Relative magnitude allowed at the seam before weighted integrals abort.
 SEAM_TOL = 1e-10
 
@@ -130,13 +127,12 @@ def seam_magnitude(values: np.ndarray) -> float:
     return float(edge / peak)
 
 
-def require_seam_decay(g: GridFunction, tol: float = SEAM_TOL,
-                       what: str = "data") -> None:
+def require_seam_decay(g: GridFunction, what: str = "data") -> None:
     leak = seam_magnitude(g.values)
-    if leak > tol:
+    if leak > SEAM_TOL:
         raise SeamLeakError(
             f"{what} has relative magnitude {leak:.3e} at the periodic seam "
-            f"(allowed {tol:.1e}); enlarge the box or window the data")
+            f"(allowed {SEAM_TOL:.1e}); enlarge the box or window the data")
 
 
 def smooth_step(u: np.ndarray) -> np.ndarray:
@@ -162,36 +158,28 @@ def smooth_window(L: float, n: int, inner: float, outer: float) -> GridFunction:
     return GridFunction(L, n, smooth_step(t))
 
 
-def gaussian(L: float, n: int, sigma: float = 1.0, center: float = 0.0,
-             amplitude: float = 1.0) -> GridFunction:
+def gaussian(L: float, n: int, sigma: float = 1.0,
+             center: float = 0.0) -> GridFunction:
     x = grid_points(L, n)
-    return GridFunction(L, n, amplitude * np.exp(-0.5 * ((x - center) / sigma) ** 2))
+    return GridFunction(L, n, np.exp(-0.5 * ((x - center) / sigma) ** 2))
 
 
-def fourier_mode(L: float, n: int, k: int, kind: str = "cos",
-                 amplitude: float = 1.0) -> GridFunction:
+def fourier_mode(L: float, n: int, k: int, kind: str = "cos") -> GridFunction:
     """Single periodic mode cos/sin(2 pi k x / L)."""
     phase = 2.0 * math.pi * k * grid_points(L, n) / L
     if kind == "cos":
-        vals = amplitude * np.cos(phase)
+        vals = np.cos(phase)
     elif kind == "sin":
-        vals = amplitude * np.sin(phase)
+        vals = np.sin(phase)
     else:
         raise DomainError(f"kind must be 'cos' or 'sin', got {kind!r}")
     return GridFunction(L, n, vals)
 
 
-def windowed_exponential(L: float, n: int, lam: float,
-                         inner: float | None = None,
-                         outer: float | None = None) -> GridFunction:
-    """exp(lam * x) cut off smoothly: the standard localized test profile.
-
-    Defaults follow the usual geometry: identically exp(lam x) on
-    |x| <= L/8, zero beyond |x| >= L/4.
-    """
-    inner = L / 8.0 if inner is None else inner
-    outer = L / 4.0 if outer is None else outer
-    w = smooth_window(L, n, inner, outer)
+def windowed_exponential(L: float, n: int, lam: float) -> GridFunction:
+    """exp(lam * x) cut off smoothly: the standard localized test profile,
+    identically exp(lam x) on |x| <= L/8 and zero beyond |x| >= L/4."""
+    w = smooth_window(L, n, L / 8.0, L / 4.0)
     return w.with_values(w.values * np.exp(lam * w.x))
 
 

@@ -25,6 +25,11 @@ from .grid import (GridFunction, SpaceTimeFunction, require_seam_decay,
 from .operator import OperatorParams, frequencies, symbol
 from .report import CheckReport, finish_report
 
+# Tolerances of the weighted decay and backward uniqueness checks; both
+# bounds hold exactly for the free flow.
+_WEIGHTED_DECAY_TOLERANCE = 1e-12
+_BACKWARD_UC_TOLERANCE = 1e-8
+
 
 @dataclass(frozen=True)
 class PotentialField:
@@ -224,7 +229,6 @@ def shifted_kernel(t: float, mu: float, p: OperatorParams, L: float,
 
 
 def weighted_l1_kernel(t: float, lam: float, p: OperatorParams,
-                       L: float = 160.0, n: int = 16384,
                        tolerance: float = 1e-3) -> CheckReport:
     """Check the closed form for the e^(lam x)-weighted mass of the kernel.
 
@@ -233,10 +237,11 @@ def weighted_l1_kernel(t: float, lam: float, p: OperatorParams,
     the quadrature genuinely probes the kernel's tail profile without the
     rounding floor of the transform being amplified past the tolerance.
     The weighted tail decays like e^((|lam|-m)|x|) times a power, hence the
-    long default box; at |lam| = m the identity is only approached and the
-    report says by how much.
+    long box; at |lam| = m the identity is only approached and the report
+    says by how much.
     """
     t_start = time.perf_counter()
+    L, n = 160.0, 16384
     if abs(lam) > p.m:
         raise PreconditionError(
             f"need |lam| <= m for the weighted identity, got lam={lam:g}, "
@@ -273,8 +278,8 @@ def weighted_l1_kernel(t: float, lam: float, p: OperatorParams,
     )
 
 
-def weighted_decay_check(u0: GridFunction, lam: float, p: OperatorParams,
-                         tolerance: float = 1e-12) -> CheckReport:
+def weighted_decay_check(u0: GridFunction, lam: float,
+                         p: OperatorParams) -> CheckReport:
     """Weighted energy never exceeds its predicted exponential envelope,
     sampled at 11 evenly spaced times on [0, 1]."""
     t_start = time.perf_counter()
@@ -297,7 +302,7 @@ def weighted_decay_check(u0: GridFunction, lam: float, p: OperatorParams,
         name="heat.weighted_decay",
         inputs={"lam": lam, "s": p.s, "m": p.m, "L": u0.L, "n": u0.n},
         measured={"min_slack": worst_slack, "initial_energy": w_start},
-        tolerance=tolerance,
+        tolerance=_WEIGHTED_DECAY_TOLERANCE,
         violation=violation,
         witness={"t": worst_t},
         t_start=t_start,
@@ -385,20 +390,18 @@ def evolve_with_potential(u0: GridFunction, V: PotentialField, T: float,
 
 
 def backward_uc_check(traj: SpaceTimeFunction, V: PotentialField | None,
-                      p: OperatorParams, samples: int = 21,
-                      tolerance: float = 1e-8) -> CheckReport:
+                      p: OperatorParams) -> CheckReport:
     """Backward uniqueness surrogate: log-convexity of ||u(t)||^2.
 
     ``traj`` is the flow evolved under V (None for the free flow); the
-    check reads ||u||^2 at the states nearest to ``samples`` evenly spaced
-    times.  With V = 0 the bound is asserted.  With a bounded potential the
-    check is report-only: it measures the smallest kappa with
+    check reads ||u||^2 at the states nearest to 21 evenly spaced times.  With V = 0 the bound is asserted.  With a bounded
+    potential the check is report-only: it measures the smallest kappa with
     H(t) <= kappa H(0)^(1-theta) H(T)^theta over the trajectory.
     """
     t_start = time.perf_counter()
     free = V is None or V.sup_norm == 0.0
     picks = [int(np.argmin(np.abs(traj.times - t)))
-             for t in np.linspace(traj.times[0], traj.times[-1], samples)]
+             for t in np.linspace(traj.times[0], traj.times[-1], 21)]
     times = traj.times[picks]
     energies = (traj.L / traj.n) * np.sum(traj.values[picks] ** 2, axis=1)
     if energies[0] == 0.0 or energies[-1] == 0.0:
@@ -406,7 +409,7 @@ def backward_uc_check(traj: SpaceTimeFunction, V: PotentialField | None,
             name="heat.backward_uc",
             inputs={"s": p.s, "m": p.m, "free": free},
             measured={"kappa": 0.0},
-            tolerance=tolerance, violation=0.0, witness=None,
+            tolerance=_BACKWARD_UC_TOLERANCE, violation=0.0, witness=None,
             t_start=t_start)
     theta = (times - times[0]) / (times[-1] - times[0])
     kappa = float(np.max(energies
@@ -418,7 +421,7 @@ def backward_uc_check(traj: SpaceTimeFunction, V: PotentialField | None,
         inputs={"s": p.s, "m": p.m, "free": free,
                 "sup_norm": 0.0 if free else V.sup_norm},
         measured={"kappa": kappa},
-        tolerance=tolerance,
+        tolerance=_BACKWARD_UC_TOLERANCE,
         violation=violation,
         witness={"kappa": kappa},
         t_start=t_start,

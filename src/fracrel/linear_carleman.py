@@ -77,10 +77,13 @@ _CORPUS_OUTER = 12.0
 
 # Calibration scan: drift gaps below -m^(2s), tried in order; the operating
 # drift's offset below -m^(2s); the step of the short fine evolutions that
-# the production-rate bound is checked on, and that bound's slack tolerance.
+# the production-rate bound is checked on.
 _GAP_OFFSETS = (0.25, 0.5, 1.0, 2.0, 4.0, 7.0, 10.0)
 _OPERATING_OFFSET = 10.0
 _FINE_DT = 1e-3
+
+# Relative slack of the production-rate bound, in ddot_lower_bound_check
+# and in the calibration scan alike.
 _DDOT_TOLERANCE = 1e-3
 
 
@@ -395,8 +398,7 @@ def _production_rate(times: np.ndarray, terms: dict, w: LinearWeight,
 def ddot_lower_bound_check(traj: SpaceTimeFunction, w: LinearWeight,
                            p: OperatorParams,
                            V: PotentialField | None = None,
-                           constants=None,
-                           tolerance: float = 1e-3) -> CheckReport:
+                           constants=None) -> CheckReport:
     """Centered-difference audit of the production rate's lower bound.
 
     Along a uniformly spaced trajectory (spacing at most 2.5e-3 so the
@@ -405,7 +407,7 @@ def ddot_lower_bound_check(traj: SpaceTimeFunction, w: LinearWeight,
         dD/dt >= 3/4 (mu - A)^2 H - C1 int w F^2 + 2 int w (u_t)^2
                  + (A + m^(2s)) int w H_s(u, u) - int w H_2s(u, u)
 
-    up to a slack of ``tolerance`` times the sum of the terms' magnitudes,
+    up to a slack of _DDOT_TOLERANCE times the sum of the terms' magnitudes,
     with mu = (m^2 - lam^2)^s, A the drift, and u_t read off the evolution
     equation rather than differenced.  The energy split behind the bound
     needs s <= 1/2; the drift must pass the calibrated admissibility gate.
@@ -431,7 +433,7 @@ def ddot_lower_bound_check(traj: SpaceTimeFunction, w: LinearWeight,
                 "sup_v": 0.0 if V is None else V.sup_norm},
         measured={"worst_slack": float(slacks[k]),
                   "median_slack": float(np.median(slacks))},
-        tolerance=tolerance,
+        tolerance=_DDOT_TOLERANCE,
         violation=-float(slacks[k]),
         witness=worst,
         t_start=t_start)
@@ -605,8 +607,8 @@ def _assemble_ledger(times: np.ndarray, series: dict, w: LinearWeight,
 
 
 def carleman_linear_check(u0: GridFunction, V: PotentialField | None,
-                          w: LinearWeight, p: OperatorParams,
-                          constants=None) -> CarlemanLedger:
+                          w: LinearWeight, p: OperatorParams
+                          ) -> CarlemanLedger:
     """Evolve the forced flow over [0, 1] and fill the inequality ledger.
 
     Asserted (as the ledger's ``passed``) is
@@ -618,9 +620,10 @@ def carleman_linear_check(u0: GridFunction, V: PotentialField | None,
 
     together with the corollary form in which the final mass is absorbed
     through the persistence bound.  All time integrals are trapezoid sums
-    over the solver's uniform step grid of spacing LEDGER_DT.
+    over the solver's uniform step grid of spacing LEDGER_DT.  C1 and C2
+    are the frozen table's.
     """
-    c1, c2 = _admissible_constants(constants, p, w)
+    c1, c2 = _admissible_constants(None, p, w)
     V_eff = PotentialField.constant(0.0) if V is None else V
     times, series = _tilted_series(
         evolve_with_potential(u0, V_eff, 1.0, p, dt=LEDGER_DT), w.lam, p, V)

@@ -69,6 +69,23 @@ SINGULAR_FLOOR = 1e-6
 # Interior slack allowed on exact sign claims (pure roundoff).
 _DOMINANCE_SLACK = 1e-9
 
+# The support annulus ANNULUS_INNER <= |x/R + psi(t)| <= ANNULUS_OUTER of
+# the quadratic weight.
+ANNULUS_INNER = 1.0
+ANNULUS_OUTER = 4.0
+
+# Squared-mass fraction a quadratic Carleman operand may carry outside the
+# annulus, or on the four outermost slices of its time window: roundoff.
+_SUPPORT_LEAK_TOL = 1e-12
+
+# Relative step of the finite-difference bracket cross-checks.
+_FD_BRACKET_STEP = 1e-4
+
+# Random quadratic Carleman operands: Fourier modes up to _OPERAND_K_MAX,
+# windowed _OPERAND_MARGIN inside the reachable annulus branch.
+_OPERAND_K_MAX = 12
+_OPERAND_MARGIN = 0.25
+
 _CALIBRATION_RESOURCE = "symbol_calibration.json"
 
 # Every symbol calibration runs at R = 1 and freezes its measured constant
@@ -224,29 +241,16 @@ class SymbolPoint:
             raise ConfigError(f"t must be nonnegative, got {self.t!r}")
 
 
-@dataclass(frozen=True)
-class SupportAnnulus:
-    """The moving support region 1 <= |x/R + psi(t)| <= 4."""
-
-    weight: QuadraticWeight
-    inner: float = 1.0
-    outer: float = 4.0
-
-    def __post_init__(self):
-        if not (0.0 < self.inner < self.outer):
-            raise ConfigError("need 0 < inner < outer")
-
-    def contains(self, t, x):
-        off = np.abs(self.weight.offset(t, x))
-        return (off >= self.inner) & (off <= self.outer)
-
-    def leak_fraction(self, g: GridFunction, t: float = 0.0) -> float:
-        """Squared-mass fraction of g sitting outside the annulus."""
-        w2 = g.values ** 2
-        total = float(np.sum(w2))
-        if total == 0.0:
-            return 0.0
-        return float(np.sum(w2[~self.contains(t, g.x)]) / total)
+def _leak_fraction(w: QuadraticWeight, g: GridFunction, t: float) -> float:
+    """Squared-mass fraction of g sitting outside the support annulus at
+    time t."""
+    w2 = g.values ** 2
+    total = float(np.sum(w2))
+    if total == 0.0:
+        return 0.0
+    off = np.abs(w.offset(t, g.x))
+    inside = (off >= ANNULUS_INNER) & (off <= ANNULUS_OUTER)
+    return float(np.sum(w2[~inside]) / total)
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +352,10 @@ def symbol_gradient(pt: SymbolPoint, w: QuadraticWeight,
             "a_t": -ptx * b_xi, "b_t": ptx * a_xi}
 
 
-def bracket_singular(pt: SymbolPoint, w: QuadraticWeight, p: OperatorParams,
-                     floor: float = SINGULAR_FLOOR) -> bool:
-    """True when the modulus of w vanishes to within floor * local scale.
+def bracket_singular(pt: SymbolPoint, w: QuadraticWeight,
+                     p: OperatorParams) -> bool:
+    """True when the modulus of w vanishes to within SINGULAR_FLOOR times
+    the local scale.
 
     There the bracket carries rho^{2(s-1)} and blows up for s < 1; sweeps
     report such points instead of folding them into minima.
@@ -361,7 +366,7 @@ def bracket_singular(pt: SymbolPoint, w: QuadraticWeight, p: OperatorParams,
     local = pt.xi * pt.xi + p.m * p.m + c.px * c.px
     if local == 0.0:
         return True
-    return bool(c.rho2 <= (floor * local) ** 2)
+    return bool(c.rho2 <= (SINGULAR_FLOOR * local) ** 2)
 
 
 def poisson_bracket(pt: SymbolPoint, w: QuadraticWeight,
@@ -379,12 +384,12 @@ def poisson_bracket(pt: SymbolPoint, w: QuadraticWeight,
     return val
 
 
-def poisson_bracket_fd(pt: SymbolPoint, w: QuadraticWeight, p: OperatorParams,
-                       step: float = 1e-4) -> float:
+def poisson_bracket_fd(pt: SymbolPoint, w: QuadraticWeight,
+                       p: OperatorParams) -> float:
     """Centered-difference a_xi b_x - a_x b_xi for cross-checking the
     closed form; steps are relative to the local coordinate scales."""
-    h_x = step * w.R
-    h_xi = step * max(abs(pt.xi), 2.0 * w.alpha / w.R)
+    h_x = _FD_BRACKET_STEP * w.R
+    h_xi = _FD_BRACKET_STEP * max(abs(pt.xi), 2.0 * w.alpha / w.R)
 
     def ab(x, xi):
         px = float(w.phi_x(pt.t, x))
@@ -429,11 +434,11 @@ def parabolic_poisson_bracket(pt: SymbolPoint, w: QuadraticWeight,
 
 
 def parabolic_bracket_terms_fd(pt: SymbolPoint, w: QuadraticWeight,
-                               p: OperatorParams, step: float = 1e-4) -> dict:
+                               p: OperatorParams) -> dict:
     """Finite-difference versions of the four pieces along independent
     paths: symbol differences in (x, xi, t) and weight differences in t."""
-    h_t = step
-    h_xi = step * max(abs(pt.xi), 2.0 * w.alpha / w.R)
+    h_t = _FD_BRACKET_STEP
+    h_xi = _FD_BRACKET_STEP * max(abs(pt.xi), 2.0 * w.alpha / w.R)
 
     def ab_at(t, xi):
         a, b = _symbol_ab(_symbol_core(xi, float(w.phi_x(t, pt.x)), p.m, p.s))
@@ -447,7 +452,7 @@ def parabolic_bracket_terms_fd(pt: SymbolPoint, w: QuadraticWeight,
     a_mi, _ = ab_at(pt.t - h_t, pt.xi)
     a_t = (a_pl - a_mi) / (2.0 * h_t)
     curv = (float(w.phi_t(pt.t + h_t, pt.x)) - float(w.phi_t(pt.t - h_t, pt.x))) / (2.0 * h_t)
-    return {"base": poisson_bracket_fd(pt, w, p, step=step),
+    return {"base": poisson_bracket_fd(pt, w, p),
             "mixed": ptx * b_xi, "curvature": curv, "transport": -a_t}
 
 
@@ -493,18 +498,18 @@ def default_xi_grid(w: QuadraticWeight, nodes: int = XI_SWEEP_NODES) -> np.ndarr
     return np.unique(np.concatenate([base, patch]))
 
 
-def _sigma_branches(psi_val: float, inner: float = 1.0, outer: float = 4.0):
+def _sigma_branches(psi_val: float):
     """Reachable annulus offsets at a time slice, intersected with |x| <= R.
 
     sigma = x/R + psi with |x| <= R confines sigma to [psi-1, psi+1]; each
-    branch of inner <= |sigma| <= outer intersects that window."""
+    branch of the support annulus intersects that window."""
     spans = []
-    lo = max(inner, psi_val - 1.0)
-    hi = min(outer, psi_val + 1.0)
+    lo = max(ANNULUS_INNER, psi_val - 1.0)
+    hi = min(ANNULUS_OUTER, psi_val + 1.0)
     if lo <= hi:
         spans.append((lo, hi))
-    lo = max(-outer, psi_val - 1.0)
-    hi = min(-inner, psi_val + 1.0)
+    lo = max(-ANNULUS_OUTER, psi_val - 1.0)
+    hi = min(-ANNULUS_INNER, psi_val + 1.0)
     if lo <= hi:
         spans.append((lo, hi))
     return spans
@@ -545,8 +550,7 @@ def _mixed_pieces(c: _SymbolCore, ptx: float):
 
 def positivity_sweep(w: QuadraticWeight, p: OperatorParams, *,
                      xi_grid=None, t_grid=None, sigma_nodes: int = 33,
-                     annulus: SupportAnnulus = None, constants=None,
-                     enforce: bool = True) -> CheckReport:
+                     constants=None, enforce: bool = True) -> CheckReport:
     """Certify the calibrated pointwise lower bound on the parabolic bracket.
 
     Sweeps the support annulus intersected with |x| <= R, times in t_grid
@@ -589,8 +593,6 @@ def positivity_sweep(w: QuadraticWeight, p: OperatorParams, *,
         gate_ok = False
         gate_msg = str(err)
 
-    if annulus is None:
-        annulus = SupportAnnulus(w)
     if xi_grid is None:
         xi_grid = default_xi_grid(w)
     if t_grid is None:
@@ -617,7 +619,7 @@ def positivity_sweep(w: QuadraticWeight, p: OperatorParams, *,
         ptx = float(w.phi_tx(t))
         d1 = float(np.asarray(w.psi_d1(t), dtype=float))
         d2 = float(np.asarray(w.psi_d2(t), dtype=float))
-        for lo, hi in _sigma_branches(psi_val, annulus.inner, annulus.outer):
+        for lo, hi in _sigma_branches(psi_val):
             sigma = np.linspace(lo, hi, sigma_nodes)[:, None]
             px = 2.0 * (w.alpha / w.R) * sigma
             xr = xi[None, :]
@@ -702,7 +704,7 @@ def _bracket_at_offset(w: QuadraticWeight, p: OperatorParams, sig, ts,
 
 
 def garding_hypothesis_check(w: QuadraticWeight, p: OperatorParams, *,
-                             t_grid=None, constants=None, step: float = 0.04,
+                             constants=None,
                              probe_order_8: bool = False) -> CheckReport:
     """Measure sup |d^(i,j,k) {a~, b~}| over derivative orders 4..7.
 
@@ -734,16 +736,16 @@ def garding_hypothesis_check(w: QuadraticWeight, p: OperatorParams, *,
     else:
         c_ref = float(constants)
 
-    if t_grid is None:
-        t_grid = (0.25, 1.0, 2.0)
     s, m = p.s, p.m
     unit_xi = 2.0 * w.alpha / w.R
-    h_t = step
+    # difference step: absolute in time, relative to the local variation
+    # scale in depth and frequency
+    step = h_t = 0.04
 
     xi_mags = unit_xi * np.array([0.3, 0.7, 1.0, 1.5, 2.0, 3.0, 4.0])
     xi_vals = np.concatenate([-xi_mags[::-1], [0.0], xi_mags])
     pts_sig, pts_t, pts_xi = [], [], []
-    for t in t_grid:
+    for t in (0.25, 1.0, 2.0):
         spans = _sigma_branches(float(w.psi_at(t)))
         if not spans:
             continue
@@ -833,12 +835,12 @@ def spectral_operator_matrix(L: float, n: int, p: OperatorParams) -> np.ndarray:
 
 
 def conjugated_operator_matrix(w: QuadraticWeight, p: OperatorParams,
-                               L: float, n: int, t: float = 0.0) -> np.ndarray:
-    """Dense diag(e^phi) W diag(e^-phi) on the periodic box at time t.
+                               L: float, n: int) -> np.ndarray:
+    """Dense diag(e^phi) W diag(e^-phi) on the periodic box at t = 0.
 
     The caller keeps operands supported inside the annulus and |x| <= R;
     the matrix itself only needs max phi on the grid under the cap."""
-    ph = _grid_exponent(w, L, n, t)
+    ph = _grid_exponent(w, L, n, 0.0)
     W = spectral_operator_matrix(L, n, p)
     return np.exp(ph)[:, None] * W * np.exp(-ph)[None, :]
 
@@ -850,12 +852,13 @@ def matrix_parts(M: np.ndarray):
 
 
 def s1_commutator_target(w: QuadraticWeight, p: OperatorParams,
-                         L: float, n: int, t: float = 0.0) -> np.ndarray:
-    """Closed-form commutator 4 phi_xx (-lap + phi_x^2) of the s = 1 split."""
+                         L: float, n: int) -> np.ndarray:
+    """Closed-form commutator 4 phi_xx (-lap + phi_x^2) of the s = 1 split,
+    at t = 0."""
     if p.s != 1.0:
         raise PreconditionError("the closed-form commutator needs s = 1")
     lap = spectral_operator_matrix(L, n, OperatorParams(1.0, 0.0))
-    px = np.asarray(w.phi_x(t, grid_points(L, n)), dtype=float)
+    px = np.asarray(w.phi_x(0.0, grid_points(L, n)), dtype=float)
     return 4.0 * w.phi_xx * (lap + np.diag(px * px))
 
 
@@ -907,7 +910,7 @@ def _order_applied_sq(vals: np.ndarray, L: float, n: int, m: float,
 
 
 def elliptic_test_family(w: QuadraticWeight, L: float, n: int, count: int,
-                         rng, k_max: int = 12, margin: float = 0.25) -> list:
+                         rng) -> list:
     """Random smooth operands supported in the annulus branch inside
     |x| <= R at t = 0 (elliptic weights have a constant profile)."""
     psi0 = float(w.psi_at(0.0))
@@ -915,10 +918,11 @@ def elliptic_test_family(w: QuadraticWeight, L: float, n: int, count: int,
     if not spans:
         raise ConfigError("no reachable annulus inside |x| <= R")
     lo, hi = spans[0]
-    window = _sigma_window(w, L, n, 0.0, lo + margin, hi - margin)
+    window = _sigma_window(w, L, n, 0.0, lo + _OPERAND_MARGIN,
+                           hi - _OPERAND_MARGIN)
     out = []
     for _ in range(count):
-        noise = band_limited_noise(L, n, k_max, rng, windowed=False)
+        noise = band_limited_noise(L, n, _OPERAND_K_MAX, rng, windowed=False)
         out.append(GridFunction(L, n, window * noise.values))
     return out
 
@@ -934,8 +938,7 @@ def _sigma_window(w: QuadraticWeight, L: float, n: int, t: float,
 
 
 def parabolic_test_family(w: QuadraticWeight, L: float, n: int,
-                          times, count: int, rng, k_max: int = 12,
-                          margin: float = 0.25) -> list:
+                          times, count: int, rng) -> list:
     """Random smooth operands supported in the moving annulus inside
     |x| <= R, compactly supported in the time window."""
     times = np.asarray(times, dtype=float)
@@ -952,19 +955,19 @@ def parabolic_test_family(w: QuadraticWeight, L: float, n: int,
         if not spans:
             raise ConfigError(f"no reachable annulus at t={t:g}")
         lo, hi = spans[0]
-        windows.append(_sigma_window(w, L, n, float(t), lo + margin, hi - margin))
+        windows.append(_sigma_window(w, L, n, float(t), lo + _OPERAND_MARGIN,
+                                     hi - _OPERAND_MARGIN))
     windows = np.array(windows)
     out = []
     for _ in range(count):
-        noise = band_limited_noise(L, n, k_max, rng, windowed=False)
+        noise = band_limited_noise(L, n, _OPERAND_K_MAX, rng, windowed=False)
         out.append(SpaceTimeFunction(
             L, n, times, bump[:, None] * windows * noise.values[None, :]))
     return out
 
 
 def _operand_terms(i: int, f, w: QuadraticWeight, p: OperatorParams,
-                   mode: str, annulus: SupportAnnulus,
-                   leak_tol: float) -> tuple:
+                   mode: str) -> tuple:
     """(rhs, order-(s-1/2) norm, L^2 norm) of one operand, all squared.
 
     rhs is || e^phi (d_t +) (-lap+m^2)^s e^{-phi} f ||^2; the two norms are
@@ -976,8 +979,8 @@ def _operand_terms(i: int, f, w: QuadraticWeight, p: OperatorParams,
     if mode == "elliptic":
         if not isinstance(f, GridFunction):
             raise ConfigError("elliptic operands must be GridFunction")
-        leak = annulus.leak_fraction(f, 0.0)
-        if leak > leak_tol:
+        leak = _leak_fraction(w, f, 0.0)
+        if leak > _SUPPORT_LEAK_TOL:
             raise SupportError(
                 f"operand {i} leaks mass fraction {leak:.3g} outside the annulus")
         out = _conjugated_apply(f.values, f.L, f.n, w, p, 0.0)
@@ -997,7 +1000,7 @@ def _operand_terms(i: int, f, w: QuadraticWeight, p: OperatorParams,
     # the time stencil reaches 4 slices past each sample, so the
     # operand must vanish on the outermost 4 slices of the window
     ends = float(np.sum(f.values[:4] ** 2) + np.sum(f.values[-4:] ** 2))
-    if total > 0.0 and ends / total > leak_tol:
+    if total > 0.0 and ends / total > _SUPPORT_LEAK_TOL:
         raise SupportError(
             f"operand {i} is not compactly supported inside the time "
             "window (stencil margin of 4 slices)")
@@ -1008,8 +1011,8 @@ def _operand_terms(i: int, f, w: QuadraticWeight, p: OperatorParams,
     dtf = _time_derivative(f.values, dt)
     x = f.x
     for j, t in enumerate(f.times):
-        leak = annulus.leak_fraction(f.slice(j), float(t))
-        if leak > leak_tol:
+        leak = _leak_fraction(w, f.slice(j), float(t))
+        if leak > _SUPPORT_LEAK_TOL:
             raise SupportError(
                 f"operand {i} leaks mass fraction {leak:.3g} outside "
                 f"the annulus at t={float(t):g}")
@@ -1023,7 +1026,6 @@ def _operand_terms(i: int, f, w: QuadraticWeight, p: OperatorParams,
 
 def carleman_quadratic_check(fs, w: QuadraticWeight, p: OperatorParams,
                              mode: str, *, constants=None,
-                             leak_tol: float = 1e-12,
                              diagnostics: dict | None = None) -> CheckReport:
     """Grid-level verification of the weighted lower-bound inequality.
 
@@ -1065,12 +1067,10 @@ def carleman_quadratic_check(fs, w: QuadraticWeight, p: OperatorParams,
             f"alpha^(4s-1) = {w.alpha ** (4.0 * p.s - 1.0):.6g} is under the "
             f"calibrated floor {c_weight * w.R ** (4.0 * p.s):.6g}")
 
-    annulus = SupportAnnulus(w)
     s = p.s
     coef1 = c1 * s * s * (w.alpha / w.R ** 2)
     coef2 = c2 * s * s * (w.alpha ** (4.0 * s - 1.0) / w.R ** (4.0 * s))
-    terms = [_operand_terms(i, f, w, p, mode, annulus, leak_tol)
-             for i, f in enumerate(fs)]
+    terms = [_operand_terms(i, f, w, p, mode) for i, f in enumerate(fs)]
     slacks = []
     worst = None
     for i, (rhs, q_order, q_l2) in enumerate(terms):
@@ -1099,12 +1099,11 @@ def carleman_quadratic_check(fs, w: QuadraticWeight, p: OperatorParams,
 
 
 def appendix_conjugation_check(dim_matrix: int, s: float, phi_values,
-                               m: float = 1.0,
                                tolerance: float = 1e-10) -> CheckReport:
     """Conjugation commutes with fractional powers, at matrix level.
 
     For the SPD second-difference matrix A = lap_h + m^2 I (unit spacing,
-    zero boundary) and E = diag(e^phi), the check compares
+    zero boundary, m = 1) and E = diag(e^phi), the check compares
 
         E A^s E^{-1}   against   (E A E^{-1})^s,
 
@@ -1121,8 +1120,6 @@ def appendix_conjugation_check(dim_matrix: int, s: float, phi_values,
         raise ConfigError("matrix dimension must be at least 2")
     if not (-1.0 < s <= 1.0) or s == 0.0:
         raise DomainError(f"power must lie in (-1, 1] without 0, got {s!r}")
-    if not (m >= 0.0 and math.isfinite(m)):
-        raise ConfigError(f"mass must be finite and >= 0, got {m!r}")
     phi = np.asarray(phi_values, dtype=float)
     if phi.shape != (nd,) or not np.all(np.isfinite(phi)):
         raise ConfigError(f"phi_values must be a finite vector of length {nd}")
@@ -1131,6 +1128,7 @@ def appendix_conjugation_check(dim_matrix: int, s: float, phi_values,
         raise ConditioningError(
             f"e^(max phi - min phi) = e^{spread:.3g} exceeds {CONDITION_CAP:g}")
 
+    m = 1.0
     A = (np.diag(2.0 * np.ones(nd)) - np.diag(np.ones(nd - 1), 1)
          - np.diag(np.ones(nd - 1), -1) + m * m * np.eye(nd))
     vals, V = np.linalg.eigh(A)

@@ -18,7 +18,8 @@ from fracrel import cli, heat, linear_carleman
 from fracrel.cli import (DEFAULTS, SUITES, _split_rng, cmd_calibrate,
                          load_config, main)
 from fracrel.errors import CalibrationError, ConfigError
-from fracrel.linear_carleman import load_calibration
+from fracrel.linear_carleman import (CarlemanLedger, LinearWeight,
+                                     load_calibration)
 from fracrel.operator import OperatorParams
 from fracrel.symbols import (garding_constants, positivity_constants,
                              quadratic_constants)
@@ -97,6 +98,24 @@ def test_load_config_rejects_bad_values(tmp_path):
         path = write_config(tmp_path, **overrides)
         with pytest.raises(ConfigError, match=re.escape(key)):
             load_config(path)
+
+
+def test_linear_corpus_guards_follow_the_corpus_constants(tmp_path,
+                                                         monkeypatch,
+                                                         capsys):
+    # at the packaged corpus (40 modes in |x| <= 12) the bounds are the
+    # historical ones; moving a corpus constant moves its load-time guard
+    load_config(write_config(tmp_path, **{"linear.L": 24.0, "linear.n": 128}))
+    monkeypatch.setattr(linear_carleman, "_CORPUS_OUTER", 16.0)
+    monkeypatch.setattr(linear_carleman, "_CORPUS_K_MAX", 64)
+    for key, value, bound in (("linear.L", 24.0, "at least 32"),
+                              ("linear.n", 128, "more than 128 nodes")):
+        out = tmp_path / key
+        cfg = symbol_config(tmp_path, outname=key, **{key: value})
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and bound in err
+        assert not out.exists()
 
 
 def test_load_config_rejects_invalid_json(tmp_path):
@@ -232,6 +251,21 @@ def test_linear_suite_evolves_each_trajectory_once(monkeypatch):
     assert [r.name for r in reports[:2]] == [
         "linear_carleman.monotonicity", "linear_carleman.tent_identity"]
     assert len(reports) == 2 + cfg["sweep.count"]
+
+
+def test_ledger_report_witnesses_a_corollary_failure(monkeypatch):
+    # the main inequality holds and only the corollary fails: the report
+    # fails and carries the ledger as its witness
+    ledger = CarlemanLedger({}, {}, {}, {}, {}, slack=0.1,
+                            corollary_slack=-0.2, passed=True,
+                            corollary_passed=False)
+    monkeypatch.setattr(cli, "carleman_linear_check",
+                        lambda *args: ledger)
+    rep = cli._ledger_report(0, None, None, LinearWeight(0.5, -11.0),
+                             OperatorParams(0.5, 1.0))
+    assert not rep.passed
+    assert rep.witness == ledger.to_dict()
+    assert rep.witness["corollary_passed"] is False
 
 
 def test_failing_check_keeps_the_rest_of_its_suite(tmp_path, capsys):

@@ -181,6 +181,16 @@ def test_half_kernel_mass(t, m):
     assert mass == pytest.approx(math.exp(-m * t), rel=1e-8)
 
 
+@pytest.mark.parametrize("t,m", [(0.7, 1.3), (1.0, 0.5)])
+def test_half_kernel_mass_in_three_dimensions(t, m):
+    """In R^3 the radial kernel integrates to e^(-mt) over the shells
+    4 pi r^2 dr, which pins the dimension-dependent normalization."""
+    r = np.linspace(0.0, 80.0, 200001)
+    vals = 4.0 * math.pi * r * r * half_kernel_explicit(t, r, m, N=3)
+    mass = (r[1] - r[0]) * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
+    assert mass == pytest.approx(math.exp(-m * t), rel=1e-8)
+
+
 def test_half_kernel_positive_even():
     x = np.linspace(-10.0, 10.0, 101)
     vals = half_kernel_explicit(0.7, x, 1.3)

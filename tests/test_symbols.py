@@ -20,7 +20,7 @@ from fracrel.grid import GridFunction, SpaceTimeFunction
 from fracrel.operator import OperatorParams
 from fracrel.report import calibration_tables
 from fracrel.symbols import (QuadraticWeight, SymbolPoint,
-                             SupportAnnulus, appendix_conjugation_check,
+                             appendix_conjugation_check,
                              bracket_singular, calibrate_garding,
                              calibrate_positivity, calibrate_quadratic,
                              carleman_quadratic_check,
@@ -34,7 +34,8 @@ from fracrel.symbols import (QuadraticWeight, SymbolPoint,
                              quadratic_constants, require_admissible_weight,
                              s1_commutator_target, spectral_operator_matrix,
                              symbol_gradient, _bracket_ab,
-                             _bracket_at_offset, _mixed_pieces,
+                             _bracket_at_offset, _leak_fraction,
+                             _mixed_pieces,
                              _symbol_core, _symbol_xi_grad,
                              _time_derivative)
 
@@ -518,13 +519,20 @@ def test_xi_grid_covers_range_and_split():
 
 def test_annulus_membership_and_leaks():
     w = QuadraticWeight.decaying(2.0, 1.0)
-    ann = SupportAnnulus(w)
-    assert ann.contains(0.0, -1.0)            # offset 2
-    assert not ann.contains(0.0, -2.5)        # offset 0.5
+
+    def spike(x):
+        # all the mass on the grid node at x (the nodes are -4 + j/32)
+        g = GridFunction(8.0, 256, np.zeros(256))
+        g.values[g.x == x] = 1.0
+        assert np.sum(g.values) == 1.0
+        return g
+
+    assert _leak_fraction(w, spike(-1.0), 0.0) == 0.0      # offset 2
+    assert _leak_fraction(w, spike(-2.5), 0.0) == 1.0      # offset 0.5
     g = GridFunction(8.0, 256, np.ones(256))
-    assert 0.0 < ann.leak_fraction(g) < 1.0
+    assert 0.0 < _leak_fraction(w, g, 0.0) < 1.0
     zero = GridFunction(8.0, 256, np.zeros(256))
-    assert ann.leak_fraction(zero) == 0.0
+    assert _leak_fraction(w, zero, 0.0) == 0.0
 
 
 # ------------------------------------------------------------- garding
