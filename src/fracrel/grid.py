@@ -8,6 +8,7 @@ periodic seam; :func:`require_seam_decay` enforces that.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,6 +109,9 @@ class SpaceTimeFunction:
     def slice(self, i: int) -> GridFunction:
         return GridFunction(self.L, self.n, self.values[i])
 
+    def with_values(self, values: np.ndarray) -> "SpaceTimeFunction":
+        return SpaceTimeFunction(self.L, self.n, self.times, values)
+
 
 def trapezoid(g: GridFunction) -> float:
     """Integral over the box; on a periodic grid the trapezoid rule is a
@@ -115,24 +119,37 @@ def trapezoid(g: GridFunction) -> float:
     return float(g.h * g.values.sum())
 
 
-def seam_magnitude(values: np.ndarray) -> float:
+def seam_magnitude(values: np.ndarray) -> float | np.ndarray:
     """Largest magnitude in the outermost 1% of cells on either side of the
-    seam, relative to the overall maximum."""
-    n = len(values)
-    k = max(2, n // 100)
-    edge = max(np.max(np.abs(values[:k])), np.max(np.abs(values[-k:])))
-    peak = np.max(np.abs(values))
-    if peak == 0.0:
-        return 0.0
-    return float(edge / peak)
+    seam, relative to the overall maximum: a float for one row of shape
+    (n,), one value per row for shape (rows, n)."""
+    values = np.asarray(values)
+    k = max(2, values.shape[-1] // 100)
+    edge = np.maximum(np.abs(values[..., :k]).max(axis=-1),
+                      np.abs(values[..., -k:]).max(axis=-1))
+    # max |v| without an array of |v|: negation is exact
+    peak = np.maximum(values.max(axis=-1), -values.min(axis=-1))
+    leak = np.divide(edge, peak, out=np.zeros_like(edge), where=peak != 0.0)
+    return float(leak) if values.ndim == 1 else leak
 
 
-def require_seam_decay(g: GridFunction, what: str = "data") -> None:
-    leak = seam_magnitude(g.values)
-    if leak > SEAM_TOL:
+def require_seam_decay(values: np.ndarray,
+                       what: str | Sequence[str] = "data") -> None:
+    """Raise SeamLeakError unless ``values`` have decayed at the seam.
+
+    ``values`` is one row of shape (n,) or many of shape (rows, n); ``what``
+    names the data, one name for all rows or a sequence with one name per
+    row.  The first row past SEAM_TOL is the one reported.
+    """
+    leaks = np.atleast_1d(seam_magnitude(values))
+    bad = np.flatnonzero(leaks > SEAM_TOL)
+    if bad.size:
+        i = int(bad[0])
+        name = what if isinstance(what, str) else what[i]
         raise SeamLeakError(
-            f"{what} has relative magnitude {leak:.3e} at the periodic seam "
-            f"(allowed {SEAM_TOL:.1e}); enlarge the box or window the data")
+            f"{name} has relative magnitude {leaks[i]:.3e} at the periodic "
+            f"seam (allowed {SEAM_TOL:.1e}); enlarge the box or window the "
+            f"data")
 
 
 def smooth_step(u: np.ndarray) -> np.ndarray:

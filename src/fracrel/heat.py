@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -24,6 +24,11 @@ from .grid import (GridFunction, SpaceTimeFunction, require_seam_decay,
                    trapezoid)
 from .operator import OperatorParams, frequencies, symbol
 from .report import CheckReport, finish_report
+
+# States per chunk of tilted_integrals.  Four batch the transforms and row
+# sums about as well as 8 or 64 do, and keep a chunk's arrays near 1 MB
+# (six integrands at n = 4096), which is what the peak memory sees.
+CHUNK_ROWS = 4
 
 # Tolerances of the weighted decay and backward uniqueness checks; both
 # bounds hold exactly for the free flow.
@@ -115,8 +120,7 @@ def evolve_free(u0: GridFunction, times, p: OperatorParams
         raise DomainError(f"times must be finite and >= 0, got {times!r}")
     spec = np.fft.rfft(u0.values)
     sig = symbol(p, frequencies(u0.L, u0.n))
-    values = [np.fft.irfft(spec * np.exp(-t * sig), u0.n)
-              for t in np.atleast_1d(times)]
+    values = np.fft.irfft(spec * np.exp(-np.outer(times, sig)), u0.n, axis=1)
     return SpaceTimeFunction(u0.L, u0.n, times, values)
 
 
@@ -180,30 +184,67 @@ def energy_identity_check(u0: GridFunction, p: OperatorParams, T: float = 1.0,
 
 
 def weighted_integral(g: GridFunction, values: np.ndarray, lam: float,
-                      what: str = "weighted integrand",
-                      tilt: np.ndarray | None = None) -> float:
+                      what: str = "weighted integrand") -> float:
     """Integral of e^(lam x) values over g's box, guarded against seam
-    leakage; ``tilt`` may carry e^(lam x) precomputed on g's grid.
+    leakage.
 
     At lam = 0 the integrand is periodic and the guard is skipped; any
     nonzero weight jumps across the seam, so there the data must have died
     out first.
     """
-    tilt = np.exp(lam * g.x) if tilt is None else tilt
-    integrand = g.with_values(tilt * values)
+    integrand = g.with_values(np.exp(lam * g.x) * values)
     if lam != 0.0:
-        require_seam_decay(integrand, what=what)
+        require_seam_decay(integrand.values, what=what)
     return trapezoid(integrand)
+
+
+def tilted_integrals(traj: SpaceTimeFunction, lam: float,
+                     what: tuple[str, ...],
+                     integrands: Callable[[SpaceTimeFunction],
+                                          Iterable[np.ndarray]]
+                     ) -> np.ndarray:
+    """Integrals of e^(lam x) I over the box at every state of ``traj``,
+    for each integrand I named in ``what``; shape (len(what), nt).
+
+    The states go CHUNK_ROWS at a time: ``integrands(chunk)`` receives
+    them as a SpaceTimeFunction and yields, in the order of ``what``, each
+    integrand's values of shape (rows, n).  Every integrand row is guarded
+    as weighted_integral guards one state: it must be finite (ConfigError)
+    and, at lam != 0, decayed at the seam (SeamLeakError).  The failure
+    reported is the one a state-by-state loop meets first: the earliest
+    state, and within it the earliest integrand.
+    """
+    k, n = len(what), traj.n
+    tilt = np.exp(lam * traj.x)
+    out = np.empty((k, traj.nt))
+    buf = np.empty((min(CHUNK_ROWS, traj.nt), k, n))
+    for a in range(0, traj.nt, CHUNK_ROWS):
+        chunk = SpaceTimeFunction(traj.L, n, traj.times[a:a + CHUNK_ROWS],
+                                  traj.values[a:a + CHUNK_ROWS])
+        tilted = buf[:chunk.nt]
+        for j, values in enumerate(integrands(chunk)):
+            np.multiply(tilt, values, out=tilted[:, j])
+        sums = tilted.sum(axis=2)
+        # row i of ``rows`` is state i // k, integrand i % k: the loop order
+        rows = tilted.reshape(-1, n)
+        # a non-finite sum comes from non-finite values or from finite ones
+        # overflowing; only the first is an error, the second stays inf
+        stop = next((int(i) for i in np.flatnonzero(~np.isfinite(sums))
+                     if not np.all(np.isfinite(rows[i]))), len(rows))
+        if lam != 0.0:
+            require_seam_decay(rows[:stop], what=what * chunk.nt)
+        if stop < len(rows):
+            raise ConfigError("values must be finite")
+        out[:, a:a + chunk.nt] = (traj.L / n * sums).T
+    return out
 
 
 def weighted_l2(traj: SpaceTimeFunction, lam: float,
                 what: str = "weighted integrand") -> np.ndarray:
     """Integral of e^(lam x) u^2 at every state of ``traj``, each guarded
     against seam leakage."""
-    tilt = np.exp(lam * traj.x)
-    return np.array([weighted_integral(traj.slice(i), row ** 2, lam, what,
-                                       tilt)
-                     for i, row in enumerate(traj.values)])
+    return tilted_integrals(traj, lam, (what,),
+                            lambda chunk: [chunk.values ** 2])[0]
 
 
 def shifted_kernel(t: float, mu: float, p: OperatorParams, L: float,
@@ -378,14 +419,19 @@ def evolve_with_potential(u0: GridFunction, V: PotentialField, T: float,
     values = np.empty((len(times), u0.n))
     values[0] = u0.values
     sig = symbol(p, frequencies(u0.L, u0.n))
-    decay_full = np.exp(-dt * sig)
     v = V.sample(u0)
+
+    def factors(step):
+        half_v = 0.5 * step * v
+        return np.exp(-step * sig), half_v, 1.0 - half_v
+
+    # every step but a shorter final one shares the full step's factors
+    full = factors(dt)
     for k, step in enumerate(steps):
+        decay, half_v, divisor = full if step == dt else factors(step)
         u = values[k]
-        decay = decay_full if step == dt else np.exp(-step * sig)
-        base = np.fft.irfft(np.fft.rfft(u + 0.5 * step * v * u) * decay,
-                            u0.n)
-        values[k + 1] = base / (1.0 - 0.5 * step * v)
+        base = np.fft.irfft(np.fft.rfft(u + half_v * u) * decay, u0.n)
+        values[k + 1] = base / divisor
     return SpaceTimeFunction(u0.L, u0.n, np.array(times), values)
 
 

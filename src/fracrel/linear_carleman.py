@@ -46,7 +46,7 @@ from .heat import (
     PotentialField,
     _cumulative_trapezoid,
     evolve_with_potential,
-    weighted_integral,
+    tilted_integrals,
     weighted_l2,
 )
 from .operator import OperatorParams, apply_spectral, frequencies, symbol
@@ -175,7 +175,9 @@ def _tilted_series(traj: SpaceTimeFunction, lam: float, p: OperatorParams,
     """Raw tilted integrals at every state, drift factored out.
 
     V is the potential the trajectory was evolved with (None for none); it
-    is sampled once, and the states are processed one row at a time.
+    is sampled once.  The states are processed in chunks of consecutive
+    rows (heat.tilted_integrals): one batched transform per chunk serves
+    both operator orders, and each integral is a row sum over the chunk.
 
     Every integral carries exp(lam x) only; the caller multiplies by
     exp(drift t) (or sweeps over drifts without re-integrating).  The
@@ -202,37 +204,41 @@ def _tilted_series(traj: SpaceTimeFunction, lam: float, p: OperatorParams,
     """
     mu = LinearWeight(lam, 0.0).eigenvalue(p)
     doubled = OperatorParams(2.0 * p.s, p.m) if with_energy else None
-    names = ("mass", "op_pair", "form_s", "forcing_sq", "cross")
-    if with_energy:
-        names += ("kinetic", "form_2s")
-    series = {name: np.zeros(traj.nt) for name in names}
-    tilt = np.exp(lam * traj.x)
     v = None if V is None else V.sample(traj)
-    for i in range(traj.nt):
-        g = traj.slice(i)
-        u = g.values
+    what = ("tilted mass integrand", "production integrand")
+    if with_energy:
+        what += ("kinetic integrand", "order-2s pairing integrand")
+    if v is not None:
+        what += ("forcing integrand", "cross integrand")
 
-        def integral(values, what):
-            return weighted_integral(g, values, lam, what, tilt)
-
-        lsu = apply_spectral(g, p).values
+    def integrands(chunk):
+        u = chunk.values
+        if with_energy:
+            lsu, l2su = (g.values for g in apply_spectral(chunk, p, doubled))
+        else:
+            lsu = apply_spectral(chunk, p).values
         f_vals = None if v is None else v * u
-        mass = integral(u ** 2, "tilted mass integrand")
-        op_pair = integral(u * lsu, "production integrand")
-        series["mass"][i] = mass
-        series["op_pair"][i] = op_pair
-        series["form_s"][i] = mu * mass - 2.0 * op_pair
+        yield u ** 2
+        yield u * lsu
         if with_energy:
             u_t = -lsu if f_vals is None else f_vals - lsu
-            series["kinetic"][i] = integral(u_t * u_t, "kinetic integrand")
-            l2su = apply_spectral(g, doubled).values
-            series["form_2s"][i] = mu * mu * mass - 2.0 * integral(
-                u * l2su, "order-2s pairing integrand")
+            yield u_t * u_t
+            yield u * l2su
         if f_vals is not None:
-            series["forcing_sq"][i] = integral(f_vals * f_vals,
-                                               "forcing integrand")
-            series["cross"][i] = 2.0 * integral(u * f_vals,
-                                                "cross integrand")
+            yield f_vals * f_vals
+            yield u * f_vals
+
+    mass, op_pair, *rest = tilted_integrals(traj, lam, what, integrands)
+    series = {"mass": mass, "op_pair": op_pair,
+              "form_s": mu * mass - 2.0 * op_pair,
+              "forcing_sq": np.zeros(traj.nt), "cross": np.zeros(traj.nt)}
+    if with_energy:
+        kinetic, pairing_2s, *rest = rest
+        series["kinetic"] = kinetic
+        series["form_2s"] = mu * mu * mass - 2.0 * pairing_2s
+    if v is not None:
+        series["forcing_sq"], cross = rest
+        series["cross"] = 2.0 * cross
     return traj.times, series
 
 

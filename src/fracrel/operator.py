@@ -93,11 +93,19 @@ def symbol(p: OperatorParams, xi: np.ndarray) -> np.ndarray:
     return (xi * xi + p.m * p.m) ** p.s
 
 
-def apply_spectral(f: GridFunction, p: OperatorParams) -> GridFunction:
-    """Apply the operator through the discrete transform."""
+def apply_spectral(f, p: OperatorParams, *more: OperatorParams):
+    """Apply the operator through the discrete transform.
+
+    ``f`` is one state (GridFunction) or a run of states
+    (SpaceTimeFunction), transformed along its last axis; the result has
+    the type of ``f``.  Further parameter sets share the one forward
+    transform, and then a tuple comes back with one result per set.
+    """
     xi = frequencies(f.L, f.n)
-    out = np.fft.irfft(symbol(p, xi) * np.fft.rfft(f.values), f.n)
-    return f.with_values(out)
+    spec = np.fft.rfft(f.values)
+    out = tuple(f.with_values(np.fft.irfft(symbol(q, xi) * spec, f.n))
+                for q in (p, *more))
+    return out if more else out[0]
 
 
 # ----------------------------------------------------------------------

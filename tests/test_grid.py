@@ -13,6 +13,7 @@ from fracrel.grid import (
     fourier_mode,
     gaussian,
     require_seam_decay,
+    seam_magnitude,
     smooth_window,
     trapezoid,
     windowed_exponential,
@@ -67,15 +68,40 @@ def test_smooth_window_validation():
 
 def test_seam_guard():
     g = gaussian(40.0, 1024, sigma=1.0)
-    require_seam_decay(g)  # decays to ~1e-87, fine
+    require_seam_decay(g.values)  # decays to ~1e-87, fine
     bad = GridFunction(40.0, 1024, np.ones(1024))
     with pytest.raises(SeamLeakError):
-        require_seam_decay(bad)
+        require_seam_decay(bad.values)
+
+
+def test_seam_magnitude_of_rows_is_that_of_each_row():
+    rng = np.random.default_rng(4)
+    block = rng.standard_normal((5, 512)) * gaussian(40.0, 512, 3.0).values
+    block[1] = 0.0
+    block[3, -1] = 2.0
+    leaks = seam_magnitude(block)
+    assert leaks.shape == (5,)
+    assert [float(x) for x in leaks] == [seam_magnitude(r) for r in block]
+    assert leaks[1] == 0.0 and leaks[3] == 1.0
+
+
+def test_seam_guard_names_the_first_failing_row():
+    block = np.repeat(gaussian(40.0, 512).values[None], 4, axis=0)
+    block[2, 0] = block[3, 0] = 1.0
+    with pytest.raises(SeamLeakError) as one_name:
+        require_seam_decay(block, what="data")
+    with pytest.raises(SeamLeakError) as per_row:
+        require_seam_decay(block, what=["a", "b", "c", "d"])
+    with pytest.raises(SeamLeakError) as row:
+        require_seam_decay(block[2], what="c")
+    assert str(one_name.value) == str(row.value).replace("c has", "data has")
+    assert str(per_row.value) == str(row.value)
+    require_seam_decay(block[:2], what=["a", "b"])
 
 
 def test_windowed_exponential_seam_safe():
     f = windowed_exponential(40.0, 2048, lam=0.9)
-    require_seam_decay(f)
+    require_seam_decay(f.values)
     # flat part reproduces exp(lam x) exactly
     x = f.x
     core = np.abs(x) <= 4.0

@@ -147,6 +147,18 @@ def test_evolve_free_rows_are_single_time_evolutions():
         assert np.array_equal(row, evolve_free(u0, [t], P_HALF).values[0])
 
 
+def test_evolve_free_rows_are_the_per_time_transforms():
+    # the batched decay equals one transform per time, bit for bit
+    u0 = gaussian(40.0, 4096, sigma=1.5)
+    times = np.linspace(0.0, 2.0, 21)
+    spec = np.fft.rfft(u0.values)
+    sig = symbol(P_HALF, frequencies(40.0, 4096))
+    traj = evolve_free(u0, times, P_HALF)
+    for t, row in zip(times, traj.values):
+        assert np.array_equal(row, np.fft.irfft(spec * np.exp(-t * sig),
+                                                4096))
+
+
 def test_evolution_mass_decay():
     u0 = gaussian(40.0, 4096, sigma=1.5)
     base = trapezoid(u0)
@@ -265,6 +277,28 @@ def test_picard_zero_potential_matches_free():
     free = evolve_free(u0, [1.0], P_HALF)
     assert traj.times[-1] == pytest.approx(1.0)
     assert np.max(np.abs(traj.values[-1] - free.values[-1])) <= 1e-9
+
+
+def test_steps_are_the_closed_form_bit_for_bit():
+    # full steps share their factors and the shorter final step has its
+    # own; each state is the closed-form step of the one before it
+    rng = np.random.default_rng(5)
+    u0 = gaussian(40.0, 1024, sigma=2.0)
+    prof = band_limited_noise(40.0, 1024, k_max=20, rng=rng,
+                              windowed=False)
+    v = prof.values
+    sig = symbol(P_HALF, frequencies(40.0, 1024))
+    traj = evolve_with_potential(u0, PotentialField.static(prof), 0.305,
+                                 P_HALF)
+    # the step grid: dt until the horizon is within one step
+    steps = [min(1e-2, 0.305 - t) for t in traj.times[:-1]]
+    assert steps[0] == 1e-2 and steps[-1] < 1e-2
+    for k, step in enumerate(steps):
+        u = traj.values[k]
+        want = np.fft.irfft(np.fft.rfft(u + 0.5 * step * v * u)
+                            * np.exp(-step * sig), 1024) \
+            / (1.0 - 0.5 * step * v)
+        assert np.array_equal(traj.values[k + 1], want), k
 
 
 def test_picard_constant_potential_oracle():

@@ -20,8 +20,9 @@ from fracrel.errors import (AdmissibilityError, CalibrationError,
 from fracrel.grid import (GridFunction, SpaceTimeFunction, fourier_mode,
                           gaussian, smooth_window, trapezoid,
                           windowed_exponential)
+from fracrel import heat
 from fracrel.heat import (PotentialField, evolve_with_potential,
-                          weighted_integral)
+                          tilted_integrals, weighted_integral, weighted_l2)
 from fracrel.linear_carleman import (CarlemanLedger, LinearWeight,
                                      TILTED_MASS_COEFF, _assemble_ledger,
                                      _production_rate, _tent_residuals,
@@ -33,7 +34,7 @@ from fracrel.linear_carleman import (CarlemanLedger, LinearWeight,
                                      monotonicity_check, spectral_carre,
                                      tent_identity_check)
 from fracrel import operator as op
-from fracrel.operator import OperatorParams, carre_du_champ
+from fracrel.operator import OperatorParams, apply_spectral, carre_du_champ
 
 P_HALF = OperatorParams(0.5, 1.0)
 W_MAIN = LinearWeight(0.5, -11.0)          # the operating drift -(m^(2s)+10)
@@ -138,6 +139,157 @@ def test_tilted_mass_is_the_series_mass_column():
     times, series = _tilted_series(traj, W_MAIN.lam, P_HALF, None)
     want = np.exp(W_MAIN.drift * times) * series["mass"]
     assert np.array_equal(functional_H(traj, W_MAIN), want)
+
+
+# ---------------------------------------------------------------- chunked series
+
+def per_row_series(traj, lam, p, V, with_energy):
+    """The tilted series of _tilted_series, one state and one
+    weighted_integral at a time: the oracle of the chunked engine."""
+    mu = LinearWeight(lam, 0.0).eigenvalue(p)
+    names = ("mass", "op_pair", "form_s", "forcing_sq", "cross")
+    if with_energy:
+        names += ("kinetic", "form_2s")
+    series = {name: np.zeros(traj.nt) for name in names}
+    v = None if V is None else V.sample(traj)
+    for i in range(traj.nt):
+        g = traj.slice(i)
+        u = g.values
+
+        def integral(values, what):
+            return weighted_integral(g, values, lam, what)
+
+        lsu = apply_spectral(g, p).values
+        f_vals = None if v is None else v * u
+        mass = integral(u ** 2, "tilted mass integrand")
+        op_pair = integral(u * lsu, "production integrand")
+        series["mass"][i] = mass
+        series["op_pair"][i] = op_pair
+        series["form_s"][i] = mu * mass - 2.0 * op_pair
+        if with_energy:
+            u_t = -lsu if f_vals is None else f_vals - lsu
+            series["kinetic"][i] = integral(u_t * u_t, "kinetic integrand")
+            l2su = apply_spectral(g, OperatorParams(2.0 * p.s, p.m)).values
+            series["form_2s"][i] = mu * mu * mass - 2.0 * integral(
+                u * l2su, "order-2s pairing integrand")
+        if f_vals is not None:
+            series["forcing_sq"][i] = integral(f_vals * f_vals,
+                                               "forcing integrand")
+            series["cross"][i] = 2.0 * integral(u * f_vals,
+                                                "cross integrand")
+    return series
+
+
+@functools.lru_cache(maxsize=None)
+def small_draw_flow():
+    """A corpus draw on a small box and its 1001-state fine flow."""
+    (u0, V), = carleman_corpus(64.0, 512, draws=1, seed=3)
+    return fine_flow(u0, V, 1.0), V
+
+
+@pytest.mark.parametrize("nt", [heat.CHUNK_ROWS - 1, heat.CHUNK_ROWS, 101,
+                                1001])
+@pytest.mark.parametrize("forced", [True, False])
+@pytest.mark.parametrize("with_energy", [True, False])
+@pytest.mark.parametrize("lam", [0.5, 0.0])
+def test_chunked_series_equal_the_per_row_loop(nt, forced, with_energy,
+                                               lam):
+    traj, V = small_draw_flow()
+    traj = rows(traj, slice(0, nt))
+    V = V if forced else None
+    times, series = _tilted_series(traj, lam, P_HALF, V, with_energy)
+    want = per_row_series(traj, lam, P_HALF, V, with_energy)
+    assert times is traj.times
+    assert list(series) == list(want)
+    for name in want:
+        assert np.array_equal(series[name], want[name]), name
+    assert np.array_equal(
+        weighted_l2(traj, lam),
+        [weighted_integral(traj.slice(i), row ** 2, lam)
+         for i, row in enumerate(traj.values)])
+
+
+def indexed_states(nt, L=64.0, n=512):
+    """nt zero states at the times 0, 1, ..., so a chunk's times are the
+    indices of its states."""
+    return SpaceTimeFunction(L, n, np.arange(float(nt)), np.zeros((nt, n)))
+
+
+def by_state(integrands):
+    """The integrands callback that serves a chunk of indexed_states its
+    rows of each (nt, n) array in ``integrands``."""
+    def chunk_rows(chunk):
+        first, last = int(chunk.times[0]), int(chunk.times[-1])
+        return [values[first:last + 1] for values in integrands]
+    return chunk_rows
+
+
+def leaky_integrands(traj, leaks):
+    """Two integrands on traj's states: a decayed profile, except that
+    integrand j of state i is flat (so it leaks at any tilt) for each
+    (i, j) in ``leaks``."""
+    flat = np.ones(traj.n)
+    decayed = gaussian(traj.L, traj.n, sigma=2.0).values
+    return [np.array([flat if (i, j) in leaks else decayed
+                      for i in range(traj.nt)]) for j in range(2)]
+
+
+def test_chunk_failure_is_the_first_in_state_order():
+    # state 2 leaks in its second integrand, state 3 in its first: a
+    # state-by-state loop meets state 2 first, and so must the chunk
+    assert 2 // heat.CHUNK_ROWS == 3 // heat.CHUNK_ROWS
+    traj = indexed_states(6)
+    what = ("tilted mass integrand", "production integrand")
+    values = leaky_integrands(traj, {(2, 1), (3, 0)})
+    with pytest.raises(SeamLeakError) as chunked:
+        tilted_integrals(traj, 0.5, what, by_state(values))
+    with pytest.raises(SeamLeakError) as one_state:
+        weighted_integral(traj.slice(2), values[1][2], 0.5, what[1])
+    assert str(chunked.value) == str(one_state.value)
+    assert str(chunked.value).startswith("production integrand has ")
+
+
+@pytest.mark.parametrize("nonfinite_first", [True, False])
+def test_chunk_nonfinite_values_raise_in_state_order(nonfinite_first):
+    traj = indexed_states(6)
+    bad, leak = ((1, 1), (2, 0)) if nonfinite_first else ((2, 0), (1, 1))
+    values = leaky_integrands(traj, {leak})
+    values[bad[1]][bad[0], 100] = math.nan
+    with pytest.raises(ConfigError if nonfinite_first else SeamLeakError):
+        tilted_integrals(traj, 0.5, ("a", "b"), by_state(values))
+    # untilted, the seam is exempt and only the values are checked
+    with pytest.raises(ConfigError, match="^values must be finite$"):
+        tilted_integrals(traj, 0.0, ("a", "b"), by_state(values))
+
+
+def test_chunk_sum_overflow_stays_inf():
+    # finite values whose sum overflows are not an error, as for one state
+    traj = indexed_states(2)
+    big = np.full((2, traj.n), 1e306)
+    with np.errstate(over="ignore"):
+        got = tilted_integrals(traj, 0.0, ("big",), by_state([big]))
+        one_state = weighted_integral(traj.slice(0), big[0], 0.0)
+    assert one_state == math.inf
+    assert np.array_equal(got, [[math.inf, math.inf]])
+
+
+def test_chunked_series_share_one_forward_transform(monkeypatch):
+    # one forward transform per chunk serves both orders, against two per
+    # state when every state was its own call
+    counts = {"rfft": 0, "irfft": 0}
+    for name in counts:
+        real = getattr(np.fft, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    traj, V = small_draw_flow()
+    _tilted_series(rows(traj, slice(0, 101)), 0.5, P_HALF, V)
+    chunks = math.ceil(101 / heat.CHUNK_ROWS)
+    assert counts["rfft"] <= chunks
+    assert counts["irfft"] <= 2 * chunks
 
 
 # ---------------------------------------------------------------- production
