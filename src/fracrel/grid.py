@@ -113,12 +113,6 @@ class SpaceTimeFunction:
         return SpaceTimeFunction(self.L, self.n, self.times, values)
 
 
-def trapezoid(g: GridFunction) -> float:
-    """Integral over the box; on a periodic grid the trapezoid rule is a
-    plain Riemann sum."""
-    return float(g.h * g.values.sum())
-
-
 def seam_magnitude(values: np.ndarray) -> float | np.ndarray:
     """Largest magnitude in the outermost 1% of cells on either side of the
     seam, relative to the overall maximum: a float for one row of shape
@@ -181,25 +175,6 @@ def gaussian(L: float, n: int, sigma: float = 1.0,
     return GridFunction(L, n, np.exp(-0.5 * ((x - center) / sigma) ** 2))
 
 
-def fourier_mode(L: float, n: int, k: int, kind: str = "cos") -> GridFunction:
-    """Single periodic mode cos/sin(2 pi k x / L)."""
-    phase = 2.0 * math.pi * k * grid_points(L, n) / L
-    if kind == "cos":
-        vals = np.cos(phase)
-    elif kind == "sin":
-        vals = np.sin(phase)
-    else:
-        raise DomainError(f"kind must be 'cos' or 'sin', got {kind!r}")
-    return GridFunction(L, n, vals)
-
-
-def windowed_exponential(L: float, n: int, lam: float) -> GridFunction:
-    """exp(lam * x) cut off smoothly: the standard localized test profile,
-    identically exp(lam x) on |x| <= L/8 and zero beyond |x| >= L/4."""
-    w = smooth_window(L, n, L / 8.0, L / 4.0)
-    return w.with_values(w.values * np.exp(lam * w.x))
-
-
 def band_limited_noise(L: float, n: int, k_max: int, rng: np.random.Generator,
                        amplitude: float = 1.0,
                        windowed: bool = True) -> GridFunction:
@@ -216,12 +191,6 @@ def band_limited_noise(L: float, n: int, k_max: int, rng: np.random.Generator,
     if windowed:
         vals = vals * smooth_window(L, n, L / 8.0, L / 4.0).values
     return GridFunction(L, n, vals)
-
-
-def centered_d1(g: GridFunction) -> np.ndarray:
-    """First derivative by periodic centered differences."""
-    v = g.values
-    return (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * g.h)
 
 
 def centered_d2(g: GridFunction) -> np.ndarray:

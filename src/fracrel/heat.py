@@ -1,7 +1,7 @@
 """Heat flow driven by the fractional relativistic operator.
 
-The free semigroup is applied exactly per Fourier mode, so the fundamental
-solution, mass decay and the semigroup property hold to rounding on the grid.
+The free semigroup is applied exactly per Fourier mode, so mass decay and
+the semigroup property hold to rounding on the grid.
 A bounded time-independent potential V enters through the Duhamel form,
 whose per-step equation is pointwise diagonal and is solved in closed form;
 V is sampled once per trajectory.  Both flows come back as one
@@ -20,8 +20,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import ConfigError, DomainError, PreconditionError
-from .grid import (GridFunction, SpaceTimeFunction, require_seam_decay,
-                   trapezoid)
+from .grid import GridFunction, SpaceTimeFunction, require_seam_decay
 from .operator import OperatorParams, frequencies, symbol
 from .report import CheckReport, finish_report
 
@@ -30,10 +29,9 @@ from .report import CheckReport, finish_report
 # (six integrands at n = 4096), which is what the peak memory sees.
 CHUNK_ROWS = 4
 
-# Tolerances of the weighted decay and backward uniqueness checks; both
-# bounds hold exactly for the free flow.
+# Tolerance of the weighted decay check; the bound holds exactly for the
+# free flow.
 _WEIGHTED_DECAY_TOLERANCE = 1e-12
-_BACKWARD_UC_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -89,21 +87,6 @@ class PotentialField:
             return vs
 
         return PotentialField(evaluate, float(np.max(np.abs(vs))))
-
-
-def fundamental_solution(t: float, p: OperatorParams, L: float = 40.0,
-                         n: int = 4096) -> GridFunction:
-    """Heat kernel on the periodic box, centered at x = 0.
-
-    Frequency sampling of exp(-t (xi^2 + m^2)^s) is exactly the
-    periodization of the whole-line kernel, so away from the seam the values
-    match the free-space kernel to the truncation level of the symbol.
-    """
-    if t <= 0.0:
-        raise DomainError(f"time must be positive, got t={t:g}")
-    mult = np.exp(-t * symbol(p, frequencies(L, n)))
-    vals = np.fft.irfft(mult, n) * (n / L)
-    return GridFunction(L, n, np.roll(vals, n // 2))
 
 
 def evolve_free(u0: GridFunction, times, p: OperatorParams
@@ -183,21 +166,6 @@ def energy_identity_check(u0: GridFunction, p: OperatorParams, T: float = 1.0,
     )
 
 
-def weighted_integral(g: GridFunction, values: np.ndarray, lam: float,
-                      what: str = "weighted integrand") -> float:
-    """Integral of e^(lam x) values over g's box, guarded against seam
-    leakage.
-
-    At lam = 0 the integrand is periodic and the guard is skipped; any
-    nonzero weight jumps across the seam, so there the data must have died
-    out first.
-    """
-    integrand = g.with_values(np.exp(lam * g.x) * values)
-    if lam != 0.0:
-        require_seam_decay(integrand.values, what=what)
-    return trapezoid(integrand)
-
-
 def tilted_integrals(traj: SpaceTimeFunction, lam: float,
                      what: tuple[str, ...],
                      integrands: Callable[[SpaceTimeFunction],
@@ -209,10 +177,10 @@ def tilted_integrals(traj: SpaceTimeFunction, lam: float,
     The states go CHUNK_ROWS at a time: ``integrands(chunk)`` receives
     them as a SpaceTimeFunction and yields, in the order of ``what``, each
     integrand's values of shape (rows, n).  Every integrand row is guarded
-    as weighted_integral guards one state: it must be finite (ConfigError)
-    and, at lam != 0, decayed at the seam (SeamLeakError).  The failure
-    reported is the one a state-by-state loop meets first: the earliest
-    state, and within it the earliest integrand.
+    on its own: it must be finite (ConfigError) and, at lam != 0, decayed
+    at the seam (SeamLeakError).  The failure reported is the one a
+    state-by-state loop meets first: the earliest state, and within it the
+    earliest integrand.
     """
     k, n = len(what), traj.n
     tilt = np.exp(lam * traj.x)
@@ -247,78 +215,6 @@ def weighted_l2(traj: SpaceTimeFunction, lam: float,
                             lambda chunk: [chunk.values ** 2])[0]
 
 
-def shifted_kernel(t: float, mu: float, p: OperatorParams, L: float,
-                   n: int) -> GridFunction:
-    """Samples of e^(mu x) K_t(x) from the analytically continued symbol.
-
-    Shifting the frequency contour to xi + i mu keeps the weighted kernel
-    within double-precision dynamic range; multiplying FFT output of the
-    plain kernel by e^(mu x) instead would amplify the transform's rounding
-    floor by e^(|mu| L / 2) and drown the tail.  Needs |mu| < m so the
-    shifted symbol stays on the principal branch.
-    """
-    if t <= 0.0:
-        raise DomainError(f"time must be positive, got t={t:g}")
-    if abs(mu) >= p.m:
-        raise PreconditionError(
-            f"contour shift needs |mu| < m, got mu={mu:g}, m={p.m:g}")
-    xi = frequencies(L, n)
-    w = xi * xi - mu * mu + p.m ** 2 + 2j * mu * xi
-    mult = np.exp(-t * w ** p.s)
-    vals = np.fft.irfft(mult, n) * (n / L)
-    return GridFunction(L, n, np.roll(vals, n // 2))
-
-
-def weighted_l1_kernel(t: float, lam: float, p: OperatorParams,
-                       tolerance: float = 1e-3) -> CheckReport:
-    """Check the closed form for the e^(lam x)-weighted mass of the kernel.
-
-    The bulk of the weight rides on the shifted contour; only a residual
-    factor e^(delta x) with delta ~ 48/L is applied in physical space, so
-    the quadrature genuinely probes the kernel's tail profile without the
-    rounding floor of the transform being amplified past the tolerance.
-    The weighted tail decays like e^((|lam|-m)|x|) times a power, hence the
-    long box; at |lam| = m the identity is only approached and the report
-    says by how much.
-    """
-    t_start = time.perf_counter()
-    L, n = 160.0, 16384
-    if abs(lam) > p.m:
-        raise PreconditionError(
-            f"need |lam| <= m for the weighted identity, got lam={lam:g}, "
-            f"m={p.m:g}")
-    delta = math.copysign(min(abs(lam), 48.0 / L), lam)
-    mu = lam - delta
-    # the truncated symbol rings at the grid Nyquist with amplitude
-    # ~ exp(-t sigma_N); the residual weight blows that up by exp(|delta| L/2),
-    # so refine until the product underflows past the tolerance
-    sigma_need = (abs(delta) * 0.5 * L + 45.0) / t
-    if math.log(sigma_need) / p.s > 60.0:
-        raise PreconditionError(
-            f"time t={t:g} too short to resolve the weighted kernel")
-    xi_need = math.sqrt(max(0.0, sigma_need ** (1.0 / p.s) - p.m * p.m))
-    while math.pi * n / L < xi_need and n < (1 << 21):
-        n *= 2
-    if math.pi * n / L < xi_need:
-        raise PreconditionError(
-            f"time t={t:g} too short to resolve the weighted kernel on a "
-            f"box of length {L:g}")
-    kernel = shifted_kernel(t, mu, p, L, n)
-    value = trapezoid(kernel.with_values(np.exp(delta * kernel.x)
-                                         * kernel.values))
-    expected = math.exp(-t * (p.m ** 2 - lam ** 2) ** p.s)
-    rel = abs(value - expected) / expected
-    return finish_report(
-        name="heat.weighted_l1_kernel",
-        inputs={"t": t, "lam": lam, "s": p.s, "m": p.m, "L": L, "n": n},
-        measured={"value": value, "expected": expected, "rel_error": rel},
-        tolerance=tolerance,
-        violation=rel,
-        witness=None,
-        t_start=t_start,
-    )
-
-
 def weighted_decay_check(u0: GridFunction, lam: float,
                          p: OperatorParams) -> CheckReport:
     """Weighted energy never exceeds its predicted exponential envelope,
@@ -329,8 +225,8 @@ def weighted_decay_check(u0: GridFunction, lam: float,
             f"need |lam| <= 2m, got lam={lam:g}, m={p.m:g}")
     times = np.linspace(0.0, 1.0, 11)
     rate = (p.m ** 2 - 0.25 * lam ** 2) ** p.s
-    w_start = weighted_integral(u0, u0.values ** 2, lam,
-                                "initial weighted energy")
+    start = SpaceTimeFunction(u0.L, u0.n, [0.0], u0.values[None, :])
+    w_start = float(weighted_l2(start, lam, "initial weighted energy")[0])
     energies = weighted_l2(evolve_free(u0, times, p), lam, "weighted energy")
     worst_slack = math.inf
     worst_t = 0.0
@@ -433,42 +329,3 @@ def evolve_with_potential(u0: GridFunction, V: PotentialField, T: float,
         base = np.fft.irfft(np.fft.rfft(u + half_v * u) * decay, u0.n)
         values[k + 1] = base / divisor
     return SpaceTimeFunction(u0.L, u0.n, np.array(times), values)
-
-
-def backward_uc_check(traj: SpaceTimeFunction, V: PotentialField | None,
-                      p: OperatorParams) -> CheckReport:
-    """Backward uniqueness surrogate: log-convexity of ||u(t)||^2.
-
-    ``traj`` is the flow evolved under V (None for the free flow); the
-    check reads ||u||^2 at the states nearest to 21 evenly spaced times.  With V = 0 the bound is asserted.  With a bounded
-    potential the check is report-only: it measures the smallest kappa with
-    H(t) <= kappa H(0)^(1-theta) H(T)^theta over the trajectory.
-    """
-    t_start = time.perf_counter()
-    free = V is None or V.sup_norm == 0.0
-    picks = [int(np.argmin(np.abs(traj.times - t)))
-             for t in np.linspace(traj.times[0], traj.times[-1], 21)]
-    times = traj.times[picks]
-    energies = (traj.L / traj.n) * np.sum(traj.values[picks] ** 2, axis=1)
-    if energies[0] == 0.0 or energies[-1] == 0.0:
-        return finish_report(
-            name="heat.backward_uc",
-            inputs={"s": p.s, "m": p.m, "free": free},
-            measured={"kappa": 0.0},
-            tolerance=_BACKWARD_UC_TOLERANCE, violation=0.0, witness=None,
-            t_start=t_start)
-    theta = (times - times[0]) / (times[-1] - times[0])
-    kappa = float(np.max(energies
-                         / (energies[0] ** (1.0 - theta)
-                            * energies[-1] ** theta)))
-    violation = max(0.0, kappa - 1.0) if free else 0.0
-    return finish_report(
-        name="heat.backward_uc",
-        inputs={"s": p.s, "m": p.m, "free": free,
-                "sup_norm": 0.0 if free else V.sup_norm},
-        measured={"kappa": kappa},
-        tolerance=_BACKWARD_UC_TOLERANCE,
-        violation=violation,
-        witness={"kappa": kappa},
-        t_start=t_start,
-    )

@@ -22,7 +22,6 @@ the seam guard restricts it honestly to mild tilt-times-box products.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -49,7 +48,7 @@ from .heat import (
     tilted_integrals,
     weighted_l2,
 )
-from .operator import OperatorParams, apply_spectral, frequencies, symbol
+from .operator import OperatorParams, apply_spectral
 from .report import CheckReport, calibration_tables, finish_report
 
 # Coefficient of the t(1-t)-weighted mass on the ledger's left side.  The
@@ -82,8 +81,8 @@ _GAP_OFFSETS = (0.25, 0.5, 1.0, 2.0, 4.0, 7.0, 10.0)
 _OPERATING_OFFSET = 10.0
 _FINE_DT = 1e-3
 
-# Relative slack of the production-rate bound, in ddot_lower_bound_check
-# and in the calibration scan alike.
+# Relative slack of the production-rate bound, in the calibration scan and
+# in the test-only ddot_lower_bound_check (tests/oracles.py) alike.
 _DDOT_TOLERANCE = 1e-3
 
 
@@ -136,34 +135,6 @@ def functional_H(traj: SpaceTimeFunction, w: LinearWeight) -> np.ndarray:
     """Tilted mass int exp(drift t + lam x) u^2 dx at every state."""
     return np.exp(w.drift * traj.times) * weighted_l2(
         traj, w.lam, what="tilted mass integrand")
-
-
-def spectral_carre(f: GridFunction, p: OperatorParams) -> GridFunction:
-    """The quadratic form H(f, f) = L^s(f^2) - 2 f L^s f, transform route.
-
-    Pointwise nonpositive up to roundoff.  The order-2s form needed by the
-    energy terms is the same call with the exponent doubled, which stays
-    inside the validated power range only while s <= 1/2.
-    """
-    sym = symbol(p, frequencies(f.L, f.n))
-    fv = f.values
-    lf = np.fft.irfft(sym * np.fft.rfft(fv), f.n)
-    lf2 = np.fft.irfft(sym * np.fft.rfft(fv * fv), f.n)
-    return f.with_values(lf2 - 2.0 * fv * lf)
-
-
-def functional_D(traj: SpaceTimeFunction, w: LinearWeight,
-                 p: OperatorParams) -> np.ndarray:
-    """Production int (w_t - L^s w) u^2 dx + int w H(u, u) dx at every
-    state.
-
-    Through the weight's eigen relation this equals
-    drift * H - 2 int w u L^s u, whose integrand vanishes with u, so the
-    tilt cannot leak around the seam; it is the quantity the production
-    rate check differentiates.
-    """
-    times, series = _tilted_series(traj, w.lam, p, None, with_energy=False)
-    return _production(_weighted(times, series, w.drift), w.drift)
 
 
 # ----------------------------------------------------------------------
@@ -401,50 +372,6 @@ def _production_rate(times: np.ndarray, terms: dict, w: LinearWeight,
     return ddot, rhs, scale
 
 
-def ddot_lower_bound_check(traj: SpaceTimeFunction, w: LinearWeight,
-                           p: OperatorParams,
-                           V: PotentialField | None = None,
-                           constants=None) -> CheckReport:
-    """Centered-difference audit of the production rate's lower bound.
-
-    Along a uniformly spaced trajectory (spacing at most 2.5e-3 so the
-    differences resolve dD/dt) the check asserts, at every interior time,
-
-        dD/dt >= 3/4 (mu - A)^2 H - C1 int w F^2 + 2 int w (u_t)^2
-                 + (A + m^(2s)) int w H_s(u, u) - int w H_2s(u, u)
-
-    up to a slack of _DDOT_TOLERANCE times the sum of the terms' magnitudes,
-    with mu = (m^2 - lam^2)^s, A the drift, and u_t read off the evolution
-    equation rather than differenced.  The energy split behind the bound
-    needs s <= 1/2; the drift must pass the calibrated admissibility gate.
-    """
-    t_start = time.perf_counter()
-    c1, c2 = _admissible_constants(constants, p, w)
-    dt = _uniform_spacing(traj.times, "production trajectory")
-    if dt > 2.5e-3:
-        raise PreconditionError(
-            f"need spacing <= 2.5e-3 for the centered differences, "
-            f"got {dt:g}")
-    times, series = _tilted_series(traj, w.lam, p, V)
-    ddot, rhs, scale = _production_rate(
-        times, _weighted(times, series, w.drift), w, p, c1)
-    slacks = (ddot - rhs) / scale
-    k = int(np.argmin(slacks))
-    worst = {"t": float(times[k + 1]), "ddot": float(ddot[k]),
-             "rhs": float(rhs[k]), "scale": float(scale[k])}
-    return finish_report(
-        "linear_carleman.ddot_lower_bound",
-        inputs={"s": p.s, "m": p.m, "lam": w.lam, "drift": w.drift,
-                "C1": c1, "C2": c2, "dt": dt, "states": traj.nt,
-                "sup_v": 0.0 if V is None else V.sup_norm},
-        measured={"worst_slack": float(slacks[k]),
-                  "median_slack": float(np.median(slacks))},
-        tolerance=_DDOT_TOLERANCE,
-        violation=-float(slacks[k]),
-        witness=worst,
-        t_start=t_start)
-
-
 # ----------------------------------------------------------------------
 # tent-function averaging
 
@@ -535,16 +462,9 @@ class CarlemanLedger:
     def lhs_total(self) -> float:
         return sum(self.lhs_terms.values())
 
-    @property
-    def rhs_total(self) -> float:
-        return sum(self.rhs_terms.values())
-
     def to_dict(self) -> dict:
         from .report import _jsonable
         return _jsonable(dataclasses.asdict(self))
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 FLAG_TOL = 1e-8

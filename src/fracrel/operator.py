@@ -17,29 +17,21 @@ Three equivalent realizations are provided and cross-checked:
   per Fourier mode.
 
 Every discretization control is a module constant below: one value of
-each is in use, so none is a parameter.
-
-The carre du champ H(f,g) = L(fg) - f Lg - g Lf is computed from the same
-kernel cells, which keeps H(f,f) <= 0 exactly in the discretization.
+each is in use, so none is a parameter.  The identity checks and the
+second routes the tests compare these against (direct kernel sums, the
+kernel-cell carre du champ) live in tests/oracles.py.
 """
 from __future__ import annotations
 
 import functools
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import (
-    ConfigError,
-    DomainError,
-    PreconditionError,
-    QuadratureError,
-)
-from .grid import GridFunction, centered_d1, centered_d2
-from .report import CheckReport, finish_report
+from .errors import ConfigError, PreconditionError, QuadratureError
+from .grid import GridFunction, centered_d2
 from .special import frac_power_constant, gamma, macdonald_k
 
 
@@ -197,55 +189,6 @@ def apply_singular_integral(f: GridFunction, p: OperatorParams
     return f.with_values(out)
 
 
-def apply_singular_at(f: GridFunction, p: OperatorParams,
-                      indices: np.ndarray) -> np.ndarray:
-    """Kernel application evaluated only at the given indices by direct
-    summation.
-
-    Matches ``apply_singular_integral`` up to rounding, but the sums touch
-    only values within the kernel reach of each point.  That matters for
-    data with huge dynamic range (a tapered growing exponential): the FFT
-    route spreads roundoff from the largest values everywhere, while here
-    remote magnitudes never enter.
-    """
-    _require_singular_ok(p)
-    idx = np.asarray(indices, dtype=int)
-    kw = _kernel_weights(p, f.L, f.n)
-    v = f.values
-    w = kw["w"]
-    vi = v[idx]
-    acc = np.zeros(len(idx))
-    for k in range(1, len(w) + 1):
-        acc += w[k - 1] * (2.0 * vi - np.take(v, idx + k, mode="wrap")
-                           - np.take(v, idx - k, mode="wrap"))
-    d2 = (np.take(v, idx + 1, mode="wrap") - 2.0 * vi
-          + np.take(v, idx - 1, mode="wrap")) / kw["h"] ** 2
-    return kw["c_full"] * (acc - d2 * kw["moment"]) + p.m ** (2.0 * p.s) * vi
-
-
-def carre_du_champ(f: GridFunction, g: GridFunction, p: OperatorParams
-                   ) -> GridFunction:
-    """H(f, g) = L(fg) - f Lg - g Lf through the kernel cells.
-
-    On the diagonal the quadratic form is minus a combination of squared
-    cell differences and m^(2s) f^2, so H(f, f) stays nonpositive for
-    resolved data (the nearest-cell difference dominates the small Taylor
-    moment).
-    """
-    _require_singular_ok(p)
-    if (f.L, f.n) != (g.L, g.n):
-        raise PreconditionError("operands must share one grid")
-    kw = _kernel_weights(p, f.L, f.n)
-    fv, gv = f.values, g.values
-    conv_f = np.fft.irfft(kw["stencil_hat"] * np.fft.rfft(fv), f.n)
-    conv_g = np.fft.irfft(kw["stencil_hat"] * np.fft.rfft(gv), f.n)
-    conv_fg = np.fft.irfft(kw["stencil_hat"] * np.fft.rfft(fv * gv), f.n)
-    pair = kw["w0"] * fv * gv - fv * conv_g - gv * conv_f + conv_fg
-    pair += 2.0 * centered_d1(f) * centered_d1(g) * kw["moment"]
-    out = -kw["c_full"] * pair - p.m ** (2.0 * p.s) * fv * gv
-    return f.with_values(out)
-
-
 # ----------------------------------------------------------------------
 # subordination path
 
@@ -311,182 +254,3 @@ def apply_subordination(f: GridFunction, p: OperatorParams) -> GridFunction:
     mult = subordination_multiplier(xi * xi + p.m * p.m, p.s)
     out = np.fft.irfft(mult * np.fft.rfft(f.values), f.n)
     return f.with_values(out)
-
-
-# ----------------------------------------------------------------------
-# identity checks
-
-
-_I0_ASY = (1.0, 0.125, 9.0 / 128.0, 75.0 / 1024.0, 11025.0 / 98304.0)
-
-
-def _positive_series(first: np.ndarray, step) -> np.ndarray:
-    # sum of a positive series from its first term, term_j = step(term_{j-1},
-    # j) for j >= 2, stopped once the terms fall below 1e-17 of the total
-    term = first
-    total = np.array(first, copy=True)
-    if total.size == 0:
-        return total
-    for j in range(2, 80):
-        term = step(term, j)
-        total += term
-        if term.max() <= 1e-17 * max(float(total.max()), 1e-300):
-            break
-    return total
-
-
-def _i0_minus_1(x: np.ndarray) -> np.ndarray:
-    # I_0(x) - 1 by the ascending series without its leading 1; every term
-    # is positive, so small arguments keep full relative precision.
-    q = 0.25 * x * x
-    return _positive_series(q, lambda term, j: term * q / (j * j))
-
-
-def _scaled_i0_large(x: np.ndarray) -> np.ndarray:
-    # exp(-x) I_0(x) for x > 30 by the asymptotic expansion.
-    acc = np.zeros_like(x)
-    for j, c in enumerate(_I0_ASY):
-        acc += c / x**j
-    return acc / np.sqrt(2.0 * math.pi * x)
-
-
-def _sinhc_minus_1(x: np.ndarray) -> np.ndarray:
-    # sinh(x)/x - 1, positive ascending series.
-    q = x * x
-    return _positive_series(
-        q / 6.0, lambda term, j: term * q / ((2.0 * j) * (2.0 * j + 1.0)))
-
-
-def _angular_excess(N: int, lam: float, r: np.ndarray) -> np.ndarray:
-    """(integral of e^(lam r u.e) over the unit sphere, minus the sphere
-    area) times e^(-r).  The small-argument cores subtract the constant
-    inside a positive series, never across floats, so the r^2 vanishing
-    at the origin survives in floating point."""
-    x = lam * r
-    out = np.empty_like(r)
-    low = x < 30.0
-    rl = r[low]
-    if N == 1:
-        sh = np.sinh(0.5 * x[low])
-        out[low] = 4.0 * np.exp(-rl) * sh * sh
-        if not np.all(low):
-            rh = r[~low]
-            out[~low] = (np.exp(-(1.0 - lam) * rh)
-                         + np.exp(-(1.0 + lam) * rh) - 2.0 * np.exp(-rh))
-    elif N == 2:
-        out[low] = 2.0 * math.pi * np.exp(-rl) * _i0_minus_1(x[low])
-        if not np.all(low):
-            rh = r[~low]
-            out[~low] = 2.0 * math.pi * (
-                _scaled_i0_large(x[~low]) * np.exp(-(1.0 - lam) * rh)
-                - np.exp(-rh))
-    else:
-        out[low] = 4.0 * math.pi * np.exp(-rl) * _sinhc_minus_1(x[low])
-        if not np.all(low):
-            rh = r[~low]
-            out[~low] = 4.0 * math.pi * (
-                (np.exp(-(1.0 - lam) * rh) - np.exp(-(1.0 + lam) * rh))
-                / (2.0 * lam * rh) - np.exp(-rh))
-    return out
-
-
-def bessel_identity_check(lambda_abs: float, N: int, s: float,
-                          tolerance: float = 1e-5) -> CheckReport:
-    """Weighted kernel integral against its closed form.
-
-    C(N,s) int (1 - e^(lambda.z)) |z|^(-(N+2s)/2) K_((N+2s)/2)(|z|) dz over
-    R^N equals (1 - lambda^2)^s - 1 for |lambda| < 1, and -1 at
-    |lambda| = 1 provided N - 2s < 1.
-    """
-    t0 = time.perf_counter()
-    if not (0.0 <= lambda_abs <= 1.0):
-        raise DomainError("lambda_abs must lie in [0, 1]")
-    if N not in (1, 2, 3):
-        raise DomainError("the radial reduction is implemented for N in {1,2,3}")
-    if not (0.0 < s < 1.0):
-        raise DomainError("s must lie in (0, 1)")
-    at_edge = lambda_abs >= 1.0 - 1e-12
-    if at_edge and not (N - 2.0 * s < 1.0):
-        raise PreconditionError(
-            f"|lambda| = 1 requires N - 2s < 1, got N={N}, s={s:g}")
-
-    nu = 0.5 * (N + 2.0 * s)
-    lam = lambda_abs
-    # log-radius window: the integrand falls like r^(2-2s) toward r = 0
-    # (the lower cap keeps the scaled Macdonald factor representable), and
-    # at |lambda| = 1 like r^(-s) toward infinity in every dimension (the
-    # sphere concentration supplies r^(-(N-1)/2), the kernel the rest)
-    v_lo = -min(30.0 / (2.0 - 2.0 * s), 600.0 / nu)
-    if at_edge:
-        v_hi = (30.0 + math.log(1.0 / s)) / s
-    else:
-        v_hi = math.log((50.0 + nu) / (1.0 - lam))
-
-    def integrand(v: np.ndarray) -> np.ndarray:
-        r = np.exp(v)
-        ktil = macdonald_k(nu, r, scaled=True)
-        # minus sign: the identity integrand carries (1 - e^(lam.z))
-        return -_angular_excess(N, lam, r) * ktil * r ** (N - nu)
-
-    def integrate(du: float) -> float:
-        n_nodes = int(math.ceil((v_hi - v_lo) / du)) + 1
-        v = np.linspace(v_lo, v_hi, n_nodes)
-        vals = np.empty_like(v)
-        for i in range(0, n_nodes, 1024):
-            vals[i : i + 1024] = integrand(v[i : i + 1024])
-        return float((vals.sum() - 0.5 * (vals[0] + vals[-1]))
-                     * (v[1] - v[0]))
-
-    total = integrate(0.02)
-    total_fine = integrate(0.01)
-    quad_drift = abs(total_fine - total)
-
-    lhs = frac_power_constant(N, s) * total_fine
-    rhs = -1.0 if at_edge else (1.0 - lam * lam) ** s - 1.0
-    violation = abs(lhs - rhs)
-    return finish_report(
-        name="operator.bessel_identity",
-        inputs={"lambda_abs": lambda_abs, "N": N, "s": s},
-        measured={"lhs": lhs, "rhs": rhs, "quad_drift": quad_drift},
-        tolerance=tolerance,
-        violation=violation,
-        witness={"lhs": lhs, "rhs": rhs},
-        t_start=t0,
-    )
-
-
-def eigenfunction_residual(lam: float, p: OperatorParams,
-                           window: GridFunction,
-                           tolerance: float = 1e-3) -> CheckReport:
-    """Residual of L e^(lambda x) = (m^2 - lambda^2)^s e^(lambda x).
-
-    The exponential is tapered by ``window`` (flat near the origin, zero at
-    the seam) and the kernel realization is compared on the core
-    |x| <= L/16, where the taper is invisible to the truncated kernel.
-    """
-    t0 = time.perf_counter()
-    if not abs(lam) < p.m:
-        raise PreconditionError(
-            f"need |lambda| < m for a true eigenfunction, "
-            f"got lambda={lam:g}, m={p.m:g}")
-    _require_singular_ok(p)
-    x = window.x
-    f = window.with_values(window.values * np.exp(lam * x))
-    core = np.nonzero(np.abs(x) <= window.L / 16.0)[0]
-    applied = apply_singular_at(f, p, core)
-    mu = (p.m * p.m - lam * lam) ** p.s
-    target = mu * np.exp(lam * x[core])
-    rel = np.abs(applied - target) / np.max(np.abs(target))
-    worst = int(np.argmax(rel))
-    return finish_report(
-        name="operator.eigenfunction_residual",
-        inputs={"lambda": lam, "s": p.s, "m": p.m,
-                "L": window.L, "n": window.n},
-        measured={"max_rel_residual": float(rel.max()), "eigenvalue": mu},
-        tolerance=tolerance,
-        violation=float(rel.max()),
-        witness={"x": float(x[core][worst]),
-                 "applied": float(applied[worst]),
-                 "target": float(target[worst])},
-        t_start=t0,
-    )

@@ -17,15 +17,17 @@ Derivative bookkeeping rests on the identities d_x w = i phi_xx d_xi w and
 d_t w = i phi_tx d_xi w: every first derivative of (a, b) reduces to the
 xi-gradient, in particular a_t = -phi_tx b_xi and a_x = -phi_xx b_xi exactly.
 
-The module provides closed forms and finite-difference cross-checks for the
-symbols and brackets, a positivity sweep over the support annulus
-1 <= |x/R + psi(t)| <= 4 with the proof-ladder dominance margins, derivative
-bounds of the kind a sharp Garding inequality consumes, dense-matrix
-realizations of the conjugated operator (with the s = 1 closed-form
-commutator), grid-level verification of the elliptic and parabolic weighted
-lower-bound inequalities, and the conjugation/fractional-power exchange on
-SPD matrices.  All unspecified constants are calibrated empirically and
-frozen in data/symbol_calibration.json.
+The module provides the closed-form bracket {a, b} with a finite-difference
+cross-check, and one function that computes the parabolic bracket,
+parabolic_bracket: both the positivity sweep over the support annulus
+1 <= |x/R + psi(t)| <= 4 (with the proof-ladder dominance margins) and the
+derivative bounds of the kind a sharp Garding inequality consumes evaluate
+it.  Besides those: dense-matrix realizations of the conjugated operator
+(with the s = 1 closed-form commutator), grid-level verification of the
+elliptic and parabolic weighted lower-bound inequalities, and the
+conjugation/fractional-power exchange on SPD matrices.  All unspecified
+constants are calibrated empirically and frozen in
+data/symbol_calibration.json.
 """
 from __future__ import annotations
 
@@ -200,11 +202,6 @@ class QuadraticWeight:
     def phi_tx(self, t):
         return 2.0 * (self.alpha / self.R) * np.asarray(self.psi_d1(t), dtype=float)
 
-    def phi_tt(self, t, x):
-        d1 = np.asarray(self.psi_d1(t), dtype=float)
-        d2 = np.asarray(self.psi_d2(t), dtype=float)
-        return 2.0 * self.alpha * d1 ** 2 + 2.0 * self.alpha * self.offset(t, x) * d2
-
     def slope(self, s: float) -> float:
         """The steepness s alpha^{2s-1} / R^{2s} the admissibility gate tests."""
         return s * self.alpha ** (2.0 * s - 1.0) / self.R ** (2.0 * s)
@@ -254,7 +251,7 @@ def _leak_fraction(w: QuadraticWeight, g: GridFunction, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# pointwise symbol algebra (vectorized cores, scalar wrappers)
+# pointwise symbol algebra (vectorized cores, point evaluations)
 
 
 class _SymbolCore(NamedTuple):
@@ -321,35 +318,36 @@ def _bracket_ab(c: _SymbolCore, phi_xx: float):
         return 4.0 * s * s * phi_xx * c.rho2 ** (s - 1.0) * (xi * xi + px * px)
 
 
-def conjugated_symbol(pt: SymbolPoint, w: QuadraticWeight,
-                      p: OperatorParams) -> tuple:
-    """Real and imaginary symbol parts of the conjugated operator.
+class _ParabolicBracket(NamedTuple):
+    """{a~, b~} and the pieces the positivity ladder bounds: base = {a, b},
+    mixed = phi_tx b_xi (the transport term -a_t equals it, since
+    a_t = -phi_tx b_xi) and curv_psi2, the psi'' part of phi_tt."""
 
-    Returns (a, b) = (rho^s cos(s theta), rho^s sin(s theta)) where rho and
-    theta are modulus and argument of the complex quadratic w, with theta on
-    the continuous branch (-pi, pi] from the two-argument arctangent.  The
-    only zero of rho is xi = 0 with m = |phi_x|, where both parts vanish.
+    core: _SymbolCore
+    base: np.ndarray
+    mixed: np.ndarray
+    curv_psi2: np.ndarray
+    total: np.ndarray
+
+
+def parabolic_bracket(w: QuadraticWeight, p: OperatorParams, sigma, t,
+                      xi) -> _ParabolicBracket:
+    """The parabolic bracket {a~, b~} = {a, b} + 2 phi_tx b_xi + phi_tt of
+    a~ = -phi_t + a and b~ = tau + b (tau drops out), at annulus offset
+    sigma = x/R + psi(t), time t and frequency xi, broadcast together.
+
+    phi_tt = 2 alpha psi'^2 + 2 alpha sigma psi'' enters in two pieces, and
+    the total is summed in the fixed order base + 2 mixed + psi' piece +
+    psi'' piece, so every caller sees the same bits at the same point.
     """
-    a, b = _symbol_ab(_core_at(pt, w, p))
-    return float(a), float(b)
-
-
-def symbol_gradient(pt: SymbolPoint, w: QuadraticWeight,
-                    p: OperatorParams) -> dict:
-    """All first derivatives of (a, b) in closed form.
-
-    Since d_x w = i phi_xx d_xi w and d_t w = i phi_tx d_xi w, the x and t
-    derivatives collapse onto the xi-gradient:
-      a_x = -phi_xx b_xi    b_x = phi_xx a_xi
-      a_t = -phi_tx b_xi    b_t = phi_tx a_xi
-    """
-    a_xi, b_xi = _symbol_xi_grad(_core_at(pt, w, p))
-    a_xi = float(a_xi)
-    b_xi = float(b_xi)
-    ptx = float(w.phi_tx(pt.t))
-    return {"a_xi": a_xi, "b_xi": b_xi,
-            "a_x": -w.phi_xx * b_xi, "b_x": w.phi_xx * a_xi,
-            "a_t": -ptx * b_xi, "b_t": ptx * a_xi}
+    core = _symbol_core(xi, (2.0 * w.alpha / w.R) * sigma, p.m, p.s)
+    base = _bracket_ab(core, w.phi_xx)
+    mixed = w.phi_tx(t) * _symbol_xi_grad(core)[1]
+    d1 = np.asarray(w.psi_d1(t), dtype=float)
+    curv_psi1 = 2.0 * w.alpha * d1 * d1
+    curv_psi2 = 2.0 * w.alpha * sigma * np.asarray(w.psi_d2(t), dtype=float)
+    return _ParabolicBracket(core, base, mixed, curv_psi2,
+                             base + 2.0 * mixed + curv_psi1 + curv_psi2)
 
 
 def bracket_singular(pt: SymbolPoint, w: QuadraticWeight,
@@ -375,11 +373,15 @@ def poisson_bracket(pt: SymbolPoint, w: QuadraticWeight,
 
     At a singular point (rho = 0, s < 1) the closed form diverges; the
     limit value +inf is returned and bracket_singular carries the flag.
+    At a fully degenerate point (xi = 0, m = 0, phi_x = 0) it reads
+    0 * inf; there rho = xi^2 + phi_x^2, so the bracket is
+    4 s^2 phi_xx (xi^2 + phi_x^2)^(2s-1) nearby, and its limit is
+    returned: 0 for s > 1/2, phi_xx at s = 1/2, +inf below.
     """
     val = float(_bracket_ab(_core_at(pt, w, p), w.phi_xx))
     if math.isnan(val):
-        # 0 * inf at a fully degenerate point; resolve by the xi -> 0 limit
-        # of 4 s^2 phi_xx xi^{4s-2}.
+        if p.s == 0.5:
+            return w.phi_xx
         return 0.0 if p.s > 0.5 else math.inf
     return val
 
@@ -405,55 +407,6 @@ def poisson_bracket_fd(pt: SymbolPoint, w: QuadraticWeight,
     a_xi = (a_pl - a_mi) / (2.0 * h_xi)
     b_xi = (b_pl - b_mi) / (2.0 * h_xi)
     return a_xi * b_x - a_x * b_xi
-
-
-def parabolic_bracket_terms(pt: SymbolPoint, w: QuadraticWeight,
-                            p: OperatorParams) -> dict:
-    """The four closed-form pieces of the parabolic bracket.
-
-    {a~, b~} = {a,b} + phi_tx b_xi + phi_tt - a_t with a~ = -phi_t + a and
-    b~ = tau + b; tau itself drops out.  Keys:
-      base       {a, b}
-      mixed      phi_tx b_xi
-      curvature  phi_tt
-      transport  -a_t (equal to mixed, since a_t = -phi_tx b_xi)
-    """
-    core = _core_at(pt, w, p)
-    base = _bracket_ab(core, w.phi_xx)
-    _, b_xi = _symbol_xi_grad(core)
-    ptx = float(w.phi_tx(pt.t))
-    mixed = ptx * float(b_xi)
-    return {"base": float(base), "mixed": mixed,
-            "curvature": float(w.phi_tt(pt.t, pt.x)), "transport": mixed}
-
-
-def parabolic_poisson_bracket(pt: SymbolPoint, w: QuadraticWeight,
-                              p: OperatorParams) -> float:
-    terms = parabolic_bracket_terms(pt, w, p)
-    return terms["base"] + terms["mixed"] + terms["curvature"] + terms["transport"]
-
-
-def parabolic_bracket_terms_fd(pt: SymbolPoint, w: QuadraticWeight,
-                               p: OperatorParams) -> dict:
-    """Finite-difference versions of the four pieces along independent
-    paths: symbol differences in (x, xi, t) and weight differences in t."""
-    h_t = _FD_BRACKET_STEP
-    h_xi = _FD_BRACKET_STEP * max(abs(pt.xi), 2.0 * w.alpha / w.R)
-
-    def ab_at(t, xi):
-        a, b = _symbol_ab(_symbol_core(xi, float(w.phi_x(t, pt.x)), p.m, p.s))
-        return float(a), float(b)
-
-    _, b_pl = ab_at(pt.t, pt.xi + h_xi)
-    _, b_mi = ab_at(pt.t, pt.xi - h_xi)
-    b_xi = (b_pl - b_mi) / (2.0 * h_xi)
-    ptx = (float(w.phi_x(pt.t + h_t, pt.x)) - float(w.phi_x(pt.t - h_t, pt.x))) / (2.0 * h_t)
-    a_pl, _ = ab_at(pt.t + h_t, pt.xi)
-    a_mi, _ = ab_at(pt.t - h_t, pt.xi)
-    a_t = (a_pl - a_mi) / (2.0 * h_t)
-    curv = (float(w.phi_t(pt.t + h_t, pt.x)) - float(w.phi_t(pt.t - h_t, pt.x))) / (2.0 * h_t)
-    return {"base": poisson_bracket_fd(pt, w, p),
-            "mixed": ptx * b_xi, "curvature": curv, "transport": -a_t}
 
 
 # ---------------------------------------------------------------------------
@@ -617,24 +570,15 @@ def positivity_sweep(w: QuadraticWeight, p: OperatorParams, *,
     for t in np.asarray(t_grid, dtype=float):
         psi_val = float(w.psi_at(t))
         ptx = float(w.phi_tx(t))
-        d1 = float(np.asarray(w.psi_d1(t), dtype=float))
-        d2 = float(np.asarray(w.psi_d2(t), dtype=float))
         for lo, hi in _sigma_branches(psi_val):
             sigma = np.linspace(lo, hi, sigma_nodes)[:, None]
-            px = 2.0 * (w.alpha / w.R) * sigma
             xr = xi[None, :]
-            core = _symbol_core(xr, px, m, s)
-            rho2 = core.rho2
-            base = _bracket_ab(core, w.phi_xx)
-            _, b_xi = _symbol_xi_grad(core)
+            br = parabolic_bracket(w, p, sigma, t, xr)
+            core, base, mixed, total = br.core, br.base, br.mixed, br.total
             odd, even = _mixed_pieces(core, ptx)
-            curv_psi1 = 2.0 * w.alpha * d1 * d1
-            curv_psi2 = 2.0 * w.alpha * sigma * d2 + 0.0 * xr
-            mixed = ptx * b_xi
-            total = base + 2.0 * mixed + curv_psi1 + curv_psi2
 
-            local = xr * xr + m * m + px * px
-            sing = rho2 <= (SINGULAR_FLOOR * local) ** 2
+            local = xr * xr + m * m + core.px * core.px
+            sing = core.rho2 <= (SINGULAR_FLOOR * local) ** 2
             bad = ~np.isfinite(total)
             singular_count += 2 * int(np.sum(sing))
             nonfinite_count += 2 * int(np.sum(bad & ~sing))
@@ -653,7 +597,7 @@ def positivity_sweep(w: QuadraticWeight, p: OperatorParams, *,
             env = envelope[None, :]
             tenth = base / 10.0
             for key, term in (("mixed_odd", odd), ("mixed_even", even),
-                              ("curvature_psi2", curv_psi2),
+                              ("curvature_psi2", br.curv_psi2),
                               ("transport", mixed)):
                 margin = np.where(ok, (tenth - np.abs(term)) / env, math.inf)
                 margins[key] = min(margins[key], float(np.min(margin)))
@@ -687,20 +631,6 @@ def _fd_stencil(order: int):
     weights = (-1.0) ** k * np.array([math.comb(order, int(j)) for j in k])
     offsets = 0.5 * order - k
     return offsets, weights
-
-
-def _bracket_at_offset(w: QuadraticWeight, p: OperatorParams, sig, ts,
-                       xis):
-    """Parabolic bracket {a~, b~} at annulus offset sigma = x/R + psi(t),
-    time t and frequency xi, vectorized: the base bracket, the mixed and
-    transport terms 2 phi_tx b_xi, and the curvature phi_tt."""
-    core = _symbol_core(xis, (2.0 * w.alpha / w.R) * sig, p.m, p.s)
-    base = _bracket_ab(core, w.phi_xx)
-    _, b_xi = _symbol_xi_grad(core)
-    d1 = np.asarray(w.psi_d1(ts), dtype=float)
-    d2 = np.asarray(w.psi_d2(ts), dtype=float)
-    curv = 2.0 * w.alpha * d1 * d1 + 2.0 * w.alpha * sig * d2
-    return base + 2.0 * w.phi_tx(ts) * b_xi + curv
 
 
 def garding_hypothesis_check(w: QuadraticWeight, p: OperatorParams, *,
@@ -770,9 +700,9 @@ def garding_hypothesis_check(w: QuadraticWeight, p: OperatorParams, *,
     def bracket(oi, oj, ok):
         key = (oi, oj, ok)
         if key not in stencil_vals:
-            stencil_vals[key] = _bracket_at_offset(
+            stencil_vals[key] = parabolic_bracket(
                 w, p, pts_sig + oi * h_loc / unit_xi, pts_t + oj * h_t,
-                pts_xi + ok * h_loc)
+                pts_xi + ok * h_loc).total
         return stencil_vals[key]
 
     max_order = 8 if probe_order_8 else 7

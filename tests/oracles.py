@@ -1,0 +1,466 @@
+"""Oracles and checks that only the tests call.
+
+The package holds what ``fracrel run`` and ``fracrel calibrate`` execute.
+This module holds the rest: second routes the tests compare the package
+against (direct kernel sums, the kernel-cell carre du champ, the transform
+quadratic form, the heat kernel and its contour-shifted weighted form,
+finite-difference brackets, per-state tilted integrals) and five checks
+that no suite runs.  The checks keep their report names.
+"""
+from __future__ import annotations
+
+import math
+import time
+
+import numpy as np
+
+from fracrel.errors import DomainError, PreconditionError
+from fracrel.grid import (GridFunction, SpaceTimeFunction, grid_points,
+                          require_seam_decay, smooth_window)
+from fracrel.heat import PotentialField
+from fracrel.linear_carleman import (_DDOT_TOLERANCE, LinearWeight,
+                                     _admissible_constants, _production,
+                                     _production_rate, _tilted_series,
+                                     _uniform_spacing, _weighted)
+from fracrel.operator import (OperatorParams, _kernel_weights,
+                              _require_singular_ok, frequencies, symbol)
+from fracrel.report import CheckReport, finish_report
+from fracrel.special import frac_power_constant, macdonald_k
+from fracrel.symbols import (_FD_BRACKET_STEP, QuadraticWeight, SymbolPoint,
+                             _symbol_ab, _symbol_core, poisson_bracket_fd)
+
+# ----------------------------------------------------------------------
+# grid
+
+
+def trapezoid(g: GridFunction) -> float:
+    """Integral over the box; on a periodic grid the trapezoid rule is a
+    plain Riemann sum."""
+    return float(g.h * g.values.sum())
+
+
+def fourier_mode(L: float, n: int, k: int, kind: str = "cos") -> GridFunction:
+    """Single periodic mode cos/sin(2 pi k x / L)."""
+    phase = 2.0 * math.pi * k * grid_points(L, n) / L
+    if kind == "cos":
+        return GridFunction(L, n, np.cos(phase))
+    if kind == "sin":
+        return GridFunction(L, n, np.sin(phase))
+    raise DomainError(f"kind must be 'cos' or 'sin', got {kind!r}")
+
+
+def windowed_exponential(L: float, n: int, lam: float) -> GridFunction:
+    """exp(lam x) cut off smoothly: identically exp(lam x) on |x| <= L/8
+    and zero beyond |x| >= L/4."""
+    w = smooth_window(L, n, L / 8.0, L / 4.0)
+    return w.with_values(w.values * np.exp(lam * w.x))
+
+
+def centered_d1(g: GridFunction) -> np.ndarray:
+    """First derivative by periodic centered differences."""
+    v = g.values
+    return (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * g.h)
+
+
+# ----------------------------------------------------------------------
+# operator
+
+
+def apply_singular_at(f: GridFunction, p: OperatorParams,
+                      indices: np.ndarray) -> np.ndarray:
+    """The kernel-cell operator at the given indices by direct summation.
+
+    Matches ``apply_singular_integral`` up to rounding, but the sums touch
+    only values within the kernel reach of each point, so data with huge
+    dynamic range (a tapered growing exponential) keeps its small values:
+    the FFT route spreads roundoff from the largest values everywhere.
+    """
+    _require_singular_ok(p)
+    idx = np.asarray(indices, dtype=int)
+    kw = _kernel_weights(p, f.L, f.n)
+    v = f.values
+    vi = v[idx]
+    acc = np.zeros(len(idx))
+    for k in range(1, len(kw["w"]) + 1):
+        acc += kw["w"][k - 1] * (2.0 * vi - np.take(v, idx + k, mode="wrap")
+                                 - np.take(v, idx - k, mode="wrap"))
+    d2 = (np.take(v, idx + 1, mode="wrap") - 2.0 * vi
+          + np.take(v, idx - 1, mode="wrap")) / kw["h"] ** 2
+    return kw["c_full"] * (acc - d2 * kw["moment"]) + p.m ** (2.0 * p.s) * vi
+
+
+def carre_du_champ(f: GridFunction, g: GridFunction, p: OperatorParams
+                   ) -> GridFunction:
+    """H(f, g) = L(fg) - f Lg - g Lf through the kernel cells.
+
+    On the diagonal the form is minus a combination of squared cell
+    differences and m^(2s) f^2, so H(f, f) stays nonpositive for resolved
+    data (the nearest-cell difference dominates the small Taylor moment).
+    """
+    _require_singular_ok(p)
+    if (f.L, f.n) != (g.L, g.n):
+        raise PreconditionError("operands must share one grid")
+    kw = _kernel_weights(p, f.L, f.n)
+    fv, gv = f.values, g.values
+
+    def conv(v):
+        return np.fft.irfft(kw["stencil_hat"] * np.fft.rfft(v), f.n)
+
+    pair = kw["w0"] * fv * gv - fv * conv(gv) - gv * conv(fv) + conv(fv * gv)
+    pair += 2.0 * centered_d1(f) * centered_d1(g) * kw["moment"]
+    return f.with_values(-kw["c_full"] * pair - p.m ** (2.0 * p.s) * fv * gv)
+
+
+_I0_ASY = (1.0, 0.125, 9.0 / 128.0, 75.0 / 1024.0, 11025.0 / 98304.0)
+
+
+def _positive_series(first: np.ndarray, step) -> np.ndarray:
+    # sum of a positive series from its first term, term_j = step(term_{j-1},
+    # j) for j >= 2, stopped once the terms fall below 1e-17 of the total
+    term = first
+    total = np.array(first, copy=True)
+    if total.size == 0:
+        return total
+    for j in range(2, 80):
+        term = step(term, j)
+        total += term
+        if term.max() <= 1e-17 * max(float(total.max()), 1e-300):
+            break
+    return total
+
+
+def _angular_excess(N: int, lam: float, r: np.ndarray) -> np.ndarray:
+    """(integral of e^(lam r u.e) over the unit sphere, minus the sphere
+    area) times e^(-r).  Below lam r = 30 the constant is subtracted inside
+    a positive series (I_0 - 1, sinh(x)/x - 1), never across floats, so the
+    r^2 vanishing at the origin survives in floating point; above, I_0
+    comes from its asymptotic expansion."""
+    x = lam * r
+    out = np.empty_like(r)
+    low = x < 30.0
+    rl, xl, rh = r[low], x[low], r[~low]
+    if N == 1:
+        sh = np.sinh(0.5 * xl)
+        out[low] = 4.0 * np.exp(-rl) * sh * sh
+        out[~low] = (np.exp(-(1.0 - lam) * rh) + np.exp(-(1.0 + lam) * rh)
+                     - 2.0 * np.exp(-rh))
+    elif N == 2:
+        q = 0.25 * xl * xl
+        out[low] = 2.0 * math.pi * np.exp(-rl) * _positive_series(
+            q, lambda term, j: term * q / (j * j))
+        xh = x[~low]
+        scaled_i0 = sum(c / xh ** j for j, c in enumerate(_I0_ASY)) \
+            / np.sqrt(2.0 * math.pi * xh)
+        out[~low] = 2.0 * math.pi * (scaled_i0 * np.exp(-(1.0 - lam) * rh)
+                                     - np.exp(-rh))
+    else:
+        q = xl * xl
+        out[low] = 4.0 * math.pi * np.exp(-rl) * _positive_series(
+            q / 6.0, lambda term, j: term * q / ((2.0 * j) * (2.0 * j + 1.0)))
+        out[~low] = 4.0 * math.pi * (
+            (np.exp(-(1.0 - lam) * rh) - np.exp(-(1.0 + lam) * rh))
+            / (2.0 * lam * rh) - np.exp(-rh))
+    return out
+
+
+def bessel_identity_check(lambda_abs: float, N: int, s: float,
+                          tolerance: float = 1e-5) -> CheckReport:
+    """Weighted kernel integral against its closed form.
+
+    C(N,s) int (1 - e^(lambda.z)) |z|^(-(N+2s)/2) K_((N+2s)/2)(|z|) dz over
+    R^N equals (1 - lambda^2)^s - 1 for |lambda| < 1, and -1 at
+    |lambda| = 1 provided N - 2s < 1.
+    """
+    t0 = time.perf_counter()
+    if not (0.0 <= lambda_abs <= 1.0):
+        raise DomainError("lambda_abs must lie in [0, 1]")
+    if N not in (1, 2, 3):
+        raise DomainError("the radial reduction is implemented for N in {1,2,3}")
+    if not (0.0 < s < 1.0):
+        raise DomainError("s must lie in (0, 1)")
+    at_edge = lambda_abs >= 1.0 - 1e-12
+    if at_edge and not (N - 2.0 * s < 1.0):
+        raise PreconditionError(
+            f"|lambda| = 1 requires N - 2s < 1, got N={N}, s={s:g}")
+
+    nu = 0.5 * (N + 2.0 * s)
+    lam = lambda_abs
+    # log-radius window: the integrand falls like r^(2-2s) toward r = 0
+    # (the lower cap keeps the scaled Macdonald factor representable), and
+    # at |lambda| = 1 like r^(-s) toward infinity in every dimension (the
+    # sphere concentration supplies r^(-(N-1)/2), the kernel the rest)
+    v_lo = -min(30.0 / (2.0 - 2.0 * s), 600.0 / nu)
+    if at_edge:
+        v_hi = (30.0 + math.log(1.0 / s)) / s
+    else:
+        v_hi = math.log((50.0 + nu) / (1.0 - lam))
+
+    def integrate(du: float) -> float:
+        v = np.linspace(v_lo, v_hi, int(math.ceil((v_hi - v_lo) / du)) + 1)
+        vals = np.empty_like(v)
+        for i in range(0, v.size, 1024):
+            r = np.exp(v[i : i + 1024])
+            # minus sign: the identity integrand carries (1 - e^(lam.z))
+            vals[i : i + 1024] = (-_angular_excess(N, lam, r)
+                                  * macdonald_k(nu, r, scaled=True)
+                                  * r ** (N - nu))
+        return float((vals.sum() - 0.5 * (vals[0] + vals[-1]))
+                     * (v[1] - v[0]))
+
+    total_fine = integrate(0.01)
+    lhs = frac_power_constant(N, s) * total_fine
+    rhs = -1.0 if at_edge else (1.0 - lam * lam) ** s - 1.0
+    return finish_report(
+        "operator.bessel_identity", {"lambda_abs": lambda_abs, "N": N, "s": s},
+        {"lhs": lhs, "rhs": rhs,
+         "quad_drift": abs(total_fine - integrate(0.02))},
+        tolerance, abs(lhs - rhs), {"lhs": lhs, "rhs": rhs}, t0)
+
+
+def eigenfunction_residual(lam: float, p: OperatorParams,
+                           window: GridFunction,
+                           tolerance: float = 1e-3) -> CheckReport:
+    """Residual of L e^(lambda x) = (m^2 - lambda^2)^s e^(lambda x).
+
+    The exponential is tapered by ``window`` (flat near the origin, zero at
+    the seam) and the kernel realization is compared on the core
+    |x| <= L/16, where the taper is invisible to the truncated kernel.
+    """
+    t0 = time.perf_counter()
+    if not abs(lam) < p.m:
+        raise PreconditionError(
+            f"need |lambda| < m for a true eigenfunction, "
+            f"got lambda={lam:g}, m={p.m:g}")
+    _require_singular_ok(p)
+    x = window.x
+    f = window.with_values(window.values * np.exp(lam * x))
+    core = np.nonzero(np.abs(x) <= window.L / 16.0)[0]
+    applied = apply_singular_at(f, p, core)
+    mu = (p.m * p.m - lam * lam) ** p.s
+    target = mu * np.exp(lam * x[core])
+    rel = np.abs(applied - target) / np.max(np.abs(target))
+    worst = int(np.argmax(rel))
+    return finish_report(
+        "operator.eigenfunction_residual",
+        {"lambda": lam, "s": p.s, "m": p.m, "L": window.L, "n": window.n},
+        {"max_rel_residual": float(rel.max()), "eigenvalue": mu},
+        tolerance, float(rel.max()),
+        {"x": float(x[core][worst]), "applied": float(applied[worst]),
+         "target": float(target[worst])}, t0)
+
+
+# ----------------------------------------------------------------------
+# heat
+
+
+def fundamental_solution(t: float, p: OperatorParams, L: float = 40.0,
+                         n: int = 4096) -> GridFunction:
+    """Heat kernel on the periodic box, centered at x = 0.
+
+    Frequency sampling of exp(-t (xi^2 + m^2)^s) is exactly the
+    periodization of the whole-line kernel, so away from the seam the values
+    match the free-space kernel to the truncation level of the symbol.
+    """
+    if t <= 0.0:
+        raise DomainError(f"time must be positive, got t={t:g}")
+    vals = np.fft.irfft(np.exp(-t * symbol(p, frequencies(L, n))), n) * (n / L)
+    return GridFunction(L, n, np.roll(vals, n // 2))
+
+
+def shifted_kernel(t: float, mu: float, p: OperatorParams, L: float,
+                   n: int) -> GridFunction:
+    """Samples of e^(mu x) K_t(x) from the analytically continued symbol.
+
+    Shifting the frequency contour to xi + i mu keeps the weighted kernel
+    within double-precision dynamic range; multiplying FFT output of the
+    plain kernel by e^(mu x) instead would amplify the transform's rounding
+    floor by e^(|mu| L / 2) and drown the tail.  Needs |mu| < m so the
+    shifted symbol stays on the principal branch.
+    """
+    if t <= 0.0:
+        raise DomainError(f"time must be positive, got t={t:g}")
+    if abs(mu) >= p.m:
+        raise PreconditionError(
+            f"contour shift needs |mu| < m, got mu={mu:g}, m={p.m:g}")
+    xi = frequencies(L, n)
+    mult = np.exp(-t * (xi * xi - mu * mu + p.m ** 2 + 2j * mu * xi) ** p.s)
+    vals = np.fft.irfft(mult, n) * (n / L)
+    return GridFunction(L, n, np.roll(vals, n // 2))
+
+
+def weighted_integral(g: GridFunction, values: np.ndarray, lam: float,
+                      what: str = "weighted integrand") -> float:
+    """Integral of e^(lam x) values over g's box, guarded against seam
+    leakage at lam != 0: the one-state oracle of heat.tilted_integrals."""
+    integrand = g.with_values(np.exp(lam * g.x) * values)
+    if lam != 0.0:
+        require_seam_decay(integrand.values, what=what)
+    return trapezoid(integrand)
+
+
+def weighted_l1_kernel(t: float, lam: float, p: OperatorParams,
+                       tolerance: float = 1e-3) -> CheckReport:
+    """Check the closed form for the e^(lam x)-weighted mass of the kernel.
+
+    The bulk of the weight rides on the shifted contour; only a residual
+    factor e^(delta x) with delta ~ 48/L is applied in physical space, so
+    the quadrature probes the kernel's tail profile without amplifying the
+    transform's rounding floor past the tolerance.  The weighted tail
+    decays like e^((|lam|-m)|x|) times a power, hence the long box of
+    L = 160; at |lam| = m the identity is only approached and the report
+    says by how much.
+    """
+    t_start = time.perf_counter()
+    L, n = 160.0, 16384
+    if abs(lam) > p.m:
+        raise PreconditionError(
+            f"need |lam| <= m for the weighted identity, got lam={lam:g}, "
+            f"m={p.m:g}")
+    delta = math.copysign(min(abs(lam), 48.0 / L), lam)
+    # the truncated symbol rings at the grid Nyquist with amplitude
+    # ~ exp(-t sigma_N); the residual weight blows that up by exp(|delta| L/2),
+    # so refine until the product underflows past the tolerance
+    sigma_need = (abs(delta) * 0.5 * L + 45.0) / t
+    if math.log(sigma_need) / p.s > 60.0:
+        raise PreconditionError(
+            f"time t={t:g} too short to resolve the weighted kernel")
+    xi_need = math.sqrt(max(0.0, sigma_need ** (1.0 / p.s) - p.m * p.m))
+    while math.pi * n / L < xi_need and n < (1 << 21):
+        n *= 2
+    if math.pi * n / L < xi_need:
+        raise PreconditionError(
+            f"time t={t:g} too short to resolve the weighted kernel on a "
+            f"box of length {L:g}")
+    kernel = shifted_kernel(t, lam - delta, p, L, n)
+    value = trapezoid(kernel.with_values(np.exp(delta * kernel.x)
+                                         * kernel.values))
+    expected = math.exp(-t * (p.m ** 2 - lam ** 2) ** p.s)
+    rel = abs(value - expected) / expected
+    return finish_report(
+        "heat.weighted_l1_kernel",
+        {"t": t, "lam": lam, "s": p.s, "m": p.m, "L": L, "n": n},
+        {"value": value, "expected": expected, "rel_error": rel},
+        tolerance, rel, None, t_start)
+
+
+def backward_uc_check(traj: SpaceTimeFunction, V: PotentialField | None,
+                      p: OperatorParams) -> CheckReport:
+    """Backward uniqueness surrogate: log-convexity of ||u(t)||^2.
+
+    ``traj`` is the flow evolved under V (None for the free flow); the
+    check reads ||u||^2 at the states nearest to 21 evenly spaced times.
+    With V = 0 the bound is asserted to 1e-8, the free flow's roundoff.
+    With a bounded potential the check is report-only: it measures the
+    smallest kappa with H(t) <= kappa H(0)^(1-theta) H(T)^theta.
+    """
+    t_start = time.perf_counter()
+    tolerance = 1e-8
+    free = V is None or V.sup_norm == 0.0
+    picks = [int(np.argmin(np.abs(traj.times - t)))
+             for t in np.linspace(traj.times[0], traj.times[-1], 21)]
+    times = traj.times[picks]
+    energies = (traj.L / traj.n) * np.sum(traj.values[picks] ** 2, axis=1)
+    if energies[0] == 0.0 or energies[-1] == 0.0:
+        return finish_report(
+            "heat.backward_uc", {"s": p.s, "m": p.m, "free": free},
+            {"kappa": 0.0}, tolerance, 0.0, None, t_start)
+    theta = (times - times[0]) / (times[-1] - times[0])
+    kappa = float(np.max(energies / (energies[0] ** (1.0 - theta)
+                                     * energies[-1] ** theta)))
+    return finish_report(
+        "heat.backward_uc",
+        {"s": p.s, "m": p.m, "free": free,
+         "sup_norm": 0.0 if free else V.sup_norm},
+        {"kappa": kappa}, tolerance,
+        max(0.0, kappa - 1.0) if free else 0.0, {"kappa": kappa}, t_start)
+
+
+# ----------------------------------------------------------------------
+# linear Carleman
+
+
+def spectral_carre(f: GridFunction, p: OperatorParams) -> GridFunction:
+    """The quadratic form H(f, f) = L^s(f^2) - 2 f L^s f, transform route;
+    pointwise nonpositive up to roundoff."""
+    sym = symbol(p, frequencies(f.L, f.n))
+    fv = f.values
+    lf = np.fft.irfft(sym * np.fft.rfft(fv), f.n)
+    lf2 = np.fft.irfft(sym * np.fft.rfft(fv * fv), f.n)
+    return f.with_values(lf2 - 2.0 * fv * lf)
+
+
+def functional_D(traj: SpaceTimeFunction, w: LinearWeight,
+                 p: OperatorParams) -> np.ndarray:
+    """Production int (w_t - L^s w) u^2 dx + int w H(u, u) dx at every
+    state, through the weight's eigen relation drift H - 2 int w u L^s u."""
+    times, series = _tilted_series(traj, w.lam, p, None, with_energy=False)
+    return _production(_weighted(times, series, w.drift), w.drift)
+
+
+def ddot_lower_bound_check(traj: SpaceTimeFunction, w: LinearWeight,
+                           p: OperatorParams,
+                           V: PotentialField | None = None,
+                           constants=None) -> CheckReport:
+    """Centered-difference audit of the production rate's lower bound.
+
+    Along a uniformly spaced trajectory (spacing at most 2.5e-3 so the
+    differences resolve dD/dt) the check asserts, at every interior time,
+
+        dD/dt >= 3/4 (mu - A)^2 H - C1 int w F^2 + 2 int w (u_t)^2
+                 + (A + m^(2s)) int w H_s(u, u) - int w H_2s(u, u)
+
+    up to a slack of _DDOT_TOLERANCE times the sum of the terms' magnitudes,
+    with mu = (m^2 - lam^2)^s, A the drift, and u_t read off the evolution
+    equation.  The energy split behind the bound needs s <= 1/2; the drift
+    must pass the calibrated admissibility gate.
+    """
+    t_start = time.perf_counter()
+    c1, c2 = _admissible_constants(constants, p, w)
+    dt = _uniform_spacing(traj.times, "production trajectory")
+    if dt > 2.5e-3:
+        raise PreconditionError(
+            f"need spacing <= 2.5e-3 for the centered differences, "
+            f"got {dt:g}")
+    times, series = _tilted_series(traj, w.lam, p, V)
+    ddot, rhs, scale = _production_rate(
+        times, _weighted(times, series, w.drift), w, p, c1)
+    slacks = (ddot - rhs) / scale
+    k = int(np.argmin(slacks))
+    return finish_report(
+        "linear_carleman.ddot_lower_bound",
+        {"s": p.s, "m": p.m, "lam": w.lam, "drift": w.drift, "C1": c1,
+         "C2": c2, "dt": dt, "states": traj.nt,
+         "sup_v": 0.0 if V is None else V.sup_norm},
+        {"worst_slack": float(slacks[k]),
+         "median_slack": float(np.median(slacks))},
+        _DDOT_TOLERANCE, -float(slacks[k]),
+        {"t": float(times[k + 1]), "ddot": float(ddot[k]),
+         "rhs": float(rhs[k]), "scale": float(scale[k])}, t_start)
+
+
+# ----------------------------------------------------------------------
+# symbols
+
+
+def parabolic_bracket_terms_fd(pt: SymbolPoint, w: QuadraticWeight,
+                               p: OperatorParams) -> dict:
+    """Finite-difference versions of the pieces of {a~, b~} along
+    independent paths: symbol differences in (x, xi, t) and weight
+    differences in t.  Keys: base {a, b}, mixed phi_tx b_xi, curvature
+    phi_tt, transport -a_t."""
+    h_t = _FD_BRACKET_STEP
+    h_xi = _FD_BRACKET_STEP * max(abs(pt.xi), 2.0 * w.alpha / w.R)
+
+    def ab_at(t, xi):
+        return _symbol_ab(_symbol_core(xi, float(w.phi_x(t, pt.x)), p.m, p.s))
+
+    b_xi = (ab_at(pt.t, pt.xi + h_xi)[1]
+            - ab_at(pt.t, pt.xi - h_xi)[1]) / (2.0 * h_xi)
+
+    def d_t(f):
+        return (float(f(pt.t + h_t)) - float(f(pt.t - h_t))) / (2.0 * h_t)
+
+    return {"base": poisson_bracket_fd(pt, w, p),
+            "mixed": d_t(lambda t: w.phi_x(t, pt.x)) * float(b_xi),
+            "curvature": d_t(lambda t: w.phi_t(t, pt.x)),
+            "transport": -d_t(lambda t: ab_at(t, pt.xi)[0])}

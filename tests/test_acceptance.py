@@ -14,19 +14,15 @@ import pytest
 
 from fracrel.cli import main as cli_main
 from fracrel.grid import (GridFunction, SpaceTimeFunction,
-                          band_limited_noise, gaussian, smooth_window,
-                          trapezoid, windowed_exponential)
+                          band_limited_noise, gaussian, smooth_window)
 from fracrel.heat import (PotentialField, energy_identity_check,
                           evolve_free, evolve_with_potential,
-                          fundamental_solution, log_convexity_check,
-                          weighted_decay_check, weighted_l1_kernel)
+                          log_convexity_check, weighted_decay_check)
 from fracrel.linear_carleman import (LinearWeight, calibrate_constants,
                                      carleman_corpus, carleman_linear_check,
-                                     ddot_lower_bound_check, load_calibration,
-                                     tent_identity_check)
+                                     load_calibration, tent_identity_check)
 from fracrel.operator import (OperatorParams, apply_singular_integral,
                               apply_spectral, apply_subordination,
-                              bessel_identity_check, eigenfunction_residual,
                               frequencies, symbol)
 from fracrel.special import half_kernel_explicit, macdonald_k
 from fracrel.symbols import (QuadraticWeight, SymbolPoint,
@@ -37,6 +33,9 @@ from fracrel.symbols import (QuadraticWeight, SymbolPoint,
                              poisson_bracket, poisson_bracket_fd,
                              positivity_constants, positivity_sweep,
                              quadratic_constants, s1_commutator_target)
+from oracles import (bessel_identity_check, ddot_lower_bound_check,
+                     eigenfunction_residual, fundamental_solution, trapezoid,
+                     weighted_l1_kernel)
 
 P_HALF = OperatorParams(0.5, 1.0)
 SEED = 20260822

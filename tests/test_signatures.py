@@ -1,4 +1,6 @@
-"""Every defaulted parameter of a function in src/fracrel is set by a call.
+"""Every defaulted parameter of a function in src/fracrel or in
+tests/oracles.py (the oracles and checks only the tests call) is set by a
+call.
 
 A default that no call in src/, tests/ or perfbench/ overrides is a
 constant dressed as a parameter: the signature offers a choice that nobody
@@ -58,10 +60,11 @@ def _passed(call, param, index):
 
 
 def unset_defaults():
-    """Defaulted parameters of src/fracrel that no call sets, as
-    'module:line function(parameter)' strings."""
+    """Defaulted parameters of src/fracrel and tests/oracles.py that no
+    call sets, as 'module:line function(parameter)' strings."""
     defs = {}  # function name -> [(parameter, index, "module:line")]
-    for path in sorted((ROOT / "src" / "fracrel").glob("*.py")):
+    paths = sorted((ROOT / "src" / "fracrel").glob("*.py"))
+    for path in paths + [ROOT / "tests" / "oracles.py"]:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 defs.setdefault(node.name, []).extend(

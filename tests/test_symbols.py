@@ -24,20 +24,18 @@ from fracrel.symbols import (QuadraticWeight, SymbolPoint,
                              bracket_singular, calibrate_garding,
                              calibrate_positivity, calibrate_quadratic,
                              carleman_quadratic_check,
-                             conjugated_operator_matrix, conjugated_symbol,
-                             default_xi_grid, elliptic_test_family,
-                             garding_constants, garding_hypothesis_check,
-                             matrix_parts, parabolic_bracket_terms,
-                             parabolic_poisson_bracket, parabolic_test_family,
+                             conjugated_operator_matrix, default_xi_grid,
+                             elliptic_test_family, garding_constants,
+                             garding_hypothesis_check, matrix_parts,
+                             parabolic_bracket, parabolic_test_family,
                              poisson_bracket, poisson_bracket_fd,
                              positivity_constants, positivity_sweep,
                              quadratic_constants, require_admissible_weight,
                              s1_commutator_target, spectral_operator_matrix,
-                             symbol_gradient, _bracket_ab,
-                             _bracket_at_offset, _leak_fraction,
-                             _mixed_pieces,
-                             _symbol_core, _symbol_xi_grad,
+                             _bracket_ab, _leak_fraction, _mixed_pieces,
+                             _symbol_ab, _symbol_core, _symbol_xi_grad,
                              _time_derivative)
+from oracles import parabolic_bracket_terms_fd
 
 W_STEEP = QuadraticWeight.decaying(215.0, 1.0)
 P_34 = OperatorParams(0.75, 0.0)
@@ -47,6 +45,54 @@ def oracle_ab(xi, px, m, s):
     w = complex(xi * xi + m * m - px * px, 2.0 * xi * px)
     z = w ** s
     return z.real, z.imag
+
+
+def oracle_parabolic_bracket(x, t, xi, w, p):
+    """{a~, b~} at a physical point by complex arithmetic.  With
+    g = d_xi w^s = s w^(s-1) (2 xi + 2 i phi_x): {a, b} = phi_xx |g|^2,
+    b_xi = Im g, and phi_tt = 2 alpha psi'^2 + 2 alpha (x/R + psi) psi''."""
+    px = w.phi_x(t, x)
+    z = complex(xi * xi + p.m * p.m - px * px, 2.0 * xi * px)
+    g = p.s * z ** (p.s - 1.0) * complex(2.0 * xi, 2.0 * px)
+    phi_tt = 2.0 * w.alpha * (w.psi_d1(t) ** 2
+                              + (x / w.R + w.psi(t)) * w.psi_d2(t))
+    return w.phi_xx * abs(g) ** 2 + 2.0 * w.phi_tx(t) * g.imag + phi_tt
+
+
+def point_core(pt, w, p):
+    return _symbol_core(pt.xi, float(w.phi_x(pt.t, pt.x)), p.m, p.s)
+
+
+def point_ab(pt, w, p):
+    """(a, b) = (rho^s cos(s theta), rho^s sin(s theta)) at the point."""
+    a, b = _symbol_ab(point_core(pt, w, p))
+    return float(a), float(b)
+
+
+def point_gradient(pt, w, p):
+    """Every first derivative of (a, b): the xi-gradient in closed form,
+    and the x and t derivatives through d_x w = i phi_xx d_xi w and
+    d_t w = i phi_tx d_xi w."""
+    a_xi, b_xi = (float(v) for v in _symbol_xi_grad(point_core(pt, w, p)))
+    ptx = float(w.phi_tx(pt.t))
+    return {"a_xi": a_xi, "b_xi": b_xi,
+            "a_x": -w.phi_xx * b_xi, "b_x": w.phi_xx * a_xi,
+            "a_t": -ptx * b_xi, "b_t": ptx * a_xi}
+
+
+def bracket_at(pt, w, p):
+    """The one parabolic bracket at a phase-space point."""
+    return parabolic_bracket(w, p, w.offset(pt.t, pt.x), pt.t, pt.xi)
+
+
+def bracket_terms(pt, w, p):
+    """The four pieces of {a~, b~}: base {a, b}, mixed phi_tx b_xi,
+    curvature phi_tt and transport -a_t."""
+    br = bracket_at(pt, w, p)
+    d1 = float(w.psi_d1(pt.t))
+    return {"base": float(br.base), "mixed": float(br.mixed),
+            "curvature": float(2.0 * w.alpha * d1 * d1 + br.curv_psi2),
+            "transport": -point_gradient(pt, w, p)["a_t"]}
 
 
 def random_points(count, seed, alpha_hi=8.0):
@@ -81,7 +127,10 @@ def test_weight_phi_derivatives_match_differences():
         rel=1e-5)
     assert w.phi_tx(t) == pytest.approx(
         (w.phi_x(t + h, x) - w.phi_x(t - h, x)) / (2 * h), rel=1e-7)
-    assert w.phi_tt(t, x) == pytest.approx(
+    # phi_tt, in the two pieces the parabolic bracket sums
+    phi_tt = (2.0 * w.alpha * w.psi_d1(t) ** 2
+              + 2.0 * w.alpha * w.offset(t, x) * w.psi_d2(t))
+    assert phi_tt == pytest.approx(
         (w.phi_t(t + h, x) - w.phi_t(t - h, x)) / (2 * h), rel=1e-6)
 
 
@@ -123,7 +172,7 @@ def test_symbol_point_validation():
 def test_symbol_matches_complex_power_oracle():
     worst = 0.0
     for pt, w, p in random_points(500, seed=11):
-        a, b = conjugated_symbol(pt, w, p)
+        a, b = point_ab(pt, w, p)
         px = w.phi_x(pt.t, pt.x)
         ar, br = oracle_ab(pt.xi, px, p.m, p.s)
         scale = max(math.hypot(ar, br), 1e-30)
@@ -135,12 +184,12 @@ def test_symbol_special_points():
     w = QuadraticWeight.constant(2.0, 1.0, 3.0)
     # phi_x = 0 at offset 0: real symbol
     pt = SymbolPoint(x=-3.0, xi=1.7)
-    a, b = conjugated_symbol(pt, w, OperatorParams(0.3, 1.2))
+    a, b = point_ab(pt, w, OperatorParams(0.3, 1.2))
     assert a == pytest.approx((1.7 ** 2 + 1.2 ** 2) ** 0.3, rel=1e-14)
     assert b == 0.0
     # s = 1 is the plain complex number
     pt = SymbolPoint(x=-2.5, xi=0.9)
-    a, b = conjugated_symbol(pt, w, OperatorParams(1.0, 0.7))
+    a, b = point_ab(pt, w, OperatorParams(1.0, 0.7))
     px = w.phi_x(0.0, -2.5)
     assert a == pytest.approx(0.9 ** 2 + 0.7 ** 2 - px ** 2, rel=1e-14)
     assert b == pytest.approx(2.0 * 0.9 * px, rel=1e-14)
@@ -154,7 +203,7 @@ def test_symbol_half_power_on_imaginary_axis():
     px = w.phi_x(0.0, x)
     xi = 1.3
     m = math.sqrt(px ** 2 - xi ** 2)
-    a, b = conjugated_symbol(SymbolPoint(x=x, xi=xi), w,
+    a, b = point_ab(SymbolPoint(x=x, xi=xi), w,
                              OperatorParams(0.5, m))
     expect = math.sqrt(2.0 * xi * px) / math.sqrt(2.0)
     assert a == pytest.approx(expect, rel=1e-12)
@@ -165,7 +214,7 @@ def test_symbol_zero_modulus_returns_zero():
     w = QuadraticWeight.constant(2.0, 1.0, 3.0)
     x = -2.0
     m = w.phi_x(0.0, x)
-    a, b = conjugated_symbol(SymbolPoint(x=x, xi=0.0), w,
+    a, b = point_ab(SymbolPoint(x=x, xi=0.0), w,
                              OperatorParams(0.5, m))
     assert (a, b) == (0.0, 0.0)
 
@@ -173,21 +222,21 @@ def test_symbol_zero_modulus_returns_zero():
 def test_gradient_matches_finite_differences():
     worst = 0.0
     for pt, w, p in random_points(120, seed=23):
-        g = symbol_gradient(pt, w, p)
+        g = point_gradient(pt, w, p)
         hxi = 1e-6 * max(abs(pt.xi), 2.0 * w.alpha / w.R)
         hx = 1e-6 * w.R
         ht = 1e-6
         fd = {}
-        a_m, b_m = conjugated_symbol(SymbolPoint(pt.x, pt.xi - hxi, pt.t), w, p)
-        a_p, b_p = conjugated_symbol(SymbolPoint(pt.x, pt.xi + hxi, pt.t), w, p)
+        a_m, b_m = point_ab(SymbolPoint(pt.x, pt.xi - hxi, pt.t), w, p)
+        a_p, b_p = point_ab(SymbolPoint(pt.x, pt.xi + hxi, pt.t), w, p)
         fd["a_xi"] = (a_p - a_m) / (2 * hxi)
         fd["b_xi"] = (b_p - b_m) / (2 * hxi)
-        a_m, b_m = conjugated_symbol(SymbolPoint(pt.x - hx, pt.xi, pt.t), w, p)
-        a_p, b_p = conjugated_symbol(SymbolPoint(pt.x + hx, pt.xi, pt.t), w, p)
+        a_m, b_m = point_ab(SymbolPoint(pt.x - hx, pt.xi, pt.t), w, p)
+        a_p, b_p = point_ab(SymbolPoint(pt.x + hx, pt.xi, pt.t), w, p)
         fd["a_x"] = (a_p - a_m) / (2 * hx)
         fd["b_x"] = (b_p - b_m) / (2 * hx)
-        a_m, b_m = conjugated_symbol(SymbolPoint(pt.x, pt.xi, pt.t + ht), w, p)
-        a_p, b_p = conjugated_symbol(SymbolPoint(pt.x, pt.xi, max(pt.t - ht, 0.0)), w, p)
+        a_m, b_m = point_ab(SymbolPoint(pt.x, pt.xi, pt.t + ht), w, p)
+        a_p, b_p = point_ab(SymbolPoint(pt.x, pt.xi, max(pt.t - ht, 0.0)), w, p)
         fd["a_t"] = (a_m - a_p) / (ht + min(pt.t, ht))
         fd["b_t"] = (b_m - b_p) / (ht + min(pt.t, ht))
         scale = max(abs(g["a_xi"]), abs(g["b_xi"]), 1e-30)
@@ -201,11 +250,16 @@ def test_gradient_matches_finite_differences():
 
 def test_gradient_transport_identity():
     # a_t = -phi_tx b_xi and b_t = phi_tx a_xi hold exactly, not just to
-    # truncation order: both sides are evaluated from the same xi-gradient
+    # truncation order: d_t w = i phi_tx d_xi w as complex numbers, and the
+    # bracket's mixed term is the transport term -a_t to the bit
     for pt, w, p in random_points(50, seed=31):
-        g = symbol_gradient(pt, w, p)
-        tx = w.phi_tx(pt.t)
-        assert g["a_t"] == pytest.approx(-tx * g["b_xi"], abs=1e-300)
+        px, tx = float(w.phi_x(pt.t, pt.x)), float(w.phi_tx(pt.t))
+        d_t = complex(-2.0 * px * tx, 2.0 * pt.xi * tx)
+        d_xi = complex(2.0 * pt.xi, 2.0 * px)
+        assert abs(d_t - 1j * tx * d_xi) <= 1e-14 * abs(d_t)
+        g = point_gradient(pt, w, p)
+        assert float(bracket_at(pt, w, p).mixed) == pytest.approx(
+            -g["a_t"], abs=1e-300)
         assert g["b_t"] == pytest.approx(tx * g["a_xi"], abs=1e-300)
 
 
@@ -248,21 +302,25 @@ def test_bracket_singular_point_flagged():
 
 def test_bracket_fully_degenerate_limit():
     # xi = 0, m = 0 at the annulus center: modulus and prefactor both
-    # vanish; the limit is 0 for s > 1/2 and diverges below
+    # vanish; the limit of 4 s^2 phi_xx (xi^2 + phi_x^2)^(2s-1) is 0 for
+    # s > 1/2, phi_xx at s = 1/2, and diverges below
     w = QuadraticWeight.constant(2.0, 1.0, 3.0)
     pt = SymbolPoint(x=-3.0, xi=0.0)
     assert poisson_bracket(pt, w, OperatorParams(0.75, 0.0)) == 0.0
+    assert poisson_bracket(pt, w, OperatorParams(0.5, 0.0)) == w.phi_xx
+    near = poisson_bracket(SymbolPoint(x=-3.0, xi=1e-8), w,
+                           OperatorParams(0.5, 0.0))
+    assert near == pytest.approx(w.phi_xx, rel=1e-12)
     assert poisson_bracket(pt, w, OperatorParams(0.4, 0.0)) == math.inf
 
 
 def test_parabolic_terms_match_differences():
     pts = random_points(120, seed=59)
     worst = 0.0
-    from fracrel.symbols import parabolic_bracket_terms_fd
     for pt, w, p in pts:
         if bracket_singular(pt, w, p):
             continue
-        terms = parabolic_bracket_terms(pt, w, p)
+        terms = bracket_terms(pt, w, p)
         fd = parabolic_bracket_terms_fd(pt, w, p)
         for key in ("base", "mixed", "curvature", "transport"):
             scale = max(abs(terms[key]), abs(terms["base"]), 1e-30)
@@ -274,14 +332,21 @@ def test_parabolic_decomposition_is_exact():
     for pt, w, p in random_points(60, seed=61):
         if bracket_singular(pt, w, p):
             continue
-        terms = parabolic_bracket_terms(pt, w, p)
-        total = parabolic_poisson_bracket(pt, w, p)
+        terms = bracket_terms(pt, w, p)
+        br = bracket_at(pt, w, p)
+        total = float(br.total)
         assert total == pytest.approx(
             terms["base"] + terms["mixed"] + terms["curvature"]
             + terms["transport"], rel=1e-14, abs=1e-300)
         # transport term is -a_t, which collapses onto the mixed term
         assert terms["transport"] == pytest.approx(terms["mixed"], rel=1e-14,
                                                    abs=1e-300)
+        # one order of additions, and the psi'' piece 2 alpha sigma psi''
+        d1, d2 = float(w.psi_d1(pt.t)), float(w.psi_d2(pt.t))
+        sigma = float(w.offset(pt.t, pt.x))
+        assert float(br.curv_psi2) == 2.0 * w.alpha * sigma * d2
+        assert total == float(br.base + 2.0 * br.mixed
+                              + 2.0 * w.alpha * d1 * d1 + br.curv_psi2)
 
 
 def test_parabolic_constant_profile_reduces_to_bracket():
@@ -289,7 +354,7 @@ def test_parabolic_constant_profile_reduces_to_bracket():
     for pt, _, p in random_points(30, seed=67):
         if bracket_singular(pt, w, p):
             continue
-        assert parabolic_poisson_bracket(pt, w, p) == poisson_bracket(pt, w, p)
+        assert float(bracket_at(pt, w, p).total) == poisson_bracket(pt, w, p)
 
 
 def test_parabolic_s1_hand_expansion():
@@ -301,9 +366,10 @@ def test_parabolic_s1_hand_expansion():
     for t, x, xi in ((0.3, 0.8, 2.0), (1.1, -1.5, -0.7), (2.0, 0.1, 11.0)):
         pt = SymbolPoint(x=x, xi=xi, t=t)
         px = w.phi_x(t, x)
+        phi_tt = 2.0 * w.alpha                 # psi' = 1, psi'' = 0
         expect = (4.0 * w.phi_xx * (xi ** 2 + px ** 2)
-                  + 4.0 * px * w.phi_tx(t) + w.phi_tt(t, x))
-        assert parabolic_poisson_bracket(pt, w, p) == pytest.approx(
+                  + 4.0 * px * w.phi_tx(t) + phi_tt)
+        assert float(bracket_at(pt, w, p).total) == pytest.approx(
             expect, rel=1e-12)
 
 
@@ -312,8 +378,7 @@ def test_dual_time_variable_cancels():
     # the bracket differentiates away
     for pt, w, p in random_points(20, seed=71):
         shifted = SymbolPoint(x=pt.x, xi=pt.xi, t=pt.t, tau=5.5)
-        assert parabolic_poisson_bracket(shifted, w, p) == \
-            parabolic_poisson_bracket(pt, w, p)
+        assert bracket_at(shifted, w, p).total == bracket_at(pt, w, p).total
 
 
 def test_bracket_scaling_laws():
@@ -400,6 +465,24 @@ def test_positivity_falsification_witness():
     assert rep.measured["ratio_min"] < 0.0
     assert rep.witness is not None
     assert rep.witness["ratio"] == pytest.approx(rep.measured["ratio_min"])
+
+
+@pytest.mark.parametrize("profile, m_ratio", [
+    ("decaying", 0.0), ("decaying", 1.0), ("oscillating", 0.0)])
+def test_positivity_witness_ratio_is_the_shared_bracket(profile, m_ratio):
+    """One bracket: the shared bracket at the sweep's witness (sigma, t, xi)
+    over the envelope is the sweep's ratio_min, bit for bit."""
+    w = getattr(QuadraticWeight, profile)(30.0, 1.0)
+    p = OperatorParams(0.75, m_ratio * 2.0 * w.alpha / w.R)
+    rep = positivity_sweep(w, p, constants=(0.0, 0.0), enforce=False)
+    wit = rep.witness
+    xi = np.array([wit["xi"]])
+    total = parabolic_bracket(w, p, np.array([wit["sigma"]]),
+                              wit["t"], xi).total
+    s = p.s
+    envelope = (s * s * (w.alpha / w.R ** 2)
+                * (xi * xi + 4.0 * w.alpha ** 2 / w.R ** 2) ** (2.0 * s - 1.0))
+    assert float((total / envelope)[0]) == rep.measured["ratio_min"]
 
 
 def test_positivity_requires_interior_exponent():
@@ -573,13 +656,13 @@ def test_garding_evaluates_each_stencil_point_once(monkeypatch):
     # 575 distinct (depth, time, frequency) offset triples over orders
     # 4..7, and 833 with order 8
     calls = []
-    real = symbols._bracket_at_offset
+    real = symbols.parabolic_bracket
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(symbols, "_bracket_at_offset", counting)
+    monkeypatch.setattr(symbols, "parabolic_bracket", counting)
     w = QuadraticWeight.decaying(80.0, 1.0)
     for probe, most in ((False, 575), (True, 833)):
         calls.clear()
@@ -595,18 +678,19 @@ def test_garding_requires_interior_exponent():
 
 
 def test_garding_bracket_matches_parabolic_bracket():
-    # the differenced bracket carries the mixed term 2 phi_tx b_xi, so it
-    # must equal the pointwise parabolic bracket off R = 1 as well
+    # the bracket Garding differences, taken at annulus offsets, carries
+    # the mixed term 2 phi_tx b_xi, so it must equal the complex-arithmetic
+    # bracket at the physical point off R = 1 as well
     ts = np.array([0.0, 0.5, 0.5, 1.5])
     sigmas = np.array([1.2, 2.5, 3.9, 2.0])
     for R in (1.0, 2.0):
         w = QuadraticWeight.decaying(30.0, R)
         xis = (2.0 * w.alpha / w.R) * np.array([0.3, 7.0 * R / 60.0, -1.5,
                                                 4.0])
-        got = _bracket_at_offset(w, P_34, sigmas, ts, xis)
+        got = parabolic_bracket(w, P_34, sigmas, ts, xis).total
         for k, (t, sig, xi) in enumerate(zip(ts, sigmas, xis)):
             x = R * (sig - float(w.psi_at(t)))
-            want = parabolic_poisson_bracket(SymbolPoint(x, xi, t), w, P_34)
+            want = oracle_parabolic_bracket(x, t, xi, w, P_34)
             assert abs(got[k] - want) <= 1e-12 * abs(want), (R, t, sig, xi)
 
 
