@@ -3,7 +3,8 @@
 Three equivalent realizations are provided and cross-checked:
 
 * ``apply_spectral``: multiply by (|xi|^2 + m^2)^s in Fourier space.  This
-  is the reference path, exact for band-limited periodic data.
+  is the reference path, exact for band-limited periodic data.  The
+  multiplier is cached per (params, grid).
 * ``apply_singular_integral``: the principal-value integral against the
   Macdonald kernel.  The PV is realized by pairing y <-> 2x - y; each
   kernel cell weight is the exact integral of the kernel over that cell,
@@ -85,6 +86,15 @@ def symbol(p: OperatorParams, xi: np.ndarray) -> np.ndarray:
     return (xi * xi + p.m * p.m) ** p.s
 
 
+@functools.lru_cache(maxsize=16)
+def _spectral_multiplier(p: OperatorParams, L: float, n: int) -> np.ndarray:
+    """symbol(p, frequencies(L, n)), cached per (params, grid) for the 16
+    latest keys and read-only, so no caller can change the cached copy."""
+    out = symbol(p, frequencies(L, n))
+    out.flags.writeable = False
+    return out
+
+
 def apply_spectral(f, p: OperatorParams, *more: OperatorParams):
     """Apply the operator through the discrete transform.
 
@@ -93,10 +103,11 @@ def apply_spectral(f, p: OperatorParams, *more: OperatorParams):
     the type of ``f``.  Further parameter sets share the one forward
     transform, and then a tuple comes back with one result per set.
     """
-    xi = frequencies(f.L, f.n)
     spec = np.fft.rfft(f.values)
-    out = tuple(f.with_values(np.fft.irfft(symbol(q, xi) * spec, f.n))
-                for q in (p, *more))
+    out = tuple(
+        f.with_values(np.fft.irfft(_spectral_multiplier(q, f.L, f.n) * spec,
+                                   f.n))
+        for q in (p, *more))
     return out if more else out[0]
 
 

@@ -45,6 +45,18 @@ def test_spectral_on_pure_mode_exact():
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+def test_spectral_multiplier_is_cached_and_read_only():
+    p = op.OperatorParams(s=0.6, m=1.5)
+    mult = op._spectral_multiplier(p, L, N)
+    assert op._spectral_multiplier(p, L, N) is mult
+    assert np.array_equal(mult, op.symbol(p, op.frequencies(L, N)))
+    with pytest.raises(ValueError):
+        mult[0] = 0.0
+    for i in range(20):
+        op._spectral_multiplier(op.OperatorParams(0.6, 1.0 + 0.01 * i), L, N)
+    assert op._spectral_multiplier.cache_info().currsize <= 16
+
+
 def test_singular_on_constant_returns_mass_power():
     one = GridFunction(L, N, np.ones(N))
     p = op.OperatorParams(s=0.5, m=2.0)

@@ -7,6 +7,7 @@ case where all symbols are polynomials and the operator commutator has an
 elementary closed form, and exact scaling laws of the quadratic weight.
 """
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -907,17 +908,61 @@ def test_appendix_domain_and_conditioning_guards():
 
 def test_symbol_calibration_reproduces_frozen_tables():
     frozen = calibration_tables("symbol_calibration.json")
-    positivity = [e for e in frozen["positivity"]
-                  if e["s"] == 0.75 and e["m_ratio"] == 1.0]
     garding = [e for e in frozen["garding"]
                if e["s"] == 0.75 and e["m_ratio"] == 0.0]
-    assert [calibrate_positivity(0.75, 1.0)] == positivity
+    assert ([calibrate_positivity(0.75, mr) for mr in (0.0, 1.0)]
+            == frozen["positivity"])
     assert [calibrate_garding(0.75, 0.0)] == garding
     quadratic = [calibrate_quadratic(mode, s, mr)
                  for mode, svals in (("elliptic", (0.5, 0.75)),
                                      ("parabolic", (0.75,)))
                  for s in svals for mr in (0.0, 1.0)]
     assert quadratic == frozen["quadratic"]
+
+
+def test_positivity_calibration_bisects_the_steepness_grid(monkeypatch):
+    # bisecting the 40-point grid takes at most 6 unenforced sweeps, then
+    # come the 3 operating ones
+    calls = []
+    real = symbols.positivity_sweep
+
+    def counting(w, p, **kw):
+        rep = real(w, p, **kw)
+        holds = (rep.measured["ratio_min"] > 0.0
+                 and min(rep.measured["margins"].values())
+                 >= -symbols._DOMINANCE_SLACK)
+        calls.append((w.alpha, kw.get("enforce", True), holds))
+        return rep
+
+    monkeypatch.setattr(symbols, "positivity_sweep", counting)
+    floor = calibrate_positivity(0.75, 1.0)["alpha_floor"]
+    assert len(calls) <= 10
+    # a lower-bound bisection evaluates the returned point, which passed,
+    # and the grid point just below it, which failed
+    grid = np.geomspace(0.5, 400.0, 40)
+    below = float(grid[np.flatnonzero(grid == floor)[0] - 1])
+    probes = [(a, holds) for a, enforce, holds in calls if not enforce]
+    assert (floor, True) in probes
+    assert (below, False) in probes
+
+
+def test_positivity_calibration_without_a_passing_steepness(monkeypatch):
+    probes = []
+
+    def failing(w, p, **kw):
+        probes.append(w.alpha)
+        return SimpleNamespace(measured={"ratio_min": -1.0,
+                                         "margins": {"curvature": -1.0}})
+
+    monkeypatch.setattr(symbols, "positivity_sweep", failing)
+    with pytest.raises(CalibrationError,
+                       match="^no alpha in the scan satisfied the ladder$"):
+        calibrate_positivity(0.75, 1.0)
+    # the search stops at the last grid point and goes no further
+    grid = np.geomspace(0.5, 400.0, 40)
+    assert 0 < len(probes) <= 6
+    assert set(probes) <= set(grid.tolist())
+    assert max(probes) == grid[-1]
 
 
 def test_calibration_loaders():
