@@ -435,15 +435,20 @@ def _compact(obj) -> str:
 
 
 def write_outputs(outdir: Path, cfg: dict, suites: list) -> bool:
-    """Write report.json and reports.csv; returns overall pass."""
+    """Write report.json and reports.csv; returns overall pass.
+
+    The body holds the config, the reports and a summary.  The meta holds
+    the wall-clock data: ``generated_unix`` and ``checks``, one
+    ``{"name", "index", "wall_time_s"}`` per report in body order."""
     rows = []
     body_reports = []
-    meta_times = []
+    meta_checks = []
     all_passed = True
     for suite_name, reports in suites:
         for rep in reports:
             d = rep.to_dict()
-            meta_times.append(d.pop("wall_time_s", 0.0))
+            meta_checks.append({"name": rep.name, "index": len(body_reports),
+                                "wall_time_s": d.pop("wall_time_s", 0.0)})
             d["suite"] = suite_name
             body_reports.append(d)
             rows.append([suite_name, rep.name, _compact(d["inputs"]),
@@ -462,7 +467,7 @@ def write_outputs(outdir: Path, cfg: dict, suites: list) -> bool:
     }
     bundle = {"body": body,
               "meta": {"generated_unix": time.time(),
-                       "wall_time_s": meta_times}}
+                       "checks": meta_checks}}
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.json").write_text(
         json.dumps(bundle, indent=2, sort_keys=True) + "\n")

@@ -84,6 +84,10 @@ _SUPPORT_LEAK_TOL = 1e-12
 # Relative step of the finite-difference bracket cross-checks.
 _FD_BRACKET_STEP = 1e-4
 
+# Offset triples per parabolic_bracket call of the Garding check: 48
+# triples of 225 sample points make each temporary about 86 KB.
+_GARDING_CHUNK_TRIPLES = 48
+
 # Random quadratic Carleman operands: Fourier modes up to _OPERAND_K_MAX,
 # windowed _OPERAND_MARGIN inside the reachable annulus branch.
 _OPERAND_K_MAX = 12
@@ -237,18 +241,6 @@ class SymbolPoint:
                 raise ConfigError(f"{name} must be finite")
         if self.t < 0.0:
             raise ConfigError(f"t must be nonnegative, got {self.t!r}")
-
-
-def _leak_fraction(w: QuadraticWeight, g: GridFunction, t: float) -> float:
-    """Squared-mass fraction of g sitting outside the support annulus at
-    time t."""
-    w2 = g.values ** 2
-    total = float(np.sum(w2))
-    if total == 0.0:
-        return 0.0
-    off = np.abs(w.offset(t, g.x))
-    inside = (off >= ANNULUS_INNER) & (off <= ANNULUS_OUTER)
-    return float(np.sum(w2[~inside]) / total)
 
 
 # ---------------------------------------------------------------------------
@@ -634,6 +626,29 @@ def _fd_stencil(order: int):
     return offsets, weights
 
 
+def _garding_orders(max_order: int):
+    """(depth, time, frequency) derivative orders (i, j, k) with total
+    order 4..max_order, in the order the Garding check assembles them."""
+    for i in range(0, max_order + 1):
+        for j in range(0, max_order + 1 - i):
+            for k in range(max(0, 4 - i - j), max_order + 1 - i - j):
+                yield i, j, k
+
+
+def _garding_triples(max_order: int) -> dict:
+    """Offset triple (depth, time, frequency) -> row, for every stencil
+    point the Garding derivatives reach, numbered in first-use order."""
+    rows = {}
+    for i, j, k in _garding_orders(max_order):
+        # a zero time order evaluates at the unshifted time only
+        off_j = _fd_stencil(j)[0] if j else (0.0,)
+        for oi in _fd_stencil(i)[0]:
+            for ok in _fd_stencil(k)[0]:
+                for oj in off_j:
+                    rows.setdefault((oi, oj, ok), len(rows))
+    return rows
+
+
 def garding_hypothesis_check(w: QuadraticWeight, p: OperatorParams, *,
                              constants=None,
                              probe_order_8: bool = False) -> CheckReport:
@@ -656,9 +671,15 @@ def garding_hypothesis_check(w: QuadraticWeight, p: OperatorParams, *,
     order-7 maximum (the envelope decays with each order, so the ratio
     should stay near or below one).
 
-    The stencils of the derivative orders share most of their offsets, so
-    the bracket is evaluated once per distinct offset triple (depth, time,
-    frequency) and reused by every order that reaches it.
+    The stencils of the derivative orders share most of their offsets:
+    orders 4..7 reach 575 distinct offset triples (depth, time,
+    frequency), 833 with order 8.  The triples are collected first, in
+    first-use order, and the bracket is evaluated on them in chunks of
+    _GARDING_CHUNK_TRIPLES triples at every sample point, one
+    parabolic_bracket call per chunk (12 calls, 18 with order 8).  Each
+    derivative then combines rows of that table.  The bracket is
+    elementwise, so every row holds the bits a call on that triple alone
+    gives.
     """
     t_start = time.perf_counter()
     _require_sweep_params(p, "derivative bounds need")
@@ -696,45 +717,46 @@ def garding_hypothesis_check(w: QuadraticWeight, p: OperatorParams, *,
                   + m * m)
     h_loc = step * lam
 
-    stencil_vals = {}
+    max_order = 8 if probe_order_8 else 7
+    rows = _garding_triples(max_order)
+    triples = list(rows)
+    table = np.empty((len(triples), pts_sig.size))
+    for c in range(0, len(triples), _GARDING_CHUNK_TRIPLES):
+        oi, oj, ok = (np.array(col)[:, None] for col in
+                      zip(*triples[c:c + _GARDING_CHUNK_TRIPLES]))
+        table[c:c + _GARDING_CHUNK_TRIPLES] = parabolic_bracket(
+            w, p, pts_sig + oi * h_loc / unit_xi, pts_t + oj * h_t,
+            pts_xi + ok * h_loc).total
 
     def bracket(oi, oj, ok):
-        key = (oi, oj, ok)
-        if key not in stencil_vals:
-            stencil_vals[key] = parabolic_bracket(
-                w, p, pts_sig + oi * h_loc / unit_xi, pts_t + oj * h_t,
-                pts_xi + ok * h_loc).total
-        return stencil_vals[key]
+        return table[rows[(oi, oj, ok)]]
 
-    max_order = 8 if probe_order_8 else 7
     order_max = {order: 0.0 for order in range(4, max_order + 1)}
-    for i in range(0, max_order + 1):
-        for j in range(0, max_order + 1 - i):
-            for k in range(max(0, 4 - i - j), max_order + 1 - i - j):
-                order = i + j + k
-                off_i, wt_i = _fd_stencil(i)
-                off_j, wt_j = _fd_stencil(j)
-                off_k, wt_k = _fd_stencil(k)
-                acc = np.zeros_like(pts_sig)
-                for oi, wi in zip(off_i, wt_i):
-                    for ok, wk in zip(off_k, wt_k):
-                        if j == 0:
-                            # pts_t + 0.0 * h_t is pts_t bit for bit
-                            acc += (wi * wk) * bracket(oi, 0.0, ok)
-                            continue
-                        # time stencil weights sum to zero, so accumulate
-                        # differences against a reference slice: summands
-                        # shrink from the bracket's magnitude to its actual
-                        # variation, which keeps the quotient below out of
-                        # roundoff (and makes steady profiles exactly zero)
-                        vals = [bracket(oi, oj, ok) for oj in off_j]
-                        inner = np.zeros_like(acc)
-                        for wj, slice_vals in zip(wt_j, vals):
-                            inner += wj * (slice_vals - vals[0])
-                        acc += (wi * wk) * inner
-                deriv = acc / (h_loc ** (i + k) * h_t ** j)
-                order_max[order] = max(order_max[order],
-                                       float(np.max(np.abs(deriv))))
+    for i, j, k in _garding_orders(max_order):
+        order = i + j + k
+        off_i, wt_i = _fd_stencil(i)
+        off_j, wt_j = _fd_stencil(j)
+        off_k, wt_k = _fd_stencil(k)
+        acc = np.zeros_like(pts_sig)
+        for oi, wi in zip(off_i, wt_i):
+            for ok, wk in zip(off_k, wt_k):
+                if j == 0:
+                    # pts_t + 0.0 * h_t is pts_t bit for bit
+                    acc += (wi * wk) * bracket(oi, 0.0, ok)
+                    continue
+                # time stencil weights sum to zero, so accumulate
+                # differences against a reference slice: summands shrink
+                # from the bracket's magnitude to its actual variation,
+                # which keeps the quotient below out of roundoff (and
+                # makes steady profiles exactly zero)
+                vals = [bracket(oi, oj, ok) for oj in off_j]
+                inner = np.zeros_like(acc)
+                for wj, slice_vals in zip(wt_j, vals):
+                    inner += wj * (slice_vals - vals[0])
+                acc += (wi * wk) * inner
+        deriv = acc / (h_loc ** (i + k) * h_t ** j)
+        order_max[order] = max(order_max[order],
+                               float(np.max(np.abs(deriv))))
 
     grand = max(order_max[o] for o in range(4, 8))
     scale = s * s * w.alpha / w.R ** 2
@@ -810,7 +832,14 @@ def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
     for k, c in enumerate(_D1_STENCIL_8):
         if c != 0.0:
             out += c * padded[k:k + nt, :]
-    return out / dt
+    out /= dt
+    return out
+
+
+def _cap_error(top: float) -> OverflowGuardError:
+    return OverflowGuardError(
+        f"max phi on the grid is {top:.4g}, past the e^phi cap "
+        f"{PHI_CAP:g}; shrink alpha or the box")
 
 
 def _grid_exponent(w: QuadraticWeight, L: float, n: int, t: float) -> np.ndarray:
@@ -818,26 +847,8 @@ def _grid_exponent(w: QuadraticWeight, L: float, n: int, t: float) -> np.ndarray
     ph = np.asarray(w.phi(t, grid_points(L, n)), dtype=float)
     top = float(np.max(ph))
     if top > PHI_CAP:
-        raise OverflowGuardError(
-            f"max phi on the grid is {top:.4g}, past the e^phi cap "
-            f"{PHI_CAP:g}; shrink alpha or the box")
+        raise _cap_error(top)
     return ph
-
-
-def _conjugated_apply(vals: np.ndarray, L: float, n: int, w: QuadraticWeight,
-                      p: OperatorParams, t: float) -> np.ndarray:
-    """e^phi (-lap+m^2)^s (e^-phi vals) at a time slice."""
-    ph = _grid_exponent(w, L, n, t)
-    inner = apply_spectral(GridFunction(L, n, np.exp(-ph) * vals), p).values
-    return np.exp(ph) * inner
-
-
-def _order_applied_sq(vals: np.ndarray, L: float, n: int, m: float,
-                      expo: float) -> float:
-    """|| (xi^2+m^2)^{expo} f ||^2 over the box (expo = 0 is the identity)."""
-    xi = frequencies(L, n)
-    out = np.fft.irfft((xi * xi + m * m) ** expo * np.fft.rfft(vals), n)
-    return float(np.sum(out * out) * (L / n))
 
 
 def elliptic_test_family(w: QuadraticWeight, L: float, n: int, count: int,
@@ -897,27 +908,44 @@ def parabolic_test_family(w: QuadraticWeight, L: float, n: int,
     return out
 
 
-def _operand_terms(i: int, f, w: QuadraticWeight, p: OperatorParams,
-                   mode: str) -> tuple:
-    """(rhs, order-(s-1/2) norm, L^2 norm) of one operand, all squared.
+class _SliceArrays(NamedTuple):
+    """What every operand on one (L, n, times) grid shares: annulus
+    membership and max phi per time slice, e^{+-phi} (None when a slice is
+    past the cap, since every operand then fails its slice guards first),
+    phi_t (None without a time term) and the order-(s-1/2) multiplier."""
 
-    rhs is || e^phi (d_t +) (-lap+m^2)^s e^{-phi} f ||^2; the two norms are
-    the left side's || (-lap+m^2)^{(2s-1)/2} f ||^2 and || f ||^2.  In
-    parabolic mode each is integrated over the time window.  Raises when
-    the operand has the wrong type or leaves its support.
-    """
-    s = p.s
+    inside: np.ndarray
+    phi_top: np.ndarray
+    exp_pos: np.ndarray | None
+    exp_neg: np.ndarray | None
+    phi_t: np.ndarray | None
+    order_mult: np.ndarray
+
+
+def _slice_arrays(w: QuadraticWeight, p: OperatorParams, L: float, n: int,
+                  times: np.ndarray, time_term: bool) -> _SliceArrays:
+    tt = times[:, None]
+    x = grid_points(L, n)
+    off = np.abs(w.offset(tt, x))
+    ph = np.asarray(w.phi(tt, x), dtype=float)
+    top = ph.max(axis=1)
+    capped = bool(np.any(top > PHI_CAP))
+    xi = frequencies(L, n)
+    return _SliceArrays(
+        (off >= ANNULUS_INNER) & (off <= ANNULUS_OUTER), top,
+        None if capped else np.exp(ph), None if capped else np.exp(-ph),
+        np.asarray(w.phi_t(tt, x), dtype=float) if time_term else None,
+        (xi * xi + p.m * p.m) ** (p.s - 0.5))
+
+
+def _operand_block(i: int, f, mode: str):
+    """(values of shape (nt, n), times, dt) of one operand, after the
+    guards that need the operand alone.  An elliptic operand is one slice
+    at t = 0 with dt = 1."""
     if mode == "elliptic":
         if not isinstance(f, GridFunction):
             raise ConfigError("elliptic operands must be GridFunction")
-        leak = _leak_fraction(w, f, 0.0)
-        if leak > _SUPPORT_LEAK_TOL:
-            raise SupportError(
-                f"operand {i} leaks mass fraction {leak:.3g} outside the annulus")
-        out = _conjugated_apply(f.values, f.L, f.n, w, p, 0.0)
-        return (float(np.sum(out * out) * f.h),
-                _order_applied_sq(f.values, f.L, f.n, p.m, s - 0.5),
-                float(np.sum(f.values ** 2) * f.h))
+        return f.values[None, :], np.zeros(1), 1.0
     if not isinstance(f, SpaceTimeFunction):
         raise ConfigError("parabolic operands must be SpaceTimeFunction")
     # the eighth-order time stencil needs a uniform grid of 9 samples or more
@@ -935,24 +963,86 @@ def _operand_terms(i: int, f, w: QuadraticWeight, p: OperatorParams,
         raise SupportError(
             f"operand {i} is not compactly supported inside the time "
             "window (stencil margin of 4 slices)")
-    h_x = f.L / f.n
-    rhs = 0.0
-    q_order = 0.0
-    q_l2 = 0.0
-    dtf = _time_derivative(f.values, dt)
-    x = f.x
-    for j, t in enumerate(f.times):
-        leak = _leak_fraction(w, f.slice(j), float(t))
-        if leak > _SUPPORT_LEAK_TOL:
-            raise SupportError(
-                f"operand {i} leaks mass fraction {leak:.3g} outside "
-                f"the annulus at t={float(t):g}")
-        row = (dtf[j] - np.asarray(w.phi_t(float(t), x), dtype=float) * f.values[j]
-               + _conjugated_apply(f.values[j], f.L, f.n, w, p, float(t)))
-        rhs += float(np.sum(row * row) * h_x) * dt
-        q_order += _order_applied_sq(f.values[j], f.L, f.n, p.m, s - 0.5) * dt
-        q_l2 += float(np.sum(f.values[j] ** 2) * h_x) * dt
-    return rhs, q_order, q_l2
+    return f.values, f.times, dt
+
+
+def _guarded_slice_mass(i: int, vals: np.ndarray, arr: _SliceArrays,
+                        times: np.ndarray, mode: str) -> np.ndarray:
+    """Squared mass of each slice of operand i.  Raises first for the
+    earliest slice that leaks mass out of the annulus or sits past the
+    e^phi cap; at one slice the leak comes first."""
+    sq = vals ** 2
+    mass = sq.sum(axis=1)
+    sq[arr.inside] = 0.0
+    leak = np.divide(sq.sum(axis=1), mass, out=np.zeros_like(mass),
+                     where=mass != 0.0)
+    bad = np.flatnonzero((leak > _SUPPORT_LEAK_TOL)
+                         | (arr.phi_top > PHI_CAP))
+    if bad.size:
+        j = int(bad[0])
+        if leak[j] > _SUPPORT_LEAK_TOL:
+            at = "" if mode == "elliptic" else f" at t={float(times[j]):g}"
+            raise SupportError(f"operand {i} leaks mass fraction "
+                               f"{leak[j]:.3g} outside the annulus{at}")
+        raise _cap_error(float(arr.phi_top[j]))
+    return mass
+
+
+def _slice_total(per_slice: np.ndarray) -> float:
+    """Sum of the per-slice values, added left to right (cumsum)."""
+    return float(np.cumsum(per_slice)[-1])
+
+
+def _block_terms(f, vals: np.ndarray, times: np.ndarray, dt: float,
+                 arr: _SliceArrays, mass: np.ndarray,
+                 p: OperatorParams) -> tuple:
+    """(rhs, order-(s-1/2) norm, L^2 norm) of one operand block.  The
+    arithmetic runs in place where that keeps the operations and their
+    order, and the block's temporaries die on return, so fewer (nt, n)
+    arrays are alive at once."""
+    rows = apply_spectral(SpaceTimeFunction(
+        f.L, f.n, times, arr.exp_neg * vals), p).values
+    rows *= arr.exp_pos
+    if arr.phi_t is not None:
+        # (d_t f - phi_t f) + e^phi (-lap+m^2)^s e^{-phi} f
+        dtf = _time_derivative(vals, dt)
+        dtf -= arr.phi_t * vals
+        dtf += rows
+        rows = dtf
+    rows *= rows
+    spec = np.fft.rfft(vals)
+    spec *= arr.order_mult
+    order = np.fft.irfft(spec, f.n)
+    order *= order
+    h = f.L / f.n
+    return tuple(_slice_total(per_slice * h * dt) for per_slice in
+                 (rows.sum(axis=1), order.sum(axis=1), mass))
+
+
+def _operand_terms(fs, w: QuadraticWeight, p: OperatorParams,
+                   mode: str) -> list:
+    """(rhs, order-(s-1/2) norm, L^2 norm) of every operand, all squared.
+
+    rhs is || e^phi (d_t +) (-lap+m^2)^s e^{-phi} f ||^2; the two norms are
+    the left side's || (-lap+m^2)^{(2s-1)/2} f ||^2 and || f ||^2.  In
+    parabolic mode each is integrated over the time window.  Each operand
+    is one (nt, n) block: one spectral apply, one transform pair for the
+    order norm and row sums, the per-slice values then added in slice
+    order.  Raises when an operand has the wrong type or grid or leaves
+    its support, or the weight passes the e^phi cap.
+    """
+    shared = {}
+    terms = []
+    for i, f in enumerate(fs):
+        vals, times, dt = _operand_block(i, f, mode)
+        key = (f.L, f.n, times.tobytes())
+        if key not in shared:
+            shared[key] = _slice_arrays(w, p, f.L, f.n, times,
+                                        mode == "parabolic")
+        arr = shared[key]
+        mass = _guarded_slice_mass(i, vals, arr, times, mode)
+        terms.append(_block_terms(f, vals, times, dt, arr, mass, p))
+    return terms
 
 
 def carleman_quadratic_check(fs, w: QuadraticWeight, p: OperatorParams,
@@ -973,6 +1063,22 @@ def carleman_quadratic_check(fs, w: QuadraticWeight, p: OperatorParams,
     (mode, s, m R/(2 alpha)).  Pass a dict as ``diagnostics`` to get back
     each operand's (rhs, order-(s-1/2) norm, L^2 norm) under
     ``"operand_terms"``.
+
+    The check works in array passes.  The annulus membership, phi,
+    e^{+-phi}, phi_t and the order-(s-1/2) multiplier are computed once
+    per time grid and shared by the operands on it.  Each operand is one
+    (nt, n) block (an elliptic operand is one slice at t = 0 without the
+    time-derivative term): one spectral apply, one transform pair for the
+    order norm, and row sums whose per-slice values are added left to
+    right, so the terms equal a slice-by-slice evaluation bit for bit.
+    Operands are checked in order, and for each the first failure is the
+    one a slice-by-slice loop meets first: the type, the 9-sample,
+    uniform-grid and time-support guards, then the earliest slice that
+    leaks mass out of the annulus (SupportError, naming that slice's t)
+    or passes the e^phi cap (OverflowGuardError, naming that slice's max
+    phi); at one slice the leak comes first.  A profile psi outside
+    [0, 3] anywhere on an operand's time grid is a ConfigError before its
+    slice guards.
     """
     t_start = time.perf_counter()
     if mode == "elliptic":
@@ -1001,7 +1107,7 @@ def carleman_quadratic_check(fs, w: QuadraticWeight, p: OperatorParams,
     s = p.s
     coef1 = c1 * s * s * (w.alpha / w.R ** 2)
     coef2 = c2 * s * s * (w.alpha ** (4.0 * s - 1.0) / w.R ** (4.0 * s))
-    terms = [_operand_terms(i, f, w, p, mode) for i, f in enumerate(fs)]
+    terms = _operand_terms(fs, w, p, mode)
     slacks = []
     worst = None
     for i, (rhs, q_order, q_l2) in enumerate(terms):

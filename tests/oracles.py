@@ -4,8 +4,9 @@ The package holds what ``fracrel run`` and ``fracrel calibrate`` execute.
 This module holds the rest: second routes the tests compare the package
 against (direct kernel sums, the kernel-cell carre du champ, the transform
 quadratic form, the heat kernel and its contour-shifted weighted form,
-finite-difference brackets, per-state tilted integrals) and five checks
-that no suite runs.  The checks keep their report names.
+finite-difference brackets, per-state tilted integrals, the slice-by-slice
+quadratic Carleman operand terms) and five checks that no suite runs.  The
+checks keep their report names.
 """
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ import time
 
 import numpy as np
 
-from fracrel.errors import DomainError, PreconditionError
+from fracrel.errors import (ConfigError, DomainError, PreconditionError,
+                            SupportError)
 from fracrel.grid import (GridFunction, SpaceTimeFunction, grid_points,
                           require_seam_decay, smooth_window)
 from fracrel.heat import PotentialField
@@ -23,11 +25,16 @@ from fracrel.linear_carleman import (_DDOT_TOLERANCE, LinearWeight,
                                      _production_rate, _tilted_series,
                                      _uniform_spacing, _weighted)
 from fracrel.operator import (OperatorParams, _kernel_weights,
-                              _require_singular_ok, frequencies, symbol)
+                              _require_singular_ok, apply_spectral,
+                              frequencies, symbol)
 from fracrel.report import CheckReport, finish_report
 from fracrel.special import frac_power_constant, macdonald_k
-from fracrel.symbols import (_FD_BRACKET_STEP, QuadraticWeight, SymbolPoint,
-                             _symbol_ab, _symbol_core, poisson_bracket_fd)
+from fracrel.symbols import (_FD_BRACKET_STEP, _SUPPORT_LEAK_TOL,
+                             ANNULUS_INNER, ANNULUS_OUTER, QuadraticWeight,
+                             SymbolPoint, _fd_stencil, _grid_exponent,
+                             _sigma_branches, _symbol_ab, _symbol_core,
+                             _time_derivative, parabolic_bracket,
+                             poisson_bracket_fd)
 
 # ----------------------------------------------------------------------
 # grid
@@ -464,3 +471,147 @@ def parabolic_bracket_terms_fd(pt: SymbolPoint, w: QuadraticWeight,
             "mixed": d_t(lambda t: w.phi_x(t, pt.x)) * float(b_xi),
             "curvature": d_t(lambda t: w.phi_t(t, pt.x)),
             "transport": -d_t(lambda t: ab_at(t, pt.xi)[0])}
+
+
+def leak_fraction(w: QuadraticWeight, g: GridFunction, t: float) -> float:
+    """Squared-mass fraction of g sitting outside the support annulus at
+    time t."""
+    w2 = g.values ** 2
+    total = float(np.sum(w2))
+    if total == 0.0:
+        return 0.0
+    off = np.abs(w.offset(t, g.x))
+    inside = (off >= ANNULUS_INNER) & (off <= ANNULUS_OUTER)
+    return float(np.sum(w2[~inside]) / total)
+
+
+def _conjugated_apply(vals: np.ndarray, L: float, n: int, w: QuadraticWeight,
+                      p: OperatorParams, t: float) -> np.ndarray:
+    """e^phi (-lap+m^2)^s (e^-phi vals) at a time slice."""
+    ph = _grid_exponent(w, L, n, t)
+    inner = apply_spectral(GridFunction(L, n, np.exp(-ph) * vals), p).values
+    return np.exp(ph) * inner
+
+
+def _order_applied_sq(vals: np.ndarray, L: float, n: int, m: float,
+                      expo: float) -> float:
+    """|| (xi^2+m^2)^{expo} f ||^2 over the box (expo = 0 is the identity)."""
+    xi = frequencies(L, n)
+    out = np.fft.irfft((xi * xi + m * m) ** expo * np.fft.rfft(vals), n)
+    return float(np.sum(out * out) * (L / n))
+
+
+def operand_terms(i: int, f, w: QuadraticWeight, p: OperatorParams,
+                  mode: str) -> tuple:
+    """Slice-by-slice oracle of the quadratic check's operand terms:
+    (rhs, order-(s-1/2) norm, L^2 norm) of one operand, all squared, with
+    the support and e^phi-cap guards run at each slice in turn."""
+    s = p.s
+    if mode == "elliptic":
+        if not isinstance(f, GridFunction):
+            raise ConfigError("elliptic operands must be GridFunction")
+        leak = leak_fraction(w, f, 0.0)
+        if leak > _SUPPORT_LEAK_TOL:
+            raise SupportError(
+                f"operand {i} leaks mass fraction {leak:.3g} outside the annulus")
+        out = _conjugated_apply(f.values, f.L, f.n, w, p, 0.0)
+        return (float(np.sum(out * out) * f.h),
+                _order_applied_sq(f.values, f.L, f.n, p.m, s - 0.5),
+                float(np.sum(f.values ** 2) * f.h))
+    if not isinstance(f, SpaceTimeFunction):
+        raise ConfigError("parabolic operands must be SpaceTimeFunction")
+    if f.nt < 9:
+        raise ConfigError("need at least 9 time samples")
+    steps = np.diff(f.times)
+    dt = float(steps[0])
+    if np.max(np.abs(steps - dt)) > 1e-9 * dt:
+        raise ConfigError("time grid must be uniform")
+    total = float(np.sum(f.values ** 2))
+    ends = float(np.sum(f.values[:4] ** 2) + np.sum(f.values[-4:] ** 2))
+    if total > 0.0 and ends / total > _SUPPORT_LEAK_TOL:
+        raise SupportError(
+            f"operand {i} is not compactly supported inside the time "
+            "window (stencil margin of 4 slices)")
+    h_x = f.L / f.n
+    rhs = 0.0
+    q_order = 0.0
+    q_l2 = 0.0
+    dtf = _time_derivative(f.values, dt)
+    x = f.x
+    for j, t in enumerate(f.times):
+        leak = leak_fraction(w, f.slice(j), float(t))
+        if leak > _SUPPORT_LEAK_TOL:
+            raise SupportError(
+                f"operand {i} leaks mass fraction {leak:.3g} outside "
+                f"the annulus at t={float(t):g}")
+        row = (dtf[j] - np.asarray(w.phi_t(float(t), x), dtype=float) * f.values[j]
+               + _conjugated_apply(f.values[j], f.L, f.n, w, p, float(t)))
+        rhs += float(np.sum(row * row) * h_x) * dt
+        q_order += _order_applied_sq(f.values[j], f.L, f.n, p.m, s - 0.5) * dt
+        q_l2 += float(np.sum(f.values[j] ** 2) * h_x) * dt
+    return rhs, q_order, q_l2
+
+
+def garding_order_max(w: QuadraticWeight, p: OperatorParams,
+                      probe_order_8: bool) -> dict:
+    """Per-triple oracle of the Garding check's normalized ``order_max``:
+    the same sample points and derivative assembly, with the bracket
+    evaluated by one call per offset triple on first use."""
+    m = p.m
+    unit_xi = 2.0 * w.alpha / w.R
+    step = h_t = 0.04
+    xi_mags = unit_xi * np.array([0.3, 0.7, 1.0, 1.5, 2.0, 3.0, 4.0])
+    xi_vals = np.concatenate([-xi_mags[::-1], [0.0], xi_mags])
+    pts_sig, pts_t, pts_xi = [], [], []
+    for t in (0.25, 1.0, 2.0):
+        spans = _sigma_branches(float(w.psi_at(t)))
+        if not spans:
+            continue
+        lo, hi = spans[0]
+        for sig in np.linspace(lo, hi, 5):
+            for xi0 in xi_vals:
+                pts_sig.append(float(sig))
+                pts_t.append(float(t))
+                pts_xi.append(float(xi0))
+    pts_sig = np.array(pts_sig)
+    pts_t = np.array(pts_t)
+    pts_xi = np.array(pts_xi)
+    lam = np.sqrt(pts_xi ** 2 + unit_xi ** 2 * np.maximum(pts_sig ** 2, 1.0)
+                  + m * m)
+    h_loc = step * lam
+
+    stencil_vals = {}
+
+    def bracket(oi, oj, ok):
+        key = (oi, oj, ok)
+        if key not in stencil_vals:
+            stencil_vals[key] = parabolic_bracket(
+                w, p, pts_sig + oi * h_loc / unit_xi, pts_t + oj * h_t,
+                pts_xi + ok * h_loc).total
+        return stencil_vals[key]
+
+    max_order = 8 if probe_order_8 else 7
+    order_max = {order: 0.0 for order in range(4, max_order + 1)}
+    for i in range(0, max_order + 1):
+        for j in range(0, max_order + 1 - i):
+            for k in range(max(0, 4 - i - j), max_order + 1 - i - j):
+                order = i + j + k
+                off_i, wt_i = _fd_stencil(i)
+                off_j, wt_j = _fd_stencil(j)
+                off_k, wt_k = _fd_stencil(k)
+                acc = np.zeros_like(pts_sig)
+                for oi, wi in zip(off_i, wt_i):
+                    for ok, wk in zip(off_k, wt_k):
+                        if j == 0:
+                            acc += (wi * wk) * bracket(oi, 0.0, ok)
+                            continue
+                        vals = [bracket(oi, oj, ok) for oj in off_j]
+                        inner = np.zeros_like(acc)
+                        for wj, slice_vals in zip(wt_j, vals):
+                            inner += wj * (slice_vals - vals[0])
+                        acc += (wi * wk) * inner
+                deriv = acc / (h_loc ** (i + k) * h_t ** j)
+                order_max[order] = max(order_max[order],
+                                       float(np.max(np.abs(deriv))))
+    scale = p.s * p.s * w.alpha / w.R ** 2
+    return {str(o): v / scale for o, v in order_max.items()}

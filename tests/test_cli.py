@@ -150,6 +150,17 @@ def test_run_symbol_suite_passes(tmp_path, capsys):
     assert "wall_time_s" in json.dumps(bundle["meta"])
 
 
+def test_run_meta_names_each_check_timing(tmp_path):
+    assert main(["run", str(symbol_config(tmp_path))]) == 0
+    bundle = json.loads((tmp_path / "out" / "report.json").read_text())
+    names = [d["name"] for d in bundle["body"]["reports"]]
+    checks = bundle["meta"]["checks"]
+    assert [c["name"] for c in checks] == names
+    assert [c["index"] for c in checks] == list(range(len(names)))
+    assert all(c["wall_time_s"] >= 0.0 for c in checks)
+    assert "checks" not in bundle["body"]
+
+
 def test_run_reports_csv_schema(tmp_path):
     cfg = symbol_config(tmp_path)
     assert main(["run", str(cfg)]) == 0

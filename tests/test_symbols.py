@@ -14,8 +14,8 @@ import pytest
 
 from fracrel.errors import (AdmissibilityError, CalibrationError,
                             ConditioningError, ConfigError, DomainError,
-                            OverflowGuardError, PreconditionError,
-                            SupportError)
+                            FracrelError, OverflowGuardError,
+                            PreconditionError, SupportError)
 from fracrel import symbols
 from fracrel.grid import GridFunction, SpaceTimeFunction
 from fracrel.operator import OperatorParams
@@ -33,10 +33,11 @@ from fracrel.symbols import (QuadraticWeight, SymbolPoint,
                              positivity_constants, positivity_sweep,
                              quadratic_constants, require_admissible_weight,
                              s1_commutator_target, spectral_operator_matrix,
-                             _bracket_ab, _leak_fraction, _mixed_pieces,
-                             _symbol_ab, _symbol_core, _symbol_xi_grad,
+                             _bracket_ab, _mixed_pieces, _symbol_ab,
+                             _symbol_core, _symbol_xi_grad,
                              _time_derivative)
-from oracles import parabolic_bracket_terms_fd
+from oracles import (garding_order_max, leak_fraction, operand_terms,
+                     parabolic_bracket_terms_fd)
 
 W_STEEP = QuadraticWeight.decaying(215.0, 1.0)
 P_34 = OperatorParams(0.75, 0.0)
@@ -611,12 +612,12 @@ def test_annulus_membership_and_leaks():
         assert np.sum(g.values) == 1.0
         return g
 
-    assert _leak_fraction(w, spike(-1.0), 0.0) == 0.0      # offset 2
-    assert _leak_fraction(w, spike(-2.5), 0.0) == 1.0      # offset 0.5
+    assert leak_fraction(w, spike(-1.0), 0.0) == 0.0      # offset 2
+    assert leak_fraction(w, spike(-2.5), 0.0) == 1.0      # offset 0.5
     g = GridFunction(8.0, 256, np.ones(256))
-    assert 0.0 < _leak_fraction(w, g, 0.0) < 1.0
+    assert 0.0 < leak_fraction(w, g, 0.0) < 1.0
     zero = GridFunction(8.0, 256, np.zeros(256))
-    assert _leak_fraction(w, zero, 0.0) == 0.0
+    assert leak_fraction(w, zero, 0.0) == 0.0
 
 
 # ------------------------------------------------------------- garding
@@ -655,7 +656,8 @@ def test_garding_extra_derivatives_decay_better():
 
 def test_garding_evaluates_each_stencil_point_once(monkeypatch):
     # 575 distinct (depth, time, frequency) offset triples over orders
-    # 4..7, and 833 with order 8
+    # 4..7, and 833 with order 8, evaluated in chunks: one bracket call
+    # per chunk of triples
     calls = []
     real = symbols.parabolic_bracket
 
@@ -665,11 +667,24 @@ def test_garding_evaluates_each_stencil_point_once(monkeypatch):
 
     monkeypatch.setattr(symbols, "parabolic_bracket", counting)
     w = QuadraticWeight.decaying(80.0, 1.0)
-    for probe, most in ((False, 575), (True, 833)):
+    chunk = symbols._GARDING_CHUNK_TRIPLES
+    for probe, triples in ((False, 575), (True, 833)):
         calls.clear()
         garding_hypothesis_check(w, P_34, constants=1.0,
                                  probe_order_8=probe)
-        assert 0 < len(calls) <= most
+        assert 0 < len(calls) <= math.ceil(triples / chunk)
+        # every chunk but the last is full, and no triple repeats
+        shapes = [np.shape(args[2]) for args in calls]
+        assert all(sh == (chunk, 225) for sh in shapes[:-1])
+        assert sum(sh[0] for sh in shapes) == triples
+
+
+@pytest.mark.parametrize("probe", [False, True])
+def test_garding_chunked_table_matches_per_triple_oracle(probe):
+    w = QuadraticWeight.decaying(80.0, 1.0)
+    rep = garding_hypothesis_check(w, P_34, constants=1.0,
+                                   probe_order_8=probe)
+    assert rep.measured["order_max"] == garding_order_max(w, P_34, probe)
 
 
 def test_garding_requires_interior_exponent():
@@ -847,6 +862,104 @@ def test_quadratic_support_violations():
         carleman_quadratic_check([SpaceTimeFunction(8.0, 512, times, vals)],
                                  wp, OperatorParams(0.75, 0.0), "parabolic",
                                  constants=con)
+
+
+QUAD_CON = {"c1": 0.0, "c2": 0.0, "C_weight": 1.0}
+
+
+@pytest.mark.parametrize("mode,s", [("elliptic", 0.5), ("elliptic", 0.75),
+                                    ("parabolic", 0.75)])
+@pytest.mark.parametrize("m_ratio", [0.0, 1.0])
+def test_quadratic_operand_terms_match_slice_oracle(mode, s, m_ratio):
+    # the batched blocks give every operand's terms bit for bit as the
+    # slice-by-slice loop does
+    alpha = 2.0
+    p = OperatorParams(s, m_ratio * 2.0 * alpha)
+    rng = np.random.default_rng(20260822)
+    if mode == "elliptic":
+        w = QuadraticWeight.constant(alpha, 1.0, 3.0)
+        fs = elliptic_test_family(w, 8.0, 512, 5, rng)
+    else:
+        w = QuadraticWeight.decaying(alpha, 1.0)
+        fs = parabolic_test_family(w, 8.0, 512, np.linspace(0.0, 1.0, 48),
+                                   5, rng)
+    diag = {}
+    carleman_quadratic_check(fs, w, p, mode, constants=QUAD_CON,
+                             diagnostics=diag)
+    assert diag["operand_terms"] == [operand_terms(i, f, w, p, mode)
+                                     for i, f in enumerate(fs)]
+
+
+def _first_failure(call):
+    with pytest.raises(FracrelError) as exc:
+        call()
+    return type(exc.value), str(exc.value)
+
+
+def _rising_weight(alpha):
+    # psi(t) = 3t lifts max phi over the box with time, so the e^phi cap
+    # is first passed in the middle of the window
+    return QuadraticWeight(alpha, 1.0, psi=lambda t: 3.0 * np.asarray(t),
+                           psi_d1=lambda t: 3.0 + 0.0 * np.asarray(t),
+                           psi_d2=lambda t: 0.0 * np.asarray(t),
+                           psi_d1_sup=3.0, psi_d2_sup=0.0)
+
+
+@pytest.mark.parametrize("first_row,expect", [
+    (10, SupportError),          # the leak comes before the capped slice
+    (21, SupportError),          # leak and cap on the same slice
+    (25, OverflowGuardError),    # the leak comes after the capped slice
+])
+def test_quadratic_guards_raise_the_first_failing_slice(first_row, expect):
+    w = _rising_weight(25.0)
+    p = OperatorParams(0.75, 0.0)
+    times = np.linspace(0.0, 1.0, 48)
+    x = -4.0 + (8.0 / 512) * np.arange(512)
+    phi_top = np.max(w.phi(times[:, None], x), axis=1)
+    assert np.flatnonzero(phi_top > symbols.PHI_CAP)[0] == 21
+    vals = np.zeros((48, 512))
+    vals[first_row:44] = np.exp(-x ** 2)   # straddles |x/R + psi| = 1
+    f = SpaceTimeFunction(8.0, 512, times, vals)
+    got = _first_failure(lambda: carleman_quadratic_check(
+        [f], w, p, "parabolic", constants=QUAD_CON))
+    want = _first_failure(lambda: operand_terms(0, f, w, p, "parabolic"))
+    assert got == want
+    assert got[0] is expect
+    if expect is SupportError:
+        assert f"at t={times[first_row]:g}" in got[1]
+    else:
+        assert f"{phi_top[21]:.4g}" in got[1]
+
+
+def test_quadratic_operand_guards_keep_their_order():
+    # operand-level errors come before any slice guard, operand by operand
+    w = _rising_weight(25.0)
+    p = OperatorParams(0.75, 0.0)
+    times = np.linspace(0.0, 1.0, 48)
+    x = -4.0 + (8.0 / 512) * np.arange(512)
+    leaky = np.zeros((48, 512))
+    leaky[10:44] = np.exp(-x ** 2)
+    at_ends = leaky.copy()
+    at_ends[0] = at_ends[20]
+    uneven = np.concatenate([times[:6], times[7:]])
+    cases = [
+        [SpaceTimeFunction(8.0, 512, times[:8], leaky[10:18])],
+        [SpaceTimeFunction(8.0, 512, uneven, leaky[1:])],
+        [SpaceTimeFunction(8.0, 512, times, at_ends)],
+        [SpaceTimeFunction(8.0, 512, times, leaky), GridFunction(8.0, 512, x)],
+        [SpaceTimeFunction(8.0, 512, times, np.zeros((48, 512))),
+         SpaceTimeFunction(8.0, 512, times, leaky)],
+    ]
+    kinds = []
+    for fs in cases:
+        got = _first_failure(lambda: carleman_quadratic_check(
+            fs, w, p, "parabolic", constants=QUAD_CON))
+        want = _first_failure(lambda: [operand_terms(i, f, w, p, "parabolic")
+                                       for i, f in enumerate(fs)])
+        assert got == want
+        kinds.append(got[0])
+    assert kinds == [ConfigError, ConfigError, SupportError, SupportError,
+                     OverflowGuardError]
 
 
 def test_quadratic_admissibility_errors():
