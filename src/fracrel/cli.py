@@ -383,19 +383,10 @@ def _suite_symbol(cfg) -> list:
 def _quadratic_report(seed: int, mode: str, s: float, mr: float,
                       count: int) -> CheckReport:
     entry = symbols.quadratic_constants(mode, s, mr)
-    alpha = entry["corpus"]["alpha"]
-    R, L, n = symbols.CALIBRATION_R, symbols.QUADRATIC_L, symbols.QUADRATIC_N
-    p = OperatorParams(s, mr * 2.0 * alpha / R)
-    if mode == "elliptic":
-        w = symbols.QuadraticWeight.constant(alpha, R, 3.0)
-        rng = _split_rng(seed, "quadratic", f"elliptic|{s}|{mr}")
-        fs = symbols.elliptic_test_family(w, L, n, count, rng)
-    else:
-        w = symbols.QuadraticWeight.decaying(alpha, R)
-        rng = _split_rng(seed, "quadratic", f"parabolic|{mr}")
-        times = np.linspace(0.0, symbols.QUADRATIC_T_SPAN,
-                            symbols.QUADRATIC_NT)
-        fs = symbols.parabolic_test_family(w, L, n, times, count, rng)
+    label = f"elliptic|{s}|{mr}" if mode == "elliptic" else f"parabolic|{mr}"
+    w, p, fs = symbols.quadratic_corpus(
+        mode, s, mr, entry["corpus"]["alpha"], count,
+        _split_rng(seed, "quadratic", label), symbols.QUADRATIC_N)
     return symbols.carleman_quadratic_check(fs, w, p, mode)
 
 

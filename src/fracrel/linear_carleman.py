@@ -49,7 +49,7 @@ from .heat import (
     weighted_l2,
 )
 from .operator import OperatorParams, apply_spectral
-from .report import CheckReport, calibration_tables, finish_report
+from .report import CheckReport, finish_report, frozen_entry
 
 # Coefficient of the t(1-t)-weighted mass on the ledger's left side.  The
 # averaging argument only yields 3/8 once the endpoint cross term has been
@@ -60,8 +60,6 @@ TILTED_MASS_COEFF = 0.375
 # Largest |drift - eigenvalue| * horizon the persistence bookkeeping will
 # exponentiate before giving up.
 _RATE_HORIZON_CAP = 600.0
-
-_CALIBRATION_RESOURCE = "calibration.json"
 
 # Step of the evolutions behind the inequality ledger.
 LEDGER_DT = 1e-2
@@ -338,14 +336,13 @@ def _require_energy_split(p: OperatorParams) -> None:
 
 def _admissible_constants(constants, p: OperatorParams,
                           w: LinearWeight) -> tuple[float, float]:
-    """(C1, C2) from ``constants`` (None: the frozen table) once s <= 1/2
-    holds, with the weight's drift passed through the admissibility gate."""
+    """(C1, C2) from the ``constants`` pair (None: the frozen table) once
+    s <= 1/2 holds, with the weight's drift passed through the
+    admissibility gate."""
     _require_energy_split(p)
     if constants is None:
         entry = load_calibration(p, w.lam)
         constants = entry["C1"], entry["C2"]
-    elif isinstance(constants, dict):
-        constants = constants["C1"], constants["C2"]
     c1, c2 = (float(c) for c in constants)
     w.require_admissible(p, c2)
     return c1, c2
@@ -681,21 +678,7 @@ def calibrate_constants(p: OperatorParams, lam: float, *,
 
 
 def load_calibration(p: OperatorParams, lam: float, path=None) -> dict:
-    """Fetch the frozen constants for (s, m, lam of the weight); tables
-    keep a "dim" key and only its one-dimensional entries match.
-
-    ``path`` may also name a ``fracrel calibrate`` bundle, whose linear
-    table is a single entry rather than a list of ``entries``."""
-    tables = calibration_tables(_CALIBRATION_RESOURCE, path)
-    entries = tables.get("entries", [tables["linear"]] if "linear" in tables
-                         else [])
-
-    def close(x, y):
-        return abs(x - y) <= 1e-9
-
-    for entry in entries:
-        if (entry["dim"] == 1 and close(entry["s"], p.s)
-                and close(entry["m"], p.m) and close(entry["lam"], lam)):
-            return entry
-    raise CalibrationError(
-        f"no calibration entry for s={p.s:g}, m={p.m:g}, lam={lam:g}")
+    """The frozen one-dimensional constants for (s, m, lam of the weight),
+    from the packaged tables or the file at ``path``."""
+    return frozen_entry("linear", path, dim=1, s=float(p.s), m=float(p.m),
+                        lam=float(lam))

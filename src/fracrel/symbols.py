@@ -26,8 +26,8 @@ it.  Besides those: dense-matrix realizations of the conjugated operator
 (with the s = 1 closed-form commutator), grid-level verification of the
 elliptic and parabolic weighted lower-bound inequalities, and the
 conjugation/fractional-power exchange on SPD matrices.  All unspecified
-constants are calibrated empirically and frozen in
-data/symbol_calibration.json.
+constants are calibrated empirically and frozen in the package's
+data/calibration.json, next to the linear Carleman constants.
 """
 from __future__ import annotations
 
@@ -51,8 +51,8 @@ from .errors import (
 )
 from .grid import (GridFunction, SpaceTimeFunction, band_limited_noise,
                    grid_points, smooth_step)
-from .operator import OperatorParams, apply_spectral, frequencies
-from .report import CheckReport, calibration_tables, finish_report
+from .operator import OperatorParams, apply_spectral, frequencies, symbol
+from .report import CheckReport, finish_report, frozen_entry
 
 # Exponent cap for e^{phi} evaluated on a grid; past this the weight itself
 # is unrepresentable and the caller must shrink alpha or the box.
@@ -92,8 +92,6 @@ _GARDING_CHUNK_TRIPLES = 48
 # windowed _OPERAND_MARGIN inside the reachable annulus branch.
 _OPERAND_K_MAX = 12
 _OPERAND_MARGIN = 0.25
-
-_CALIBRATION_RESOURCE = "symbol_calibration.json"
 
 # Every symbol calibration runs at R = 1 and freezes its measured constant
 # with a safety factor of 2.
@@ -264,6 +262,12 @@ class _SymbolCore(NamedTuple):
     sin_s: np.ndarray
     grad_scale: np.ndarray
 
+    def singular(self):
+        """Where rho <= SINGULAR_FLOOR * (xi^2 + m^2 + px^2), the local
+        frequency scale."""
+        local = self.xi * self.xi + self.m * self.m + self.px * self.px
+        return self.rho2 <= (SINGULAR_FLOOR * local) ** 2
+
 
 def _symbol_core(xi, px, m: float, s: float) -> _SymbolCore:
     xi = np.asarray(xi, dtype=float)
@@ -353,11 +357,7 @@ def bracket_singular(pt: SymbolPoint, w: QuadraticWeight,
     """
     if p.s >= 1.0:
         return False
-    c = _core_at(pt, w, p)
-    local = pt.xi * pt.xi + p.m * p.m + c.px * c.px
-    if local == 0.0:
-        return True
-    return bool(c.rho2 <= (SINGULAR_FLOOR * local) ** 2)
+    return bool(_core_at(pt, w, p).singular())
 
 
 def poisson_bracket(pt: SymbolPoint, w: QuadraticWeight,
@@ -406,27 +406,20 @@ def poisson_bracket_fd(pt: SymbolPoint, w: QuadraticWeight,
 # frozen calibration table
 
 
-def _pick_entry(path, what: str, **keys):
-    for entry in calibration_tables(_CALIBRATION_RESOURCE, path).get(what, []):
-        if all(abs(entry[k] - v) <= 1e-9 * max(1.0, abs(v)) if isinstance(v, float)
-               else entry[k] == v for k, v in keys.items()):
-            return entry
-    raise CalibrationError(f"no frozen {what} entry for {keys}")
-
-
 def positivity_constants(s: float, m_ratio: float, path=None) -> tuple:
     """Frozen (c_hyp, c_min) of the positivity sweep for this (s, m-ratio)."""
-    entry = _pick_entry(path, "positivity", s=float(s), m_ratio=float(m_ratio))
+    entry = frozen_entry("positivity", path, s=float(s),
+                         m_ratio=float(m_ratio))
     return float(entry["c_hyp"]), float(entry["c_min"])
 
 
 def garding_constants(s: float, m_ratio: float, path=None) -> dict:
-    return _pick_entry(path, "garding", s=float(s), m_ratio=float(m_ratio))
+    return frozen_entry("garding", path, s=float(s), m_ratio=float(m_ratio))
 
 
 def quadratic_constants(mode: str, s: float, m_ratio: float, path=None) -> dict:
-    return _pick_entry(path, "quadratic", mode=mode, s=float(s),
-                       m_ratio=float(m_ratio))
+    return frozen_entry("quadratic", path, mode=mode, s=float(s),
+                        m_ratio=float(m_ratio))
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +540,7 @@ def positivity_sweep(w: QuadraticWeight, p: OperatorParams, *,
     # the negative half of the signed grid; the positive half mirrors it
     xi = -xi_mag[::-1]
 
-    s, m = p.s, p.m
+    s = p.s
     env_unit = s * s * (w.alpha / w.R ** 2)
     four_a2 = 4.0 * w.alpha ** 2 / w.R ** 2
     envelope = env_unit * (xi * xi + four_a2) ** (2.0 * s - 1.0)
@@ -570,8 +563,7 @@ def positivity_sweep(w: QuadraticWeight, p: OperatorParams, *,
             core, base, mixed, total = br.core, br.base, br.mixed, br.total
             odd, even = _mixed_pieces(core, ptx)
 
-            local = xr * xr + m * m + core.px * core.px
-            sing = core.rho2 <= (SINGULAR_FLOOR * local) ** 2
+            sing = core.singular()
             bad = ~np.isfinite(total)
             singular_count += 2 * int(np.sum(sing))
             nonfinite_count += 2 * int(np.sum(bad & ~sing))
@@ -781,8 +773,7 @@ def garding_hypothesis_check(w: QuadraticWeight, p: OperatorParams, *,
 def spectral_operator_matrix(L: float, n: int, p: OperatorParams) -> np.ndarray:
     """Dense symmetric circulant of the multiplier (xi^2 + m^2)^s."""
     xi = 2.0 * math.pi * np.fft.fftfreq(n, d=L / n)
-    sym = (xi * xi + p.m * p.m) ** p.s
-    row = np.real(np.fft.ifft(sym))
+    row = np.real(np.fft.ifft(symbol(p, xi)))
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     return row[idx]
 
@@ -1189,7 +1180,7 @@ def appendix_conjugation_check(dim_matrix: int, s: float, phi_values,
 
 
 # ---------------------------------------------------------------------------
-# calibration (run offline; results frozen in data/symbol_calibration.json)
+# calibration (run offline; results frozen in data/calibration.json)
 
 
 def calibrate_positivity(s: float, m_ratio: float) -> dict:
@@ -1258,6 +1249,22 @@ def calibrate_garding(s: float, m_ratio: float) -> dict:
             "profile": "constant"}
 
 
+def quadratic_corpus(mode: str, s: float, m_ratio: float, alpha: float,
+                     count: int, rng, n: int):
+    """(weight, operator, operands) of the quadratic Carleman corpus at
+    R = CALIBRATION_R on the QUADRATIC_L box: a steady profile with
+    elliptic operands, or a decaying one with parabolic operands on
+    QUADRATIC_NT uniform times; the mass is m_ratio * 2 alpha / R."""
+    R, L = CALIBRATION_R, QUADRATIC_L
+    p = OperatorParams(s, m_ratio * 2.0 * alpha / R)
+    if mode == "elliptic":
+        w = QuadraticWeight.constant(alpha, R, 3.0)
+        return w, p, elliptic_test_family(w, L, n, count, rng)
+    w = QuadraticWeight.decaying(alpha, R)
+    times = np.linspace(0.0, QUADRATIC_T_SPAN, QUADRATIC_NT)
+    return w, p, parabolic_test_family(w, L, n, times, count, rng)
+
+
 def calibrate_quadratic(mode: str, s: float, m_ratio: float, *,
                         n: int = QUADRATIC_N, seed: int = 20260822) -> dict:
     """Pick the largest joint (c1, c2) leaving a factor-2 margin over the
@@ -1268,16 +1275,8 @@ def calibrate_quadratic(mode: str, s: float, m_ratio: float, *,
     count, nt = _QUADRATIC_CALIBRATION_COUNT, QUADRATIC_NT
     c_weight = 1.0
     alpha = 2.0 * (c_weight * R ** (4.0 * s)) ** (1.0 / (4.0 * s - 1.0))
-    m = m_ratio * 2.0 * alpha / R
-    p = OperatorParams(s, m)
-    rng = np.random.default_rng(seed)
-    if mode == "elliptic":
-        w = QuadraticWeight.constant(alpha, R, 3.0)
-        fs = elliptic_test_family(w, L, n, count, rng)
-    else:
-        w = QuadraticWeight.decaying(alpha, R)
-        times = np.linspace(0.0, QUADRATIC_T_SPAN, nt)
-        fs = parabolic_test_family(w, L, n, times, count, rng)
+    w, p, fs = quadratic_corpus(mode, s, m_ratio, alpha, count,
+                                np.random.default_rng(seed), n)
     coef1 = s * s * (alpha / R ** 2)
     coef2 = s * s * (alpha ** (4.0 * s - 1.0) / R ** (4.0 * s))
     # a probe with zero constants gathers every operand's terms in one pass

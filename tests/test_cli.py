@@ -21,6 +21,7 @@ from fracrel.errors import CalibrationError, ConfigError
 from fracrel.linear_carleman import (CarlemanLedger, LinearWeight,
                                      load_calibration)
 from fracrel.operator import OperatorParams
+from fracrel.report import calibration_tables, frozen_entry
 from fracrel.symbols import (garding_constants, positivity_constants,
                              quadratic_constants)
 
@@ -415,6 +416,33 @@ def test_calibrate_meta_records_timings_and_versions(tmp_path, monkeypatch):
     again = json.loads(path.read_text())
     assert again["meta"]["git_sha"] is None
     assert again["body"] == bundle["body"]
+
+
+def test_frozen_tables_resolve_through_one_lookup(tmp_path):
+    tables = calibration_tables()
+    assert set(tables) == {"version", "linear", "positivity", "garding",
+                           "quadratic"}
+    # one matcher serves the symbol lists and the single linear entry
+    for table, keys, frozen in (
+            ("positivity", {"s": 0.75, "m_ratio": 1.0},
+             tables["positivity"][1]),
+            ("linear", {"dim": 1, "s": 0.5, "m": 1.0, "lam": 0.5},
+             tables["linear"])):
+        near, off = ({**keys, "s": keys["s"] + d} for d in (1e-10, 1e-6))
+        assert frozen_entry(table, **keys) == frozen
+        assert frozen_entry(table, **near) == frozen
+        with pytest.raises(CalibrationError, match=f"^no frozen {table} "):
+            frozen_entry(table, **off)
+    # a bundle whose linear table failed holds no linear entry at all
+    bundle = tmp_path / "linear_failed.json"
+    bundle.write_text(json.dumps({"body": {
+        "tables": {k: tables[k] for k in ("positivity", "garding",
+                                          "quadratic")},
+        "errors": {"linear": "CalibrationError: widen the scan"}}}))
+    with pytest.raises(CalibrationError, match="^no frozen linear entry"):
+        load_calibration(OperatorParams(0.5, 1.0), 0.5, path=bundle)
+    assert positivity_constants(0.75, 1.0, path=bundle) == (
+        tables["positivity"][1]["c_hyp"], tables["positivity"][1]["c_min"])
 
 
 def test_calibrate_output_loads_back(tmp_path):

@@ -1019,8 +1019,8 @@ def test_appendix_domain_and_conditioning_guards():
 
 # ------------------------------------------------------------- tables
 
-def test_symbol_calibration_reproduces_frozen_tables():
-    frozen = calibration_tables("symbol_calibration.json")
+def test_symbol_tables_recalibrate_to_the_frozen_constants():
+    frozen = calibration_tables()
     garding = [e for e in frozen["garding"]
                if e["s"] == 0.75 and e["m_ratio"] == 0.0]
     assert ([calibrate_positivity(0.75, mr) for mr in (0.0, 1.0)]
