@@ -168,28 +168,26 @@ def energy_identity_check(u0: GridFunction, p: OperatorParams, T: float = 1.0,
 
 def tilted_integrals(traj: SpaceTimeFunction, lam: float,
                      what: tuple[str, ...],
-                     integrands: Callable[[SpaceTimeFunction],
-                                          Iterable[np.ndarray]]
+                     integrands: Callable[[np.ndarray], Iterable[np.ndarray]]
                      ) -> np.ndarray:
     """Integrals of e^(lam x) I over the box at every state of ``traj``,
     for each integrand I named in ``what``; shape (len(what), nt).
 
     The states go CHUNK_ROWS at a time: ``integrands(chunk)`` receives
-    them as a SpaceTimeFunction and yields, in the order of ``what``, each
-    integrand's values of shape (rows, n).  Every integrand row is guarded
-    on its own: it must be finite (ConfigError) and, at lam != 0, decayed
-    at the seam (SeamLeakError).  The failure reported is the one a
-    state-by-state loop meets first: the earliest state, and within it the
-    earliest integrand.
+    their rows of ``traj.values``, shape (rows, n), and yields, in the
+    order of ``what``, each integrand's values of that shape.  Every
+    integrand row is guarded on its own: it must be finite (ConfigError)
+    and, at lam != 0, decayed at the seam (SeamLeakError).  The failure
+    reported is the one a state-by-state loop meets first: the earliest
+    state, and within it the earliest integrand.
     """
     k, n = len(what), traj.n
     tilt = np.exp(lam * traj.x)
     out = np.empty((k, traj.nt))
     buf = np.empty((min(CHUNK_ROWS, traj.nt), k, n))
     for a in range(0, traj.nt, CHUNK_ROWS):
-        chunk = SpaceTimeFunction(traj.L, n, traj.times[a:a + CHUNK_ROWS],
-                                  traj.values[a:a + CHUNK_ROWS])
-        tilted = buf[:chunk.nt]
+        chunk = traj.values[a:a + CHUNK_ROWS]
+        tilted = buf[:len(chunk)]
         for j, values in enumerate(integrands(chunk)):
             np.multiply(tilt, values, out=tilted[:, j])
         sums = tilted.sum(axis=2)
@@ -200,10 +198,10 @@ def tilted_integrals(traj: SpaceTimeFunction, lam: float,
         stop = next((int(i) for i in np.flatnonzero(~np.isfinite(sums))
                      if not np.all(np.isfinite(rows[i]))), len(rows))
         if lam != 0.0:
-            require_seam_decay(rows[:stop], what=what * chunk.nt)
+            require_seam_decay(rows[:stop], what=what * len(chunk))
         if stop < len(rows):
             raise ConfigError("values must be finite")
-        out[:, a:a + chunk.nt] = (traj.L / n * sums).T
+        out[:, a:a + len(chunk)] = (traj.L / n * sums).T
     return out
 
 
@@ -212,7 +210,7 @@ def weighted_l2(traj: SpaceTimeFunction, lam: float,
     """Integral of e^(lam x) u^2 at every state of ``traj``, each guarded
     against seam leakage."""
     return tilted_integrals(traj, lam, (what,),
-                            lambda chunk: [chunk.values ** 2])[0]
+                            lambda chunk: [chunk ** 2])[0]
 
 
 def weighted_decay_check(u0: GridFunction, lam: float,

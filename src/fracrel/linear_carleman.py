@@ -180,12 +180,11 @@ def _tilted_series(traj: SpaceTimeFunction, lam: float, p: OperatorParams,
     if v is not None:
         what += ("forcing integrand", "cross integrand")
 
-    def integrands(chunk):
-        u = chunk.values
+    def integrands(u):
         if with_energy:
-            lsu, l2su = (g.values for g in apply_spectral(chunk, p, doubled))
+            lsu, l2su = apply_spectral(u, p, doubled, L=traj.L)
         else:
-            lsu = apply_spectral(chunk, p).values
+            lsu = apply_spectral(u, p, L=traj.L)
         f_vals = None if v is None else v * u
         yield u ** 2
         yield u * lsu

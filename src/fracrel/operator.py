@@ -95,19 +95,23 @@ def _spectral_multiplier(p: OperatorParams, L: float, n: int) -> np.ndarray:
     return out
 
 
-def apply_spectral(f, p: OperatorParams, *more: OperatorParams):
+def apply_spectral(f, p: OperatorParams, *more: OperatorParams, L=None):
     """Apply the operator through the discrete transform.
 
     ``f`` is one state (GridFunction) or a run of states
     (SpaceTimeFunction), transformed along its last axis; the result has
-    the type of ``f``.  Further parameter sets share the one forward
-    transform, and then a tuple comes back with one result per set.
+    the type of ``f``.  Given the box length L, ``f`` is bare rows of
+    shape (..., n) and bare rows come back, unchecked.  Further parameter
+    sets share the one forward transform, and then a tuple comes back with
+    one result per set.
     """
-    spec = np.fft.rfft(f.values)
-    out = tuple(
-        f.with_values(np.fft.irfft(_spectral_multiplier(q, f.L, f.n) * spec,
-                                   f.n))
-        for q in (p, *more))
+    values, box = (f.values, f.L) if L is None else (f, L)
+    n = values.shape[-1]
+    spec = np.fft.rfft(values)
+    out = tuple(np.fft.irfft(_spectral_multiplier(q, box, n) * spec, n)
+                for q in (p, *more))
+    if L is None:
+        out = tuple(map(f.with_values, out))
     return out if more else out[0]
 
 

@@ -32,9 +32,11 @@ data/calibration.json, next to the linear Carleman constants.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import time
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -487,6 +489,86 @@ def _mixed_pieces(c: _SymbolCore, ptx: float):
     return odd, even
 
 
+def _sweep_grids(w: QuadraticWeight, xi_grid, t_grid):
+    """The xi magnitudes and times of a positivity sweep, defaults filled in."""
+    xi = default_xi_grid(w) if xi_grid is None else xi_grid
+    t = np.linspace(0.0, 2.0, 21) if t_grid is None else t_grid
+    return np.asarray(xi, dtype=float), np.asarray(t, dtype=float)
+
+
+def _sweep_minima(w: QuadraticWeight, p: OperatorParams, xi_mag: np.ndarray,
+                  t_grid: np.ndarray, sigma_nodes: int):
+    """The positivity sweep, one block per time and annulus branch.  Yields
+    the running (ratio_min, witness, margins, singular_count,
+    nonfinite_count) before each block and after the last, so the sweep and
+    its bisection probe fold the blocks by one rule: Python min against the
+    running value, which passes over a nan."""
+    # the negative half of the signed grid; the positive half mirrors it
+    xi = -xi_mag[::-1]
+
+    s = p.s
+    env_unit = s * s * (w.alpha / w.R ** 2)
+    four_a2 = 4.0 * w.alpha ** 2 / w.R ** 2
+    envelope = env_unit * (xi * xi + four_a2) ** (2.0 * s - 1.0)
+
+    ratio_min = math.inf
+    witness = None
+    margins = {"mixed_odd": math.inf, "mixed_even": math.inf,
+               "curvature_psi2": math.inf, "transport": math.inf,
+               "half_base": math.inf}
+    singular_count = 0
+    nonfinite_count = 0
+
+    for t in t_grid:
+        psi_val = float(w.psi_at(t))
+        ptx = float(w.phi_tx(t))
+        for lo, hi in _sigma_branches(psi_val):
+            yield ratio_min, witness, margins, singular_count, nonfinite_count
+            sigma = np.linspace(lo, hi, sigma_nodes)[:, None]
+            xr = xi[None, :]
+            br = parabolic_bracket(w, p, sigma, t, xr)
+            core, base, mixed, total = br.core, br.base, br.mixed, br.total
+            odd, even = _mixed_pieces(core, ptx)
+
+            sing = core.singular()
+            bad = ~np.isfinite(total)
+            singular_count += 2 * int(np.sum(sing))
+            nonfinite_count += 2 * int(np.sum(bad & ~sing))
+            ok = ~(sing | bad)
+            if not np.any(ok):
+                continue
+
+            ratio = np.where(ok, total / envelope[None, :], math.inf)
+            idx = np.unravel_index(np.argmin(ratio), ratio.shape)
+            if ratio[idx] < ratio_min:
+                ratio_min = float(ratio[idx])
+                sig = float(sigma[idx[0], 0])
+                witness = {"t": float(t), "x": w.R * (sig - psi_val),
+                           "sigma": sig, "xi": float(xi[idx[1]]),
+                           "ratio": ratio_min}
+            env = envelope[None, :]
+            tenth = base / 10.0
+            for key, term in (("mixed_odd", odd), ("mixed_even", even),
+                              ("curvature_psi2", br.curv_psi2),
+                              ("transport", mixed)):
+                margin = np.where(ok, (tenth - np.abs(term)) / env, math.inf)
+                margins[key] = min(margins[key], float(np.min(margin)))
+            margin = np.where(ok, (total - 0.5 * base) / env, math.inf)
+            margins["half_base"] = min(margins["half_base"], float(np.min(margin)))
+    yield ratio_min, witness, margins, singular_count, nonfinite_count
+
+
+def _ladder_holds(w: QuadraticWeight, p: OperatorParams) -> bool:
+    """The bisection probe of calibrate_positivity: the ratio stays
+    positive and every dominance margin holds over the default sweep.  The
+    running minima only fall, so the first block that breaks either decides
+    the probe, and the blocks after it are never swept."""
+    _require_sweep_params(p, "positivity sweep needs")
+    return all(ratio_min > 0.0 and min(margins.values()) >= -_DOMINANCE_SLACK
+               for ratio_min, _, margins, _, _ in _sweep_minima(
+                   w, p, *_sweep_grids(w, None, None), sigma_nodes=33))
+
+
 def positivity_sweep(w: QuadraticWeight, p: OperatorParams, *,
                      xi_grid=None, t_grid=None, sigma_nodes: int = 33,
                      constants=None, enforce: bool = True) -> CheckReport:
@@ -532,63 +614,10 @@ def positivity_sweep(w: QuadraticWeight, p: OperatorParams, *,
         gate_ok = False
         gate_msg = str(err)
 
-    if xi_grid is None:
-        xi_grid = default_xi_grid(w)
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 2.0, 21)
-    xi_mag = np.asarray(xi_grid, dtype=float)
-    # the negative half of the signed grid; the positive half mirrors it
-    xi = -xi_mag[::-1]
-
-    s = p.s
-    env_unit = s * s * (w.alpha / w.R ** 2)
-    four_a2 = 4.0 * w.alpha ** 2 / w.R ** 2
-    envelope = env_unit * (xi * xi + four_a2) ** (2.0 * s - 1.0)
-
-    ratio_min = math.inf
-    witness = None
-    margins = {"mixed_odd": math.inf, "mixed_even": math.inf,
-               "curvature_psi2": math.inf, "transport": math.inf,
-               "half_base": math.inf}
-    singular_count = 0
-    nonfinite_count = 0
-
-    for t in np.asarray(t_grid, dtype=float):
-        psi_val = float(w.psi_at(t))
-        ptx = float(w.phi_tx(t))
-        for lo, hi in _sigma_branches(psi_val):
-            sigma = np.linspace(lo, hi, sigma_nodes)[:, None]
-            xr = xi[None, :]
-            br = parabolic_bracket(w, p, sigma, t, xr)
-            core, base, mixed, total = br.core, br.base, br.mixed, br.total
-            odd, even = _mixed_pieces(core, ptx)
-
-            sing = core.singular()
-            bad = ~np.isfinite(total)
-            singular_count += 2 * int(np.sum(sing))
-            nonfinite_count += 2 * int(np.sum(bad & ~sing))
-            ok = ~(sing | bad)
-            if not np.any(ok):
-                continue
-
-            ratio = np.where(ok, total / envelope[None, :], math.inf)
-            idx = np.unravel_index(np.argmin(ratio), ratio.shape)
-            if ratio[idx] < ratio_min:
-                ratio_min = float(ratio[idx])
-                sig = float(sigma[idx[0], 0])
-                witness = {"t": float(t), "x": w.R * (sig - psi_val),
-                           "sigma": sig, "xi": float(xi[idx[1]]),
-                           "ratio": ratio_min}
-            env = envelope[None, :]
-            tenth = base / 10.0
-            for key, term in (("mixed_odd", odd), ("mixed_even", even),
-                              ("curvature_psi2", br.curv_psi2),
-                              ("transport", mixed)):
-                margin = np.where(ok, (tenth - np.abs(term)) / env, math.inf)
-                margins[key] = min(margins[key], float(np.min(margin)))
-            margin = np.where(ok, (total - 0.5 * base) / env, math.inf)
-            margins["half_base"] = min(margins["half_base"], float(np.min(margin)))
-
+    xi_mag, t_grid = _sweep_grids(w, xi_grid, t_grid)
+    # the running minima after the last block
+    *_, (ratio_min, witness, margins, singular_count,
+         nonfinite_count) = _sweep_minima(w, p, xi_mag, t_grid, sigma_nodes)
     worst_margin = min(margins.values())
     violation = max(c_min - ratio_min,
                     -worst_margin - _DOMINANCE_SLACK,
@@ -609,12 +638,15 @@ def positivity_sweep(w: QuadraticWeight, p: OperatorParams, *,
 # derivative bounds for the Garding hypothesis
 
 
+@functools.lru_cache(maxsize=None)
 def _fd_stencil(order: int):
     """Offsets and weights of the minimal centered stencil for d^order,
-    second-order accurate; odd orders use half-integer offsets."""
+    second-order accurate; odd orders use half-integer offsets.  Cached
+    and read-only, so no caller can change the cached copy."""
     k = np.arange(order + 1)
     weights = (-1.0) ** k * np.array([math.comb(order, int(j)) for j in k])
     offsets = 0.5 * order - k
+    offsets.flags.writeable = weights.flags.writeable = False
     return offsets, weights
 
 
@@ -627,9 +659,11 @@ def _garding_orders(max_order: int):
                 yield i, j, k
 
 
-def _garding_triples(max_order: int) -> dict:
+@functools.lru_cache(maxsize=None)
+def _garding_triples(max_order: int) -> MappingProxyType:
     """Offset triple (depth, time, frequency) -> row, for every stencil
-    point the Garding derivatives reach, numbered in first-use order."""
+    point the Garding derivatives reach, numbered in first-use order;
+    cached per order as a read-only mapping."""
     rows = {}
     for i, j, k in _garding_orders(max_order):
         # a zero time order evaluates at the unshifted time only
@@ -638,7 +672,7 @@ def _garding_triples(max_order: int) -> dict:
             for ok in _fd_stencil(k)[0]:
                 for oj in off_j:
                     rows.setdefault((oi, oj, ok), len(rows))
-    return rows
+    return MappingProxyType(rows)
 
 
 def garding_hypothesis_check(w: QuadraticWeight, p: OperatorParams, *,
@@ -1190,42 +1224,36 @@ def calibrate_positivity(s: float, m_ratio: float) -> dict:
     steepnesses: the first admissible one and two doublings.
 
     The first admissible grid point is found by a lower-bound bisection
-    over the grid indices, at most 6 unenforced sweeps.  This assumes the
-    ladder predicate is monotone along the grid: once it holds, it holds
-    at every steeper point.  Measured over the whole grid, both frozen
-    tables (s = 0.75, m_ratio 0 and 1) read 27 failures followed by 13
-    passes.  A grid on which the predicate is not monotone could move
-    alpha_floor; the CI step that recalibrates the frozen tables catches
-    any such change."""
+    over the grid indices, at most 6 probes (_ladder_holds).  A probe
+    follows the unenforced sweep block by block and stops at the first
+    block that breaks the ladder, which decides it; only a passing probe
+    sweeps every block.  This assumes the ladder predicate is monotone
+    along the grid: once it holds, it holds at every steeper point.
+    Measured over the whole grid, both frozen tables (s = 0.75, m_ratio 0
+    and 1) read 27 failures followed by 13 passes.  A grid on which the
+    predicate is not monotone could move alpha_floor; the CI step that
+    recalibrates the frozen tables catches any such change."""
     R, safety = CALIBRATION_R, _CALIBRATION_SAFETY
-    profile = lambda a: QuadraticWeight.decaying(a, R)
     grid = np.geomspace(0.5, 400.0, 40)
 
-    def ladder_holds(a):
-        w = profile(float(a))
-        p = OperatorParams(s, m_ratio * 2.0 * w.alpha / w.R)
-        rep = positivity_sweep(w, p, constants=(0.0, 0.0), enforce=False)
-        return (rep.measured["ratio_min"] > 0.0
-                and min(rep.measured["margins"].values()) >= -_DOMINANCE_SLACK)
+    def weight(a):
+        w = QuadraticWeight.decaying(float(a), R)
+        return w, OperatorParams(s, m_ratio * 2.0 * w.alpha / w.R)
 
     # first index whose ladder holds (False sorts before True), or
     # len(grid) if none does
     first = bisect.bisect_left(range(len(grid)), True,
-                               key=lambda i: ladder_holds(grid[i]))
+                               key=lambda i: _ladder_holds(*weight(grid[i])))
     if first == len(grid):
         raise CalibrationError("no alpha in the scan satisfied the ladder")
     breaking = float(grid[first])
-    w_floor = profile(breaking)
+    w_floor, _ = weight(breaking)
     c_hyp = safety * w_floor.slope(s) / w_floor.profile_norm()
     # admissibility with the safety factor starts at
     # safety^{1/(2s-1)} * alpha_floor; pad by 5% and double twice
     base = 1.05 * safety ** (1.0 / (2.0 * s - 1.0)) * breaking
-    ratios = []
-    for a in (base, 2.0 * base, 4.0 * base):
-        w = profile(float(a))
-        p = OperatorParams(s, m_ratio * 2.0 * w.alpha / w.R)
-        rep = positivity_sweep(w, p, constants=(c_hyp, 0.0))
-        ratios.append(rep.measured["ratio_min"])
+    ratios = [positivity_sweep(*weight(a), constants=(c_hyp, 0.0))
+              .measured["ratio_min"] for a in (base, 2.0 * base, 4.0 * base)]
     return {"s": float(s), "m_ratio": float(m_ratio),
             "c_hyp": float(c_hyp), "c_min": float(0.5 * min(ratios)),
             "alpha_floor": breaking, "profile": "decaying",

@@ -210,16 +210,17 @@ def test_chunked_series_equal_the_per_row_loop(nt, forced, with_energy,
 
 
 def indexed_states(nt, L=64.0, n=512):
-    """nt zero states at the times 0, 1, ..., so a chunk's times are the
-    indices of its states."""
-    return SpaceTimeFunction(L, n, np.arange(float(nt)), np.zeros((nt, n)))
+    """nt constant states whose values are their indices 0, 1, ..., so a
+    chunk's rows name their states."""
+    return SpaceTimeFunction(L, n, np.arange(float(nt)),
+                             np.repeat(np.arange(float(nt))[:, None], n, 1))
 
 
 def by_state(integrands):
     """The integrands callback that serves a chunk of indexed_states its
     rows of each (nt, n) array in ``integrands``."""
     def chunk_rows(chunk):
-        first, last = int(chunk.times[0]), int(chunk.times[-1])
+        first, last = int(chunk[0, 0]), int(chunk[-1, 0])
         return [values[first:last + 1] for values in integrands]
     return chunk_rows
 

@@ -7,7 +7,6 @@ case where all symbols are polynomials and the operator commutator has an
 elementary closed form, and exact scaling laws of the quadratic weight.
 """
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1034,27 +1033,22 @@ def test_symbol_tables_recalibrate_to_the_frozen_constants():
 
 
 def test_positivity_calibration_bisects_the_steepness_grid(monkeypatch):
-    # bisecting the 40-point grid takes at most 6 unenforced sweeps, then
-    # come the 3 operating ones
-    calls = []
-    real = symbols.positivity_sweep
+    # bisecting the 40-point grid takes at most 6 probes
+    probes = []
+    real = symbols._ladder_holds
 
-    def counting(w, p, **kw):
-        rep = real(w, p, **kw)
-        holds = (rep.measured["ratio_min"] > 0.0
-                 and min(rep.measured["margins"].values())
-                 >= -symbols._DOMINANCE_SLACK)
-        calls.append((w.alpha, kw.get("enforce", True), holds))
-        return rep
+    def counting(w, p):
+        holds = real(w, p)
+        probes.append((w.alpha, holds))
+        return holds
 
-    monkeypatch.setattr(symbols, "positivity_sweep", counting)
+    monkeypatch.setattr(symbols, "_ladder_holds", counting)
     floor = calibrate_positivity(0.75, 1.0)["alpha_floor"]
-    assert len(calls) <= 10
+    assert len(probes) <= 6
     # a lower-bound bisection evaluates the returned point, which passed,
     # and the grid point just below it, which failed
     grid = np.geomspace(0.5, 400.0, 40)
     below = float(grid[np.flatnonzero(grid == floor)[0] - 1])
-    probes = [(a, holds) for a, enforce, holds in calls if not enforce]
     assert (floor, True) in probes
     assert (below, False) in probes
 
@@ -1062,12 +1056,11 @@ def test_positivity_calibration_bisects_the_steepness_grid(monkeypatch):
 def test_positivity_calibration_without_a_passing_steepness(monkeypatch):
     probes = []
 
-    def failing(w, p, **kw):
+    def failing(w, p):
         probes.append(w.alpha)
-        return SimpleNamespace(measured={"ratio_min": -1.0,
-                                         "margins": {"curvature": -1.0}})
+        return False
 
-    monkeypatch.setattr(symbols, "positivity_sweep", failing)
+    monkeypatch.setattr(symbols, "_ladder_holds", failing)
     with pytest.raises(CalibrationError,
                        match="^no alpha in the scan satisfied the ladder$"):
         calibrate_positivity(0.75, 1.0)
@@ -1076,6 +1069,52 @@ def test_positivity_calibration_without_a_passing_steepness(monkeypatch):
     assert 0 < len(probes) <= 6
     assert set(probes) <= set(grid.tolist())
     assert max(probes) == grid[-1]
+
+
+@pytest.mark.parametrize("m_ratio", [0.0, 1.0])
+def test_early_stopping_probe_is_the_full_sweep_verdict(m_ratio):
+    # the bisection visits indices 20, 30, 25, 28, 27 and 26 on both frozen
+    # tables; 0 and 39 are the ends of the grid
+    grid = np.geomspace(0.5, 400.0, 40)
+    indices = [0, 20, 25, 26, 27, 28, 30, 39]
+    verdicts = []
+    for i in indices:
+        w = QuadraticWeight.decaying(float(grid[i]), symbols.CALIBRATION_R)
+        p = OperatorParams(0.75, m_ratio * 2.0 * w.alpha / w.R)
+        rep = positivity_sweep(w, p, constants=(0.0, 0.0), enforce=False)
+        holds = (rep.measured["ratio_min"] > 0.0
+                 and min(rep.measured["margins"].values())
+                 >= -symbols._DOMINANCE_SLACK)
+        assert symbols._ladder_holds(w, p) is holds, i
+        verdicts.append(holds)
+    # 27 failures, then passes
+    assert verdicts == [i >= 27 for i in indices]
+
+
+def test_positivity_calibration_counts_its_blocks(monkeypatch):
+    # 21 blocks per full sweep: the 3 failing probes stop after their
+    # first block, the 3 passing probes and the 3 operating sweeps do not
+    counts = {"parabolic_bracket": 0, "positivity_sweep": 0}
+    for name in counts:
+        real = getattr(symbols, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(symbols, name, counting)
+    calibrate_positivity(0.75, 1.0)
+    assert counts == {"parabolic_bracket": 129, "positivity_sweep": 3}
+
+
+def test_cached_stencils_are_read_only():
+    offsets, weights = symbols._fd_stencil(3)
+    assert symbols._fd_stencil(3)[0] is offsets
+    for array in (offsets, weights):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    with pytest.raises(TypeError):
+        symbols._garding_triples(7)[(0.0, 0.0, 0.0)] = 0
 
 
 def test_calibration_loaders():
