@@ -15,7 +15,9 @@ Three equivalent realizations are provided and cross-checked:
 * ``apply_subordination``: the heat-semigroup average
   (1/Gamma(-s)) int_0^inf (e^(t(lap - m^2)) f - f) t^(-1-s) dt
   on a log-uniform time grid, refined until SUBORDINATION_REL_TOL holds
-  per Fourier mode.
+  per Fourier mode.  The (modes x nodes) integrand is built and
+  row-summed one tile of special._ROW_TILE modes at a time in one reused
+  buffer, never as a whole matrix.
 
 Every discretization control is a module constant below: one value of
 each is in use, so none is a parameter.  The identity checks and the
@@ -33,7 +35,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError, PreconditionError, QuadratureError
 from .grid import GridFunction, centered_d2
-from .special import frac_power_constant, gamma, macdonald_k
+from .special import _row_tiles, frac_power_constant, gamma, macdonald_k
 
 
 @dataclass(frozen=True)
@@ -231,7 +233,7 @@ def subordination_multiplier(gam: np.ndarray, s: float) -> np.ndarray:
     if u_hi <= u_lo:
         u_hi = u_lo + 1.0
 
-    gcol = gpos[:, None]
+    neg_gcol = -gpos[:, None]
 
     def evaluate(du: float) -> np.ndarray:
         n_nodes = int(math.ceil((u_hi - u_lo) / du)) + 1
@@ -241,8 +243,13 @@ def subordination_multiplier(gam: np.ndarray, s: float) -> np.ndarray:
                 f"(cap {SUBORDINATION_MAX_NODES}); s={s:g} is too extreme "
                 f"for rel_tol={SUBORDINATION_REL_TOL:g}")
         u = np.linspace(u_lo, u_hi, n_nodes)
-        vals = np.expm1(-gcol * np.exp(u)[None, :]) * np.exp(-s * u)[None, :]
-        total = vals.sum(axis=1) - 0.5 * (vals[:, 0] + vals[:, -1])
+        eu, esu = np.exp(u), np.exp(-s * u)
+        total = np.empty_like(gpos)
+        for rows, v in _row_tiles(gpos.size, n_nodes):
+            np.multiply(neg_gcol[rows], eu, out=v)
+            np.expm1(v, out=v)
+            v *= esu
+            total[rows] = v.sum(axis=1) - 0.5 * (v[:, 0] + v[:, -1])
         return total * (u[1] - u[0])
 
     du = SUBORDINATION_INITIAL_SPACING

@@ -10,10 +10,12 @@ with fixed module constants as their controls:
   order);
 * trapezoid quadrature of the integral representation
   K_nu(z) = int_0^inf exp(-z cosh w) cosh(nu w) dw, in the sum form.  The
-  sorted arguments are taken in blocks of 2048, so the (points x nodes)
-  matrix stays a few MB at any input size, and each block is refined by
-  nested doubling (every level adds only the new odd nodes to half the
-  previous sum) until its own points meet the relative tolerance
+  sorted arguments are taken in blocks of 2048, and inside a block the
+  (points x nodes) values are built one tile of _ROW_TILE rows at a time
+  into one reused buffer and row-summed there, so no (points x nodes)
+  matrix is formed.  Each block is refined by nested doubling (every
+  level adds only the new odd nodes to half the previous sum) until its
+  own points meet the relative tolerance
   QUAD_REL_TOL (QuadratureError if the cap MAX_QUAD_NODES comes first).  The
   representation holds at every real nu, so this path is valid for every
   (nu, z), integer orders included;
@@ -45,8 +47,12 @@ MAX_QUAD_NODES = 20000
 INTEGER_GUARD = 0.05
 
 _SERIES_MAX_TERMS = 60
-# Points per quadrature block; bounds the (points x nodes) matrix.
+# Points per quadrature block; each block converges on its own.
 _QUAD_BLOCK = 2048
+# Rows per tile of the quadrature row sums, here and in the subordination
+# multiplier: one (tile x nodes) buffer stands in for the (points x nodes)
+# matrix, and each row is computed and summed as on the full matrix.
+_ROW_TILE = 64
 
 
 def gamma(x: float) -> float:
@@ -82,9 +88,19 @@ def _kv_series(nu: float, z: np.ndarray) -> np.ndarray:
     return 0.5 * math.pi * (i_minus - i_plus) / math.sin(math.pi * nu)
 
 
+def _row_tiles(n_rows: int, n_cols: int):
+    # (row slice, view) per tile of _ROW_TILE rows; the views share one
+    # C-contiguous (tile x n_cols) buffer, so a row sum over a view runs as
+    # over that row of the full matrix.
+    buf = np.empty((min(_ROW_TILE, n_rows), n_cols))
+    for start in range(0, n_rows, _ROW_TILE):
+        rows = slice(start, min(start + _ROW_TILE, n_rows))
+        yield rows, buf[: rows.stop - start]
+
+
 def _kv_quadrature(nu: float, z: np.ndarray) -> np.ndarray:
     # Scaled value exp(z) K_nu(z), one block of _QUAD_BLOCK sorted points at
-    # a time, so the (points x nodes) matrix stays bounded.
+    # a time; each block refines until its own points converge.
     order = np.argsort(z)
     out = np.empty_like(z)
     for start in range(0, z.size, _QUAD_BLOCK):
@@ -101,16 +117,22 @@ def _kv_quadrature_block(nu: float, z: np.ndarray) -> np.ndarray:
     # with the previous level to QUAD_REL_TOL.
     w_max = math.asinh((nu + 30.0) / float(np.min(z))) + 2.0
 
-    def integrand(w: np.ndarray) -> np.ndarray:
-        vals = np.multiply.outer(z, 1.0 - np.cosh(w))
-        vals += _log_cosh(nu * w)
-        return np.exp(vals, out=vals)
+    def row_sums(w: np.ndarray, ends: bool) -> np.ndarray:
+        # per point, the sum of the integrand over the nodes w, with the
+        # end nodes halved when ends is set; one row tile at a time
+        shift, log_cosh = 1.0 - np.cosh(w), _log_cosh(nu * w)
+        sums = np.empty_like(z)
+        for rows, v in _row_tiles(z.size, w.size):
+            np.multiply.outer(z[rows], shift, out=v)
+            v += log_cosh
+            np.exp(v, out=v)
+            sums[rows] = (0.5 * v[:, 0] + v[:, 1:-1].sum(axis=1)
+                          + 0.5 * v[:, -1]) if ends else v.sum(axis=1)
+        return sums
 
     n = max(256, int(w_max / 0.25) + 1)
     h = w_max / (n - 1)
-    vals = integrand(np.linspace(0.0, w_max, n))
-    prev = h * (0.5 * vals[:, 0] + vals[:, 1:-1].sum(axis=1)
-                + 0.5 * vals[:, -1])
+    prev = h * row_sums(np.linspace(0.0, w_max, n), True)
     while True:
         n_next = 2 * n - 1
         if n_next > MAX_QUAD_NODES:
@@ -118,8 +140,7 @@ def _kv_quadrature_block(nu: float, z: np.ndarray) -> np.ndarray:
                 f"Macdonald quadrature for nu={nu:g} did not converge "
                 f"within {MAX_QUAD_NODES} nodes")
         h *= 0.5
-        cur = 0.5 * prev + h * integrand(
-            h * np.arange(1, n_next, 2)).sum(axis=1)
+        cur = 0.5 * prev + h * row_sums(h * np.arange(1, n_next, 2), False)
         done = np.abs(cur - prev) <= QUAD_REL_TOL * np.abs(cur)
         prev, n = cur, n_next
         if np.all(done):

@@ -219,6 +219,22 @@ def test_run_failure_exit_code_and_reports(tmp_path):
     assert (tmp_path / "out" / "reports.csv").exists()
 
 
+def test_equivalence_checks_fail_below_their_measured_error():
+    # negative control: the kernel pairs measure about 1e-5 and spectral
+    # against subordination about 5e-11, so at 1e-12 every pair must fail
+    # with its measured error as the violation
+    cfg = dict(DEFAULTS, **{"tolerance.equivalence": 1e-12, "grid.n": 1024})
+    reports = cli._suite_equivalence(cfg)
+    names = [f"equivalence.{pair}" for pair in (
+        "spectral_vs_singular", "spectral_vs_subordination",
+        "singular_vs_subordination")]
+    assert [r.name for r in reports] == names * 9
+    for r in reports:
+        assert r.passed is False, r.name
+        assert r.tolerance == 1e-12
+        assert r.measured["violation"] == r.measured["rel_error"] > 1e-12
+
+
 def test_run_malformed_config_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, **{"tolernace.energy": 1e-3})
     assert main(["run", str(cfg)]) == 2

@@ -13,6 +13,7 @@ from fracrel.grid import (
     smooth_window,
 )
 from fracrel import operator as op
+from fracrel import special
 import oracles
 
 L, N = 40.0, 4096
@@ -117,6 +118,33 @@ def test_subordination_node_cap_raises(monkeypatch):
     monkeypatch.setattr(op, "SUBORDINATION_MAX_NODES", 1024)
     with pytest.raises(QuadratureError):
         op.subordination_multiplier(np.array([1.0, 1e8]), 0.5)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+def test_subordination_row_tiles_match_the_untiled_oracle(s):
+    # each mode's row is built and summed as on the whole (modes x nodes)
+    # matrix, so the multiplier agrees bit for bit around the tile size and
+    # on the default grid's 2049 modes
+    xi = op.frequencies(L, N)
+    gam = xi * xi + 0.25
+    tile = special._ROW_TILE
+    for rows in (1, tile - 1, tile, tile + 1, gam.size):
+        want = oracles.subordination_multiplier_untiled(gam[:rows], s)
+        assert np.array_equal(op.subordination_multiplier(gam[:rows], s),
+                              want), rows
+
+
+def test_subordination_memory_is_one_row_tile():
+    # the whole (2049 x nodes) matrix and its temporaries peaked at 47 MB
+    xi = op.frequencies(L, N)
+    gam = xi * xi + 0.25
+    tracemalloc.start()
+    try:
+        op.subordination_multiplier(gam, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])

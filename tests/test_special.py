@@ -15,6 +15,7 @@ from fracrel.special import (
     half_kernel_explicit,
     macdonald_k,
 )
+import oracles
 
 
 def test_k_half_closed_form():
@@ -217,3 +218,27 @@ def test_large_evaluation_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("nu", [0.8, 1.0, 1.2])
+def test_quadrature_row_tiles_match_the_untiled_oracle(nu):
+    # each point's row is built and summed as on the whole (points x nodes)
+    # matrix, so the values agree bit for bit around the tile size and on a
+    # full block
+    tile = special._ROW_TILE
+    for count in (1, tile - 1, tile, tile + 1, special._QUAD_BLOCK):
+        z = np.linspace(2.0, 29.0, count)
+        want = oracles.kv_quadrature_block_untiled(nu, z) * np.exp(-z)
+        assert np.array_equal(macdonald_k(nu, z), want), count
+
+
+def test_quadrature_block_memory_is_one_row_tile():
+    # one whole (2048 x nodes) matrix per level peaked at 8.2 MB here
+    z = np.linspace(2.0, 29.0, 2048)
+    tracemalloc.start()
+    try:
+        macdonald_k(1.2, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20, f"peak {peak / 2**20:.2f} MB"
