@@ -14,10 +14,12 @@ Three equivalent realizations are provided and cross-checked:
   negligible.  The weights are cached per (params, grid).
 * ``apply_subordination``: the heat-semigroup average
   (1/Gamma(-s)) int_0^inf (e^(t(lap - m^2)) f - f) t^(-1-s) dt
-  on a log-uniform time grid, refined until SUBORDINATION_REL_TOL holds
-  per Fourier mode.  The (modes x nodes) integrand is built and
-  row-summed one tile of special._ROW_TILE modes at a time in one reused
-  buffer, never as a whole matrix.
+  by trapezoid on a log-uniform time grid.  It runs on the Macdonald
+  quadrature's driver, special._refined_trapezoid: nested doubling (each
+  level evaluates only the new odd nodes) until SUBORDINATION_REL_TOL
+  holds per Fourier mode, stopped by the node cap SUBORDINATION_MAX_NODES,
+  with the (modes x nodes) integrand built and row-summed one tile of
+  special._ROW_TILE modes at a time in one reused buffer.
 
 Every discretization control is a module constant below: one value of
 each is in use, so none is a parameter.  The identity checks and the
@@ -33,9 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ConfigError, PreconditionError, QuadratureError
+from .errors import ConfigError, PreconditionError
 from .grid import GridFunction, centered_d2
-from .special import _row_tiles, frac_power_constant, gamma, macdonald_k
+from .special import (_refined_trapezoid, frac_power_constant, gamma,
+                      macdonald_k)
 
 
 @dataclass(frozen=True)
@@ -69,12 +72,10 @@ _NEAR_TIER_CELLS = 32
 _FAR_GL_NODES = 4
 
 # Subordination time integral on a log-uniform grid: per-mode relative
-# tolerance, starting log-time spacing (halved on each refinement), the
-# refinement budget before QuadratureError, and the cap on the per-mode
-# node count of one evaluation.
+# tolerance, starting log-time spacing (halved on each refinement), and the
+# node cap of one level, past which QuadratureError is raised.
 SUBORDINATION_REL_TOL = 1e-10
 SUBORDINATION_INITIAL_SPACING = 0.2
-SUBORDINATION_MAX_REFINEMENTS = 6
 SUBORDINATION_MAX_NODES = 100_000
 
 
@@ -235,37 +236,21 @@ def subordination_multiplier(gam: np.ndarray, s: float) -> np.ndarray:
 
     neg_gcol = -gpos[:, None]
 
-    def evaluate(du: float) -> np.ndarray:
-        n_nodes = int(math.ceil((u_hi - u_lo) / du)) + 1
-        if n_nodes > SUBORDINATION_MAX_NODES:
-            raise QuadratureError(
-                f"subordination window needs {n_nodes} nodes "
-                f"(cap {SUBORDINATION_MAX_NODES}); s={s:g} is too extreme "
-                f"for rel_tol={SUBORDINATION_REL_TOL:g}")
-        u = np.linspace(u_lo, u_hi, n_nodes)
+    def integrand(u: np.ndarray):
         eu, esu = np.exp(u), np.exp(-s * u)
-        total = np.empty_like(gpos)
-        for rows, v in _row_tiles(gpos.size, n_nodes):
+
+        def write(rows: slice, v: np.ndarray) -> None:
             np.multiply(neg_gcol[rows], eu, out=v)
             np.expm1(v, out=v)
             v *= esu
-            total[rows] = v.sum(axis=1) - 0.5 * (v[:, 0] + v[:, -1])
-        return total * (u[1] - u[0])
+        return write
 
-    du = SUBORDINATION_INITIAL_SPACING
-    prev = evaluate(du)
-    for _ in range(SUBORDINATION_MAX_REFINEMENTS):
-        du *= 0.5
-        cur = evaluate(du)
-        if np.all(np.abs(cur - prev)
-                  <= SUBORDINATION_REL_TOL * np.maximum(np.abs(cur), scale)):
-            out[pos] = cur / gamma_neg
-            return out
-        prev = cur
-    raise QuadratureError(
-        f"subordination quadrature stalled above "
-        f"rel_tol={SUBORDINATION_REL_TOL:g} after "
-        f"{SUBORDINATION_MAX_REFINEMENTS} refinements")
+    n = int(math.ceil((u_hi - u_lo) / SUBORDINATION_INITIAL_SPACING)) + 1
+    out[pos] = _refined_trapezoid(
+        u_lo, u_hi, n, gpos.size, SUBORDINATION_REL_TOL, scale,
+        SUBORDINATION_MAX_NODES, f"subordination quadrature for s={s:g}",
+        integrand) / gamma_neg
+    return out
 
 
 def apply_subordination(f: GridFunction, p: OperatorParams) -> GridFunction:

@@ -9,16 +9,15 @@ with fixed module constants as their controls:
   integer (the I-pair difference cancels catastrophically near integer
   order);
 * trapezoid quadrature of the integral representation
-  K_nu(z) = int_0^inf exp(-z cosh w) cosh(nu w) dw, in the sum form.  The
-  sorted arguments are taken in blocks of 2048, and inside a block the
-  (points x nodes) values are built one tile of _ROW_TILE rows at a time
-  into one reused buffer and row-summed there, so no (points x nodes)
-  matrix is formed.  Each block is refined by nested doubling (every
-  level adds only the new odd nodes to half the previous sum) until its
-  own points meet the relative tolerance
-  QUAD_REL_TOL (QuadratureError if the cap MAX_QUAD_NODES comes first).  The
-  representation holds at every real nu, so this path is valid for every
-  (nu, z), integer orders included;
+  K_nu(z) = int_0^inf exp(-z cosh w) cosh(nu w) dw, in the sum form, on
+  the sorted arguments in blocks of 2048.  Each block runs on
+  _refined_trapezoid, the one driver that the subordination multiplier
+  shares: nested doubling (every level adds only the new odd nodes to
+  half the previous sum) until every point meets QUAD_REL_TOL
+  (QuadratureError before any level past MAX_QUAD_NODES), each level
+  built and row-summed one tile of _ROW_TILE rows at a time in one
+  reused buffer.  The representation holds at every real nu, so this
+  path is valid for every (nu, z), integer orders included;
 * the large-argument expansion sqrt(pi/(2z)) exp(-z) (1 + ...) from
   ASYMPTOTIC_SWITCH_Z on, with the running term monitored and a fallback
   to quadrature whenever the expansion cannot reach QUAD_REL_TOL.
@@ -49,9 +48,9 @@ INTEGER_GUARD = 0.05
 _SERIES_MAX_TERMS = 60
 # Points per quadrature block; each block converges on its own.
 _QUAD_BLOCK = 2048
-# Rows per tile of the quadrature row sums, here and in the subordination
-# multiplier: one (tile x nodes) buffer stands in for the (points x nodes)
-# matrix, and each row is computed and summed as on the full matrix.
+# Rows per tile of _refined_trapezoid's row sums, for both quadratures: one
+# (tile x nodes) buffer stands in for the (rows x nodes) matrix, and each
+# row is computed and summed as on the full matrix.
 _ROW_TILE = 64
 
 
@@ -98,6 +97,40 @@ def _row_tiles(n_rows: int, n_cols: int):
         yield rows, buf[: rows.stop - start]
 
 
+def _refined_trapezoid(lo: float, hi: float, n: int, n_rows: int,
+                       rel_tol: float, floor: float, max_nodes: int,
+                       name: str, integrand) -> np.ndarray:
+    # Trapezoid rule on [lo, hi] of n_rows integrands from n nodes, refined
+    # by nested doubling, T_{2n-1} = T_n / 2 + h' sum f(new odd nodes), until
+    # every row agrees with the previous level to rel_tol * max(|row|, floor)
+    # (QuadratureError before any level past max_nodes).  integrand(x) does
+    # the work that depends only on the nodes x and returns write(rows, v),
+    # which fills the tile v with those rows' values at x.
+    def row_sums(x: np.ndarray, ends: bool) -> np.ndarray:
+        # per row, the sum over the nodes x, end nodes halved when ends is set
+        write = integrand(x)
+        sums = np.empty(n_rows)
+        for rows, v in _row_tiles(n_rows, x.size):
+            write(rows, v)
+            sums[rows] = (0.5 * v[:, 0] + v[:, 1:-1].sum(axis=1)
+                          + 0.5 * v[:, -1]) if ends else v.sum(axis=1)
+        return sums
+
+    h = (hi - lo) / (n - 1)
+    x, prev = np.linspace(lo, hi, n), None
+    while n <= max_nodes:
+        cur = h * row_sums(x, prev is None)
+        if prev is not None:
+            cur += 0.5 * prev
+            if np.all(np.abs(cur - prev)
+                      <= rel_tol * np.maximum(np.abs(cur), floor)):
+                return cur
+        prev, n, h = cur, 2 * n - 1, 0.5 * h
+        x = lo + h * np.arange(1, n, 2)
+    raise QuadratureError(
+        f"{name} did not converge within {max_nodes} nodes")
+
+
 def _kv_quadrature(nu: float, z: np.ndarray) -> np.ndarray:
     # Scaled value exp(z) K_nu(z), one block of _QUAD_BLOCK sorted points at
     # a time; each block refines until its own points converge.
@@ -112,39 +145,21 @@ def _kv_quadrature(nu: float, z: np.ndarray) -> np.ndarray:
 def _kv_quadrature_block(nu: float, z: np.ndarray) -> np.ndarray:
     # Trapezoid on [0, w_max] of exp(-z(cosh w - 1)) cosh(nu w).  w_max makes
     # the dropped tail < 1e-14 relative: past sinh w = (nu+30)/z the exponent
-    # falls at rate >= 30.  Each doubling is nested, T_{2n-1} = T_n / 2 +
-    # h' sum f(new odd nodes), and runs until every point of the block agrees
-    # with the previous level to QUAD_REL_TOL.
+    # falls at rate >= 30.
     w_max = math.asinh((nu + 30.0) / float(np.min(z))) + 2.0
 
-    def row_sums(w: np.ndarray, ends: bool) -> np.ndarray:
-        # per point, the sum of the integrand over the nodes w, with the
-        # end nodes halved when ends is set; one row tile at a time
+    def integrand(w: np.ndarray):
         shift, log_cosh = 1.0 - np.cosh(w), _log_cosh(nu * w)
-        sums = np.empty_like(z)
-        for rows, v in _row_tiles(z.size, w.size):
+
+        def write(rows: slice, v: np.ndarray) -> None:
             np.multiply.outer(z[rows], shift, out=v)
             v += log_cosh
             np.exp(v, out=v)
-            sums[rows] = (0.5 * v[:, 0] + v[:, 1:-1].sum(axis=1)
-                          + 0.5 * v[:, -1]) if ends else v.sum(axis=1)
-        return sums
+        return write
 
-    n = max(256, int(w_max / 0.25) + 1)
-    h = w_max / (n - 1)
-    prev = h * row_sums(np.linspace(0.0, w_max, n), True)
-    while True:
-        n_next = 2 * n - 1
-        if n_next > MAX_QUAD_NODES:
-            raise QuadratureError(
-                f"Macdonald quadrature for nu={nu:g} did not converge "
-                f"within {MAX_QUAD_NODES} nodes")
-        h *= 0.5
-        cur = 0.5 * prev + h * row_sums(h * np.arange(1, n_next, 2), False)
-        done = np.abs(cur - prev) <= QUAD_REL_TOL * np.abs(cur)
-        prev, n = cur, n_next
-        if np.all(done):
-            return prev
+    return _refined_trapezoid(
+        0.0, w_max, max(256, int(w_max / 0.25) + 1), z.size, QUAD_REL_TOL,
+        0.0, MAX_QUAD_NODES, f"Macdonald quadrature for nu={nu:g}", integrand)
 
 
 def _log_cosh(x: np.ndarray) -> np.ndarray:

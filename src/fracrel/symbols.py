@@ -1018,15 +1018,13 @@ def _slice_total(per_slice: np.ndarray) -> float:
     return float(np.cumsum(per_slice)[-1])
 
 
-def _block_terms(f, vals: np.ndarray, times: np.ndarray, dt: float,
-                 arr: _SliceArrays, mass: np.ndarray,
-                 p: OperatorParams) -> tuple:
+def _block_terms(f, vals: np.ndarray, dt: float, arr: _SliceArrays,
+                 mass: np.ndarray, p: OperatorParams) -> tuple:
     """(rhs, order-(s-1/2) norm, L^2 norm) of one operand block.  The
     arithmetic runs in place where that keeps the operations and their
     order, and the block's temporaries die on return, so fewer (nt, n)
     arrays are alive at once."""
-    rows = apply_spectral(SpaceTimeFunction(
-        f.L, f.n, times, arr.exp_neg * vals), p).values
+    rows = apply_spectral(arr.exp_neg * vals, p, L=f.L)
     rows *= arr.exp_pos
     if arr.phi_t is not None:
         # (d_t f - phi_t f) + e^phi (-lap+m^2)^s e^{-phi} f
@@ -1066,7 +1064,7 @@ def _operand_terms(fs, w: QuadraticWeight, p: OperatorParams,
                                         mode == "parabolic")
         arr = shared[key]
         mass = _guarded_slice_mass(i, vals, arr, times, mode)
-        terms.append(_block_terms(f, vals, times, dt, arr, mass, p))
+        terms.append(_block_terms(f, vals, dt, arr, mass, p))
     return terms
 
 

@@ -5,9 +5,9 @@ This module holds the rest: second routes the tests compare the package
 against (direct kernel sums, the kernel-cell carre du champ, the transform
 quadratic form, the heat kernel and its contour-shifted weighted form,
 finite-difference brackets, per-state tilted integrals, the slice-by-slice
-quadratic Carleman operand terms, the whole-matrix subordination and
-Macdonald quadratures) and five checks that no suite runs.  The
-checks keep their report names.
+quadratic Carleman operand terms, the whole-matrix refined trapezoid of
+the Macdonald and subordination quadratures) and five checks that no suite
+runs.  The checks keep their report names.
 """
 from __future__ import annotations
 
@@ -25,15 +25,11 @@ from fracrel.linear_carleman import (_DDOT_TOLERANCE, LinearWeight,
                                      _admissible_constants, _production,
                                      _production_rate, _tilted_series,
                                      _uniform_spacing, _weighted)
-from fracrel.operator import (SUBORDINATION_INITIAL_SPACING,
-                              SUBORDINATION_MAX_NODES,
-                              SUBORDINATION_MAX_REFINEMENTS,
-                              SUBORDINATION_REL_TOL, OperatorParams,
-                              _kernel_weights, _require_singular_ok,
-                              apply_spectral, frequencies, symbol)
+from fracrel.operator import (OperatorParams, _kernel_weights,
+                              _require_singular_ok, apply_spectral,
+                              frequencies, symbol)
 from fracrel.report import CheckReport, finish_report
-from fracrel.special import (MAX_QUAD_NODES, QUAD_REL_TOL, _log_cosh,
-                             frac_power_constant, gamma, macdonald_k)
+from fracrel.special import frac_power_constant, macdonald_k
 from fracrel.symbols import (_FD_BRACKET_STEP, _SUPPORT_LEAK_TOL,
                              ANNULUS_INNER, ANNULUS_OUTER, QuadraticWeight,
                              SymbolPoint, _fd_stencil, _grid_exponent,
@@ -123,100 +119,35 @@ def carre_du_champ(f: GridFunction, g: GridFunction, p: OperatorParams
     return f.with_values(-kw["c_full"] * pair - p.m ** (2.0 * p.s) * fv * gv)
 
 
-def subordination_multiplier_untiled(gam: np.ndarray, s: float
-                                    ) -> np.ndarray:
-    """``operator.subordination_multiplier`` with each refinement level
-    evaluated as one whole (modes x nodes) matrix and row-summed there.
+def refined_trapezoid_untiled(lo: float, hi: float, n: int, n_rows: int,
+                              rel_tol: float, floor: float, max_nodes: int,
+                              name: str, integrand) -> np.ndarray:
+    """``special._refined_trapezoid`` with each level written as one whole
+    (rows x nodes) matrix and row-summed there.
 
-    The package builds the same rows one tile at a time; each row's values
-    and sum come from the same operations in the same order, so the two
-    agree bit for bit.
+    The package writes and sums the same rows one tile at a time; each
+    row's values and sum come from the same operations in the same order,
+    so the two agree bit for bit.
     """
-    if not (0.0 < s < 1.0):
-        raise PreconditionError("subordination requires s in (0, 1)")
-    gam = np.asarray(gam, dtype=float)
-    out = np.zeros_like(gam)
-    pos = gam > 0.0
-    if not np.any(pos):
-        return out
-    gpos = gam[pos]
-    g_lo, g_hi = float(gpos.min()), float(gpos.max())
-    gamma_neg = gamma(-s)  # negative throughout (0, 1)
-    scale = abs(gamma_neg) * g_lo**s
-
-    # window: the small-t side contributes at most g_hi e^((1-s)u)/(1-s),
-    # the large-t side e^(-s u)/s; both pushed below the tolerance * scale.
-    tol = SUBORDINATION_REL_TOL * scale
-    u_lo = math.log(tol * (1.0 - s) / g_hi) / (1.0 - s)
-    u_hi = -math.log(tol * s) / s
-    if u_hi <= u_lo:
-        u_hi = u_lo + 1.0
-
-    gcol = gpos[:, None]
-
-    def evaluate(du: float) -> np.ndarray:
-        n_nodes = int(math.ceil((u_hi - u_lo) / du)) + 1
-        if n_nodes > SUBORDINATION_MAX_NODES:
-            raise QuadratureError(
-                f"subordination window needs {n_nodes} nodes "
-                f"(cap {SUBORDINATION_MAX_NODES}); s={s:g} is too extreme "
-                f"for rel_tol={SUBORDINATION_REL_TOL:g}")
-        u = np.linspace(u_lo, u_hi, n_nodes)
-        vals = np.expm1(-gcol * np.exp(u)[None, :]) * np.exp(-s * u)[None, :]
-        total = vals.sum(axis=1) - 0.5 * (vals[:, 0] + vals[:, -1])
-        return total * (u[1] - u[0])
-
-    du = SUBORDINATION_INITIAL_SPACING
-    prev = evaluate(du)
-    for _ in range(SUBORDINATION_MAX_REFINEMENTS):
-        du *= 0.5
-        cur = evaluate(du)
-        if np.all(np.abs(cur - prev)
-                  <= SUBORDINATION_REL_TOL * np.maximum(np.abs(cur), scale)):
-            out[pos] = cur / gamma_neg
-            return out
-        prev = cur
+    h = (hi - lo) / (n - 1)
+    prev = None
+    while n <= max_nodes:
+        x = np.linspace(lo, hi, n) if prev is None else lo + h * np.arange(
+            1, n, 2)
+        vals = np.empty((n_rows, x.size))
+        integrand(x)(slice(0, n_rows), vals)
+        if prev is None:
+            prev = h * (0.5 * vals[:, 0] + vals[:, 1:-1].sum(axis=1)
+                        + 0.5 * vals[:, -1])
+        else:
+            cur = 0.5 * prev + h * vals.sum(axis=1)
+            if np.all(np.abs(cur - prev)
+                      <= rel_tol * np.maximum(np.abs(cur), floor)):
+                return cur
+            prev = cur
+        n, h = 2 * n - 1, 0.5 * h
     raise QuadratureError(
-        f"subordination quadrature stalled above "
-        f"rel_tol={SUBORDINATION_REL_TOL:g} after "
-        f"{SUBORDINATION_MAX_REFINEMENTS} refinements")
-
-
-def kv_quadrature_block_untiled(nu: float, z: np.ndarray) -> np.ndarray:
-    """``special._kv_quadrature_block`` (exp(z) K_nu(z) on one block of
-    sorted points) with each refinement level evaluated as one whole
-    (points x nodes) matrix and row-summed there; bit for bit the
-    package's tiled values."""
-    # Trapezoid on [0, w_max] of exp(-z(cosh w - 1)) cosh(nu w).  w_max makes
-    # the dropped tail < 1e-14 relative: past sinh w = (nu+30)/z the exponent
-    # falls at rate >= 30.  Each doubling is nested, T_{2n-1} = T_n / 2 +
-    # h' sum f(new odd nodes), and runs until every point of the block agrees
-    # with the previous level to QUAD_REL_TOL.
-    w_max = math.asinh((nu + 30.0) / float(np.min(z))) + 2.0
-
-    def integrand(w: np.ndarray) -> np.ndarray:
-        vals = np.multiply.outer(z, 1.0 - np.cosh(w))
-        vals += _log_cosh(nu * w)
-        return np.exp(vals, out=vals)
-
-    n = max(256, int(w_max / 0.25) + 1)
-    h = w_max / (n - 1)
-    vals = integrand(np.linspace(0.0, w_max, n))
-    prev = h * (0.5 * vals[:, 0] + vals[:, 1:-1].sum(axis=1)
-                + 0.5 * vals[:, -1])
-    while True:
-        n_next = 2 * n - 1
-        if n_next > MAX_QUAD_NODES:
-            raise QuadratureError(
-                f"Macdonald quadrature for nu={nu:g} did not converge "
-                f"within {MAX_QUAD_NODES} nodes")
-        h *= 0.5
-        cur = 0.5 * prev + h * integrand(
-            h * np.arange(1, n_next, 2)).sum(axis=1)
-        done = np.abs(cur - prev) <= QUAD_REL_TOL * np.abs(cur)
-        prev, n = cur, n_next
-        if np.all(done):
-            return prev
+        f"{name} did not converge within {max_nodes} nodes")
 
 
 _I0_ASY = (1.0, 0.125, 9.0 / 128.0, 75.0 / 1024.0, 11025.0 / 98304.0)

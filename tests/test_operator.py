@@ -113,25 +113,44 @@ def test_subordination_zero_mode_massless():
 
 
 def test_subordination_node_cap_raises(monkeypatch):
-    # the window for gam up to 1e8 needs 634 nodes at the starting spacing
-    # and 1267 after one halving, past the lowered cap
+    # the window for gam up to 1e8 needs 634 nodes at the starting spacing;
+    # the nested level after them would hold 1267, past the lowered cap
     monkeypatch.setattr(op, "SUBORDINATION_MAX_NODES", 1024)
     with pytest.raises(QuadratureError):
         op.subordination_multiplier(np.array([1.0, 1e8]), 0.5)
 
 
+def test_subordination_reuses_its_coarse_level(monkeypatch):
+    # nested doubling: the second level of s = 0.7, m = 0.5 evaluates only
+    # the 752 new odd nodes between the first level's 753, not 1505 afresh
+    widths = []
+    row_tiles = special._row_tiles
+
+    def spy(n_rows, n_cols):
+        widths.append(n_cols)
+        return row_tiles(n_rows, n_cols)
+
+    monkeypatch.setattr(special, "_row_tiles", spy)
+    xi = op.frequencies(L, N)
+    op.subordination_multiplier(xi * xi + 0.25, 0.7)
+    assert widths == [753, 752]
+
+
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
-def test_subordination_row_tiles_match_the_untiled_oracle(s):
-    # each mode's row is built and summed as on the whole (modes x nodes)
+def test_subordination_row_tiles_match_the_untiled_oracle(s, monkeypatch):
+    # each mode's row is written and summed as on the whole (modes x nodes)
     # matrix, so the multiplier agrees bit for bit around the tile size and
     # on the default grid's 2049 modes
     xi = op.frequencies(L, N)
     gam = xi * xi + 0.25
     tile = special._ROW_TILE
     for rows in (1, tile - 1, tile, tile + 1, gam.size):
-        want = oracles.subordination_multiplier_untiled(gam[:rows], s)
-        assert np.array_equal(op.subordination_multiplier(gam[:rows], s),
-                              want), rows
+        got = op.subordination_multiplier(gam[:rows], s)
+        with monkeypatch.context() as m:
+            m.setattr(op, "_refined_trapezoid",
+                      oracles.refined_trapezoid_untiled)
+            want = op.subordination_multiplier(gam[:rows], s)
+        assert np.array_equal(got, want), rows
 
 
 def test_subordination_memory_is_one_row_tile():

@@ -127,8 +127,8 @@ def test_domain_errors():
 
 
 def test_quadrature_node_cap_raises(monkeypatch):
-    # the cap sits below the first refinement level, so convergence can
-    # never be confirmed and no unconverged value may come back
+    # the cap sits below the first level's 256 nodes, so no level runs and
+    # no unconverged value may come back
     monkeypatch.setattr(special, "MAX_QUAD_NODES", 64)
     with pytest.raises(QuadratureError, match="nu=0.7"):
         macdonald_k(0.7, np.array([5.0]))
@@ -221,15 +221,19 @@ def test_large_evaluation_memory_is_bounded():
 
 
 @pytest.mark.parametrize("nu", [0.8, 1.0, 1.2])
-def test_quadrature_row_tiles_match_the_untiled_oracle(nu):
-    # each point's row is built and summed as on the whole (points x nodes)
-    # matrix, so the values agree bit for bit around the tile size and on a
-    # full block
+def test_quadrature_row_tiles_match_the_untiled_oracle(nu, monkeypatch):
+    # each point's row is written and summed as on the whole (points x
+    # nodes) matrix, so the values agree bit for bit around the tile size
+    # and on a full block
     tile = special._ROW_TILE
     for count in (1, tile - 1, tile, tile + 1, special._QUAD_BLOCK):
         z = np.linspace(2.0, 29.0, count)
-        want = oracles.kv_quadrature_block_untiled(nu, z) * np.exp(-z)
-        assert np.array_equal(macdonald_k(nu, z), want), count
+        got = macdonald_k(nu, z)
+        with monkeypatch.context() as m:
+            m.setattr(special, "_refined_trapezoid",
+                      oracles.refined_trapezoid_untiled)
+            want = macdonald_k(nu, z)
+        assert np.array_equal(got, want), count
 
 
 def test_quadrature_block_memory_is_one_row_tile():
