@@ -8,16 +8,16 @@ with fixed module constants as their controls:
   I_{-nu}, used below SERIES_CUTOFF_Z when nu is safely away from an
   integer (the I-pair difference cancels catastrophically near integer
   order);
-* trapezoid quadrature of the integral representation
-  K_nu(z) = int_0^inf exp(-z cosh w) cosh(nu w) dw, in the sum form, on
-  the sorted arguments in blocks of 2048.  Each block runs on
-  _refined_trapezoid, the one driver that the subordination multiplier
-  shares: nested doubling (every level adds only the new odd nodes to
-  half the previous sum) until every point meets QUAD_REL_TOL
-  (QuadratureError before any level past MAX_QUAD_NODES), each level
-  built and row-summed one tile of _ROW_TILE rows at a time in one
-  reused buffer.  The representation holds at every real nu, so this
-  path is valid for every (nu, z), integer orders included;
+* trapezoid quadrature of exp(z) K_nu(z) = int_0^inf exp(-2z sinh(w/2)^2)
+  cosh(nu w) dw, whose exponent does not cancel near its peak as
+  z (1 - cosh w) would, on the sorted arguments in blocks of 2048.  Each
+  block runs on _refined_trapezoid, the one driver that the subordination
+  multiplier shares: from nodes 0.25 apart, as few as the block's window
+  needs (no floor), nested doubling adds only the new odd nodes to half
+  the previous sum until every point meets QUAD_REL_TOL (QuadratureError
+  before any level past MAX_QUAD_NODES), each level row-summed one tile of
+  _ROW_TILE rows at a time in one reused buffer.  The representation holds
+  at every real nu, so this path serves every (nu, z), integer orders too;
 * the large-argument expansion sqrt(pi/(2z)) exp(-z) (1 + ...) from
   ASYMPTOTIC_SWITCH_Z on, with the running term monitored and a fallback
   to quadrature whenever the expansion cannot reach QUAD_REL_TOL.
@@ -143,13 +143,13 @@ def _kv_quadrature(nu: float, z: np.ndarray) -> np.ndarray:
 
 
 def _kv_quadrature_block(nu: float, z: np.ndarray) -> np.ndarray:
-    # Trapezoid on [0, w_max] of exp(-z(cosh w - 1)) cosh(nu w).  w_max makes
-    # the dropped tail < 1e-14 relative: past sinh w = (nu+30)/z the exponent
-    # falls at rate >= 30.
+    # Trapezoid on [0, w_max] of exp(-2z sinh(w/2)^2) cosh(nu w), first nodes
+    # about 0.25 apart.  w_max makes the dropped tail < 1e-14 relative: past
+    # sinh w = (nu+30)/z the exponent falls at rate >= 30.
     w_max = math.asinh((nu + 30.0) / float(np.min(z))) + 2.0
 
     def integrand(w: np.ndarray):
-        shift, log_cosh = 1.0 - np.cosh(w), _log_cosh(nu * w)
+        shift, log_cosh = -2.0 * np.sinh(0.5 * w) ** 2, _log_cosh(nu * w)
 
         def write(rows: slice, v: np.ndarray) -> None:
             np.multiply.outer(z[rows], shift, out=v)
@@ -158,7 +158,7 @@ def _kv_quadrature_block(nu: float, z: np.ndarray) -> np.ndarray:
         return write
 
     return _refined_trapezoid(
-        0.0, w_max, max(256, int(w_max / 0.25) + 1), z.size, QUAD_REL_TOL,
+        0.0, w_max, int(w_max / 0.25) + 1, z.size, QUAD_REL_TOL,
         0.0, MAX_QUAD_NODES, f"Macdonald quadrature for nu={nu:g}", integrand)
 
 

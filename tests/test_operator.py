@@ -113,16 +113,16 @@ def test_subordination_zero_mode_massless():
 
 
 def test_subordination_node_cap_raises(monkeypatch):
-    # the window for gam up to 1e8 needs 634 nodes at the starting spacing;
-    # the nested level after them would hold 1267, past the lowered cap
-    monkeypatch.setattr(op, "SUBORDINATION_MAX_NODES", 1024)
+    # the window for gam up to 1e8 needs 318 nodes at the starting spacing;
+    # the nested level after them would hold 635, past the lowered cap
+    monkeypatch.setattr(op, "SUBORDINATION_MAX_NODES", 512)
     with pytest.raises(QuadratureError):
         op.subordination_multiplier(np.array([1.0, 1e8]), 0.5)
 
 
-def test_subordination_reuses_its_coarse_level(monkeypatch):
-    # nested doubling: the second level of s = 0.7, m = 0.5 evaluates only
-    # the 752 new odd nodes between the first level's 753, not 1505 afresh
+@pytest.fixture
+def row_tile_widths(monkeypatch):
+    # the node count of every quadrature level, read from its row tiles
     widths = []
     row_tiles = special._row_tiles
 
@@ -131,9 +131,15 @@ def test_subordination_reuses_its_coarse_level(monkeypatch):
         return row_tiles(n_rows, n_cols)
 
     monkeypatch.setattr(special, "_row_tiles", spy)
+    return widths
+
+
+def test_subordination_reuses_its_coarse_level(row_tile_widths):
+    # nested doubling: the second level of s = 0.7, m = 0.5 evaluates only
+    # the 376 new odd nodes between the first level's 377, not 753 afresh
     xi = op.frequencies(L, N)
     op.subordination_multiplier(xi * xi + 0.25, 0.7)
-    assert widths == [753, 752]
+    assert row_tile_widths == [377, 376]
 
 
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
@@ -336,3 +342,12 @@ def test_cold_kernel_build_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_cold_kernel_build_sizes_quadrature_levels_to_the_integrand(
+        row_tile_widths):
+    # each Macdonald block starts from w_max / 0.25 nodes with no 256-node
+    # floor; its levels then hold 12 to 65 nodes, not 256 and 255
+    op._kernel_weights.cache_clear()
+    op._kernel_weights(op.OperatorParams(0.5, 1.0), L, N)
+    assert row_tile_widths and max(row_tile_widths) <= 128, row_tile_widths

@@ -127,11 +127,34 @@ def test_domain_errors():
 
 
 def test_quadrature_node_cap_raises(monkeypatch):
-    # the cap sits below the first level's 256 nodes, so no level runs and
+    # the cap sits below the first level's 19 nodes, so no level runs and
     # no unconverged value may come back
-    monkeypatch.setattr(special, "MAX_QUAD_NODES", 64)
+    monkeypatch.setattr(special, "MAX_QUAD_NODES", 16)
     with pytest.raises(QuadratureError, match="nu=0.7"):
         macdonald_k(0.7, np.array([5.0]))
+
+
+@pytest.mark.parametrize("z", [30.0, 1e2, 1e3, 1e4, 1e5])
+def test_quadrature_exponent_does_not_cancel_at_large_argument(z):
+    # z (1 - cosh w) rounded as 1 - cosh(w) carries noise of order 1e-16 z
+    # near the peak, where 1 - cosh w is about 1/z: z = 1e4 landed 3.1e-13
+    # from kve and z = 1e5 hit the node cap
+    got = special._kv_quadrature_block(1.5, np.array([z]))[0]
+    want = sp.kve(1.5, z)
+    assert abs(got - want) <= 1e-15 * want, f"rel err {abs(got/want - 1):.3e}"
+
+
+@pytest.mark.parametrize("nu", [0.8, 1.0, 1.2])
+def test_quadrature_matches_scipy_at_the_suite_orders(nu):
+    # the orders 1/2 + s of the equivalence suite, over the arguments its
+    # kernel cells reach; the bound is set by kve itself, which is 7.0e-14
+    # off a 30-digit mpmath value at nu = 0.8, z = 2, where the quadrature
+    # matches it to the last bit
+    z = np.linspace(2.0, 25.0, 4000)
+    got = macdonald_k(nu, z, scaled=True)
+    want = sp.kve(nu, z)
+    rel = np.max(np.abs(got - want) / want)
+    assert rel <= 2e-13, f"nu={nu}: max rel err {rel:.3e}"
 
 
 def test_gamma_wrapper():
