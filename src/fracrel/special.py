@@ -1,29 +1,31 @@
 """Macdonald functions, the fractional-power normalization constant, and the
 closed-form half-power heat kernel.
 
-The Macdonald function K_nu is evaluated by three cooperating strategies,
-with fixed module constants as their controls:
+The Macdonald function K_nu is evaluated one way, for every nu >= 0 and
+z > 0: trapezoid quadrature of
 
-* an ascending series built from the modified Bessel functions I_{+nu} and
-  I_{-nu}, used below SERIES_CUTOFF_Z when nu is safely away from an
-  integer (the I-pair difference cancels catastrophically near integer
-  order);
-* trapezoid quadrature of exp(z) K_nu(z) = int_0^inf exp(-2z sinh(w/2)^2)
-  cosh(nu w) dw, whose exponent does not cancel near its peak as
-  z (1 - cosh w) would, on the sorted arguments in blocks of 2048.  Each
-  block runs on _refined_trapezoid, the one driver that the subordination
-  multiplier shares: from nodes 0.25 apart, as few as the block's window
-  needs (no floor), nested doubling adds only the new odd nodes to half
-  the previous sum until every point meets QUAD_REL_TOL (QuadratureError
-  before any level past MAX_QUAD_NODES), each level row-summed one tile of
-  _ROW_TILE rows at a time in one reused buffer.  The representation holds
-  at every real nu, so this path serves every (nu, z), integer orders too;
-* the large-argument expansion sqrt(pi/(2z)) exp(-z) (1 + ...) from
-  ASYMPTOTIC_SWITCH_Z on, with the running term monitored and a fallback
-  to quadrature whenever the expansion cannot reach QUAD_REL_TOL.
+    exp(z) K_nu(z) = int_0^inf exp(-2z sinh(w/2)^2) cosh(nu w) dw,
 
-The series and quadrature branches are required to agree to 1e-8 relative
-in an overlap window around the series cutoff; the test-suite enforces it.
+whose exponent does not cancel near its peak as z (1 - cosh w) would.  The
+integrand is analytic, so the rule converges geometrically once the window
+holds the integrand and the spacing resolves its peak, about 1/sqrt(z)
+wide.  Both are sized per block of sorted arguments, from the block's own
+range [z_lo, z_hi]:
+
+* window: past w1 = asinh((nu + 30)/z_lo) the log of the integrand falls
+  at a rate of at least 30 + z_lo (w - w1), so w_max = w1 +
+  min(2, sqrt(120/z_lo)) drops it by at least 60 at every z;
+* first spacing 0.25 min(1, sqrt(30/z_hi)), which tracks the peak width;
+* a block takes at most _QUAD_BLOCK points with z_hi <= _BLOCK_Z_RATIO z_lo,
+  so one window and one spacing fit all of its points: past z = 30 its
+  first level has a few dozen nodes, at z = 1e-26 a few hundred.  Up to
+  z = 30 the window is w1 + 2 and the spacing 0.25.
+
+Each block runs on _refined_trapezoid, the one driver that the subordination
+multiplier shares: nested doubling adds only the new odd nodes to half the
+previous sum until every point meets QUAD_REL_TOL (QuadratureError before
+any level past MAX_QUAD_NODES), each level row-summed one tile of _ROW_TILE
+rows at a time in one reused buffer.
 """
 from __future__ import annotations
 
@@ -33,21 +35,14 @@ import numpy as np
 
 from .errors import DomainError, PoleError, QuadratureError
 
-# Arguments below this go to the ascending series.
-SERIES_CUTOFF_Z = 2.0
-# Branch switch to the large-argument expansion.
-ASYMPTOTIC_SWITCH_Z = 30.0
-# Relative tolerance of the quadrature refinement and of the asymptotic
-# expansion's running term.
+# Relative tolerance of the quadrature refinement.
 QUAD_REL_TOL = 1e-12
 # Hard cap on quadrature nodes per refinement level (QuadratureError past it).
 MAX_QUAD_NODES = 20000
-# Below this distance to the nearest integer the I-pair series is abandoned.
-INTEGER_GUARD = 0.05
-
-_SERIES_MAX_TERMS = 60
-# Points per quadrature block; each block converges on its own.
+# Points per quadrature block, and the widest z_hi / z_lo a block spans; each
+# block converges on its own.
 _QUAD_BLOCK = 2048
+_BLOCK_Z_RATIO = 16.0
 # Rows per tile of _refined_trapezoid's row sums, for both quadratures: one
 # (tile x nodes) buffer stands in for the (rows x nodes) matrix, and each
 # row is computed and summed as on the full matrix.
@@ -64,27 +59,6 @@ def gamma(x: float) -> float:
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"gamma pole at x={x:g}")
     return math.gamma(x)
-
-
-def _iv_series(nu: float, z: np.ndarray) -> np.ndarray:
-    # Ascending series of I_nu, term-recursive; z is expected small (<~ 10).
-    half = 0.5 * z
-    term = half**nu / gamma(nu + 1.0)
-    total = term.copy()
-    q = half * half
-    for k in range(_SERIES_MAX_TERMS):
-        term = term * q / ((k + 1.0) * (nu + k + 1.0))
-        total += term
-        if np.all(np.abs(term) <= 1e-17 * np.abs(total)):
-            break
-    return total
-
-
-def _kv_series(nu: float, z: np.ndarray) -> np.ndarray:
-    # K from the I-pair; caller guarantees nu is away from integers.
-    i_plus = _iv_series(nu, z)
-    i_minus = _iv_series(-nu, z)
-    return 0.5 * math.pi * (i_minus - i_plus) / math.sin(math.pi * nu)
 
 
 def _row_tiles(n_rows: int, n_cols: int):
@@ -132,21 +106,29 @@ def _refined_trapezoid(lo: float, hi: float, n: int, n_rows: int,
 
 
 def _kv_quadrature(nu: float, z: np.ndarray) -> np.ndarray:
-    # Scaled value exp(z) K_nu(z), one block of _QUAD_BLOCK sorted points at
-    # a time; each block refines until its own points converge.
+    # Scaled value exp(z) K_nu(z), one block of sorted points at a time: at
+    # most _QUAD_BLOCK of them, spanning at most _BLOCK_Z_RATIO in z.
     order = np.argsort(z)
+    z_sorted = z[order]
     out = np.empty_like(z)
-    for start in range(0, z.size, _QUAD_BLOCK):
-        idx = order[start : start + _QUAD_BLOCK]
-        out[idx] = _kv_quadrature_block(nu, z[idx])
+    start = 0
+    while start < z.size:
+        stop = min(start + _QUAD_BLOCK, int(np.searchsorted(
+            z_sorted, _BLOCK_Z_RATIO * z_sorted[start], side="right")))
+        out[order[start:stop]] = _kv_quadrature_block(
+            nu, z_sorted[start:stop])
+        start = stop
     return out
 
 
 def _kv_quadrature_block(nu: float, z: np.ndarray) -> np.ndarray:
-    # Trapezoid on [0, w_max] of exp(-2z sinh(w/2)^2) cosh(nu w), first nodes
-    # about 0.25 apart.  w_max makes the dropped tail < 1e-14 relative: past
-    # sinh w = (nu+30)/z the exponent falls at rate >= 30.
-    w_max = math.asinh((nu + 30.0) / float(np.min(z))) + 2.0
+    # Trapezoid on [0, w_max] of exp(-2z sinh(w/2)^2) cosh(nu w) at the
+    # sorted points z, with the window and first spacing of the module
+    # docstring taken from z_lo = z[0] and z_hi = z[-1].
+    z_lo, z_hi = float(z[0]), float(z[-1])
+    w_max = (math.asinh((nu + 30.0) / z_lo)
+             + min(2.0, math.sqrt(120.0 / z_lo)))
+    h = 0.25 * min(1.0, math.sqrt(30.0 / z_hi))
 
     def integrand(w: np.ndarray):
         shift, log_cosh = -2.0 * np.sinh(0.5 * w) ** 2, _log_cosh(nu * w)
@@ -158,7 +140,7 @@ def _kv_quadrature_block(nu: float, z: np.ndarray) -> np.ndarray:
         return write
 
     return _refined_trapezoid(
-        0.0, w_max, int(w_max / 0.25) + 1, z.size, QUAD_REL_TOL,
+        0.0, w_max, int(w_max / h) + 1, z.size, QUAD_REL_TOL,
         0.0, MAX_QUAD_NODES, f"Macdonald quadrature for nu={nu:g}", integrand)
 
 
@@ -168,36 +150,13 @@ def _log_cosh(x: np.ndarray) -> np.ndarray:
     return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
 
 
-def _kv_asymptotic(nu: float, z: np.ndarray, rel_tol: float):
-    # Scaled expansion exp(z) K_nu(z) ~ sqrt(pi/2z) sum_j c_j / z^j with the
-    # running term monitored; entries whose terms start growing before the
-    # tolerance is reached are flagged for the quadrature fallback.
-    mu = 4.0 * nu * nu
-    total = np.ones_like(z)
-    term = np.ones_like(z)
-    converged = np.zeros(z.shape, dtype=bool)
-    frozen = np.zeros(z.shape, dtype=bool)
-    for j in range(1, 40):
-        factor = (mu - (2.0 * j - 1.0) ** 2) / (8.0 * j * z)
-        new_term = term * factor
-        active = ~frozen & ~converged
-        frozen |= active & (np.abs(new_term) >= np.abs(term)) & (term != 0.0)
-        active &= ~frozen
-        term = np.where(active, new_term, term)
-        total = np.where(active, total + new_term, total)
-        converged |= active & (np.abs(term) <= rel_tol * np.abs(total))
-        if np.all(converged | frozen):
-            break
-    return np.sqrt(0.5 * math.pi / z) * total, converged
-
-
 def macdonald_k(nu: float, z, scaled: bool = False):
     """Macdonald function K_nu(z) for nu >= 0, z > 0.
 
     Parameters
     ----------
     nu : float
-        Order, nonnegative.
+        Order, finite and nonnegative.
     z : float or array_like
         Argument(s), strictly positive.
     scaled : bool
@@ -209,8 +168,9 @@ def macdonald_k(nu: float, z, scaled: bool = False):
     float or ndarray matching the shape of ``z``.
     """
     nu = float(nu)
-    if nu < 0.0:
-        raise DomainError(f"order must be nonnegative, got nu={nu:g}")
+    if not 0.0 <= nu < math.inf:
+        raise DomainError(
+            f"order must be finite and nonnegative, got nu={nu:g}")
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     if z_arr.size == 0:
         return np.asarray(z, dtype=float)
@@ -218,38 +178,8 @@ def macdonald_k(nu: float, z, scaled: bool = False):
         raise DomainError("argument must be finite and strictly positive")
 
     flat = z_arr.ravel()
-    out = np.empty_like(flat)
-
-    near_int = abs(nu - round(nu)) < INTEGER_GUARD
-    small = flat < SERIES_CUTOFF_Z
-    large = flat >= ASYMPTOTIC_SWITCH_Z
-    mid = ~small & ~large
-
-    # quadrature serves the mid range always, and the small range near
-    # integer order where the series cancels.
-    if near_int:
-        series_mask = np.zeros_like(small)
-        quad_mask = small | mid
-    else:
-        series_mask = small
-        quad_mask = mid
-
-    if np.any(series_mask):
-        zs = flat[series_mask]
-        vals = _kv_series(nu, zs)
-        out[series_mask] = vals * np.exp(zs) if scaled else vals
-    if np.any(quad_mask):
-        zq = flat[quad_mask]
-        v = _kv_quadrature(nu, zq)
-        out[quad_mask] = v if scaled else v * np.exp(-zq)
-    if np.any(large):
-        zl = flat[large]
-        v, ok = _kv_asymptotic(nu, zl, QUAD_REL_TOL)
-        if not np.all(ok):
-            v[~ok] = _kv_quadrature(nu, zl[~ok])
-        out[large] = v if scaled else v * np.exp(-zl)
-
-    out = out.reshape(z_arr.shape)
+    v = _kv_quadrature(nu, flat)
+    out = (v if scaled else v * np.exp(-flat)).reshape(z_arr.shape)
     if np.isscalar(z) or np.ndim(z) == 0:
         return float(out[()]) if out.shape == () else float(out[0])
     return out
@@ -278,10 +208,10 @@ def half_kernel_explicit(t: float, x, m: float, N: int = 1):
 
     ``x`` is interpreted as the radial coordinate |x| (vectorized).
     """
-    if t <= 0.0:
-        raise DomainError(f"time must be positive, got t={t:g}")
-    if m <= 0.0:
-        raise DomainError(f"mass must be positive, got m={m:g}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"time must be positive and finite, got t={t:g}")
+    if not 0.0 < m < math.inf:
+        raise DomainError(f"mass must be positive and finite, got m={m:g}")
     if int(N) != N or N < 1:
         raise DomainError(f"dimension must be a positive integer, got {N!r}")
     x_arr = np.asarray(x, dtype=float)

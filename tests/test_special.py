@@ -9,7 +9,6 @@ from fracrel import special
 from fracrel.errors import DomainError, PoleError, QuadratureError
 from fracrel.special import (
     _kv_quadrature,
-    _kv_series,
     frac_power_constant,
     gamma,
     half_kernel_explicit,
@@ -19,12 +18,15 @@ import oracles
 
 
 def test_k_half_closed_form():
-    """K_(1/2) must reproduce sqrt(pi/2z) e^-z to 1e-10 on [1e-4, 40]."""
-    z = np.logspace(-4, math.log10(40.0), 400)
-    got = macdonald_k(0.5, z)
-    want = np.sqrt(0.5 * math.pi / z) * np.exp(-z)
-    rel = np.max(np.abs(got - want) / want)
-    assert rel < 1e-10, f"max rel err {rel:.3e}"
+    """The half-integer orders reproduce sqrt(pi/2z) e^-z times their
+    polynomial in 1/z to 5e-14 on [1e-26, 1e27]."""
+    z = np.logspace(-26, 27, 2000)
+    for nu, poly in ((0.5, 1.0), (1.5, 1.0 + 1.0 / z),
+                     (2.5, 1.0 + 3.0 / z + 3.0 / z**2)):
+        got = macdonald_k(nu, z, scaled=True)
+        want = np.sqrt(0.5 * math.pi / z) * poly
+        rel = np.max(np.abs(got - want) / want)
+        assert rel <= 5e-14, f"nu={nu}: max rel err {rel:.3e}"
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.3, 1.0 / 3.0, 0.5, 0.98, 1.0, 1.02,
@@ -34,7 +36,7 @@ def test_against_scipy_sweep(nu):
     got = macdonald_k(nu, z, scaled=True)
     want = sp.kve(nu, z)
     rel = np.max(np.abs(got - want) / want)
-    assert rel < 1e-8, f"nu={nu}: max rel err {rel:.3e}"
+    assert rel <= 2e-13, f"nu={nu}: max rel err {rel:.3e}"
 
 
 @pytest.mark.parametrize("nu", [0.0, 1.0, 2.0, 3.0])
@@ -106,15 +108,6 @@ def test_large_argument_law(nu):
     assert abs(got / want - 1.0) < 0.05
 
 
-def test_series_quadrature_overlap():
-    # the same z evaluated by either route around the switch must agree
-    z = np.linspace(1.0, 3.0, 41)
-    assert z[0] < special.SERIES_CUTOFF_Z < z[-1]
-    series = _kv_series(0.7, z)
-    quad = _kv_quadrature(0.7, z) * np.exp(-z)
-    np.testing.assert_allclose(series, quad, rtol=1e-8)
-
-
 def test_domain_errors():
     with pytest.raises(DomainError):
         macdonald_k(-0.5, 1.0)
@@ -124,6 +117,9 @@ def test_domain_errors():
         macdonald_k(0.5, np.array([1.0, -2.0]))
     with pytest.raises(DomainError):
         macdonald_k(0.5, float("nan"))
+    for nu in (float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            macdonald_k(nu, 1.0)
 
 
 def test_quadrature_node_cap_raises(monkeypatch):
@@ -134,14 +130,31 @@ def test_quadrature_node_cap_raises(monkeypatch):
         macdonald_k(0.7, np.array([5.0]))
 
 
-@pytest.mark.parametrize("z", [30.0, 1e2, 1e3, 1e4, 1e5])
+@pytest.mark.parametrize("z", [30.0, 1e2, 1e3, 1e4, 1e5, 1e8, 1e16, 1e26])
 def test_quadrature_exponent_does_not_cancel_at_large_argument(z):
     # z (1 - cosh w) rounded as 1 - cosh(w) carries noise of order 1e-16 z
     # near the peak, where 1 - cosh w is about 1/z: z = 1e4 landed 3.1e-13
-    # from kve and z = 1e5 hit the node cap
+    # from the exact value and z = 1e5 hit the node cap.  A window and first
+    # spacing fixed for z <= 30 hit the cap from z = 1e8 on as well.
     got = special._kv_quadrature_block(1.5, np.array([z]))[0]
-    want = sp.kve(1.5, z)
+    want = math.sqrt(0.5 * math.pi / z) * (1.0 + 1.0 / z)
     assert abs(got - want) <= 1e-15 * want, f"rel err {abs(got/want - 1):.3e}"
+
+
+def test_quadrature_blocks_follow_their_z_range(monkeypatch):
+    # each block's window and first spacing come from its own z range, so
+    # 53 decades of z converge with no level near the node cap
+    widths = []
+    row_tiles = special._row_tiles
+
+    def spy(n_rows, n_cols):
+        widths.append(n_cols)
+        return row_tiles(n_rows, n_cols)
+
+    monkeypatch.setattr(special, "_row_tiles", spy)
+    got = _kv_quadrature(1.5, np.logspace(-26, 27, 6000))
+    assert np.all(np.isfinite(got))
+    assert max(widths) <= 512, f"widest level {max(widths)} nodes"
 
 
 @pytest.mark.parametrize("nu", [0.8, 1.0, 1.2])
@@ -215,6 +228,14 @@ def test_half_kernel_mass_in_three_dimensions(t, m):
     assert mass == pytest.approx(math.exp(-m * t), rel=1e-8)
 
 
+def test_half_kernel_domain():
+    for t, m in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
+                 (math.inf, 1.0), (math.nan, 1.0),
+                 (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(DomainError):
+            half_kernel_explicit(t, 1.0, m)
+
+
 def test_half_kernel_positive_even():
     x = np.linspace(-10.0, 10.0, 101)
     vals = half_kernel_explicit(0.7, x, 1.3)
@@ -223,7 +244,7 @@ def test_half_kernel_positive_even():
 
 
 def test_quadrature_longer_than_one_block_matches_scipy():
-    # integer order routes every z < 30 to the quadrature, several blocks
+    # 5,000 unsorted points, cut into several sorted blocks
     z = np.linspace(0.01, 30.0, 5000)[::-1]
     got = macdonald_k(1.0, z, scaled=True)
     want = sp.kve(1.0, z)
