@@ -264,16 +264,17 @@ def _suite_linear(cfg) -> list:
     p = OperatorParams(cfg["operator.s"], cfg["operator.m"])
     w = LinearWeight(cfg["linear.lam"], cfg["linear.drift"])
     out = []
-    # one free trajectory serves both checks; the tent residual is
-    # quadratic in the step, so it needs the fine spacing
-    traj = evolve_with_potential(gaussian(L, n, sigma=2.0),
-                                 PotentialField.constant(0.0), 1.0, p,
-                                 dt=1e-3)
+    # the series of one free stream serve both checks; the tent residual
+    # is quadratic in the step, so it needs the fine spacing
+    u0 = gaussian(L, n, sigma=2.0)
+    free = linear_carleman.tilted_series(u0, evolve_with_potential(
+        u0, PotentialField.constant(0.0), 1.0, p, dt=1e-3), w.lam, p, None,
+        with_energy=False)
     out.append(_checked("linear_carleman.monotonicity",
-                        lambda: monotonicity_check(traj, None, w, p)))
+                        lambda: monotonicity_check(free, None, w, p)))
     out.append(_checked("linear_carleman.tent_identity",
                         lambda: tent_identity_check(
-                            traj, w, tolerance=cfg["tolerance.tent"])))
+                            free, w, tolerance=cfg["tolerance.tent"])))
     corpus = carleman_corpus(L, n, int(cfg["sweep.count"]), _corpus_seed(cfg))
     for i, (f0, V) in enumerate(corpus):
         out.append(_checked("linear_carleman.ledger",

@@ -4,28 +4,30 @@ The free semigroup is applied exactly per Fourier mode, so mass decay and
 the semigroup property hold to rounding on the grid.
 A bounded time-independent potential V enters through the Duhamel form,
 whose per-step equation is pointwise diagonal and is solved in closed form;
-V is sampled once per trajectory.  Both flows come back as one
-SpaceTimeFunction (times and an (nt, n) array of states).  Weighted
-energies refuse to integrate data that has not decayed at the periodic
-seam, since the exponential weight would turn wrap-around into silent
-garbage.
+V is sampled once per trajectory.  The free flow comes back as one
+SpaceTimeFunction (times and an (nt, n) array of states); the potential
+flow is a stream of chunks of states, integrated as they are made.
+Weighted energies refuse to integrate data that has not decayed at the
+periodic seam, since the exponential weight would turn wrap-around into
+silent garbage.
 """
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, PreconditionError
-from .grid import GridFunction, SpaceTimeFunction, require_seam_decay
+from .errors import ConfigError, DomainError, PreconditionError, SeamLeakError
+from .grid import (SEAM_TOL, GridFunction, SpaceTimeFunction,
+                   require_seam_decay, seam_magnitude)
 from .operator import OperatorParams, frequencies, symbol
 from .report import CheckReport, finish_report
 
-# States per chunk of tilted_integrals.  Four batch the transforms and row
-# sums about as well as 8 or 64 do, and keep a chunk's arrays near 1 MB
+# States per chunk of the evolution stream.  Four batch the transforms and
+# row sums about as well as 8 or 64 do, and keep a chunk's arrays near 1 MB
 # (six integrands at n = 4096), which is what the peak memory sees.
 CHUNK_ROWS = 4
 
@@ -166,51 +168,82 @@ def energy_identity_check(u0: GridFunction, p: OperatorParams, T: float = 1.0,
     )
 
 
-def tilted_integrals(traj: SpaceTimeFunction, lam: float,
+class TiltedSeries(NamedTuple):
+    """Tilted integrals along a stream of states (see tilted_integrals)."""
+
+    grid: GridFunction | SpaceTimeFunction
+    times: np.ndarray
+    terms: dict
+    failures: list
+
+    def checked(self, integrands: int | None = None) -> "TiltedSeries":
+        """Raise the first failure (among the first ``integrands``)."""
+        for j, exc in self.failures:
+            if integrands is None or j < integrands:
+                raise exc
+        return self
+
+    def weighted(self, drift: float) -> dict:
+        """The terms under the full weight: each times exp(drift t)."""
+        weight = np.exp(drift * self.times)
+        return {name: weight * values for name, values in self.terms.items()}
+
+
+def tilted_integrals(grid, chunks: Iterable, lam: float,
                      what: tuple[str, ...],
                      integrands: Callable[[np.ndarray], Iterable[np.ndarray]]
-                     ) -> np.ndarray:
-    """Integrals of e^(lam x) I over the box at every state of ``traj``,
-    for each integrand I named in ``what``; shape (len(what), nt).
+                     ) -> TiltedSeries:
+    """Integrals of e^(lam x) I over ``grid``'s box at every state of the
+    stream ``chunks`` of (times, rows), read to its end, for each integrand
+    I named in ``what``: the terms, by name, and the failures met as (index
+    in ``what``, error) pairs.  ``integrands(rows)`` yields, in the order of
+    ``what``, each integrand's values on a chunk's rows.
 
-    The states go CHUNK_ROWS at a time: ``integrands(chunk)`` receives
-    their rows of ``traj.values``, shape (rows, n), and yields, in the
-    order of ``what``, each integrand's values of that shape.  Every
-    integrand row is guarded on its own: it must be finite (ConfigError)
-    and, at lam != 0, decayed at the seam (SeamLeakError).  The failure
-    reported is the one a state-by-state loop meets first: the earliest
-    state, and within it the earliest integrand.
+    Every integrand row is guarded on its own: it must be finite
+    (ConfigError) and, at lam != 0, decayed at the seam (SeamLeakError).
+    The first failure is the one a state-by-state loop meets first: the
+    earliest state, and within it the earliest integrand.  The integrands
+    before it go on, so a leading part of ``what`` fails as a pass over it
+    alone would; the failed one and those after it are void.
     """
-    k, n = len(what), traj.n
-    tilt = np.exp(lam * traj.x)
-    out = np.empty((k, traj.nt))
-    buf = np.empty((min(CHUNK_ROWS, traj.nt), k, n))
-    for a in range(0, traj.nt, CHUNK_ROWS):
-        chunk = traj.values[a:a + CHUNK_ROWS]
-        tilted = buf[:len(chunk)]
+    tilt = np.exp(lam * grid.x)
+    live, failures, times, parts = len(what), [], [], []
+    for t, chunk in chunks:
+        tilted = np.empty((len(chunk), len(what), grid.n))
         for j, values in enumerate(integrands(chunk)):
             np.multiply(tilt, values, out=tilted[:, j])
         sums = tilted.sum(axis=2)
-        # row i of ``rows`` is state i // k, integrand i % k: the loop order
-        rows = tilted.reshape(-1, n)
-        # a non-finite sum comes from non-finite values or from finite ones
-        # overflowing; only the first is an error, the second stays inf
-        stop = next((int(i) for i in np.flatnonzero(~np.isfinite(sums))
-                     if not np.all(np.isfinite(rows[i]))), len(rows))
-        if lam != 0.0:
-            require_seam_decay(rows[:stop], what=what * len(chunk))
-        if stop < len(rows):
-            raise ConfigError("values must be finite")
-        out[:, a:a + len(chunk)] = (traj.L / n * sums).T
-    return out
+        while live:
+            # row i is state i // live, integrand i % live: the loop order
+            rows = tilted[:, :live].reshape(-1, grid.n)
+            # a non-finite sum comes from non-finite values or from finite
+            # ones overflowing; only the first is an error, the second is inf
+            stop = next((int(i) for i in np.flatnonzero(
+                ~np.isfinite(sums[:, :live])) if not np.all(
+                    np.isfinite(rows[i]))), len(rows))
+            err = None
+            try:
+                if lam != 0.0:
+                    require_seam_decay(rows[:stop], what[:live] * len(chunk))
+            except SeamLeakError as exc:
+                err = exc
+                stop = int(np.argmax(seam_magnitude(rows[:stop]) > SEAM_TOL))
+            if stop == len(rows):
+                break
+            live = stop % live
+            failures.append((live, err or ConfigError("values must be finite")))
+        times.append(t)
+        parts.append((grid.L / grid.n * sums).T)
+    return TiltedSeries(grid, np.concatenate(times), dict(
+        zip(what, np.concatenate(parts, axis=1))), failures)
 
 
 def weighted_l2(traj: SpaceTimeFunction, lam: float,
                 what: str = "weighted integrand") -> np.ndarray:
     """Integral of e^(lam x) u^2 at every state of ``traj``, each guarded
-    against seam leakage."""
-    return tilted_integrals(traj, lam, (what,),
-                            lambda chunk: [chunk ** 2])[0]
+    against seam leakage; the stored states are one chunk."""
+    return tilted_integrals(traj, [(traj.times, traj.values)], lam, (what,),
+                            lambda chunk: [chunk ** 2]).checked().terms[what]
 
 
 def weighted_decay_check(u0: GridFunction, lam: float,
@@ -283,7 +316,7 @@ def log_convexity_check(u0: GridFunction, lam: float, p: OperatorParams,
 
 def evolve_with_potential(u0: GridFunction, V: PotentialField, T: float,
                           p: OperatorParams, dt: float = 1e-2
-                          ) -> SpaceTimeFunction:
+                          ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """March the potential problem with the trapezoid Duhamel step.
 
     V is time-independent, so it is sampled once on u0's grid and the same
@@ -293,8 +326,9 @@ def evolve_with_potential(u0: GridFunction, V: PotentialField, T: float,
 
     which is pointwise diagonal in u_{k+1}, so it is solved exactly by one
     division; ||V|| dt < 1/2 keeps the divisor above 3/4.  Steps are dt
-    except a final shorter one that lands on T.  Returns the trajectory at
-    t = 0 and after every step.
+    except a final shorter one that lands on T.  Yields the states at t = 0
+    and after every step as (times, rows) chunks of CHUNK_ROWS states, each
+    stepped when it is asked for; bad arguments raise at the first chunk.
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ConfigError(f"dt must be positive and finite, got {dt!r}")
@@ -303,15 +337,12 @@ def evolve_with_potential(u0: GridFunction, V: PotentialField, T: float,
     if V.sup_norm * dt >= 0.5:
         raise PreconditionError(
             f"need ||V|| * dt < 1/2 for the step, got {V.sup_norm * dt:g}")
-    # the step grid first, so the states go straight into one array
     times, steps = [0.0], []
     t = 0.0
     while t < T - 1e-12 * max(1.0, T):
         steps.append(min(dt, T - t))
         t += steps[-1]
         times.append(t)
-    values = np.empty((len(times), u0.n))
-    values[0] = u0.values
     sig = symbol(p, frequencies(u0.L, u0.n))
     v = V.sample(u0)
 
@@ -321,9 +352,12 @@ def evolve_with_potential(u0: GridFunction, V: PotentialField, T: float,
 
     # every step but a shorter final one shares the full step's factors
     full = factors(dt)
-    for k, step in enumerate(steps):
+    u, rows = u0.values, [u0.values]
+    for k, step in enumerate(steps, 1):
+        if len(rows) == CHUNK_ROWS:
+            yield np.array(times[k - CHUNK_ROWS:k]), np.array(rows)
+            rows = []
         decay, half_v, divisor = full if step == dt else factors(step)
-        u = values[k]
-        base = np.fft.irfft(np.fft.rfft(u + half_v * u) * decay, u0.n)
-        values[k + 1] = base / divisor
-    return SpaceTimeFunction(u0.L, u0.n, np.array(times), values)
+        u = np.fft.irfft(np.fft.rfft(u + half_v * u) * decay, u0.n) / divisor
+        rows.append(u)
+    yield np.array(times[len(times) - len(rows):]), np.array(rows)

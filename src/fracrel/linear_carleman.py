@@ -35,18 +35,13 @@ from .errors import (
     OverflowGuardError,
     PreconditionError,
 )
-from .grid import (
-    GridFunction,
-    SpaceTimeFunction,
-    band_limited_noise,
-    smooth_window,
-)
+from .grid import GridFunction, band_limited_noise, smooth_window
 from .heat import (
     PotentialField,
+    TiltedSeries,
     _cumulative_trapezoid,
     evolve_with_potential,
     tilted_integrals,
-    weighted_l2,
 )
 from .operator import OperatorParams, apply_spectral
 from .report import CheckReport, finish_report, frozen_entry
@@ -129,23 +124,18 @@ class LinearWeight:
                 f"C2 = {c2:g}")
 
 
-def functional_H(traj: SpaceTimeFunction, w: LinearWeight) -> np.ndarray:
-    """Tilted mass int exp(drift t + lam x) u^2 dx at every state."""
-    return np.exp(w.drift * traj.times) * weighted_l2(
-        traj, w.lam, what="tilted mass integrand")
-
-
 # ----------------------------------------------------------------------
 # tilted series along a trajectory
 
-def _tilted_series(traj: SpaceTimeFunction, lam: float, p: OperatorParams,
-                   V: PotentialField | None, with_energy: bool = True
-                   ) -> tuple[np.ndarray, dict]:
-    """Raw tilted integrals at every state, drift factored out.
+def tilted_series(grid, chunks, lam: float, p: OperatorParams,
+                  V: PotentialField | None, with_energy: bool = True
+                  ) -> TiltedSeries:
+    """Raw tilted integrals at every state of the stream ``chunks`` on
+    ``grid``'s box, drift factored out, with the failures met (unraised).
 
-    V is the potential the trajectory was evolved with (None for none); it
-    is sampled once.  The states are processed in chunks of consecutive
-    rows (heat.tilted_integrals): one batched transform per chunk serves
+    V is the potential the states were evolved with (None for none); it is
+    sampled once.  Each chunk is integrated as it comes
+    (heat.tilted_integrals), the mass first: one batched transform serves
     both operator orders, and each integral is a row sum over the chunk.
 
     Every integral carries exp(lam x) only; the caller multiplies by
@@ -156,12 +146,12 @@ def _tilted_series(traj: SpaceTimeFunction, lam: float, p: OperatorParams,
             = (m^2 - lam^2)^sigma int e^(lam x) u^2 - 2 int e^(lam x) u L^sigma u,
 
     exact for |lam| < m, so that every integrand vanishes with the
-    windowed data.  Integrating the pointwise form values directly would
-    let the tilt amplify the transform's far-field roundoff floor (about
-    1e-16 of scale) up to exp(lam L / 2), which already rivals the true
-    integral on the production corpus geometry.
+    windowed data (past it they are nan).  Integrating the pointwise form
+    values directly would let the tilt amplify the transform's far-field
+    roundoff floor (about 1e-16 of scale) up to exp(lam L / 2), which
+    already rivals the true integral on the production corpus geometry.
 
-    Returns the state times and one array per term:
+    The terms, one array each:
 
         mass        int e^(lam x) u^2
         op_pair     int e^(lam x) u L^s u
@@ -171,9 +161,9 @@ def _tilted_series(traj: SpaceTimeFunction, lam: float, p: OperatorParams,
         kinetic     int e^(lam x) (u_t)^2          (with_energy only)
         form_2s     int e^(lam x) H_2s(u, u)       (with_energy only)
     """
-    mu = LinearWeight(lam, 0.0).eigenvalue(p)
+    mu = LinearWeight(lam, 0.0).eigenvalue(p) if abs(lam) < p.m else math.nan
     doubled = OperatorParams(2.0 * p.s, p.m) if with_energy else None
-    v = None if V is None else V.sample(traj)
+    v = None if V is None else V.sample(grid)
     what = ("tilted mass integrand", "production integrand")
     if with_energy:
         what += ("kinetic integrand", "order-2s pairing integrand")
@@ -182,9 +172,9 @@ def _tilted_series(traj: SpaceTimeFunction, lam: float, p: OperatorParams,
 
     def integrands(u):
         if with_energy:
-            lsu, l2su = apply_spectral(u, p, doubled, L=traj.L)
+            lsu, l2su = apply_spectral(u, p, doubled, L=grid.L)
         else:
-            lsu = apply_spectral(u, p, L=traj.L)
+            lsu = apply_spectral(u, p, L=grid.L)
         f_vals = None if v is None else v * u
         yield u ** 2
         yield u * lsu
@@ -196,10 +186,11 @@ def _tilted_series(traj: SpaceTimeFunction, lam: float, p: OperatorParams,
             yield f_vals * f_vals
             yield u * f_vals
 
-    mass, op_pair, *rest = tilted_integrals(traj, lam, what, integrands)
+    flow = tilted_integrals(grid, chunks, lam, what, integrands)
+    mass, op_pair, *rest = flow.terms.values()
     series = {"mass": mass, "op_pair": op_pair,
               "form_s": mu * mass - 2.0 * op_pair,
-              "forcing_sq": np.zeros(traj.nt), "cross": np.zeros(traj.nt)}
+              "forcing_sq": np.zeros_like(mass), "cross": np.zeros_like(mass)}
     if with_energy:
         kinetic, pairing_2s, *rest = rest
         series["kinetic"] = kinetic
@@ -207,13 +198,7 @@ def _tilted_series(traj: SpaceTimeFunction, lam: float, p: OperatorParams,
     if v is not None:
         series["forcing_sq"], cross = rest
         series["cross"] = 2.0 * cross
-    return traj.times, series
-
-
-def _weighted(times: np.ndarray, series: dict, drift: float) -> dict:
-    """The series under the full weight: every term times exp(drift t)."""
-    weight = np.exp(drift * times)
-    return {name: weight * values for name, values in series.items()}
+    return flow._replace(terms=series)
 
 
 def _production(terms: dict, drift: float) -> np.ndarray:
@@ -239,13 +224,14 @@ def _time_integral(values: np.ndarray, dt: float) -> float:
 # ----------------------------------------------------------------------
 # persistence of the tilted mass
 
-def monotonicity_check(traj: SpaceTimeFunction, V: PotentialField | None,
+def monotonicity_check(flow: TiltedSeries, V: PotentialField | None,
                        w: LinearWeight, p: OperatorParams,
                        tolerance: float = 2e-4) -> CheckReport:
     """Gronwall accounting of the tilted mass along the forced flow.
 
-    ``traj`` is the flow evolved under V (None for the free flow) from
-    t = 0 on a uniform step grid; the callers use dt = 1e-3.
+    ``flow`` is tilted_series, at the weight's lam without energy terms, of
+    the flow under V (None for none) from t = 0 on a uniform step grid; the
+    callers use dt = 1e-3.
 
     Writing a = drift - (m^2 - lam^2)^s and Phi = -int w H_s(u, u) >= 0,
     the flow satisfies the exact balance
@@ -268,19 +254,17 @@ def monotonicity_check(traj: SpaceTimeFunction, V: PotentialField | None,
     """
     t_start = time.perf_counter()
     w.require_tilt(p)
-    if traj.times[0] != 0.0:
+    times = flow.times
+    if times[0] != 0.0:
         raise PreconditionError("the persistence balance starts at t = 0")
-    T = float(traj.times[-1])
+    T = float(times[-1])
     rate = abs(w.drift_gap(p))
     if rate * T > _RATE_HORIZON_CAP:
         raise OverflowGuardError(
             f"|drift gap| * T = {rate * T:g} would overflow the "
             f"persistence weights")
-    dt = _uniform_spacing(traj.times, "monotonicity trajectory")
-    forced = V is not None and V.sup_norm > 0.0
-    times, series = _tilted_series(traj, w.lam, p, V if forced else None,
-                                   with_energy=False)
-    terms = _weighted(times, series, w.drift)
+    dt = _uniform_spacing(times, "monotonicity trajectory")
+    terms = flow.checked().weighted(w.drift)
     mass, gsq, cross = terms["mass"], terms["forcing_sq"], terms["cross"]
     phi = -terms["form_s"]
     a = w.drift_gap(p)
@@ -311,7 +295,7 @@ def monotonicity_check(traj: SpaceTimeFunction, V: PotentialField | None,
         "linear_carleman.monotonicity",
         inputs={"s": p.s, "m": p.m, "lam": w.lam, "drift": w.drift,
                 "T": T, "dt": dt, "sup_v": 0.0 if V is None else V.sup_norm,
-                "L": traj.L, "n": traj.n},
+                "L": flow.grid.L, "n": flow.grid.n},
         measured={"identity_violation": identity_violation,
                   "groenwall_violation": groen_violation,
                   "claimed_slack_min": float(np.min(claimed_slack)),
@@ -398,19 +382,20 @@ def _tent_residuals(times: np.ndarray, h_values: np.ndarray
     return (h - recon)[1:-1]
 
 
-def tent_identity_check(traj: SpaceTimeFunction, w: LinearWeight,
+def tent_identity_check(flow: TiltedSeries, w: LinearWeight,
                         tolerance: float = 1e-4) -> CheckReport:
-    """Verify the tent representation of the tilted mass on [0, 1]."""
+    """Verify the tent representation of the tilted mass of ``flow``
+    (tilted_series at the weight's lam) on [0, 1]."""
     t_start = time.perf_counter()
-    times = traj.times
-    h = functional_H(traj, w)
+    times = flow.times
+    h = np.exp(w.drift * times) * flow.checked(1).terms["mass"]
     residuals = _tent_residuals(times, h)
     scale = float(np.max(h)) + 1e-300
     rel = np.abs(residuals) / scale
     worst = int(np.argmax(rel))
     return finish_report(
         "linear_carleman.tent_identity",
-        inputs={"lam": w.lam, "drift": w.drift, "states": traj.nt},
+        inputs={"lam": w.lam, "drift": w.drift, "states": len(times)},
         measured={"max_residual": float(np.max(rel)),
                   "mass_span": [float(np.min(h)), float(np.max(h))]},
         tolerance=tolerance,
@@ -547,13 +532,13 @@ def carleman_linear_check(u0: GridFunction, V: PotentialField | None,
     """
     c1, c2 = _admissible_constants(None, p, w)
     V_eff = PotentialField.constant(0.0) if V is None else V
-    times, series = _tilted_series(
-        evolve_with_potential(u0, V_eff, 1.0, p, dt=LEDGER_DT), w.lam, p, V)
+    flow = tilted_series(u0, evolve_with_potential(
+        u0, V_eff, 1.0, p, dt=LEDGER_DT), w.lam, p, V).checked()
     inputs = {"s": p.s, "m": p.m, "lam": w.lam, "drift": w.drift,
               "L": u0.L, "n": u0.n, "dt": LEDGER_DT,
               "sup_v": V_eff.sup_norm}
-    return _assemble_ledger(times, _weighted(times, series, w.drift), w, p,
-                            c1, c2, inputs)
+    return _assemble_ledger(flow.times, flow.weighted(w.drift), w, p, c1, c2,
+                            inputs)
 
 
 # ----------------------------------------------------------------------
@@ -600,15 +585,15 @@ def calibrate_constants(p: OperatorParams, lam: float, *,
     corpus = carleman_corpus(L, n, draws, seed)
     fine, coarse = [], []
     for u0, V in corpus:
-        fine.append(_tilted_series(evolve_with_potential(
-            u0, V, fine_T, p, dt=_FINE_DT), lam, p, V))
-        coarse.append(_tilted_series(evolve_with_potential(
-            u0, V, 1.0, p, dt=LEDGER_DT), lam, p, V))
+        fine.append(tilted_series(u0, evolve_with_potential(
+            u0, V, fine_T, p, dt=_FINE_DT), lam, p, V).checked())
+        coarse.append(tilted_series(u0, evolve_with_potential(
+            u0, V, 1.0, p, dt=LEDGER_DT), lam, p, V).checked())
 
-    def ddot_stats(times, series, drift, c1):
-        terms = _weighted(times, series, drift)
+    def ddot_stats(flow, drift, c1):
+        terms = flow.weighted(drift)
         ddot, rhs, scale = _production_rate(
-            times, terms, LinearWeight(lam, drift), p, c1)
+            flow.times, terms, LinearWeight(lam, drift), p, c1)
         # deficit: extra forcing weight the bound still needs
         gsq = terms["forcing_sq"][1:-1]
         forced = gsq > 0.0
@@ -616,12 +601,12 @@ def calibrate_constants(p: OperatorParams, lam: float, *,
         return (float(np.min((ddot - rhs) / scale)),
                 float(np.max(deficits, initial=0.0)))
 
-    def ledger_stats(times, series, drift, c1):
-        terms = _weighted(times, series, drift)
-        led = _assemble_ledger(times, terms, LinearWeight(lam, drift), p,
+    def ledger_stats(flow, drift, c1):
+        terms = flow.weighted(drift)
+        led = _assemble_ledger(flow.times, terms, LinearWeight(lam, drift), p,
                                c1, 0.0, {})
         forcing = _time_integral(terms["forcing_sq"],
-                                 float(times[1] - times[0]))
+                                 float(flow.times[1] - flow.times[0]))
         deficit_main = (led.lhs_total - led.rhs_terms["initial_mass"]
                         - led.rhs_terms["final_mass"])
         gap = abs(drift - mu)
@@ -639,9 +624,9 @@ def calibrate_constants(p: OperatorParams, lam: float, *,
     for offset in _GAP_OFFSETS:
         drift = -(zero_order + offset)
         ok = True
-        for f_series, c_series in zip(fine, coarse):
-            slack_d, _ = ddot_stats(*f_series, drift, probe_c1)
-            slack_l, _ = ledger_stats(*c_series, drift, probe_c1)
+        for f_flow, c_flow in zip(fine, coarse):
+            slack_d, _ = ddot_stats(f_flow, drift, probe_c1)
+            slack_l, _ = ledger_stats(c_flow, drift, probe_c1)
             if slack_d < -_DDOT_TOLERANCE or slack_l < -FLAG_TOL:
                 ok = False
                 break
@@ -656,9 +641,9 @@ def calibrate_constants(p: OperatorParams, lam: float, *,
 
     c1_need = 0.0
     for drift in (-(zero_order + _OPERATING_OFFSET), mu - threshold_gap):
-        for f_series, c_series in zip(fine, coarse):
-            _, need_d = ddot_stats(*f_series, drift, 0.0)
-            _, need_l = ledger_stats(*c_series, drift, 1e-300)
+        for f_flow, c_flow in zip(fine, coarse):
+            _, need_d = ddot_stats(f_flow, drift, 0.0)
+            _, need_l = ledger_stats(c_flow, drift, 1e-300)
             c1_need = max(c1_need, need_d, need_l)
     c1 = max(1.0, 2.0 * c1_need)
     return {

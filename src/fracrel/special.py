@@ -126,15 +126,20 @@ def _kv_quadrature_block(nu: float, z: np.ndarray) -> np.ndarray:
     # sorted points z, with the window and first spacing of the module
     # docstring taken from z_lo = z[0] and z_hi = z[-1].
     z_lo, z_hi = float(z[0]), float(z[-1])
-    w_max = (math.asinh((nu + 30.0) / z_lo)
-             + min(2.0, math.sqrt(120.0 / z_lo)))
+    ratio = (nu + 30.0) / z_lo
+    # past the float range asinh(ratio) is log(2 ratio) to far below an ulp
+    w_max = (math.asinh(ratio) if ratio < math.inf else math.log(2.0 * (
+        nu + 30.0)) - math.log(z_lo)) + min(2.0, math.sqrt(120.0 / z_lo))
     h = 0.25 * min(1.0, math.sqrt(30.0 / z_hi))
+    # a window past w = 700 (z_lo below about 1e-302) may reach sinh(w/2)^2
+    # past the float range; powers of two scale it and z back, exactly
+    c = 2.0 ** -64 if w_max > 700.0 else 1.0
 
     def integrand(w: np.ndarray):
-        shift, log_cosh = -2.0 * np.sinh(0.5 * w) ** 2, _log_cosh(nu * w)
+        shift, log_cosh = -2.0 * (c * np.sinh(0.5 * w)) ** 2, _log_cosh(nu * w)
 
         def write(rows: slice, v: np.ndarray) -> None:
-            np.multiply.outer(z[rows], shift, out=v)
+            np.multiply.outer(z[rows] / (c * c), shift, out=v)
             v += log_cosh
             np.exp(v, out=v)
         return write
@@ -158,7 +163,7 @@ def macdonald_k(nu: float, z, scaled: bool = False):
     nu : float
         Order, finite and nonnegative.
     z : float or array_like
-        Argument(s), strictly positive.
+        Argument(s), finite and at least the smallest normal float.
     scaled : bool
         When True, return exp(z) * K_nu(z), which stays representable for
         large arguments.
@@ -174,8 +179,8 @@ def macdonald_k(nu: float, z, scaled: bool = False):
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     if z_arr.size == 0:
         return np.asarray(z, dtype=float)
-    if np.any(~np.isfinite(z_arr)) or np.any(z_arr <= 0.0):
-        raise DomainError("argument must be finite and strictly positive")
+    if np.any(~np.isfinite(z_arr)) or np.any(z_arr < np.finfo(float).tiny):
+        raise DomainError("argument must be finite, positive and normal")
 
     flat = z_arr.ravel()
     v = _kv_quadrature(nu, flat)

@@ -4,10 +4,11 @@ The package holds what ``fracrel run`` and ``fracrel calibrate`` execute.
 This module holds the rest: second routes the tests compare the package
 against (direct kernel sums, the kernel-cell carre du champ, the transform
 quadratic form, the heat kernel and its contour-shifted weighted form,
-finite-difference brackets, per-state tilted integrals, the slice-by-slice
-quadratic Carleman operand terms, the whole-matrix refined trapezoid of
-the Macdonald and subordination quadratures) and five checks that no suite
-runs.  The checks keep their report names.
+finite-difference brackets, per-state tilted integrals, the potential flow
+stepped into one stored trajectory and integrated from it, the
+slice-by-slice quadratic Carleman operand terms, the whole-matrix refined
+trapezoid of the Macdonald and subordination quadratures) and five checks
+that no suite runs.  The checks keep their report names.
 """
 from __future__ import annotations
 
@@ -20,11 +21,12 @@ from fracrel.errors import (ConfigError, DomainError, PreconditionError,
                             QuadratureError, SupportError)
 from fracrel.grid import (GridFunction, SpaceTimeFunction, grid_points,
                           require_seam_decay, smooth_window)
-from fracrel.heat import PotentialField
+from fracrel.heat import (CHUNK_ROWS, PotentialField, TiltedSeries,
+                          tilted_integrals, weighted_l2)
 from fracrel.linear_carleman import (_DDOT_TOLERANCE, LinearWeight,
-                                     _admissible_constants, _production,
-                                     _production_rate, _tilted_series,
-                                     _uniform_spacing, _weighted)
+                                     _admissible_constants,
+                                     _production, _production_rate,
+                                     _uniform_spacing, tilted_series)
 from fracrel.operator import (OperatorParams, _kernel_weights,
                               _require_singular_ok, apply_spectral,
                               frequencies, symbol)
@@ -292,6 +294,49 @@ def eigenfunction_residual(lam: float, p: OperatorParams,
 # heat
 
 
+def collect(grid, chunks) -> SpaceTimeFunction:
+    """Every state of a stream of (times, rows) chunks on ``grid``'s box,
+    such as heat.evolve_with_potential's, as one stored trajectory."""
+    times, rows = zip(*chunks)
+    return SpaceTimeFunction(grid.L, grid.n, np.concatenate(times),
+                             np.concatenate(rows))
+
+
+def stored_chunks(traj: SpaceTimeFunction):
+    """A stored trajectory as a stream of CHUNK_ROWS states at a time."""
+    for a in range(0, traj.nt, CHUNK_ROWS):
+        yield traj.times[a:a + CHUNK_ROWS], traj.values[a:a + CHUNK_ROWS]
+
+
+def stored_evolution(u0: GridFunction, V: PotentialField, T: float,
+                     p: OperatorParams, dt: float) -> SpaceTimeFunction:
+    """The reference of heat.evolve_with_potential: the same step grid and
+    closed-form trapezoid Duhamel step, written state by state into one
+    stored (nt, n) array, which the stream must reproduce bit for bit."""
+    times, steps = [0.0], []
+    t = 0.0
+    while t < T - 1e-12 * max(1.0, T):
+        steps.append(min(dt, T - t))
+        t += steps[-1]
+        times.append(t)
+    values = np.empty((len(times), u0.n))
+    values[0] = u0.values
+    sig = symbol(p, frequencies(u0.L, u0.n))
+    v = V.sample(u0)
+
+    def factors(step):
+        half_v = 0.5 * step * v
+        return np.exp(-step * sig), half_v, 1.0 - half_v
+
+    full = factors(dt)
+    for k, step in enumerate(steps):
+        decay, half_v, divisor = full if step == dt else factors(step)
+        u = values[k]
+        base = np.fft.irfft(np.fft.rfft(u + half_v * u) * decay, u0.n)
+        values[k + 1] = base / divisor
+    return SpaceTimeFunction(u0.L, u0.n, np.array(times), values)
+
+
 def fundamental_solution(t: float, p: OperatorParams, L: float = 40.0,
                          n: int = 4096) -> GridFunction:
     """Heat kernel on the periodic box, centered at x = 0.
@@ -428,12 +473,35 @@ def spectral_carre(f: GridFunction, p: OperatorParams) -> GridFunction:
     return f.with_values(lf2 - 2.0 * fv * lf)
 
 
+def stored_series(traj: SpaceTimeFunction, lam: float, p: OperatorParams,
+                  V: PotentialField | None,
+                  with_energy: bool = True) -> TiltedSeries:
+    """linear_carleman.tilted_series of a stored trajectory, read chunk by
+    chunk; the first failure of the pass is raised."""
+    return tilted_series(traj, stored_chunks(traj), lam, p, V,
+                         with_energy).checked()
+
+
+def mass_series(grid, chunks, lam: float) -> TiltedSeries:
+    """The tilted mass alone along a stream of states: the one term that
+    linear_carleman.tent_identity_check reads, without the production."""
+    flow = tilted_integrals(grid, chunks, lam, ("tilted mass integrand",),
+                            lambda rows: [rows ** 2])
+    return flow._replace(terms={"mass": flow.terms["tilted mass integrand"]})
+
+
+def functional_H(traj: SpaceTimeFunction, w: LinearWeight) -> np.ndarray:
+    """Tilted mass int exp(drift t + lam x) u^2 dx at every state."""
+    return np.exp(w.drift * traj.times) * weighted_l2(
+        traj, w.lam, what="tilted mass integrand")
+
+
 def functional_D(traj: SpaceTimeFunction, w: LinearWeight,
                  p: OperatorParams) -> np.ndarray:
     """Production int (w_t - L^s w) u^2 dx + int w H(u, u) dx at every
     state, through the weight's eigen relation drift H - 2 int w u L^s u."""
-    times, series = _tilted_series(traj, w.lam, p, None, with_energy=False)
-    return _production(_weighted(times, series, w.drift), w.drift)
+    flow = stored_series(traj, w.lam, p, None, with_energy=False)
+    return _production(flow.weighted(w.drift), w.drift)
 
 
 def ddot_lower_bound_check(traj: SpaceTimeFunction, w: LinearWeight,
@@ -460,9 +528,10 @@ def ddot_lower_bound_check(traj: SpaceTimeFunction, w: LinearWeight,
         raise PreconditionError(
             f"need spacing <= 2.5e-3 for the centered differences, "
             f"got {dt:g}")
-    times, series = _tilted_series(traj, w.lam, p, V)
+    flow = stored_series(traj, w.lam, p, V)
+    times = flow.times
     ddot, rhs, scale = _production_rate(
-        times, _weighted(times, series, w.drift), w, p, c1)
+        times, flow.weighted(w.drift), w, p, c1)
     slacks = (ddot - rhs) / scale
     k = int(np.argmin(slacks))
     return finish_report(

@@ -9,6 +9,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +19,10 @@ from fracrel import cli, heat, linear_carleman
 from fracrel.cli import (DEFAULTS, SUITES, _split_rng, cmd_calibrate,
                          load_config, main)
 from fracrel.errors import CalibrationError, ConfigError
+from fracrel.grid import GridFunction
 from fracrel.linear_carleman import (CarlemanLedger, LinearWeight,
                                      load_calibration)
-from fracrel.operator import OperatorParams
+from fracrel.operator import OperatorParams, apply_spectral
 from fracrel.report import calibration_tables, frozen_entry
 from fracrel.symbols import (garding_constants, positivity_constants,
                              quadratic_constants)
@@ -263,22 +265,70 @@ def test_run_rejects_non_finite_tolerances(tmp_path, capsys):
 
 
 def test_linear_suite_evolves_each_trajectory_once(monkeypatch):
-    # the free Gaussian feeds both the monotonicity and the tent check, and
-    # each ledger draw is evolved once
-    horizons = []
+    # the series of one free stream feed both the monotonicity and the tent
+    # check, and each ledger draw's stream is stepped once: one stream per
+    # flow, each read to its end
+    streams = []
 
     def counting(u0, V, T, *args, **kwargs):
-        horizons.append(T)
-        return heat.evolve_with_potential(u0, V, T, *args, **kwargs)
+        states = []
+        streams.append(states)
+        for times, rows in heat.evolve_with_potential(u0, V, T, *args,
+                                                      **kwargs):
+            states.append(len(rows))
+            yield times, rows
 
     monkeypatch.setattr(cli, "evolve_with_potential", counting)
     monkeypatch.setattr(linear_carleman, "evolve_with_potential", counting)
-    cfg = dict(DEFAULTS, **{"sweep.count": 1})
+    cfg = dict(DEFAULTS, **{"sweep.count": 2})
     reports = cli._suite_linear(cfg)
-    assert len(horizons) == 1 + cfg["sweep.count"]
+    assert [sum(states) for states in streams] == [1001, 101, 101]
     assert [r.name for r in reports[:2]] == [
         "linear_carleman.monotonicity", "linear_carleman.tent_identity"]
     assert len(reports) == 2 + cfg["sweep.count"]
+    assert all(r.passed for r in reports)
+
+
+def test_linear_suite_holds_no_trajectory():
+    # the states are integrated as they are stepped: the stored 1001-state
+    # free trajectory (31 MiB) and each draw's 101 states are never held
+    cfg = dict(DEFAULTS, **{"sweep.count": 2})
+    u0 = GridFunction(cfg["linear.L"], cfg["linear.n"],
+                      np.zeros(cfg["linear.n"]))
+    p = OperatorParams(cfg["operator.s"], cfg["operator.m"])
+    apply_spectral(u0, p, OperatorParams(2.0 * p.s, p.m))
+    tracemalloc.start()
+    try:
+        reports = cli._suite_linear(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in reports)
+    assert peak <= 8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def seam_leak(what, magnitude):
+    return (f"SeamLeakError: {what} integrand has relative magnitude "
+            f"{magnitude} at the periodic seam (allowed 1.0e-10); enlarge "
+            f"the box or window the data")
+
+
+@pytest.mark.parametrize("overrides, monotonicity, tent", [
+    # the production leaks before the mass: each check fails on the first
+    # failure of what it reads
+    ({"linear.L": 24.0}, seam_leak("production", "1.095e-10"),
+     seam_leak("tilted mass", "1.015e-10")),
+    # the tilt fails the monotonicity check's precondition; the tent has
+    # none and reads its mass
+    ({"linear.lam": 1.0},
+     "PreconditionError: tilt needs |lam| < m, got lam=1 with m=1",
+     seam_leak("tilted mass", "5.804e-05"))])
+def test_free_flow_checks_keep_their_own_failures(overrides, monotonicity,
+                                                  tent):
+    cfg = dict(DEFAULTS, **{"sweep.count": 1}, **overrides)
+    reports = cli._suite_linear(cfg)
+    assert [r.measured.get("error") for r in reports[:2]] == [
+        monotonicity, tent]
 
 
 def test_ledger_report_witnesses_a_corollary_failure(monkeypatch):
@@ -297,24 +347,27 @@ def test_ledger_report_witnesses_a_corollary_failure(monkeypatch):
 
 
 def test_failing_check_keeps_the_rest_of_its_suite(tmp_path, capsys):
-    # at linear.n = 1024 the ledger draw leaks at the seam; that error is
-    # the ledger's own failed report, and the checks that passed stay
-    out = tmp_path / "out"
-    cfg = write_config(tmp_path, **{
-        "suite": "linear-carleman", "linear.n": 1024, "sweep.count": 1,
-        "output.dir": str(out)})
-    assert main(["run", str(cfg)]) == 1
-    reports = json.loads((out / "report.json").read_text())["body"]["reports"]
-    assert [r["name"] for r in reports] == [
-        "linear_carleman.monotonicity", "linear_carleman.tent_identity",
-        "linear_carleman.ledger"]
-    assert reports[0]["passed"] and reports[1]["passed"]
-    assert not reports[2]["passed"]
-    assert reports[2]["measured"]["error"] == (
-        "SeamLeakError: kinetic integrand has relative magnitude 7.214e-09 "
-        "at the periodic seam (allowed 1.0e-10); enlarge the box or window "
-        "the data")
-    assert "2/3 checks passed" in capsys.readouterr().out
+    # at linear.n = 1024 every ledger draw leaks at the seam; each error is
+    # that draw's own failed report, and the checks that passed stay
+    for magnitudes in (["7.214e-09"],
+                       ["7.214e-09", "8.136e-08", "4.975e-08", "7.882e-10",
+                        "1.188e-08", "4.469e-08", "5.632e-09", "5.689e-09"]):
+        out = tmp_path / f"out{len(magnitudes)}"
+        cfg = write_config(tmp_path, **{
+            "suite": "linear-carleman", "linear.n": 1024,
+            "sweep.count": len(magnitudes), "output.dir": str(out)})
+        assert main(["run", str(cfg)]) == 1
+        body = json.loads((out / "report.json").read_text())["body"]
+        reports = body["reports"]
+        assert [r["name"] for r in reports] == [
+            "linear_carleman.monotonicity", "linear_carleman.tent_identity"
+        ] + ["linear_carleman.ledger"] * len(magnitudes)
+        assert reports[0]["passed"] and reports[1]["passed"]
+        assert [r["passed"] for r in reports[2:]] == [False] * len(magnitudes)
+        assert [r["measured"]["error"] for r in reports[2:]] == [
+            seam_leak("kinetic", m) for m in magnitudes]
+        total = 2 + len(magnitudes)
+        assert f"2/{total} checks passed" in capsys.readouterr().out
 
 
 def test_defaults_subcommand_prints_reference(tmp_path, capsys):

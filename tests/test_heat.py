@@ -15,14 +15,16 @@ from fracrel.errors import (ConfigError, DomainError, PreconditionError,
                             SeamLeakError)
 from fracrel.grid import (GridFunction, SpaceTimeFunction,
                           band_limited_noise, gaussian, smooth_window)
+from fracrel import heat
 from fracrel.heat import (PotentialField, energy_identity_check,
                           evolve_free, evolve_with_potential,
                           log_convexity_check, weighted_decay_check,
                           weighted_l2)
 from fracrel.operator import OperatorParams, frequencies, symbol
 from fracrel.special import half_kernel_explicit
-from oracles import (backward_uc_check, fourier_mode, fundamental_solution,
-                     shifted_kernel, trapezoid, weighted_l1_kernel)
+from oracles import (backward_uc_check, collect, fourier_mode,
+                     fundamental_solution, shifted_kernel, trapezoid,
+                     weighted_l1_kernel)
 
 P_HALF = OperatorParams(0.5, 1.0)
 
@@ -271,8 +273,8 @@ def test_log_convexity_zero_data_trivial():
 
 def test_picard_zero_potential_matches_free():
     u0 = gaussian(40.0, 4096, sigma=2.0)
-    traj = evolve_with_potential(u0, PotentialField.constant(0.0), 1.0,
-                                 P_HALF)
+    traj = collect(u0, evolve_with_potential(
+        u0, PotentialField.constant(0.0), 1.0, P_HALF))
     free = evolve_free(u0, [1.0], P_HALF)
     assert traj.times[-1] == pytest.approx(1.0)
     assert np.max(np.abs(traj.values[-1] - free.values[-1])) <= 1e-9
@@ -287,8 +289,8 @@ def test_steps_are_the_closed_form_bit_for_bit():
                               windowed=False)
     v = prof.values
     sig = symbol(P_HALF, frequencies(40.0, 1024))
-    traj = evolve_with_potential(u0, PotentialField.static(prof), 0.305,
-                                 P_HALF)
+    traj = collect(u0, evolve_with_potential(
+        u0, PotentialField.static(prof), 0.305, P_HALF))
     # the step grid: dt until the horizon is within one step
     steps = [min(1e-2, 0.305 - t) for t in traj.times[:-1]]
     assert steps[0] == 1e-2 and steps[-1] < 1e-2
@@ -305,8 +307,8 @@ def test_picard_constant_potential_oracle():
     u0 = gaussian(40.0, 4096, sigma=2.0)
     free = evolve_free(u0, [1.0], P_HALF).values[-1]
     for c in (1.0, -1.0, 0.5):
-        traj = evolve_with_potential(u0, PotentialField.constant(c), 1.0,
-                                     P_HALF, dt=5e-3)
+        traj = collect(u0, evolve_with_potential(
+            u0, PotentialField.constant(c), 1.0, P_HALF, dt=5e-3))
         want = math.exp(c) * free
         rel = np.max(np.abs(traj.values[-1] - want)) / np.max(np.abs(want))
         assert rel <= 1e-5, (c, rel)
@@ -321,8 +323,8 @@ def test_step_solves_duhamel_equation():
         prof = band_limited_noise(40.0, 2048, k_max=30, rng=rng,
                                   windowed=False)
         v = prof.values
-        traj = evolve_with_potential(u0, PotentialField.static(prof), 0.5,
-                                     P_HALF)
+        traj = collect(u0, evolve_with_potential(
+            u0, PotentialField.static(prof), 0.5, P_HALF))
         assert traj.nt == 51
         for k, dt in enumerate(np.diff(traj.times)):
             now, nxt = traj.values[k], traj.values[k + 1]
@@ -333,36 +335,49 @@ def test_step_solves_duhamel_equation():
 
 
 def test_picard_preconditions():
+    # the stream raises when its first chunk is asked for
     u0 = gaussian(40.0, 1024)
     with pytest.raises(PreconditionError):
-        evolve_with_potential(u0, PotentialField.constant(2.0), 1.0, P_HALF,
-                              dt=0.3)
+        next(evolve_with_potential(u0, PotentialField.constant(2.0), 1.0,
+                                   P_HALF, dt=0.3))
     with pytest.raises(DomainError):
-        evolve_with_potential(u0, PotentialField.constant(0.1), -1.0, P_HALF)
+        next(evolve_with_potential(u0, PotentialField.constant(0.1), -1.0,
+                                   P_HALF))
 
 
 def test_positivity_preserved():
     u0 = gaussian(40.0, 4096, sigma=1.0)
-    traj = evolve_with_potential(u0, PotentialField.constant(0.3), 1.0,
-                                 P_HALF)
+    traj = collect(u0, evolve_with_potential(
+        u0, PotentialField.constant(0.3), 1.0, P_HALF))
     assert traj.values.min() >= -1e-10
 
 
-def test_evolution_trajectory_layout_and_single_sampling():
-    # one (nt, n) array on the solver's step grid, with V sampled once
+def test_evolution_trajectory_layout_and_single_sampling(monkeypatch):
+    # CHUNK_ROWS states per chunk on the solver's step grid, each chunk
+    # stepped only when it is asked for, with V sampled once
     u0 = gaussian(40.0, 1024, sigma=2.0)
-    calls = []
+    calls, steps = [], []
 
     def evaluator(x):
         calls.append(x.size)
         return 0.2 * np.cos(x)
 
-    traj = evolve_with_potential(u0, PotentialField(evaluator, 0.2), 0.25,
-                                 P_HALF, dt=0.1)
+    real_rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft",
+                        lambda *a, **k: steps.append(1) or real_rfft(*a, **k))
+    stream = evolve_with_potential(u0, PotentialField(evaluator, 0.2), 0.22,
+                                   P_HALF, dt=0.04)
+    assert calls == [] and steps == []
+    times, rows = next(stream)
+    assert len(steps) == heat.CHUNK_ROWS - 1
+    chunks = [(times, rows)] + list(stream)
     assert calls == [1024]
-    assert traj.values.shape == (4, 1024)
-    np.testing.assert_array_equal(traj.times, [0.0, 0.1, 0.2, 0.25])
-    np.testing.assert_array_equal(traj.values[0], u0.values)
+    assert [r.shape for _, r in chunks] == [(heat.CHUNK_ROWS, 1024),
+                                            (7 - heat.CHUNK_ROWS, 1024)]
+    np.testing.assert_allclose(np.concatenate([t for t, _ in chunks]),
+                               [0.0, 0.04, 0.08, 0.12, 0.16, 0.2, 0.22],
+                               rtol=1e-14)
+    np.testing.assert_array_equal(rows[0], u0.values)
 
 
 def test_potential_field_contract():
@@ -390,15 +405,16 @@ def test_step_size_validation():
     u0 = gaussian(40.0, 1024)
     for dt in (0.0, -1.0, math.nan):
         with pytest.raises(ConfigError):
-            evolve_with_potential(u0, PotentialField.constant(0.1), 1.0,
-                                  P_HALF, dt=dt)
+            next(evolve_with_potential(u0, PotentialField.constant(0.1), 1.0,
+                                       P_HALF, dt=dt))
 
 
 # -------------------------------------------------- backward uniqueness
 
 def test_backward_uc_free():
-    traj = evolve_with_potential(gaussian(40.0, 4096),
-                                 PotentialField.constant(0.0), 1.0, P_HALF)
+    u0 = gaussian(40.0, 4096)
+    traj = collect(u0, evolve_with_potential(
+        u0, PotentialField.constant(0.0), 1.0, P_HALF))
     rep = backward_uc_check(traj, None, P_HALF)
     assert rep.passed
     assert rep.measured["kappa"] <= 1.0 + 1e-8
@@ -408,7 +424,8 @@ def test_backward_uc_with_potential_reports_kappa():
     rng = np.random.default_rng(11)
     V = PotentialField.static(band_limited_noise(40.0, 4096, k_max=20,
                                                  rng=rng, windowed=False))
-    traj = evolve_with_potential(gaussian(40.0, 4096), V, 1.0, P_HALF)
+    u0 = gaussian(40.0, 4096)
+    traj = collect(u0, evolve_with_potential(u0, V, 1.0, P_HALF))
     rep = backward_uc_check(traj, V, P_HALF)
     assert rep.passed  # report-only path
     assert math.isfinite(rep.measured["kappa"])

@@ -25,16 +25,17 @@ from fracrel.heat import (PotentialField, evolve_with_potential,
 from fracrel.linear_carleman import (CarlemanLedger, LinearWeight,
                                      TILTED_MASS_COEFF, _assemble_ledger,
                                      _production_rate, _tent_residuals,
-                                     _tilted_series, _weighted,
                                      calibrate_constants,
                                      carleman_corpus, carleman_linear_check,
-                                     functional_H, load_calibration,
-                                     monotonicity_check, tent_identity_check)
+                                     load_calibration, monotonicity_check,
+                                     tent_identity_check, tilted_series)
 from fracrel import operator as op
 from fracrel.operator import OperatorParams, apply_spectral
-from oracles import (carre_du_champ, ddot_lower_bound_check, fourier_mode,
-                     functional_D, spectral_carre, trapezoid,
-                     weighted_integral, windowed_exponential)
+from oracles import (carre_du_champ, collect, ddot_lower_bound_check,
+                     fourier_mode, functional_D, functional_H, mass_series,
+                     spectral_carre, stored_chunks, stored_evolution,
+                     stored_series, trapezoid, weighted_integral,
+                     windowed_exponential)
 
 P_HALF = OperatorParams(0.5, 1.0)
 W_MAIN = LinearWeight(0.5, -11.0)          # the operating drift -(m^(2s)+10)
@@ -51,10 +52,29 @@ def corpus_draw(i, L=128.0, n=4096):
     return pairs[i]
 
 
-def fine_flow(u0, V, T):
-    """The flow under V (None for none) at the fine step 1e-3."""
+def fine_stream(u0, V, T):
+    """The stream of the flow under V (None for none) at the fine step
+    1e-3."""
     pot = PotentialField.constant(0.0) if V is None else V
     return evolve_with_potential(u0, pot, T, P_HALF, dt=1e-3)
+
+
+def fine_flow(u0, V, T):
+    """The flow under V (None for none) at the fine step 1e-3, stored."""
+    return collect(u0, fine_stream(u0, V, T))
+
+
+def fine_series(u0, V, T, lam):
+    """The tilted series without the energy terms, integrated as the flow
+    is stepped: the input of the monotonicity and tent checks."""
+    return tilted_series(u0, fine_stream(u0, V, T), lam, P_HALF, V,
+                         with_energy=False)
+
+
+def stored_input(traj, lam):
+    """The same input from a stored free trajectory."""
+    return tilted_series(traj, stored_chunks(traj), lam, P_HALF, None,
+                         with_energy=False)
 
 
 def one_row(g, t=0.0):
@@ -78,8 +98,8 @@ def rows(traj, picks):
 
 
 @functools.lru_cache(maxsize=None)
-def free_gaussian_unit_trajectory():
-    return fine_flow(gaussian(128.0, 4096, sigma=2.0), None, 1.0)
+def free_gaussian_unit_series():
+    return fine_series(gaussian(128.0, 4096, sigma=2.0), None, 1.0, 0.5)
 
 
 # ---------------------------------------------------------------- weight
@@ -135,16 +155,22 @@ def test_tilted_mass_rejects_seam_leak():
 
 
 def test_tilted_mass_is_the_series_mass_column():
+    # the tent reads exp(drift t) times the series' mass: bit for bit the
+    # mass of one pass of its own and the mass term the monotonicity
+    # check weighs
     traj, _ = fine_trajectory("gaussian")
-    times, series = _tilted_series(traj, W_MAIN.lam, P_HALF, None)
-    want = np.exp(W_MAIN.drift * times) * series["mass"]
+    flow = stored_series(traj, W_MAIN.lam, P_HALF, None)
+    want = np.exp(W_MAIN.drift * flow.times) * flow.terms["mass"]
     assert np.array_equal(functional_H(traj, W_MAIN), want)
+    assert np.array_equal(flow.weighted(W_MAIN.drift)["mass"], want)
+    mass = mass_series(traj, stored_chunks(traj), W_MAIN.lam).checked()
+    assert np.array_equal(mass.terms["mass"], flow.terms["mass"])
 
 
 # ---------------------------------------------------------------- chunked series
 
 def per_row_series(traj, lam, p, V, with_energy):
-    """The tilted series of _tilted_series, one state and one
+    """The tilted series of tilted_series, one state and one
     weighted_integral at a time: the oracle of the chunked engine."""
     mu = LinearWeight(lam, 0.0).eigenvalue(p)
     names = ("mass", "op_pair", "form_s", "forcing_sq", "cross")
@@ -181,32 +207,61 @@ def per_row_series(traj, lam, p, V, with_energy):
 
 
 @functools.lru_cache(maxsize=None)
-def small_draw_flow():
-    """A corpus draw on a small box and its 1001-state fine flow."""
+def small_draw():
+    """A corpus draw on a small box."""
     (u0, V), = carleman_corpus(64.0, 512, draws=1, seed=3)
-    return fine_flow(u0, V, 1.0), V
+    return u0, V
+
+
+def assert_streamed_series_equal_the_stored_route(T, dt, forced,
+                                                  with_energy, lam):
+    """The series integrated as the small draw's flow is stepped, against
+    the whole trajectory stepped into one array and integrated afterwards,
+    and against one state and one integral at a time; returns the number
+    of states."""
+    u0, V = small_draw()
+    pot = V if forced else PotentialField.constant(0.0)
+    V = V if forced else None
+    flow = tilted_series(u0, evolve_with_potential(u0, pot, T, P_HALF, dt=dt),
+                         lam, P_HALF, V, with_energy)
+    traj = stored_evolution(u0, pot, T, P_HALF, dt)
+    stored = stored_series(traj, lam, P_HALF, V, with_energy)
+    want = per_row_series(traj, lam, P_HALF, V, with_energy)
+    assert flow.failures == []
+    assert np.array_equal(flow.times, traj.times)
+    assert list(flow.terms) == list(stored.terms) == list(want)
+    for name in want:
+        assert np.array_equal(flow.terms[name], stored.terms[name]), name
+        assert np.array_equal(flow.terms[name], want[name]), name
+    assert np.array_equal(collect(u0, evolve_with_potential(
+        u0, pot, T, P_HALF, dt=dt)).values, traj.values)
+    assert np.array_equal(
+        weighted_l2(traj, lam),
+        [weighted_integral(traj.slice(i), row ** 2, lam)
+         for i, row in enumerate(traj.values)])
+    return traj.nt
 
 
 @pytest.mark.parametrize("nt", [heat.CHUNK_ROWS - 1, heat.CHUNK_ROWS, 101,
-                                1001])
+                                1001, heat.CHUNK_ROWS + 1])
 @pytest.mark.parametrize("forced", [True, False])
 @pytest.mark.parametrize("with_energy", [True, False])
 @pytest.mark.parametrize("lam", [0.5, 0.0])
 def test_chunked_series_equal_the_per_row_loop(nt, forced, with_energy,
                                                lam):
-    traj, V = small_draw_flow()
-    traj = rows(traj, slice(0, nt))
-    V = V if forced else None
-    times, series = _tilted_series(traj, lam, P_HALF, V, with_energy)
-    want = per_row_series(traj, lam, P_HALF, V, with_energy)
-    assert times is traj.times
-    assert list(series) == list(want)
-    for name in want:
-        assert np.array_equal(series[name], want[name]), name
-    assert np.array_equal(
-        weighted_l2(traj, lam),
-        [weighted_integral(traj.slice(i), row ** 2, lam)
-         for i, row in enumerate(traj.values)])
+    # states either side of a chunk boundary, and many chunks
+    assert assert_streamed_series_equal_the_stored_route(
+        (nt - 1) * 1e-3, 1e-3, forced, with_energy, lam) == nt
+
+
+@pytest.mark.parametrize("forced", [True, False])
+@pytest.mark.parametrize("with_energy", [True, False])
+@pytest.mark.parametrize("lam", [0.5, 0.0])
+def test_chunked_series_after_a_shorter_final_step(forced, with_energy,
+                                                   lam):
+    # 30 steps of dt and a final one of dt / 2, with factors of its own
+    assert assert_streamed_series_equal_the_stored_route(
+        0.305, 1e-2, forced, with_energy, lam) == 32
 
 
 def indexed_states(nt, L=64.0, n=512):
@@ -214,6 +269,12 @@ def indexed_states(nt, L=64.0, n=512):
     chunk's rows name their states."""
     return SpaceTimeFunction(L, n, np.arange(float(nt)),
                              np.repeat(np.arange(float(nt))[:, None], n, 1))
+
+
+def integrate(traj, lam, what, integrands):
+    """tilted_integrals over a stored trajectory, CHUNK_ROWS states at a
+    time."""
+    return tilted_integrals(traj, stored_chunks(traj), lam, what, integrands)
 
 
 def by_state(integrands):
@@ -237,17 +298,50 @@ def leaky_integrands(traj, leaks):
 
 def test_chunk_failure_is_the_first_in_state_order():
     # state 2 leaks in its second integrand, state 3 in its first: a
-    # state-by-state loop meets state 2 first, and so must the chunk
+    # state-by-state loop meets state 2 first, and so must the chunk; the
+    # first integrand goes on, to its own failure at state 3
     assert 2 // heat.CHUNK_ROWS == 3 // heat.CHUNK_ROWS
     traj = indexed_states(6)
     what = ("tilted mass integrand", "production integrand")
     values = leaky_integrands(traj, {(2, 1), (3, 0)})
-    with pytest.raises(SeamLeakError) as chunked:
-        tilted_integrals(traj, 0.5, what, by_state(values))
-    with pytest.raises(SeamLeakError) as one_state:
-        weighted_integral(traj.slice(2), values[1][2], 0.5, what[1])
-    assert str(chunked.value) == str(one_state.value)
-    assert str(chunked.value).startswith("production integrand has ")
+    flow = integrate(traj, 0.5, what, by_state(values))
+    assert [j for j, _ in flow.failures] == [1, 0]
+    for count, (state, j) in ((None, (2, 1)), (1, (3, 0))):
+        with pytest.raises(SeamLeakError) as chunked:
+            flow.checked(count)
+        with pytest.raises(SeamLeakError) as one_state:
+            weighted_integral(traj.slice(state), values[j][state], 0.5,
+                              what[j])
+        assert str(chunked.value) == str(one_state.value)
+    assert str(chunked.value).startswith("tilted mass integrand has ")
+
+
+def test_later_integrand_failure_leaves_the_first_whole():
+    # a leak in the second integrand alone: the pass over both fails, the
+    # first integrand's integrals are those of a pass of its own
+    traj = indexed_states(9)
+    what = ("tilted mass integrand", "production integrand")
+    values = leaky_integrands(traj, {(1, 1), (6, 1)})
+    flow = integrate(traj, 0.5, what, by_state(values))
+    alone = integrate(traj, 0.5, what[:1], by_state(values[:1])).checked()
+    assert [j for j, _ in flow.failures] == [1]
+    assert str(flow.failures[0][1]).startswith("production integrand has ")
+    assert np.array_equal(flow.checked(1).terms[what[0]],
+                          alone.terms[what[0]])
+
+
+def test_tent_reads_past_a_production_failure():
+    # the free series with a production leak recorded: the monotonicity
+    # check, which reads the production, fails on it; the tent, which
+    # reads only the mass, keeps its report
+    flow = free_gaussian_unit_series()
+    leak = SeamLeakError("production integrand has relative magnitude 1")
+    leaky = flow._replace(failures=[(1, leak)])
+    with pytest.raises(SeamLeakError, match="^production integrand has "):
+        monotonicity_check(leaky, None, W_MAIN, P_HALF)
+    rep, want = (tent_identity_check(f, W_MAIN) for f in (leaky, flow))
+    assert rep.passed and (rep.measured, rep.witness) == (want.measured,
+                                                          want.witness)
 
 
 @pytest.mark.parametrize("nonfinite_first", [True, False])
@@ -256,11 +350,13 @@ def test_chunk_nonfinite_values_raise_in_state_order(nonfinite_first):
     bad, leak = ((1, 1), (2, 0)) if nonfinite_first else ((2, 0), (1, 1))
     values = leaky_integrands(traj, {leak})
     values[bad[1]][bad[0], 100] = math.nan
+    flow = integrate(traj, 0.5, ("a", "b"), by_state(values))
     with pytest.raises(ConfigError if nonfinite_first else SeamLeakError):
-        tilted_integrals(traj, 0.5, ("a", "b"), by_state(values))
+        flow.checked()
     # untilted, the seam is exempt and only the values are checked
+    flow = integrate(traj, 0.0, ("a", "b"), by_state(values))
     with pytest.raises(ConfigError, match="^values must be finite$"):
-        tilted_integrals(traj, 0.0, ("a", "b"), by_state(values))
+        flow.checked()
 
 
 def test_chunk_sum_overflow_stays_inf():
@@ -268,10 +364,10 @@ def test_chunk_sum_overflow_stays_inf():
     traj = indexed_states(2)
     big = np.full((2, traj.n), 1e306)
     with np.errstate(over="ignore"):
-        got = tilted_integrals(traj, 0.0, ("big",), by_state([big]))
+        got = integrate(traj, 0.0, ("big",), by_state([big])).checked()
         one_state = weighted_integral(traj.slice(0), big[0], 0.0)
     assert one_state == math.inf
-    assert np.array_equal(got, [[math.inf, math.inf]])
+    assert np.array_equal(got.terms["big"], [math.inf, math.inf])
 
 
 def test_chunked_series_share_one_forward_transform(monkeypatch):
@@ -286,8 +382,10 @@ def test_chunked_series_share_one_forward_transform(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counting)
-    traj, V = small_draw_flow()
-    _tilted_series(rows(traj, slice(0, 101)), 0.5, P_HALF, V)
+    u0, V = small_draw()
+    traj = stored_evolution(u0, V, 0.1, P_HALF, 1e-3)
+    counts.update(rfft=0, irfft=0)
+    stored_series(traj, 0.5, P_HALF, V)
     chunks = math.ceil(101 / heat.CHUNK_ROWS)
     assert counts["rfft"] <= chunks
     assert counts["irfft"] <= 2 * chunks
@@ -331,9 +429,10 @@ def test_production_difference_is_the_production_rate():
     # ddot the production-rate bound is checked against
     traj, _ = fine_trajectory("gaussian")
     d = functional_D(traj, W_MAIN, P_HALF)
-    times, series = _tilted_series(traj, W_MAIN.lam, P_HALF, None)
+    flow = stored_series(traj, W_MAIN.lam, P_HALF, None)
+    times = flow.times
     ddot, _, _ = _production_rate(
-        times, _weighted(times, series, W_MAIN.drift), W_MAIN, P_HALF, 1.0)
+        times, flow.weighted(W_MAIN.drift), W_MAIN, P_HALF, 1.0)
     assert np.array_equal((d[2:] - d[:-2]) / (2.0 * (times[1] - times[0])),
                           ddot)
 
@@ -402,8 +501,8 @@ def test_monotonicity_single_mode_oracle():
     xi = 2.0 * math.pi * k / L
     sig = (xi * xi + 1.0) ** 0.5
     w = LinearWeight(0.0, -2.0)
-    rep = monotonicity_check(fine_flow(u0, None, 0.2), None, w, P_HALF,
-                             tolerance=1e-5)
+    rep = monotonicity_check(fine_series(u0, None, 0.2, w.lam), None, w,
+                             P_HALF, tolerance=1e-5)
     assert rep.passed
     assert rep.measured["identity_violation"] <= 1e-5
     assert rep.measured["mass_ratio"] == pytest.approx(
@@ -416,7 +515,7 @@ def test_monotonicity_single_mode_oracle():
 def test_monotonicity_energy_identity_reduction():
     # F = 0, lam = 0, drift = 0: the balance is the plain energy identity
     u0 = gaussian(40.0, 1024, sigma=1.5)
-    rep = monotonicity_check(fine_flow(u0, None, 0.25), None,
+    rep = monotonicity_check(fine_series(u0, None, 0.25, 0.0), None,
                              LinearWeight(0.0, 0.0), P_HALF)
     assert rep.passed
     assert rep.measured["identity_violation"] <= 1e-6
@@ -427,7 +526,8 @@ def test_monotonicity_forced_draws():
     worst = 0.0
     for i in range(4):
         u0, V = corpus_draw(i)
-        rep = monotonicity_check(fine_flow(u0, V, 0.25), V, W_MAIN, P_HALF)
+        rep = monotonicity_check(fine_series(u0, V, 0.25, W_MAIN.lam), V,
+                                 W_MAIN, P_HALF)
         assert rep.passed
         worst = max(worst, rep.measured["violation"])
     assert worst <= 1e-5
@@ -437,17 +537,21 @@ def test_monotonicity_rejects_overflowing_drift():
     u0 = gaussian(40.0, 1024, sigma=1.5)
     traj = fine_flow(u0, None, 1.0)
     with pytest.raises(OverflowGuardError):
-        monotonicity_check(traj, None, LinearWeight(0.0, -3000.0), P_HALF)
+        monotonicity_check(stored_input(traj, 0.0), None,
+                           LinearWeight(0.0, -3000.0), P_HALF)
     # the balance is anchored at H(0): a trajectory starting later is refused
-    with pytest.raises(PreconditionError):
-        monotonicity_check(rows(traj, slice(1, None)), None,
+    with pytest.raises(PreconditionError, match="starts at t = 0"):
+        monotonicity_check(stored_input(rows(traj, slice(1, None)), 0.0),
+                           None, LinearWeight(0.0, -2.0), P_HALF)
+    with pytest.raises(PreconditionError, match="uniform time grid"):
+        monotonicity_check(stored_input(rows(traj, [0, 1, 3]), 0.0), None,
                            LinearWeight(0.0, -2.0), P_HALF)
 
 
 def test_monotonicity_tilted_mode_leaks():
     u0 = fourier_mode(40.0, 1024, 2)
     with pytest.raises(SeamLeakError):
-        monotonicity_check(fine_flow(u0, None, 0.05), None,
+        monotonicity_check(fine_series(u0, None, 0.05, 0.5), None,
                            LinearWeight(0.5, -11.0), P_HALF)
 
 
@@ -525,18 +629,17 @@ def test_tent_residual_polynomial_histories():
 
 
 def test_tent_identity_free_flow():
-    traj = free_gaussian_unit_trajectory()
+    flow = free_gaussian_unit_series()
     for drift in (-2.0, -11.0):
-        rep = tent_identity_check(traj, LinearWeight(0.5, drift))
+        rep = tent_identity_check(flow, LinearWeight(0.5, drift))
         assert rep.passed
         assert rep.measured["max_residual"] <= 1e-4
 
 
 def test_tent_identity_needs_unit_interval():
-    traj = free_gaussian_unit_trajectory()
-    with pytest.raises(PreconditionError):
-        tent_identity_check(rows(traj, slice(0, 500)),
-                            LinearWeight(0.5, -2.0))
+    half = fine_series(gaussian(128.0, 4096, sigma=2.0), None, 0.5, 0.5)
+    with pytest.raises(PreconditionError, match="unit interval"):
+        tent_identity_check(half, LinearWeight(0.5, -2.0))
 
 
 # ---------------------------------------------------------------- ledger

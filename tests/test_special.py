@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -120,6 +121,27 @@ def test_domain_errors():
     for nu in (float("nan"), float("inf")):
         with pytest.raises(DomainError):
             macdonald_k(nu, 1.0)
+    # subnormal arguments are refused, alone or in an array
+    for z in (1e-308, 1e-310, 5e-324):
+        with pytest.raises(DomainError, match="positive and normal"):
+            macdonald_k(0.3, z)
+        with pytest.raises(DomainError):
+            macdonald_k(0.3, np.array([1.0, z]))
+
+
+@pytest.mark.parametrize("z", [1e-300, 1e-306, 1e-307, sys.float_info.min])
+@pytest.mark.parametrize("nu", [0.0, 0.3, 0.5])
+def test_tiniest_normal_arguments(nu, z):
+    # the window reaches w = 710 and past it, where sinh(w/2)^2 overflows,
+    # and below z = 1.7e-307 (nu + 30) / z overflows too; the value and no
+    # warning come back, and K_nu is its leading small-z law to far below
+    # the tolerance
+    got = macdonald_k(nu, z)
+    if nu == 0.0:
+        want = -math.log(0.5 * z) - np.euler_gamma
+    else:
+        want = 0.5 * math.gamma(nu) * (0.5 * z) ** (-nu)
+    assert abs(got / want - 1.0) <= 1e-13
 
 
 def test_quadrature_node_cap_raises(monkeypatch):
