@@ -26,6 +26,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -260,26 +261,44 @@ def _ledger_report(i: int, f0, V, w: LinearWeight,
 
 
 def _suite_linear(cfg) -> list:
+    """The free-flow checks and one ledger per corpus draw, as jobs on one
+    thread per CPU this process may use (the transforms and large array
+    loops release the GIL); reports come back in job order."""
     L, n = cfg["linear.L"], int(cfg["linear.n"])
     p = OperatorParams(cfg["operator.s"], cfg["operator.m"])
     w = LinearWeight(cfg["linear.lam"], cfg["linear.drift"])
-    out = []
-    # the series of one free stream serve both checks; the tent residual
-    # is quadratic in the step, so it needs the fine spacing
-    u0 = gaussian(L, n, sigma=2.0)
-    free = linear_carleman.tilted_series(u0, evolve_with_potential(
-        u0, PotentialField.constant(0.0), 1.0, p, dt=1e-3), w.lam, p, None,
-        with_energy=False)
-    out.append(_checked("linear_carleman.monotonicity",
-                        lambda: monotonicity_check(free, None, w, p)))
-    out.append(_checked("linear_carleman.tent_identity",
-                        lambda: tent_identity_check(
-                            free, w, tolerance=cfg["tolerance.tent"])))
+
+    def free_flow():
+        # the series of one free stream serve both checks; the tent
+        # residual is quadratic in the step, so it needs the fine spacing
+        u0 = gaussian(L, n, sigma=2.0)
+        free = linear_carleman.tilted_series(u0, evolve_with_potential(
+            u0, PotentialField.constant(0.0).sample(u0), 1.0, p, dt=1e-3),
+            w.lam, p, None, with_energy=False)
+        return [_checked("linear_carleman.monotonicity",
+                         lambda: monotonicity_check(free, None, w, p)),
+                _checked("linear_carleman.tent_identity",
+                         lambda: tent_identity_check(
+                             free, w, tolerance=cfg["tolerance.tent"]))]
+
+    def ledger(i, f0, V):
+        return _checked("linear_carleman.ledger",
+                        lambda: _ledger_report(i, f0, V, w, p))
+
+    # imported here, so the suites that run no jobs do not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+    workers = len(os.sched_getaffinity(0))
     corpus = carleman_corpus(L, n, int(cfg["sweep.count"]), _corpus_seed(cfg))
-    for i, (f0, V) in enumerate(corpus):
-        out.append(_checked("linear_carleman.ledger",
-                            lambda: _ledger_report(i, f0, V, w, p)))
-    return out
+    with ThreadPoolExecutor(workers) as pool:
+        # the long free flow starts first, outside the window of draws, so
+        # no thread waits on it; draws are made as their jobs are submitted
+        free, pending, ledgers = pool.submit(free_flow), [], []
+        for i, (f0, V) in enumerate(corpus):
+            if len(pending) == 2 * workers:
+                ledgers.append(pending.pop(0).result())
+            pending.append(pool.submit(ledger, i, f0, V))
+        ledgers += [job.result() for job in pending]
+        return free.result() + ledgers
 
 
 def _analytic_operands(L: float, n: int) -> list:

@@ -4,9 +4,9 @@ The free semigroup is applied exactly per Fourier mode, so mass decay and
 the semigroup property hold to rounding on the grid.
 A bounded time-independent potential V enters through the Duhamel form,
 whose per-step equation is pointwise diagonal and is solved in closed form;
-V is sampled once per trajectory.  The free flow comes back as one
-SpaceTimeFunction (times and an (nt, n) array of states); the potential
-flow is a stream of chunks of states, integrated as they are made.
+one sample of V serves a flow's steps and integrands.  The free flow comes
+back as one SpaceTimeFunction (times and an (nt, n) array of states); the
+potential flow is a stream of chunks of states, integrated as they are made.
 Weighted energies refuse to integrate data that has not decayed at the
 periodic seam, since the exponential weight would turn wrap-around into
 silent garbage.
@@ -41,8 +41,8 @@ class PotentialField:
     """Bounded time-independent potential V(x) with a declared sup-norm.
 
     The declared bound is part of the contract: sampling raises if the
-    evaluator exceeds it, because the solver's step-size bound and the
-    existence theory both key off sup_norm.
+    evaluator exceeds it, because the existence theory keys off sup_norm,
+    and the solver's step-size bound off the samples it bounds.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -208,8 +208,12 @@ def tilted_integrals(grid, chunks: Iterable, lam: float,
     """
     tilt = np.exp(lam * grid.x)
     live, failures, times, parts = len(what), [], [], []
+    # one buffer serves the stream, sized by its longest chunk so far
+    buffer = np.empty((0, len(what), grid.n))
     for t, chunk in chunks:
-        tilted = np.empty((len(chunk), len(what), grid.n))
+        if len(buffer) < len(chunk):
+            buffer = np.empty((len(chunk), len(what), grid.n))
+        tilted = buffer[:len(chunk)]
         for j, values in enumerate(integrands(chunk)):
             np.multiply(tilt, values, out=tilted[:, j])
         sums = tilted.sum(axis=2)
@@ -314,18 +318,19 @@ def log_convexity_check(u0: GridFunction, lam: float, p: OperatorParams,
     )
 
 
-def evolve_with_potential(u0: GridFunction, V: PotentialField, T: float,
+def evolve_with_potential(u0: GridFunction, v: np.ndarray, T: float,
                           p: OperatorParams, dt: float = 1e-2
                           ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """March the potential problem with the trapezoid Duhamel step.
 
-    V is time-independent, so it is sampled once on u0's grid and the same
-    samples serve both ends of every step.  Each step solves
+    V is time-independent, so ``v``, its samples on u0's grid, taken once
+    by the caller for the flow's integrands too, serve both ends of every
+    step.  Each step solves
 
         u_{k+1} = K_dt (u_k + (dt/2) V u_k) + (dt/2) V u_{k+1},
 
     which is pointwise diagonal in u_{k+1}, so it is solved exactly by one
-    division; ||V|| dt < 1/2 keeps the divisor above 3/4.  Steps are dt
+    division; max |v| dt < 1/2 keeps the divisor above 3/4.  Steps are dt
     except a final shorter one that lands on T.  Yields the states at t = 0
     and after every step as (times, rows) chunks of CHUNK_ROWS states, each
     stepped when it is asked for; bad arguments raise at the first chunk.
@@ -334,9 +339,10 @@ def evolve_with_potential(u0: GridFunction, V: PotentialField, T: float,
         raise ConfigError(f"dt must be positive and finite, got {dt!r}")
     if T <= 0.0:
         raise DomainError(f"horizon must be positive, got T={T:g}")
-    if V.sup_norm * dt >= 0.5:
+    peak = float(np.max(np.abs(v)))
+    if peak * dt >= 0.5:
         raise PreconditionError(
-            f"need ||V|| * dt < 1/2 for the step, got {V.sup_norm * dt:g}")
+            f"need ||V|| * dt < 1/2 for the step, got {peak * dt:g}")
     times, steps = [0.0], []
     t = 0.0
     while t < T - 1e-12 * max(1.0, T):
@@ -344,7 +350,6 @@ def evolve_with_potential(u0: GridFunction, V: PotentialField, T: float,
         t += steps[-1]
         times.append(t)
     sig = symbol(p, frequencies(u0.L, u0.n))
-    v = V.sample(u0)
 
     def factors(step):
         half_v = 0.5 * step * v
@@ -352,12 +357,15 @@ def evolve_with_potential(u0: GridFunction, V: PotentialField, T: float,
 
     # every step but a shorter final one shares the full step's factors
     full = factors(dt)
-    u, rows = u0.values, [u0.values]
+    # each state is written into its chunk, which goes out once full
+    rows, filled, u = np.empty((CHUNK_ROWS, u0.n)), 1, u0.values
+    rows[0] = u
     for k, step in enumerate(steps, 1):
-        if len(rows) == CHUNK_ROWS:
-            yield np.array(times[k - CHUNK_ROWS:k]), np.array(rows)
-            rows = []
+        if filled == CHUNK_ROWS:
+            yield np.array(times[k - CHUNK_ROWS:k]), rows
+            rows, filled = np.empty((CHUNK_ROWS, u0.n)), 0
         decay, half_v, divisor = full if step == dt else factors(step)
-        u = np.fft.irfft(np.fft.rfft(u + half_v * u) * decay, u0.n) / divisor
-        rows.append(u)
-    yield np.array(times[len(times) - len(rows):]), np.array(rows)
+        u = np.divide(np.fft.irfft(np.fft.rfft(u + half_v * u) * decay,
+                                   u0.n), divisor, out=rows[filled])
+        filled += 1
+    yield np.array(times[len(times) - filled:]), rows[:filled]

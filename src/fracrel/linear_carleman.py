@@ -25,6 +25,7 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -128,13 +129,14 @@ class LinearWeight:
 # tilted series along a trajectory
 
 def tilted_series(grid, chunks, lam: float, p: OperatorParams,
-                  V: PotentialField | None, with_energy: bool = True
+                  v: np.ndarray | None, with_energy: bool = True
                   ) -> TiltedSeries:
     """Raw tilted integrals at every state of the stream ``chunks`` on
     ``grid``'s box, drift factored out, with the failures met (unraised).
 
-    V is the potential the states were evolved with (None for none); it is
-    sampled once.  Each chunk is integrated as it comes
+    ``v`` holds the samples on ``grid`` of the potential the states were
+    evolved with, the ones the stepper used (None for no forcing).  Each
+    chunk is integrated as it comes
     (heat.tilted_integrals), the mass first: one batched transform serves
     both operator orders, and each integral is a row sum over the chunk.
 
@@ -163,7 +165,6 @@ def tilted_series(grid, chunks, lam: float, p: OperatorParams,
     """
     mu = LinearWeight(lam, 0.0).eigenvalue(p) if abs(lam) < p.m else math.nan
     doubled = OperatorParams(2.0 * p.s, p.m) if with_energy else None
-    v = None if V is None else V.sample(grid)
     what = ("tilted mass integrand", "production integrand")
     if with_energy:
         what += ("kinetic integrand", "order-2s pairing integrand")
@@ -532,8 +533,10 @@ def carleman_linear_check(u0: GridFunction, V: PotentialField | None,
     """
     c1, c2 = _admissible_constants(None, p, w)
     V_eff = PotentialField.constant(0.0) if V is None else V
-    flow = tilted_series(u0, evolve_with_potential(
-        u0, V_eff, 1.0, p, dt=LEDGER_DT), w.lam, p, V).checked()
+    v = V_eff.sample(u0)
+    stream = evolve_with_potential(u0, v, 1.0, p, dt=LEDGER_DT)
+    flow = tilted_series(u0, stream, w.lam, p,
+                         None if V is None else v).checked()
     inputs = {"s": p.s, "m": p.m, "lam": w.lam, "drift": w.drift,
               "L": u0.L, "n": u0.n, "dt": LEDGER_DT,
               "sup_v": V_eff.sup_norm}
@@ -545,8 +548,9 @@ def carleman_linear_check(u0: GridFunction, V: PotentialField | None,
 # calibration of (C1, C2)
 
 def carleman_corpus(L: float, n: int, draws: int, seed: int,
-                    ) -> list[tuple[GridFunction, PotentialField]]:
-    """Seeded (u0, V) pairs: windowed band-limited data, bounded static V.
+                    ) -> Iterator[tuple[GridFunction, PotentialField]]:
+    """Seeded (u0, V) pairs: windowed band-limited data, bounded static V,
+    each drawn when it is asked for.
 
     The data window is kept at |x| <= _CORPUS_OUTER regardless of the box
     so the tilted quadratic-form integrands have room to die out before the
@@ -554,14 +558,12 @@ def carleman_corpus(L: float, n: int, draws: int, seed: int,
     """
     rng = np.random.default_rng(seed)
     win = smooth_window(L, n, _CORPUS_INNER, _CORPUS_OUTER).values
-    pairs = []
     for _ in range(draws):
         raw = band_limited_noise(L, n, _CORPUS_K_MAX, rng, windowed=False)
         u0 = raw.with_values(raw.values * win)
         v_raw = band_limited_noise(L, n, _CORPUS_K_MAX, rng,
                                    amplitude=_CORPUS_SUP_V, windowed=False)
-        pairs.append((u0, PotentialField.static(v_raw)))
-    return pairs
+        yield u0, PotentialField.static(v_raw)
 
 
 def calibrate_constants(p: OperatorParams, lam: float, *,
@@ -582,13 +584,13 @@ def calibrate_constants(p: OperatorParams, lam: float, *,
     _require_energy_split(p)
     mu = LinearWeight(lam, 0.0).eigenvalue(p)
     zero_order = p.m ** (2.0 * p.s)
-    corpus = carleman_corpus(L, n, draws, seed)
     fine, coarse = [], []
-    for u0, V in corpus:
+    for u0, V in carleman_corpus(L, n, draws, seed):
+        v = V.sample(u0)
         fine.append(tilted_series(u0, evolve_with_potential(
-            u0, V, fine_T, p, dt=_FINE_DT), lam, p, V).checked())
+            u0, v, fine_T, p, dt=_FINE_DT), lam, p, v).checked())
         coarse.append(tilted_series(u0, evolve_with_potential(
-            u0, V, 1.0, p, dt=LEDGER_DT), lam, p, V).checked())
+            u0, v, 1.0, p, dt=LEDGER_DT), lam, p, v).checked())
 
     def ddot_stats(flow, drift, c1):
         terms = flow.weighted(drift)

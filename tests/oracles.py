@@ -478,7 +478,8 @@ def stored_series(traj: SpaceTimeFunction, lam: float, p: OperatorParams,
                   with_energy: bool = True) -> TiltedSeries:
     """linear_carleman.tilted_series of a stored trajectory, read chunk by
     chunk; the first failure of the pass is raised."""
-    return tilted_series(traj, stored_chunks(traj), lam, p, V,
+    return tilted_series(traj, stored_chunks(traj), lam, p,
+                         None if V is None else V.sample(traj),
                          with_energy).checked()
 
 

@@ -203,7 +203,8 @@ def _residual_draws(count):
         prof = band_limited_noise(40.0, 2048, k_max=30, rng=rng,
                                   windowed=False)
         yield (collect(u0, evolve_with_potential(
-            u0, PotentialField.static(prof), 0.5, P_HALF, dt=1e-2)),
+            u0, PotentialField.static(prof).sample(u0), 0.5, P_HALF,
+            dt=1e-2)),
             prof.values)
 
 
@@ -213,7 +214,8 @@ def test_criterion_08_mild_solution():
     free = evolve_free(u0, [1.0], P_HALF).values[-1]
     for c in (1.0, -1.0, 0.5):
         traj = collect(u0, evolve_with_potential(
-            u0, PotentialField.constant(c), 1.0, P_HALF, dt=5e-3))
+            u0, PotentialField.constant(c).sample(u0), 1.0, P_HALF,
+            dt=5e-3))
         want = math.exp(c) * free
         rel = np.max(np.abs(traj.values[-1] - want)) / np.max(np.abs(want))
         if rel > 1e-5:
@@ -243,14 +245,15 @@ def test_criterion_09_linear_carleman():
         led = carleman_linear_check(u0, V, w, P_HALF)
         if not (led.passed and led.corollary_passed):
             bad.append(f"ledger draw {i} slack={led.slack:.3e}")
-        traj = collect(u0, evolve_with_potential(u0, V, 0.05, P_HALF,
-                                                 dt=1e-3))
+        traj = collect(u0, evolve_with_potential(u0, V.sample(u0), 0.05,
+                                                 P_HALF, dt=1e-3))
         rep = ddot_lower_bound_check(traj, w, P_HALF, V=V)
         if not rep.passed:
             bad.append(f"production-rate bound draw {i}")
     u0 = gaussian(128.0, 4096, sigma=2.0)
     mass = mass_series(u0, evolve_with_potential(
-        u0, PotentialField.constant(0.0), 1.0, P_HALF, dt=1e-3), w.lam)
+        u0, PotentialField.constant(0.0).sample(u0), 1.0, P_HALF,
+        dt=1e-3), w.lam)
     tent = tent_identity_check(mass, w, tolerance=1e-4)
     if tent.measured["max_residual"] > 1e-4:
         bad.append(f"tent residual {tent.measured['max_residual']:.2e}")

@@ -17,7 +17,7 @@ import pytest
 import fracrel
 from fracrel import cli, heat, linear_carleman
 from fracrel.cli import (DEFAULTS, SUITES, _split_rng, cmd_calibrate,
-                         load_config, main)
+                         load_config, main, write_outputs)
 from fracrel.errors import CalibrationError, ConfigError
 from fracrel.grid import GridFunction
 from fracrel.linear_carleman import (CarlemanLedger, LinearWeight,
@@ -267,26 +267,57 @@ def test_run_rejects_non_finite_tolerances(tmp_path, capsys):
 def test_linear_suite_evolves_each_trajectory_once(monkeypatch):
     # the series of one free stream feed both the monotonicity and the tent
     # check, and each ledger draw's stream is stepped once: one stream per
-    # flow, each read to its end
-    streams = []
+    # flow, each read to its end, and V sampled once per flow; the jobs run
+    # concurrently, so the streams may start in any order
+    streams, samples = [], []
 
-    def counting(u0, V, T, *args, **kwargs):
+    def counting(u0, v, T, *args, **kwargs):
         states = []
         streams.append(states)
-        for times, rows in heat.evolve_with_potential(u0, V, T, *args,
+        for times, rows in heat.evolve_with_potential(u0, v, T, *args,
                                                       **kwargs):
             states.append(len(rows))
             yield times, rows
 
+    sample = heat.PotentialField.sample
     monkeypatch.setattr(cli, "evolve_with_potential", counting)
     monkeypatch.setattr(linear_carleman, "evolve_with_potential", counting)
+    monkeypatch.setattr(heat.PotentialField, "sample",
+                        lambda V, grid: samples.append(1) or sample(V, grid))
     cfg = dict(DEFAULTS, **{"sweep.count": 2})
     reports = cli._suite_linear(cfg)
-    assert [sum(states) for states in streams] == [1001, 101, 101]
+    assert sorted(sum(states) for states in streams) == [101, 101, 1001]
+    assert len(samples) == len(streams)
     assert [r.name for r in reports[:2]] == [
         "linear_carleman.monotonicity", "linear_carleman.tent_identity"]
     assert len(reports) == 2 + cfg["sweep.count"]
     assert all(r.passed for r in reports)
+
+
+def test_linear_suite_output_does_not_depend_on_the_cpus(tmp_path,
+                                                         monkeypatch):
+    # one thread per CPU runs the jobs; the body and the table come out
+    # byte-identical on one CPU, on two, and on eight threads (more than
+    # the cores and the jobs) that switch every microsecond
+    cfg = dict(DEFAULTS, **{"suite": "linear-carleman", "sweep.count": 4})
+    outputs, interval = [], sys.getswitchinterval()
+    try:
+        for cpus, switch in (({0}, interval), ({0, 1}, interval),
+                             (set(range(8)), 1e-6)):
+            monkeypatch.setattr(cli.os, "sched_getaffinity",
+                                lambda pid: cpus)
+            sys.setswitchinterval(switch)
+            out = tmp_path / f"cpus{len(cpus)}"
+            assert write_outputs(out, cfg, [("linear-carleman",
+                                             cli._suite_linear(cfg))])
+            body = json.loads((out / "report.json").read_text())["body"]
+            outputs.append((json.dumps(body, sort_keys=True),
+                            (out / "reports.csv").read_bytes()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert [r["inputs"].get("draw") for r in json.loads(
+        outputs[0][0])["reports"]] == [None, None, 0, 1, 2, 3]
 
 
 def test_linear_suite_holds_no_trajectory():

@@ -274,7 +274,7 @@ def test_log_convexity_zero_data_trivial():
 def test_picard_zero_potential_matches_free():
     u0 = gaussian(40.0, 4096, sigma=2.0)
     traj = collect(u0, evolve_with_potential(
-        u0, PotentialField.constant(0.0), 1.0, P_HALF))
+        u0, PotentialField.constant(0.0).sample(u0), 1.0, P_HALF))
     free = evolve_free(u0, [1.0], P_HALF)
     assert traj.times[-1] == pytest.approx(1.0)
     assert np.max(np.abs(traj.values[-1] - free.values[-1])) <= 1e-9
@@ -290,7 +290,7 @@ def test_steps_are_the_closed_form_bit_for_bit():
     v = prof.values
     sig = symbol(P_HALF, frequencies(40.0, 1024))
     traj = collect(u0, evolve_with_potential(
-        u0, PotentialField.static(prof), 0.305, P_HALF))
+        u0, PotentialField.static(prof).sample(u0), 0.305, P_HALF))
     # the step grid: dt until the horizon is within one step
     steps = [min(1e-2, 0.305 - t) for t in traj.times[:-1]]
     assert steps[0] == 1e-2 and steps[-1] < 1e-2
@@ -308,7 +308,8 @@ def test_picard_constant_potential_oracle():
     free = evolve_free(u0, [1.0], P_HALF).values[-1]
     for c in (1.0, -1.0, 0.5):
         traj = collect(u0, evolve_with_potential(
-            u0, PotentialField.constant(c), 1.0, P_HALF, dt=5e-3))
+            u0, PotentialField.constant(c).sample(u0), 1.0, P_HALF,
+            dt=5e-3))
         want = math.exp(c) * free
         rel = np.max(np.abs(traj.values[-1] - want)) / np.max(np.abs(want))
         assert rel <= 1e-5, (c, rel)
@@ -324,7 +325,7 @@ def test_step_solves_duhamel_equation():
                                   windowed=False)
         v = prof.values
         traj = collect(u0, evolve_with_potential(
-            u0, PotentialField.static(prof), 0.5, P_HALF))
+            u0, PotentialField.static(prof).sample(u0), 0.5, P_HALF))
         assert traj.nt == 51
         for k, dt in enumerate(np.diff(traj.times)):
             now, nxt = traj.values[k], traj.values[k + 1]
@@ -338,23 +339,26 @@ def test_picard_preconditions():
     # the stream raises when its first chunk is asked for
     u0 = gaussian(40.0, 1024)
     with pytest.raises(PreconditionError):
-        next(evolve_with_potential(u0, PotentialField.constant(2.0), 1.0,
-                                   P_HALF, dt=0.3))
+        next(evolve_with_potential(
+            u0, PotentialField.constant(2.0).sample(u0), 1.0, P_HALF,
+            dt=0.3))
     with pytest.raises(DomainError):
-        next(evolve_with_potential(u0, PotentialField.constant(0.1), -1.0,
-                                   P_HALF))
+        next(evolve_with_potential(
+            u0, PotentialField.constant(0.1).sample(u0), -1.0, P_HALF))
 
 
 def test_positivity_preserved():
     u0 = gaussian(40.0, 4096, sigma=1.0)
     traj = collect(u0, evolve_with_potential(
-        u0, PotentialField.constant(0.3), 1.0, P_HALF))
+        u0, PotentialField.constant(0.3).sample(u0), 1.0, P_HALF))
     assert traj.values.min() >= -1e-10
 
 
 def test_evolution_trajectory_layout_and_single_sampling(monkeypatch):
     # CHUNK_ROWS states per chunk on the solver's step grid, each chunk
-    # stepped only when it is asked for, with V sampled once
+    # stepped only when it is asked for and written into an array of its
+    # own, so a chunk held on is not overwritten by the next; V is sampled
+    # once, by the caller, and the stepper reads the samples
     u0 = gaussian(40.0, 1024, sigma=2.0)
     calls, steps = [], []
 
@@ -365,10 +369,11 @@ def test_evolution_trajectory_layout_and_single_sampling(monkeypatch):
     real_rfft = np.fft.rfft
     monkeypatch.setattr(np.fft, "rfft",
                         lambda *a, **k: steps.append(1) or real_rfft(*a, **k))
-    stream = evolve_with_potential(u0, PotentialField(evaluator, 0.2), 0.22,
-                                   P_HALF, dt=0.04)
-    assert calls == [] and steps == []
+    v = PotentialField(evaluator, 0.2).sample(u0)
+    stream = evolve_with_potential(u0, v, 0.22, P_HALF, dt=0.04)
+    assert calls == [1024] and steps == []
     times, rows = next(stream)
+    first = rows.copy()
     assert len(steps) == heat.CHUNK_ROWS - 1
     chunks = [(times, rows)] + list(stream)
     assert calls == [1024]
@@ -378,6 +383,8 @@ def test_evolution_trajectory_layout_and_single_sampling(monkeypatch):
                                [0.0, 0.04, 0.08, 0.12, 0.16, 0.2, 0.22],
                                rtol=1e-14)
     np.testing.assert_array_equal(rows[0], u0.values)
+    np.testing.assert_array_equal(rows, first)
+    assert not np.shares_memory(rows, chunks[1][1])
 
 
 def test_potential_field_contract():
@@ -405,8 +412,9 @@ def test_step_size_validation():
     u0 = gaussian(40.0, 1024)
     for dt in (0.0, -1.0, math.nan):
         with pytest.raises(ConfigError):
-            next(evolve_with_potential(u0, PotentialField.constant(0.1), 1.0,
-                                       P_HALF, dt=dt))
+            next(evolve_with_potential(
+                u0, PotentialField.constant(0.1).sample(u0), 1.0, P_HALF,
+                dt=dt))
 
 
 # -------------------------------------------------- backward uniqueness
@@ -414,7 +422,7 @@ def test_step_size_validation():
 def test_backward_uc_free():
     u0 = gaussian(40.0, 4096)
     traj = collect(u0, evolve_with_potential(
-        u0, PotentialField.constant(0.0), 1.0, P_HALF))
+        u0, PotentialField.constant(0.0).sample(u0), 1.0, P_HALF))
     rep = backward_uc_check(traj, None, P_HALF)
     assert rep.passed
     assert rep.measured["kappa"] <= 1.0 + 1e-8
@@ -425,7 +433,8 @@ def test_backward_uc_with_potential_reports_kappa():
     V = PotentialField.static(band_limited_noise(40.0, 4096, k_max=20,
                                                  rng=rng, windowed=False))
     u0 = gaussian(40.0, 4096)
-    traj = collect(u0, evolve_with_potential(u0, V, 1.0, P_HALF))
+    traj = collect(u0, evolve_with_potential(u0, V.sample(u0), 1.0,
+                                             P_HALF))
     rep = backward_uc_check(traj, V, P_HALF)
     assert rep.passed  # report-only path
     assert math.isfinite(rep.measured["kappa"])

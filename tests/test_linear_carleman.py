@@ -10,6 +10,7 @@ import functools
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ def plateau(L=256.0, n=8192):
 
 @functools.lru_cache(maxsize=None)
 def corpus_draw(i, L=128.0, n=4096):
-    pairs = carleman_corpus(L, n, draws=i + 1, seed=20260822)
+    pairs = list(carleman_corpus(L, n, draws=i + 1, seed=20260822))
     return pairs[i]
 
 
@@ -56,7 +57,7 @@ def fine_stream(u0, V, T):
     """The stream of the flow under V (None for none) at the fine step
     1e-3."""
     pot = PotentialField.constant(0.0) if V is None else V
-    return evolve_with_potential(u0, pot, T, P_HALF, dt=1e-3)
+    return evolve_with_potential(u0, pot.sample(u0), T, P_HALF, dt=1e-3)
 
 
 def fine_flow(u0, V, T):
@@ -67,7 +68,8 @@ def fine_flow(u0, V, T):
 def fine_series(u0, V, T, lam):
     """The tilted series without the energy terms, integrated as the flow
     is stepped: the input of the monotonicity and tent checks."""
-    return tilted_series(u0, fine_stream(u0, V, T), lam, P_HALF, V,
+    return tilted_series(u0, fine_stream(u0, V, T), lam, P_HALF,
+                         None if V is None else V.sample(u0),
                          with_energy=False)
 
 
@@ -222,8 +224,9 @@ def assert_streamed_series_equal_the_stored_route(T, dt, forced,
     u0, V = small_draw()
     pot = V if forced else PotentialField.constant(0.0)
     V = V if forced else None
-    flow = tilted_series(u0, evolve_with_potential(u0, pot, T, P_HALF, dt=dt),
-                         lam, P_HALF, V, with_energy)
+    v = pot.sample(u0)
+    flow = tilted_series(u0, evolve_with_potential(u0, v, T, P_HALF, dt=dt),
+                         lam, P_HALF, v if forced else None, with_energy)
     traj = stored_evolution(u0, pot, T, P_HALF, dt)
     stored = stored_series(traj, lam, P_HALF, V, with_energy)
     want = per_row_series(traj, lam, P_HALF, V, with_energy)
@@ -234,7 +237,7 @@ def assert_streamed_series_equal_the_stored_route(T, dt, forced,
         assert np.array_equal(flow.terms[name], stored.terms[name]), name
         assert np.array_equal(flow.terms[name], want[name]), name
     assert np.array_equal(collect(u0, evolve_with_potential(
-        u0, pot, T, P_HALF, dt=dt)).values, traj.values)
+        u0, v, T, P_HALF, dt=dt)).values, traj.values)
     assert np.array_equal(
         weighted_l2(traj, lam),
         [weighted_integral(traj.slice(i), row ** 2, lam)
@@ -676,6 +679,23 @@ def test_ledger_forced_draw():
     assert led.corollary_rhs_terms["forcing"] == pytest.approx(want,
                                                                rel=1e-12)
     assert "final_mass" not in led.corollary_rhs_terms
+
+
+def test_ledger_check_peak_memory():
+    # a ledger check at the default linear config keeps one tilted buffer
+    # for its stream and writes each state into its chunk: it peaks below
+    # 2.2 MiB (2.7 MiB with a buffer per chunk, made while the last one
+    # still lived, and states copied from a list into each chunk)
+    u0, V = corpus_draw(1)
+    carleman_linear_check(u0, V, W_MAIN, P_HALF)
+    tracemalloc.start()
+    try:
+        led = carleman_linear_check(u0, V, W_MAIN, P_HALF)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert led.passed and led.corollary_passed
+    assert peak <= 2.2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_ledger_scaling_covariance():
