@@ -37,7 +37,7 @@ import math
 import time
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -253,6 +253,7 @@ class _SymbolCore(NamedTuple):
     rho2 = |w|^2, cos_s and sin_s are cos and sin of s theta with
     theta = arg w on (-pi, pi], and grad_scale = 2 s rho^(s-2), the factor
     every xi-derivative of w^s carries (infinite where rho = 0, s < 2).
+    local = xi^2 + m^2 + px^2 and xp = xi^2 + px^2 are shared sums.
     """
 
     xi: np.ndarray
@@ -263,25 +264,43 @@ class _SymbolCore(NamedTuple):
     cos_s: np.ndarray
     sin_s: np.ndarray
     grad_scale: np.ndarray
+    local: np.ndarray
+    xp: np.ndarray
 
     def singular(self):
-        """Where rho <= SINGULAR_FLOOR * (xi^2 + m^2 + px^2), the local
-        frequency scale."""
-        local = self.xi * self.xi + self.m * self.m + self.px * self.px
-        return self.rho2 <= (SINGULAR_FLOOR * local) ** 2
+        """Where rho <= SINGULAR_FLOOR * local, the local frequency scale."""
+        return self.rho2 <= (SINGULAR_FLOOR * self.local) ** 2
 
 
 def _symbol_core(xi, px, m: float, s: float) -> _SymbolCore:
+    """The core at (xi, px), broadcast together.  xi^2, px^2, xi^2 + m^2
+    and s theta are formed once: u = (xi^2 + m^2) - px^2 and local =
+    (xi^2 + m^2) + px^2 share xi^2 + m^2.  Each step, in place or not, is
+    the IEEE operation of the written formula, so the bits do not move."""
     xi = np.asarray(xi, dtype=float)
     px = np.asarray(px, dtype=float)
-    u = xi * xi + m * m - px * px
-    v = 2.0 * xi * px
-    rho2 = u * u + v * v
+    xi2, px2 = xi * xi, px * px
+    xm = xi2 + m * m
+    u, v = xm - px2, 2.0 * xi * px
     theta = np.arctan2(v, u)
+    theta *= s
+    u *= u
+    v *= v
+    u += v   # u^2 + v^2 = rho2
     with np.errstate(divide="ignore", invalid="ignore"):
-        grad_scale = 2.0 * s * rho2 ** (0.5 * s - 1.0)
-    return _SymbolCore(xi, px, m, s, rho2, np.cos(s * theta),
-                       np.sin(s * theta), grad_scale)
+        grad_scale = u ** (0.5 * s - 1.0)
+        grad_scale *= 2.0 * s
+    return _SymbolCore(xi, px, m, s, u, np.cos(theta), np.sin(theta),
+                       grad_scale, xm + px2, xi2 + px2)
+
+
+def _product(*factors):
+    """factors[0] * factors[1] * ... multiplied left to right: the same
+    IEEE products, in one fresh array the first two factors must span."""
+    out = factors[0] * factors[1]
+    for factor in factors[2:]:
+        out *= factor
+    return out
 
 
 def _core_at(pt: SymbolPoint, w: QuadraticWeight, p: OperatorParams):
@@ -294,27 +313,22 @@ def _symbol_ab(c: _SymbolCore):
     return amp * c.cos_s, amp * c.sin_s
 
 
-def _symbol_xi_grad(c: _SymbolCore):
-    """Closed-form (a_xi, b_xi) from d_xi w^s = s w^{s-1} w_xi.
-
-    With p = xi (xi^2+m^2+px^2) and q = px (xi^2+px^2-m^2):
-      a_xi = 2 s rho^{s-2} ( p cos(s th) + q sin(s th) )
-      b_xi = 2 s rho^{s-2} ( p sin(s th) - q cos(s th) )
-    Diverges where rho = 0 and s < 2; callers mask singular points.
-    """
-    xi, px, m = c.xi, c.px, c.m
-    p = xi * (xi * xi + m * m + px * px)
-    q = px * (xi * xi + px * px - m * m)
+def _symbol_b_xi(c: _SymbolCore):
+    """Closed-form b_xi = 2 s rho^{s-2} ( p sin(s th) - q cos(s th) ), from
+    d_xi w^s = s w^{s-1} w_xi, with p = xi (xi^2+m^2+px^2) and
+    q = px (xi^2+px^2-m^2).  Diverges where rho = 0 and s < 2; callers
+    mask singular points."""
+    p = _product(c.xi, c.local, c.sin_s)
+    p -= _product(c.px, c.xp - c.m * c.m, c.cos_s)
     with np.errstate(invalid="ignore"):
-        return (c.grad_scale * (p * c.cos_s + q * c.sin_s),
-                c.grad_scale * (p * c.sin_s - q * c.cos_s))
+        p *= c.grad_scale
+    return p
 
 
 def _bracket_ab(c: _SymbolCore, phi_xx: float):
     """{a, b} = 4 s^2 phi_xx rho^{2(s-1)} (xi^2 + px^2), vectorized."""
-    s, xi, px = c.s, c.xi, c.px
     with np.errstate(divide="ignore", invalid="ignore"):
-        return 4.0 * s * s * phi_xx * c.rho2 ** (s - 1.0) * (xi * xi + px * px)
+        return _product(4.0 * c.s * c.s * phi_xx, c.rho2 ** (c.s - 1.0), c.xp)
 
 
 class _ParabolicBracket(NamedTuple):
@@ -341,12 +355,15 @@ def parabolic_bracket(w: QuadraticWeight, p: OperatorParams, sigma, t,
     """
     core = _symbol_core(xi, (2.0 * w.alpha / w.R) * sigma, p.m, p.s)
     base = _bracket_ab(core, w.phi_xx)
-    mixed = w.phi_tx(t) * _symbol_xi_grad(core)[1]
+    mixed = w.phi_tx(t) * _symbol_b_xi(core)
     d1 = np.asarray(w.psi_d1(t), dtype=float)
     curv_psi1 = 2.0 * w.alpha * d1 * d1
     curv_psi2 = 2.0 * w.alpha * sigma * np.asarray(w.psi_d2(t), dtype=float)
-    return _ParabolicBracket(core, base, mixed, curv_psi2,
-                             base + 2.0 * mixed + curv_psi1 + curv_psi2)
+    total = 2.0 * mixed   # = base + 2 mixed + ...; mixed spans every shape
+    total += base
+    total += curv_psi1
+    total += curv_psi2
+    return _ParabolicBracket(core, base, mixed, curv_psi2, total)
 
 
 def bracket_singular(pt: SymbolPoint, w: QuadraticWeight,
@@ -482,10 +499,9 @@ def require_admissible_weight(w: QuadraticWeight, p: OperatorParams,
 def _mixed_pieces(c: _SymbolCore, ptx: float):
     """Proof split of phi_tx b_xi into its odd (sin) and even (cos) pieces,
     matching the two cross terms the positivity ladder hides."""
-    xi, px, m = c.xi, c.px, c.m
     with np.errstate(divide="ignore", invalid="ignore"):
-        odd = ptx * c.grad_scale * xi * (xi * xi + m * m + px * px) * c.sin_s
-        even = -ptx * c.grad_scale * px * (xi * xi + px * px - m * m) * c.cos_s
+        odd = _product(ptx, c.grad_scale, c.xi, c.local, c.sin_s)
+        even = _product(-ptx, c.grad_scale, c.px, c.xp - c.m * c.m, c.cos_s)
     return odd, even
 
 
@@ -509,7 +525,7 @@ def _sweep_minima(w: QuadraticWeight, p: OperatorParams, xi_mag: np.ndarray,
     s = p.s
     env_unit = s * s * (w.alpha / w.R ** 2)
     four_a2 = 4.0 * w.alpha ** 2 / w.R ** 2
-    envelope = env_unit * (xi * xi + four_a2) ** (2.0 * s - 1.0)
+    env = (env_unit * (xi * xi + four_a2) ** (2.0 * s - 1.0))[None, :]
 
     ratio_min = math.inf
     witness = None
@@ -525,36 +541,42 @@ def _sweep_minima(w: QuadraticWeight, p: OperatorParams, xi_mag: np.ndarray,
         for lo, hi in _sigma_branches(psi_val):
             yield ratio_min, witness, margins, singular_count, nonfinite_count
             sigma = np.linspace(lo, hi, sigma_nodes)[:, None]
-            xr = xi[None, :]
-            br = parabolic_bracket(w, p, sigma, t, xr)
-            core, base, mixed, total = br.core, br.base, br.mixed, br.total
-            odd, even = _mixed_pieces(core, ptx)
+            br = parabolic_bracket(w, p, sigma, t, xi[None, :])
+            base, total = br.base, br.total
+            odd, even = _mixed_pieces(br.core, ptx)
 
-            sing = core.singular()
+            sing = br.core.singular()
             bad = ~np.isfinite(total)
-            singular_count += 2 * int(np.sum(sing))
-            nonfinite_count += 2 * int(np.sum(bad & ~sing))
-            ok = ~(sing | bad)
-            if not np.any(ok):
+            bad &= ~sing
+            singular_count += 2 * np.count_nonzero(sing)
+            nonfinite_count += 2 * np.count_nonzero(bad)
+            sing |= bad   # the points the minima skip
+            if sing.all():
                 continue
+            mask = {"where": ~sing, "initial": math.inf} if sing.any() else {}
 
-            ratio = np.where(ok, total / envelope[None, :], math.inf)
-            idx = np.unravel_index(np.argmin(ratio), ratio.shape)
-            if ratio[idx] < ratio_min:
-                ratio_min = float(ratio[idx])
+            # one scratch block for the ratio and every margin
+            buf = np.divide(total, env)
+            buf[sing] = math.inf
+            idx = np.unravel_index(np.argmin(buf), buf.shape)
+            if buf[idx] < ratio_min:
+                ratio_min = float(buf[idx])
                 sig = float(sigma[idx[0], 0])
                 witness = {"t": float(t), "x": w.R * (sig - psi_val),
                            "sigma": sig, "xi": float(xi[idx[1]]),
                            "ratio": ratio_min}
-            env = envelope[None, :]
-            tenth = base / 10.0
+            np.subtract(total, np.multiply(base, 0.5, out=buf), out=buf)
+            buf /= env
+            margins["half_base"] = min(margins["half_base"],
+                                       float(np.min(buf, **mask)))
+            tenth = np.divide(base, 10.0, out=base)
             for key, term in (("mixed_odd", odd), ("mixed_even", even),
                               ("curvature_psi2", br.curv_psi2),
-                              ("transport", mixed)):
-                margin = np.where(ok, (tenth - np.abs(term)) / env, math.inf)
-                margins[key] = min(margins[key], float(np.min(margin)))
-            margin = np.where(ok, (total - 0.5 * base) / env, math.inf)
-            margins["half_base"] = min(margins["half_base"], float(np.min(margin)))
+                              ("transport", br.mixed)):
+                np.subtract(tenth, np.abs(term, out=buf), out=buf)
+                buf /= env
+                margins[key] = min(margins[key], float(np.min(buf, **mask)))
+            del br, odd, even, sing, bad, mask, buf  # the next block reuses these
     yield ratio_min, witness, margins, singular_count, nonfinite_count
 
 
@@ -591,7 +613,10 @@ def positivity_sweep(w: QuadraticWeight, p: OperatorParams, *,
     therefore evaluates xi = -xi_grid only, in ascending order, which is
     the negative half of the signed grid: the worst point it reports is the
     first occurrence over the signed grid, and singular_points and
-    nonfinite_points count each half-grid point twice.
+    nonfinite_points count each half-grid point twice.  A block forms the
+    core's shared sums once, b_xi without a_xi, and the ratio and margins
+    in one scratch array, masked by np.min(where=) only where a point is
+    singular or not finite: the same IEEE operations, so the same bits.
 
     constants overrides the frozen (c_hyp, c_min) pair.  enforce=False
     skips the admissibility gate so falsification configs can record where
@@ -702,10 +727,14 @@ def garding_hypothesis_check(w: QuadraticWeight, p: OperatorParams, *,
     frequency), 833 with order 8.  The triples are collected first, in
     first-use order, and the bracket is evaluated on them in chunks of
     _GARDING_CHUNK_TRIPLES triples at every sample point, one
-    parabolic_bracket call per chunk (12 calls, 18 with order 8).  Each
-    derivative then combines rows of that table.  The bracket is
-    elementwise, so every row holds the bits a call on that triple alone
-    gives.
+    parabolic_bracket call per chunk (12 calls, 18 with order 8).  The
+    bracket is elementwise, so every row holds the bits a call on that
+    triple alone gives.  Each derivative then gathers its rows with one
+    index, (depth, frequency) pairs by time slices, and reduces them with
+    np.add.reduce over the slice axis, then the pair axis.  Neither is
+    the innermost axis, so numpy adds slice after slice in stencil order:
+    the sums of a loop over the stencil, except for the sign of a zero
+    sum, which the absolute value drops.
     """
     t_start = time.perf_counter()
     _require_sweep_params(p, "derivative bounds need")
@@ -754,35 +783,28 @@ def garding_hypothesis_check(w: QuadraticWeight, p: OperatorParams, *,
             w, p, pts_sig + oi * h_loc / unit_xi, pts_t + oj * h_t,
             pts_xi + ok * h_loc).total
 
-    def bracket(oi, oj, ok):
-        return table[rows[(oi, oj, ok)]]
-
     order_max = {order: 0.0 for order in range(4, max_order + 1)}
     for i, j, k in _garding_orders(max_order):
-        order = i + j + k
         off_i, wt_i = _fd_stencil(i)
         off_j, wt_j = _fd_stencil(j)
         off_k, wt_k = _fd_stencil(k)
-        acc = np.zeros_like(pts_sig)
-        for oi, wi in zip(off_i, wt_i):
-            for ok, wk in zip(off_k, wt_k):
-                if j == 0:
-                    # pts_t + 0.0 * h_t is pts_t bit for bit
-                    acc += (wi * wk) * bracket(oi, 0.0, ok)
-                    continue
-                # time stencil weights sum to zero, so accumulate
-                # differences against a reference slice: summands shrink
-                # from the bracket's magnitude to its actual variation,
-                # which keeps the quotient below out of roundoff (and
-                # makes steady profiles exactly zero)
-                vals = [bracket(oi, oj, ok) for oj in off_j]
-                inner = np.zeros_like(acc)
-                for wj, slice_vals in zip(wt_j, vals):
-                    inner += wj * (slice_vals - vals[0])
-                acc += (wi * wk) * inner
-        deriv = acc / (h_loc ** (i + k) * h_t ** j)
-        order_max[order] = max(order_max[order],
-                               float(np.max(np.abs(deriv))))
+        # pts_t + 0.0 * h_t is pts_t bit for bit
+        vals = table[[[rows[(oi, oj, ok)] for oj in (off_j if j else (0.0,))]
+                      for oi in off_i for ok in off_k]]
+        if j:
+            # time stencil weights sum to zero, so accumulate
+            # differences against a reference slice: summands shrink
+            # from the bracket's magnitude to its actual variation,
+            # which keeps the quotient below out of roundoff (and
+            # makes steady profiles exactly zero)
+            vals = vals - vals[:, :1]
+            vals *= wt_j[:, None]
+        acc = np.add.reduce(vals, axis=1)
+        acc *= np.multiply.outer(wt_i, wt_k).reshape(-1, 1)
+        acc = np.add.reduce(acc, axis=0)
+        acc /= h_loc ** (i + k) * h_t ** j
+        order_max[i + j + k] = max(order_max[i + j + k],
+                                   float(np.max(np.abs(acc, out=acc))))
 
     grand = max(order_max[o] for o in range(4, 8))
     scale = s * s * w.alpha / w.R ** 2
@@ -877,9 +899,10 @@ def _grid_exponent(w: QuadraticWeight, L: float, n: int, t: float) -> np.ndarray
 
 
 def elliptic_test_family(w: QuadraticWeight, L: float, n: int, count: int,
-                         rng) -> list:
+                         rng) -> Iterator[GridFunction]:
     """Random smooth operands supported in the annulus branch inside
-    |x| <= R at t = 0 (elliptic weights have a constant profile)."""
+    |x| <= R at t = 0 (elliptic weights have a constant profile), each
+    drawn when it is asked for; the window is built on the call."""
     psi0 = float(w.psi_at(0.0))
     spans = _sigma_branches(psi0)
     if not spans:
@@ -887,11 +910,9 @@ def elliptic_test_family(w: QuadraticWeight, L: float, n: int, count: int,
     lo, hi = spans[0]
     window = _sigma_window(w, L, n, 0.0, lo + _OPERAND_MARGIN,
                            hi - _OPERAND_MARGIN)
-    out = []
-    for _ in range(count):
-        noise = band_limited_noise(L, n, _OPERAND_K_MAX, rng, windowed=False)
-        out.append(GridFunction(L, n, window * noise.values))
-    return out
+    return (GridFunction(L, n, window * band_limited_noise(
+        L, n, _OPERAND_K_MAX, rng, windowed=False).values)
+        for _ in range(count))
 
 
 def _sigma_window(w: QuadraticWeight, L: float, n: int, t: float,
@@ -905,9 +926,11 @@ def _sigma_window(w: QuadraticWeight, L: float, n: int, t: float,
 
 
 def parabolic_test_family(w: QuadraticWeight, L: float, n: int,
-                          times, count: int, rng) -> list:
+                          times, count: int,
+                          rng) -> Iterator[SpaceTimeFunction]:
     """Random smooth operands supported in the moving annulus inside
-    |x| <= R, compactly supported in the time window."""
+    |x| <= R, compactly supported in the time window, each drawn when it
+    is asked for; the windows are built on the call."""
     times = np.asarray(times, dtype=float)
     span = times[-1] - times[0]
     t_lo = times[0] + 0.1 * span
@@ -924,13 +947,10 @@ def parabolic_test_family(w: QuadraticWeight, L: float, n: int,
         lo, hi = spans[0]
         windows.append(_sigma_window(w, L, n, float(t), lo + _OPERAND_MARGIN,
                                      hi - _OPERAND_MARGIN))
-    windows = np.array(windows)
-    out = []
-    for _ in range(count):
-        noise = band_limited_noise(L, n, _OPERAND_K_MAX, rng, windowed=False)
-        out.append(SpaceTimeFunction(
-            L, n, times, bump[:, None] * windows * noise.values[None, :]))
-    return out
+    windows = bump[:, None] * np.array(windows)
+    return (SpaceTimeFunction(L, n, times, windows * band_limited_noise(
+        L, n, _OPERAND_K_MAX, rng, windowed=False).values[None, :])
+        for _ in range(count))
 
 
 class _SliceArrays(NamedTuple):
@@ -1080,12 +1100,12 @@ def carleman_quadratic_check(fs, w: QuadraticWeight, p: OperatorParams,
     over the periodic box (and the time window in parabolic mode, where the
     time derivative is an eighth-order difference) and asserts lhs <= rhs.
 
-    fs is a list of GridFunction (elliptic) or SpaceTimeFunction
-    (parabolic, on a uniform grid of at least 9 times).  constants is a
-    dict with c1, c2, C_weight; None loads the frozen table entry for
-    (mode, s, m R/(2 alpha)).  Pass a dict as ``diagnostics`` to get back
-    each operand's (rhs, order-(s-1/2) norm, L^2 norm) under
-    ``"operand_terms"``.
+    fs is an iterable of GridFunction (elliptic) or SpaceTimeFunction
+    (parabolic, on a uniform grid of at least 9 times), read once, so a
+    generator keeps one alive at a time.  constants is a dict with c1,
+    c2, C_weight; None loads the frozen table entry for (mode, s,
+    m R/(2 alpha)).  Pass a dict as ``diagnostics`` to get back each
+    operand's (rhs, order-(s-1/2) norm, L^2 norm) under ``"operand_terms"``.
 
     The check works in array passes.  The annulus membership, phi,
     e^{+-phi}, phi_t and the order-(s-1/2) multiplier are computed once
@@ -1147,7 +1167,7 @@ def carleman_quadratic_check(fs, w: QuadraticWeight, p: OperatorParams,
     violation = float(max(0.0, -np.min(slacks)))
     measured = {"min_slack": float(np.min(slacks)),
                 "median_slack": float(np.median(slacks)),
-                "count": int(len(fs)), "c1": c1, "c2": c2,
+                "count": len(terms), "c1": c1, "c2": c2,
                 "C_weight": c_weight}
     inputs = {"mode": mode, "alpha": w.alpha, "R": w.R, "s": p.s, "m": p.m}
     return finish_report("symbols.carleman_quadratic", inputs, measured,

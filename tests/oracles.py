@@ -7,13 +7,15 @@ quadratic form, the heat kernel and its contour-shifted weighted form,
 finite-difference brackets, per-state tilted integrals, the potential flow
 stepped into one stored trajectory and integrated from it, the
 slice-by-slice quadratic Carleman operand terms, the whole-matrix refined
-trapezoid of the Macdonald and subordination quadratures) and five checks
-that no suite runs.  The checks keep their report names.
+trapezoid of the Macdonald and subordination quadratures, the positivity
+sweep block by block with a_xi beside b_xi) and five checks that no suite
+runs.  The checks keep their report names.
 """
 from __future__ import annotations
 
 import math
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,11 +35,11 @@ from fracrel.operator import (OperatorParams, _kernel_weights,
 from fracrel.report import CheckReport, finish_report
 from fracrel.special import frac_power_constant, macdonald_k
 from fracrel.symbols import (_FD_BRACKET_STEP, _SUPPORT_LEAK_TOL,
-                             ANNULUS_INNER, ANNULUS_OUTER, QuadraticWeight,
-                             SymbolPoint, _fd_stencil, _grid_exponent,
-                             _sigma_branches, _symbol_ab, _symbol_core,
-                             _time_derivative, parabolic_bracket,
-                             poisson_bracket_fd)
+                             ANNULUS_INNER, ANNULUS_OUTER, SINGULAR_FLOOR,
+                             QuadraticWeight, SymbolPoint, _fd_stencil,
+                             _grid_exponent, _sigma_branches, _symbol_ab,
+                             _symbol_core, _time_derivative,
+                             parabolic_bracket, poisson_bracket_fd)
 
 # ----------------------------------------------------------------------
 # grid
@@ -717,3 +719,127 @@ def garding_order_max(w: QuadraticWeight, p: OperatorParams,
                                        float(np.max(np.abs(deriv))))
     scale = p.s * p.s * w.alpha / w.R ** 2
     return {str(o): v / scale for o, v in order_max.items()}
+
+
+# ----------------------------------------------------------------------
+# the positivity sweep block by block, as written before the core shared
+# its sums: each term spelled out in full, a_xi computed alongside b_xi,
+# and np.where copies for the minima
+
+
+def _symbol_xi_grad(c):
+    """Closed-form (a_xi, b_xi) from d_xi w^s = s w^{s-1} w_xi.
+
+    With p = xi (xi^2+m^2+px^2) and q = px (xi^2+px^2-m^2):
+      a_xi = 2 s rho^{s-2} ( p cos(s th) + q sin(s th) )
+      b_xi = 2 s rho^{s-2} ( p sin(s th) - q cos(s th) )
+    Diverges where rho = 0 and s < 2; callers mask singular points.
+    """
+    xi, px, m = c.xi, c.px, c.m
+    p = xi * (xi * xi + m * m + px * px)
+    q = px * (xi * xi + px * px - m * m)
+    with np.errstate(invalid="ignore"):
+        return (c.grad_scale * (p * c.cos_s + q * c.sin_s),
+                c.grad_scale * (p * c.sin_s - q * c.cos_s))
+
+
+class _LoopCore(NamedTuple):
+    xi: np.ndarray
+    px: np.ndarray
+    m: float
+    s: float
+    rho2: np.ndarray
+    cos_s: np.ndarray
+    sin_s: np.ndarray
+    grad_scale: np.ndarray
+
+
+def _loop_core(xi, px, m: float, s: float) -> _LoopCore:
+    xi = np.asarray(xi, dtype=float)
+    px = np.asarray(px, dtype=float)
+    u = xi * xi + m * m - px * px
+    v = 2.0 * xi * px
+    rho2 = u * u + v * v
+    theta = np.arctan2(v, u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grad_scale = 2.0 * s * rho2 ** (0.5 * s - 1.0)
+    return _LoopCore(xi, px, m, s, rho2, np.cos(s * theta),
+                     np.sin(s * theta), grad_scale)
+
+
+def _loop_margin(tenth, term, env):
+    """One dominance margin of a block, before masking."""
+    return (tenth - np.abs(term)) / env
+
+
+def loop_sweep_minima(w: QuadraticWeight, p: OperatorParams,
+                      xi_mag: np.ndarray, t_grid: np.ndarray,
+                      sigma_nodes: int) -> tuple:
+    """Block-by-block oracle of the positivity sweep: the final (ratio_min,
+    witness, margins, singular_count, nonfinite_count) over the half grid
+    -xi_mag, each block's bracket, pieces and masks written out term by
+    term."""
+    xi = -xi_mag[::-1]
+    s, m = p.s, p.m
+    env_unit = s * s * (w.alpha / w.R ** 2)
+    four_a2 = 4.0 * w.alpha ** 2 / w.R ** 2
+    envelope = env_unit * (xi * xi + four_a2) ** (2.0 * s - 1.0)
+    ratio_min = math.inf
+    witness = None
+    margins = {"mixed_odd": math.inf, "mixed_even": math.inf,
+               "curvature_psi2": math.inf, "transport": math.inf,
+               "half_base": math.inf}
+    singular_count = 0
+    nonfinite_count = 0
+    for t in t_grid:
+        psi_val = float(w.psi_at(t))
+        ptx = float(w.phi_tx(t))
+        for lo, hi in _sigma_branches(psi_val):
+            sigma = np.linspace(lo, hi, sigma_nodes)[:, None]
+            xr = xi[None, :]
+            px = (2.0 * w.alpha / w.R) * sigma
+            core = _loop_core(xr, px, m, s)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                base = (4.0 * s * s * w.phi_xx * core.rho2 ** (s - 1.0)
+                        * (xr * xr + px * px))
+            mixed = w.phi_tx(t) * _symbol_xi_grad(core)[1]
+            d1 = np.asarray(w.psi_d1(t), dtype=float)
+            curv_psi1 = 2.0 * w.alpha * d1 * d1
+            curv_psi2 = (2.0 * w.alpha * sigma
+                         * np.asarray(w.psi_d2(t), dtype=float))
+            total = base + 2.0 * mixed + curv_psi1 + curv_psi2
+            with np.errstate(divide="ignore", invalid="ignore"):
+                odd = (ptx * core.grad_scale * xr
+                       * (xr * xr + m * m + px * px) * core.sin_s)
+                even = (-ptx * core.grad_scale * px
+                        * (xr * xr + px * px - m * m) * core.cos_s)
+
+            local = xr * xr + m * m + px * px
+            sing = core.rho2 <= (SINGULAR_FLOOR * local) ** 2
+            bad = ~np.isfinite(total)
+            singular_count += 2 * int(np.sum(sing))
+            nonfinite_count += 2 * int(np.sum(bad & ~sing))
+            ok = ~(sing | bad)
+            if not np.any(ok):
+                continue
+
+            ratio = np.where(ok, total / envelope[None, :], math.inf)
+            idx = np.unravel_index(np.argmin(ratio), ratio.shape)
+            if ratio[idx] < ratio_min:
+                ratio_min = float(ratio[idx])
+                sig = float(sigma[idx[0], 0])
+                witness = {"t": float(t), "x": w.R * (sig - psi_val),
+                           "sigma": sig, "xi": float(xi[idx[1]]),
+                           "ratio": ratio_min}
+            env = envelope[None, :]
+            tenth = base / 10.0
+            for key, term in (("mixed_odd", odd), ("mixed_even", even),
+                              ("curvature_psi2", curv_psi2),
+                              ("transport", mixed)):
+                margin = np.where(ok, _loop_margin(tenth, term, env),
+                                  math.inf)
+                margins[key] = min(margins[key], float(np.min(margin)))
+            margin = np.where(ok, (total - 0.5 * base) / env, math.inf)
+            margins["half_base"] = min(margins["half_base"],
+                                       float(np.min(margin)))
+    return ratio_min, witness, margins, singular_count, nonfinite_count

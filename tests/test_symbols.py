@@ -33,9 +33,11 @@ from fracrel.symbols import (QuadraticWeight, SymbolPoint,
                              quadratic_constants, require_admissible_weight,
                              s1_commutator_target, spectral_operator_matrix,
                              _bracket_ab, _mixed_pieces, _symbol_ab,
-                             _symbol_core, _symbol_xi_grad,
+                             _symbol_b_xi, _symbol_core, _sweep_grids,
                              _time_derivative)
-from oracles import (garding_order_max, leak_fraction, operand_terms,
+import oracles
+from oracles import (_symbol_xi_grad, garding_order_max, leak_fraction,
+                     loop_sweep_minima, operand_terms,
                      parabolic_bracket_terms_fd)
 
 W_STEEP = QuadraticWeight.decaying(215.0, 1.0)
@@ -541,7 +543,11 @@ def test_sweep_terms_are_bitwise_even_in_xi(s, m_ratio, branch, profile):
         for field in ("rho2", "cos_s", "grad_scale"):
             assert_bitwise_even(getattr(pos, field), getattr(neg, field))
         np.testing.assert_array_equal(_bits(pos.sin_s), _bits(-neg.sin_s))
-        assert_bitwise_even(_symbol_xi_grad(pos)[1], _symbol_xi_grad(neg)[1])
+        for field in ("local", "xp"):
+            assert_bitwise_even(getattr(pos, field), getattr(neg, field))
+        assert_bitwise_even(_symbol_b_xi(pos), _symbol_b_xi(neg))
+        # b_xi alone holds the bits of the (a_xi, b_xi) pair's b_xi
+        assert_bitwise_even(_symbol_b_xi(pos), _symbol_xi_grad(pos)[1])
         assert_bitwise_even(_bracket_ab(pos, w.phi_xx),
                             _bracket_ab(neg, w.phi_xx))
         for piece_pos, piece_neg in zip(_mixed_pieces(pos, ptx),
@@ -566,6 +572,56 @@ def test_positivity_sweep_evaluates_the_half_grid(monkeypatch):
     positivity_sweep(W_STEEP, P_34, xi_grid=grid,
                      t_grid=np.linspace(0.0, 2.0, 5), sigma_nodes=9)
     assert widths and set(widths) == {len(grid)}
+
+
+def sweep_and_loop(kind, alpha, m_ratio):
+    """The final (ratio_min, witness, margins, singular_points,
+    nonfinite_points) of the sweep and of the loop oracle, on the default
+    grids, or on the grid with 6 singular points for kind "singular"."""
+    profile = "oscillating" if kind == "oscillating" else "decaying"
+    w = getattr(QuadraticWeight, profile)(alpha, 1.0)
+    p = OperatorParams(0.75, m_ratio * 2.0 * w.alpha / w.R)
+    grids = {}
+    if kind == "singular":
+        grids = {"xi_grid": (w.alpha / w.R) * np.array([1e-9, 1e-2, 1.0]),
+                 "t_grid": np.array([0.5, 1.0, 2.0]), "sigma_nodes": 5}
+    rep = positivity_sweep(w, p, constants=(0.0, 0.0), enforce=False,
+                           **grids)
+    m = rep.measured
+    loop = loop_sweep_minima(
+        w, p, *_sweep_grids(w, grids.get("xi_grid"), grids.get("t_grid")),
+        grids.get("sigma_nodes", 33))
+    return (m["ratio_min"], rep.witness, m["margins"], m["singular_points"],
+            m["nonfinite_points"]), loop
+
+
+# the bisection's probes and the ends of its steepness grid at both mass
+# ratios, the masked path and an oscillating weight
+@pytest.mark.parametrize("kind, alpha, m_ratio", [
+    ("grid", float(np.geomspace(0.5, 400.0, 40)[i]), mr)
+    for mr in (0.0, 1.0) for i in (0, 20, 25, 26, 27, 28, 30, 39)] + [
+    ("singular", 30.0, 1.0), ("oscillating", 30.0, 0.0)],
+    ids=lambda v: f"{v:g}" if isinstance(v, float) else v)
+def test_positivity_sweep_matches_the_loop_oracle_bit_for_bit(kind, alpha,
+                                                              m_ratio):
+    # the shared sums, b_xi alone and the in-place, masked minima give the
+    # measured values and the witness of the term-by-term loop; repr
+    # tells every bit apart
+    new, loop = sweep_and_loop(kind, alpha, m_ratio)
+    assert repr(new) == repr(loop)
+    assert (new[3] == 6) is (kind == "singular")
+
+
+def test_loop_oracle_comparison_sees_one_ulp(monkeypatch):
+    # negative control: dividing the two sides of a margin apart,
+    # tenth/env - |term|/env, moves its last bits, and the comparison
+    # fails
+    monkeypatch.setattr(oracles, "_loop_margin",
+                        lambda tenth, term, env:
+                        tenth / env - np.abs(term) / env)
+    new, loop = sweep_and_loop("grid", float(np.geomspace(0.5, 400.0, 40)[27]),
+                               0.0)
+    assert repr(new) != repr(loop)
 
 
 def test_positivity_counts_singular_points_over_the_signed_grid():
@@ -683,7 +739,21 @@ def test_garding_chunked_table_matches_per_triple_oracle(probe):
     w = QuadraticWeight.decaying(80.0, 1.0)
     rep = garding_hypothesis_check(w, P_34, constants=1.0,
                                    probe_order_8=probe)
-    assert rep.measured["order_max"] == garding_order_max(w, P_34, probe)
+    # repr tells every bit apart, the sign of a zero too
+    assert (repr(rep.measured["order_max"])
+            == repr(garding_order_max(w, P_34, probe)))
+
+
+@pytest.mark.parametrize("m_ratio, probe", [(0.0, False), (1.0, False),
+                                            (0.0, True)])
+def test_garding_gathers_match_the_loop_on_steady_profiles(m_ratio, probe):
+    # the calibration's steady profiles: there a stencil sum taken in
+    # another order moves the last bits of order_max
+    w = QuadraticWeight.constant(40.0, 1.0, 3.0)
+    p = OperatorParams(0.75, m_ratio * 2.0 * w.alpha / w.R)
+    rep = garding_hypothesis_check(w, p, constants=1.0, probe_order_8=probe)
+    assert (repr(rep.measured["order_max"])
+            == repr(garding_order_max(w, p, probe)))
 
 
 def test_garding_requires_interior_exponent():
@@ -853,8 +923,8 @@ def test_quadratic_support_violations():
                                  "elliptic", constants=con)
     wp = QuadraticWeight.decaying(2.0, 1.0)
     times = np.linspace(0.0, 1.0, 48)
-    fam = parabolic_test_family(wp, 8.0, 512, times, 1,
-                                np.random.default_rng(0))
+    fam = list(parabolic_test_family(wp, 8.0, 512, times, 1,
+                                     np.random.default_rng(0)))
     vals = fam[0].values.copy()
     vals[0] = vals[24]
     with pytest.raises(SupportError):
@@ -877,14 +947,16 @@ def test_quadratic_operand_terms_match_slice_oracle(mode, s, m_ratio):
     rng = np.random.default_rng(20260822)
     if mode == "elliptic":
         w = QuadraticWeight.constant(alpha, 1.0, 3.0)
-        fs = elliptic_test_family(w, 8.0, 512, 5, rng)
+        fs = list(elliptic_test_family(w, 8.0, 512, 5, rng))
     else:
         w = QuadraticWeight.decaying(alpha, 1.0)
-        fs = parabolic_test_family(w, 8.0, 512, np.linspace(0.0, 1.0, 48),
-                                   5, rng)
+        fs = list(parabolic_test_family(
+            w, 8.0, 512, np.linspace(0.0, 1.0, 48), 5, rng))
     diag = {}
-    carleman_quadratic_check(fs, w, p, mode, constants=QUAD_CON,
-                             diagnostics=diag)
+    # the check reads its operands once, as they come, and counts them
+    rep = carleman_quadratic_check(iter(fs), w, p, mode, constants=QUAD_CON,
+                                   diagnostics=diag)
+    assert rep.measured["count"] == len(fs)
     assert diag["operand_terms"] == [operand_terms(i, f, w, p, mode)
                                      for i, f in enumerate(fs)]
 
