@@ -14,7 +14,6 @@ from .errors import (
     DomainError,
     FracrelError,
     OverflowGuardError,
-    PoleError,
     PreconditionError,
     QuadratureError,
     SeamLeakError,
@@ -23,8 +22,6 @@ from .errors import (
 from .report import CheckReport
 from .special import (
     frac_power_constant,
-    gamma,
-    half_kernel_explicit,
     macdonald_k,
 )
 

@@ -15,10 +15,6 @@ class DomainError(FracrelError, ValueError):
     """An argument lies outside the mathematical domain of the function."""
 
 
-class PoleError(DomainError):
-    """Evaluation requested exactly at a pole."""
-
-
 class ConfigError(FracrelError, ValueError):
     """A configuration object violates its own invariants."""
 

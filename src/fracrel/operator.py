@@ -37,8 +37,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError, PreconditionError
 from .grid import GridFunction, centered_d2
-from .special import (_refined_trapezoid, frac_power_constant, gamma,
-                      macdonald_k)
+from .special import _refined_trapezoid, frac_power_constant, macdonald_k
 
 
 @dataclass(frozen=True)
@@ -183,7 +182,7 @@ def _kernel_weights(p: OperatorParams, L: float, n: int) -> dict:
         "w0": w0,
         "stencil_hat": stencil_hat,
         "moment": jin + j2_total,
-        "c_full": frac_power_constant(1, p.s) * p.m ** (0.5 + p.s),
+        "c_full": frac_power_constant(p.s) * p.m ** (0.5 + p.s),
     }
     return out
 
@@ -223,7 +222,7 @@ def subordination_multiplier(gam: np.ndarray, s: float) -> np.ndarray:
         return out
     gpos = gam[pos]
     g_lo, g_hi = float(gpos.min()), float(gpos.max())
-    gamma_neg = gamma(-s)  # negative throughout (0, 1)
+    gamma_neg = math.gamma(-s)  # negative throughout (0, 1)
     scale = abs(gamma_neg) * g_lo**s
 
     # window: the small-t side contributes at most g_hi e^((1-s)u)/(1-s),

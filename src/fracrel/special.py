@@ -1,5 +1,6 @@
-"""Macdonald functions, the fractional-power normalization constant, and the
-closed-form half-power heat kernel.
+"""The Macdonald function K_nu, the one-dimensional normalization constant
+C(1, s) of the singular-integral representation, and the refined-trapezoid
+driver that the Macdonald and subordination quadratures share.
 
 The Macdonald function K_nu is evaluated one way, for every nu >= 0 and
 z > 0: trapezoid quadrature of
@@ -33,7 +34,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, PoleError, QuadratureError
+from .errors import DomainError, QuadratureError
 
 # Relative tolerance of the quadrature refinement.
 QUAD_REL_TOL = 1e-12
@@ -47,18 +48,6 @@ _BLOCK_Z_RATIO = 16.0
 # (tile x nodes) buffer stands in for the (rows x nodes) matrix, and each
 # row is computed and summed as on the full matrix.
 _ROW_TILE = 64
-
-
-def gamma(x: float) -> float:
-    """Gamma function on the real line with explicit pole rejection.
-
-    Thin wrapper over the C library implementation; nonpositive integers
-    raise :class:`PoleError` instead of returning garbage.
-    """
-    x = float(x)
-    if x <= 0.0 and x == math.floor(x):
-        raise PoleError(f"gamma pole at x={x:g}")
-    return math.gamma(x)
 
 
 def _row_tiles(n_rows: int, n_cols: int):
@@ -155,7 +144,7 @@ def _log_cosh(x: np.ndarray) -> np.ndarray:
     return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
 
 
-def macdonald_k(nu: float, z, scaled: bool = False):
+def macdonald_k(nu: float, z):
     """Macdonald function K_nu(z) for nu >= 0, z > 0.
 
     Parameters
@@ -164,9 +153,6 @@ def macdonald_k(nu: float, z, scaled: bool = False):
         Order, finite and nonnegative.
     z : float or array_like
         Argument(s), finite and at least the smallest normal float.
-    scaled : bool
-        When True, return exp(z) * K_nu(z), which stays representable for
-        large arguments.
 
     Returns
     -------
@@ -183,48 +169,21 @@ def macdonald_k(nu: float, z, scaled: bool = False):
         raise DomainError("argument must be finite, positive and normal")
 
     flat = z_arr.ravel()
-    v = _kv_quadrature(nu, flat)
-    out = (v if scaled else v * np.exp(-flat)).reshape(z_arr.shape)
+    out = (_kv_quadrature(nu, flat) * np.exp(-flat)).reshape(z_arr.shape)
     if np.isscalar(z) or np.ndim(z) == 0:
         return float(out[()]) if out.shape == () else float(out[0])
     return out
 
 
-def frac_power_constant(N: int, s: float) -> float:
-    """Normalization constant of the singular-integral representation.
+def frac_power_constant(s: float) -> float:
+    """Normalization constant C(1, s) of the one-dimensional
+    singular-integral representation.
 
-    C(N, s) = -2^(1 + s - N/2) / (pi^(N/2) * Gamma(-s)), positive for
+    C(1, s) = -2^(1/2 + s) / (pi^(1/2) * Gamma(-s)), positive for
     s in (0, 1).  C(1, 1/2) = 1/pi.
     """
-    if int(N) != N or N < 1:
-        raise DomainError(f"dimension must be a positive integer, got {N!r}")
     if not (0.0 < s < 1.0):
         raise DomainError(f"power must lie in (0, 1), got s={s:g}")
-    return -(2.0 ** (1.0 + s - N / 2.0)) / (math.pi ** (N / 2.0) * gamma(-s))
-
-
-def half_kernel_explicit(t: float, x, m: float, N: int = 1):
-    """Closed-form heat kernel of the half power (s = 1/2) with mass m.
-
-    K_t(x) = 2^((1-N)/2) pi^(-(N+1)/2) m^((N+1)/2) t
-             (|x|^2 + t^2)^(-(N+1)/4) K_((N+1)/2)(m sqrt(|x|^2 + t^2))
-
-    normalized so that its integral over R^N equals exp(-m t).
-
-    ``x`` is interpreted as the radial coordinate |x| (vectorized).
-    """
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"time must be positive and finite, got t={t:g}")
-    if not 0.0 < m < math.inf:
-        raise DomainError(f"mass must be positive and finite, got m={m:g}")
-    if int(N) != N or N < 1:
-        raise DomainError(f"dimension must be a positive integer, got {N!r}")
-    x_arr = np.asarray(x, dtype=float)
-    rho = np.sqrt(x_arr * x_arr + t * t)
-    nu = 0.5 * (N + 1.0)
-    pref = (2.0 ** (0.5 * (1.0 - N)) * math.pi ** (-0.5 * (N + 1.0))
-            * m ** (0.5 * (N + 1.0)) * t)
-    vals = pref * rho ** (-0.5 * (N + 1.0)) * macdonald_k(nu, m * rho)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(vals)
-    return vals
+    # C(N, s) at N = 1 operation for operation, so the N-dimensional form
+    # in tests/oracles.py gives the same bits
+    return -(2.0 ** (1.0 + s - 0.5)) / (math.pi ** 0.5 * math.gamma(-s))

@@ -36,7 +36,6 @@ import functools
 import math
 import time
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -685,19 +684,22 @@ def _garding_orders(max_order: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _garding_triples(max_order: int) -> MappingProxyType:
-    """Offset triple (depth, time, frequency) -> row, for every stencil
-    point the Garding derivatives reach, numbered in first-use order;
-    cached per order as a read-only mapping."""
-    rows = {}
+def _garding_triples(max_order: int) -> tuple:
+    """Every offset triple (depth, time, frequency) the Garding derivatives
+    reach, in first-use order, and per derivative (i, j, k) the rows of its
+    triples, (depth, frequency) pairs by time slices; cached per order, the
+    row arrays read-only."""
+    rows, gathers = {}, []
     for i, j, k in _garding_orders(max_order):
-        # a zero time order evaluates at the unshifted time only
+        # a zero time order evaluates at the unshifted time only (pts_t +
+        # 0.0 * h_t is pts_t bit for bit)
         off_j = _fd_stencil(j)[0] if j else (0.0,)
-        for oi in _fd_stencil(i)[0]:
-            for ok in _fd_stencil(k)[0]:
-                for oj in off_j:
-                    rows.setdefault((oi, oj, ok), len(rows))
-    return MappingProxyType(rows)
+        index = np.array([[rows.setdefault((oi, oj, ok), len(rows))
+                           for oj in off_j] for oi in _fd_stencil(i)[0]
+                          for ok in _fd_stencil(k)[0]])
+        index.flags.writeable = False
+        gathers.append(((i, j, k), index))
+    return tuple(rows), tuple(gathers)
 
 
 def garding_hypothesis_check(w: QuadraticWeight, p: OperatorParams, *,
@@ -773,8 +775,7 @@ def garding_hypothesis_check(w: QuadraticWeight, p: OperatorParams, *,
     h_loc = step * lam
 
     max_order = 8 if probe_order_8 else 7
-    rows = _garding_triples(max_order)
-    triples = list(rows)
+    triples, gathers = _garding_triples(max_order)
     table = np.empty((len(triples), pts_sig.size))
     for c in range(0, len(triples), _GARDING_CHUNK_TRIPLES):
         oi, oj, ok = (np.array(col)[:, None] for col in
@@ -784,13 +785,9 @@ def garding_hypothesis_check(w: QuadraticWeight, p: OperatorParams, *,
             pts_xi + ok * h_loc).total
 
     order_max = {order: 0.0 for order in range(4, max_order + 1)}
-    for i, j, k in _garding_orders(max_order):
-        off_i, wt_i = _fd_stencil(i)
-        off_j, wt_j = _fd_stencil(j)
-        off_k, wt_k = _fd_stencil(k)
-        # pts_t + 0.0 * h_t is pts_t bit for bit
-        vals = table[[[rows[(oi, oj, ok)] for oj in (off_j if j else (0.0,))]
-                      for oi in off_i for ok in off_k]]
+    for (i, j, k), index in gathers:
+        vals = table[index]
+        wt_i, wt_j, wt_k = (_fd_stencil(order)[1] for order in (i, j, k))
         if j:
             # time stencil weights sum to zero, so accumulate
             # differences against a reference slice: summands shrink

@@ -3,7 +3,8 @@
 The package holds what ``fracrel run`` and ``fracrel calibrate`` execute.
 This module holds the rest: second routes the tests compare the package
 against (direct kernel sums, the kernel-cell carre du champ, the transform
-quadratic form, the heat kernel and its contour-shifted weighted form,
+quadratic form, the normalization constant C(N, s) in R^N, the heat
+kernel, its closed form at s = 1/2 and its contour-shifted weighted form,
 finite-difference brackets, per-state tilted integrals, the potential flow
 stepped into one stored trajectory and integrated from it, the
 slice-by-slice quadratic Carleman operand terms, the whole-matrix refined
@@ -33,7 +34,7 @@ from fracrel.operator import (OperatorParams, _kernel_weights,
                               _require_singular_ok, apply_spectral,
                               frequencies, symbol)
 from fracrel.report import CheckReport, finish_report
-from fracrel.special import frac_power_constant, macdonald_k
+from fracrel.special import _kv_quadrature, macdonald_k
 from fracrel.symbols import (_FD_BRACKET_STEP, _SUPPORT_LEAK_TOL,
                              ANNULUS_INNER, ANNULUS_OUTER, SINGULAR_FLOOR,
                              QuadraticWeight, SymbolPoint, _fd_stencil,
@@ -154,6 +155,22 @@ def refined_trapezoid_untiled(lo: float, hi: float, n: int, n_rows: int,
         f"{name} did not converge within {max_nodes} nodes")
 
 
+def frac_power_constant_nd(N: int, s: float) -> float:
+    """Normalization constant of the singular-integral representation in
+    R^N.
+
+    C(N, s) = -2^(1 + s - N/2) / (pi^(N/2) * Gamma(-s)), positive for
+    s in (0, 1).  At N = 1 it is special.frac_power_constant(s) bit for
+    bit: the package spells the same operations with N/2 = 0.5.
+    """
+    if int(N) != N or N < 1:
+        raise DomainError(f"dimension must be a positive integer, got {N!r}")
+    if not (0.0 < s < 1.0):
+        raise DomainError(f"power must lie in (0, 1), got s={s:g}")
+    return -(2.0 ** (1.0 + s - N / 2.0)) / (math.pi ** (N / 2.0)
+                                             * math.gamma(-s))
+
+
 _I0_ASY = (1.0, 0.125, 9.0 / 128.0, 75.0 / 1024.0, 11025.0 / 98304.0)
 
 
@@ -245,13 +262,13 @@ def bessel_identity_check(lambda_abs: float, N: int, s: float,
             r = np.exp(v[i : i + 1024])
             # minus sign: the identity integrand carries (1 - e^(lam.z))
             vals[i : i + 1024] = (-_angular_excess(N, lam, r)
-                                  * macdonald_k(nu, r, scaled=True)
+                                  * _kv_quadrature(nu, r)
                                   * r ** (N - nu))
         return float((vals.sum() - 0.5 * (vals[0] + vals[-1]))
                      * (v[1] - v[0]))
 
     total_fine = integrate(0.01)
-    lhs = frac_power_constant(N, s) * total_fine
+    lhs = frac_power_constant_nd(N, s) * total_fine
     rhs = -1.0 if at_edge else (1.0 - lam * lam) ** s - 1.0
     return finish_report(
         "operator.bessel_identity", {"lambda_abs": lambda_abs, "N": N, "s": s},
@@ -337,6 +354,33 @@ def stored_evolution(u0: GridFunction, V: PotentialField, T: float,
         base = np.fft.irfft(np.fft.rfft(u + half_v * u) * decay, u0.n)
         values[k + 1] = base / divisor
     return SpaceTimeFunction(u0.L, u0.n, np.array(times), values)
+
+
+def half_kernel_explicit(t: float, x, m: float, N: int = 1):
+    """Closed-form heat kernel of the half power (s = 1/2) with mass m.
+
+    K_t(x) = 2^((1-N)/2) pi^(-(N+1)/2) m^((N+1)/2) t
+             (|x|^2 + t^2)^(-(N+1)/4) K_((N+1)/2)(m sqrt(|x|^2 + t^2))
+
+    normalized so that its integral over R^N equals exp(-m t).
+
+    ``x`` is interpreted as the radial coordinate |x| (vectorized).
+    """
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"time must be positive and finite, got t={t:g}")
+    if not 0.0 < m < math.inf:
+        raise DomainError(f"mass must be positive and finite, got m={m:g}")
+    if int(N) != N or N < 1:
+        raise DomainError(f"dimension must be a positive integer, got {N!r}")
+    x_arr = np.asarray(x, dtype=float)
+    rho = np.sqrt(x_arr * x_arr + t * t)
+    nu = 0.5 * (N + 1.0)
+    pref = (2.0 ** (0.5 * (1.0 - N)) * math.pi ** (-0.5 * (N + 1.0))
+            * m ** (0.5 * (N + 1.0)) * t)
+    vals = pref * rho ** (-0.5 * (N + 1.0)) * macdonald_k(nu, m * rho)
+    if np.isscalar(x) or np.ndim(x) == 0:
+        return float(vals)
+    return vals
 
 
 def fundamental_solution(t: float, p: OperatorParams, L: float = 40.0,

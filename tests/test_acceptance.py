@@ -24,7 +24,7 @@ from fracrel.linear_carleman import (LinearWeight, calibrate_constants,
 from fracrel.operator import (OperatorParams, apply_singular_integral,
                               apply_spectral, apply_subordination,
                               frequencies, symbol)
-from fracrel.special import half_kernel_explicit, macdonald_k
+from fracrel.special import macdonald_k
 from fracrel.symbols import (QuadraticWeight, SymbolPoint,
                              appendix_conjugation_check, bracket_singular,
                              calibrate_quadratic, carleman_quadratic_check,
@@ -35,7 +35,8 @@ from fracrel.symbols import (QuadraticWeight, SymbolPoint,
                              quadratic_constants, s1_commutator_target)
 from oracles import (bessel_identity_check, collect, ddot_lower_bound_check,
                      eigenfunction_residual, fundamental_solution,
-                     mass_series, trapezoid, weighted_l1_kernel)
+                     half_kernel_explicit, mass_series, trapezoid,
+                     weighted_l1_kernel)
 
 P_HALF = OperatorParams(0.5, 1.0)
 SEED = 20260822

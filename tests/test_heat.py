@@ -1,7 +1,7 @@
 """Heat-flow checks: kernel identities, energy balance, log-convexity and
 the potential (Duhamel) solver.
 
-Closed-form oracles: the s = 1/2 kernel from special.half_kernel_explicit,
+Closed-form oracles: the s = 1/2 kernel from oracles.half_kernel_explicit,
 mass and weighted-mass exponentials, and the integrating-factor solution for
 a constant potential.
 """
@@ -21,10 +21,9 @@ from fracrel.heat import (PotentialField, energy_identity_check,
                           log_convexity_check, weighted_decay_check,
                           weighted_l2)
 from fracrel.operator import OperatorParams, frequencies, symbol
-from fracrel.special import half_kernel_explicit
 from oracles import (backward_uc_check, collect, fourier_mode,
-                     fundamental_solution, shifted_kernel, trapezoid,
-                     weighted_l1_kernel)
+                     fundamental_solution, half_kernel_explicit,
+                     shifted_kernel, trapezoid, weighted_l1_kernel)
 
 P_HALF = OperatorParams(0.5, 1.0)
 

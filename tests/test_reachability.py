@@ -10,9 +10,9 @@ name, bare or as an attribute.  Imports alone reach nothing.  Matching by name
 over-approximates the call graph, so the guard can miss a dead function
 that shares its name with a live one, but it never flags a live one.
 
-Exempt, each for its reason:
-  * names exported from fracrel/__init__.py: they are the public API;
-  * ``CheckReport.to_json``: a method of an exported class, part of its API.
+Exported names get no exemption: every function fracrel/__init__.py
+exports is one a CLI path calls.  The one exemption is
+``CheckReport.to_json``, a method of an exported class, part of its API.
 """
 import ast
 from pathlib import Path
@@ -48,12 +48,9 @@ def unreachable(sources, exempt=True):
     name -> text) that cli.main and the import-time code never reach."""
     units = []        # (qualified name, bare name, def node)
     roots = []        # import-time code
-    exported = set()
     defs = (ast.FunctionDef, ast.AsyncFunctionDef)
     for module, text in sources.items():
         for node in ast.parse(text).body:
-            if module == "__init__" and isinstance(node, ast.ImportFrom):
-                exported |= {a.asname or a.name for a in node.names}
             if isinstance(node, defs):
                 units.append((f"{module}.{node.name}", node.name, node))
                 roots += _import_time(node)
@@ -71,8 +68,6 @@ def unreachable(sources, exempt=True):
     reached = {"main"} | _names(roots) | {
         name for _, name, _ in units
         if name.startswith("__") and name.endswith("__")}
-    if exempt:
-        reached |= exported
     done = set()
     while True:
         fresh = [(q, node) for q, name, node in units
@@ -95,10 +90,9 @@ def test_every_function_is_reachable_from_the_cli():
 
 
 def test_every_exemption_is_needed():
-    # without the exemptions exactly the exempt names come back: the
-    # exported API that no CLI path calls, and CheckReport.to_json
+    # without the exemption exactly the exempt name comes back
     assert unreachable(_sources(), exempt=False) == [
-        "report.CheckReport.to_json", "special.half_kernel_explicit"]
+        "report.CheckReport.to_json"]
 
 
 def test_negative_control_uncalled_code_fails():
@@ -109,3 +103,8 @@ def test_negative_control_uncalled_code_fails():
         "\n\nclass _Box:\n    def unused(self):\n        return 0\n")
     assert unreachable(sources) == ["grid._Box.unused", "grid._orphan",
                                     "grid._orphan_helper"]
+    # exporting a function does not reach it; only a CLI path does
+    sources = _sources()
+    sources["special"] += "\n\ndef exported_orphan(z):\n    return z\n"
+    sources["__init__"] += "from .special import exported_orphan\n"
+    assert unreachable(sources) == ["special.exported_orphan"]

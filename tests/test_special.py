@@ -7,15 +7,10 @@ import pytest
 import scipy.special as sp
 
 from fracrel import special
-from fracrel.errors import DomainError, PoleError, QuadratureError
-from fracrel.special import (
-    _kv_quadrature,
-    frac_power_constant,
-    gamma,
-    half_kernel_explicit,
-    macdonald_k,
-)
+from fracrel.errors import DomainError, QuadratureError
+from fracrel.special import _kv_quadrature, frac_power_constant, macdonald_k
 import oracles
+from oracles import frac_power_constant_nd, half_kernel_explicit
 
 
 def test_k_half_closed_form():
@@ -24,7 +19,7 @@ def test_k_half_closed_form():
     z = np.logspace(-26, 27, 2000)
     for nu, poly in ((0.5, 1.0), (1.5, 1.0 + 1.0 / z),
                      (2.5, 1.0 + 3.0 / z + 3.0 / z**2)):
-        got = macdonald_k(nu, z, scaled=True)
+        got = _kv_quadrature(nu, z)
         want = np.sqrt(0.5 * math.pi / z) * poly
         rel = np.max(np.abs(got - want) / want)
         assert rel <= 5e-14, f"nu={nu}: max rel err {rel:.3e}"
@@ -34,7 +29,7 @@ def test_k_half_closed_form():
                                 1.2, 1.5, 2.0, 2.5, 3.0, 3.7])
 def test_against_scipy_sweep(nu):
     z = np.logspace(-3, math.log10(600.0), 200)
-    got = macdonald_k(nu, z, scaled=True)
+    got = _kv_quadrature(nu, z)
     want = sp.kve(nu, z)
     rel = np.max(np.abs(got - want) / want)
     assert rel <= 2e-13, f"nu={nu}: max rel err {rel:.3e}"
@@ -45,7 +40,7 @@ def test_integer_order_quadrature_is_exact_order(nu):
     # integer orders run the quadrature at nu itself; averaging nu +- eps
     # would leave an O(eps^2) bias near 1e-11
     z = np.linspace(0.01, 30.0, 2002)[1:-1]
-    got = macdonald_k(nu, z, scaled=True)
+    got = _kv_quadrature(nu, z)
     want = sp.kve(nu, z)
     rel = np.max(np.abs(got - want) / want)
     assert rel <= 1e-13, f"nu={nu}: max rel err {rel:.3e}"
@@ -64,15 +59,15 @@ def test_frozen_spot_values(nu, z, want):
 
 
 def test_scaled_matches_unscaled():
+    # K_nu is the scaled quadrature times exp(-z), bit for bit
     z = np.linspace(0.2, 30.0, 57)
-    a = macdonald_k(0.7, z, scaled=True) * np.exp(-z)
-    b = macdonald_k(0.7, z)
-    np.testing.assert_allclose(a, b, rtol=1e-12)
+    assert np.array_equal(macdonald_k(0.7, z), _kv_quadrature(0.7, z)
+                          * np.exp(-z))
 
 
 def test_scaled_survives_large_argument():
     # unscaled underflows near z ~ 740; the scaled value stays O(z^-1/2)
-    val = macdonald_k(1.5, 5000.0, scaled=True)
+    val = _kv_quadrature(1.5, np.array([5000.0]))[0]
     want = math.sqrt(0.5 * math.pi / 5000.0)
     assert abs(val / want - 1.0) < 1e-3
 
@@ -186,40 +181,39 @@ def test_quadrature_matches_scipy_at_the_suite_orders(nu):
     # off a 30-digit mpmath value at nu = 0.8, z = 2, where the quadrature
     # matches it to the last bit
     z = np.linspace(2.0, 25.0, 4000)
-    got = macdonald_k(nu, z, scaled=True)
+    got = _kv_quadrature(nu, z)
     want = sp.kve(nu, z)
     rel = np.max(np.abs(got - want) / want)
     assert rel <= 2e-13, f"nu={nu}: max rel err {rel:.3e}"
 
 
-def test_gamma_wrapper():
-    assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-    assert gamma(-0.5) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-14)
-    for bad in (0.0, -1.0, -7.0):
-        with pytest.raises(PoleError):
-            gamma(bad)
-
-
 def test_frac_power_constant_values():
     # closed form at s = 1/2 in one dimension
-    assert frac_power_constant(1, 0.5) == pytest.approx(1.0 / math.pi,
-                                                        rel=1e-14)
+    assert frac_power_constant(0.5) == pytest.approx(1.0 / math.pi,
+                                                     rel=1e-14)
     # frozen mpmath references
-    assert frac_power_constant(1, 0.3) == pytest.approx(
+    assert frac_power_constant(0.3) == pytest.approx(
         0.22702679034253217103, rel=1e-14)
-    assert frac_power_constant(2, 0.5) == pytest.approx(
+    assert frac_power_constant_nd(2, 0.5) == pytest.approx(
         0.12698727186848193957, rel=1e-14)
-    assert frac_power_constant(3, 0.7) == pytest.approx(
+    assert frac_power_constant_nd(3, 0.7) == pytest.approx(
         0.048270323308272449112, rel=1e-14)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+def test_oracle_constant_is_the_package_constant_in_one_dimension(s):
+    # the suite's powers; the oracle's C(N, s) at N = 1 and the package's
+    # C(1, s) are the same operations, so any drift in either shows here
+    assert frac_power_constant_nd(1, s) == frac_power_constant(s)
 
 
 def test_frac_power_constant_domain():
     with pytest.raises(DomainError):
-        frac_power_constant(1, 0.0)
+        frac_power_constant(0.0)
     with pytest.raises(DomainError):
-        frac_power_constant(1, 1.0)
+        frac_power_constant(1.0)
     with pytest.raises(DomainError):
-        frac_power_constant(0, 0.5)
+        frac_power_constant_nd(0, 0.5)
 
 
 def test_half_kernel_spot_values():
@@ -268,7 +262,7 @@ def test_half_kernel_positive_even():
 def test_quadrature_longer_than_one_block_matches_scipy():
     # 5,000 unsorted points, cut into several sorted blocks
     z = np.linspace(0.01, 30.0, 5000)[::-1]
-    got = macdonald_k(1.0, z, scaled=True)
+    got = _kv_quadrature(1.0, z)
     want = sp.kve(1.0, z)
     rel = np.max(np.abs(got - want) / want)
     assert rel < 1e-8, f"max rel err {rel:.3e}"

@@ -1185,8 +1185,13 @@ def test_cached_stencils_are_read_only():
     for array in (offsets, weights):
         with pytest.raises(ValueError):
             array[0] = 0.0
+    triples, gathers = symbols._garding_triples(7)
+    assert symbols._garding_triples(7)[1] is gathers
     with pytest.raises(TypeError):
-        symbols._garding_triples(7)[(0.0, 0.0, 0.0)] = 0
+        triples[0] = (0.0, 0.0, 0.0)
+    for _, index in gathers:
+        with pytest.raises(ValueError):
+            index[0, 0] = 0
 
 
 def test_calibration_loaders():
