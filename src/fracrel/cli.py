@@ -160,9 +160,8 @@ def _validate(cfg: dict) -> None:
                           f"window needs a box of at least {2.0 * outer:g}")
 
 
-def _split_rng(seed: int, suite: str, check: str, index: int = 0):
-    digest = hashlib.sha256(
-        f"{seed}|{suite}|{check}|{index}".encode()).digest()
+def _split_rng(seed: int, suite: str, check: str):
+    digest = hashlib.sha256(f"{seed}|{suite}|{check}|0".encode()).digest()
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
 

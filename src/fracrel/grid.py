@@ -106,9 +106,6 @@ class SpaceTimeFunction:
     def x(self) -> np.ndarray:
         return grid_points(self.L, self.n)
 
-    def slice(self, i: int) -> GridFunction:
-        return GridFunction(self.L, self.n, self.values[i])
-
     def with_values(self, values: np.ndarray) -> "SpaceTimeFunction":
         return SpaceTimeFunction(self.L, self.n, self.times, values)
 
@@ -169,10 +166,9 @@ def smooth_window(L: float, n: int, inner: float, outer: float) -> GridFunction:
     return GridFunction(L, n, smooth_step(t))
 
 
-def gaussian(L: float, n: int, sigma: float = 1.0,
-             center: float = 0.0) -> GridFunction:
+def gaussian(L: float, n: int, sigma: float = 1.0) -> GridFunction:
     x = grid_points(L, n)
-    return GridFunction(L, n, np.exp(-0.5 * ((x - center) / sigma) ** 2))
+    return GridFunction(L, n, np.exp(-0.5 * (x / sigma) ** 2))
 
 
 def band_limited_noise(L: float, n: int, k_max: int, rng: np.random.Generator,

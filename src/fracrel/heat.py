@@ -35,6 +35,10 @@ CHUNK_ROWS = 4
 # free flow.
 _WEIGHTED_DECAY_TOLERANCE = 1e-12
 
+# Horizon and trapezoid step count of the energy identity check.
+_ENERGY_T = 1.0
+_ENERGY_STEPS = 100
+
 
 @dataclass(frozen=True)
 class PotentialField:
@@ -127,18 +131,17 @@ def _cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def energy_identity_check(u0: GridFunction, p: OperatorParams, T: float = 1.0,
-                          steps: int = 100,
+def energy_identity_check(u0: GridFunction, p: OperatorParams,
                           tolerance: float = 1e-4) -> CheckReport:
-    """Balance ||u(t)||^2 + 2 int_0^t ||op^(1/2) u||^2 against ||u0||^2.
+    """Balance ||u(t)||^2 + 2 int_0^t ||op^(1/2) u||^2 against ||u0||^2
+    over t in [0, _ENERGY_T].
 
-    The time integral uses the trapezoid rule on the step grid, so the
-    residual measures the discretization honestly instead of hiding it in
-    an exact per-mode antiderivative.
+    The time integral uses the trapezoid rule on the _ENERGY_STEPS step
+    grid, so the residual measures the discretization honestly instead of
+    hiding it in an exact per-mode antiderivative.
     """
     t_start = time.perf_counter()
-    if T <= 0.0 or steps < 1:
-        raise DomainError("need T > 0 and steps >= 1")
+    T, steps = _ENERGY_T, _ENERGY_STEPS
     sig = symbol(p, frequencies(u0.L, u0.n))
     c0 = np.fft.rfft(u0.values)
     times = np.linspace(0.0, T, steps + 1)

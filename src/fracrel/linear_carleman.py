@@ -54,8 +54,9 @@ from .report import CheckReport, finish_report, frozen_entry
 TILTED_MASS_COEFF = 0.375
 
 # Largest |drift - eigenvalue| * horizon the persistence bookkeeping will
-# exponentiate before giving up.
+# exponentiate before giving up, and the tolerance of its balance.
 _RATE_HORIZON_CAP = 600.0
+_MONOTONICITY_TOLERANCE = 2e-4
 
 # Step of the evolutions behind the inequality ledger.
 LEDGER_DT = 1e-2
@@ -69,11 +70,12 @@ _CORPUS_INNER = 8.0
 _CORPUS_OUTER = 12.0
 
 # Calibration scan: drift gaps below -m^(2s), tried in order; the operating
-# drift's offset below -m^(2s); the step of the short fine evolutions that
-# the production-rate bound is checked on.
+# drift's offset below -m^(2s); the step and horizon of the short fine
+# evolutions that the production-rate bound is checked on.
 _GAP_OFFSETS = (0.25, 0.5, 1.0, 2.0, 4.0, 7.0, 10.0)
 _OPERATING_OFFSET = 10.0
 _FINE_DT = 1e-3
+_FINE_T = 0.05
 
 # Relative slack of the production-rate bound, in the calibration scan and
 # in the test-only ddot_lower_bound_check (tests/oracles.py) alike.
@@ -226,8 +228,7 @@ def _time_integral(values: np.ndarray, dt: float) -> float:
 # persistence of the tilted mass
 
 def monotonicity_check(flow: TiltedSeries, V: PotentialField | None,
-                       w: LinearWeight, p: OperatorParams,
-                       tolerance: float = 2e-4) -> CheckReport:
+                       w: LinearWeight, p: OperatorParams) -> CheckReport:
     """Gronwall accounting of the tilted mass along the forced flow.
 
     ``flow`` is tilted_series, at the weight's lam without energy terms, of
@@ -277,10 +278,11 @@ def monotonicity_check(flow: TiltedSeries, V: PotentialField | None,
             series * decay, dt)
 
     lhs_exact = mass + rolled(phi, a)
-    rhs_exact = np.exp(a * times) * mass[0] + rolled(cross, a)
-    scale = (mass + rolled(phi, a) + np.exp(a * times) * mass[0]
-             + rolled(np.abs(cross), a) + 1e-300)
-    identity_violation = float(np.max(np.abs(lhs_exact - rhs_exact) / scale))
+    initial = np.exp(a * times) * mass[0]
+    rhs_exact = initial + rolled(cross, a)
+    scale = lhs_exact + initial + rolled(np.abs(cross), a) + 1e-300
+    identity_residual = np.abs(lhs_exact - rhs_exact) / scale
+    identity_violation = float(np.max(identity_residual))
 
     b = a + 1.0
     lhs_groen = mass + rolled(phi, b)
@@ -290,7 +292,7 @@ def monotonicity_check(flow: TiltedSeries, V: PotentialField | None,
     lhs_claim = mass + _cumulative_trapezoid(phi, dt)
     rhs_claim = np.exp(a * times) * (mass[0] + _cumulative_trapezoid(gsq, dt))
     claimed_slack = (rhs_claim - lhs_claim) / scale
-    worst = int(np.argmax(np.abs(lhs_exact - rhs_exact) / scale))
+    worst = int(np.argmax(identity_residual))
     violation = max(identity_violation, groen_violation)
     return finish_report(
         "linear_carleman.monotonicity",
@@ -301,7 +303,7 @@ def monotonicity_check(flow: TiltedSeries, V: PotentialField | None,
                   "groenwall_violation": groen_violation,
                   "claimed_slack_min": float(np.min(claimed_slack)),
                   "mass_ratio": float(mass[-1] / (mass[0] + 1e-300))},
-        tolerance=tolerance,
+        tolerance=_MONOTONICITY_TOLERANCE,
         violation=violation,
         witness={"t": float(times[worst]),
                  "lhs": float(lhs_exact[worst]),
@@ -568,8 +570,7 @@ def carleman_corpus(L: float, n: int, draws: int, seed: int,
 
 def calibrate_constants(p: OperatorParams, lam: float, *,
                         L: float = 128.0, n: int = 4096,
-                        draws: int = 50, seed: int = 20260822,
-                        fine_T: float = 0.05) -> dict:
+                        draws: int = 50, seed: int = 20260822) -> dict:
     """Empirical sweep that fixes the two free constants.
 
     For each corpus draw the trajectory and its tilted integrals are
@@ -588,7 +589,7 @@ def calibrate_constants(p: OperatorParams, lam: float, *,
     for u0, V in carleman_corpus(L, n, draws, seed):
         v = V.sample(u0)
         fine.append(tilted_series(u0, evolve_with_potential(
-            u0, v, fine_T, p, dt=_FINE_DT), lam, p, v).checked())
+            u0, v, _FINE_T, p, dt=_FINE_DT), lam, p, v).checked())
         coarse.append(tilted_series(u0, evolve_with_potential(
             u0, v, 1.0, p, dt=LEDGER_DT), lam, p, v).checked())
 
@@ -658,13 +659,12 @@ def calibrate_constants(p: OperatorParams, lam: float, *,
                       "threshold_saturated": saturated},
         "corpus": {"L": L, "n": n, "draws": draws, "seed": seed,
                    "k_max": _CORPUS_K_MAX, "sup_v": _CORPUS_SUP_V,
-                   "fine_dt": _FINE_DT, "fine_T": fine_T,
+                   "fine_dt": _FINE_DT, "fine_T": _FINE_T,
                    "ledger_dt": LEDGER_DT},
     }
 
 
-def load_calibration(p: OperatorParams, lam: float, path=None) -> dict:
-    """The frozen one-dimensional constants for (s, m, lam of the weight),
-    from the packaged tables or the file at ``path``."""
-    return frozen_entry("linear", path, dim=1, s=float(p.s), m=float(p.m),
+def load_calibration(p: OperatorParams, lam: float) -> dict:
+    """The frozen one-dimensional constants for (s, m, lam of the weight)."""
+    return frozen_entry("linear", dim=1, s=float(p.s), m=float(p.m),
                         lam=float(lam))

@@ -12,7 +12,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from importlib import resources
-from pathlib import Path
 from typing import Any
 
 from .errors import CalibrationError
@@ -80,25 +79,18 @@ class CheckReport:
         return f"[{status}] {self.name} (tol={self.tolerance:g})"
 
 
-def calibration_tables(path=None) -> dict:
-    """The frozen calibration tables packaged in ``data/calibration.json``,
-    or those in the file at ``path``: a table of the same layout or a
-    ``fracrel calibrate`` bundle, whose tables sit under ``body.tables``."""
-    if path is None:
-        text = resources.files("fracrel").joinpath(
-            "data", "calibration.json").read_text()
-    else:
-        text = Path(path).read_text()
-    table = json.loads(text)
-    return table["body"].get("tables", {}) if "body" in table else table
+def calibration_tables() -> dict:
+    """The frozen calibration tables packaged in ``data/calibration.json``."""
+    return json.loads(resources.files("fracrel").joinpath(
+        "data", "calibration.json").read_text())
 
 
-def frozen_entry(table: str, path=None, **keys) -> dict:
+def frozen_entry(table: str, **keys) -> dict:
     """The first entry of calibration table ``table`` whose ``keys`` match:
     floats to 1e-9 relative (absolute below 1), other values by equality.
     A table that is a single entry (the linear one) reads as a list of
     one."""
-    entries = calibration_tables(path).get(table, [])
+    entries = calibration_tables()[table]
     for entry in [entries] if isinstance(entries, dict) else entries:
         if all(abs(entry[k] - v) <= 1e-9 * max(1.0, abs(v))
                if isinstance(v, float) else entry[k] == v

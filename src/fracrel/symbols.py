@@ -62,9 +62,14 @@ PHI_CAP = 700.0
 # Conditioning cap e^{max phi - min phi} for the similarity-route check.
 CONDITION_CAP = 1e8
 
-# Default xi sweep: log-spaced magnitudes spanning [1e-3, 1e3] * (alpha/R)
-# with a dense linear patch across the case-split frequency 2 alpha/R.
+# The positivity sweep's grids: XI_SWEEP_NODES log-spaced |xi| spanning
+# [1e-3, 1e3] * (alpha/R) with a dense linear patch across the case-split
+# frequency 2 alpha/R, the times SWEEP_TIMES, and SWEEP_SIGMA_NODES annulus
+# offsets per branch at each time.
 XI_SWEEP_NODES = 400
+SWEEP_TIMES = np.linspace(0.0, 2.0, 21)
+SWEEP_TIMES.flags.writeable = False
+SWEEP_SIGMA_NODES = 33
 
 # Points where the symbol modulus sits below this times the local frequency
 # scale are reported as singular instead of entering sweep minima.
@@ -154,31 +159,27 @@ class QuadraticWeight:
                    psi_d1_sup=0.0, psi_d2_sup=0.0)
 
     @classmethod
-    def decaying(cls, alpha: float, R: float, scale: float = 3.0) -> "QuadraticWeight":
-        """Sliding profile psi(t) = scale/(1+t), top value scale at t = 0."""
-        if not (0.0 < scale <= 3.0):
-            raise ConfigError("profile scale must lie in (0, 3]")
+    def decaying(cls, alpha: float, R: float) -> "QuadraticWeight":
+        """Sliding profile psi(t) = 3/(1+t), top value 3 at t = 0."""
         return cls(alpha, R,
-                   psi=lambda t: scale / (1.0 + np.asarray(t, dtype=float)),
-                   psi_d1=lambda t: -scale / (1.0 + np.asarray(t, dtype=float)) ** 2,
-                   psi_d2=lambda t: 2.0 * scale / (1.0 + np.asarray(t, dtype=float)) ** 3,
-                   psi_d1_sup=scale, psi_d2_sup=2.0 * scale)
+                   psi=lambda t: 3.0 / (1.0 + np.asarray(t, dtype=float)),
+                   psi_d1=lambda t: -3.0 / (1.0 + np.asarray(t, dtype=float)) ** 2,
+                   psi_d2=lambda t: 6.0 / (1.0 + np.asarray(t, dtype=float)) ** 3,
+                   psi_d1_sup=3.0, psi_d2_sup=6.0)
 
     @classmethod
-    def oscillating(cls, alpha: float, R: float, amplitude: float = 1.4,
+    def oscillating(cls, alpha: float, R: float,
                     rate: float = 2.0) -> "QuadraticWeight":
-        """Profile psi(t) = 1.5 + amplitude cos(rate t).  Brisk rates drive
-        the curvature term negative, which is how falsification configs
-        break the positivity ladder."""
-        if not (0.0 < amplitude <= 1.5):
-            raise ConfigError("amplitude must lie in (0, 1.5]")
+        """Profile psi(t) = 1.5 + 1.4 cos(rate t).  Brisk rates drive the
+        curvature term negative, which is how falsification configs break
+        the positivity ladder."""
         if rate <= 0.0:
             raise ConfigError("rate must be positive")
         return cls(alpha, R,
-                   psi=lambda t: 1.5 + amplitude * np.cos(rate * np.asarray(t, dtype=float)),
-                   psi_d1=lambda t: -amplitude * rate * np.sin(rate * np.asarray(t, dtype=float)),
-                   psi_d2=lambda t: -amplitude * rate ** 2 * np.cos(rate * np.asarray(t, dtype=float)),
-                   psi_d1_sup=amplitude * rate, psi_d2_sup=amplitude * rate ** 2)
+                   psi=lambda t: 1.5 + 1.4 * np.cos(rate * np.asarray(t, dtype=float)),
+                   psi_d1=lambda t: -1.4 * rate * np.sin(rate * np.asarray(t, dtype=float)),
+                   psi_d2=lambda t: -1.4 * rate ** 2 * np.cos(rate * np.asarray(t, dtype=float)),
+                   psi_d1_sup=1.4 * rate, psi_d2_sup=1.4 * rate ** 2)
 
     def psi_at(self, t):
         val = np.asarray(self.psi(t), dtype=float)
@@ -424,19 +425,18 @@ def poisson_bracket_fd(pt: SymbolPoint, w: QuadraticWeight,
 # frozen calibration table
 
 
-def positivity_constants(s: float, m_ratio: float, path=None) -> tuple:
+def positivity_constants(s: float, m_ratio: float) -> tuple:
     """Frozen (c_hyp, c_min) of the positivity sweep for this (s, m-ratio)."""
-    entry = frozen_entry("positivity", path, s=float(s),
-                         m_ratio=float(m_ratio))
+    entry = frozen_entry("positivity", s=float(s), m_ratio=float(m_ratio))
     return float(entry["c_hyp"]), float(entry["c_min"])
 
 
-def garding_constants(s: float, m_ratio: float, path=None) -> dict:
-    return frozen_entry("garding", path, s=float(s), m_ratio=float(m_ratio))
+def garding_constants(s: float, m_ratio: float) -> dict:
+    return frozen_entry("garding", s=float(s), m_ratio=float(m_ratio))
 
 
-def quadratic_constants(mode: str, s: float, m_ratio: float, path=None) -> dict:
-    return frozen_entry("quadratic", path, mode=mode, s=float(s),
+def quadratic_constants(mode: str, s: float, m_ratio: float) -> dict:
+    return frozen_entry("quadratic", mode=mode, s=float(s),
                         m_ratio=float(m_ratio))
 
 
@@ -502,13 +502,6 @@ def _mixed_pieces(c: _SymbolCore, ptx: float):
         odd = _product(ptx, c.grad_scale, c.xi, c.local, c.sin_s)
         even = _product(-ptx, c.grad_scale, c.px, c.xp - c.m * c.m, c.cos_s)
     return odd, even
-
-
-def _sweep_grids(w: QuadraticWeight, xi_grid, t_grid):
-    """The xi magnitudes and times of a positivity sweep, defaults filled in."""
-    xi = default_xi_grid(w) if xi_grid is None else xi_grid
-    t = np.linspace(0.0, 2.0, 21) if t_grid is None else t_grid
-    return np.asarray(xi, dtype=float), np.asarray(t, dtype=float)
 
 
 def _sweep_minima(w: QuadraticWeight, p: OperatorParams, xi_mag: np.ndarray,
@@ -587,16 +580,15 @@ def _ladder_holds(w: QuadraticWeight, p: OperatorParams) -> bool:
     _require_sweep_params(p, "positivity sweep needs")
     return all(ratio_min > 0.0 and min(margins.values()) >= -_DOMINANCE_SLACK
                for ratio_min, _, margins, _, _ in _sweep_minima(
-                   w, p, *_sweep_grids(w, None, None), sigma_nodes=33))
+                   w, p, default_xi_grid(w), SWEEP_TIMES, SWEEP_SIGMA_NODES))
 
 
 def positivity_sweep(w: QuadraticWeight, p: OperatorParams, *,
-                     xi_grid=None, t_grid=None, sigma_nodes: int = 33,
                      constants=None, enforce: bool = True) -> CheckReport:
     """Certify the calibrated pointwise lower bound on the parabolic bracket.
 
-    Sweeps the support annulus intersected with |x| <= R, times in t_grid
-    and signed xi over xi_grid, and reports
+    Sweeps the support annulus intersected with |x| <= R, times in
+    SWEEP_TIMES and signed xi over default_xi_grid, and reports
 
         min  {a~, b~} / [ s^2 (alpha/R^2) (xi^2 + 4 alpha^2/R^2)^{2s-1} ]
 
@@ -609,8 +601,8 @@ def positivity_sweep(w: QuadraticWeight, p: OperatorParams, *,
     gradient scale, b_xi and the base bracket depend on xi through xi^2 or
     through products whose sign flips cancel, and the odd piece is the
     product of xi and sin(s theta), both exactly negated.  The sweep
-    therefore evaluates xi = -xi_grid only, in ascending order, which is
-    the negative half of the signed grid: the worst point it reports is the
+    therefore evaluates xi = -|xi| only, in ascending order, which is the
+    negative half of the signed grid: the worst point it reports is the
     first occurrence over the signed grid, and singular_points and
     nonfinite_points count each half-grid point twice.  A block forms the
     core's shared sums once, b_xi without a_xi, and the ratio and margins
@@ -638,10 +630,11 @@ def positivity_sweep(w: QuadraticWeight, p: OperatorParams, *,
         gate_ok = False
         gate_msg = str(err)
 
-    xi_mag, t_grid = _sweep_grids(w, xi_grid, t_grid)
+    xi_mag = default_xi_grid(w)
     # the running minima after the last block
     *_, (ratio_min, witness, margins, singular_count,
-         nonfinite_count) = _sweep_minima(w, p, xi_mag, t_grid, sigma_nodes)
+         nonfinite_count) = _sweep_minima(w, p, xi_mag, SWEEP_TIMES,
+                                          SWEEP_SIGMA_NODES)
     worst_margin = min(margins.values())
     violation = max(c_min - ratio_min,
                     -worst_margin - _DOMINANCE_SLACK,
@@ -652,8 +645,8 @@ def positivity_sweep(w: QuadraticWeight, p: OperatorParams, *,
                 "gate_ok": gate_ok, "gate_message": gate_msg}
     inputs = {"alpha": w.alpha, "R": w.R, "s": p.s, "m": p.m,
               "psi_d1_sup": w.psi_d1_sup, "psi_d2_sup": w.psi_d2_sup,
-              "xi_nodes": int(xi_mag.size), "t_nodes": int(len(np.atleast_1d(t_grid))),
-              "sigma_nodes": sigma_nodes, "enforce": enforce}
+              "xi_nodes": xi_mag.size, "t_nodes": SWEEP_TIMES.size,
+              "sigma_nodes": SWEEP_SIGMA_NODES, "enforce": enforce}
     return finish_report("symbols.positivity_sweep", inputs, measured,
                          0.0, violation, witness, t_start)
 
@@ -674,23 +667,23 @@ def _fd_stencil(order: int):
     return offsets, weights
 
 
-def _garding_orders(max_order: int):
+def _garding_orders():
     """(depth, time, frequency) derivative orders (i, j, k) with total
-    order 4..max_order, in the order the Garding check assembles them."""
-    for i in range(0, max_order + 1):
-        for j in range(0, max_order + 1 - i):
-            for k in range(max(0, 4 - i - j), max_order + 1 - i - j):
+    order 4..7, in the order the Garding check assembles them."""
+    for i in range(0, 8):
+        for j in range(0, 8 - i):
+            for k in range(max(0, 4 - i - j), 8 - i - j):
                 yield i, j, k
 
 
 @functools.lru_cache(maxsize=None)
-def _garding_triples(max_order: int) -> tuple:
+def _garding_triples() -> tuple:
     """Every offset triple (depth, time, frequency) the Garding derivatives
     reach, in first-use order, and per derivative (i, j, k) the rows of its
-    triples, (depth, frequency) pairs by time slices; cached per order, the
-    row arrays read-only."""
+    triples, (depth, frequency) pairs by time slices; cached, the row
+    arrays read-only."""
     rows, gathers = {}, []
-    for i, j, k in _garding_orders(max_order):
+    for i, j, k in _garding_orders():
         # a zero time order evaluates at the unshifted time only (pts_t +
         # 0.0 * h_t is pts_t bit for bit)
         off_j = _fd_stencil(j)[0] if j else (0.0,)
@@ -703,8 +696,7 @@ def _garding_triples(max_order: int) -> tuple:
 
 
 def garding_hypothesis_check(w: QuadraticWeight, p: OperatorParams, *,
-                             constants=None,
-                             probe_order_8: bool = False) -> CheckReport:
+                             constants=None) -> CheckReport:
     """Measure sup |d^(i,j,k) {a~, b~}| over derivative orders 4..7.
 
     Derivatives are taken by nested central differences in annulus-adapted
@@ -720,23 +712,19 @@ def garding_hypothesis_check(w: QuadraticWeight, p: OperatorParams, *,
 
     with the frozen C_ref.  Samples sit at small and moderate |xi| where
     the envelope peaks; at large |xi| every derivative only decays faster.
-    probe_order_8 also measures order 8 and records its ratio to the
-    order-7 maximum (the envelope decays with each order, so the ratio
-    should stay near or below one).
 
     The stencils of the derivative orders share most of their offsets:
     orders 4..7 reach 575 distinct offset triples (depth, time,
-    frequency), 833 with order 8.  The triples are collected first, in
-    first-use order, and the bracket is evaluated on them in chunks of
-    _GARDING_CHUNK_TRIPLES triples at every sample point, one
-    parabolic_bracket call per chunk (12 calls, 18 with order 8).  The
-    bracket is elementwise, so every row holds the bits a call on that
-    triple alone gives.  Each derivative then gathers its rows with one
-    index, (depth, frequency) pairs by time slices, and reduces them with
-    np.add.reduce over the slice axis, then the pair axis.  Neither is
-    the innermost axis, so numpy adds slice after slice in stencil order:
-    the sums of a loop over the stencil, except for the sign of a zero
-    sum, which the absolute value drops.
+    frequency).  The triples are collected first, in first-use order, and
+    the bracket is evaluated on them in chunks of _GARDING_CHUNK_TRIPLES
+    triples at every sample point, one parabolic_bracket call per chunk
+    (12 calls).  The bracket is elementwise, so every row holds the bits a
+    call on that triple alone gives.  Each derivative then gathers its
+    rows with one index, (depth, frequency) pairs by time slices, and
+    reduces them with np.add.reduce over the slice axis, then the pair
+    axis.  Neither is the innermost axis, so numpy adds slice after slice
+    in stencil order: the sums of a loop over the stencil, except for the
+    sign of a zero sum, which the absolute value drops.
     """
     t_start = time.perf_counter()
     _require_sweep_params(p, "derivative bounds need")
@@ -774,8 +762,7 @@ def garding_hypothesis_check(w: QuadraticWeight, p: OperatorParams, *,
                   + m * m)
     h_loc = step * lam
 
-    max_order = 8 if probe_order_8 else 7
-    triples, gathers = _garding_triples(max_order)
+    triples, gathers = _garding_triples()
     table = np.empty((len(triples), pts_sig.size))
     for c in range(0, len(triples), _GARDING_CHUNK_TRIPLES):
         oi, oj, ok = (np.array(col)[:, None] for col in
@@ -784,7 +771,7 @@ def garding_hypothesis_check(w: QuadraticWeight, p: OperatorParams, *,
             w, p, pts_sig + oi * h_loc / unit_xi, pts_t + oj * h_t,
             pts_xi + ok * h_loc).total
 
-    order_max = {order: 0.0 for order in range(4, max_order + 1)}
+    order_max = {order: 0.0 for order in range(4, 8)}
     for (i, j, k), index in gathers:
         vals = table[index]
         wt_i, wt_j, wt_k = (_fd_stencil(order)[1] for order in (i, j, k))
@@ -803,7 +790,7 @@ def garding_hypothesis_check(w: QuadraticWeight, p: OperatorParams, *,
         order_max[i + j + k] = max(order_max[i + j + k],
                                    float(np.max(np.abs(acc, out=acc))))
 
-    grand = max(order_max[o] for o in range(4, 8))
+    grand = max(order_max.values())
     scale = s * s * w.alpha / w.R ** 2
     poly = (1.0 + w.psi_d1_sup + w.psi_d2_sup) ** 2
     bound = c_ref * (4.0 * w.alpha ** 2 / w.R ** 2) ** (2.0 * s - 3.0) * poly
@@ -811,8 +798,6 @@ def garding_hypothesis_check(w: QuadraticWeight, p: OperatorParams, *,
     violation = measured_norm / bound - 1.0
     measured = {"order_max": {str(o): v / scale for o, v in order_max.items()},
                 "measured": measured_norm, "bound": bound, "C_ref": c_ref}
-    if probe_order_8 and order_max[7] > 0.0:
-        measured["order8_over_order7"] = order_max[8] / order_max[7]
     inputs = {"alpha": w.alpha, "R": w.R, "s": p.s, "m": p.m,
               "step": step, "points": int(pts_sig.size)}
     return finish_report("symbols.garding_hypothesis", inputs, measured,
@@ -1309,7 +1294,7 @@ def quadratic_corpus(mode: str, s: float, m_ratio: float, alpha: float,
 
 
 def calibrate_quadratic(mode: str, s: float, m_ratio: float, *,
-                        n: int = QUADRATIC_N, seed: int = 20260822) -> dict:
+                        seed: int = 20260822) -> dict:
     """Pick the largest joint (c1, c2) leaving a factor-2 margin over the
     operand family, capped at 1.  The steepness floor C_weight = 1 is
     recorded with them; the measured headroom shows how far the inequality
@@ -1319,7 +1304,7 @@ def calibrate_quadratic(mode: str, s: float, m_ratio: float, *,
     c_weight = 1.0
     alpha = 2.0 * (c_weight * R ** (4.0 * s)) ** (1.0 / (4.0 * s - 1.0))
     w, p, fs = quadratic_corpus(mode, s, m_ratio, alpha, count,
-                                np.random.default_rng(seed), n)
+                                np.random.default_rng(seed), QUADRATIC_N)
     coef1 = s * s * (alpha / R ** 2)
     coef2 = s * s * (alpha ** (4.0 * s - 1.0) / R ** (4.0 * s))
     # a probe with zero constants gathers every operand's terms in one pass
@@ -1336,5 +1321,6 @@ def calibrate_quadratic(mode: str, s: float, m_ratio: float, *,
     return {"mode": mode, "s": float(s), "m_ratio": float(m_ratio),
             "C_weight": c_weight, "c1": float(c_joint), "c2": float(c_joint),
             "headroom": float(headroom),
-            "corpus": {"R": R, "L": L, "n": n, "count": count, "seed": seed,
+            "corpus": {"R": R, "L": L, "n": QUADRATIC_N, "count": count,
+                       "seed": seed,
                        "alpha": alpha, "nt": nt if mode == "parabolic" else None}}

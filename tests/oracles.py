@@ -40,7 +40,8 @@ from fracrel.symbols import (_FD_BRACKET_STEP, _SUPPORT_LEAK_TOL,
                              QuadraticWeight, SymbolPoint, _fd_stencil,
                              _grid_exponent, _sigma_branches, _symbol_ab,
                              _symbol_core, _time_derivative,
-                             parabolic_bracket, poisson_bracket_fd)
+                             carleman_quadratic_check, parabolic_bracket,
+                             poisson_bracket_fd, quadratic_corpus)
 
 # ----------------------------------------------------------------------
 # grid
@@ -311,6 +312,11 @@ def eigenfunction_residual(lam: float, p: OperatorParams,
 
 # ----------------------------------------------------------------------
 # heat
+
+
+def state_at(traj: SpaceTimeFunction, i: int) -> GridFunction:
+    """The state at ``traj.times[i]`` as a grid function."""
+    return GridFunction(traj.L, traj.n, traj.values[i])
 
 
 def collect(grid, chunks) -> SpaceTimeFunction:
@@ -687,7 +693,7 @@ def operand_terms(i: int, f, w: QuadraticWeight, p: OperatorParams,
     dtf = _time_derivative(f.values, dt)
     x = f.x
     for j, t in enumerate(f.times):
-        leak = leak_fraction(w, f.slice(j), float(t))
+        leak = leak_fraction(w, state_at(f, j), float(t))
         if leak > _SUPPORT_LEAK_TOL:
             raise SupportError(
                 f"operand {i} leaks mass fraction {leak:.3g} outside "
@@ -698,6 +704,28 @@ def operand_terms(i: int, f, w: QuadraticWeight, p: OperatorParams,
         q_order += _order_applied_sq(f.values[j], f.L, f.n, p.m, s - 0.5) * dt
         q_l2 += float(np.sum(f.values[j] ** 2) * h_x) * dt
     return rhs, q_order, q_l2
+
+
+def refined_quadratic_constant(entry: dict, n: int) -> float:
+    """The joint constant min(1, headroom / 2) of a frozen quadratic table
+    entry, measured again on its corpus at n nodes: the headroom is the
+    least ratio of an operand's right side to the inequality's left side
+    s^2 (alpha/R^2) |f|^2_(s-1/2) + s^2 (alpha^(4s-1)/R^(4s)) |f|^2 at unit
+    constants."""
+    s, corpus = entry["s"], entry["corpus"]
+    alpha, R = corpus["alpha"], corpus["R"]
+    w, p, fs = quadratic_corpus(entry["mode"], s, entry["m_ratio"], alpha,
+                                corpus["count"],
+                                np.random.default_rng(corpus["seed"]), n)
+    diag = {}
+    carleman_quadratic_check(fs, w, p, entry["mode"], constants={
+        "c1": 0.0, "c2": 0.0, "C_weight": entry["C_weight"]},
+        diagnostics=diag)
+    coef1 = s * s * (alpha / R ** 2)
+    coef2 = s * s * (alpha ** (4.0 * s - 1.0) / R ** (4.0 * s))
+    headroom = min(rhs / (coef1 * q_order + coef2 * q_l2)
+                   for rhs, q_order, q_l2 in diag["operand_terms"])
+    return min(1.0, 0.5 * headroom)
 
 
 def garding_order_max(w: QuadraticWeight, p: OperatorParams,

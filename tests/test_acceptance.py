@@ -27,7 +27,7 @@ from fracrel.operator import (OperatorParams, apply_singular_integral,
 from fracrel.special import macdonald_k
 from fracrel.symbols import (QuadraticWeight, SymbolPoint,
                              appendix_conjugation_check, bracket_singular,
-                             calibrate_quadratic, carleman_quadratic_check,
+                             carleman_quadratic_check,
                              conjugated_operator_matrix, elliptic_test_family,
                              matrix_parts, parabolic_test_family,
                              poisson_bracket, poisson_bracket_fd,
@@ -35,7 +35,8 @@ from fracrel.symbols import (QuadraticWeight, SymbolPoint,
                              quadratic_constants, s1_commutator_target)
 from oracles import (bessel_identity_check, collect, ddot_lower_bound_check,
                      eigenfunction_residual, fundamental_solution,
-                     half_kernel_explicit, mass_series, trapezoid,
+                     half_kernel_explicit, mass_series,
+                     refined_quadratic_constant, trapezoid,
                      weighted_l1_kernel)
 
 P_HALF = OperatorParams(0.5, 1.0)
@@ -148,8 +149,8 @@ def test_criterion_06_energy_identity_and_weighted_decay():
     bad = []
     u0 = gaussian(40.0, 4096, sigma=1.0)
     for s in (0.3, 0.5, 0.7):
-        rep = energy_identity_check(u0, OperatorParams(s, 1.0), T=1.0,
-                                    steps=100, tolerance=1e-4)
+        rep = energy_identity_check(u0, OperatorParams(s, 1.0),
+                                    tolerance=1e-4)
         if rep.measured["max_residual"] > 1e-4:
             bad.append(f"energy s={s} "
                        f"residual={rep.measured['max_residual']:.2e}")
@@ -336,7 +337,7 @@ def test_criterion_10_symbol_layer():
         if not (rep.passed and rep.measured["ratio_min"] >= floor):
             bad.append(f"positivity alpha={alpha} m_ratio={m_ratio} "
                        f"min={rep.measured['ratio_min']:.3f}")
-    wob = QuadraticWeight.oscillating(2.0, 1.0, amplitude=1.4, rate=3.0)
+    wob = QuadraticWeight.oscillating(2.0, 1.0, rate=3.0)
     neg = positivity_sweep(wob, OperatorParams(0.75, 0.0),
                            constants=(c_hyp, 1.0), enforce=False)
     if neg.measured["ratio_min"] >= 0.0 or neg.witness is None:
@@ -365,9 +366,9 @@ def test_criterion_11_quadratic_carleman():
                     bad.append(f"{mode} s={s} m_ratio={m_ratio} "
                                f"slack={rep.measured['min_slack']:.3e}")
     coarse = quadratic_constants("elliptic", 0.75, 0.0)
-    fine = calibrate_quadratic("elliptic", 0.75, 0.0, n=1024)
+    fine = refined_quadratic_constant(coarse, 1024)
     for key in ("c1", "c2"):
-        ratio = fine[key] / coarse[key]
+        ratio = fine / coarse[key]
         if not 0.5 <= ratio <= 2.0:
             bad.append(f"{key} refinement ratio {ratio:.3f}")
     _conclude(11, "quadratic_carleman", bad)

@@ -15,7 +15,8 @@ from fracrel.grid import (
     smooth_window,
 )
 from fracrel.report import CheckReport, finish_report
-from oracles import centered_d1, fourier_mode, trapezoid, windowed_exponential
+from oracles import (centered_d1, fourier_mode, state_at, trapezoid,
+                     windowed_exponential)
 import time
 
 
@@ -111,7 +112,7 @@ def test_space_time_function_validation():
     vals = np.zeros((12, 16))
     f = SpaceTimeFunction(8.0, 16, times, vals)
     assert f.nt == 12
-    assert f.slice(3).n == 16
+    assert state_at(f, 3).n == 16
     np.testing.assert_array_equal(f.x, GridFunction(8.0, 16, vals[0]).x)
     # few or uneven samples are the parabolic check's concern, not the type's
     assert SpaceTimeFunction(8.0, 16, times[:5], vals[:5]).nt == 5

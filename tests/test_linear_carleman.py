@@ -34,9 +34,9 @@ from fracrel import operator as op
 from fracrel.operator import OperatorParams, apply_spectral
 from oracles import (carre_du_champ, collect, ddot_lower_bound_check,
                      fourier_mode, functional_D, functional_H, mass_series,
-                     spectral_carre, stored_chunks, stored_evolution,
-                     stored_series, trapezoid, weighted_integral,
-                     windowed_exponential)
+                     spectral_carre, state_at, stored_chunks,
+                     stored_evolution, stored_series, trapezoid,
+                     weighted_integral, windowed_exponential)
 
 P_HALF = OperatorParams(0.5, 1.0)
 W_MAIN = LinearWeight(0.5, -11.0)          # the operating drift -(m^(2s)+10)
@@ -181,7 +181,7 @@ def per_row_series(traj, lam, p, V, with_energy):
     series = {name: np.zeros(traj.nt) for name in names}
     v = None if V is None else V.sample(traj)
     for i in range(traj.nt):
-        g = traj.slice(i)
+        g = state_at(traj, i)
         u = g.values
 
         def integral(values, what):
@@ -240,7 +240,7 @@ def assert_streamed_series_equal_the_stored_route(T, dt, forced,
         u0, v, T, P_HALF, dt=dt)).values, traj.values)
     assert np.array_equal(
         weighted_l2(traj, lam),
-        [weighted_integral(traj.slice(i), row ** 2, lam)
+        [weighted_integral(state_at(traj, i), row ** 2, lam)
          for i, row in enumerate(traj.values)])
     return traj.nt
 
@@ -313,7 +313,7 @@ def test_chunk_failure_is_the_first_in_state_order():
         with pytest.raises(SeamLeakError) as chunked:
             flow.checked(count)
         with pytest.raises(SeamLeakError) as one_state:
-            weighted_integral(traj.slice(state), values[j][state], 0.5,
+            weighted_integral(state_at(traj, state), values[j][state], 0.5,
                               what[j])
         assert str(chunked.value) == str(one_state.value)
     assert str(chunked.value).startswith("tilted mass integrand has ")
@@ -368,7 +368,7 @@ def test_chunk_sum_overflow_stays_inf():
     big = np.full((2, traj.n), 1e306)
     with np.errstate(over="ignore"):
         got = integrate(traj, 0.0, ("big",), by_state([big])).checked()
-        one_state = weighted_integral(traj.slice(0), big[0], 0.0)
+        one_state = weighted_integral(state_at(traj, 0), big[0], 0.0)
     assert one_state == math.inf
     assert np.array_equal(got.terms["big"], [math.inf, math.inf])
 
@@ -505,8 +505,9 @@ def test_monotonicity_single_mode_oracle():
     sig = (xi * xi + 1.0) ** 0.5
     w = LinearWeight(0.0, -2.0)
     rep = monotonicity_check(fine_series(u0, None, 0.2, w.lam), None, w,
-                             P_HALF, tolerance=1e-5)
+                             P_HALF)
     assert rep.passed
+    assert rep.measured["violation"] <= 1e-5
     assert rep.measured["identity_violation"] <= 1e-5
     assert rep.measured["mass_ratio"] == pytest.approx(
         math.exp((-2.0 - 2.0 * sig) * 0.2), rel=1e-10)
@@ -764,7 +765,7 @@ def test_calibration_frozen_values():
 
 
 def test_calibration_sweep_small_corpus():
-    entry = calibrate_constants(P_HALF, 0.5, draws=2, fine_T=0.01)
+    entry = calibrate_constants(P_HALF, 0.5, draws=2)
     assert entry["C1"] >= 1.0
     assert entry["C2"] > 0.0
     assert entry["A_threshold"] <= -1.0

@@ -10,6 +10,7 @@ from fracrel.grid import (
     GridFunction,
     band_limited_noise,
     gaussian,
+    grid_points,
     smooth_window,
 )
 from fracrel import operator as op
@@ -172,13 +173,18 @@ def test_subordination_memory_is_one_row_tile():
     assert peak <= 2 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
+def shifted_gaussian(center, sigma):
+    x = grid_points(L, N)
+    return GridFunction(L, N, np.exp(-0.5 * ((x - center) / sigma) ** 2))
+
+
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
 def test_carre_du_champ_nonpositive_on_diagonal(s):
     rng = np.random.default_rng(1234 + int(100 * s))
     p = op.OperatorParams(s=s, m=1.0)
     cases = [
         gaussian(L, N, sigma=1.5),
-        gaussian(L, N, sigma=0.7, center=-3.0),
+        shifted_gaussian(-3.0, 0.7),
         oracles.fourier_mode(L, N, 5, kind="cos"),
         band_limited_noise(L, N, k_max=60, rng=rng),
         band_limited_noise(L, N, k_max=200, rng=rng),
@@ -190,7 +196,7 @@ def test_carre_du_champ_nonpositive_on_diagonal(s):
 
 def test_carre_du_champ_matches_definition():
     f = gaussian(L, N, sigma=1.5)
-    g = gaussian(L, N, sigma=0.8, center=2.0)
+    g = shifted_gaussian(2.0, 0.8)
     p = op.OperatorParams(s=0.5, m=1.0)
     got = oracles.carre_du_champ(f, g, p).values
     fg = f.with_values(f.values * g.values)

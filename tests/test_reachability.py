@@ -5,8 +5,10 @@ the oracles and checks that only the tests call live in tests/oracles.py.
 The walk starts at cli.main, at the code each module runs on import
 (module and class bodies, decorators, default values) and at the dunder
 methods, which Python calls (``__post_init__``, ``__str__``).  It follows
-names: a function or method is reached once a reached body mentions its
-name, bare or as an attribute.  Imports alone reach nothing.  Matching by name
+names: a function is reached once a reached body mentions its name, bare
+or as an attribute, and a method once a reached body mentions it as an
+attribute, since a bare name never calls a method (``slice(1, -1)`` is the
+builtin).  Imports alone reach nothing.  Matching by name
 over-approximates the call graph, so the guard can miss a dead function
 that shares its name with a live one, but it never flags a live one.
 
@@ -26,15 +28,15 @@ def _sources():
 
 
 def _names(nodes):
-    """Every name the subtrees mention, bare or as an attribute."""
-    out = set()
+    """The (bare, attribute) names the subtrees mention."""
+    bare, attrs = set(), set()
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
-                out.add(sub.id)
+                bare.add(sub.id)
             elif isinstance(sub, ast.Attribute):
-                out.add(sub.attr)
-    return out
+                attrs.add(sub.attr)
+    return bare, attrs
 
 
 def _import_time(fn):
@@ -46,38 +48,43 @@ def _import_time(fn):
 def unreachable(sources, exempt=True):
     """Qualified names of the functions and methods of ``sources`` (module
     name -> text) that cli.main and the import-time code never reach."""
-    units = []        # (qualified name, bare name, def node)
+    units = []        # (qualified name, bare name, def node, is a method)
     roots = []        # import-time code
     defs = (ast.FunctionDef, ast.AsyncFunctionDef)
     for module, text in sources.items():
         for node in ast.parse(text).body:
             if isinstance(node, defs):
-                units.append((f"{module}.{node.name}", node.name, node))
+                units.append((f"{module}.{node.name}", node.name, node,
+                              False))
                 roots += _import_time(node)
             elif isinstance(node, ast.ClassDef):
                 roots += node.decorator_list + node.bases
                 for item in node.body:
                     if isinstance(item, defs):
                         units.append((f"{module}.{node.name}.{item.name}",
-                                      item.name, item))
+                                      item.name, item, True))
                         roots += _import_time(item)
                     else:
                         roots.append(item)
             else:
                 roots.append(node)
-    reached = {"main"} | _names(roots) | {
-        name for _, name, _ in units
-        if name.startswith("__") and name.endswith("__")}
+    bare, attrs = _names(roots)
+    bare.add("main")
+    dunders = {name for _, name, _, _ in units
+               if name.startswith("__") and name.endswith("__")}
     done = set()
     while True:
-        fresh = [(q, node) for q, name, node in units
-                 if name in reached and q not in done]
+        fresh = [(q, node) for q, name, node, method in units
+                 if q not in done and (name in attrs or name in dunders
+                                       or not method and name in bare)]
         if not fresh:
             break
         for q, node in fresh:
             done.add(q)
-            reached |= _names([node])
-    return sorted(q for q, _, _ in units
+            more_bare, more_attrs = _names([node])
+            bare |= more_bare
+            attrs |= more_attrs
+    return sorted(q for q, _, _, _ in units
                   if q not in done and not (exempt and q in EXEMPT_METHODS))
 
 
@@ -108,3 +115,9 @@ def test_negative_control_uncalled_code_fails():
     sources["special"] += "\n\ndef exported_orphan(z):\n    return z\n"
     sources["__init__"] += "from .special import exported_orphan\n"
     assert unreachable(sources) == ["special.exported_orphan"]
+    # a method named like a builtin is not reached by the builtin's calls
+    # (slice(...) runs in special and linear_carleman)
+    sources = _sources()
+    sources["grid"] += (
+        "\n\nclass _Rows:\n    def slice(self, i):\n        return i\n")
+    assert unreachable(sources) == ["grid._Rows.slice"]

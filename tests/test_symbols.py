@@ -33,12 +33,11 @@ from fracrel.symbols import (QuadraticWeight, SymbolPoint,
                              quadratic_constants, require_admissible_weight,
                              s1_commutator_target, spectral_operator_matrix,
                              _bracket_ab, _mixed_pieces, _symbol_ab,
-                             _symbol_b_xi, _symbol_core, _sweep_grids,
-                             _time_derivative)
+                             _symbol_b_xi, _symbol_core, _time_derivative)
 import oracles
 from oracles import (_symbol_xi_grad, garding_order_max, leak_fraction,
                      loop_sweep_minima, operand_terms,
-                     parabolic_bracket_terms_fd)
+                     parabolic_bracket_terms_fd, refined_quadratic_constant)
 
 W_STEEP = QuadraticWeight.decaying(215.0, 1.0)
 P_34 = OperatorParams(0.75, 0.0)
@@ -150,14 +149,14 @@ def test_weight_validation():
 
 
 def test_profile_norms_and_ratios():
-    w = QuadraticWeight.decaying(2.0, 1.0, scale=3.0)
+    w = QuadraticWeight.decaying(2.0, 1.0)
     # psi = 3/(1+t): psi' = -3/(1+t)^2, sup 3; psi'' sup 6
     assert w.psi_d1_sup == pytest.approx(3.0)
     assert w.psi_d2_sup == pytest.approx(6.0)
     assert w.profile_norm() == pytest.approx(3.0 + math.sqrt(6.0))
     assert w.m_ratio(4.0) == pytest.approx(1.0)
     assert w.slope(0.75) == pytest.approx(0.75 * 2.0 ** 0.5)
-    wo = QuadraticWeight.oscillating(2.0, 1.0, amplitude=1.4, rate=2.0)
+    wo = QuadraticWeight.oscillating(2.0, 1.0, rate=2.0)
     assert wo.psi_d1_sup == pytest.approx(2.8)
     assert wo.psi_d2_sup == pytest.approx(5.6)
     assert 0.0 <= wo.psi_at(1.3) <= 3.0
@@ -460,7 +459,7 @@ def test_positivity_rejects_violated_gate():
 def test_positivity_falsification_witness():
     """An oscillating profile with negative curvature phases drives the
     parabolic bracket negative; the sweep reports the witness point."""
-    w = QuadraticWeight.oscillating(2.0, 1.0, amplitude=1.4, rate=3.0)
+    w = QuadraticWeight.oscillating(2.0, 1.0, rate=3.0)
     rep = positivity_sweep(w, OperatorParams(0.75, 0.0),
                            constants=(1.9685, 1.0), enforce=False)
     assert not rep.passed
@@ -497,14 +496,19 @@ def test_positivity_requires_interior_exponent():
                          constants=(1.9685, 1.0))
 
 
+def final_minima(w, p, xi_mag, t_grid, sigma_nodes):
+    """The positivity sweep's (ratio_min, witness, margins, singular_count,
+    nonfinite_count) after its last block, on the given grids."""
+    *_, last = symbols._sweep_minima(w, p, xi_mag, t_grid, sigma_nodes)
+    return last
+
+
 def test_positivity_argmin_stable_under_refinement():
     wit = []
     for tn, sn, xn in ((11, 17, 200), (21, 33, 400), (41, 65, 800)):
-        rep = positivity_sweep(W_STEEP, P_34,
-                               t_grid=np.linspace(0.0, 2.0, tn),
-                               sigma_nodes=sn,
-                               xi_grid=default_xi_grid(W_STEEP, xn))
-        wit.append(rep.witness)
+        wit.append(final_minima(W_STEEP, P_34,
+                                default_xi_grid(W_STEEP, xn),
+                                np.linspace(0.0, 2.0, tn), sn)[1])
 
     def dist(a, b):
         return (abs(a["sigma"] - b["sigma"]) + abs(a["t"] - b["t"])
@@ -569,8 +573,7 @@ def test_positivity_sweep_evaluates_the_half_grid(monkeypatch):
 
     monkeypatch.setattr(symbols, "_symbol_core", recording)
     grid = default_xi_grid(W_STEEP, 60)
-    positivity_sweep(W_STEEP, P_34, xi_grid=grid,
-                     t_grid=np.linspace(0.0, 2.0, 5), sigma_nodes=9)
+    final_minima(W_STEEP, P_34, grid, np.linspace(0.0, 2.0, 5), 9)
     assert widths and set(widths) == {len(grid)}
 
 
@@ -581,16 +584,16 @@ def sweep_and_loop(kind, alpha, m_ratio):
     profile = "oscillating" if kind == "oscillating" else "decaying"
     w = getattr(QuadraticWeight, profile)(alpha, 1.0)
     p = OperatorParams(0.75, m_ratio * 2.0 * w.alpha / w.R)
-    grids = {}
     if kind == "singular":
-        grids = {"xi_grid": (w.alpha / w.R) * np.array([1e-9, 1e-2, 1.0]),
-                 "t_grid": np.array([0.5, 1.0, 2.0]), "sigma_nodes": 5}
-    rep = positivity_sweep(w, p, constants=(0.0, 0.0), enforce=False,
-                           **grids)
+        grids = ((w.alpha / w.R) * np.array([1e-9, 1e-2, 1.0]),
+                 np.array([0.5, 1.0, 2.0]), 5)
+        *minima, singular, nonfinite = final_minima(w, p, *grids)
+        return ((*minima, int(singular), int(nonfinite)),
+                loop_sweep_minima(w, p, *grids))
+    rep = positivity_sweep(w, p, constants=(0.0, 0.0), enforce=False)
     m = rep.measured
-    loop = loop_sweep_minima(
-        w, p, *_sweep_grids(w, grids.get("xi_grid"), grids.get("t_grid")),
-        grids.get("sigma_nodes", 33))
+    loop = loop_sweep_minima(w, p, default_xi_grid(w), symbols.SWEEP_TIMES,
+                             symbols.SWEEP_SIGMA_NODES)
     return (m["ratio_min"], rep.witness, m["margins"], m["singular_points"],
             m["nonfinite_points"]), loop
 
@@ -631,8 +634,7 @@ def test_positivity_counts_singular_points_over_the_signed_grid():
     p = OperatorParams(0.75, 2.0 * w.alpha / w.R)
     grid = (w.alpha / w.R) * np.array([1e-9, 1e-2, 1.0])
     t_grid = np.array([0.5, 1.0, 2.0])
-    rep = positivity_sweep(w, p, xi_grid=grid, t_grid=t_grid, sigma_nodes=5,
-                           constants=(0.0, 0.0), enforce=False)
+    singular_count = final_minima(w, p, grid, t_grid, 5)[3]
     want = 0
     for t in t_grid:
         psi = float(w.psi_at(t))
@@ -642,7 +644,7 @@ def test_positivity_counts_singular_points_over_the_signed_grid():
                     pt = SymbolPoint(w.R * (sig - psi), float(xi), float(t))
                     want += bracket_singular(pt, w, p)
     assert want == 6
-    assert rep.measured["singular_points"] == want
+    assert singular_count == want
 
 
 def test_xi_grid_covers_range_and_split():
@@ -703,16 +705,16 @@ def test_garding_doubling_scales_by_envelope_exponent():
 
 
 def test_garding_extra_derivatives_decay_better():
+    # the envelope decays with each order, so order 8 stays near or below
+    # order 7
     w = QuadraticWeight.constant(80.0, 1.0, 3.0)
-    rep = garding_hypothesis_check(w, OperatorParams(0.75, 0.0),
-                                   constants=1.0, probe_order_8=True)
-    assert rep.measured["order8_over_order7"] <= 1.0
+    order_max = garding_order_max(w, OperatorParams(0.75, 0.0), True)
+    assert order_max["8"] / order_max["7"] <= 1.0
 
 
 def test_garding_evaluates_each_stencil_point_once(monkeypatch):
     # 575 distinct (depth, time, frequency) offset triples over orders
-    # 4..7, and 833 with order 8, evaluated in chunks: one bracket call
-    # per chunk of triples
+    # 4..7, evaluated in chunks: one bracket call per chunk of triples
     calls = []
     real = symbols.parabolic_bracket
 
@@ -723,25 +725,30 @@ def test_garding_evaluates_each_stencil_point_once(monkeypatch):
     monkeypatch.setattr(symbols, "parabolic_bracket", counting)
     w = QuadraticWeight.decaying(80.0, 1.0)
     chunk = symbols._GARDING_CHUNK_TRIPLES
-    for probe, triples in ((False, 575), (True, 833)):
-        calls.clear()
-        garding_hypothesis_check(w, P_34, constants=1.0,
-                                 probe_order_8=probe)
-        assert 0 < len(calls) <= math.ceil(triples / chunk)
-        # every chunk but the last is full, and no triple repeats
-        shapes = [np.shape(args[2]) for args in calls]
-        assert all(sh == (chunk, 225) for sh in shapes[:-1])
-        assert sum(sh[0] for sh in shapes) == triples
+    garding_hypothesis_check(w, P_34, constants=1.0)
+    assert 0 < len(calls) <= math.ceil(575 / chunk)
+    # every chunk but the last is full, and no triple repeats
+    shapes = [np.shape(args[2]) for args in calls]
+    assert all(sh == (chunk, 225) for sh in shapes[:-1])
+    assert sum(sh[0] for sh in shapes) == 575
+
+
+def oracle_orders_4_to_7(w, p, probe_order_8):
+    """The per-triple oracle's order_max over orders 4..7.  With order 8
+    assembled too, the orders the package measures must keep their bits,
+    so the oracle's order 8 comes from the package's assembly."""
+    order_max = garding_order_max(w, p, probe_order_8)
+    order_max.pop("8", None)
+    return order_max
 
 
 @pytest.mark.parametrize("probe", [False, True])
 def test_garding_chunked_table_matches_per_triple_oracle(probe):
     w = QuadraticWeight.decaying(80.0, 1.0)
-    rep = garding_hypothesis_check(w, P_34, constants=1.0,
-                                   probe_order_8=probe)
+    rep = garding_hypothesis_check(w, P_34, constants=1.0)
     # repr tells every bit apart, the sign of a zero too
     assert (repr(rep.measured["order_max"])
-            == repr(garding_order_max(w, P_34, probe)))
+            == repr(oracle_orders_4_to_7(w, P_34, probe)))
 
 
 @pytest.mark.parametrize("m_ratio, probe", [(0.0, False), (1.0, False),
@@ -751,9 +758,9 @@ def test_garding_gathers_match_the_loop_on_steady_profiles(m_ratio, probe):
     # another order moves the last bits of order_max
     w = QuadraticWeight.constant(40.0, 1.0, 3.0)
     p = OperatorParams(0.75, m_ratio * 2.0 * w.alpha / w.R)
-    rep = garding_hypothesis_check(w, p, constants=1.0, probe_order_8=probe)
+    rep = garding_hypothesis_check(w, p, constants=1.0)
     assert (repr(rep.measured["order_max"])
-            == repr(garding_order_max(w, p, probe)))
+            == repr(oracle_orders_4_to_7(w, p, probe)))
 
 
 def test_garding_requires_interior_exponent():
@@ -1054,8 +1061,8 @@ def test_quadratic_admissibility_errors():
 
 def test_quadratic_refinement_keeps_constants():
     coarse = quadratic_constants("elliptic", 0.75, 0.0)
-    fine = calibrate_quadratic("elliptic", 0.75, 0.0, n=1024)
-    assert 0.5 <= fine["c1"] / coarse["c1"] <= 2.0
+    fine = refined_quadratic_constant(coarse, 1024)
+    assert 0.5 <= fine / coarse["c1"] <= 2.0
 
 
 # ------------------------------------------------------------- appendix
@@ -1185,8 +1192,8 @@ def test_cached_stencils_are_read_only():
     for array in (offsets, weights):
         with pytest.raises(ValueError):
             array[0] = 0.0
-    triples, gathers = symbols._garding_triples(7)
-    assert symbols._garding_triples(7)[1] is gathers
+    triples, gathers = symbols._garding_triples()
+    assert symbols._garding_triples()[1] is gathers
     with pytest.raises(TypeError):
         triples[0] = (0.0, 0.0, 0.0)
     for _, index in gathers:
