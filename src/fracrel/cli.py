@@ -324,10 +324,11 @@ def _falsification_report(p34: OperatorParams) -> CheckReport:
 
 
 def _bracket_fd_report(cfg) -> CheckReport:
-    # closed-form bracket against finite differences at random points
+    # the parabolic bracket the sweeps read against finite differences at
+    # random points, piece by piece, each error relative to the bracket
     t0 = time.perf_counter()
     rng = _split_rng(cfg["seed"], "symbol", "bracket_fd")
-    worst = 0.0
+    worst = dict.fromkeys(("base", "mixed", "curvature", "total"), 0.0)
     kept = 0
     for _ in range(200):
         a = float(rng.uniform(0.5, 8.0))
@@ -337,19 +338,22 @@ def _bracket_fd_report(cfg) -> CheckReport:
                             float(rng.uniform(0.0, 2.0 * a / r)))
         t = float(rng.uniform(0.0, 2.0))
         sig = float(rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 4.0))
-        pt = symbols.SymbolPoint(
-            x=(sig - float(w.psi_at(t))) * r, t=t,
-            xi=float(rng.choice([-1.0, 1.0])
-                     * rng.uniform(1e-2, 1e2) * a / r))
-        if symbols.bracket_singular(pt, w, pp):
+        xi = float(rng.choice([-1.0, 1.0]) * rng.uniform(1e-2, 1e2) * a / r)
+        br = symbols.parabolic_bracket(w, pp, sig, t, xi)
+        if br.core.singular():
             continue
         kept += 1
-        closed = symbols.poisson_bracket(pt, w, pp)
-        fd = symbols.poisson_bracket_fd(pt, w, pp)
-        worst = max(worst, abs(closed - fd) / max(abs(closed), 1e-30))
-    return finish_report("symbol.bracket_fd", {"points": kept},
-                         {"rel_error": worst},
-                         cfg["tolerance.bracket"], worst, None, t0)
+        fd = symbols.parabolic_bracket_fd(w, pp, sig, t, xi)
+        closed = (br.base, 2.0 * br.mixed, br.curv_psi1 + br.curv_psi2,
+                  br.total)
+        scale = max(abs(float(br.total)), 1e-30)
+        for key, c, f in zip(worst, closed, fd + (sum(fd),)):
+            worst[key] = max(worst[key], abs(float(c) - f) / scale)
+    measured = {"rel_error": worst.pop("total")}
+    measured.update((f"rel_error_{key}", v) for key, v in worst.items())
+    return finish_report("symbol.bracket_fd", {"points": kept}, measured,
+                         cfg["tolerance.bracket"], measured["rel_error"],
+                         None, t0)
 
 
 def _s1_commutator_report(cfg) -> CheckReport:

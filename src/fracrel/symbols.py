@@ -17,14 +17,14 @@ Derivative bookkeeping rests on the identities d_x w = i phi_xx d_xi w and
 d_t w = i phi_tx d_xi w: every first derivative of (a, b) reduces to the
 xi-gradient, in particular a_t = -phi_tx b_xi and a_x = -phi_xx b_xi exactly.
 
-The module provides the closed-form bracket {a, b} with a finite-difference
-cross-check, and one function that computes the parabolic bracket,
-parabolic_bracket: both the positivity sweep over the support annulus
-1 <= |x/R + psi(t)| <= 4 (with the proof-ladder dominance margins) and the
-derivative bounds of the kind a sharp Garding inequality consumes evaluate
-it.  Besides those: dense-matrix realizations of the conjugated operator
-(with the s = 1 closed-form commutator), grid-level verification of the
-elliptic and parabolic weighted lower-bound inequalities, and the
+The module provides one function that computes the parabolic bracket,
+parabolic_bracket, with a finite-difference cross-check of each of its
+pieces, parabolic_bracket_fd: both the positivity sweep over the support
+annulus 1 <= |x/R + psi(t)| <= 4 (with the proof-ladder dominance margins)
+and the derivative bounds of the kind a sharp Garding inequality consumes
+evaluate it.  Besides those: dense-matrix realizations of the conjugated
+operator (with the s = 1 closed-form commutator), grid-level verification
+of the elliptic and parabolic weighted lower-bound inequalities, and the
 conjugation/fractional-power exchange on SPD matrices.  All unspecified
 constants are calibrated empirically and frozen in the package's
 data/calibration.json, next to the linear Carleman constants.
@@ -116,7 +116,7 @@ _QUADRATIC_CALIBRATION_COUNT = 20
 
 
 # ---------------------------------------------------------------------------
-# weight, phase-space point, support region
+# weight, support region
 
 
 @dataclass(frozen=True)
@@ -220,31 +220,8 @@ class QuadraticWeight:
         return m * self.R / (2.0 * self.alpha)
 
 
-@dataclass(frozen=True)
-class SymbolPoint:
-    """Phase-space point (x, t; xi, tau).  Elliptic evaluations fix t = tau = 0.
-
-    tau is the dual of t.  It cancels out of every bracket computed here
-    (the time direction enters the antisymmetric symbol as tau + b with unit
-    coefficient) and is carried only so parabolic sweep points are stated
-    fully.
-    """
-
-    x: float
-    xi: float
-    t: float = 0.0
-    tau: float = 0.0
-
-    def __post_init__(self):
-        for name in ("x", "xi", "t", "tau"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
-        if self.t < 0.0:
-            raise ConfigError(f"t must be nonnegative, got {self.t!r}")
-
-
 # ---------------------------------------------------------------------------
-# pointwise symbol algebra (vectorized cores, point evaluations)
+# pointwise symbol algebra (vectorized cores)
 
 
 class _SymbolCore(NamedTuple):
@@ -303,10 +280,6 @@ def _product(*factors):
     return out
 
 
-def _core_at(pt: SymbolPoint, w: QuadraticWeight, p: OperatorParams):
-    return _symbol_core(pt.xi, float(w.phi_x(pt.t, pt.x)), p.m, p.s)
-
-
 def _symbol_ab(c: _SymbolCore):
     """a = rho^s cos(s theta) and b = rho^s sin(s theta)."""
     amp = c.rho2 ** (0.5 * c.s)
@@ -332,13 +305,15 @@ def _bracket_ab(c: _SymbolCore, phi_xx: float):
 
 
 class _ParabolicBracket(NamedTuple):
-    """{a~, b~} and the pieces the positivity ladder bounds: base = {a, b},
-    mixed = phi_tx b_xi (the transport term -a_t equals it, since
-    a_t = -phi_tx b_xi) and curv_psi2, the psi'' part of phi_tt."""
+    """{a~, b~} and its pieces: base = {a, b}, mixed = phi_tx b_xi (the
+    transport term -a_t equals it, since a_t = -phi_tx b_xi), and the
+    psi'^2 and psi'' parts curv_psi1 and curv_psi2 of phi_tt.  The
+    positivity ladder bounds base, mixed and curv_psi2."""
 
     core: _SymbolCore
     base: np.ndarray
     mixed: np.ndarray
+    curv_psi1: np.ndarray
     curv_psi2: np.ndarray
     total: np.ndarray
 
@@ -363,62 +338,39 @@ def parabolic_bracket(w: QuadraticWeight, p: OperatorParams, sigma, t,
     total += base
     total += curv_psi1
     total += curv_psi2
-    return _ParabolicBracket(core, base, mixed, curv_psi2, total)
+    return _ParabolicBracket(core, base, mixed, curv_psi1, curv_psi2, total)
 
 
-def bracket_singular(pt: SymbolPoint, w: QuadraticWeight,
-                     p: OperatorParams) -> bool:
-    """True when the modulus of w vanishes to within SINGULAR_FLOOR times
-    the local scale.
+def parabolic_bracket_fd(w: QuadraticWeight, p: OperatorParams, sigma, t,
+                         xi) -> tuple:
+    """Finite-difference pieces of {a~, b~} = a~_xi b~_x - a~_x b~_xi - a~_t
+    at one point, for cross-checking parabolic_bracket: (base
+    a_xi b_x - a_x b_xi, mixed (phi_t)_x b_xi - a_t, curvature (phi_t)_t).
 
-    There the bracket carries rho^{2(s-1)} and blows up for s < 1; sweeps
-    report such points instead of folding them into minima.
+    a and phi_t are sampled at x +- h_x, xi +- h_xi and along t, with steps
+    relative to the local coordinate scales, all in one core.  The t
+    difference is centred, or second-order forward where t < h_t, since
+    psi leaves [0, 3] below t = 0.
     """
-    if p.s >= 1.0:
-        return False
-    return bool(_core_at(pt, w, p).singular())
-
-
-def poisson_bracket(pt: SymbolPoint, w: QuadraticWeight,
-                    p: OperatorParams) -> float:
-    """Closed-form {a, b} = 4 s^2 phi_xx rho^{2(s-1)} (xi^2 + phi_x^2).
-
-    At a singular point (rho = 0, s < 1) the closed form diverges; the
-    limit value +inf is returned and bracket_singular carries the flag.
-    At a fully degenerate point (xi = 0, m = 0, phi_x = 0) it reads
-    0 * inf; there rho = xi^2 + phi_x^2, so the bracket is
-    4 s^2 phi_xx (xi^2 + phi_x^2)^(2s-1) nearby, and its limit is
-    returned: 0 for s > 1/2, phi_xx at s = 1/2, +inf below.
-    """
-    val = float(_bracket_ab(_core_at(pt, w, p), w.phi_xx))
-    if math.isnan(val):
-        if p.s == 0.5:
-            return w.phi_xx
-        return 0.0 if p.s > 0.5 else math.inf
-    return val
-
-
-def poisson_bracket_fd(pt: SymbolPoint, w: QuadraticWeight,
-                       p: OperatorParams) -> float:
-    """Centered-difference a_xi b_x - a_x b_xi for cross-checking the
-    closed form; steps are relative to the local coordinate scales."""
     h_x = _FD_BRACKET_STEP * w.R
-    h_xi = _FD_BRACKET_STEP * max(abs(pt.xi), 2.0 * w.alpha / w.R)
-
-    def ab(x, xi):
-        px = float(w.phi_x(pt.t, x))
-        a, b = _symbol_ab(_symbol_core(xi, px, p.m, p.s))
-        return float(a), float(b)
-
-    a_pl, b_pl = ab(pt.x + h_x, pt.xi)
-    a_mi, b_mi = ab(pt.x - h_x, pt.xi)
-    a_x = (a_pl - a_mi) / (2.0 * h_x)
-    b_x = (b_pl - b_mi) / (2.0 * h_x)
-    a_pl, b_pl = ab(pt.x, pt.xi + h_xi)
-    a_mi, b_mi = ab(pt.x, pt.xi - h_xi)
-    a_xi = (a_pl - a_mi) / (2.0 * h_xi)
-    b_xi = (b_pl - b_mi) / (2.0 * h_xi)
-    return a_xi * b_x - a_x * b_xi
+    h_xi = _FD_BRACKET_STEP * max(abs(xi), 2.0 * w.alpha / w.R)
+    h_t = _FD_BRACKET_STEP
+    if t >= h_t:
+        t_legs, t_weights = [t - h_t, t + h_t], [-0.5, 0.5]
+    else:
+        t_legs, t_weights = [t, t + h_t, t + 2.0 * h_t], [-1.5, 2.0, -0.5]
+    x = w.R * (sigma - float(w.psi_at(t)))
+    n_t = len(t_legs)
+    ts = np.array([t] * 4 + t_legs)
+    xs = np.array([x + h_x, x - h_x] + [x] * (2 + n_t))
+    xis = np.array([xi, xi, xi + h_xi, xi - h_xi] + [xi] * n_t)
+    a, b = _symbol_ab(_symbol_core(xis, w.phi_x(ts, xs), p.m, p.s))
+    phi_t = w.phi_t(ts, xs)
+    a_x, b_x, phi_tx = (float(v[0] - v[1]) / (2.0 * h_x)
+                        for v in (a, b, phi_t))
+    a_xi, b_xi = (float(v[2] - v[3]) / (2.0 * h_xi) for v in (a, b))
+    a_t, phi_tt = (float(np.dot(t_weights, v[4:])) / h_t for v in (a, phi_t))
+    return (a_xi * b_x - a_x * b_xi, phi_tx * b_xi - a_t, phi_tt)
 
 
 # ---------------------------------------------------------------------------

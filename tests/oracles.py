@@ -5,12 +5,14 @@ This module holds the rest: second routes the tests compare the package
 against (direct kernel sums, the kernel-cell carre du champ, the transform
 quadratic form, the normalization constant C(N, s) in R^N, the heat
 kernel, its closed form at s = 1/2 and its contour-shifted weighted form,
-finite-difference brackets, per-state tilted integrals, the potential flow
-stepped into one stored trajectory and integrated from it, the
-slice-by-slice quadratic Carleman operand terms, the whole-matrix refined
-trapezoid of the Macdonald and subordination quadratures, the positivity
-sweep block by block with a_xi beside b_xi) and five checks that no suite
-runs.  The checks keep their report names.
+the symbols at one phase-space point (SymbolPoint, the elliptic bracket
+{a, b} with its singular flag and degenerate limits), finite-difference
+brackets, per-state tilted integrals, the potential flow stepped into one
+stored trajectory and integrated from it, the slice-by-slice quadratic
+Carleman operand terms, the whole-matrix refined trapezoid of the
+Macdonald and subordination quadratures, the positivity sweep block by
+block with a_xi beside b_xi) and five checks that no suite runs.  The
+checks keep their report names.
 """
 from __future__ import annotations
 
@@ -37,11 +39,11 @@ from fracrel.report import CheckReport, finish_report
 from fracrel.special import _kv_quadrature, macdonald_k
 from fracrel.symbols import (_FD_BRACKET_STEP, _SUPPORT_LEAK_TOL,
                              ANNULUS_INNER, ANNULUS_OUTER, SINGULAR_FLOOR,
-                             QuadraticWeight, SymbolPoint, _fd_stencil,
+                             QuadraticWeight, _bracket_ab, _fd_stencil,
                              _grid_exponent, _sigma_branches, _symbol_ab,
                              _symbol_core, _time_derivative,
                              carleman_quadratic_check, parabolic_bracket,
-                             poisson_bracket_fd, quadratic_corpus)
+                             quadratic_corpus)
 
 # ----------------------------------------------------------------------
 # grid
@@ -603,12 +605,86 @@ def ddot_lower_bound_check(traj: SpaceTimeFunction, w: LinearWeight,
 # symbols
 
 
+class SymbolPoint(NamedTuple):
+    """Phase-space point (x, t; xi, tau).  Elliptic evaluations fix
+    t = tau = 0.  tau, the dual of t, cancels out of every bracket (the
+    time direction enters the antisymmetric symbol as tau + b with unit
+    coefficient) and is carried only so parabolic points are stated fully.
+    """
+
+    x: float
+    xi: float
+    t: float = 0.0
+    tau: float = 0.0
+
+
+def _core_at(pt: SymbolPoint, w: QuadraticWeight, p: OperatorParams):
+    return _symbol_core(pt.xi, float(w.phi_x(pt.t, pt.x)), p.m, p.s)
+
+
+def bracket_singular(pt: SymbolPoint, w: QuadraticWeight,
+                     p: OperatorParams) -> bool:
+    """True when the modulus of w vanishes to within SINGULAR_FLOOR times
+    the local scale.
+
+    There the bracket carries rho^{2(s-1)} and blows up for s < 1; sweeps
+    report such points instead of folding them into minima.
+    """
+    if p.s >= 1.0:
+        return False
+    return bool(_core_at(pt, w, p).singular())
+
+
+def poisson_bracket(pt: SymbolPoint, w: QuadraticWeight,
+                    p: OperatorParams) -> float:
+    """Closed-form {a, b} = 4 s^2 phi_xx rho^{2(s-1)} (xi^2 + phi_x^2).
+
+    At a singular point (rho = 0, s < 1) the closed form diverges; the
+    limit value +inf is returned and bracket_singular carries the flag.
+    At a fully degenerate point (xi = 0, m = 0, phi_x = 0) it reads
+    0 * inf; there rho = xi^2 + phi_x^2, so the bracket is
+    4 s^2 phi_xx (xi^2 + phi_x^2)^(2s-1) nearby, and its limit is
+    returned: 0 for s > 1/2, phi_xx at s = 1/2, +inf below.
+    """
+    val = float(_bracket_ab(_core_at(pt, w, p), w.phi_xx))
+    if math.isnan(val):
+        if p.s == 0.5:
+            return w.phi_xx
+        return 0.0 if p.s > 0.5 else math.inf
+    return val
+
+
+def poisson_bracket_fd(pt: SymbolPoint, w: QuadraticWeight,
+                       p: OperatorParams) -> float:
+    """Centered-difference a_xi b_x - a_x b_xi for cross-checking the
+    closed form; steps are relative to the local coordinate scales."""
+    h_x = _FD_BRACKET_STEP * w.R
+    h_xi = _FD_BRACKET_STEP * max(abs(pt.xi), 2.0 * w.alpha / w.R)
+
+    def ab(x, xi):
+        px = float(w.phi_x(pt.t, x))
+        a, b = _symbol_ab(_symbol_core(xi, px, p.m, p.s))
+        return float(a), float(b)
+
+    a_pl, b_pl = ab(pt.x + h_x, pt.xi)
+    a_mi, b_mi = ab(pt.x - h_x, pt.xi)
+    a_x = (a_pl - a_mi) / (2.0 * h_x)
+    b_x = (b_pl - b_mi) / (2.0 * h_x)
+    a_pl, b_pl = ab(pt.x, pt.xi + h_xi)
+    a_mi, b_mi = ab(pt.x, pt.xi - h_xi)
+    a_xi = (a_pl - a_mi) / (2.0 * h_xi)
+    b_xi = (b_pl - b_mi) / (2.0 * h_xi)
+    return a_xi * b_x - a_x * b_xi
+
+
 def parabolic_bracket_terms_fd(pt: SymbolPoint, w: QuadraticWeight,
                                p: OperatorParams) -> dict:
     """Finite-difference versions of the pieces of {a~, b~} along
     independent paths: symbol differences in (x, xi, t) and weight
     differences in t.  Keys: base {a, b}, mixed phi_tx b_xi, curvature
-    phi_tt, transport -a_t."""
+    phi_tt, transport -a_t.  The t difference is centred, or one-sided
+    from t (second order, on t, t + h, t + 2h) where t - h < 0 would take
+    psi out of [0, 3]."""
     h_t = _FD_BRACKET_STEP
     h_xi = _FD_BRACKET_STEP * max(abs(pt.xi), 2.0 * w.alpha / w.R)
 
@@ -619,6 +695,9 @@ def parabolic_bracket_terms_fd(pt: SymbolPoint, w: QuadraticWeight,
             - ab_at(pt.t, pt.xi - h_xi)[1]) / (2.0 * h_xi)
 
     def d_t(f):
+        if pt.t < h_t:
+            return (4.0 * float(f(pt.t + h_t)) - 3.0 * float(f(pt.t))
+                    - float(f(pt.t + 2.0 * h_t))) / (2.0 * h_t)
         return (float(f(pt.t + h_t)) - float(f(pt.t - h_t))) / (2.0 * h_t)
 
     return {"base": poisson_bracket_fd(pt, w, p),

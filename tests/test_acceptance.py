@@ -25,17 +25,16 @@ from fracrel.operator import (OperatorParams, apply_singular_integral,
                               apply_spectral, apply_subordination,
                               frequencies, symbol)
 from fracrel.special import macdonald_k
-from fracrel.symbols import (QuadraticWeight, SymbolPoint,
-                             appendix_conjugation_check, bracket_singular,
+from fracrel.symbols import (QuadraticWeight, appendix_conjugation_check,
                              carleman_quadratic_check,
                              conjugated_operator_matrix, elliptic_test_family,
                              matrix_parts, parabolic_test_family,
-                             poisson_bracket, poisson_bracket_fd,
                              positivity_constants, positivity_sweep,
                              quadratic_constants, s1_commutator_target)
-from oracles import (bessel_identity_check, collect, ddot_lower_bound_check,
-                     eigenfunction_residual, fundamental_solution,
-                     half_kernel_explicit, mass_series,
+from oracles import (SymbolPoint, bessel_identity_check, bracket_singular,
+                     collect, ddot_lower_bound_check, eigenfunction_residual,
+                     fundamental_solution, half_kernel_explicit, mass_series,
+                     poisson_bracket, poisson_bracket_fd,
                      refined_quadratic_constant, trapezoid,
                      weighted_l1_kernel)
 

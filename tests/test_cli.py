@@ -234,6 +234,30 @@ def test_equivalence_checks_fail_below_their_measured_error():
         assert r.measured["violation"] == r.measured["rel_error"] > 1e-12
 
 
+@pytest.mark.parametrize("piece, mutate", [
+    ("mixed", lambda br: br._replace(mixed=0.5 * br.mixed,
+                                     total=br.total - br.mixed)),
+    ("curvature", lambda br: br._replace(curv_psi2=0.0 * br.curv_psi2,
+                                         total=br.total - br.curv_psi2)),
+    ("curvature", lambda br: br._replace(curv_psi1=0.0 * br.curv_psi1,
+                                         total=br.total - br.curv_psi1)),
+], ids=["mixed-counted-once", "psi2-piece-dropped", "psi1-piece-dropped"])
+def test_bracket_fd_report_names_a_mutated_piece(piece, mutate, monkeypatch):
+    # negative control: a parabolic bracket that counts the mixed term
+    # once, or drops either part of phi_tt, fails the default report, and
+    # its largest per-piece error is in the piece that was broken
+    real = cli.symbols.parabolic_bracket
+    monkeypatch.setattr(cli.symbols, "parabolic_bracket",
+                        lambda *args: mutate(real(*args)))
+    r = cli._bracket_fd_report(dict(DEFAULTS))
+    assert r.passed is False
+    assert r.measured["violation"] == r.measured["rel_error"] > r.tolerance
+    pieces = {key: r.measured[f"rel_error_{key}"]
+              for key in ("base", "mixed", "curvature")}
+    assert max(pieces, key=pieces.get) == piece
+    assert pieces[piece] > r.tolerance
+
+
 def test_run_malformed_config_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, **{"tolernace.energy": 1e-3})
     assert main(["run", str(cfg)]) == 2

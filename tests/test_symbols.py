@@ -19,25 +19,24 @@ from fracrel import symbols
 from fracrel.grid import GridFunction, SpaceTimeFunction
 from fracrel.operator import OperatorParams
 from fracrel.report import calibration_tables
-from fracrel.symbols import (QuadraticWeight, SymbolPoint,
-                             appendix_conjugation_check,
-                             bracket_singular, calibrate_garding,
-                             calibrate_positivity, calibrate_quadratic,
-                             carleman_quadratic_check,
+from fracrel.symbols import (QuadraticWeight, appendix_conjugation_check,
+                             calibrate_garding, calibrate_positivity,
+                             calibrate_quadratic, carleman_quadratic_check,
                              conjugated_operator_matrix, default_xi_grid,
                              elliptic_test_family, garding_constants,
                              garding_hypothesis_check, matrix_parts,
                              parabolic_bracket, parabolic_test_family,
-                             poisson_bracket, poisson_bracket_fd,
                              positivity_constants, positivity_sweep,
                              quadratic_constants, require_admissible_weight,
                              s1_commutator_target, spectral_operator_matrix,
                              _bracket_ab, _mixed_pieces, _symbol_ab,
                              _symbol_b_xi, _symbol_core, _time_derivative)
 import oracles
-from oracles import (_symbol_xi_grad, garding_order_max, leak_fraction,
+from oracles import (SymbolPoint, _core_at, _symbol_xi_grad,
+                     bracket_singular, garding_order_max, leak_fraction,
                      loop_sweep_minima, operand_terms,
-                     parabolic_bracket_terms_fd, refined_quadratic_constant)
+                     parabolic_bracket_terms_fd, poisson_bracket,
+                     poisson_bracket_fd, refined_quadratic_constant)
 
 W_STEEP = QuadraticWeight.decaying(215.0, 1.0)
 P_34 = OperatorParams(0.75, 0.0)
@@ -61,13 +60,9 @@ def oracle_parabolic_bracket(x, t, xi, w, p):
     return w.phi_xx * abs(g) ** 2 + 2.0 * w.phi_tx(t) * g.imag + phi_tt
 
 
-def point_core(pt, w, p):
-    return _symbol_core(pt.xi, float(w.phi_x(pt.t, pt.x)), p.m, p.s)
-
-
 def point_ab(pt, w, p):
     """(a, b) = (rho^s cos(s theta), rho^s sin(s theta)) at the point."""
-    a, b = _symbol_ab(point_core(pt, w, p))
+    a, b = _symbol_ab(_core_at(pt, w, p))
     return float(a), float(b)
 
 
@@ -75,7 +70,7 @@ def point_gradient(pt, w, p):
     """Every first derivative of (a, b): the xi-gradient in closed form,
     and the x and t derivatives through d_x w = i phi_xx d_xi w and
     d_t w = i phi_tx d_xi w."""
-    a_xi, b_xi = (float(v) for v in _symbol_xi_grad(point_core(pt, w, p)))
+    a_xi, b_xi = (float(v) for v in _symbol_xi_grad(_core_at(pt, w, p)))
     ptx = float(w.phi_tx(pt.t))
     return {"a_xi": a_xi, "b_xi": b_xi,
             "a_x": -w.phi_xx * b_xi, "b_x": w.phi_xx * a_xi,
@@ -160,13 +155,6 @@ def test_profile_norms_and_ratios():
     assert wo.psi_d1_sup == pytest.approx(2.8)
     assert wo.psi_d2_sup == pytest.approx(5.6)
     assert 0.0 <= wo.psi_at(1.3) <= 3.0
-
-
-def test_symbol_point_validation():
-    with pytest.raises(ConfigError):
-        SymbolPoint(x=math.nan, xi=1.0)
-    with pytest.raises(ConfigError):
-        SymbolPoint(x=0.0, xi=1.0, t=-1.0)
 
 
 # ------------------------------------------------------------- symbols
@@ -318,6 +306,10 @@ def test_bracket_fully_degenerate_limit():
 
 def test_parabolic_terms_match_differences():
     pts = random_points(120, seed=59)
+    # t = 0, the first of SWEEP_TIMES, and a time within one step of it,
+    # where a centred t difference would take psi out of [0, 3]
+    pts += [(SymbolPoint(pt.x, pt.xi, t), w, p) for pt, w, p in pts[:10]
+            for t in (0.0, 5e-5)]
     worst = 0.0
     for pt, w, p in pts:
         if bracket_singular(pt, w, p):
@@ -343,9 +335,11 @@ def test_parabolic_decomposition_is_exact():
         # transport term is -a_t, which collapses onto the mixed term
         assert terms["transport"] == pytest.approx(terms["mixed"], rel=1e-14,
                                                    abs=1e-300)
-        # one order of additions, and the psi'' piece 2 alpha sigma psi''
+        # one order of additions, and the pieces 2 alpha psi'^2 and
+        # 2 alpha sigma psi''
         d1, d2 = float(w.psi_d1(pt.t)), float(w.psi_d2(pt.t))
         sigma = float(w.offset(pt.t, pt.x))
+        assert float(br.curv_psi1) == 2.0 * w.alpha * d1 * d1
         assert float(br.curv_psi2) == 2.0 * w.alpha * sigma * d2
         assert total == float(br.base + 2.0 * br.mixed
                               + 2.0 * w.alpha * d1 * d1 + br.curv_psi2)
