@@ -70,9 +70,10 @@ class GridFunction:
 class SpaceTimeFunction:
     """Samples f(t_i, x_j) on the periodic box at strictly increasing times.
 
-    The one trajectory type: row i of ``values`` (shape (nt, n)) is the
-    state at ``times[i]``.  Checks that need more of the time grid (uniform
-    spacing, a minimum number of samples) impose it themselves.
+    The parabolic operand type of symbols.carleman_quadratic_check: row i
+    of ``values`` (shape (nt, n)) is the operand at ``times[i]``.  Checks
+    that need more of the time grid (uniform spacing, a minimum number of
+    samples) impose it themselves.
     """
 
     L: float

@@ -4,9 +4,9 @@ The free semigroup is applied exactly per Fourier mode, so mass decay and
 the semigroup property hold to rounding on the grid.
 A bounded time-independent potential V enters through the Duhamel form,
 whose per-step equation is pointwise diagonal and is solved in closed form;
-one sample of V serves a flow's steps and integrands.  The free flow comes
-back as one SpaceTimeFunction (times and an (nt, n) array of states); the
-potential flow is a stream of chunks of states, integrated as they are made.
+one sample of V serves a flow's steps and integrands.  Both flows are
+streams of chunks of states, integrated as they are made; the heat layer
+stores no flow.
 Weighted energies refuse to integrate data that has not decayed at the
 periodic seam, since the exponential weight would turn wrap-around into
 silent garbage.
@@ -21,8 +21,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DomainError, PreconditionError, SeamLeakError
-from .grid import (SEAM_TOL, GridFunction, SpaceTimeFunction,
-                   require_seam_decay, seam_magnitude)
+from .grid import SEAM_TOL, GridFunction, require_seam_decay, seam_magnitude
 from .operator import OperatorParams, frequencies, symbol
 from .report import CheckReport, finish_report
 
@@ -57,8 +56,8 @@ class PotentialField:
             raise ConfigError(
                 f"sup_norm must be finite and >= 0, got {self.sup_norm!r}")
 
-    def sample(self, grid: GridFunction | SpaceTimeFunction) -> np.ndarray:
-        """V at the nodes of the grid's box, checked against sup_norm."""
+    def sample(self, grid) -> np.ndarray:
+        """V at the nodes of ``grid``'s box, checked against sup_norm."""
         x = grid.x
         vals = np.broadcast_to(
             np.asarray(self.evaluator(x), dtype=float), x.shape).copy()
@@ -96,21 +95,26 @@ class PotentialField:
 
 
 def evolve_free(u0: GridFunction, times, p: OperatorParams
-                ) -> SpaceTimeFunction:
+                ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The potential-free flow from u0 at the given times.
 
     One transform of u0 is decayed mode-wise by the exact factor
-    exp(-t sigma) for each time; row i is the state at times[i].  Times
-    must be finite and >= 0 (DomainError) and strictly increasing
-    (ConfigError, from the trajectory type).
+    exp(-t sigma) for each time.  Yields the states at ``times`` as
+    (times, rows) chunks of CHUNK_ROWS states, as evolve_with_potential
+    does, each made when it is asked for.  Times must be finite and >= 0
+    (DomainError) and strictly increasing (ConfigError); bad times raise at
+    the first chunk.
     """
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times) & (times >= 0.0)):
         raise DomainError(f"times must be finite and >= 0, got {times!r}")
+    if times.ndim != 1 or not times.size or np.any(np.diff(times) <= 0.0):
+        raise ConfigError(f"need strictly increasing 1-d times, got {times!r}")
     spec = np.fft.rfft(u0.values)
     sig = symbol(p, frequencies(u0.L, u0.n))
-    values = np.fft.irfft(spec * np.exp(-np.outer(times, sig)), u0.n, axis=1)
-    return SpaceTimeFunction(u0.L, u0.n, times, values)
+    for a in range(0, times.size, CHUNK_ROWS):
+        t = times[a:a + CHUNK_ROWS]
+        yield t, np.fft.irfft(spec * np.exp(-np.outer(t, sig)), u0.n, axis=1)
 
 
 def _mode_quadratic(coeffs: np.ndarray, L: float, n: int,
@@ -174,7 +178,7 @@ def energy_identity_check(u0: GridFunction, p: OperatorParams,
 class TiltedSeries(NamedTuple):
     """Tilted integrals along a stream of states (see tilted_integrals)."""
 
-    grid: GridFunction | SpaceTimeFunction
+    grid: GridFunction
     times: np.ndarray
     terms: dict
     failures: list
@@ -245,12 +249,11 @@ def tilted_integrals(grid, chunks: Iterable, lam: float,
         zip(what, np.concatenate(parts, axis=1))), failures)
 
 
-def weighted_l2(traj: SpaceTimeFunction, lam: float,
-                what: str = "weighted integrand") -> np.ndarray:
-    """Integral of e^(lam x) u^2 at every state of ``traj``, each guarded
-    against seam leakage; the stored states are one chunk."""
-    return tilted_integrals(traj, [(traj.times, traj.values)], lam, (what,),
-                            lambda chunk: [chunk ** 2]).checked().terms[what]
+def _tilted_energy(grid, chunks, lam: float, what: str) -> np.ndarray:
+    """Integral of e^(lam x) u^2 at every state of the stream ``chunks``,
+    each guarded against seam leakage; the first failure is raised."""
+    return tilted_integrals(grid, chunks, lam, (what,),
+                            lambda rows: [rows ** 2]).checked().terms[what]
 
 
 def weighted_decay_check(u0: GridFunction, lam: float,
@@ -263,9 +266,10 @@ def weighted_decay_check(u0: GridFunction, lam: float,
             f"need |lam| <= 2m, got lam={lam:g}, m={p.m:g}")
     times = np.linspace(0.0, 1.0, 11)
     rate = (p.m ** 2 - 0.25 * lam ** 2) ** p.s
-    start = SpaceTimeFunction(u0.L, u0.n, [0.0], u0.values[None, :])
-    w_start = float(weighted_l2(start, lam, "initial weighted energy")[0])
-    energies = weighted_l2(evolve_free(u0, times, p), lam, "weighted energy")
+    w_start = float(_tilted_energy(u0, [(np.zeros(1), u0.values[None, :])],
+                                   lam, "initial weighted energy")[0])
+    energies = _tilted_energy(u0, evolve_free(u0, times, p), lam,
+                              "weighted energy")
     worst_slack = math.inf
     worst_t = 0.0
     for t, w_t in zip(times, energies):
@@ -294,7 +298,8 @@ def log_convexity_check(u0: GridFunction, lam: float, p: OperatorParams,
             f"need |lam| <= m for the weighted theory, got lam={lam:g}, "
             f"m={p.m:g}")
     times = np.linspace(0.0, 1.0, 21)
-    values = weighted_l2(evolve_free(u0, times, p), lam, "weighted energy")
+    values = _tilted_energy(u0, evolve_free(u0, times, p), lam,
+                            "weighted energy")
     h_first, h_last = values[0], values[-1]
     if h_first == 0.0 or h_last == 0.0:
         # zero data stays zero; nothing to bound

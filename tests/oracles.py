@@ -7,12 +7,13 @@ quadratic form, the normalization constant C(N, s) in R^N, the heat
 kernel, its closed form at s = 1/2 and its contour-shifted weighted form,
 the symbols at one phase-space point (SymbolPoint, the elliptic bracket
 {a, b} with its singular flag and degenerate limits), finite-difference
-brackets, per-state tilted integrals, the potential flow stepped into one
-stored trajectory and integrated from it, the slice-by-slice quadratic
-Carleman operand terms, the whole-matrix refined trapezoid of the
-Macdonald and subordination quadratures, the positivity sweep block by
-block with a_xi beside b_xi) and five checks that no suite runs.  The
-checks keep their report names.
+brackets (the parabolic one in x, t, xi and tau), per-state tilted
+integrals and the weighted energies of a stored trajectory, the potential
+flow stepped into one stored trajectory and integrated from it, the
+slice-by-slice quadratic Carleman operand terms, the whole-matrix refined
+trapezoid of the Macdonald and subordination quadratures, the positivity
+sweep block by block with a_xi beside b_xi) and five checks that no suite
+runs.  The checks keep their report names.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from fracrel.errors import (ConfigError, DomainError, PreconditionError,
 from fracrel.grid import (GridFunction, SpaceTimeFunction, grid_points,
                           require_seam_decay, smooth_window)
 from fracrel.heat import (CHUNK_ROWS, PotentialField, TiltedSeries,
-                          tilted_integrals, weighted_l2)
+                          _tilted_energy, tilted_integrals)
 from fracrel.linear_carleman import (_DDOT_TOLERANCE, LinearWeight,
                                      _admissible_constants,
                                      _production, _production_rate,
@@ -333,6 +334,14 @@ def stored_chunks(traj: SpaceTimeFunction):
     """A stored trajectory as a stream of CHUNK_ROWS states at a time."""
     for a in range(0, traj.nt, CHUNK_ROWS):
         yield traj.times[a:a + CHUNK_ROWS], traj.values[a:a + CHUNK_ROWS]
+
+
+def weighted_l2(traj: SpaceTimeFunction, lam: float,
+                what: str = "weighted integrand") -> np.ndarray:
+    """Integral of e^(lam x) u^2 at every state of a stored trajectory,
+    each guarded against seam leakage, the first failure raised: the heat
+    checks' weighted energies, the stored states one chunk."""
+    return _tilted_energy(traj, [(traj.times, traj.values)], lam, what)
 
 
 def stored_evolution(u0: GridFunction, V: PotentialField, T: float,
@@ -704,6 +713,48 @@ def parabolic_bracket_terms_fd(pt: SymbolPoint, w: QuadraticWeight,
             "mixed": d_t(lambda t: w.phi_x(t, pt.x)) * float(b_xi),
             "curvature": d_t(lambda t: w.phi_t(t, pt.x)),
             "transport": -d_t(lambda t: ab_at(t, pt.xi)[0])}
+
+
+def tilde_symbols(w: QuadraticWeight, p: OperatorParams) -> tuple:
+    """a~ = a - phi_t and b~ = tau + b, each a function of (x, t, xi, tau):
+    the parabolic symbols whose bracket parabolic_bracket evaluates."""
+    def ab(x, t, xi):
+        a, b = _symbol_ab(_symbol_core(xi, float(w.phi_x(t, x)), p.m, p.s))
+        return float(a), float(b)
+
+    def a_tilde(x, t, xi, tau):
+        return ab(x, t, xi)[0] - float(w.phi_t(t, x))
+
+    def b_tilde(x, t, xi, tau):
+        return tau + ab(x, t, xi)[1]
+
+    return a_tilde, b_tilde
+
+
+def phase_bracket_fd(pt: SymbolPoint, w: QuadraticWeight, f, g) -> float:
+    """{f, g} = f_xi g_x - f_x g_xi + f_tau g_t - f_t g_tau at pt, every
+    first derivative of f(x, t, xi, tau) and g(x, t, xi, tau) a finite
+    difference.  Steps are relative to the local coordinate scales; the t
+    difference is centred, or one-sided from t (second order, on t, t + h,
+    t + 2h) where t - h < 0 would take psi out of [0, 3]."""
+    steps = (_FD_BRACKET_STEP * w.R, _FD_BRACKET_STEP,
+             _FD_BRACKET_STEP * max(abs(pt.xi), 2.0 * w.alpha / w.R),
+             _FD_BRACKET_STEP * max(abs(pt.tau), 1.0))
+    at = np.array([pt.x, pt.t, pt.xi, pt.tau])
+
+    def d(fn, k):
+        def shifted(by):
+            q = at.copy()
+            q[k] += by * steps[k]
+            return fn(*q)
+        if k == 1 and pt.t < steps[1]:
+            return (4.0 * shifted(1.0) - 3.0 * shifted(0.0)
+                    - shifted(2.0)) / (2.0 * steps[1])
+        return (shifted(1.0) - shifted(-1.0)) / (2.0 * steps[k])
+
+    f_x, f_t, f_xi, f_tau = (d(f, k) for k in range(4))
+    g_x, g_t, g_xi, g_tau = (d(g, k) for k in range(4))
+    return f_xi * g_x - f_x * g_xi + f_tau * g_t - f_t * g_tau
 
 
 def leak_fraction(w: QuadraticWeight, g: GridFunction, t: float) -> float:

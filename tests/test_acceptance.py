@@ -212,7 +212,7 @@ def _residual_draws(count):
 def test_criterion_08_mild_solution():
     bad = []
     u0 = gaussian(40.0, 4096, sigma=2.0)
-    free = evolve_free(u0, [1.0], P_HALF).values[-1]
+    free = collect(u0, evolve_free(u0, [1.0], P_HALF)).values[-1]
     for c in (1.0, -1.0, 0.5):
         traj = collect(u0, evolve_with_potential(
             u0, PotentialField.constant(c).sample(u0), 1.0, P_HALF,

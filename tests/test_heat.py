@@ -16,14 +16,14 @@ from fracrel.errors import (ConfigError, DomainError, PreconditionError,
 from fracrel.grid import (GridFunction, SpaceTimeFunction,
                           band_limited_noise, gaussian, smooth_window)
 from fracrel import heat
-from fracrel.heat import (PotentialField, energy_identity_check,
+from fracrel.heat import (CHUNK_ROWS, PotentialField, energy_identity_check,
                           evolve_free, evolve_with_potential,
-                          log_convexity_check, weighted_decay_check,
-                          weighted_l2)
+                          log_convexity_check, weighted_decay_check)
 from fracrel.operator import OperatorParams, frequencies, symbol
 from oracles import (backward_uc_check, collect, fourier_mode,
                      fundamental_solution, half_kernel_explicit,
-                     shifted_kernel, state_at, trapezoid, weighted_l1_kernel)
+                     shifted_kernel, state_at, trapezoid, weighted_l1_kernel,
+                     weighted_l2)
 
 P_HALF = OperatorParams(0.5, 1.0)
 
@@ -123,28 +123,35 @@ def test_weighted_l1_rejects_super_mass():
 
 # ------------------------------------------------------------- evolution
 
+def free_states(u0, times, p=P_HALF):
+    """The free flow at ``times``, its stream read into one trajectory."""
+    return collect(u0, evolve_free(u0, times, p))
+
+
 def test_evolve_free_zero_time_is_identity():
     u0 = gaussian(40.0, 4096)
-    traj = evolve_free(u0, [0.0], P_HALF)
+    traj = free_states(u0, [0.0])
     np.testing.assert_allclose(traj.values[0], u0.values, atol=1e-14)
 
 
 def test_evolve_free_semigroup():
     u0 = gaussian(40.0, 4096, sigma=2.0)
-    hop = evolve_free(u0, [0.3], P_HALF)
-    two_hops = evolve_free(state_at(hop, 0), [0.7], P_HALF)
-    one_hop = evolve_free(u0, [1.0], P_HALF)
+    hop = free_states(u0, [0.3])
+    two_hops = free_states(state_at(hop, 0), [0.7])
+    one_hop = free_states(u0, [1.0])
     assert np.max(np.abs(two_hops.values[0] - one_hop.values[0])) <= 1e-12
 
 
 def test_evolve_free_rows_are_single_time_evolutions():
     u0 = gaussian(40.0, 2048, sigma=1.5)
     times = np.linspace(0.0, 1.0, 6)
-    traj = evolve_free(u0, times, P_HALF)
-    assert isinstance(traj, SpaceTimeFunction)
+    chunks = list(evolve_free(u0, times, P_HALF))
+    # chunks of CHUNK_ROWS states, the last one shorter
+    assert [len(rows) for _, rows in chunks] == [CHUNK_ROWS, 2]
+    traj = collect(u0, chunks)
     assert np.array_equal(traj.times, times)
     for t, row in zip(times, traj.values):
-        assert np.array_equal(row, evolve_free(u0, [t], P_HALF).values[0])
+        assert np.array_equal(row, free_states(u0, [t]).values[0])
 
 
 def test_evolve_free_rows_are_the_per_time_transforms():
@@ -153,7 +160,7 @@ def test_evolve_free_rows_are_the_per_time_transforms():
     times = np.linspace(0.0, 2.0, 21)
     spec = np.fft.rfft(u0.values)
     sig = symbol(P_HALF, frequencies(40.0, 4096))
-    traj = evolve_free(u0, times, P_HALF)
+    traj = free_states(u0, times)
     for t, row in zip(times, traj.values):
         assert np.array_equal(row, np.fft.irfft(spec * np.exp(-t * sig),
                                                 4096))
@@ -163,25 +170,26 @@ def test_evolution_mass_decay():
     u0 = gaussian(40.0, 4096, sigma=1.5)
     base = trapezoid(u0)
     for s, m in [(0.3, 1.0), (0.5, 1.0), (0.7, 2.0)]:
-        traj = evolve_free(u0, [0.8], OperatorParams(s, m))
+        traj = free_states(u0, [0.8], OperatorParams(s, m))
         want = math.exp(-(m ** (2 * s)) * 0.8) * base
         assert abs(trapezoid(state_at(traj, 0)) - want) <= 1e-12
 
 
 def test_evolve_free_rejects_negative_time():
     with pytest.raises(DomainError):
-        evolve_free(gaussian(40.0, 1024), [-0.1], P_HALF)
+        next(evolve_free(gaussian(40.0, 1024), [-0.1], P_HALF))
 
 
 def test_evolve_free_rejects_bad_times():
     u0 = gaussian(40.0, 1024)
     for bad in ([0.0, -1.0], [float("nan")], [float("inf")]):
         with pytest.raises(DomainError):
-            evolve_free(u0, bad, P_HALF)
-    # the trajectory type refuses times that do not increase
-    for bad in ([0.5, 0.2], [0.3, 0.3]):
+            next(evolve_free(u0, bad, P_HALF))
+    # times that do not increase, even past the first chunk, are refused
+    # at it
+    for bad in ([0.5, 0.2], [0.3, 0.3], [0.1, 0.2, 0.3, 0.4, 0.5, 0.5]):
         with pytest.raises(ConfigError):
-            evolve_free(u0, bad, P_HALF)
+            next(evolve_free(u0, bad, P_HALF))
 
 
 # --------------------------------------------------------- energy balance
@@ -269,9 +277,20 @@ def test_picard_zero_potential_matches_free():
     u0 = gaussian(40.0, 4096, sigma=2.0)
     traj = collect(u0, evolve_with_potential(
         u0, PotentialField.constant(0.0).sample(u0), 1.0, P_HALF))
-    free = evolve_free(u0, [1.0], P_HALF)
+    free = free_states(u0, [1.0])
     assert traj.times[-1] == pytest.approx(1.0)
     assert np.max(np.abs(traj.values[-1] - free.values[-1])) <= 1e-9
+    # on the linear suite's grid, every one of the 1001 states of the
+    # exact free flow matches the zero-potential steps at dt = 1e-3 (the
+    # largest gap is 1.6e-14 of max |u0|)
+    u0 = gaussian(128.0, 4096, sigma=2.0)
+    traj = collect(u0, evolve_with_potential(
+        u0, PotentialField.constant(0.0).sample(u0), 1.0, P_HALF, dt=1e-3))
+    free = free_states(u0, np.linspace(0.0, 1.0, 1001))
+    assert traj.nt == free.nt == 1001
+    np.testing.assert_allclose(traj.times, free.times, rtol=0.0, atol=1e-12)
+    assert np.max(np.abs(traj.values - free.values)) <= 1e-13 * np.max(
+        np.abs(u0.values))
 
 
 def test_steps_are_the_closed_form_bit_for_bit():
@@ -299,7 +318,7 @@ def test_steps_are_the_closed_form_bit_for_bit():
 def test_picard_constant_potential_oracle():
     # exact solution e^{ct} K_t u0 since constants commute with the flow
     u0 = gaussian(40.0, 4096, sigma=2.0)
-    free = evolve_free(u0, [1.0], P_HALF).values[-1]
+    free = free_states(u0, [1.0]).values[-1]
     for c in (1.0, -1.0, 0.5):
         traj = collect(u0, evolve_with_potential(
             u0, PotentialField.constant(c).sample(u0), 1.0, P_HALF,

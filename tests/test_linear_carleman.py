@@ -22,7 +22,7 @@ from fracrel.grid import (GridFunction, SpaceTimeFunction, gaussian,
                           smooth_window)
 from fracrel import heat
 from fracrel.heat import (PotentialField, evolve_with_potential,
-                          tilted_integrals, weighted_l2)
+                          tilted_integrals)
 from fracrel.linear_carleman import (CarlemanLedger, LinearWeight,
                                      TILTED_MASS_COEFF, _assemble_ledger,
                                      _production_rate, _tent_residuals,
@@ -36,7 +36,7 @@ from oracles import (carre_du_champ, collect, ddot_lower_bound_check,
                      fourier_mode, functional_D, functional_H, mass_series,
                      spectral_carre, state_at, stored_chunks,
                      stored_evolution, stored_series, trapezoid,
-                     weighted_integral, windowed_exponential)
+                     weighted_integral, weighted_l2, windowed_exponential)
 
 P_HALF = OperatorParams(0.5, 1.0)
 W_MAIN = LinearWeight(0.5, -11.0)          # the operating drift -(m^(2s)+10)

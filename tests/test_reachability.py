@@ -15,11 +15,18 @@ that shares its name with a live one, but it never flags a live one.
 Exported names get no exemption: every function fracrel/__init__.py
 exports is one a CLI path calls.  The one exemption is
 ``CheckReport.to_json``, a method of an exported class, part of its API.
+
+The layers the benchmark's traced runs must see called (the ``layers`` of
+each workload in perfbench/run.py) are held to the same walk: each must be
+a public function or a public method of a public class, the spans the
+tracer wraps, and reached from cli.main.
 """
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "fracrel"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "fracrel"
+BENCH = ROOT / "perfbench" / "run.py"
 EXEMPT_METHODS = {"report.CheckReport.to_json"}
 
 
@@ -88,6 +95,47 @@ def unreachable(sources, exempt=True):
                   if q not in done and not (exempt and q in EXEMPT_METHODS))
 
 
+def _public_defs(sources):
+    """Qualified names of the public functions and of the public methods of
+    public classes of ``sources``: the spans the tracer wraps."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    names = set()
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            if not isinstance(node, defs + (ast.ClassDef,)) or \
+                    node.name.startswith("_"):
+                continue
+            if isinstance(node, defs):
+                names.add(f"{module}.{node.name}")
+            else:
+                names |= {f"{module}.{node.name}.{item.name}"
+                          for item in node.body if isinstance(item, defs)
+                          and not item.name.startswith("_")}
+    return names
+
+
+def untraceable(sources, layers):
+    """The names among ``layers`` that are not a public function or method
+    of ``sources`` that cli.main reaches."""
+    public = _public_defs(sources)
+    dead = set(unreachable(sources, exempt=False))
+    return sorted(name for name in layers
+                  if name not in public or name in dead)
+
+
+def _benchmark_layers():
+    """Workload name -> the layers its traced run must see called, read
+    from the WORKLOADS table of perfbench/run.py, whose entries are
+    Workload(command, config, layers)."""
+    tree = ast.parse(BENCH.read_text())
+    table = next(node.value for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "WORKLOADS"
+                         for t in node.targets))
+    return {ast.literal_eval(key): ast.literal_eval(call.args[2])
+            for key, call in zip(table.keys, table.values)}
+
+
 def test_every_function_is_reachable_from_the_cli():
     dead = unreachable(_sources())
     assert not dead, (
@@ -121,3 +169,27 @@ def test_negative_control_uncalled_code_fails():
     sources["grid"] += (
         "\n\nclass _Rows:\n    def slice(self, i):\n        return i\n")
     assert unreachable(sources) == ["grid._Rows.slice"]
+
+
+def test_benchmark_layers_are_traced_and_reached():
+    # a layer the tracer does not wrap, or that no CLI path calls, has no
+    # traced calls, and the traced run reads incorrect
+    workloads = _benchmark_layers()
+    assert sorted(workloads) == ["calibrate_all", "equivalence_cold",
+                                 "linear_ledger"]
+    assert all(workloads.values())
+    layers = set().union(*workloads.values())
+    assert untraceable(_sources(), layers) == []
+
+
+def test_negative_control_private_or_dead_layer_fails():
+    layers = set().union(*_benchmark_layers().values())
+    # a renamed-away method is no longer a traced span
+    sources = _sources()
+    sources["heat"] = sources["heat"].replace("def sample(", "def _sample(")
+    assert untraceable(sources, layers) == ["heat.PotentialField.sample"]
+    # a public function that no CLI path reaches
+    sources = _sources()
+    sources["grid"] += "\n\ndef orphan_layer(values):\n    return values\n"
+    assert untraceable(sources, layers | {"grid.orphan_layer"}) == [
+        "grid.orphan_layer"]

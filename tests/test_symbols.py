@@ -35,8 +35,9 @@ import oracles
 from oracles import (SymbolPoint, _core_at, _symbol_xi_grad,
                      bracket_singular, garding_order_max, leak_fraction,
                      loop_sweep_minima, operand_terms,
-                     parabolic_bracket_terms_fd, poisson_bracket,
-                     poisson_bracket_fd, refined_quadratic_constant)
+                     parabolic_bracket_terms_fd, phase_bracket_fd,
+                     poisson_bracket, poisson_bracket_fd,
+                     refined_quadratic_constant, tilde_symbols)
 
 W_STEEP = QuadraticWeight.decaying(215.0, 1.0)
 P_34 = OperatorParams(0.75, 0.0)
@@ -370,11 +371,28 @@ def test_parabolic_s1_hand_expansion():
 
 
 def test_dual_time_variable_cancels():
-    # the dual time variable enters only through a unit-slope shift that
-    # the bracket differentiates away
+    # the dual time variable enters b~ = tau + b only through a unit-slope
+    # shift: differenced in all four variables, the bracket of a~ and b~
+    # is the same at tau = 0 and tau = 5.5, and it is the closed form
+    kept, off = 0, []
     for pt, w, p in random_points(20, seed=71):
-        shifted = SymbolPoint(x=pt.x, xi=pt.xi, t=pt.t, tau=5.5)
-        assert bracket_at(shifted, w, p).total == bracket_at(pt, w, p).total
+        if bracket_singular(pt, w, p):
+            continue
+        kept += 1
+        total = float(bracket_at(pt, w, p).total)
+        a_tilde, b_tilde = tilde_symbols(w, p)
+        at_zero = phase_bracket_fd(pt, w, a_tilde, b_tilde)
+        at_tau = phase_bracket_fd(pt._replace(tau=5.5), w, a_tilde, b_tilde)
+        assert at_tau == pytest.approx(at_zero, rel=1e-10)
+        assert at_zero == pytest.approx(total, rel=1e-6)
+        assert at_tau == pytest.approx(total, rel=1e-6)
+        # negative control: b~ = 2 tau + b doubles the -a~_t pair
+        doubled = phase_bracket_fd(
+            pt._replace(tau=5.5), w, a_tilde,
+            lambda x, t, xi, tau: tau + b_tilde(x, t, xi, tau))
+        off.append(abs(doubled - total) / abs(total))
+    assert kept == 20
+    assert max(off) > 1.0, max(off)
 
 
 def test_bracket_scaling_laws():
