@@ -19,10 +19,15 @@ bodies and CSV tables; wall-clock data lives only under the bundle's
 ``meta`` key.  A calibration's ``meta`` also records each table's wall
 time, the fracrel and numpy versions and the git commit of the package
 checkout (null outside a git checkout).
+
+Cold start: every command runs in a fresh process, so this module imports
+at load time only what config validation and every suite need.  The
+symbol layer (``symbols``), ``hashlib`` (OpenSSL), ``concurrent.futures``
+and ``subprocess`` are imported inside the functions that use them, and
+their functions are read as module attributes when called.
 """
 import argparse
 import csv
-import hashlib
 import io
 import json
 import math
@@ -43,7 +48,7 @@ from .linear_carleman import (LinearWeight, calibrate_constants,
 from .operator import (OperatorParams, apply_singular_integral,
                        apply_spectral, apply_subordination)
 from .report import CheckReport, finish_report
-from . import linear_carleman, symbols
+from . import linear_carleman
 
 SUITES = ("equivalence", "heat", "linear-carleman", "symbol",
           "quadratic-carleman", "all")
@@ -160,12 +165,14 @@ def _validate(cfg: dict) -> None:
 
 
 def _split_rng(seed: int, suite: str, check: str):
+    import hashlib
     digest = hashlib.sha256(f"{seed}|{suite}|{check}|0".encode()).digest()
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
 
 def _corpus_seed(cfg) -> int:
     """Seed of the linear Carleman corpus, shared by run and calibrate."""
+    import hashlib
     return int.from_bytes(hashlib.sha256(
         f"{cfg['seed']}|linear|corpus".encode()).digest()[:8], "little")
 
@@ -310,6 +317,7 @@ def _analytic_operands(L: float, n: int) -> list:
 
 
 def _falsification_report(p34: OperatorParams) -> CheckReport:
+    from . import symbols
     # expected negative: an oscillating profile outside the admissible set
     rep = symbols.positivity_sweep(
         symbols.QuadraticWeight.oscillating(2.0, 1.0, rate=3.0), p34,
@@ -325,6 +333,7 @@ def _falsification_report(p34: OperatorParams) -> CheckReport:
 def _bracket_fd_report(cfg) -> CheckReport:
     # the parabolic bracket the sweeps read against finite differences at
     # random points, piece by piece, each error relative to the bracket
+    from . import symbols
     t0 = time.perf_counter()
     rng = _split_rng(cfg["seed"], "symbol", "bracket_fd")
     worst = dict.fromkeys(("base", "mixed", "curvature", "total"), 0.0)
@@ -357,6 +366,7 @@ def _bracket_fd_report(cfg) -> CheckReport:
 
 def _s1_commutator_report(cfg) -> CheckReport:
     # s = 1 commutator action against the closed form
+    from . import symbols
     n_mat = int(cfg["symbol.matrix_n"])
     t0 = time.perf_counter()
     worst = 0.0
@@ -377,6 +387,7 @@ def _s1_commutator_report(cfg) -> CheckReport:
 
 
 def _suite_symbol(cfg) -> list:
+    from . import symbols
     p34 = OperatorParams(0.75, 0.0)
     alpha, R = cfg["quadratic.alpha"], cfg["quadratic.R"]
     out = [
@@ -404,6 +415,7 @@ def _suite_symbol(cfg) -> list:
 
 def _quadratic_report(seed: int, mode: str, s: float, mr: float,
                       count: int) -> CheckReport:
+    from . import symbols
     entry = symbols.quadratic_constants(mode, s, mr)
     label = f"elliptic|{s}|{mr}" if mode == "elliptic" else f"parabolic|{mr}"
     w, p, fs = symbols.quadratic_corpus(
@@ -507,6 +519,7 @@ def cmd_run(cfg: dict) -> int:
 
 
 def _corpus_hash(corpus) -> str:
+    import hashlib
     h = hashlib.sha256()
     for f0, V in corpus:
         h.update(np.ascontiguousarray(f0.values).tobytes())
@@ -518,6 +531,8 @@ def _calibration_jobs(cfg: dict, provenance: dict) -> dict:
     """Table name -> zero-argument builder, for each table of the suite."""
     suite = cfg["suite"]
     jobs = {}
+    if suite in ("symbol", "quadratic-carleman", "all"):
+        from . import symbols
     if suite in ("linear-carleman", "all"):
         def linear():
             p = OperatorParams(cfg["operator.s"], cfg["operator.m"])

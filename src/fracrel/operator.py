@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError, PreconditionError
 from .grid import GridFunction, centered_d2
@@ -131,6 +130,7 @@ def _kernel_radial(p: OperatorParams, z: np.ndarray) -> np.ndarray:
 def _kernel_weights(p: OperatorParams, L: float, n: int) -> dict:
     """Cell-integrated kernel weights, Taylor moments and the stencil
     transform, cached per (params, grid) for the 16 latest keys."""
+    from numpy.polynomial.legendre import leggauss
     h = L / n
     r_far = min(KERNEL_FAR_CUTOFF / p.m, 0.5 * L)
     k_far = min(n // 2, int(math.floor(r_far / h)))

@@ -6,7 +6,9 @@ was measured, against which tolerance, and where the worst point sits.
 """
 from __future__ import annotations
 
+import copy
 import dataclasses
+import functools
 import json
 import math
 import time
@@ -79,8 +81,10 @@ class CheckReport:
         return f"[{status}] {self.name} (tol={self.tolerance:g})"
 
 
-def calibration_tables() -> dict:
-    """The frozen calibration tables packaged in ``data/calibration.json``."""
+@functools.lru_cache(maxsize=1)
+def _packaged_tables() -> dict:
+    # the frozen tables of data/calibration.json, parsed once per process;
+    # frozen_entry hands out copies, so no caller can change them
     return json.loads(resources.files("fracrel").joinpath(
         "data", "calibration.json").read_text())
 
@@ -90,12 +94,12 @@ def frozen_entry(table: str, **keys) -> dict:
     floats to 1e-9 relative (absolute below 1), other values by equality.
     A table that is a single entry (the linear one) reads as a list of
     one."""
-    entries = calibration_tables()[table]
+    entries = _packaged_tables()[table]
     for entry in [entries] if isinstance(entries, dict) else entries:
         if all(abs(entry[k] - v) <= 1e-9 * max(1.0, abs(v))
                if isinstance(v, float) else entry[k] == v
                for k, v in keys.items()):
-            return entry
+            return copy.deepcopy(entry)
     raise CalibrationError(f"no frozen {table} entry for {keys}")
 
 

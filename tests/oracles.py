@@ -2,7 +2,8 @@
 
 The package holds what ``fracrel run`` and ``fracrel calibrate`` execute.
 This module holds the rest: second routes the tests compare the package
-against (direct kernel sums, the kernel-cell carre du champ, the transform
+against (the frozen calibration tables parsed straight from the packaged
+file, direct kernel sums, the kernel-cell carre du champ, the transform
 quadratic form, the normalization constant C(N, s) in R^N, the heat
 kernel, its closed form at s = 1/2 and its contour-shifted weighted form,
 the symbols at one phase-space point (SymbolPoint, the elliptic bracket
@@ -17,8 +18,10 @@ runs.  The checks keep their report names.
 """
 from __future__ import annotations
 
+import json
 import math
 import time
+from importlib import resources
 from typing import NamedTuple
 
 import numpy as np
@@ -45,6 +48,17 @@ from fracrel.symbols import (_FD_BRACKET_STEP, _SUPPORT_LEAK_TOL,
                              _symbol_core, _time_derivative,
                              carleman_quadratic_check, parabolic_bracket,
                              quadratic_corpus)
+
+# ----------------------------------------------------------------------
+# report
+
+
+def calibration_tables() -> dict:
+    """The frozen tables of the packaged data/calibration.json, parsed
+    afresh on every call, apart from the package's once-per-process copy."""
+    return json.loads(resources.files("fracrel").joinpath(
+        "data", "calibration.json").read_text())
+
 
 # ----------------------------------------------------------------------
 # grid

@@ -6,23 +6,30 @@ the frozen calibration tables.
 """
 import csv
 import json
+import os
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fracrel
-from fracrel import cli, heat, linear_carleman
+from fracrel import cli, heat, linear_carleman, report, symbols
 from fracrel.cli import (DEFAULTS, SUITES, _split_rng, cmd_calibrate,
                          load_config, main, write_outputs)
 from fracrel.errors import CalibrationError, ConfigError
 from fracrel.grid import GridFunction
 from fracrel.linear_carleman import CarlemanLedger, LinearWeight
 from fracrel.operator import OperatorParams, apply_spectral
-from fracrel.report import calibration_tables, frozen_entry
+from fracrel.report import frozen_entry
+
+from oracles import calibration_tables
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -246,8 +253,8 @@ def test_bracket_fd_report_names_a_mutated_piece(piece, mutate, monkeypatch):
     # negative control: a parabolic bracket that counts the mixed term
     # once, or drops either part of phi_tt, fails the default report, and
     # its largest per-piece error is in the piece that was broken
-    real = cli.symbols.parabolic_bracket
-    monkeypatch.setattr(cli.symbols, "parabolic_bracket",
+    real = symbols.parabolic_bracket
+    monkeypatch.setattr(symbols, "parabolic_bracket",
                         lambda *args: mutate(real(*args)))
     r = cli._bracket_fd_report(dict(DEFAULTS))
     assert r.passed is False
@@ -442,6 +449,63 @@ def test_console_entry_point(tmp_path):
     assert "checks passed" in proc.stdout
 
 
+# a fresh interpreter loads the CLI, validates the first config, then runs
+# every config; it prints which of the watched modules each stage left loaded
+COLD_PROBE = """
+import json, sys
+from fracrel import cli
+watch = ("fracrel.symbols", "hashlib", "_hashlib", "numpy.polynomial")
+cli.load_config(sys.argv[1])
+stages = {"load_config": [m for m in watch if m in sys.modules]}
+for path in sys.argv[1:]:
+    assert cli.main(["run", path]) == 0
+    suite = json.loads(open(path).read())["suite"]
+    stages[suite] = [m for m in watch if m in sys.modules]
+print(json.dumps(stages))
+"""
+
+
+def cold_stages(src, tmp_path, *suites) -> dict:
+    configs = [str(write_config(tmp_path, f"{suite}.json", **{
+        "suite": suite, "grid.n": 1024, "output.dir": str(tmp_path / suite)}))
+        for suite in suites]
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_PROBE, *configs],
+        capture_output=True, text=True, env={**os.environ,
+                                            "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def cold_path_faults(stages) -> list:
+    """The watched modules a stage loaded though its suite never runs them:
+    validation needs none, suite equivalence only numpy.polynomial."""
+    return ([f"load_config loaded {m}" for m in stages["load_config"]]
+            + [f"suite equivalence loaded {m}" for m in stages["equivalence"]
+               if m != "numpy.polynomial"])
+
+
+def test_cold_path_loads_only_what_its_suite_runs(tmp_path):
+    stages = cold_stages(SRC, tmp_path, "equivalence", "symbol")
+    assert cold_path_faults(stages) == []
+    # positive control: the probe sees a module that a suite does load
+    assert "fracrel.symbols" in stages["symbol"]
+
+
+def test_negative_control_eager_hashlib_fails_the_cold_path(tmp_path):
+    # a copy of the package whose CLI imports hashlib at the top again
+    src = tmp_path / "src"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    cli_py = src / "fracrel" / "cli.py"
+    text = cli_py.read_text()
+    assert text.count("\nimport csv\n") == 1
+    cli_py.write_text(text.replace("\nimport csv\n",
+                                   "\nimport csv\nimport hashlib\n"))
+    faults = cold_path_faults(cold_stages(src, tmp_path, "equivalence"))
+    assert {"load_config loaded hashlib",
+            "suite equivalence loaded _hashlib"} <= set(faults)
+
+
 # ------------------------------------------------------------------ calibrate
 
 def test_calibrate_quadratic_table(tmp_path):
@@ -498,11 +562,11 @@ def test_calibrate_error_is_written_not_raised(tmp_path, capsys):
 def test_calibrate_failed_table_leaves_the_others(tmp_path, monkeypatch):
     # the symbol and quadratic sweeps never read the linear grid, so the
     # linear seam leak must not cost their tables; stubs keep this fast
-    monkeypatch.setattr(cli.symbols, "calibrate_positivity",
+    monkeypatch.setattr(symbols, "calibrate_positivity",
                         lambda s, mr: {"stub": "positivity", "m": mr})
-    monkeypatch.setattr(cli.symbols, "calibrate_garding",
+    monkeypatch.setattr(symbols, "calibrate_garding",
                         lambda s, mr: {"stub": "garding", "m": mr})
-    monkeypatch.setattr(cli.symbols, "calibrate_quadratic",
+    monkeypatch.setattr(symbols, "calibrate_quadratic",
                         lambda mode, s, mr, seed: {"stub": mode, "s": s})
     out = tmp_path / "cal"
     cfg = write_config(tmp_path, **{
@@ -520,9 +584,9 @@ def test_calibrate_failed_table_leaves_the_others(tmp_path, monkeypatch):
 
 
 def test_calibrate_meta_records_timings_and_versions(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli.symbols, "calibrate_positivity",
+    monkeypatch.setattr(symbols, "calibrate_positivity",
                         lambda s, mr: {"stub": "positivity", "m": mr})
-    monkeypatch.setattr(cli.symbols, "calibrate_garding",
+    monkeypatch.setattr(symbols, "calibrate_garding",
                         lambda s, mr: {"stub": "garding", "m": mr})
     cfg = write_config(tmp_path, **{
         "suite": "symbol", "output.dir": str(tmp_path / "cal")})
@@ -559,3 +623,21 @@ def test_frozen_tables_resolve_through_one_lookup():
         assert frozen_entry(table, **near) == frozen
         with pytest.raises(CalibrationError, match=f"^no frozen {table} "):
             frozen_entry(table, **off)
+
+
+def test_frozen_tables_are_parsed_once(monkeypatch):
+    tables = calibration_tables()
+    reads = []
+    files = report.resources.files
+    monkeypatch.setattr(report.resources, "files",
+                        lambda package: reads.append(package) or files(package))
+    report._packaged_tables.cache_clear()
+    positivity = {"s": 0.75, "m_ratio": 1.0}
+    linear = {"dim": 1, "s": 0.5, "m": 1.0, "lam": 0.5}
+    # a caller that changes its entry, or a table nested in it, changes no
+    # later lookup
+    frozen_entry("positivity", **positivity).clear()
+    frozen_entry("linear", **linear)["corpus"].clear()
+    assert frozen_entry("positivity", **positivity) == tables["positivity"][1]
+    assert frozen_entry("linear", **linear) == tables["linear"]
+    assert reads == ["fracrel"]

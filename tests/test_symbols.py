@@ -18,7 +18,6 @@ from fracrel.errors import (AdmissibilityError, CalibrationError,
 from fracrel import symbols
 from fracrel.grid import GridFunction, SpaceTimeFunction
 from fracrel.operator import OperatorParams
-from fracrel.report import calibration_tables
 from fracrel.symbols import (QuadraticWeight, appendix_conjugation_check,
                              calibrate_garding, calibrate_positivity,
                              calibrate_quadratic, carleman_quadratic_check,
@@ -33,8 +32,8 @@ from fracrel.symbols import (QuadraticWeight, appendix_conjugation_check,
                              _symbol_b_xi, _symbol_core, _time_derivative)
 import oracles
 from oracles import (SymbolPoint, _core_at, _symbol_xi_grad,
-                     bracket_singular, garding_order_max, leak_fraction,
-                     loop_sweep_minima, operand_terms,
+                     bracket_singular, calibration_tables, garding_order_max,
+                     leak_fraction, loop_sweep_minima, operand_terms,
                      parabolic_bracket_terms_fd, phase_bracket_fd,
                      poisson_bracket, poisson_bracket_fd,
                      refined_quadratic_constant, tilde_symbols)
