@@ -21,10 +21,11 @@ time, the fracrel and numpy versions and the git commit of the package
 checkout (null outside a git checkout).
 
 Cold start: every command runs in a fresh process, so this module imports
-at load time only what config validation and every suite need.  The
-symbol layer (``symbols``), ``hashlib`` (OpenSSL), ``concurrent.futures``
-and ``subprocess`` are imported inside the functions that use them, and
-their functions are read as module attributes when called.
+at load time only what config validation and every suite need.  The heat
+flow, the linear Carleman and symbol layers, ``hashlib`` (OpenSSL),
+``concurrent.futures`` and ``subprocess`` are imported inside the
+functions that use them, and their functions are read as module
+attributes when called.
 """
 import argparse
 import csv
@@ -38,17 +39,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import grid
 from .errors import ConfigError, FracrelError
 from .grid import band_limited_noise, gaussian, grid_points
-from .heat import (energy_identity_check, evolve_free, log_convexity_check,
-                   weighted_decay_check)
-from .linear_carleman import (LinearWeight, calibrate_constants,
-                              carleman_corpus, carleman_linear_check,
-                              monotonicity_check, tent_identity_check)
 from .operator import (OperatorParams, apply_singular_integral,
                        apply_spectral, apply_subordination)
 from .report import CheckReport, finish_report
-from . import linear_carleman
 
 SUITES = ("equivalence", "heat", "linear-carleman", "symbol",
           "quadratic-carleman", "all")
@@ -154,8 +150,7 @@ def _validate(cfg: dict) -> None:
     if cfg["sweep.count"] < 1:
         raise ConfigError("invalid value for 'sweep.count': need at least 1")
     # the linear corpus (run and calibrate) draws k_max modes in |x| <= outer
-    k_max = linear_carleman._CORPUS_K_MAX
-    outer = linear_carleman._CORPUS_OUTER
+    k_max, outer = grid._CORPUS_K_MAX, grid._CORPUS_OUTER
     if cfg["linear.n"] // 2 <= k_max:
         raise ConfigError("invalid value for 'linear.n': the linear corpus "
                           f"needs more than {2 * k_max} nodes")
@@ -230,27 +225,30 @@ def _suite_equivalence(cfg) -> list:
 
 
 def _suite_heat(cfg) -> list:
+    from . import heat
     L, n = cfg["grid.L"], int(cfg["grid.n"])
     p = OperatorParams(cfg["operator.s"], cfg["operator.m"])
     out = []
     u0 = gaussian(L, n, sigma=2.0)
-    out.append(_checked("heat.energy_identity", lambda: energy_identity_check(
-        u0, p, tolerance=cfg["tolerance.energy"])))
+    out.append(_checked(
+        "heat.energy_identity", lambda: heat.energy_identity_check(
+            u0, p, tolerance=cfg["tolerance.energy"])))
     for lam in (0.0, p.m / 2.0):
         out.append(_checked("heat.weighted_decay",
-                            lambda: weighted_decay_check(u0, lam, p)))
+                            lambda: heat.weighted_decay_check(u0, lam, p)))
     rng = _split_rng(cfg["seed"], "heat", "log_convexity")
     for _ in range(int(cfg["sweep.count"])):
-        out.append(_checked("heat.log_convexity", lambda: log_convexity_check(
-            band_limited_noise(L, n, 12, rng, windowed=True), p.m / 2.0, p,
-            tolerance=cfg["tolerance.log_convexity"])))
+        out.append(_checked(
+            "heat.log_convexity", lambda: heat.log_convexity_check(
+                band_limited_noise(L, n, 12, rng, windowed=True), p.m / 2.0,
+                p, tolerance=cfg["tolerance.log_convexity"])))
     return out
 
 
-def _ledger_report(i: int, f0, V, w: LinearWeight,
-                   p: OperatorParams) -> CheckReport:
+def _ledger_report(i: int, f0, V, w, p: OperatorParams) -> CheckReport:
+    from . import linear_carleman
     t0 = time.perf_counter()
-    ledger = carleman_linear_check(f0, V, w, p)
+    ledger = linear_carleman.carleman_linear_check(f0, V, w, p)
     passed = bool(ledger.passed and ledger.corollary_passed)
     return CheckReport(
         name="linear_carleman.ledger",
@@ -269,21 +267,23 @@ def _suite_linear(cfg) -> list:
     """The free-flow checks and one ledger per corpus draw, as jobs on one
     thread per CPU this process may use (the transforms and large array
     loops release the GIL); reports come back in job order."""
+    from . import heat, linear_carleman  # before any job is submitted
     L, n = cfg["linear.L"], int(cfg["linear.n"])
     p = OperatorParams(cfg["operator.s"], cfg["operator.m"])
-    w = LinearWeight(cfg["linear.lam"], cfg["linear.drift"])
+    w = linear_carleman.LinearWeight(cfg["linear.lam"], cfg["linear.drift"])
 
     def free_flow():
         # the series of one free stream serve both checks; the tent
         # residual is quadratic in the spacing, so it needs the fine one
         u0 = gaussian(L, n, sigma=2.0)
         free = linear_carleman.tilted_series(
-            u0, evolve_free(u0, np.linspace(0.0, 1.0, 1001), p), w.lam, p,
-            None, with_energy=False)
+            u0, heat.evolve_free(u0, np.linspace(0.0, 1.0, 1001), p), w.lam,
+            p, None, with_energy=False)
         return [_checked("linear_carleman.monotonicity",
-                         lambda: monotonicity_check(free, None, w, p)),
+                         lambda: linear_carleman.monotonicity_check(
+                             free, None, w, p)),
                 _checked("linear_carleman.tent_identity",
-                         lambda: tent_identity_check(
+                         lambda: linear_carleman.tent_identity_check(
                              free, w, tolerance=cfg["tolerance.tent"]))]
 
     def ledger(i, f0, V):
@@ -293,7 +293,8 @@ def _suite_linear(cfg) -> list:
     # imported here, so the suites that run no jobs do not pay for it
     from concurrent.futures import ThreadPoolExecutor
     workers = len(os.sched_getaffinity(0))
-    corpus = carleman_corpus(L, n, int(cfg["sweep.count"]), _corpus_seed(cfg))
+    corpus = linear_carleman.carleman_corpus(L, n, int(cfg["sweep.count"]),
+                                             _corpus_seed(cfg))
     with ThreadPoolExecutor(workers) as pool:
         # the long free flow starts first, outside the window of draws, so
         # no thread waits on it; draws are made as their jobs are submitted
@@ -535,17 +536,18 @@ def _calibration_jobs(cfg: dict, provenance: dict) -> dict:
         from . import symbols
     if suite in ("linear-carleman", "all"):
         def linear():
+            from . import linear_carleman
             p = OperatorParams(cfg["operator.s"], cfg["operator.m"])
             L, n = cfg["linear.L"], int(cfg["linear.n"])
             draws = int(cfg["sweep.count"])
             corpus_seed = _corpus_seed(cfg)
-            table = calibrate_constants(
+            table = linear_carleman.calibrate_constants(
                 p, cfg["linear.lam"], L=L, n=n, draws=draws,
                 seed=corpus_seed)
             provenance["linear"] = {
                 "grid": {"L": L, "n": n}, "draws": draws,
-                "corpus_sha256": _corpus_hash(
-                    carleman_corpus(L, n, draws, corpus_seed))}
+                "corpus_sha256": _corpus_hash(linear_carleman.carleman_corpus(
+                    L, n, draws, corpus_seed))}
             return table
         jobs["linear"] = linear
     if suite in ("symbol", "all"):

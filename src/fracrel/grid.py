@@ -18,6 +18,14 @@ from .errors import ConfigError, DomainError, SeamLeakError
 # Relative magnitude allowed at the seam before weighted integrals abort.
 SEAM_TOL = 1e-10
 
+# Seeded linear Carleman corpus: modes up to _CORPUS_K_MAX in both the data
+# and the static potential (sup-norm _CORPUS_SUP_V); the data window is
+# flat on |x| <= _CORPUS_INNER and zero past _CORPUS_OUTER.
+_CORPUS_K_MAX = 40
+_CORPUS_SUP_V = 1.0
+_CORPUS_INNER = 8.0
+_CORPUS_OUTER = 12.0
+
 
 def _is_pow2(n: int) -> bool:
     return n >= 2 and (n & (n - 1)) == 0

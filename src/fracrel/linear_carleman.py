@@ -36,6 +36,7 @@ from .errors import (
     OverflowGuardError,
     PreconditionError,
 )
+from . import grid
 from .grid import GridFunction, band_limited_noise, smooth_window
 from .heat import (
     PotentialField,
@@ -60,14 +61,6 @@ _MONOTONICITY_TOLERANCE = 2e-4
 
 # Step of the evolutions behind the inequality ledger.
 LEDGER_DT = 1e-2
-
-# Seeded corpus: modes up to _CORPUS_K_MAX in both the data and the static
-# potential (sup-norm _CORPUS_SUP_V); the data window is flat on
-# |x| <= _CORPUS_INNER and zero past _CORPUS_OUTER.
-_CORPUS_K_MAX = 40
-_CORPUS_SUP_V = 1.0
-_CORPUS_INNER = 8.0
-_CORPUS_OUTER = 12.0
 
 # Calibration scan: drift gaps below -m^(2s), tried in order; the operating
 # drift's offset below -m^(2s); the step and horizon of the short fine
@@ -554,17 +547,19 @@ def carleman_corpus(L: float, n: int, draws: int, seed: int,
     """Seeded (u0, V) pairs: windowed band-limited data, bounded static V,
     each drawn when it is asked for.
 
-    The data window is kept at |x| <= _CORPUS_OUTER regardless of the box
-    so the tilted quadratic-form integrands have room to die out before the
-    seam.
+    The data window is kept at |x| <= grid._CORPUS_OUTER regardless of the
+    box so the tilted quadratic-form integrands have room to die out before
+    the seam.
     """
     rng = np.random.default_rng(seed)
-    win = smooth_window(L, n, _CORPUS_INNER, _CORPUS_OUTER).values
+    win = smooth_window(L, n, grid._CORPUS_INNER, grid._CORPUS_OUTER).values
     for _ in range(draws):
-        raw = band_limited_noise(L, n, _CORPUS_K_MAX, rng, windowed=False)
+        raw = band_limited_noise(L, n, grid._CORPUS_K_MAX, rng,
+                                 windowed=False)
         u0 = raw.with_values(raw.values * win)
-        v_raw = band_limited_noise(L, n, _CORPUS_K_MAX, rng,
-                                   amplitude=_CORPUS_SUP_V, windowed=False)
+        v_raw = band_limited_noise(L, n, grid._CORPUS_K_MAX, rng,
+                                   amplitude=grid._CORPUS_SUP_V,
+                                   windowed=False)
         yield u0, PotentialField.static(v_raw)
 
 
@@ -658,7 +653,7 @@ def calibrate_constants(p: OperatorParams, lam: float, *,
                       "threshold_gap": threshold_gap,
                       "threshold_saturated": saturated},
         "corpus": {"L": L, "n": n, "draws": draws, "seed": seed,
-                   "k_max": _CORPUS_K_MAX, "sup_v": _CORPUS_SUP_V,
+                   "k_max": grid._CORPUS_K_MAX, "sup_v": grid._CORPUS_SUP_V,
                    "fine_dt": _FINE_DT, "fine_T": _FINE_T,
                    "ledger_dt": LEDGER_DT},
     }

@@ -19,7 +19,8 @@ Three equivalent realizations are provided and cross-checked:
   level evaluates only the new odd nodes) until SUBORDINATION_REL_TOL
   holds per Fourier mode, stopped by the node cap SUBORDINATION_MAX_NODES,
   with the (modes x nodes) integrand built and row-summed one tile of
-  special._ROW_TILE modes at a time in one reused buffer.
+  special._ROW_TILE modes at a time in one reused buffer.  Where expm1 is
+  exactly -1 (_EXPM1_SATURATED) the integrand is filled, not evaluated.
 
 Every discretization control is a module constant below: one value of
 each is in use, so none is a parameter.  The identity checks and the
@@ -60,14 +61,24 @@ class OperatorParams:
 # KERNEL_FAR_CUTOFF / m (at least 10 puts the dropped exponential tail below
 # 5e-5).  The KERNEL_NEAR_CELLS cells next to the singularity receive the
 # second-moment Taylor correction.  The first _NEAR_TIER_CELLS cells (and the
-# innermost half cell) are integrated with KERNEL_GL_NODES Gauss-Legendre
-# nodes, every farther cell with _FAR_GL_NODES; the n-node error on cell k
-# scales like (1/2k)^(2n).
+# innermost half cell) are integrated with the 12-node Gauss-Legendre rule
+# KERNEL_GL, every farther cell with the 4-node rule _FAR_GL; the n-node
+# error on cell k scales like (1/2k)^(2n).
 KERNEL_FAR_CUTOFF = 25.0
 KERNEL_NEAR_CELLS = 16
-KERNEL_GL_NODES = 12
 _NEAR_TIER_CELLS = 32
-_FAR_GL_NODES = 4
+# Rows (nodes, weights), read-only: leggauss(12) and leggauss(4) of numpy's
+# Legendre module bit for bit, mirrored from the positive nodes (ascending).
+KERNEL_GL, _FAR_GL = (
+    np.array([[-x for x in nodes[::-1]] + nodes, weights[::-1] + weights])
+    for nodes, weights in (
+        ([0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+          0.7699026741943047, 0.9041172563704748, 0.9815606342467192],
+         [0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+          0.16007832854334642, 0.10693932599531907, 0.04717533638651141]),
+        ([0.33998104358485626, 0.8611363115940526],
+         [0.6521451548625464, 0.34785484513745357])))
+KERNEL_GL.flags.writeable = _FAR_GL.flags.writeable = False
 
 # Subordination time integral on a log-uniform grid: per-mode relative
 # tolerance; starting log-time spacing, halved per level (0.4 already meets
@@ -75,6 +86,8 @@ _FAR_GL_NODES = 4
 SUBORDINATION_REL_TOL = 1e-10
 SUBORDINATION_INITIAL_SPACING = 0.4
 SUBORDINATION_MAX_NODES = 100_000
+# At or below this argument e^x < 2^-54, so expm1 rounds to exactly -1.
+_EXPM1_SATURATED = -40.0
 
 
 def frequencies(L: float, n: int) -> np.ndarray:
@@ -129,8 +142,9 @@ def _kernel_radial(p: OperatorParams, z: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def _kernel_weights(p: OperatorParams, L: float, n: int) -> dict:
     """Cell-integrated kernel weights, Taylor moments and the stencil
-    transform, cached per (params, grid) for the 16 latest keys."""
-    from numpy.polynomial.legendre import leggauss
+    transform, cached per (params, grid) for the 16 latest keys.  The cell
+    rules KERNEL_GL and _FAR_GL are literals: leggauss would load numpy's
+    polynomial package and call LAPACK in every process for 16 numbers."""
     h = L / n
     r_far = min(KERNEL_FAR_CUTOFF / p.m, 0.5 * L)
     k_far = min(n // 2, int(math.floor(r_far / h)))
@@ -142,8 +156,8 @@ def _kernel_weights(p: OperatorParams, L: float, n: int) -> dict:
     # cell [kh - h/2, kh + h/2] mapped from [-1, 1], near and far tier
     # evaluated in one Macdonald call
     centers = np.arange(1, k_far + 1)[:, None] * h
-    tiers = [(centers[:_NEAR_TIER_CELLS], *leggauss(KERNEL_GL_NODES)),
-             (centers[_NEAR_TIER_CELLS:], *leggauss(_FAR_GL_NODES))]
+    tiers = [(centers[:_NEAR_TIER_CELLS], *KERNEL_GL),
+             (centers[_NEAR_TIER_CELLS:], *_FAR_GL)]
     zs = [c + 0.5 * h * nodes[None, :] for c, nodes, _ in tiers]
     gflat = _kernel_radial(p, np.concatenate([z.ravel() for z in zs]))
     w, j2 = [], []
@@ -159,7 +173,7 @@ def _kernel_weights(p: OperatorParams, L: float, n: int) -> dict:
     # innermost half cell: int_0^(h/2) z^2 g(z) dz; the z^(1-2s) behaviour
     # is flattened by the substitution z = (h/2) u^(1/(2-2s)), u in [0, 1]
     beta = 1.0 / (2.0 - 2.0 * p.s)
-    nodes, gl_w = leggauss(KERNEL_GL_NODES)
+    nodes, gl_w = KERNEL_GL
     u = 0.5 * (nodes + 1.0)
     zin = 0.5 * h * u**beta
     gin = _kernel_radial(p, zin)
@@ -237,11 +251,16 @@ def subordination_multiplier(gam: np.ndarray, s: float) -> np.ndarray:
 
     def integrand(u: np.ndarray):
         eu, esu = np.exp(u), np.exp(-s * u)
+        neg_esu = -esu
 
         def write(rows: slice, v: np.ndarray) -> None:
-            np.multiply(neg_gcol[rows], eu, out=v)
-            np.expm1(v, out=v)
-            v *= esu
+            # the nodes ascend, so the columns where the tile's smallest
+            # gam saturates expm1 are a suffix, saturated in every row
+            k = int(np.searchsorted(gpos[rows].min() * eu, -_EXPM1_SATURATED))
+            np.multiply(neg_gcol[rows], eu[:k], out=v[:, :k])
+            np.expm1(v[:, :k], out=v[:, :k])
+            v[:, :k] *= esu[:k]
+            v[:, k:] = neg_esu[k:]
         return write
 
     n = int(math.ceil((u_hi - u_lo) / SUBORDINATION_INITIAL_SPACING)) + 1

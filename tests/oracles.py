@@ -13,8 +13,9 @@ integrals and the weighted energies of a stored trajectory, the potential
 flow stepped into one stored trajectory and integrated from it, the
 slice-by-slice quadratic Carleman operand terms, the whole-matrix refined
 trapezoid of the Macdonald and subordination quadratures, the positivity
-sweep block by block with a_xi beside b_xi) and five checks that no suite
-runs.  The checks keep their report names.
+sweep block by block with a_xi beside b_xi, the subordination multiplier
+with expm1 on every node) and five checks that no suite runs.  The checks
+keep their report names.
 """
 from __future__ import annotations
 
@@ -40,6 +41,7 @@ from fracrel.operator import (OperatorParams, _kernel_weights,
                               _require_singular_ok, apply_spectral,
                               frequencies, symbol)
 from fracrel.report import CheckReport, finish_report
+from fracrel import operator as op, special
 from fracrel.special import _kv_quadrature, macdonald_k
 from fracrel.symbols import (_FD_BRACKET_STEP, _SUPPORT_LEAK_TOL,
                              ANNULUS_INNER, ANNULUS_OUTER, SINGULAR_FLOOR,
@@ -171,6 +173,48 @@ def refined_trapezoid_untiled(lo: float, hi: float, n: int, n_rows: int,
         n, h = 2 * n - 1, 0.5 * h
     raise QuadratureError(
         f"{name} did not converge within {max_nodes} nodes")
+
+
+def subordination_multiplier_dense(gam: np.ndarray, s: float) -> np.ndarray:
+    """``operator.subordination_multiplier`` with multiply, expm1 and
+    multiply run on every node, on the same refined-trapezoid driver.
+
+    The package fills the saturated tail, where expm1 is exactly -1, with
+    -e^(-s u) instead; the two agree bit for bit.
+    """
+    if not (0.0 < s < 1.0):
+        raise PreconditionError("subordination requires s in (0, 1)")
+    gam = np.asarray(gam, dtype=float)
+    out = np.zeros_like(gam)
+    pos = gam > 0.0
+    if not np.any(pos):
+        return out
+    gpos = gam[pos]
+    g_lo, g_hi = float(gpos.min()), float(gpos.max())
+    gamma_neg = math.gamma(-s)
+    scale = abs(gamma_neg) * g_lo**s
+    tol = op.SUBORDINATION_REL_TOL * scale
+    u_lo = math.log(tol * (1.0 - s) / g_hi) / (1.0 - s)
+    u_hi = -math.log(tol * s) / s
+    if u_hi <= u_lo:
+        u_hi = u_lo + 1.0
+    neg_gcol = -gpos[:, None]
+
+    def integrand(u: np.ndarray):
+        eu, esu = np.exp(u), np.exp(-s * u)
+
+        def write(rows: slice, v: np.ndarray) -> None:
+            np.multiply(neg_gcol[rows], eu, out=v)
+            np.expm1(v, out=v)
+            v *= esu
+        return write
+
+    n = int(math.ceil((u_hi - u_lo) / op.SUBORDINATION_INITIAL_SPACING)) + 1
+    out[pos] = special._refined_trapezoid(
+        u_lo, u_hi, n, gpos.size, op.SUBORDINATION_REL_TOL, scale,
+        op.SUBORDINATION_MAX_NODES, f"subordination quadrature for s={s:g}",
+        integrand) / gamma_neg
+    return out
 
 
 def frac_power_constant_nd(N: int, s: float) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import fracrel
-from fracrel import cli, heat, linear_carleman, report, symbols
+from fracrel import cli, grid, heat, linear_carleman, report, symbols
 from fracrel.cli import (DEFAULTS, SUITES, _split_rng, cmd_calibrate,
                          load_config, main, write_outputs)
 from fracrel.errors import CalibrationError, ConfigError
@@ -113,8 +113,8 @@ def test_linear_corpus_guards_follow_the_corpus_constants(tmp_path,
     # at the packaged corpus (40 modes in |x| <= 12) the bounds are the
     # historical ones; moving a corpus constant moves its load-time guard
     load_config(write_config(tmp_path, **{"linear.L": 24.0, "linear.n": 128}))
-    monkeypatch.setattr(linear_carleman, "_CORPUS_OUTER", 16.0)
-    monkeypatch.setattr(linear_carleman, "_CORPUS_K_MAX", 64)
+    monkeypatch.setattr(grid, "_CORPUS_OUTER", 16.0)
+    monkeypatch.setattr(grid, "_CORPUS_K_MAX", 64)
     for key, value, bound in (("linear.L", 24.0, "at least 32"),
                               ("linear.n", 128, "more than 128 nodes")):
         out = tmp_path / key
@@ -309,7 +309,7 @@ def test_linear_suite_evolves_each_trajectory_once(monkeypatch):
         return stream
 
     sample = heat.PotentialField.sample
-    monkeypatch.setattr(cli, "evolve_free", counting(free, heat.evolve_free))
+    monkeypatch.setattr(heat, "evolve_free", counting(free, heat.evolve_free))
     monkeypatch.setattr(linear_carleman, "evolve_with_potential",
                         counting(stepped, heat.evolve_with_potential))
     monkeypatch.setattr(heat.PotentialField, "sample",
@@ -401,7 +401,7 @@ def test_ledger_report_witnesses_a_corollary_failure(monkeypatch):
     ledger = CarlemanLedger({}, {}, {}, {}, {}, slack=0.1,
                             corollary_slack=-0.2, passed=True,
                             corollary_passed=False)
-    monkeypatch.setattr(cli, "carleman_linear_check",
+    monkeypatch.setattr(linear_carleman, "carleman_linear_check",
                         lambda *args: ledger)
     rep = cli._ledger_report(0, None, None, LinearWeight(0.5, -11.0),
                              OperatorParams(0.5, 1.0))
@@ -454,7 +454,8 @@ def test_console_entry_point(tmp_path):
 COLD_PROBE = """
 import json, sys
 from fracrel import cli
-watch = ("fracrel.symbols", "hashlib", "_hashlib", "numpy.polynomial")
+watch = ("fracrel.symbols", "fracrel.heat", "fracrel.linear_carleman",
+         "hashlib", "_hashlib", "numpy.polynomial")
 cli.load_config(sys.argv[1])
 stages = {"load_config": [m for m in watch if m in sys.modules]}
 for path in sys.argv[1:]:
@@ -479,10 +480,10 @@ def cold_stages(src, tmp_path, *suites) -> dict:
 
 def cold_path_faults(stages) -> list:
     """The watched modules a stage loaded though its suite never runs them:
-    validation needs none, suite equivalence only numpy.polynomial."""
+    validation and suite equivalence need none."""
     return ([f"load_config loaded {m}" for m in stages["load_config"]]
-            + [f"suite equivalence loaded {m}" for m in stages["equivalence"]
-               if m != "numpy.polynomial"])
+            + [f"suite equivalence loaded {m}"
+               for m in stages["equivalence"]])
 
 
 def test_cold_path_loads_only_what_its_suite_runs(tmp_path):
@@ -504,6 +505,21 @@ def test_negative_control_eager_hashlib_fails_the_cold_path(tmp_path):
     faults = cold_path_faults(cold_stages(src, tmp_path, "equivalence"))
     assert {"load_config loaded hashlib",
             "suite equivalence loaded _hashlib"} <= set(faults)
+
+
+def test_negative_control_eager_heat_fails_the_cold_path(tmp_path):
+    # a copy of the package whose CLI imports the heat flow at the top again
+    src = tmp_path / "src"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    cli_py = src / "fracrel" / "cli.py"
+    text = cli_py.read_text()
+    assert text.count("\nfrom . import grid\n") == 1
+    cli_py.write_text(text.replace(
+        "\nfrom . import grid\n",
+        "\nfrom . import grid\nfrom .heat import evolve_free\n"))
+    faults = cold_path_faults(cold_stages(src, tmp_path, "equivalence"))
+    assert {"load_config loaded fracrel.heat",
+            "suite equivalence loaded fracrel.heat"} <= set(faults)
 
 
 # ------------------------------------------------------------------ calibrate

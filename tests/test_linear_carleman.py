@@ -402,7 +402,7 @@ def tight_kernel(monkeypatch):
     order than the production constants (there the routes differ by 4e-6)."""
     monkeypatch.setattr(op, "KERNEL_FAR_CUTOFF", 45.0)
     monkeypatch.setattr(op, "KERNEL_NEAR_CELLS", 64)
-    monkeypatch.setattr(op, "KERNEL_GL_NODES", 24)
+    monkeypatch.setattr(op, "KERNEL_GL", np.polynomial.legendre.leggauss(24))
     op._kernel_weights.cache_clear()
     yield
     op._kernel_weights.cache_clear()

@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 
@@ -158,6 +159,79 @@ def test_subordination_row_tiles_match_the_untiled_oracle(s, monkeypatch):
                       oracles.refined_trapezoid_untiled)
             want = op.subordination_multiplier(gam[:rows], s)
         assert np.array_equal(got, want), rows
+
+
+SUITE_PAIRS = [(s, m) for s in (0.3, 0.5, 0.7) for m in (0.5, 1.0, 2.0)]
+
+
+def shuffled_gammas(first_mode=0):
+    # the suite grid's xi^2 + m^2 from first_mode on, with zeros, in no order
+    xi = op.frequencies(L, N)[first_mode:]
+    gam = np.concatenate([xi * xi + 0.25, np.zeros(5)])
+    np.random.default_rng(30).shuffle(gam)
+    return gam
+
+
+def mutated_multiplier(old, new):
+    # subordination_multiplier with one piece of its source replaced
+    text = inspect.getsource(op.subordination_multiplier)
+    assert text.count(old) == 1
+    scope = dict(vars(op))
+    exec(text.replace(old, new), scope)
+    return scope["subordination_multiplier"]
+
+
+def test_expm1_is_minus_one_past_the_saturation_threshold():
+    # the filled tail is exact: every x from the threshold down to -1e300
+    # rounds to -1 (e^-40 < 2^-54)
+    top = op._EXPM1_SATURATED
+    x = np.concatenate([np.linspace(top, 2.0 * top, 400_001),
+                        -np.logspace(np.log10(-top), 300.0, 400_001)])
+    assert np.all(np.expm1(x) == -1.0)
+    assert np.expm1(-30.0) != -1.0
+
+
+def test_subordination_multiplier_matches_the_dense_oracle():
+    # expm1 on every node gives the same bits as the filled tail, on the
+    # nine suite pairs and on unsorted input with zeros
+    xi = op.frequencies(L, N)
+    for s, m in SUITE_PAIRS:
+        gam = xi * xi + m * m
+        assert np.array_equal(op.subordination_multiplier(gam, s),
+                              oracles.subordination_multiplier_dense(gam, s))
+    gam = shuffled_gammas()
+    got = op.subordination_multiplier(gam, 0.5)
+    assert np.array_equal(got, oracles.subordination_multiplier_dense(gam, 0.5))
+    assert np.all(got[gam == 0.0] == 0.0)
+
+
+def test_negative_control_low_saturation_threshold(monkeypatch):
+    # at -30 the filled tail takes entries whose expm1 is not yet -1
+    monkeypatch.setattr(op, "_EXPM1_SATURATED", -30.0)
+    xi = op.frequencies(L, N)
+    assert not all(np.array_equal(
+        op.subordination_multiplier(xi * xi + m * m, s),
+        oracles.subordination_multiplier_dense(xi * xi + m * m, s))
+        for s, m in SUITE_PAIRS)
+
+
+def test_negative_control_first_row_as_tile_minimum():
+    # on unsorted input the tile's first gam is not its smallest, so the
+    # tail it saturates is too long for the tile's other rows; on the upper
+    # modes it still converges (on all of them it raises QuadratureError)
+    first_row = mutated_multiplier("gpos[rows].min()", "gpos[rows.start]")
+    gam = shuffled_gammas(first_mode=1500)
+    assert not np.array_equal(
+        first_row(gam, 0.5), oracles.subordination_multiplier_dense(gam, 0.5))
+
+
+def test_kernel_gl_tables_are_leggauss():
+    # the packaged literals are numpy's rules bit for bit, and read-only
+    for (nodes, weights), order in ((op.KERNEL_GL, 12), (op._FAR_GL, 4)):
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(order)
+        assert np.array_equal(nodes, want_nodes)
+        assert np.array_equal(weights, want_weights)
+        assert not nodes.flags.writeable and not weights.flags.writeable
 
 
 def test_subordination_memory_is_one_row_tile():
@@ -324,7 +398,7 @@ def test_tiered_cell_weights_match_full_order(s, m):
     # reference: the near-tier order on every cell, kernel from scipy's K_nu
     w = _build_weights(s, m)["w"]
     h, nu = L / N, 0.5 + s
-    nodes, gl_w = np.polynomial.legendre.leggauss(op.KERNEL_GL_NODES)
+    nodes, gl_w = np.polynomial.legendre.leggauss(op.KERNEL_GL[0].size)
     z = np.arange(1, len(w) + 1)[:, None] * h + 0.5 * h * nodes[None, :]
     ref = 0.5 * h * (z ** (-nu) * sp.kv(nu, m * z) * gl_w).sum(axis=1)
     rel = np.max(np.abs(w - ref) / ref)
