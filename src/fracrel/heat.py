@@ -1,12 +1,13 @@
 """Heat flow driven by the fractional relativistic operator.
 
-The free semigroup is applied exactly per Fourier mode, so mass decay and
-the semigroup property hold to rounding on the grid.
-A bounded time-independent potential V enters through the Duhamel form,
-whose per-step equation is pointwise diagonal and is solved in closed form;
-one sample of V serves a flow's steps and integrands.  Both flows are
-streams of chunks of states, integrated as they are made; the heat layer
-stores no flow.
+The free semigroup is applied exactly per Fourier mode, by one core that
+the free flow and the energy identity share, so mass decay and the
+semigroup property hold to rounding on the grid.
+A bounded time-independent potential V, given by its samples, enters
+through the Duhamel form, whose per-step equation is pointwise diagonal
+and is solved in closed form; one sample of V serves a flow's steps and
+integrands.  Both flows are streams of chunks of states, integrated as
+they are made; the heat layer stores no flow.
 Weighted energies refuse to integrate data that has not decayed at the
 periodic seam, since the exponential weight would turn wrap-around into
 silent garbage.
@@ -41,90 +42,61 @@ _ENERGY_STEPS = 100
 
 @dataclass(frozen=True)
 class PotentialField:
-    """Bounded time-independent potential V(x) with a declared sup-norm.
+    """Time-independent potential V, given by its finite samples on a
+    grid, on which alone it is defined; the bound the existence theory
+    keys off, sup_norm, is their largest magnitude."""
 
-    The declared bound is part of the contract: sampling raises if the
-    evaluator exceeds it, because the existence theory keys off sup_norm,
-    and the solver's step-size bound off the samples it bounds.
-    """
+    profile: GridFunction
 
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    sup_norm: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.sup_norm) and self.sup_norm >= 0.0):
-            raise ConfigError(
-                f"sup_norm must be finite and >= 0, got {self.sup_norm!r}")
+    @property
+    def sup_norm(self) -> float:
+        return float(np.max(np.abs(self.profile.values)))
 
     def sample(self, grid) -> np.ndarray:
-        """V at the nodes of ``grid``'s box, checked against sup_norm."""
-        x = grid.x
-        vals = np.broadcast_to(
-            np.asarray(self.evaluator(x), dtype=float), x.shape).copy()
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("potential evaluated to non-finite values")
-        peak = float(np.max(np.abs(vals))) if vals.size else 0.0
-        if peak > self.sup_norm * (1.0 + 1e-12) + 1e-300:
-            raise DomainError(
-                f"potential reaches {peak:.6g} but declared sup_norm is "
-                f"{self.sup_norm:.6g}")
-        return vals
-
-    @staticmethod
-    def constant(c: float) -> "PotentialField":
-        return PotentialField(lambda x: np.full_like(x, float(c)), abs(c))
-
-    @staticmethod
-    def static(profile: GridFunction) -> "PotentialField":
-        """Time-independent potential given by its samples on a grid.
-
-        Sampling returns those samples, so it is only defined on the
-        profile's own grid; any other grid raises PreconditionError.
-        """
-        xs, vs = profile.x, profile.values.copy()
-
-        def evaluate(x):
-            if not np.array_equal(x, xs):
-                raise PreconditionError(
-                    f"static potential lives on its profile's grid "
-                    f"(L={profile.L:g}, n={profile.n}); resample the "
-                    f"profile onto the query grid first")
-            return vs
-
-        return PotentialField(evaluate, float(np.max(np.abs(vs))))
+        """A copy of V's samples; ``grid`` must be the profile's grid, any
+        other raises PreconditionError."""
+        prof = self.profile
+        if (grid.L, grid.n) != (prof.L, prof.n):
+            raise PreconditionError(
+                f"the potential lives on its profile's grid (L={prof.L:g}, "
+                f"n={prof.n}); resample the profile onto the query grid "
+                f"first")
+        return prof.values.copy()
 
 
-def evolve_free(u0: GridFunction, times, p: OperatorParams
+def _free_modes(u0: GridFunction, times, sig: np.ndarray
                 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The potential-free flow from u0 at the given times.
-
-    One transform of u0 is decayed mode-wise by the exact factor
-    exp(-t sigma) for each time.  Yields the states at ``times`` as
-    (times, rows) chunks of CHUNK_ROWS states, as evolve_with_potential
-    does, each made when it is asked for.  Times must be finite and >= 0
-    (DomainError) and strictly increasing (ConfigError); bad times raise at
-    the first chunk.
-    """
+    """The exact semigroup in Fourier space: one transform of u0, decayed
+    mode-wise by exp(-t sig) at the given times, as (times, modes) chunks
+    of CHUNK_ROWS rows.  The times are checked as evolve_free documents."""
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times) & (times >= 0.0)):
         raise DomainError(f"times must be finite and >= 0, got {times!r}")
     if times.ndim != 1 or not times.size or np.any(np.diff(times) <= 0.0):
         raise ConfigError(f"need strictly increasing 1-d times, got {times!r}")
     spec = np.fft.rfft(u0.values)
-    sig = symbol(p, frequencies(u0.L, u0.n))
     for a in range(0, times.size, CHUNK_ROWS):
         t = times[a:a + CHUNK_ROWS]
-        yield t, np.fft.irfft(spec * np.exp(-np.outer(t, sig)), u0.n, axis=1)
+        yield t, spec * np.exp(-np.outer(t, sig))
 
 
-def _mode_quadratic(coeffs: np.ndarray, L: float, n: int,
-                    weights=None) -> float:
-    # trapezoid of u^2 via Parseval; interior rfft bins count twice
-    mags = np.abs(coeffs) ** 2
-    if weights is not None:
-        mags = mags * weights
-    total = 2.0 * mags.sum() - mags[0] - mags[-1]
-    return float(total * L / n ** 2)
+def evolve_free(u0: GridFunction, times, p: OperatorParams
+                ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The potential-free flow from u0 at the given times: the inverse
+    transforms of _free_modes' chunks, yielded as (times, rows) chunks as
+    evolve_with_potential does, each made when it is asked for.  Times must
+    be finite and >= 0 (DomainError) and strictly increasing (ConfigError);
+    bad times raise at the first chunk."""
+    sig = symbol(p, frequencies(u0.L, u0.n))
+    for t, modes in _free_modes(u0, times, sig):
+        yield t, np.fft.irfft(modes, u0.n, axis=1)
+
+
+def _mode_quadratic(power: np.ndarray, L: float, n: int) -> np.ndarray:
+    # trapezoid of u^2 via Parseval, per row of the rfft bins' |c|^2;
+    # interior bins count twice
+    total = 2.0 * power.sum(axis=-1) - power[..., 0] - power[..., -1]
+    return total * L / n ** 2
 
 
 def _cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
@@ -140,21 +112,22 @@ def energy_identity_check(u0: GridFunction, p: OperatorParams,
     """Balance ||u(t)||^2 + 2 int_0^t ||op^(1/2) u||^2 against ||u0||^2
     over t in [0, _ENERGY_T].
 
-    The time integral uses the trapezoid rule on the _ENERGY_STEPS step
-    grid, so the residual measures the discretization honestly instead of
-    hiding it in an exact per-mode antiderivative.
+    Both norms are read from the exact semigroup's modes (_free_modes) by
+    Parseval, a chunk of times at once.  The time integral uses the
+    trapezoid rule on the _ENERGY_STEPS step grid, so the residual measures
+    the discretization honestly instead of hiding it in an exact per-mode
+    antiderivative.
     """
     t_start = time.perf_counter()
     T, steps = _ENERGY_T, _ENERGY_STEPS
     sig = symbol(p, frequencies(u0.L, u0.n))
-    c0 = np.fft.rfft(u0.values)
     times = np.linspace(0.0, T, steps + 1)
-    energy = np.empty(steps + 1)
-    dissipation = np.empty(steps + 1)
-    for i, t in enumerate(times):
-        ct = c0 * np.exp(-t * sig)
-        energy[i] = _mode_quadratic(ct, u0.L, u0.n)
-        dissipation[i] = _mode_quadratic(ct, u0.L, u0.n, weights=sig)
+    energy, dissipation = [], []
+    for _, modes in _free_modes(u0, times, sig):
+        power = np.abs(modes) ** 2
+        energy.append(_mode_quadratic(power, u0.L, u0.n))
+        dissipation.append(_mode_quadratic(power * sig, u0.L, u0.n))
+    energy, dissipation = np.concatenate(energy), np.concatenate(dissipation)
     cumulative = _cumulative_trapezoid(dissipation, T / steps)
     base = energy[0]
     if base == 0.0:
@@ -301,11 +274,13 @@ def log_convexity_check(u0: GridFunction, lam: float, p: OperatorParams,
     values = _tilted_energy(u0, evolve_free(u0, times, p), lam,
                             "weighted energy")
     h_first, h_last = values[0], values[-1]
+    inputs = {"lam": lam, "s": p.s, "m": p.m, "L": u0.L, "n": u0.n,
+              "times": [float(times[0]), float(times[-1]), len(times)]}
     if h_first == 0.0 or h_last == 0.0:
         # zero data stays zero; nothing to bound
         return finish_report(
             name="heat.log_convexity",
-            inputs={"lam": lam, "s": p.s, "m": p.m},
+            inputs=inputs,
             measured={"max_ratio": 0.0},
             tolerance=tolerance, violation=0.0, witness=None,
             t_start=t_start)
@@ -316,8 +291,7 @@ def log_convexity_check(u0: GridFunction, lam: float, p: OperatorParams,
     violation = max(0.0, float(ratios[worst]) - 1.0)
     return finish_report(
         name="heat.log_convexity",
-        inputs={"lam": lam, "s": p.s, "m": p.m, "L": u0.L, "n": u0.n,
-                "times": [float(times[0]), float(times[-1]), len(times)]},
+        inputs=inputs,
         measured={"max_ratio": float(ratios[worst])},
         tolerance=tolerance,
         violation=violation,

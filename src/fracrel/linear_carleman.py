@@ -509,10 +509,11 @@ def _assemble_ledger(times: np.ndarray, series: dict, w: LinearWeight,
     )
 
 
-def carleman_linear_check(u0: GridFunction, V: PotentialField | None,
+def carleman_linear_check(u0: GridFunction, V: PotentialField,
                           w: LinearWeight, p: OperatorParams
                           ) -> CarlemanLedger:
-    """Evolve the forced flow over [0, 1] and fill the inequality ledger.
+    """Evolve the flow under V (sampled on u0's grid) over [0, 1] and fill
+    the inequality ledger.
 
     Asserted (as the ledger's ``passed``) is
 
@@ -527,14 +528,11 @@ def carleman_linear_check(u0: GridFunction, V: PotentialField | None,
     are the frozen table's.
     """
     c1, c2 = _admissible_constants(None, p, w)
-    V_eff = PotentialField.constant(0.0) if V is None else V
-    v = V_eff.sample(u0)
+    v = V.sample(u0)
     stream = evolve_with_potential(u0, v, 1.0, p, dt=LEDGER_DT)
-    flow = tilted_series(u0, stream, w.lam, p,
-                         None if V is None else v).checked()
+    flow = tilted_series(u0, stream, w.lam, p, v).checked()
     inputs = {"s": p.s, "m": p.m, "lam": w.lam, "drift": w.drift,
-              "L": u0.L, "n": u0.n, "dt": LEDGER_DT,
-              "sup_v": V_eff.sup_norm}
+              "L": u0.L, "n": u0.n, "dt": LEDGER_DT, "sup_v": V.sup_norm}
     return _assemble_ledger(flow.times, flow.weighted(w.drift), w, p, c1, c2,
                             inputs)
 
@@ -560,7 +558,7 @@ def carleman_corpus(L: float, n: int, draws: int, seed: int,
         v_raw = band_limited_noise(L, n, grid._CORPUS_K_MAX, rng,
                                    amplitude=grid._CORPUS_SUP_V,
                                    windowed=False)
-        yield u0, PotentialField.static(v_raw)
+        yield u0, PotentialField(v_raw)
 
 
 def calibrate_constants(p: OperatorParams, lam: float, *,

@@ -6,16 +6,16 @@ against (the frozen calibration tables parsed straight from the packaged
 file, direct kernel sums, the kernel-cell carre du champ, the transform
 quadratic form, the normalization constant C(N, s) in R^N, the heat
 kernel, its closed form at s = 1/2 and its contour-shifted weighted form,
-the symbols at one phase-space point (SymbolPoint, the elliptic bracket
-{a, b} with its singular flag and degenerate limits), finite-difference
-brackets (the parabolic one in x, t, xi and tau), per-state tilted
-integrals and the weighted energies of a stored trajectory, the potential
-flow stepped into one stored trajectory and integrated from it, the
-slice-by-slice quadratic Carleman operand terms, the whole-matrix refined
-trapezoid of the Macdonald and subordination quadratures, the positivity
-sweep block by block with a_xi beside b_xi, the subordination multiplier
-with expm1 on every node) and five checks that no suite runs.  The checks
-keep their report names.
+the energy identity one time at a time, the symbols at one phase-space
+point (SymbolPoint, the elliptic bracket {a, b} with its singular flag and
+degenerate limits), finite-difference brackets (the parabolic one in x, t,
+xi and tau), per-state tilted integrals and the weighted energies of a
+stored trajectory, the potential flow stepped into one stored trajectory
+and integrated from it, the slice-by-slice quadratic Carleman operand
+terms, the whole-matrix refined trapezoid of the Macdonald and
+subordination quadratures, the positivity sweep block by block with a_xi
+beside b_xi, the subordination multiplier with expm1 on every node) and
+five checks that no suite runs.  The checks keep their report names.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ from fracrel.operator import (OperatorParams, _kernel_weights,
                               _require_singular_ok, apply_spectral,
                               frequencies, symbol)
 from fracrel.report import CheckReport, finish_report
-from fracrel import operator as op, special
+from fracrel import heat, operator as op, special
 from fracrel.special import _kv_quadrature, macdonald_k
 from fracrel.symbols import (_FD_BRACKET_STEP, _SUPPORT_LEAK_TOL,
                              ANNULUS_INNER, ANNULUS_OUTER, SINGULAR_FLOOR,
@@ -373,6 +373,46 @@ def eigenfunction_residual(lam: float, p: OperatorParams,
 
 # ----------------------------------------------------------------------
 # heat
+
+
+def constant_potential(grid, c: float) -> PotentialField:
+    """The potential V = c, sampled on ``grid``'s box."""
+    return PotentialField(GridFunction(grid.L, grid.n, np.full(grid.n, c)))
+
+
+def energy_identity_loop(u0: GridFunction, p: OperatorParams) -> dict:
+    """The reference of heat.energy_identity_check: the same energy and
+    dissipation series, formed one time at a time from the decayed modes,
+    with its own Parseval sum; max_residual, initial_energy and the
+    witness t, which the check must reproduce bit for bit."""
+    T, steps = heat._ENERGY_T, heat._ENERGY_STEPS
+    sig = symbol(p, frequencies(u0.L, u0.n))
+    c0 = np.fft.rfft(u0.values)
+
+    def quadratic(coeffs, weights=None):
+        # trapezoid of u^2 via Parseval; interior rfft bins count twice
+        mags = np.abs(coeffs) ** 2
+        if weights is not None:
+            mags = mags * weights
+        total = 2.0 * mags.sum() - mags[0] - mags[-1]
+        return float(total * u0.L / u0.n ** 2)
+
+    times = np.linspace(0.0, T, steps + 1)
+    energy = np.empty(steps + 1)
+    dissipation = np.empty(steps + 1)
+    for i, t in enumerate(times):
+        ct = c0 * np.exp(-t * sig)
+        energy[i] = quadratic(ct)
+        dissipation[i] = quadratic(ct, weights=sig)
+    cumulative = heat._cumulative_trapezoid(dissipation, T / steps)
+    base = energy[0]
+    if base == 0.0:
+        residuals = np.zeros_like(times)
+    else:
+        residuals = np.abs(energy + 2.0 * cumulative - base) / base
+    worst = int(np.argmax(residuals))
+    return {"max_residual": float(residuals[worst]),
+            "initial_energy": float(base), "t": float(times[worst])}
 
 
 def state_at(traj: SpaceTimeFunction, i: int) -> GridFunction:

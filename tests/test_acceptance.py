@@ -15,9 +15,9 @@ import pytest
 from fracrel.cli import main as cli_main
 from fracrel.grid import (GridFunction, SpaceTimeFunction,
                           band_limited_noise, gaussian, smooth_window)
-from fracrel.heat import (PotentialField, energy_identity_check,
-                          evolve_free, evolve_with_potential,
-                          log_convexity_check, weighted_decay_check)
+from fracrel.heat import (energy_identity_check, evolve_free,
+                          evolve_with_potential, log_convexity_check,
+                          weighted_decay_check)
 from fracrel.linear_carleman import (LinearWeight, calibrate_constants,
                                      carleman_corpus, carleman_linear_check,
                                      load_calibration, tent_identity_check)
@@ -204,7 +204,7 @@ def _residual_draws(count):
         prof = band_limited_noise(40.0, 2048, k_max=30, rng=rng,
                                   windowed=False)
         yield (collect(u0, evolve_with_potential(
-            u0, PotentialField.static(prof).sample(u0), 0.5, P_HALF,
+            u0, prof.values, 0.5, P_HALF,
             dt=1e-2)),
             prof.values)
 
@@ -215,7 +215,7 @@ def test_criterion_08_mild_solution():
     free = collect(u0, evolve_free(u0, [1.0], P_HALF)).values[-1]
     for c in (1.0, -1.0, 0.5):
         traj = collect(u0, evolve_with_potential(
-            u0, PotentialField.constant(c).sample(u0), 1.0, P_HALF,
+            u0, np.full(u0.n, c), 1.0, P_HALF,
             dt=5e-3))
         want = math.exp(c) * free
         rel = np.max(np.abs(traj.values[-1] - want)) / np.max(np.abs(want))
@@ -253,7 +253,7 @@ def test_criterion_09_linear_carleman():
             bad.append(f"production-rate bound draw {i}")
     u0 = gaussian(128.0, 4096, sigma=2.0)
     mass = mass_series(u0, evolve_with_potential(
-        u0, PotentialField.constant(0.0).sample(u0), 1.0, P_HALF,
+        u0, np.full(u0.n, 0.0), 1.0, P_HALF,
         dt=1e-3), w.lam)
     tent = tent_identity_check(mass, w, tolerance=1e-4)
     if tent.measured["max_residual"] > 1e-4:

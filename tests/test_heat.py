@@ -20,10 +20,10 @@ from fracrel.heat import (CHUNK_ROWS, PotentialField, energy_identity_check,
                           evolve_free, evolve_with_potential,
                           log_convexity_check, weighted_decay_check)
 from fracrel.operator import OperatorParams, frequencies, symbol
-from oracles import (backward_uc_check, collect, fourier_mode,
-                     fundamental_solution, half_kernel_explicit,
-                     shifted_kernel, state_at, trapezoid, weighted_l1_kernel,
-                     weighted_l2)
+from oracles import (backward_uc_check, collect, energy_identity_loop,
+                     fourier_mode, fundamental_solution,
+                     half_kernel_explicit, shifted_kernel, state_at,
+                     trapezoid, weighted_l1_kernel, weighted_l2)
 
 P_HALF = OperatorParams(0.5, 1.0)
 
@@ -213,6 +213,42 @@ def test_energy_identity_high_mass_needs_finer_steps():
     assert rep.measured["max_residual"] == pytest.approx(1.478e-4, rel=1e-3)
 
 
+@pytest.mark.parametrize("s, m", [(0.5, 1.0), (0.3, 2.0), (0.9, 0.5)])
+def test_energy_identity_is_the_per_time_loop(s, m):
+    # the semigroup core's chunks, summed row-wise, give the numbers of the
+    # loop over one time at a time bit for bit; tolerance 0 keeps the
+    # witness
+    u0 = gaussian(40.0, 4096, sigma=2.0)
+    rep = energy_identity_check(u0, OperatorParams(s, m), tolerance=0.0)
+    want = energy_identity_loop(u0, OperatorParams(s, m))
+    assert rep.measured["max_residual"] == want["max_residual"]
+    assert rep.measured["initial_energy"] == want["initial_energy"]
+    assert rep.witness["t"] == want["t"]
+
+
+def parseval_gap(u0):
+    """Relative gap between the energy identity's initial energy (Parseval)
+    and the spatial trapezoid of u0^2."""
+    energy = energy_identity_check(u0, P_HALF).measured["initial_energy"]
+    want = trapezoid(u0.with_values(u0.values ** 2))
+    return abs(energy - want) / want
+
+
+def test_energy_identity_initial_energy_is_the_trapezoid():
+    assert parseval_gap(gaussian(40.0, 4096, sigma=2.0)) <= 1e-13
+
+
+def test_energy_identity_parseval_catches_a_miscount(monkeypatch):
+    # negative control: counting the interior bins once miscounts the
+    # energy and the dissipation alike, so the identity still balances
+    # (max_residual 3.24e-5), but the initial energy reads 2.087, not 3.545
+    monkeypatch.setattr(heat, "_mode_quadratic",
+                        lambda power, L, n: power.sum(axis=-1) * L / n ** 2)
+    u0 = gaussian(40.0, 4096, sigma=2.0)
+    assert energy_identity_check(u0, P_HALF).passed
+    assert parseval_gap(u0) > 0.1
+
+
 # ------------------------------------------------------- weighted decay
 
 def test_weighted_decay_nonneg_slack():
@@ -269,6 +305,9 @@ def test_log_convexity_zero_data_trivial():
     rep = log_convexity_check(GridFunction(40.0, 1024, np.zeros(1024)),
                               0.0, P_HALF)
     assert rep.passed
+    # the early return echoes the inputs every other report echoes
+    full = log_convexity_check(gaussian(40.0, 1024), 0.0, P_HALF)
+    assert rep.inputs.keys() == full.inputs.keys()
 
 
 # ------------------------------------------------------- potential solver
@@ -276,7 +315,7 @@ def test_log_convexity_zero_data_trivial():
 def test_picard_zero_potential_matches_free():
     u0 = gaussian(40.0, 4096, sigma=2.0)
     traj = collect(u0, evolve_with_potential(
-        u0, PotentialField.constant(0.0).sample(u0), 1.0, P_HALF))
+        u0, np.full(u0.n, 0.0), 1.0, P_HALF))
     free = free_states(u0, [1.0])
     assert traj.times[-1] == pytest.approx(1.0)
     assert np.max(np.abs(traj.values[-1] - free.values[-1])) <= 1e-9
@@ -285,7 +324,7 @@ def test_picard_zero_potential_matches_free():
     # largest gap is 1.6e-14 of max |u0|)
     u0 = gaussian(128.0, 4096, sigma=2.0)
     traj = collect(u0, evolve_with_potential(
-        u0, PotentialField.constant(0.0).sample(u0), 1.0, P_HALF, dt=1e-3))
+        u0, np.full(u0.n, 0.0), 1.0, P_HALF, dt=1e-3))
     free = free_states(u0, np.linspace(0.0, 1.0, 1001))
     assert traj.nt == free.nt == 1001
     np.testing.assert_allclose(traj.times, free.times, rtol=0.0, atol=1e-12)
@@ -303,7 +342,7 @@ def test_steps_are_the_closed_form_bit_for_bit():
     v = prof.values
     sig = symbol(P_HALF, frequencies(40.0, 1024))
     traj = collect(u0, evolve_with_potential(
-        u0, PotentialField.static(prof).sample(u0), 0.305, P_HALF))
+        u0, prof.values, 0.305, P_HALF))
     # the step grid: dt until the horizon is within one step
     steps = [min(1e-2, 0.305 - t) for t in traj.times[:-1]]
     assert steps[0] == 1e-2 and steps[-1] < 1e-2
@@ -321,7 +360,7 @@ def test_picard_constant_potential_oracle():
     free = free_states(u0, [1.0]).values[-1]
     for c in (1.0, -1.0, 0.5):
         traj = collect(u0, evolve_with_potential(
-            u0, PotentialField.constant(c).sample(u0), 1.0, P_HALF,
+            u0, np.full(u0.n, c), 1.0, P_HALF,
             dt=5e-3))
         want = math.exp(c) * free
         rel = np.max(np.abs(traj.values[-1] - want)) / np.max(np.abs(want))
@@ -338,7 +377,7 @@ def test_step_solves_duhamel_equation():
                                   windowed=False)
         v = prof.values
         traj = collect(u0, evolve_with_potential(
-            u0, PotentialField.static(prof).sample(u0), 0.5, P_HALF))
+            u0, prof.values, 0.5, P_HALF))
         assert traj.nt == 51
         for k, dt in enumerate(np.diff(traj.times)):
             now, nxt = traj.values[k], traj.values[k + 1]
@@ -353,17 +392,17 @@ def test_picard_preconditions():
     u0 = gaussian(40.0, 1024)
     with pytest.raises(PreconditionError):
         next(evolve_with_potential(
-            u0, PotentialField.constant(2.0).sample(u0), 1.0, P_HALF,
+            u0, np.full(u0.n, 2.0), 1.0, P_HALF,
             dt=0.3))
     with pytest.raises(DomainError):
         next(evolve_with_potential(
-            u0, PotentialField.constant(0.1).sample(u0), -1.0, P_HALF))
+            u0, np.full(u0.n, 0.1), -1.0, P_HALF))
 
 
 def test_positivity_preserved():
     u0 = gaussian(40.0, 4096, sigma=1.0)
     traj = collect(u0, evolve_with_potential(
-        u0, PotentialField.constant(0.3).sample(u0), 1.0, P_HALF))
+        u0, np.full(u0.n, 0.3), 1.0, P_HALF))
     assert traj.values.min() >= -1e-10
 
 
@@ -374,15 +413,12 @@ def test_evolution_trajectory_layout_and_single_sampling(monkeypatch):
     # once, by the caller, and the stepper reads the samples
     u0 = gaussian(40.0, 1024, sigma=2.0)
     calls, steps = [], []
-
-    def evaluator(x):
-        calls.append(x.size)
-        return 0.2 * np.cos(x)
-
-    real_rfft = np.fft.rfft
+    real_sample, real_rfft = PotentialField.sample, np.fft.rfft
+    monkeypatch.setattr(PotentialField, "sample", lambda self, grid: (
+        calls.append(grid.n) or real_sample(self, grid)))
     monkeypatch.setattr(np.fft, "rfft",
                         lambda *a, **k: steps.append(1) or real_rfft(*a, **k))
-    v = PotentialField(evaluator, 0.2).sample(u0)
+    v = PotentialField(u0.with_values(0.2 * np.cos(u0.x))).sample(u0)
     stream = evolve_with_potential(u0, v, 0.22, P_HALF, dt=0.04)
     assert calls == [1024] and steps == []
     times, rows = next(stream)
@@ -401,24 +437,23 @@ def test_evolution_trajectory_layout_and_single_sampling(monkeypatch):
 
 
 def test_potential_field_contract():
-    with pytest.raises(ConfigError):
-        PotentialField(lambda x: x, -1.0)
-    lying = PotentialField(lambda x: np.full_like(x, 3.0), 1.0)
-    with pytest.raises(DomainError):
-        lying.sample(gaussian(40.0, 1024))
-    broken = PotentialField(lambda x: np.full_like(x, np.inf), 1.0)
-    with pytest.raises(DomainError):
-        broken.sample(gaussian(40.0, 1024))
-    const = PotentialField.constant(-0.7)
-    assert const.sup_norm == pytest.approx(0.7)
+    # V is its samples: each sample is a copy of them, so mutating one
+    # leaves the next unchanged, and sup_norm is their largest magnitude
     prof = gaussian(40.0, 1024, sigma=3.0)
-    static = PotentialField.static(prof)
-    np.testing.assert_array_equal(static.sample(prof), prof.values)
-    assert static.sup_norm == np.max(np.abs(prof.values))
+    prof = prof.with_values(-0.7 * prof.values)
+    V = PotentialField(prof)
+    first = V.sample(prof)
+    np.testing.assert_array_equal(first, prof.values)
+    first[:] = 5.0
+    np.testing.assert_array_equal(V.sample(prof), prof.values)
+    assert V.sup_norm == np.max(np.abs(prof.values)) == 0.7
     # the samples define the potential only on the profile's own grid
     for other in (gaussian(40.0, 2048), gaussian(80.0, 1024)):
         with pytest.raises(PreconditionError):
-            static.sample(other)
+            V.sample(other)
+    # a non-finite profile is refused when it is built
+    with pytest.raises(ConfigError):
+        PotentialField(GridFunction(40.0, 1024, np.full(1024, np.inf)))
 
 
 def test_step_size_validation():
@@ -426,7 +461,7 @@ def test_step_size_validation():
     for dt in (0.0, -1.0, math.nan):
         with pytest.raises(ConfigError):
             next(evolve_with_potential(
-                u0, PotentialField.constant(0.1).sample(u0), 1.0, P_HALF,
+                u0, np.full(u0.n, 0.1), 1.0, P_HALF,
                 dt=dt))
 
 
@@ -435,7 +470,7 @@ def test_step_size_validation():
 def test_backward_uc_free():
     u0 = gaussian(40.0, 4096)
     traj = collect(u0, evolve_with_potential(
-        u0, PotentialField.constant(0.0).sample(u0), 1.0, P_HALF))
+        u0, np.full(u0.n, 0.0), 1.0, P_HALF))
     rep = backward_uc_check(traj, None, P_HALF)
     assert rep.passed
     assert rep.measured["kappa"] <= 1.0 + 1e-8
@@ -443,8 +478,8 @@ def test_backward_uc_free():
 
 def test_backward_uc_with_potential_reports_kappa():
     rng = np.random.default_rng(11)
-    V = PotentialField.static(band_limited_noise(40.0, 4096, k_max=20,
-                                                 rng=rng, windowed=False))
+    V = PotentialField(band_limited_noise(40.0, 4096, k_max=20, rng=rng,
+                                          windowed=False))
     u0 = gaussian(40.0, 4096)
     traj = collect(u0, evolve_with_potential(u0, V.sample(u0), 1.0,
                                              P_HALF))

@@ -21,8 +21,7 @@ from fracrel.errors import (AdmissibilityError, CalibrationError,
 from fracrel.grid import (GridFunction, SpaceTimeFunction, gaussian,
                           smooth_window)
 from fracrel import heat
-from fracrel.heat import (PotentialField, evolve_with_potential,
-                          tilted_integrals)
+from fracrel.heat import evolve_with_potential, tilted_integrals
 from fracrel.linear_carleman import (CarlemanLedger, LinearWeight,
                                      TILTED_MASS_COEFF, _assemble_ledger,
                                      _production_rate, _tent_residuals,
@@ -32,11 +31,12 @@ from fracrel.linear_carleman import (CarlemanLedger, LinearWeight,
                                      tent_identity_check, tilted_series)
 from fracrel import operator as op
 from fracrel.operator import OperatorParams, apply_spectral
-from oracles import (carre_du_champ, collect, ddot_lower_bound_check,
-                     fourier_mode, functional_D, functional_H, mass_series,
-                     spectral_carre, state_at, stored_chunks,
-                     stored_evolution, stored_series, trapezoid,
-                     weighted_integral, weighted_l2, windowed_exponential)
+from oracles import (carre_du_champ, collect, constant_potential,
+                     ddot_lower_bound_check, fourier_mode, functional_D,
+                     functional_H, mass_series, spectral_carre, state_at,
+                     stored_chunks, stored_evolution, stored_series,
+                     trapezoid, weighted_integral, weighted_l2,
+                     windowed_exponential)
 
 P_HALF = OperatorParams(0.5, 1.0)
 W_MAIN = LinearWeight(0.5, -11.0)          # the operating drift -(m^(2s)+10)
@@ -56,8 +56,8 @@ def corpus_draw(i, L=128.0, n=4096):
 def fine_stream(u0, V, T):
     """The stream of the flow under V (None for none) at the fine step
     1e-3."""
-    pot = PotentialField.constant(0.0) if V is None else V
-    return evolve_with_potential(u0, pot.sample(u0), T, P_HALF, dt=1e-3)
+    v = np.full(u0.n, 0.0) if V is None else V.sample(u0)
+    return evolve_with_potential(u0, v, T, P_HALF, dt=1e-3)
 
 
 def fine_flow(u0, V, T):
@@ -222,7 +222,7 @@ def assert_streamed_series_equal_the_stored_route(T, dt, forced,
     and against one state and one integral at a time; returns the number
     of states."""
     u0, V = small_draw()
-    pot = V if forced else PotentialField.constant(0.0)
+    pot = V if forced else constant_potential(u0, 0.0)
     V = V if forced else None
     v = pot.sample(u0)
     flow = tilted_series(u0, evolve_with_potential(u0, v, T, P_HALF, dt=dt),
@@ -650,7 +650,8 @@ def test_tent_identity_needs_unit_interval():
 
 def test_ledger_zero_data():
     z = GridFunction(128.0, 4096, np.zeros(4096))
-    led = carleman_linear_check(z, None, W_MAIN, P_HALF)
+    led = carleman_linear_check(z, constant_potential(z, 0.0), W_MAIN,
+                                P_HALF)
     assert led.passed and led.corollary_passed
     assert led.flagged == []
     assert led.lhs_total == 0.0 and sum(led.rhs_terms.values()) == 0.0
@@ -660,7 +661,8 @@ def test_ledger_zero_data():
 
 def test_ledger_free_flow_floor():
     u0, _ = corpus_draw(0)
-    led = carleman_linear_check(u0, None, W_MAIN, P_HALF)
+    led = carleman_linear_check(u0, constant_potential(u0, 0.0), W_MAIN,
+                                P_HALF)
     assert led.passed and led.corollary_passed
     assert led.rhs_terms["forcing"] == 0.0
     assert led.constants["C1"] >= 1.0
@@ -728,12 +730,13 @@ def test_ledger_corpus_sweep():
 
 def test_ledger_gatekeeping():
     u0, _ = corpus_draw(0)
+    zero = constant_potential(u0, 0.0)
     with pytest.raises(AdmissibilityError):
-        carleman_linear_check(u0, None, LinearWeight(0.5, -0.9), P_HALF)
+        carleman_linear_check(u0, zero, LinearWeight(0.5, -0.9), P_HALF)
     with pytest.raises(PreconditionError):
-        carleman_linear_check(u0, None, W_MAIN, OperatorParams(0.6, 1.0))
+        carleman_linear_check(u0, zero, W_MAIN, OperatorParams(0.6, 1.0))
     with pytest.raises(CalibrationError):
-        carleman_linear_check(u0, None, LinearWeight(0.3, -11.0), P_HALF)
+        carleman_linear_check(u0, zero, LinearWeight(0.3, -11.0), P_HALF)
 
 
 def test_ledger_rejects_nonfinite_terms():
@@ -774,7 +777,8 @@ def test_calibration_sweep_small_corpus():
 
 def test_ledger_records_constants():
     u0, _ = corpus_draw(0)
-    led = carleman_linear_check(u0, None, W_MAIN, P_HALF)
+    led = carleman_linear_check(u0, constant_potential(u0, 0.0), W_MAIN,
+                                P_HALF)
     for key in ("A", "C1", "C2", "lam", "s", "m"):
         assert key in led.constants
     assert led.constants["tilted_mass_coeff"] == TILTED_MASS_COEFF
