@@ -175,18 +175,17 @@ def _corpus_seed(cfg) -> int:
 # ------------------------------------------------------------------ suites
 
 def _checked(name: str, check) -> CheckReport:
-    """The report of ``check()``; a FracrelError it raises becomes the
-    failed report ``name``, so one failure leaves the rest of its suite
-    in place."""
+    """The report of ``check()``, or the failed report of a FracrelError it
+    raises, so one failure leaves the rest of its suite in place.  Either
+    one is stamped here with ``name`` and the wall time of the call: this
+    is the one place a report is named and timed."""
     t0 = time.perf_counter()
     try:
-        return check()
+        rep = check()
     except FracrelError as exc:
-        return CheckReport(
-            name=name, inputs={},
-            measured={"error": f"{type(exc).__name__}: {exc}"},
-            tolerance=0.0, passed=False, witness=None,
-            wall_time_s=time.perf_counter() - t0)
+        rep = CheckReport(measured={"error": f"{type(exc).__name__}: {exc}"})
+    rep.name, rep.wall_time_s = name, time.perf_counter() - t0
+    return rep
 
 
 def _suite_equivalence(cfg) -> list:
@@ -204,7 +203,6 @@ def _suite_equivalence(cfg) -> list:
             routes = {}
 
             def compare(one, two):
-                t0 = time.perf_counter()
                 # each realization is applied once per (s, m)
                 for route in ("spectral", one, two):
                     if route not in routes:
@@ -212,9 +210,8 @@ def _suite_equivalence(cfg) -> list:
                 ref = float(np.max(np.abs(routes["spectral"])))
                 err = float(np.max(np.abs(routes[one] - routes[two])) / ref)
                 return finish_report(
-                    f"equivalence.{one}_vs_{two}",
                     {"s": s, "m": m, "L": L, "n": int(n)},
-                    {"rel_error": err}, tol, err, None, t0)
+                    {"rel_error": err}, tol, err, None)
 
             for one, two in (("spectral", "singular"),
                              ("spectral", "subordination"),
@@ -247,11 +244,9 @@ def _suite_heat(cfg) -> list:
 
 def _ledger_report(i: int, f0, V, w, p: OperatorParams) -> CheckReport:
     from . import linear_carleman
-    t0 = time.perf_counter()
     ledger = linear_carleman.carleman_linear_check(f0, V, w, p)
     passed = bool(ledger.passed and ledger.corollary_passed)
     return CheckReport(
-        name="linear_carleman.ledger",
         inputs={"draw": i, "lam": w.lam, "drift": w.drift,
                 "s": p.s, "m": p.m},
         measured={"slack": ledger.slack,
@@ -259,8 +254,7 @@ def _ledger_report(i: int, f0, V, w, p: OperatorParams) -> CheckReport:
                   "flagged": list(ledger.flagged)},
         tolerance=0.0,
         passed=passed,
-        witness=None if passed else ledger.to_dict(),
-        wall_time_s=time.perf_counter() - t0)
+        witness=None if passed else ledger.to_dict())
 
 
 def _suite_linear(cfg) -> list:
@@ -324,18 +318,16 @@ def _falsification_report(p34: OperatorParams) -> CheckReport:
         symbols.QuadraticWeight.oscillating(2.0, 1.0, rate=3.0), p34,
         constants=(1.0, 1.0), enforce=False)
     return CheckReport(
-        name="symbol.falsification_witness",
         inputs=rep.inputs, measured=rep.measured, tolerance=0.0,
         passed=bool((not rep.measured["gate_ok"])
                     and rep.measured["ratio_min"] < 0.0),
-        witness=rep.witness, wall_time_s=rep.wall_time_s)
+        witness=rep.witness)
 
 
 def _bracket_fd_report(cfg) -> CheckReport:
     # the parabolic bracket the sweeps read against finite differences at
     # random points, piece by piece, each error relative to the bracket
     from . import symbols
-    t0 = time.perf_counter()
     rng = _split_rng(cfg["seed"], "symbol", "bracket_fd")
     worst = dict.fromkeys(("base", "mixed", "curvature", "total"), 0.0)
     kept = 0
@@ -360,16 +352,14 @@ def _bracket_fd_report(cfg) -> CheckReport:
             worst[key] = max(worst[key], abs(float(c) - f) / scale)
     measured = {"rel_error": worst.pop("total")}
     measured.update((f"rel_error_{key}", v) for key, v in worst.items())
-    return finish_report("symbol.bracket_fd", {"points": kept}, measured,
-                         cfg["tolerance.bracket"], measured["rel_error"],
-                         None, t0)
+    return finish_report({"points": kept}, measured, cfg["tolerance.bracket"],
+                         measured["rel_error"], None)
 
 
 def _s1_commutator_report(cfg) -> CheckReport:
     # s = 1 commutator action against the closed form
     from . import symbols
     n_mat = int(cfg["symbol.matrix_n"])
-    t0 = time.perf_counter()
     worst = 0.0
     for a, level in ((0.05, 0.0), (0.2, 0.0), (0.4, 0.0), (0.05, 3.0)):
         w = symbols.QuadraticWeight.constant(a, 1.0, level)
@@ -382,20 +372,20 @@ def _s1_commutator_report(cfg) -> CheckReport:
             err = float(np.linalg.norm(comm @ f - T @ f)
                         / np.linalg.norm(T @ f))
             worst = max(worst, err)
-    return finish_report("symbol.s1_commutator", {"n": n_mat},
-                         {"rel_error": worst},
-                         cfg["tolerance.commutator"], worst, None, t0)
+    return finish_report({"n": n_mat}, {"rel_error": worst},
+                         cfg["tolerance.commutator"], worst, None)
 
 
 def _suite_symbol(cfg) -> list:
     from . import symbols
     p34 = OperatorParams(0.75, 0.0)
     alpha, R = cfg["quadratic.alpha"], cfg["quadratic.R"]
-    out = [
-        _checked("symbols.positivity_sweep", lambda: symbols.positivity_sweep(
-            symbols.QuadraticWeight.decaying(alpha, R), p34)),
-        _checked("symbols.positivity_sweep", lambda: symbols.positivity_sweep(
-            symbols.QuadraticWeight.constant(50.0 * R, R, 1.0), p34)),
+    weights = ((symbols.QuadraticWeight.decaying, (alpha, R)),
+               (symbols.QuadraticWeight.constant, (50.0 * R, R, 1.0)))
+    out = [_checked("symbols.positivity_sweep",
+                    lambda: symbols.positivity_sweep(make(*args), p34))
+           for make, args in weights]
+    out += [
         _checked("symbol.falsification_witness",
                  lambda: _falsification_report(p34)),
         _checked("symbols.garding_hypothesis",

@@ -15,7 +15,6 @@ silent garbage.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -118,7 +117,6 @@ def energy_identity_check(u0: GridFunction, p: OperatorParams,
     the discretization honestly instead of hiding it in an exact per-mode
     antiderivative.
     """
-    t_start = time.perf_counter()
     T, steps = _ENERGY_T, _ENERGY_STEPS
     sig = symbol(p, frequencies(u0.L, u0.n))
     times = np.linspace(0.0, T, steps + 1)
@@ -136,7 +134,6 @@ def energy_identity_check(u0: GridFunction, p: OperatorParams,
         residuals = np.abs(energy + 2.0 * cumulative - base) / base
     worst = int(np.argmax(residuals))
     return finish_report(
-        name="heat.energy_identity",
         inputs={"s": p.s, "m": p.m, "L": u0.L, "n": u0.n, "T": T,
                 "steps": steps},
         measured={"max_residual": float(residuals[worst]),
@@ -144,7 +141,6 @@ def energy_identity_check(u0: GridFunction, p: OperatorParams,
         tolerance=tolerance,
         violation=float(residuals[worst]),
         witness={"t": float(times[worst])},
-        t_start=t_start,
     )
 
 
@@ -233,7 +229,6 @@ def weighted_decay_check(u0: GridFunction, lam: float,
                          p: OperatorParams) -> CheckReport:
     """Weighted energy never exceeds its predicted exponential envelope,
     sampled at 11 evenly spaced times on [0, 1]."""
-    t_start = time.perf_counter()
     if abs(lam) > 2.0 * p.m:
         raise PreconditionError(
             f"need |lam| <= 2m, got lam={lam:g}, m={p.m:g}")
@@ -251,13 +246,11 @@ def weighted_decay_check(u0: GridFunction, lam: float,
             worst_slack, worst_t = slack, float(t)
     violation = max(0.0, -worst_slack) / w_start if w_start > 0.0 else 0.0
     return finish_report(
-        name="heat.weighted_decay",
         inputs={"lam": lam, "s": p.s, "m": p.m, "L": u0.L, "n": u0.n},
         measured={"min_slack": worst_slack, "initial_energy": w_start},
         tolerance=_WEIGHTED_DECAY_TOLERANCE,
         violation=violation,
         witness={"t": worst_t},
-        t_start=t_start,
     )
 
 
@@ -265,7 +258,6 @@ def log_convexity_check(u0: GridFunction, lam: float, p: OperatorParams,
                         tolerance: float = 1e-6) -> CheckReport:
     """H(t) = int e^(lam x) u^2 against the endpoint interpolation bound,
     sampled at 21 evenly spaced times on [0, 1]."""
-    t_start = time.perf_counter()
     if abs(lam) > p.m:
         raise PreconditionError(
             f"need |lam| <= m for the weighted theory, got lam={lam:g}, "
@@ -279,24 +271,19 @@ def log_convexity_check(u0: GridFunction, lam: float, p: OperatorParams,
     if h_first == 0.0 or h_last == 0.0:
         # zero data stays zero; nothing to bound
         return finish_report(
-            name="heat.log_convexity",
-            inputs=inputs,
-            measured={"max_ratio": 0.0},
-            tolerance=tolerance, violation=0.0, witness=None,
-            t_start=t_start)
+            inputs=inputs, measured={"max_ratio": 0.0},
+            tolerance=tolerance, violation=0.0, witness=None)
     theta = (times - times[0]) / (times[-1] - times[0])
     bound = h_first ** (1.0 - theta) * h_last ** theta
     ratios = values / bound
     worst = int(np.argmax(ratios))
     violation = max(0.0, float(ratios[worst]) - 1.0)
     return finish_report(
-        name="heat.log_convexity",
         inputs=inputs,
         measured={"max_ratio": float(ratios[worst])},
         tolerance=tolerance,
         violation=violation,
         witness={"t": float(times[worst]), "ratio": float(ratios[worst])},
-        t_start=t_start,
     )
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -247,7 +246,6 @@ def monotonicity_check(flow: TiltedSeries, V: PotentialField | None,
     windowed constant), because replacing e^(a(t-tau)) Phi by Phi enlarges
     the left side by int (1 - e^(a(t-tau))) Phi > 0.
     """
-    t_start = time.perf_counter()
     w.require_tilt(p)
     times = flow.times
     if times[0] != 0.0:
@@ -288,7 +286,6 @@ def monotonicity_check(flow: TiltedSeries, V: PotentialField | None,
     worst = int(np.argmax(identity_residual))
     violation = max(identity_violation, groen_violation)
     return finish_report(
-        "linear_carleman.monotonicity",
         inputs={"s": p.s, "m": p.m, "lam": w.lam, "drift": w.drift,
                 "T": T, "dt": dt, "sup_v": 0.0 if V is None else V.sup_norm,
                 "L": flow.grid.L, "n": flow.grid.n},
@@ -300,8 +297,7 @@ def monotonicity_check(flow: TiltedSeries, V: PotentialField | None,
         violation=violation,
         witness={"t": float(times[worst]),
                  "lhs": float(lhs_exact[worst]),
-                 "rhs": float(rhs_exact[worst])},
-        t_start=t_start)
+                 "rhs": float(rhs_exact[worst])})
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +378,6 @@ def tent_identity_check(flow: TiltedSeries, w: LinearWeight,
                         tolerance: float = 1e-4) -> CheckReport:
     """Verify the tent representation of the tilted mass of ``flow``
     (tilted_series at the weight's lam) on [0, 1]."""
-    t_start = time.perf_counter()
     times = flow.times
     h = np.exp(w.drift * times) * flow.checked(1).terms["mass"]
     residuals = _tent_residuals(times, h)
@@ -390,15 +385,13 @@ def tent_identity_check(flow: TiltedSeries, w: LinearWeight,
     rel = np.abs(residuals) / scale
     worst = int(np.argmax(rel))
     return finish_report(
-        "linear_carleman.tent_identity",
         inputs={"lam": w.lam, "drift": w.drift, "states": len(times)},
         measured={"max_residual": float(np.max(rel)),
                   "mass_span": [float(np.min(h)), float(np.max(h))]},
         tolerance=tolerance,
         violation=float(np.max(rel)),
         witness={"t": float(times[worst + 1]),
-                 "residual": float(residuals[worst])},
-        t_start=t_start)
+                 "residual": float(residuals[worst])})
 
 
 # ----------------------------------------------------------------------

@@ -273,8 +273,6 @@ def subordination_multiplier(gam: np.ndarray, s: float) -> np.ndarray:
 
 def apply_subordination(f: GridFunction, p: OperatorParams) -> GridFunction:
     """Apply the operator through the subordinated heat semigroup."""
-    if not (0.0 < p.s < 1.0):
-        raise PreconditionError("subordination requires s in (0, 1)")
     xi = frequencies(f.L, f.n)
     mult = subordination_multiplier(xi * xi + p.m * p.m, p.s)
     out = np.fft.irfft(mult * np.fft.rfft(f.values), f.n)

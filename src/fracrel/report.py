@@ -2,7 +2,9 @@
 
 Every check in the package returns a CheckReport rather than a bare bool so
 that sweeps, the CLI and the tests all see the same thing: what was run, what
-was measured, against which tolerance, and where the worst point sits.
+was measured, against which tolerance, and where the worst point sits.  A
+check neither names nor times its report: the runner (``cli._checked``)
+stamps both around the call.
 """
 from __future__ import annotations
 
@@ -11,7 +13,6 @@ import dataclasses
 import functools
 import json
 import math
-import time
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Any
@@ -45,7 +46,8 @@ class CheckReport:
     Parameters
     ----------
     name : str
-        Stable identifier of the check, e.g. ``"equivalence.spectral_vs_singular"``.
+        Stable identifier of the check, stamped by the runner; empty on a
+        report straight from a check.
     inputs : dict
         Echo of the parameters the check ran with.
     measured : dict
@@ -59,10 +61,11 @@ class CheckReport:
         fails, and also on passes that sit within a factor 10 of failing,
         so near-misses stay diagnosable.
     wall_time_s : float
-        Wall-clock duration of the check.
+        Wall-clock duration of the guarded call, stamped by the runner;
+        0.0 on a report straight from a check.
     """
 
-    name: str
+    name: str = ""
     inputs: dict = field(default_factory=dict)
     measured: dict = field(default_factory=dict)
     tolerance: float = 0.0
@@ -72,9 +75,6 @@ class CheckReport:
 
     def to_dict(self) -> dict:
         return _jsonable(dataclasses.asdict(self))
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
     def __str__(self):
         status = "PASS" if self.passed else "FAIL"
@@ -103,9 +103,9 @@ def frozen_entry(table: str, **keys) -> dict:
     raise CalibrationError(f"no frozen {table} entry for {keys}")
 
 
-def finish_report(name, inputs, measured, tolerance, violation, witness,
-                  t_start) -> CheckReport:
-    """Assemble a CheckReport from a finished check.
+def finish_report(inputs, measured, tolerance, violation,
+                  witness) -> CheckReport:
+    """Assemble the unnamed, untimed CheckReport of a finished check.
 
     ``violation`` is the headline nonnegative number compared against
     ``tolerance``; the witness is kept when failing or within 10x of the
@@ -116,11 +116,8 @@ def finish_report(name, inputs, measured, tolerance, violation, witness,
     measured = dict(measured)
     measured.setdefault("violation", float(violation))
     return CheckReport(
-        name=name,
         inputs=_jsonable(inputs),
         measured=_jsonable(measured),
         tolerance=float(tolerance),
         passed=passed,
-        witness=_jsonable(witness) if keep_witness else None,
-        wall_time_s=time.perf_counter() - t_start,
-    )
+        witness=_jsonable(witness) if keep_witness else None)

@@ -34,7 +34,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
@@ -565,7 +564,6 @@ def positivity_sweep(w: QuadraticWeight, p: OperatorParams, *,
     skips the admissibility gate so falsification configs can record where
     positivity breaks; the gate failures still land in the report.
     """
-    t_start = time.perf_counter()
     _require_sweep_params(p, "positivity sweep needs")
     if constants is None:
         c_hyp, c_min = positivity_constants(p.s, w.m_ratio(p.m))
@@ -599,8 +597,7 @@ def positivity_sweep(w: QuadraticWeight, p: OperatorParams, *,
               "psi_d1_sup": w.psi_d1_sup, "psi_d2_sup": w.psi_d2_sup,
               "xi_nodes": xi_mag.size, "t_nodes": SWEEP_TIMES.size,
               "sigma_nodes": SWEEP_SIGMA_NODES, "enforce": enforce}
-    return finish_report("symbols.positivity_sweep", inputs, measured,
-                         0.0, violation, witness, t_start)
+    return finish_report(inputs, measured, 0.0, violation, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +675,6 @@ def garding_hypothesis_check(w: QuadraticWeight, p: OperatorParams, *,
     in stencil order: the sums of a loop over the stencil, except for the
     sign of a zero sum, which the absolute value drops.
     """
-    t_start = time.perf_counter()
     _require_sweep_params(p, "derivative bounds need")
     if constants is None:
         c_ref = float(garding_constants(p.s, w.m_ratio(p.m))["C_ref"])
@@ -752,8 +748,7 @@ def garding_hypothesis_check(w: QuadraticWeight, p: OperatorParams, *,
                 "measured": measured_norm, "bound": bound, "C_ref": c_ref}
     inputs = {"alpha": w.alpha, "R": w.R, "s": p.s, "m": p.m,
               "step": step, "points": int(pts_sig.size)}
-    return finish_report("symbols.garding_hypothesis", inputs, measured,
-                         0.0, violation, None, t_start)
+    return finish_report(inputs, measured, 0.0, violation, None)
 
 
 # ---------------------------------------------------------------------------
@@ -1057,7 +1052,6 @@ def carleman_quadratic_check(fs, w: QuadraticWeight, p: OperatorParams,
     [0, 3] anywhere on an operand's time grid is a ConfigError before its
     slice guards.
     """
-    t_start = time.perf_counter()
     if mode == "elliptic":
         if not (0.5 <= p.s <= 1.0):
             raise PreconditionError(
@@ -1104,8 +1098,7 @@ def carleman_quadratic_check(fs, w: QuadraticWeight, p: OperatorParams,
                 "count": len(terms), "c1": c1, "c2": c2,
                 "C_weight": c_weight}
     inputs = {"mode": mode, "alpha": w.alpha, "R": w.R, "s": p.s, "m": p.m}
-    return finish_report("symbols.carleman_quadratic", inputs, measured,
-                         0.0, violation, worst, t_start)
+    return finish_report(inputs, measured, 0.0, violation, worst)
 
 
 # ---------------------------------------------------------------------------
@@ -1128,7 +1121,6 @@ def appendix_conjugation_check(dim_matrix: int, s: float, phi_values,
     run through the same factorization.  The check guards finite precision
     and conditioning, not the algebra.
     """
-    t_start = time.perf_counter()
     nd = int(dim_matrix)
     if nd < 2:
         raise ConfigError("matrix dimension must be at least 2")
@@ -1161,8 +1153,7 @@ def appendix_conjugation_check(dim_matrix: int, s: float, phi_values,
                                              / np.abs(vals)))}
     inputs = {"dim": nd, "s": float(s), "m": float(m)}
     witness = None if diff <= tolerance else {"worst": diff}
-    return finish_report("symbols.appendix_conjugation", inputs, measured,
-                         tolerance, diff, witness, t_start)
+    return finish_report(inputs, measured, tolerance, diff, witness)
 
 
 # ---------------------------------------------------------------------------

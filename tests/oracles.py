@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from importlib import resources
 from typing import NamedTuple
 
@@ -293,7 +292,6 @@ def bessel_identity_check(lambda_abs: float, N: int, s: float,
     R^N equals (1 - lambda^2)^s - 1 for |lambda| < 1, and -1 at
     |lambda| = 1 provided N - 2s < 1.
     """
-    t0 = time.perf_counter()
     if not (0.0 <= lambda_abs <= 1.0):
         raise DomainError("lambda_abs must lie in [0, 1]")
     if N not in (1, 2, 3):
@@ -333,10 +331,10 @@ def bessel_identity_check(lambda_abs: float, N: int, s: float,
     lhs = frac_power_constant_nd(N, s) * total_fine
     rhs = -1.0 if at_edge else (1.0 - lam * lam) ** s - 1.0
     return finish_report(
-        "operator.bessel_identity", {"lambda_abs": lambda_abs, "N": N, "s": s},
+        {"lambda_abs": lambda_abs, "N": N, "s": s},
         {"lhs": lhs, "rhs": rhs,
          "quad_drift": abs(total_fine - integrate(0.02))},
-        tolerance, abs(lhs - rhs), {"lhs": lhs, "rhs": rhs}, t0)
+        tolerance, abs(lhs - rhs), {"lhs": lhs, "rhs": rhs})
 
 
 def eigenfunction_residual(lam: float, p: OperatorParams,
@@ -348,7 +346,6 @@ def eigenfunction_residual(lam: float, p: OperatorParams,
     the seam) and the kernel realization is compared on the core
     |x| <= L/16, where the taper is invisible to the truncated kernel.
     """
-    t0 = time.perf_counter()
     if not abs(lam) < p.m:
         raise PreconditionError(
             f"need |lambda| < m for a true eigenfunction, "
@@ -363,12 +360,11 @@ def eigenfunction_residual(lam: float, p: OperatorParams,
     rel = np.abs(applied - target) / np.max(np.abs(target))
     worst = int(np.argmax(rel))
     return finish_report(
-        "operator.eigenfunction_residual",
         {"lambda": lam, "s": p.s, "m": p.m, "L": window.L, "n": window.n},
         {"max_rel_residual": float(rel.max()), "eigenvalue": mu},
         tolerance, float(rel.max()),
         {"x": float(x[core][worst]), "applied": float(applied[worst]),
-         "target": float(target[worst])}, t0)
+         "target": float(target[worst])})
 
 
 # ----------------------------------------------------------------------
@@ -555,7 +551,6 @@ def weighted_l1_kernel(t: float, lam: float, p: OperatorParams,
     L = 160; at |lam| = m the identity is only approached and the report
     says by how much.
     """
-    t_start = time.perf_counter()
     L, n = 160.0, 16384
     if abs(lam) > p.m:
         raise PreconditionError(
@@ -582,10 +577,9 @@ def weighted_l1_kernel(t: float, lam: float, p: OperatorParams,
     expected = math.exp(-t * (p.m ** 2 - lam ** 2) ** p.s)
     rel = abs(value - expected) / expected
     return finish_report(
-        "heat.weighted_l1_kernel",
         {"t": t, "lam": lam, "s": p.s, "m": p.m, "L": L, "n": n},
         {"value": value, "expected": expected, "rel_error": rel},
-        tolerance, rel, None, t_start)
+        tolerance, rel, None)
 
 
 def backward_uc_check(traj: SpaceTimeFunction, V: PotentialField | None,
@@ -598,7 +592,6 @@ def backward_uc_check(traj: SpaceTimeFunction, V: PotentialField | None,
     With a bounded potential the check is report-only: it measures the
     smallest kappa with H(t) <= kappa H(0)^(1-theta) H(T)^theta.
     """
-    t_start = time.perf_counter()
     tolerance = 1e-8
     free = V is None or V.sup_norm == 0.0
     picks = [int(np.argmin(np.abs(traj.times - t)))
@@ -606,18 +599,16 @@ def backward_uc_check(traj: SpaceTimeFunction, V: PotentialField | None,
     times = traj.times[picks]
     energies = (traj.L / traj.n) * np.sum(traj.values[picks] ** 2, axis=1)
     if energies[0] == 0.0 or energies[-1] == 0.0:
-        return finish_report(
-            "heat.backward_uc", {"s": p.s, "m": p.m, "free": free},
-            {"kappa": 0.0}, tolerance, 0.0, None, t_start)
+        return finish_report({"s": p.s, "m": p.m, "free": free},
+                             {"kappa": 0.0}, tolerance, 0.0, None)
     theta = (times - times[0]) / (times[-1] - times[0])
     kappa = float(np.max(energies / (energies[0] ** (1.0 - theta)
                                      * energies[-1] ** theta)))
     return finish_report(
-        "heat.backward_uc",
         {"s": p.s, "m": p.m, "free": free,
          "sup_norm": 0.0 if free else V.sup_norm},
         {"kappa": kappa}, tolerance,
-        max(0.0, kappa - 1.0) if free else 0.0, {"kappa": kappa}, t_start)
+        max(0.0, kappa - 1.0) if free else 0.0, {"kappa": kappa})
 
 
 # ----------------------------------------------------------------------
@@ -683,7 +674,6 @@ def ddot_lower_bound_check(traj: SpaceTimeFunction, w: LinearWeight,
     equation.  The energy split behind the bound needs s <= 1/2; the drift
     must pass the calibrated admissibility gate.
     """
-    t_start = time.perf_counter()
     c1, c2 = _admissible_constants(constants, p, w)
     dt = _uniform_spacing(traj.times, "production trajectory")
     if dt > 2.5e-3:
@@ -697,7 +687,6 @@ def ddot_lower_bound_check(traj: SpaceTimeFunction, w: LinearWeight,
     slacks = (ddot - rhs) / scale
     k = int(np.argmin(slacks))
     return finish_report(
-        "linear_carleman.ddot_lower_bound",
         {"s": p.s, "m": p.m, "lam": w.lam, "drift": w.drift, "C1": c1,
          "C2": c2, "dt": dt, "states": traj.nt,
          "sup_v": 0.0 if V is None else V.sup_norm},
@@ -705,7 +694,7 @@ def ddot_lower_bound_check(traj: SpaceTimeFunction, w: LinearWeight,
          "median_slack": float(np.median(slacks))},
         _DDOT_TOLERANCE, -float(slacks[k]),
         {"t": float(times[k + 1]), "ddot": float(ddot[k]),
-         "rhs": float(rhs[k]), "scale": float(scale[k])}, t_start)
+         "rhs": float(rhs[k]), "scale": float(scale[k])})
 
 
 # ----------------------------------------------------------------------

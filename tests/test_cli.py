@@ -4,6 +4,7 @@ The symbol suite is the workhorse fixture here because it finishes in well
 under a second while still exercising seeded randomness, matrix checks and
 the frozen calibration tables.
 """
+import ast
 import csv
 import json
 import os
@@ -164,8 +165,26 @@ def test_run_meta_names_each_check_timing(tmp_path):
     checks = bundle["meta"]["checks"]
     assert [c["name"] for c in checks] == names
     assert [c["index"] for c in checks] == list(range(len(names)))
-    assert all(c["wall_time_s"] >= 0.0 for c in checks)
+    assert all(c["wall_time_s"] > 0.0 for c in checks)
     assert "checks" not in bundle["body"]
+
+
+def test_checked_names_and_times_every_report():
+    # a check returns its report unnamed and untimed; the runner's guard
+    # stamps both, on a report and on the failed report of a raise alike
+    u0 = grid.gaussian(40.0, 1024, sigma=2.0)
+    p = OperatorParams(0.5, 1.0)
+    rep = heat.energy_identity_check(u0, p)
+    assert (rep.name, rep.wall_time_s) == ("", 0.0)
+    rep = cli._checked("heat.energy_identity",
+                       lambda: heat.energy_identity_check(u0, p))
+    assert rep.name == "heat.energy_identity" and rep.wall_time_s > 0.0
+    assert rep.passed
+    failed = cli._checked("heat.weighted_decay",
+                          lambda: heat.weighted_decay_check(u0, 5.0, p))
+    assert failed.name == "heat.weighted_decay" and failed.wall_time_s > 0.0
+    assert not failed.passed
+    assert failed.measured["error"].startswith("PreconditionError: ")
 
 
 def test_run_reports_csv_schema(tmp_path):
@@ -432,6 +451,83 @@ def test_failing_check_keeps_the_rest_of_its_suite(tmp_path, capsys):
             seam_leak("kinetic", m) for m in magnitudes]
         total = 2 + len(magnitudes)
         assert f"2/{total} checks passed" in capsys.readouterr().out
+
+
+# ------------------------------------------------------------------ names
+
+def _docstrings(tree) -> set:
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+
+
+def name_spellings(src, names) -> dict:
+    """Each of ``names`` -> where the package spells it, as (file, line,
+    whether it is the first argument of a ``_checked`` call in cli.py).
+    Every string constant counts but docstrings; an f-string counts once,
+    as any identifier in each of its fields."""
+    found = {name: [] for name in names}
+    for path in sorted((src / "fracrel").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        guards = {id(node.args[0]) for node in ast.walk(tree)
+                  if path.name == "cli.py" and isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "_checked" and node.args}
+        skip = _docstrings(tree) | {
+            id(part) for node in ast.walk(tree)
+            if isinstance(node, ast.JoinedStr) for part in node.values}
+        for node in ast.walk(tree):
+            if id(node) in skip:
+                continue
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                pattern = re.escape(node.value)
+            elif isinstance(node, ast.JoinedStr):
+                pattern = "".join(
+                    re.escape(part.value) if isinstance(part, ast.Constant)
+                    else r"\w+" for part in node.values)
+            else:
+                continue
+            for name in names:
+                if re.fullmatch(pattern, name):
+                    found[name].append((path.name, node.lineno,
+                                        id(node) in guards))
+    return found
+
+
+def misspelled(found) -> list:
+    """The names not spelled exactly once, as a ``_checked`` argument."""
+    return sorted(name for name, spots in found.items()
+                  if len(spots) != 1 or not spots[0][2])
+
+
+@pytest.fixture(scope="module")
+def emitted_names(tmp_path_factory):
+    out = tmp_path_factory.mktemp("names")
+    cfg = write_config(out, **{"suite": "all", "sweep.count": 1,
+                               "output.dir": str(out / "run")})
+    assert main(["run", str(cfg)]) == 0
+    body = json.loads((out / "run" / "report.json").read_text())["body"]
+    return sorted({r["name"] for r in body["reports"]})
+
+
+def test_each_report_name_is_spelled_once_in_the_runner(emitted_names):
+    # the runner names each report where it guards the check; no check,
+    # and no second guard, spells a name again
+    found = name_spellings(SRC, emitted_names)
+    assert misspelled(found) == [], found
+
+
+def test_negative_control_a_name_spelled_in_a_check_fails(tmp_path,
+                                                          emitted_names):
+    src = tmp_path / "src"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    heat_py = src / "fracrel" / "heat.py"
+    heat_py.write_text(heat_py.read_text()
+                       + '\n_NAME = "heat.energy_identity"\n')
+    assert misspelled(name_spellings(src, emitted_names)) == [
+        "heat.energy_identity"]
 
 
 def test_defaults_subcommand_prints_reference(tmp_path, capsys):

@@ -376,6 +376,9 @@ def test_singular_needs_positive_mass_and_fractional_power():
         op.apply_singular_integral(f, op.OperatorParams(s=1.0, m=1.0))
     with pytest.raises(PreconditionError):
         op.apply_singular_integral(f, op.OperatorParams(s=0.5, m=0.0))
+    # the subordination route refuses s = 1 through its multiplier
+    with pytest.raises(PreconditionError, match=r"requires s in \(0, 1\)"):
+        op.apply_subordination(f, op.OperatorParams(1.0, 1.0))
 
 
 def test_grid_too_coarse_for_kernel():

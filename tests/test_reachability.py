@@ -12,9 +12,9 @@ builtin).  Imports alone reach nothing.  Matching by name
 over-approximates the call graph, so the guard can miss a dead function
 that shares its name with a live one, but it never flags a live one.
 
-Exported names get no exemption: every function fracrel/__init__.py
-exports is one a CLI path calls.  The one exemption is
-``CheckReport.to_json``, a method of an exported class, part of its API.
+Nothing is exempt, exported names included: every function
+fracrel/__init__.py exports, and every method of an exported class, is one
+a CLI path calls.
 
 The layers the benchmark's traced runs must see called (the ``layers`` of
 each workload in perfbench/run.py) are held to the same walk: each must be
@@ -27,7 +27,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "fracrel"
 BENCH = ROOT / "perfbench" / "run.py"
-EXEMPT_METHODS = {"report.CheckReport.to_json"}
 
 
 def _sources():
@@ -52,7 +51,7 @@ def _import_time(fn):
         d for d in fn.args.kw_defaults if d is not None]
 
 
-def unreachable(sources, exempt=True):
+def unreachable(sources):
     """Qualified names of the functions and methods of ``sources`` (module
     name -> text) that cli.main and the import-time code never reach."""
     units = []        # (qualified name, bare name, def node, is a method)
@@ -91,8 +90,7 @@ def unreachable(sources, exempt=True):
             more_bare, more_attrs = _names([node])
             bare |= more_bare
             attrs |= more_attrs
-    return sorted(q for q, _, _, _ in units
-                  if q not in done and not (exempt and q in EXEMPT_METHODS))
+    return sorted(q for q, _, _, _ in units if q not in done)
 
 
 def _public_defs(sources):
@@ -118,7 +116,7 @@ def untraceable(sources, layers):
     """The names among ``layers`` that are not a public function or method
     of ``sources`` that cli.main reaches."""
     public = _public_defs(sources)
-    dead = set(unreachable(sources, exempt=False))
+    dead = set(unreachable(sources))
     return sorted(name for name in layers
                   if name not in public or name in dead)
 
@@ -144,12 +142,6 @@ def test_every_function_is_reachable_from_the_cli():
         + "\n  ".join(dead))
 
 
-def test_every_exemption_is_needed():
-    # without the exemption exactly the exempt name comes back
-    assert unreachable(_sources(), exempt=False) == [
-        "report.CheckReport.to_json"]
-
-
 def test_negative_control_uncalled_code_fails():
     sources = _sources()
     sources["grid"] += (
@@ -163,6 +155,13 @@ def test_negative_control_uncalled_code_fails():
     sources["special"] += "\n\ndef exported_orphan(z):\n    return z\n"
     sources["__init__"] += "from .special import exported_orphan\n"
     assert unreachable(sources) == ["special.exported_orphan"]
+    # nor does a method of an exported class
+    sources = _sources()
+    sources["report"] = sources["report"].replace(
+        "    def to_dict(self)",
+        "    def to_text(self):\n        return str(self)\n\n"
+        "    def to_dict(self)")
+    assert unreachable(sources) == ["report.CheckReport.to_text"]
     # a method named like a builtin is not reached by the builtin's calls
     # (slice(...) runs in special and linear_carleman)
     sources = _sources()
