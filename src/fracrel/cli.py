@@ -22,10 +22,11 @@ checkout (null outside a git checkout).
 
 Cold start: every command runs in a fresh process, so this module imports
 at load time only what config validation and every suite need.  The heat
-flow, the linear Carleman and symbol layers, ``hashlib`` (OpenSSL),
-``concurrent.futures`` and ``subprocess`` are imported inside the
-functions that use them, and their functions are read as module
-attributes when called.
+flow, the linear Carleman and symbol layers, ``concurrent.futures`` and
+``subprocess`` are imported inside the functions that use them, and their
+functions are read as module attributes when called.  ``hashlib`` comes
+from ``grid._load_hashlib`` when a seed or corpus is hashed, and every
+generator from ``grid.rng``, so a seeded run loads no OpenSSL.
 """
 import argparse
 import csv
@@ -160,15 +161,14 @@ def _validate(cfg: dict) -> None:
 
 
 def _split_rng(seed: int, suite: str, check: str):
-    import hashlib
-    digest = hashlib.sha256(f"{seed}|{suite}|{check}|0".encode()).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "little"))
+    digest = grid._load_hashlib().sha256(
+        f"{seed}|{suite}|{check}|0".encode()).digest()
+    return grid.rng(int.from_bytes(digest[:8], "little"))
 
 
 def _corpus_seed(cfg) -> int:
     """Seed of the linear Carleman corpus, shared by run and calibrate."""
-    import hashlib
-    return int.from_bytes(hashlib.sha256(
+    return int.from_bytes(grid._load_hashlib().sha256(
         f"{cfg['seed']}|linear|corpus".encode()).digest()[:8], "little")
 
 
@@ -510,8 +510,7 @@ def cmd_run(cfg: dict) -> int:
 
 
 def _corpus_hash(corpus) -> str:
-    import hashlib
-    h = hashlib.sha256()
+    h = grid._load_hashlib().sha256()
     for f0, V in corpus:
         h.update(np.ascontiguousarray(f0.values).tobytes())
         h.update(np.ascontiguousarray(V.sample(f0)).tobytes())

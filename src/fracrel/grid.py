@@ -8,6 +8,7 @@ periodic seam; :func:`require_seam_decay` enforces that.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -25,6 +26,49 @@ _CORPUS_K_MAX = 40
 _CORPUS_SUP_V = 1.0
 _CORPUS_INNER = 8.0
 _CORPUS_OUTER = 12.0
+
+
+def _load_hashlib():
+    """The ``hashlib`` module, imported without OpenSSL when it can be.
+
+    The package's only digests are SHA-256 of a seed string or a corpus,
+    and CPython's built-in SHA-256 gives the same bytes as OpenSSL's, so
+    mapping ``libcrypto`` (about 3.4 MB of peak resident size) buys
+    nothing.  When neither ``hashlib`` nor ``_hashlib`` is loaded yet and
+    the built-in module (``_sha2`` on 3.12+, ``_sha256`` before) imports,
+    ``hashlib`` and ``hmac`` are imported while ``_hashlib`` is blocked,
+    as in a CPython built without OpenSSL; the block is lifted at once, so
+    no ``None`` entry stays in ``sys.modules``.  Later importers
+    (``secrets``, hence ``numpy.random``) get these cached modules.
+    Otherwise ``hashlib`` is imported, or returned, as it is: a process
+    never gets a ``hashlib`` without SHA-256.  The first call must not
+    race an import on another thread; the runner makes it on the main
+    thread before any job is submitted.
+    """
+    if not {"hashlib", "_hashlib"} & sys.modules.keys():
+        try:
+            __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256")
+        except ImportError:
+            pass
+        else:
+            sys.modules["_hashlib"] = None
+            try:
+                import hashlib
+                import hmac  # cached for secrets, which imports it next
+            finally:
+                del sys.modules["_hashlib"]
+    import hashlib
+    return hashlib
+
+
+def rng(seed: int) -> np.random.Generator:
+    """numpy's default generator seeded with ``seed``; every seeded draw in
+    the package comes from here.  ``numpy.random`` imports ``secrets``,
+    hence ``hashlib``, so :func:`_load_hashlib` runs first: the process
+    loads no OpenSSL, and the streams are those of
+    ``np.random.default_rng(seed)`` unchanged."""
+    _load_hashlib()
+    return np.random.default_rng(seed)
 
 
 def _is_pow2(n: int) -> bool:

@@ -542,7 +542,7 @@ def carleman_corpus(L: float, n: int, draws: int, seed: int,
     box so the tilted quadratic-form integrands have room to die out before
     the seam.
     """
-    rng = np.random.default_rng(seed)
+    rng = grid.rng(seed)
     win = smooth_window(L, n, grid._CORPUS_INNER, grid._CORPUS_OUTER).values
     for _ in range(draws):
         raw = band_limited_noise(L, n, grid._CORPUS_K_MAX, rng,

@@ -39,6 +39,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
+from . import grid
 from .errors import (
     AdmissibilityError,
     CalibrationError,
@@ -1247,7 +1248,7 @@ def calibrate_quadratic(mode: str, s: float, m_ratio: float, *,
     c_weight = 1.0
     alpha = 2.0 * (c_weight * R ** (4.0 * s)) ** (1.0 / (4.0 * s - 1.0))
     w, p, fs = quadratic_corpus(mode, s, m_ratio, alpha, count,
-                                np.random.default_rng(seed), QUADRATIC_N)
+                                grid.rng(seed), QUADRATIC_N)
     coef1 = s * s * (alpha / R ** 2)
     coef2 = s * s * (alpha ** (4.0 * s - 1.0) / R ** (4.0 * s))
     # a probe with zero constants gathers every operand's terms in one pass

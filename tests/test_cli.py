@@ -618,6 +618,129 @@ def test_negative_control_eager_heat_fails_the_cold_path(tmp_path):
             "suite equivalence loaded fracrel.heat"} <= set(faults)
 
 
+# a fresh interpreter runs one command; it prints whether numpy.random (the
+# seeded draws) and _hashlib (OpenSSL) are loaded after it
+SEEDED_PROBE = """
+import json, sys
+from fracrel import cli
+assert cli.main(sys.argv[1:]) == 0
+print(json.dumps({m: m in sys.modules for m in ("numpy.random", "_hashlib")}))
+"""
+
+
+def openssl_faults(src, tmp_path) -> list:
+    """The seeded commands that drew no numbers or loaded OpenSSL, each
+    run in its own fresh interpreter on ``src``."""
+    commands = {
+        "run heat": ("run", {"suite": "heat", "grid.n": 1024}),
+        "run linear-carleman": ("run", {"suite": "linear-carleman"}),
+        "calibrate quadratic-carleman": ("calibrate",
+                                         {"suite": "quadratic-carleman"}),
+    }
+    procs = {}
+    for i, (label, (command, overrides)) in enumerate(commands.items()):
+        cfg = write_config(tmp_path, f"seeded{i}.json", **{
+            **overrides, "sweep.count": 1,
+            "output.dir": str(tmp_path / f"seeded{i}")})
+        procs[label] = subprocess.Popen(
+            [sys.executable, "-c", SEEDED_PROBE, command, str(cfg)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+    faults = []
+    for label, proc in procs.items():
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        loaded = json.loads(out.splitlines()[-1])
+        if not loaded["numpy.random"]:
+            faults.append(f"{label} drew no numbers")
+        if loaded["_hashlib"]:
+            faults.append(f"{label} loaded _hashlib")
+    return faults
+
+
+def test_seeded_runs_load_no_openssl(tmp_path):
+    # numpy.random loaded is the positive control: each command drew
+    assert openssl_faults(SRC, tmp_path) == []
+
+
+def test_negative_control_rng_without_the_helper_loads_openssl(tmp_path):
+    # a copy whose generator constructor lets numpy.random import hashlib
+    # itself; the run suites hash their seeds through the helper first, so
+    # only the quadratic calibration, which hashes nothing, still shows it
+    src = tmp_path / "src"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    grid_py = src / "fracrel" / "grid.py"
+    text = grid_py.read_text()
+    held = "    _load_hashlib()\n    return np.random.default_rng(seed)\n"
+    assert text.count(held) == 1
+    grid_py.write_text(text.replace(
+        held, "    return np.random.default_rng(seed)\n"))
+    assert openssl_faults(src, tmp_path) == [
+        "calibrate quadratic-carleman loaded _hashlib"]
+
+
+# a fresh interpreter prints the linear corpus seed, the first draws of one
+# split stream and whether OpenSSL is loaded; with the built-in SHA-256
+# blocked first, the helper must leave hashlib on OpenSSL
+PIN_PROBE = """
+import json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["_sha256"] = sys.modules["_sha2"] = None
+from fracrel import cli
+seed = cli._corpus_seed({"seed": 20260822})
+draws = cli._split_rng(20260822, "symbol", "appendix").standard_normal(3)
+print(json.dumps([seed, draws.tolist(), "_hashlib" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("path,openssl", [("builtin", False),
+                                          ("blocked", True)])
+def test_holding_openssl_off_changes_no_digest_and_no_stream(path, openssl):
+    proc = subprocess.run(
+        [sys.executable, "-c", PIN_PROBE, path], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    # the values of the OpenSSL-backed hashlib before the helper existed
+    assert json.loads(proc.stdout) == [
+        3153282451281769075,
+        [0.11685906450838672, 0.8688619723107412, -0.3497081160002033],
+        openssl]
+
+
+def seeding_sites(src) -> dict:
+    """Where ``src/fracrel`` names ``default_rng`` and where it imports
+    ``hashlib``, each as a set of (file, innermost enclosing function)."""
+    sites = {"default_rng": set(), "import hashlib": set()}
+
+    def visit(node, path, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Name) and node.id == "default_rng"
+                or isinstance(node, ast.Attribute)
+                and node.attr == "default_rng"
+                or isinstance(node, ast.alias)
+                and node.name == "default_rng"):
+            sites["default_rng"].add((path.name, where))
+        if (isinstance(node, ast.Import)
+                and any(a.name == "hashlib" for a in node.names)
+                or isinstance(node, ast.ImportFrom)
+                and node.module == "hashlib"):
+            sites["import hashlib"].add((path.name, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, where)
+
+    for path in sorted((src / "fracrel").glob("*.py")):
+        visit(ast.parse(path.read_text()), path, None)
+    return sites
+
+
+def test_one_generator_constructor_and_one_hashlib_import():
+    # every seeded draw and every digest goes through the OpenSSL-free path
+    assert seeding_sites(SRC) == {
+        "default_rng": {("grid.py", "rng")},
+        "import hashlib": {("grid.py", "_load_hashlib")}}
+
+
 # ------------------------------------------------------------------ calibrate
 
 def test_calibrate_quadratic_table(tmp_path):
