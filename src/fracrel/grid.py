@@ -225,10 +225,10 @@ def gaussian(L: float, n: int, sigma: float = 1.0) -> GridFunction:
 
 
 def band_limited_noise(L: float, n: int, k_max: int, rng: np.random.Generator,
-                       amplitude: float = 1.0,
-                       windowed: bool = True) -> GridFunction:
-    """Random real field with Fourier support |k| <= k_max, optionally
-    multiplied by the default smooth window so it decays at the seam."""
+                       amplitude: float = 1.0) -> GridFunction:
+    """Random real field with Fourier support |k| <= k_max and peak
+    ``amplitude``; periodic, so the caller windows it to decay at the
+    seam."""
     if not (1 <= k_max < n // 2):
         raise DomainError("need 1 <= k_max < n/2")
     spec = np.zeros(n // 2 + 1, dtype=complex)
@@ -237,8 +237,6 @@ def band_limited_noise(L: float, n: int, k_max: int, rng: np.random.Generator,
     spec[0] = spec[0].real
     vals = np.fft.irfft(spec, n)
     vals *= amplitude / max(np.max(np.abs(vals)), 1e-300)
-    if windowed:
-        vals = vals * smooth_window(L, n, L / 8.0, L / 4.0).values
     return GridFunction(L, n, vals)
 
 

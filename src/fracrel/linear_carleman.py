@@ -21,9 +21,8 @@ the seam guard restricts it honestly to mild tilt-times-box products.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -309,16 +308,13 @@ def _require_energy_split(p: OperatorParams) -> None:
             f"the energy split needs s <= 1/2, got s={p.s:g}")
 
 
-def _admissible_constants(constants, p: OperatorParams,
+def _admissible_constants(p: OperatorParams,
                           w: LinearWeight) -> tuple[float, float]:
-    """(C1, C2) from the ``constants`` pair (None: the frozen table) once
-    s <= 1/2 holds, with the weight's drift passed through the
-    admissibility gate."""
+    """(C1, C2) of the frozen table once s <= 1/2 holds, with the weight's
+    drift passed through the admissibility gate."""
     _require_energy_split(p)
-    if constants is None:
-        entry = load_calibration(p, w.lam)
-        constants = entry["C1"], entry["C2"]
-    c1, c2 = (float(c) for c in constants)
+    entry = load_calibration(p, w.lam)
+    c1, c2 = float(entry["C1"]), float(entry["C2"])
     w.require_admissible(p, c2)
     return c1, c2
 
@@ -397,53 +393,22 @@ def tent_identity_check(flow: TiltedSeries, w: LinearWeight,
 # ----------------------------------------------------------------------
 # the assembled inequality
 
-@dataclass
-class CarlemanLedger:
-    """Itemized account of the space-time inequality for one trajectory.
+FLAG_TOL = 1e-8
+
+
+def _ledger(times: np.ndarray, series: dict, w: LinearWeight,
+            p: OperatorParams, c1: float, c2: float, inputs: dict) -> dict:
+    """Itemized account of the space-time inequality for one trajectory,
+    from per-t series of tilted integrals.
 
     ``lhs_terms`` and ``rhs_terms`` hold every named summand of the main
     inequality; the corollary variant hides the final mass behind the
     persistence bound, trading it for 1/|a| extra units of forcing.
     ``flagged`` lists terms the inequality needs nonnegative that came out
-    negative beyond 1e-8 of the ledger's scale.  Slacks are normalized by
-    the total magnitude of all terms, so 0 means exactly tight.
+    negative beyond FLAG_TOL of the ledger's scale.  Slacks are normalized
+    by the total magnitude of all terms, so 0 means exactly tight.  A
+    non-finite term raises ConfigError.
     """
-
-    lhs_terms: dict
-    rhs_terms: dict
-    corollary_lhs_terms: dict
-    corollary_rhs_terms: dict
-    constants: dict
-    inputs: dict = field(default_factory=dict)
-    flagged: list = field(default_factory=list)
-    slack: float = 0.0
-    corollary_slack: float = 0.0
-    passed: bool = False
-    corollary_passed: bool = False
-
-    def __post_init__(self):
-        for group in (self.lhs_terms, self.rhs_terms,
-                      self.corollary_lhs_terms, self.corollary_rhs_terms):
-            for name, value in group.items():
-                if not math.isfinite(value):
-                    raise ConfigError(f"ledger term {name!r} is {value!r}")
-
-    @property
-    def lhs_total(self) -> float:
-        return sum(self.lhs_terms.values())
-
-    def to_dict(self) -> dict:
-        from .report import _jsonable
-        return _jsonable(dataclasses.asdict(self))
-
-
-FLAG_TOL = 1e-8
-
-
-def _assemble_ledger(times: np.ndarray, series: dict, w: LinearWeight,
-                     p: OperatorParams, c1: float, c2: float,
-                     inputs: dict) -> CarlemanLedger:
-    """Build the ledger from per-t series of tilted integrals."""
     dt = _uniform_spacing(times, "ledger trajectory")
     shape = times * (1.0 - times)
 
@@ -475,6 +440,10 @@ def _assemble_ledger(times: np.ndarray, series: dict, w: LinearWeight,
         "initial_mass": 0.5 * float(mass[0]),
         "forcing": (c1 + 1.0 / gap) * forcing_integral,
     }
+    for group in (lhs_terms, rhs_terms, corollary_lhs, corollary_rhs):
+        for name, value in group.items():
+            if not math.isfinite(value):
+                raise ConfigError(f"ledger term {name!r} is {value!r}")
     scale = (sum(abs(v) for v in lhs_terms.values())
              + sum(abs(v) for v in rhs_terms.values()) + 1e-300)
     flagged = [name for name, value in
@@ -485,30 +454,30 @@ def _assemble_ledger(times: np.ndarray, series: dict, w: LinearWeight,
                  + sum(abs(v) for v in corollary_rhs.values()) + 1e-300)
     cor_slack = (sum(corollary_rhs.values())
                  - sum(corollary_lhs.values())) / cor_scale
-    return CarlemanLedger(
-        lhs_terms=lhs_terms,
-        rhs_terms=rhs_terms,
-        corollary_lhs_terms=corollary_lhs,
-        corollary_rhs_terms=corollary_rhs,
-        constants={"A": w.drift, "C1": c1, "C2": c2, "lam": w.lam,
-                   "s": p.s, "m": p.m,
-                   "tilted_mass_coeff": TILTED_MASS_COEFF},
-        inputs=inputs,
-        flagged=flagged,
-        slack=slack,
-        corollary_slack=cor_slack,
-        passed=slack >= -FLAG_TOL,
-        corollary_passed=cor_slack >= -FLAG_TOL,
-    )
+    return {
+        "lhs_terms": lhs_terms,
+        "rhs_terms": rhs_terms,
+        "corollary_lhs_terms": corollary_lhs,
+        "corollary_rhs_terms": corollary_rhs,
+        "constants": {"A": w.drift, "C1": c1, "C2": c2, "lam": w.lam,
+                      "s": p.s, "m": p.m,
+                      "tilted_mass_coeff": TILTED_MASS_COEFF},
+        "inputs": inputs,
+        "flagged": flagged,
+        "slack": slack,
+        "corollary_slack": cor_slack,
+        "passed": slack >= -FLAG_TOL,
+        "corollary_passed": cor_slack >= -FLAG_TOL,
+    }
 
 
 def carleman_linear_check(u0: GridFunction, V: PotentialField,
                           w: LinearWeight, p: OperatorParams
-                          ) -> CarlemanLedger:
+                          ) -> CheckReport:
     """Evolve the flow under V (sampled on u0's grid) over [0, 1] and fill
     the inequality ledger.
 
-    Asserted (as the ledger's ``passed``) is
+    Asserted is
 
         1/2 int H + 3/8 (mu - A)^2 int t(1-t) H
           + 1/2 int t(1-t) { 2 int w (u_t)^2 - int w H_2s
@@ -516,18 +485,29 @@ def carleman_linear_check(u0: GridFunction, V: PotentialField,
         <= 1/2 H(0) + 1/2 H(1) + C1 int int w F^2,
 
     together with the corollary form in which the final mass is absorbed
-    through the persistence bound.  All time integrals are trapezoid sums
-    over the solver's uniform step grid of spacing LEDGER_DT.  C1 and C2
-    are the frozen table's.
+    through the persistence bound; the report passes when both hold.  All
+    time integrals are trapezoid sums over the solver's uniform step grid
+    of spacing LEDGER_DT.  C1 and C2 are the frozen table's.  The report
+    measures both slacks and the flagged terms (see _ledger); a failing
+    report carries the whole ledger as its witness.
     """
-    c1, c2 = _admissible_constants(None, p, w)
+    c1, c2 = _admissible_constants(p, w)
     v = V.sample(u0)
     stream = evolve_with_potential(u0, v, 1.0, p, dt=LEDGER_DT)
     flow = tilted_series(u0, stream, w.lam, p, v).checked()
-    inputs = {"s": p.s, "m": p.m, "lam": w.lam, "drift": w.drift,
-              "L": u0.L, "n": u0.n, "dt": LEDGER_DT, "sup_v": V.sup_norm}
-    return _assemble_ledger(flow.times, flow.weighted(w.drift), w, p, c1, c2,
-                            inputs)
+    ledger = _ledger(flow.times, flow.weighted(w.drift), w, p, c1, c2,
+                     {"s": p.s, "m": p.m, "lam": w.lam, "drift": w.drift,
+                      "L": u0.L, "n": u0.n, "dt": LEDGER_DT,
+                      "sup_v": V.sup_norm})
+    passed = ledger["passed"] and ledger["corollary_passed"]
+    return CheckReport(
+        inputs={"lam": w.lam, "drift": w.drift, "s": p.s, "m": p.m},
+        measured={"slack": ledger["slack"],
+                  "corollary_slack": ledger["corollary_slack"],
+                  "flagged": ledger["flagged"]},
+        tolerance=0.0,
+        passed=passed,
+        witness=None if passed else ledger)
 
 
 # ----------------------------------------------------------------------
@@ -545,12 +525,10 @@ def carleman_corpus(L: float, n: int, draws: int, seed: int,
     rng = grid.rng(seed)
     win = smooth_window(L, n, grid._CORPUS_INNER, grid._CORPUS_OUTER).values
     for _ in range(draws):
-        raw = band_limited_noise(L, n, grid._CORPUS_K_MAX, rng,
-                                 windowed=False)
+        raw = band_limited_noise(L, n, grid._CORPUS_K_MAX, rng)
         u0 = raw.with_values(raw.values * win)
         v_raw = band_limited_noise(L, n, grid._CORPUS_K_MAX, rng,
-                                   amplitude=grid._CORPUS_SUP_V,
-                                   windowed=False)
+                                   amplitude=grid._CORPUS_SUP_V)
         yield u0, PotentialField(v_raw)
 
 
@@ -590,22 +568,24 @@ def calibrate_constants(p: OperatorParams, lam: float, *,
         return (float(np.min((ddot - rhs) / scale)),
                 float(np.max(deficits, initial=0.0)))
 
-    def ledger_stats(flow, drift, c1):
-        terms = flow.weighted(drift)
-        led = _assemble_ledger(flow.times, terms, LinearWeight(lam, drift), p,
-                               c1, 0.0, {})
-        forcing = _time_integral(terms["forcing_sq"],
-                                 float(flow.times[1] - flow.times[0]))
-        deficit_main = (led.lhs_total - led.rhs_terms["initial_mass"]
-                        - led.rhs_terms["final_mass"])
+    def ledger_stats(flow, drift):
+        # the ledger at C1 = 1, so its forcing term is the bare integral,
+        # with the C2 this drift would freeze
         gap = abs(drift - mu)
-        deficit_cor = (sum(led.corollary_lhs_terms.values())
-                       - led.corollary_rhs_terms["initial_mass"]
+        led = _ledger(flow.times, flow.weighted(drift),
+                      LinearWeight(lam, drift), p, 1.0,
+                      (gap / zero_order) ** 2, {})
+        forcing = led["rhs_terms"]["forcing"]
+        deficit_main = (sum(led["lhs_terms"].values())
+                        - led["rhs_terms"]["initial_mass"]
+                        - led["rhs_terms"]["final_mass"])
+        deficit_cor = (sum(led["corollary_lhs_terms"].values())
+                       - led["corollary_rhs_terms"]["initial_mass"]
                        - forcing / gap)
         need = 0.0
         if forcing > 0.0:
             need = max(deficit_main / forcing, deficit_cor / forcing)
-        return min(led.slack, led.corollary_slack), need
+        return min(led["slack"], led["corollary_slack"]), need
 
     probe_c1 = 1.0
     threshold_gap = None
@@ -615,7 +595,7 @@ def calibrate_constants(p: OperatorParams, lam: float, *,
         ok = True
         for f_flow, c_flow in zip(fine, coarse):
             slack_d, _ = ddot_stats(f_flow, drift, probe_c1)
-            slack_l, _ = ledger_stats(c_flow, drift, probe_c1)
+            slack_l, _ = ledger_stats(c_flow, drift)
             if slack_d < -_DDOT_TOLERANCE or slack_l < -FLAG_TOL:
                 ok = False
                 break
@@ -632,7 +612,7 @@ def calibrate_constants(p: OperatorParams, lam: float, *,
     for drift in (-(zero_order + _OPERATING_OFFSET), mu - threshold_gap):
         for f_flow, c_flow in zip(fine, coarse):
             _, need_d = ddot_stats(f_flow, drift, 0.0)
-            _, need_l = ledger_stats(c_flow, drift, 1e-300)
+            _, need_l = ledger_stats(c_flow, drift)
             c1_need = max(c1_need, need_d, need_l)
     c1 = max(1.0, 2.0 * c1_need)
     return {

@@ -841,7 +841,7 @@ def elliptic_test_family(w: QuadraticWeight, L: float, n: int, count: int,
     window = _sigma_window(w, L, n, 0.0, lo + _OPERAND_MARGIN,
                            hi - _OPERAND_MARGIN)
     return (GridFunction(L, n, window * band_limited_noise(
-        L, n, _OPERAND_K_MAX, rng, windowed=False).values)
+        L, n, _OPERAND_K_MAX, rng).values)
         for _ in range(count))
 
 
@@ -879,7 +879,7 @@ def parabolic_test_family(w: QuadraticWeight, L: float, n: int,
                                      hi - _OPERAND_MARGIN))
     windows = bump[:, None] * np.array(windows)
     return (SpaceTimeFunction(L, n, times, windows * band_limited_noise(
-        L, n, _OPERAND_K_MAX, rng, windowed=False).values[None, :])
+        L, n, _OPERAND_K_MAX, rng).values[None, :])
         for _ in range(count))
 
 

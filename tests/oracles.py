@@ -14,8 +14,9 @@ stored trajectory, the potential flow stepped into one stored trajectory
 and integrated from it, the slice-by-slice quadratic Carleman operand
 terms, the whole-matrix refined trapezoid of the Macdonald and
 subordination quadratures, the positivity sweep block by block with a_xi
-beside b_xi, the subordination multiplier with expm1 on every node) and
-five checks that no suite runs.  The checks keep their report names.
+beside b_xi, the subordination multiplier with expm1 on every node, the
+whole ledger behind a linear Carleman report) and five checks that no
+suite runs.  The checks keep their report names.
 """
 from __future__ import annotations
 
@@ -28,13 +29,16 @@ import numpy as np
 
 from fracrel.errors import (ConfigError, DomainError, PreconditionError,
                             QuadratureError, SupportError)
-from fracrel.grid import (GridFunction, SpaceTimeFunction, grid_points,
+from fracrel.grid import (GridFunction, SpaceTimeFunction,
+                          band_limited_noise, grid_points,
                           require_seam_decay, smooth_window)
 from fracrel.heat import (CHUNK_ROWS, PotentialField, TiltedSeries,
-                          _tilted_energy, tilted_integrals)
-from fracrel.linear_carleman import (_DDOT_TOLERANCE, LinearWeight,
-                                     _admissible_constants,
-                                     _production, _production_rate,
+                          _tilted_energy, evolve_with_potential,
+                          tilted_integrals)
+from fracrel.linear_carleman import (_DDOT_TOLERANCE, LEDGER_DT,
+                                     LinearWeight, _admissible_constants,
+                                     _ledger, _production, _production_rate,
+                                     _require_energy_split,
                                      _uniform_spacing, tilted_series)
 from fracrel.operator import (OperatorParams, _kernel_weights,
                               _require_singular_ok, apply_spectral,
@@ -86,6 +90,15 @@ def windowed_exponential(L: float, n: int, lam: float) -> GridFunction:
     and zero beyond |x| >= L/4."""
     w = smooth_window(L, n, L / 8.0, L / 4.0)
     return w.with_values(w.values * np.exp(lam * w.x))
+
+
+def windowed_noise(L: float, n: int, k_max: int,
+                   rng: np.random.Generator) -> GridFunction:
+    """band_limited_noise cut off smoothly: unchanged on |x| <= L/8 and
+    zero beyond |x| >= L/4, so it decays at the seam."""
+    raw = band_limited_noise(L, n, k_max, rng)
+    return raw.with_values(
+        raw.values * smooth_window(L, n, L / 8.0, L / 4.0).values)
 
 
 def centered_d1(g: GridFunction) -> np.ndarray:
@@ -674,7 +687,12 @@ def ddot_lower_bound_check(traj: SpaceTimeFunction, w: LinearWeight,
     equation.  The energy split behind the bound needs s <= 1/2; the drift
     must pass the calibrated admissibility gate.
     """
-    c1, c2 = _admissible_constants(constants, p, w)
+    if constants is None:
+        c1, c2 = _admissible_constants(p, w)
+    else:
+        _require_energy_split(p)
+        c1, c2 = (float(c) for c in constants)
+        w.require_admissible(p, c2)
     dt = _uniform_spacing(traj.times, "production trajectory")
     if dt > 2.5e-3:
         raise PreconditionError(
@@ -695,6 +713,18 @@ def ddot_lower_bound_check(traj: SpaceTimeFunction, w: LinearWeight,
         _DDOT_TOLERANCE, -float(slacks[k]),
         {"t": float(times[k + 1]), "ddot": float(ddot[k]),
          "rhs": float(rhs[k]), "scale": float(scale[k])})
+
+
+def ledger_terms(u0: GridFunction, V: PotentialField, w: LinearWeight,
+                 p: OperatorParams) -> dict:
+    """The whole ledger linear_carleman.carleman_linear_check fills for
+    (u0, V), at the frozen constants and on the same flow, which its report
+    carries only when it fails; ``inputs`` is left empty."""
+    c1, c2 = _admissible_constants(p, w)
+    v = V.sample(u0)
+    flow = tilted_series(u0, evolve_with_potential(
+        u0, v, 1.0, p, dt=LEDGER_DT), w.lam, p, v).checked()
+    return _ledger(flow.times, flow.weighted(w.drift), w, p, c1, c2, {})
 
 
 # ----------------------------------------------------------------------

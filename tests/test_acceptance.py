@@ -36,7 +36,7 @@ from oracles import (SymbolPoint, bessel_identity_check, bracket_singular,
                      fundamental_solution, half_kernel_explicit, mass_series,
                      poisson_bracket, poisson_bracket_fd,
                      refined_quadratic_constant, trapezoid,
-                     weighted_l1_kernel)
+                     weighted_l1_kernel, windowed_noise)
 
 P_HALF = OperatorParams(0.5, 1.0)
 SEED = 20260822
@@ -168,7 +168,7 @@ def test_criterion_07_log_convexity_sweep():
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for i in range(100):
-        u0 = band_limited_noise(80.0, 2048, k_max=40, rng=rng)
+        u0 = windowed_noise(80.0, 2048, k_max=40, rng=rng)
         for lam in (0.0, 0.5):
             rep = log_convexity_check(u0, lam, P_HALF, tolerance=1e-6)
             worst = max(worst, rep.measured["max_ratio"])
@@ -201,8 +201,7 @@ def _residual_draws(count):
     rng = np.random.default_rng(SEED)
     u0 = gaussian(40.0, 2048, sigma=2.0)
     for _ in range(count):
-        prof = band_limited_noise(40.0, 2048, k_max=30, rng=rng,
-                                  windowed=False)
+        prof = band_limited_noise(40.0, 2048, k_max=30, rng=rng)
         yield (collect(u0, evolve_with_potential(
             u0, prof.values, 0.5, P_HALF,
             dt=1e-2)),
@@ -244,8 +243,8 @@ def test_criterion_09_linear_carleman():
     corpus = carleman_corpus(128.0, 4096, 50, SEED)
     for i, (u0, V) in enumerate(corpus):
         led = carleman_linear_check(u0, V, w, P_HALF)
-        if not (led.passed and led.corollary_passed):
-            bad.append(f"ledger draw {i} slack={led.slack:.3e}")
+        if not led.passed:
+            bad.append(f"ledger draw {i} slack={led.measured['slack']:.3e}")
         traj = collect(u0, evolve_with_potential(u0, V.sample(u0), 0.05,
                                                  P_HALF, dt=1e-3))
         rep = ddot_lower_bound_check(traj, w, P_HALF, V=V)

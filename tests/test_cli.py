@@ -24,7 +24,6 @@ from fracrel.cli import (DEFAULTS, SUITES, _split_rng, cmd_calibrate,
                          load_config, main, write_outputs)
 from fracrel.errors import CalibrationError, ConfigError
 from fracrel.grid import GridFunction
-from fracrel.linear_carleman import CarlemanLedger, LinearWeight
 from fracrel.operator import OperatorParams, apply_spectral
 from fracrel.report import frozen_entry
 
@@ -311,6 +310,19 @@ def test_run_rejects_non_finite_tolerances(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_heat_suite_passes_on_seeds_0_to_39():
+    # the log-convexity data sit in |x| <= L/8, so under the tilt
+    # e^(lam x) they have decayed by the seam: windowed out to L/4, 21 of
+    # these seeds leaked past SEAM_TOL there
+    failed = {}
+    for seed in range(40):
+        reports = cli._suite_heat(dict(DEFAULTS, seed=seed))
+        bad = [(r.name, r.measured) for r in reports if not r.passed]
+        if bad:
+            failed[seed] = bad
+    assert failed == {}
+
+
 def test_linear_suite_evolves_each_trajectory_once(monkeypatch):
     # the series of one exact free stream feed both the monotonicity and
     # the tent check, and each ledger draw's stream is stepped once: one
@@ -415,17 +427,24 @@ def test_free_flow_checks_keep_their_own_failures(overrides, monotonicity,
 
 
 def test_ledger_report_witnesses_a_corollary_failure(monkeypatch):
-    # the main inequality holds and only the corollary fails: the report
-    # fails and carries the ledger as its witness
-    ledger = CarlemanLedger({}, {}, {}, {}, {}, slack=0.1,
-                            corollary_slack=-0.2, passed=True,
-                            corollary_passed=False)
-    monkeypatch.setattr(linear_carleman, "carleman_linear_check",
-                        lambda *args: ledger)
-    rep = cli._ledger_report(0, None, None, LinearWeight(0.5, -11.0),
-                             OperatorParams(0.5, 1.0))
+    # the main inequality holds and only the corollary fails: the ledger
+    # job's report fails, carries the ledger as its witness and is stamped
+    # with its draw
+    real = linear_carleman._ledger
+
+    def corollary_fails(*args):
+        return dict(real(*args), corollary_slack=-0.2,
+                    corollary_passed=False)
+
+    monkeypatch.setattr(linear_carleman, "_ledger", corollary_fails)
+    rep = cli._suite_linear(dict(DEFAULTS, **{"sweep.count": 1}))[2]
+    assert rep.name == "linear_carleman.ledger"
     assert not rep.passed
-    assert rep.witness == ledger.to_dict()
+    assert rep.inputs == {"draw": 0, "lam": 0.5, "drift": -11.0, "s": 0.5,
+                          "m": 1.0}
+    assert rep.measured["slack"] > 0.0
+    assert rep.measured["corollary_slack"] == -0.2
+    assert rep.witness["passed"] is True
     assert rep.witness["corollary_passed"] is False
 
 
@@ -449,6 +468,8 @@ def test_failing_check_keeps_the_rest_of_its_suite(tmp_path, capsys):
         assert [r["passed"] for r in reports[2:]] == [False] * len(magnitudes)
         assert [r["measured"]["error"] for r in reports[2:]] == [
             seam_leak("kinetic", m) for m in magnitudes]
+        # the runner stamps the draw only on a report the check returned
+        assert [r["inputs"] for r in reports[2:]] == [{}] * len(magnitudes)
         total = 2 + len(magnitudes)
         assert f"2/{total} checks passed" in capsys.readouterr().out
 

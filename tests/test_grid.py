@@ -141,9 +141,8 @@ def test_band_limited_noise_determinism_and_band():
     b = band_limited_noise(40.0, 1024, k_max=50,
                            rng=np.random.default_rng(42))
     np.testing.assert_array_equal(a.values, b.values)
-    # band-limitation holds for the raw field; the window smears it
     raw = band_limited_noise(40.0, 1024, k_max=50,
-                             rng=np.random.default_rng(7), windowed=False)
+                             rng=np.random.default_rng(7))
     spec = np.fft.rfft(raw.values)
     assert np.max(np.abs(spec[51:])) < 1e-10 * np.max(np.abs(spec))
     assert np.max(np.abs(raw.values)) == pytest.approx(1.0)

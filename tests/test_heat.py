@@ -23,7 +23,8 @@ from fracrel.operator import OperatorParams, frequencies, symbol
 from oracles import (backward_uc_check, collect, energy_identity_loop,
                      fourier_mode, fundamental_solution,
                      half_kernel_explicit, shifted_kernel, state_at,
-                     trapezoid, weighted_l1_kernel, weighted_l2)
+                     trapezoid, weighted_l1_kernel, weighted_l2,
+                     windowed_noise)
 
 P_HALF = OperatorParams(0.5, 1.0)
 
@@ -290,7 +291,7 @@ def test_log_convexity_pure_mode_equality():
 def test_log_convexity_weighted_sweep():
     rng = np.random.default_rng(515)
     for _ in range(10):
-        u0 = band_limited_noise(80.0, 2048, k_max=40, rng=rng)
+        u0 = windowed_noise(80.0, 2048, k_max=40, rng=rng)
         for lam in (0.0, 0.5):
             rep = log_convexity_check(u0, lam, P_HALF)
             assert rep.passed, (lam, rep.measured)
@@ -337,8 +338,7 @@ def test_steps_are_the_closed_form_bit_for_bit():
     # own; each state is the closed-form step of the one before it
     rng = np.random.default_rng(5)
     u0 = gaussian(40.0, 1024, sigma=2.0)
-    prof = band_limited_noise(40.0, 1024, k_max=20, rng=rng,
-                              windowed=False)
+    prof = band_limited_noise(40.0, 1024, k_max=20, rng=rng)
     v = prof.values
     sig = symbol(P_HALF, frequencies(40.0, 1024))
     traj = collect(u0, evolve_with_potential(
@@ -373,8 +373,7 @@ def test_step_solves_duhamel_equation():
     u0 = gaussian(40.0, 2048, sigma=2.0)
     sig = symbol(P_HALF, frequencies(40.0, 2048))
     for _ in range(5):
-        prof = band_limited_noise(40.0, 2048, k_max=30, rng=rng,
-                                  windowed=False)
+        prof = band_limited_noise(40.0, 2048, k_max=30, rng=rng)
         v = prof.values
         traj = collect(u0, evolve_with_potential(
             u0, prof.values, 0.5, P_HALF))
@@ -478,8 +477,7 @@ def test_backward_uc_free():
 
 def test_backward_uc_with_potential_reports_kappa():
     rng = np.random.default_rng(11)
-    V = PotentialField(band_limited_noise(40.0, 4096, k_max=20, rng=rng,
-                                          windowed=False))
+    V = PotentialField(band_limited_noise(40.0, 4096, k_max=20, rng=rng))
     u0 = gaussian(40.0, 4096)
     traj = collect(u0, evolve_with_potential(u0, V.sample(u0), 1.0,
                                              P_HALF))

@@ -22,9 +22,10 @@ from fracrel.grid import (GridFunction, SpaceTimeFunction, gaussian,
                           smooth_window)
 from fracrel import heat
 from fracrel.heat import evolve_with_potential, tilted_integrals
-from fracrel.linear_carleman import (CarlemanLedger, LinearWeight,
-                                     TILTED_MASS_COEFF, _assemble_ledger,
-                                     _production_rate, _tent_residuals,
+from fracrel import linear_carleman
+from fracrel.linear_carleman import (LinearWeight, TILTED_MASS_COEFF,
+                                     _ledger, _production_rate,
+                                     _tent_residuals,
                                      calibrate_constants,
                                      carleman_corpus, carleman_linear_check,
                                      load_calibration, monotonicity_check,
@@ -33,8 +34,9 @@ from fracrel import operator as op
 from fracrel.operator import OperatorParams, apply_spectral
 from oracles import (carre_du_champ, collect, constant_potential,
                      ddot_lower_bound_check, fourier_mode, functional_D,
-                     functional_H, mass_series, spectral_carre, state_at,
-                     stored_chunks, stored_evolution, stored_series,
+                     functional_H, ledger_terms, mass_series,
+                     spectral_carre, state_at, stored_chunks,
+                     stored_evolution, stored_series,
                      trapezoid, weighted_integral, weighted_l2,
                      windowed_exponential)
 
@@ -650,38 +652,81 @@ def test_tent_identity_needs_unit_interval():
 
 def test_ledger_zero_data():
     z = GridFunction(128.0, 4096, np.zeros(4096))
-    led = carleman_linear_check(z, constant_potential(z, 0.0), W_MAIN,
-                                P_HALF)
-    assert led.passed and led.corollary_passed
-    assert led.flagged == []
-    assert led.lhs_total == 0.0 and sum(led.rhs_terms.values()) == 0.0
-    parsed = json.loads(json.dumps(led.to_dict()))
+    zero = constant_potential(z, 0.0)
+    rep = carleman_linear_check(z, zero, W_MAIN, P_HALF)
+    assert rep.passed and rep.witness is None
+    assert rep.measured["flagged"] == []
+    led = ledger_terms(z, zero, W_MAIN, P_HALF)
+    assert sum(led["lhs_terms"].values()) == 0.0
+    assert sum(led["rhs_terms"].values()) == 0.0
+    parsed = json.loads(json.dumps(led))
     assert parsed["constants"]["C1"] >= 1.0
 
 
 def test_ledger_free_flow_floor():
     u0, _ = corpus_draw(0)
-    led = carleman_linear_check(u0, constant_potential(u0, 0.0), W_MAIN,
-                                P_HALF)
-    assert led.passed and led.corollary_passed
-    assert led.rhs_terms["forcing"] == 0.0
-    assert led.constants["C1"] >= 1.0
-    assert all(v >= 0.0 for v in led.lhs_terms.values())
+    zero = constant_potential(u0, 0.0)
+    assert carleman_linear_check(u0, zero, W_MAIN, P_HALF).passed
+    led = ledger_terms(u0, zero, W_MAIN, P_HALF)
+    assert led["passed"] and led["corollary_passed"]
+    assert led["rhs_terms"]["forcing"] == 0.0
+    assert led["constants"]["C1"] >= 1.0
+    assert all(v >= 0.0 for v in led["lhs_terms"].values())
 
 
 def test_ledger_forced_draw():
     u0, V = corpus_draw(1)
-    led = carleman_linear_check(u0, V, W_MAIN, P_HALF)
-    assert led.passed and led.corollary_passed
-    assert led.flagged == []
-    assert led.slack > 0.0 and led.corollary_slack > 0.0
+    rep = carleman_linear_check(u0, V, W_MAIN, P_HALF)
+    assert rep.passed and rep.witness is None
+    assert rep.inputs == {"lam": 0.5, "drift": -11.0, "s": 0.5, "m": 1.0}
+    assert rep.tolerance == 0.0
+    assert rep.measured["flagged"] == []
+    assert rep.measured["slack"] > 0.0
+    assert rep.measured["corollary_slack"] > 0.0
+    # the ledger of the same flow, which a passing report leaves out
+    led = ledger_terms(u0, V, W_MAIN, P_HALF)
+    assert led["slack"] == rep.measured["slack"]
+    assert led["corollary_slack"] == rep.measured["corollary_slack"]
     # corollary trades the final mass for 1/|gap| more forcing weight
     gap = abs(W_MAIN.drift_gap(P_HALF))
-    base = led.rhs_terms["forcing"] / led.constants["C1"]
-    want = (led.constants["C1"] + 1.0 / gap) * base
-    assert led.corollary_rhs_terms["forcing"] == pytest.approx(want,
-                                                               rel=1e-12)
-    assert "final_mass" not in led.corollary_rhs_terms
+    base = led["rhs_terms"]["forcing"] / led["constants"]["C1"]
+    want = (led["constants"]["C1"] + 1.0 / gap) * base
+    assert led["corollary_rhs_terms"]["forcing"] == pytest.approx(want,
+                                                                  rel=1e-12)
+    assert "final_mass" not in led["corollary_rhs_terms"]
+
+
+# the keys of the ledger a failing report carries as its witness
+LEDGER_KEYS = {"lhs_terms", "rhs_terms", "corollary_lhs_terms",
+               "corollary_rhs_terms", "constants", "inputs", "flagged",
+               "slack", "corollary_slack", "passed", "corollary_passed"}
+
+
+def test_failing_ledger_report_carries_the_whole_ledger(monkeypatch):
+    # a negative forcing constant turns the forced draw's forcing term
+    # against the inequality: both forms fail, the term is flagged, and
+    # the report carries every key of the ledger
+    u0, V = corpus_draw(1)
+    frozen = load_calibration(P_HALF, W_MAIN.lam)
+    monkeypatch.setattr(linear_carleman, "load_calibration",
+                        lambda p, lam: dict(frozen, C1=-1e6))
+    rep = carleman_linear_check(u0, V, W_MAIN, P_HALF)
+    assert not rep.passed
+    assert set(rep.measured) == {"slack", "corollary_slack", "flagged"}
+    led = rep.witness
+    assert set(led) == LEDGER_KEYS
+    assert not led["passed"] and not led["corollary_passed"]
+    assert led["slack"] == rep.measured["slack"] < 0.0
+    assert led["corollary_slack"] == rep.measured["corollary_slack"] < 0.0
+    assert led["flagged"] == rep.measured["flagged"] == ["forcing"]
+    assert led["constants"]["C1"] == -1e6
+    assert led["constants"]["C2"] == frozen["C2"]
+    assert set(led["inputs"]) == {"s", "m", "lam", "drift", "L", "n", "dt",
+                                  "sup_v"}
+    assert set(led["lhs_terms"]) == {"mass_integral", "tilted_mass",
+                                     "energy_kinetic", "energy_order_2s",
+                                     "energy_order_s"}
+    assert set(led["rhs_terms"]) == {"initial_mass", "final_mass", "forcing"}
 
 
 def test_ledger_check_peak_memory():
@@ -693,11 +738,11 @@ def test_ledger_check_peak_memory():
     carleman_linear_check(u0, V, W_MAIN, P_HALF)
     tracemalloc.start()
     try:
-        led = carleman_linear_check(u0, V, W_MAIN, P_HALF)
+        rep = carleman_linear_check(u0, V, W_MAIN, P_HALF)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert led.passed and led.corollary_passed
+    assert rep.passed
     assert peak <= 2.2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
@@ -705,14 +750,13 @@ def test_ledger_scaling_covariance():
     # u -> 3 u scales every term by 9: the flow is linear and every
     # ledger entry is quadratic in the solution
     u0, V = corpus_draw(2)
-    led1 = carleman_linear_check(u0, V, W_MAIN, P_HALF)
-    led9 = carleman_linear_check(u0.with_values(3.0 * u0.values), V,
-                                 W_MAIN, P_HALF)
-    for name, val in led1.lhs_terms.items():
-        assert led9.lhs_terms[name] == pytest.approx(9.0 * val, rel=1e-8)
-    for name, val in led1.rhs_terms.items():
-        assert led9.rhs_terms[name] == pytest.approx(9.0 * val, rel=1e-8,
-                                                     abs=1e-280)
+    led1 = ledger_terms(u0, V, W_MAIN, P_HALF)
+    led9 = ledger_terms(u0.with_values(3.0 * u0.values), V, W_MAIN, P_HALF)
+    for name, val in led1["lhs_terms"].items():
+        assert led9["lhs_terms"][name] == pytest.approx(9.0 * val, rel=1e-8)
+    for name, val in led1["rhs_terms"].items():
+        assert led9["rhs_terms"][name] == pytest.approx(9.0 * val, rel=1e-8,
+                                                        abs=1e-280)
 
 
 def test_ledger_corpus_sweep():
@@ -720,10 +764,11 @@ def test_ledger_corpus_sweep():
     min_slack = math.inf
     for i in range(6):
         u0, V = corpus_draw(i)
-        led = carleman_linear_check(u0, V, W_MAIN, P_HALF)
-        assert led.passed and led.corollary_passed, f"draw {i}"
-        assert led.flagged == [], f"draw {i}"
-        min_slack = min(min_slack, led.slack, led.corollary_slack)
+        rep = carleman_linear_check(u0, V, W_MAIN, P_HALF)
+        assert rep.passed, f"draw {i}"
+        assert rep.measured["flagged"] == [], f"draw {i}"
+        min_slack = min(min_slack, rep.measured["slack"],
+                        rep.measured["corollary_slack"])
     assert min_slack > 0.0
     assert time.perf_counter() - t0 < 30.0
 
@@ -740,10 +785,12 @@ def test_ledger_gatekeeping():
 
 
 def test_ledger_rejects_nonfinite_terms():
-    with pytest.raises(ConfigError):
-        CarlemanLedger(lhs_terms={"mass_integral": math.nan},
-                       rhs_terms={}, corollary_lhs_terms={},
-                       corollary_rhs_terms={}, constants={})
+    times = np.linspace(0.0, 1.0, 11)
+    ones = np.ones_like(times)
+    series = {"mass": math.nan * ones, "kinetic": ones, "form_s": -ones,
+              "form_2s": -ones, "forcing_sq": 0.0 * ones}
+    with pytest.raises(ConfigError, match="ledger term 'mass_integral'"):
+        _ledger(times, series, W_MAIN, P_HALF, 1.0, 4.0, {})
 
 
 def test_ledger_flags_negative_required_terms():
@@ -751,8 +798,8 @@ def test_ledger_flags_negative_required_terms():
     ones = np.ones_like(times)
     series = {"mass": ones, "kinetic": -ones, "form_s": -ones,
               "form_2s": -ones, "forcing_sq": 0.0 * ones}
-    led = _assemble_ledger(times, series, W_MAIN, P_HALF, 1.0, 4.0, {})
-    assert "energy_kinetic" in led.flagged
+    led = _ledger(times, series, W_MAIN, P_HALF, 1.0, 4.0, {})
+    assert "energy_kinetic" in led["flagged"]
 
 
 # ---------------------------------------------------------------- calibration
@@ -777,8 +824,7 @@ def test_calibration_sweep_small_corpus():
 
 def test_ledger_records_constants():
     u0, _ = corpus_draw(0)
-    led = carleman_linear_check(u0, constant_potential(u0, 0.0), W_MAIN,
-                                P_HALF)
+    led = ledger_terms(u0, constant_potential(u0, 0.0), W_MAIN, P_HALF)
     for key in ("A", "C1", "C2", "lam", "s", "m"):
-        assert key in led.constants
-    assert led.constants["tilted_mass_coeff"] == TILTED_MASS_COEFF
+        assert key in led["constants"]
+    assert led["constants"]["tilted_mass_coeff"] == TILTED_MASS_COEFF

@@ -9,7 +9,6 @@ import scipy.special as sp
 from fracrel.errors import ConfigError, PreconditionError, QuadratureError
 from fracrel.grid import (
     GridFunction,
-    band_limited_noise,
     gaussian,
     grid_points,
     smooth_window,
@@ -260,8 +259,8 @@ def test_carre_du_champ_nonpositive_on_diagonal(s):
         gaussian(L, N, sigma=1.5),
         shifted_gaussian(-3.0, 0.7),
         oracles.fourier_mode(L, N, 5, kind="cos"),
-        band_limited_noise(L, N, k_max=60, rng=rng),
-        band_limited_noise(L, N, k_max=200, rng=rng),
+        oracles.windowed_noise(L, N, k_max=60, rng=rng),
+        oracles.windowed_noise(L, N, k_max=200, rng=rng),
     ]
     for f in cases:
         h = oracles.carre_du_champ(f, f, p).values
