@@ -311,7 +311,7 @@ def _falsification_report(p34: OperatorParams) -> CheckReport:
     # expected negative: an oscillating profile outside the admissible set
     rep = symbols.positivity_sweep(
         symbols.QuadraticWeight.oscillating(2.0, 1.0, rate=3.0), p34,
-        constants=(1.0, 1.0), enforce=False)
+        constants=(1.0, 1.0))
     return CheckReport(
         inputs=rep.inputs, measured=rep.measured, tolerance=0.0,
         passed=bool((not rep.measured["gate_ok"])

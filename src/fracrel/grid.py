@@ -159,9 +159,6 @@ class SpaceTimeFunction:
     def x(self) -> np.ndarray:
         return grid_points(self.L, self.n)
 
-    def with_values(self, values: np.ndarray) -> "SpaceTimeFunction":
-        return SpaceTimeFunction(self.L, self.n, self.times, values)
-
 
 def seam_magnitude(values: np.ndarray) -> float | np.ndarray:
     """Largest magnitude in the outermost 1% of cells on either side of the

@@ -532,9 +532,9 @@ def carleman_corpus(L: float, n: int, draws: int, seed: int,
         yield u0, PotentialField(v_raw)
 
 
-def calibrate_constants(p: OperatorParams, lam: float, *,
+def calibrate_constants(p: OperatorParams, lam: float, *, draws: int,
                         L: float = 128.0, n: int = 4096,
-                        draws: int = 50, seed: int = 20260822) -> dict:
+                        seed: int = 20260822) -> dict:
     """Empirical sweep that fixes the two free constants.
 
     For each corpus draw the trajectory and its tilted integrals are

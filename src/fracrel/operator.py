@@ -112,12 +112,11 @@ def _spectral_multiplier(p: OperatorParams, L: float, n: int) -> np.ndarray:
 def apply_spectral(f, p: OperatorParams, *more: OperatorParams, L=None):
     """Apply the operator through the discrete transform.
 
-    ``f`` is one state (GridFunction) or a run of states
-    (SpaceTimeFunction), transformed along its last axis; the result has
-    the type of ``f``.  Given the box length L, ``f`` is bare rows of
-    shape (..., n) and bare rows come back, unchecked.  Further parameter
-    sets share the one forward transform, and then a tuple comes back with
-    one result per set.
+    ``f`` is one state (GridFunction), and a GridFunction comes back.
+    Given the box length L, ``f`` is bare rows of shape (..., n),
+    transformed along the last axis, and bare rows come back, unchecked.
+    Further parameter sets share the one forward transform, and then a
+    tuple comes back with one result per set.
     """
     values, box = (f.values, f.L) if L is None else (f, L)
     n = values.shape[-1]

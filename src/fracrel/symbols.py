@@ -169,7 +169,7 @@ class QuadraticWeight:
 
     @classmethod
     def oscillating(cls, alpha: float, R: float,
-                    rate: float = 2.0) -> "QuadraticWeight":
+                    rate: float) -> "QuadraticWeight":
         """Profile psi(t) = 1.5 + 1.4 cos(rate t).  Brisk rates drive the
         curvature term negative, which is how falsification configs break
         the positivity ladder."""
@@ -536,7 +536,7 @@ def _ladder_holds(w: QuadraticWeight, p: OperatorParams) -> bool:
 
 
 def positivity_sweep(w: QuadraticWeight, p: OperatorParams, *,
-                     constants=None, enforce: bool = True) -> CheckReport:
+                     constants=None) -> CheckReport:
     """Certify the calibrated pointwise lower bound on the parabolic bracket.
 
     Sweeps the support annulus intersected with |x| <= R, times in
@@ -561,9 +561,10 @@ def positivity_sweep(w: QuadraticWeight, p: OperatorParams, *,
     in one scratch array, masked by np.min(where=) only where a point is
     singular or not finite: the same IEEE operations, so the same bits.
 
-    constants overrides the frozen (c_hyp, c_min) pair.  enforce=False
-    skips the admissibility gate so falsification configs can record where
-    positivity breaks; the gate failures still land in the report.
+    constants overrides the frozen (c_hyp, c_min) pair.  A weight that
+    fails the admissibility gate is swept all the same, so the report
+    records where positivity breaks; the gate failure fails it (gate_ok
+    false, the gate's message, violation inf).
     """
     _require_sweep_params(p, "positivity sweep needs")
     if constants is None:
@@ -571,15 +572,12 @@ def positivity_sweep(w: QuadraticWeight, p: OperatorParams, *,
     else:
         c_hyp, c_min = float(constants[0]), float(constants[1])
 
-    gate_ok = True
-    gate_msg = ""
     try:
         require_admissible_weight(w, p, c_hyp)
+        gate_msg = ""
     except AdmissibilityError as err:
-        if enforce:
-            raise
-        gate_ok = False
         gate_msg = str(err)
+    gate_ok = not gate_msg
 
     xi_mag = default_xi_grid(w)
     # the running minima after the last block
@@ -597,7 +595,7 @@ def positivity_sweep(w: QuadraticWeight, p: OperatorParams, *,
     inputs = {"alpha": w.alpha, "R": w.R, "s": p.s, "m": p.m,
               "psi_d1_sup": w.psi_d1_sup, "psi_d2_sup": w.psi_d2_sup,
               "xi_nodes": xi_mag.size, "t_nodes": SWEEP_TIMES.size,
-              "sigma_nodes": SWEEP_SIGMA_NODES, "enforce": enforce}
+              "sigma_nodes": SWEEP_SIGMA_NODES}
     return finish_report(inputs, measured, 0.0, violation, witness)
 
 
@@ -833,21 +831,20 @@ def elliptic_test_family(w: QuadraticWeight, L: float, n: int, count: int,
     """Random smooth operands supported in the annulus branch inside
     |x| <= R at t = 0 (elliptic weights have a constant profile), each
     drawn when it is asked for; the window is built on the call."""
-    psi0 = float(w.psi_at(0.0))
-    spans = _sigma_branches(psi0)
-    if not spans:
-        raise ConfigError("no reachable annulus inside |x| <= R")
-    lo, hi = spans[0]
-    window = _sigma_window(w, L, n, 0.0, lo + _OPERAND_MARGIN,
-                           hi - _OPERAND_MARGIN)
+    window = _operand_window(w, L, n, 0.0)
     return (GridFunction(L, n, window * band_limited_noise(
         L, n, _OPERAND_K_MAX, rng).values)
         for _ in range(count))
 
 
-def _sigma_window(w: QuadraticWeight, L: float, n: int, t: float,
-                  lo: float, hi: float) -> np.ndarray:
-    """C^inf window in x equal to 1 well inside offsets [lo, hi]."""
+def _operand_window(w: QuadraticWeight, L: float, n: int,
+                    t: float) -> np.ndarray:
+    """C^inf window in x at time t, equal to 1 well inside the first
+    reachable annulus branch inset by _OPERAND_MARGIN at each end."""
+    spans = _sigma_branches(float(w.psi_at(t)))
+    if not spans:
+        raise ConfigError(f"no reachable annulus inside |x| <= R at t={t:g}")
+    lo, hi = spans[0][0] + _OPERAND_MARGIN, spans[0][1] - _OPERAND_MARGIN
     if not lo < hi:
         raise ConfigError("empty support window; widen the annulus margins")
     sig = w.offset(t, grid_points(L, n))
@@ -868,16 +865,8 @@ def parabolic_test_family(w: QuadraticWeight, L: float, n: int,
     rise = 0.15 * span
     bump = (smooth_step((times - t_lo) / rise)
             * smooth_step((t_hi - times) / rise))
-    windows = []
-    for t in times:
-        psi_val = float(w.psi_at(t))
-        spans = _sigma_branches(psi_val)
-        if not spans:
-            raise ConfigError(f"no reachable annulus at t={t:g}")
-        lo, hi = spans[0]
-        windows.append(_sigma_window(w, L, n, float(t), lo + _OPERAND_MARGIN,
-                                     hi - _OPERAND_MARGIN))
-    windows = bump[:, None] * np.array(windows)
+    windows = bump[:, None] * np.array(
+        [_operand_window(w, L, n, float(t)) for t in times])
     return (SpaceTimeFunction(L, n, times, windows * band_limited_noise(
         L, n, _OPERAND_K_MAX, rng).values[None, :])
         for _ in range(count))
@@ -1019,8 +1008,7 @@ def _operand_terms(fs, w: QuadraticWeight, p: OperatorParams,
 
 
 def carleman_quadratic_check(fs, w: QuadraticWeight, p: OperatorParams,
-                             mode: str, *, constants=None,
-                             diagnostics: dict | None = None) -> CheckReport:
+                             mode: str, *, constants=None) -> CheckReport:
     """Grid-level verification of the weighted lower-bound inequality.
 
     For every operand f the check computes
@@ -1029,13 +1017,15 @@ def carleman_quadratic_check(fs, w: QuadraticWeight, p: OperatorParams,
           + c2 s^2 (alpha^{4s-1}/R^{4s}) || f ||^2
     over the periodic box (and the time window in parabolic mode, where the
     time derivative is an eighth-order difference) and asserts lhs <= rhs.
+    It also reports the headroom: the least rhs / lhs at c1 = c2 = 1 over
+    the operands with a nonzero left side (inf if none has one), the
+    largest joint constant the inequality holds with.
 
     fs is an iterable of GridFunction (elliptic) or SpaceTimeFunction
     (parabolic, on a uniform grid of at least 9 times), read once, so a
     generator keeps one alive at a time.  constants is a dict with c1,
     c2, C_weight; None loads the frozen table entry for (mode, s,
-    m R/(2 alpha)).  Pass a dict as ``diagnostics`` to get back each
-    operand's (rhs, order-(s-1/2) norm, L^2 norm) under ``"operand_terms"``.
+    m R/(2 alpha)).
 
     The check works in array passes.  The annulus membership, phi,
     e^{+-phi}, phi_t and the order-(s-1/2) multiplier are computed once
@@ -1077,11 +1067,14 @@ def carleman_quadratic_check(fs, w: QuadraticWeight, p: OperatorParams,
             f"calibrated floor {c_weight * w.R ** (4.0 * p.s):.6g}")
 
     s = p.s
-    coef1 = c1 * s * s * (w.alpha / w.R ** 2)
-    coef2 = c2 * s * s * (w.alpha ** (4.0 * s - 1.0) / w.R ** (4.0 * s))
+    # the left side's coefficients at unit constants
+    unit1 = s * s * (w.alpha / w.R ** 2)
+    unit2 = s * s * (w.alpha ** (4.0 * s - 1.0) / w.R ** (4.0 * s))
+    coef1, coef2 = c1 * unit1, c2 * unit2
     terms = _operand_terms(fs, w, p, mode)
     slacks = []
     worst = None
+    headroom = math.inf
     for i, (rhs, q_order, q_l2) in enumerate(terms):
         lhs = coef1 * q_order + coef2 * q_l2
         scale = max(rhs, 1e-300)
@@ -1089,15 +1082,16 @@ def carleman_quadratic_check(fs, w: QuadraticWeight, p: OperatorParams,
         slacks.append(slack)
         if worst is None or slack < worst["slack"]:
             worst = {"operand": i, "slack": slack, "lhs": lhs, "rhs": rhs}
-    if diagnostics is not None:
-        diagnostics["operand_terms"] = terms
+        unit_lhs = unit1 * q_order + unit2 * q_l2
+        if unit_lhs > 0.0:
+            headroom = min(headroom, rhs / unit_lhs)
 
     slacks = np.array(slacks) if slacks else np.array([0.0])
     violation = float(max(0.0, -np.min(slacks)))
     measured = {"min_slack": float(np.min(slacks)),
                 "median_slack": float(np.median(slacks)),
                 "count": len(terms), "c1": c1, "c2": c2,
-                "C_weight": c_weight}
+                "C_weight": c_weight, "headroom": headroom}
     inputs = {"mode": mode, "alpha": w.alpha, "R": w.R, "s": p.s, "m": p.m}
     return finish_report(inputs, measured, 0.0, violation, worst)
 
@@ -1165,11 +1159,12 @@ def calibrate_positivity(s: float, m_ratio: float) -> dict:
     """Find the first steepness on a fixed 40-point grid whose dominance
     ladder holds, freeze the admissibility constant with the safety
     factor, and certify a floor on the sweep ratio at three operating
-    steepnesses: the first admissible one and two doublings.
+    steepnesses: the first admissible one and two doublings, each of which
+    must pass the gate (a CalibrationError otherwise).
 
     The first admissible grid point is found by a lower-bound bisection
     over the grid indices, at most 6 probes (_ladder_holds).  A probe
-    follows the unenforced sweep block by block and stops at the first
+    follows the sweep block by block and stops at the first
     block that breaks the ladder, which decides it; only a passing probe
     sweeps every block.  This assumes the ladder predicate is monotone
     along the grid: once it holds, it holds at every steeper point.
@@ -1196,8 +1191,13 @@ def calibrate_positivity(s: float, m_ratio: float) -> dict:
     # admissibility with the safety factor starts at
     # safety^{1/(2s-1)} * alpha_floor; pad by 5% and double twice
     base = 1.05 * safety ** (1.0 / (2.0 * s - 1.0)) * breaking
-    ratios = [positivity_sweep(*weight(a), constants=(c_hyp, 0.0))
-              .measured["ratio_min"] for a in (base, 2.0 * base, 4.0 * base)]
+    sweeps = [positivity_sweep(*weight(a), constants=(c_hyp, 0.0)).measured
+              for a in (base, 2.0 * base, 4.0 * base)]
+    for sweep in sweeps:
+        if not sweep["gate_ok"]:
+            raise CalibrationError(f"an operating steepness fails the gate: "
+                                   f"{sweep['gate_message']}")
+    ratios = [sweep["ratio_min"] for sweep in sweeps]
     return {"s": float(s), "m_ratio": float(m_ratio),
             "c_hyp": float(c_hyp), "c_min": float(0.5 * min(ratios)),
             "alpha_floor": breaking, "profile": "decaying",
@@ -1240,27 +1240,19 @@ def quadratic_corpus(mode: str, s: float, m_ratio: float, alpha: float,
 def calibrate_quadratic(mode: str, s: float, m_ratio: float, *,
                         seed: int = 20260822) -> dict:
     """Pick the largest joint (c1, c2) leaving a factor-2 margin over the
-    operand family, capped at 1.  The steepness floor C_weight = 1 is
-    recorded with them; the measured headroom shows how far the inequality
-    sits from binding."""
+    operand family, capped at 1: half the headroom the quadratic check
+    reports on it.  The steepness floor C_weight = 1 is recorded with them;
+    the headroom shows how far the inequality sits from binding."""
     R, L = CALIBRATION_R, QUADRATIC_L
     count, nt = _QUADRATIC_CALIBRATION_COUNT, QUADRATIC_NT
     c_weight = 1.0
     alpha = 2.0 * (c_weight * R ** (4.0 * s)) ** (1.0 / (4.0 * s - 1.0))
     w, p, fs = quadratic_corpus(mode, s, m_ratio, alpha, count,
                                 grid.rng(seed), QUADRATIC_N)
-    coef1 = s * s * (alpha / R ** 2)
-    coef2 = s * s * (alpha ** (4.0 * s - 1.0) / R ** (4.0 * s))
-    # a probe with zero constants gathers every operand's terms in one pass
-    diag = {}
-    carleman_quadratic_check(
-        fs, w, p, mode, constants={"c1": 0.0, "c2": 0.0, "C_weight": c_weight},
-        diagnostics=diag)
-    headroom = math.inf
-    for rhs, q_order, q_l2 in diag["operand_terms"]:
-        denom = coef1 * q_order + coef2 * q_l2
-        if denom > 0.0:
-            headroom = min(headroom, rhs / denom)
+    # a report holds an infinite headroom as the string "inf"
+    headroom = float(carleman_quadratic_check(
+        fs, w, p, mode, constants={"c1": 1.0, "c2": 1.0, "C_weight": c_weight}
+    ).measured["headroom"])
     c_joint = min(1.0, 0.5 * headroom)
     return {"mode": mode, "s": float(s), "m_ratio": float(m_ratio),
             "C_weight": c_weight, "c1": float(c_joint), "c2": float(c_joint),

@@ -12,11 +12,11 @@ degenerate limits), finite-difference brackets (the parabolic one in x, t,
 xi and tau), per-state tilted integrals and the weighted energies of a
 stored trajectory, the potential flow stepped into one stored trajectory
 and integrated from it, the slice-by-slice quadratic Carleman operand
-terms, the whole-matrix refined trapezoid of the Macdonald and
-subordination quadratures, the positivity sweep block by block with a_xi
-beside b_xi, the subordination multiplier with expm1 on every node, the
-whole ledger behind a linear Carleman report) and five checks that no
-suite runs.  The checks keep their report names.
+terms and the per-operand headroom, the whole-matrix refined trapezoid of
+the Macdonald and subordination quadratures, the positivity sweep block
+by block with a_xi beside b_xi, the subordination multiplier with expm1
+on every node, the whole ledger behind a linear Carleman report) and five
+checks that no suite runs.  The checks keep their report names.
 """
 from __future__ import annotations
 
@@ -953,26 +953,33 @@ def operand_terms(i: int, f, w: QuadraticWeight, p: OperatorParams,
     return rhs, q_order, q_l2
 
 
+def quadratic_headroom(fs, w: QuadraticWeight, p: OperatorParams,
+                       mode: str) -> float:
+    """Per-operand oracle of the quadratic check's headroom: each operand
+    checked on its own at c1 = c2 = 1, where its report's witness holds its
+    right side and the inequality's left side, and the least rhs / lhs over
+    the operands with a nonzero left side (inf if none has one)."""
+    unit = {"c1": 1.0, "c2": 1.0, "C_weight": 1.0}
+    ratios = []
+    for f in fs:
+        worst = carleman_quadratic_check([f], w, p, mode,
+                                         constants=unit).witness
+        if worst["lhs"] > 0.0:
+            ratios.append(worst["rhs"] / worst["lhs"])
+    return min(ratios, default=math.inf)
+
+
 def refined_quadratic_constant(entry: dict, n: int) -> float:
     """The joint constant min(1, headroom / 2) of a frozen quadratic table
-    entry, measured again on its corpus at n nodes: the headroom is the
-    least ratio of an operand's right side to the inequality's left side
-    s^2 (alpha/R^2) |f|^2_(s-1/2) + s^2 (alpha^(4s-1)/R^(4s)) |f|^2 at unit
-    constants."""
-    s, corpus = entry["s"], entry["corpus"]
-    alpha, R = corpus["alpha"], corpus["R"]
-    w, p, fs = quadratic_corpus(entry["mode"], s, entry["m_ratio"], alpha,
-                                corpus["count"],
+    entry, measured again on its corpus at n nodes, with the headroom the
+    quadratic check reports there."""
+    corpus = entry["corpus"]
+    w, p, fs = quadratic_corpus(entry["mode"], entry["s"], entry["m_ratio"],
+                                corpus["alpha"], corpus["count"],
                                 np.random.default_rng(corpus["seed"]), n)
-    diag = {}
-    carleman_quadratic_check(fs, w, p, entry["mode"], constants={
-        "c1": 0.0, "c2": 0.0, "C_weight": entry["C_weight"]},
-        diagnostics=diag)
-    coef1 = s * s * (alpha / R ** 2)
-    coef2 = s * s * (alpha ** (4.0 * s - 1.0) / R ** (4.0 * s))
-    headroom = min(rhs / (coef1 * q_order + coef2 * q_l2)
-                   for rhs, q_order, q_l2 in diag["operand_terms"])
-    return min(1.0, 0.5 * headroom)
+    rep = carleman_quadratic_check(fs, w, p, entry["mode"], constants={
+        "c1": 1.0, "c2": 1.0, "C_weight": entry["C_weight"]})
+    return min(1.0, 0.5 * float(rep.measured["headroom"]))
 
 
 def garding_order_max(w: QuadraticWeight, p: OperatorParams,

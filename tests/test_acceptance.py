@@ -337,7 +337,7 @@ def test_criterion_10_symbol_layer():
                        f"min={rep.measured['ratio_min']:.3f}")
     wob = QuadraticWeight.oscillating(2.0, 1.0, rate=3.0)
     neg = positivity_sweep(wob, OperatorParams(0.75, 0.0),
-                           constants=(c_hyp, 1.0), enforce=False)
+                           constants=(c_hyp, 1.0))
     if neg.measured["ratio_min"] >= 0.0 or neg.witness is None:
         bad.append("falsification configuration did not go negative")
     _conclude(10, "symbol_layer", bad)

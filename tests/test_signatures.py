@@ -131,6 +131,33 @@ def unset_defaults(sources, exempt=True):
                   and not (exempt and qualified in EXEMPT))
 
 
+def overridden_defaults(sources):
+    """Defaulted parameters of src/fracrel that every call sets, as
+    'path:line function(parameter)' strings; the ``sources`` map relative
+    paths to text.  Calls in src/, tests/ and perfbench/ count.  A call
+    leaves a parameter at its default unless it passes the parameter by
+    name or position; a star argument that may reach it counts as leaving
+    it, since it may not."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    defs = {}  # function name -> [(parameter, index, where)]
+    for path, tree in trees.items():
+        if not path.startswith("src/fracrel/"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.setdefault(node.name, []).extend(
+                    (param, index, f"{path}:{node.lineno}")
+                    for param, index in _defaulted(node))
+    read = set()
+    for tree in trees.values():
+        for name, call, _ in _calls(tree):
+            for param, index, where in defs.get(name, ()):
+                if _passed(call, param, index) in (None, True):
+                    read.add((where, param))
+    return sorted(f"{where} {fn}({param})" for fn, params in defs.items()
+                  for param, _, where in params if (where, param) not in read)
+
+
 def _line(sources, module, name):
     tree = ast.parse(sources[f"src/fracrel/{module}.py"])
     return next(node.lineno for node in ast.walk(tree)
@@ -173,3 +200,34 @@ def test_negative_control_unset_defaults_fail():
     # **kwargs still reaches every parameter
     sources["src/fracrel/cli.py"] += "\n\n_probe(1.0, **{'scale': 2.0})\n"
     assert unset_defaults(sources) == []
+
+
+def test_every_default_is_left_in_place_by_some_call():
+    overridden = overridden_defaults(_sources())
+    assert not overridden, (
+        "defaulted parameters of src/fracrel that every call in src/, "
+        "tests/ and perfbench/ sets; a default nobody reads is a value "
+        "nobody chose, so make each parameter required:\n  "
+        + "\n  ".join(overridden))
+
+
+def test_negative_control_overridden_defaults_fail():
+    probe = ("\n\ndef _probe(values, spread=1.0, *, scale=1.0):\n"
+             "    return values * spread * scale\n")
+    # calls that set both parameters leave neither default in place, test
+    # calls included
+    sources = _sources()
+    sources["src/fracrel/grid.py"] += probe
+    line = _line(sources, "grid", "_probe")
+    sources["src/fracrel/cli.py"] += "\n\n_probe(1.0, 2.0, scale=3.0)\n"
+    sources["tests/test_grid.py"] += "\n\n_probe(1.0, spread=2.0, scale=3.0)\n"
+    assert overridden_defaults(sources) == [
+        f"src/fracrel/grid.py:{line} _probe(scale)",
+        f"src/fracrel/grid.py:{line} _probe(spread)"]
+    # one test call that leaves scale in place reads its default
+    sources["tests/test_grid.py"] += "\n\n_probe(1.0, 2.0)\n"
+    assert overridden_defaults(sources) == [
+        f"src/fracrel/grid.py:{line} _probe(spread)"]
+    # *args may stop short of spread, so it may leave it in place
+    sources["perfbench/run.py"] += "\n\n_probe(*(1.0,), scale=2.0)\n"
+    assert overridden_defaults(sources) == []

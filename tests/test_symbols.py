@@ -35,11 +35,18 @@ from oracles import (SymbolPoint, _core_at, _symbol_xi_grad,
                      bracket_singular, calibration_tables, garding_order_max,
                      leak_fraction, loop_sweep_minima, operand_terms,
                      parabolic_bracket_terms_fd, phase_bracket_fd,
-                     poisson_bracket, poisson_bracket_fd,
+                     poisson_bracket, poisson_bracket_fd, quadratic_headroom,
                      refined_quadratic_constant, tilde_symbols)
 
 W_STEEP = QuadraticWeight.decaying(215.0, 1.0)
 P_34 = OperatorParams(0.75, 0.0)
+
+
+def profile_weight(profile, alpha):
+    """The decaying weight, or the oscillating one at rate 2, at R = 1."""
+    if profile == "oscillating":
+        return QuadraticWeight.oscillating(alpha, 1.0, rate=2.0)
+    return QuadraticWeight.decaying(alpha, 1.0)
 
 
 def oracle_ab(xi, px, m, s):
@@ -461,10 +468,17 @@ def test_positivity_admissible_configurations_pass():
         assert rep.measured["ratio_min"] >= c_min1
 
 
-def test_positivity_rejects_violated_gate():
+def test_positivity_failing_gate_fails_the_report():
+    # a weight under the steepness floor is still swept: the gate failure
+    # is a measured failure next to the ratio, not an exception
     w = QuadraticWeight.decaying(1.0, 1.0)
-    with pytest.raises(AdmissibilityError):
-        positivity_sweep(w, OperatorParams(0.75, 0.0))
+    rep = positivity_sweep(w, OperatorParams(0.75, 0.0))
+    assert not rep.passed
+    assert rep.measured["gate_ok"] is False
+    assert rep.measured["violation"] == "inf"
+    assert rep.measured["gate_message"].startswith(
+        "weight steepness 0.75 is under the calibrated floor 10.7273")
+    assert math.isfinite(rep.measured["ratio_min"])
 
 
 def test_positivity_falsification_witness():
@@ -472,7 +486,7 @@ def test_positivity_falsification_witness():
     parabolic bracket negative; the sweep reports the witness point."""
     w = QuadraticWeight.oscillating(2.0, 1.0, rate=3.0)
     rep = positivity_sweep(w, OperatorParams(0.75, 0.0),
-                           constants=(1.9685, 1.0), enforce=False)
+                           constants=(1.9685, 1.0))
     assert not rep.passed
     assert not rep.measured["gate_ok"]
     assert rep.measured["ratio_min"] < 0.0
@@ -485,9 +499,9 @@ def test_positivity_falsification_witness():
 def test_positivity_witness_ratio_is_the_shared_bracket(profile, m_ratio):
     """One bracket: the shared bracket at the sweep's witness (sigma, t, xi)
     over the envelope is the sweep's ratio_min, bit for bit."""
-    w = getattr(QuadraticWeight, profile)(30.0, 1.0)
+    w = profile_weight(profile, 30.0)
     p = OperatorParams(0.75, m_ratio * 2.0 * w.alpha / w.R)
-    rep = positivity_sweep(w, p, constants=(0.0, 0.0), enforce=False)
+    rep = positivity_sweep(w, p, constants=(0.0, 0.0))
     wit = rep.witness
     xi = np.array([wit["xi"]])
     total = parabolic_bracket(w, p, np.array([wit["sigma"]]),
@@ -546,7 +560,7 @@ def assert_bitwise_even(at_xi, at_minus_xi):
 def test_sweep_terms_are_bitwise_even_in_xi(s, m_ratio, branch, profile):
     """The half-grid positivity sweep rests on every swept term taking the
     same bits at xi and -xi (and sin(s theta) being exactly negated)."""
-    w = getattr(QuadraticWeight, profile)(30.0, 1.0)
+    w = profile_weight(profile, 30.0)
     m = m_ratio * 2.0 * w.alpha / w.R
     sigma = branch * np.linspace(1.0, 4.0, 33)[:, None]
     px = 2.0 * (w.alpha / w.R) * sigma
@@ -593,7 +607,7 @@ def sweep_and_loop(kind, alpha, m_ratio):
     nonfinite_points) of the sweep and of the loop oracle, on the default
     grids, or on the grid with 6 singular points for kind "singular"."""
     profile = "oscillating" if kind == "oscillating" else "decaying"
-    w = getattr(QuadraticWeight, profile)(alpha, 1.0)
+    w = profile_weight(profile, alpha)
     p = OperatorParams(0.75, m_ratio * 2.0 * w.alpha / w.R)
     if kind == "singular":
         grids = ((w.alpha / w.R) * np.array([1e-9, 1e-2, 1.0]),
@@ -601,7 +615,7 @@ def sweep_and_loop(kind, alpha, m_ratio):
         *minima, singular, nonfinite = final_minima(w, p, *grids)
         return ((*minima, int(singular), int(nonfinite)),
                 loop_sweep_minima(w, p, *grids))
-    rep = positivity_sweep(w, p, constants=(0.0, 0.0), enforce=False)
+    rep = positivity_sweep(w, p, constants=(0.0, 0.0))
     m = rep.measured
     loop = loop_sweep_minima(w, p, default_xi_grid(w), symbols.SWEEP_TIMES,
                              symbols.SWEEP_SIGMA_NODES)
@@ -929,6 +943,8 @@ def test_quadratic_zero_operand_trivially_passes():
                                    "elliptic")
     assert rep.passed
     assert rep.measured["min_slack"] == 0.0
+    # no operand has a left side to bound, so nothing limits the constants
+    assert rep.measured["headroom"] == "inf"
 
 
 def test_quadratic_support_violations():
@@ -954,29 +970,69 @@ def test_quadratic_support_violations():
 QUAD_CON = {"c1": 0.0, "c2": 0.0, "C_weight": 1.0}
 
 
+def quadratic_operands(mode, s, m_ratio):
+    """(weight, operator, five operands) at alpha = 2 on the 512-node box."""
+    alpha = 2.0
+    p = OperatorParams(s, m_ratio * 2.0 * alpha)
+    rng = np.random.default_rng(20260822)
+    if mode == "elliptic":
+        w = QuadraticWeight.constant(alpha, 1.0, 3.0)
+        return w, p, list(elliptic_test_family(w, 8.0, 512, 5, rng))
+    w = QuadraticWeight.decaying(alpha, 1.0)
+    return w, p, list(parabolic_test_family(
+        w, 8.0, 512, np.linspace(0.0, 1.0, 48), 5, rng))
+
+
 @pytest.mark.parametrize("mode,s", [("elliptic", 0.5), ("elliptic", 0.75),
                                     ("parabolic", 0.75)])
 @pytest.mark.parametrize("m_ratio", [0.0, 1.0])
 def test_quadratic_operand_terms_match_slice_oracle(mode, s, m_ratio):
     # the batched blocks give every operand's terms bit for bit as the
     # slice-by-slice loop does
-    alpha = 2.0
-    p = OperatorParams(s, m_ratio * 2.0 * alpha)
-    rng = np.random.default_rng(20260822)
-    if mode == "elliptic":
-        w = QuadraticWeight.constant(alpha, 1.0, 3.0)
-        fs = list(elliptic_test_family(w, 8.0, 512, 5, rng))
-    else:
-        w = QuadraticWeight.decaying(alpha, 1.0)
-        fs = list(parabolic_test_family(
-            w, 8.0, 512, np.linspace(0.0, 1.0, 48), 5, rng))
-    diag = {}
+    w, p, fs = quadratic_operands(mode, s, m_ratio)
     # the check reads its operands once, as they come, and counts them
-    rep = carleman_quadratic_check(iter(fs), w, p, mode, constants=QUAD_CON,
-                                   diagnostics=diag)
+    rep = carleman_quadratic_check(iter(fs), w, p, mode, constants=QUAD_CON)
     assert rep.measured["count"] == len(fs)
-    assert diag["operand_terms"] == [operand_terms(i, f, w, p, mode)
-                                     for i, f in enumerate(fs)]
+    assert symbols._operand_terms(iter(fs), w, p, mode) == [
+        operand_terms(i, f, w, p, mode) for i, f in enumerate(fs)]
+
+
+@pytest.mark.parametrize("mode,s", [("elliptic", 0.5), ("elliptic", 0.75),
+                                    ("parabolic", 0.75)])
+@pytest.mark.parametrize("m_ratio", [0.0, 1.0])
+def test_quadratic_headroom_is_the_least_operand_ratio(mode, s, m_ratio):
+    # the reported headroom is the per-operand oracle's minimum, bit for
+    # bit, whatever constants the check runs with
+    w, p, fs = quadratic_operands(mode, s, m_ratio)
+    want = quadratic_headroom(fs, w, p, mode)
+    assert 0.0 < want < math.inf
+    for con in (QUAD_CON, {"c1": 0.3, "c2": 7.0, "C_weight": 1.0}):
+        rep = carleman_quadratic_check(iter(fs), w, p, mode, constants=con)
+        assert rep.measured["headroom"] == want
+
+
+def test_quadratic_calibration_halves_the_headroom(monkeypatch):
+    entry = calibrate_quadratic("elliptic", 0.75, 1.0)
+    corpus = entry["corpus"]
+    w, p, fs = symbols.quadratic_corpus(
+        "elliptic", 0.75, 1.0, corpus["alpha"], corpus["count"],
+        np.random.default_rng(corpus["seed"]), corpus["n"])
+    rep = carleman_quadratic_check(fs, w, p, "elliptic", constants=QUAD_CON)
+    assert entry["headroom"] == rep.measured["headroom"]
+    assert entry["c1"] == entry["c2"] == min(1.0, entry["headroom"] / 2)
+    # below the cap the constant is half the reported headroom, and an
+    # infinite headroom (reported as "inf") caps it at 1
+    real = symbols.carleman_quadratic_check
+    for reported, c_joint in ((0.75, 0.375), ("inf", 1.0)):
+        def reporting(*args, _reported=reported, **kwargs):
+            rep = real(*args, **kwargs)
+            rep.measured["headroom"] = _reported
+            return rep
+
+        monkeypatch.setattr(symbols, "carleman_quadratic_check", reporting)
+        entry = calibrate_quadratic("elliptic", 0.75, 1.0)
+        assert entry["c1"] == entry["c2"] == c_joint
+        assert entry["headroom"] == float(reported)
 
 
 def _first_failure(call):
@@ -1143,6 +1199,19 @@ def test_positivity_calibration_bisects_the_steepness_grid(monkeypatch):
     assert (below, False) in probes
 
 
+def test_positivity_calibration_refuses_an_operating_gate_failure(
+        monkeypatch):
+    # the operating sweeps no longer raise on a failed gate, so the
+    # calibration checks each one's gate_ok itself
+    def failing(w, p, c_hyp):
+        raise AdmissibilityError("probe gate failure")
+
+    monkeypatch.setattr(symbols, "require_admissible_weight", failing)
+    with pytest.raises(CalibrationError, match="^an operating steepness "
+                       "fails the gate: probe gate failure$"):
+        calibrate_positivity(0.75, 1.0)
+
+
 def test_positivity_calibration_without_a_passing_steepness(monkeypatch):
     probes = []
 
@@ -1171,7 +1240,7 @@ def test_early_stopping_probe_is_the_full_sweep_verdict(m_ratio):
     for i in indices:
         w = QuadraticWeight.decaying(float(grid[i]), symbols.CALIBRATION_R)
         p = OperatorParams(0.75, m_ratio * 2.0 * w.alpha / w.R)
-        rep = positivity_sweep(w, p, constants=(0.0, 0.0), enforce=False)
+        rep = positivity_sweep(w, p, constants=(0.0, 0.0))
         holds = (rep.measured["ratio_min"] > 0.0
                  and min(rep.measured["margins"].values())
                  >= -symbols._DOMINANCE_SLACK)
