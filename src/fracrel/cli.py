@@ -42,7 +42,7 @@ import numpy as np
 
 from . import grid
 from .errors import ConfigError, FracrelError
-from .grid import band_limited_noise, gaussian, grid_points, smooth_window
+from .grid import band_limited_noise, gaussian, smooth_window
 from .operator import (OperatorParams, apply_singular_integral,
                        apply_spectral, apply_subordination)
 from .report import CheckReport, finish_report
@@ -296,81 +296,6 @@ def _suite_linear(cfg) -> list:
         return free.result() + ledgers
 
 
-def _analytic_operands(L: float, n: int) -> list:
-    x = grid_points(L, n)
-    core = np.exp(-((x / 0.35) ** 2))
-    ops = [core]
-    for k in (1, 2, 3):
-        ops.append(core * np.cos(2.0 * np.pi * k * x / 3.0))
-        ops.append(core * np.sin(2.0 * np.pi * k * x / 3.0))
-    return ops
-
-
-def _falsification_report(p34: OperatorParams) -> CheckReport:
-    from . import symbols
-    # expected negative: an oscillating profile outside the admissible set
-    rep = symbols.positivity_sweep(
-        symbols.QuadraticWeight.oscillating(2.0, 1.0, rate=3.0), p34,
-        constants=(1.0, 1.0))
-    return CheckReport(
-        inputs=rep.inputs, measured=rep.measured, tolerance=0.0,
-        passed=bool((not rep.measured["gate_ok"])
-                    and rep.measured["ratio_min"] < 0.0),
-        witness=rep.witness)
-
-
-def _bracket_fd_report(cfg) -> CheckReport:
-    # the parabolic bracket the sweeps read against finite differences at
-    # random points, piece by piece, each error relative to the bracket
-    from . import symbols
-    rng = _split_rng(cfg["seed"], "symbol", "bracket_fd")
-    worst = dict.fromkeys(("base", "mixed", "curvature", "total"), 0.0)
-    kept = 0
-    for _ in range(200):
-        a = float(rng.uniform(0.5, 8.0))
-        r = float(rng.uniform(0.5, 2.0))
-        w = symbols.QuadraticWeight.decaying(a, r)
-        pp = OperatorParams(float(rng.uniform(0.55, 0.95)),
-                            float(rng.uniform(0.0, 2.0 * a / r)))
-        t = float(rng.uniform(0.0, 2.0))
-        sig = float(rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 4.0))
-        xi = float(rng.choice([-1.0, 1.0]) * rng.uniform(1e-2, 1e2) * a / r)
-        br = symbols.parabolic_bracket(w, pp, sig, t, xi)
-        if br.core.singular():
-            continue
-        kept += 1
-        fd = symbols.parabolic_bracket_fd(w, pp, sig, t, xi)
-        closed = (br.base, 2.0 * br.mixed, br.curv_psi1 + br.curv_psi2,
-                  br.total)
-        scale = max(abs(float(br.total)), 1e-30)
-        for key, c, f in zip(worst, closed, fd + (sum(fd),)):
-            worst[key] = max(worst[key], abs(float(c) - f) / scale)
-    measured = {"rel_error": worst.pop("total")}
-    measured.update((f"rel_error_{key}", v) for key, v in worst.items())
-    return finish_report({"points": kept}, measured, cfg["tolerance.bracket"],
-                         measured["rel_error"], None)
-
-
-def _s1_commutator_report(cfg) -> CheckReport:
-    # s = 1 commutator action against the closed form
-    from . import symbols
-    n_mat = int(cfg["symbol.matrix_n"])
-    worst = 0.0
-    for a, level in ((0.05, 0.0), (0.2, 0.0), (0.4, 0.0), (0.05, 3.0)):
-        w = symbols.QuadraticWeight.constant(a, 1.0, level)
-        p1 = OperatorParams(1.0, 1.0)
-        M = symbols.conjugated_operator_matrix(w, p1, 8.0, n_mat)
-        S, A = symbols.matrix_parts(M)
-        comm = S @ A - A @ S
-        T = symbols.s1_commutator_target(w, p1, 8.0, n_mat)
-        for f in _analytic_operands(8.0, n_mat):
-            err = float(np.linalg.norm(comm @ f - T @ f)
-                        / np.linalg.norm(T @ f))
-            worst = max(worst, err)
-    return finish_report({"n": n_mat}, {"rel_error": worst},
-                         cfg["tolerance.commutator"], worst, None)
-
-
 def _suite_symbol(cfg) -> list:
     from . import symbols
     p34 = OperatorParams(0.75, 0.0)
@@ -382,12 +307,15 @@ def _suite_symbol(cfg) -> list:
            for make, args in weights]
     out += [
         _checked("symbol.falsification_witness",
-                 lambda: _falsification_report(p34)),
+                 lambda: symbols.falsification_witness_check(p34)),
         _checked("symbols.garding_hypothesis",
                  lambda: symbols.garding_hypothesis_check(
                      symbols.QuadraticWeight.constant(40.0, 1.0, 3.0), p34)),
-        _checked("symbol.bracket_fd", lambda: _bracket_fd_report(cfg)),
-        _checked("symbol.s1_commutator", lambda: _s1_commutator_report(cfg)),
+        _checked("symbol.bracket_fd", lambda: symbols.bracket_fd_check(
+            _split_rng(cfg["seed"], "symbol", "bracket_fd"),
+            cfg["tolerance.bracket"])),
+        _checked("symbol.s1_commutator", lambda: symbols.s1_commutator_check(
+            int(cfg["symbol.matrix_n"]), cfg["tolerance.commutator"])),
     ]
     rng = _split_rng(cfg["seed"], "symbol", "appendix")
     for s in (-0.5, 0.3, 0.5, 1.0):

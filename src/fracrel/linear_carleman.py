@@ -319,25 +319,33 @@ def _admissible_constants(p: OperatorParams,
     return c1, c2
 
 
-def _production_rate(times: np.ndarray, terms: dict, w: LinearWeight,
+def _production_rate(flow: TiltedSeries, w: LinearWeight,
                      p: OperatorParams, c1: float):
-    """Centered dD/dt and its five-term lower bound at the interior times.
+    """Centered dD/dt and its five-term lower bound at the interior times
+    of ``flow``, tilted_series at the weight's lam with the energy terms.
 
-    ``terms`` is the weighted series.  Returns (ddot, rhs, scale), where
-    scale sums the magnitudes of the five terms and of ddot.
+    Returns (ddot, rhs, scale, slack, need): scale sums the magnitudes of
+    the five terms and of ddot, slack is (ddot - rhs) / scale, and need is
+    the least C1 at which ddot >= rhs at every time with forcing (0 when
+    no time has any).
     """
+    times, terms = flow.times, flow.weighted(w.drift)
     production = _production(terms, w.drift)
     ddot = (production[2:] - production[:-2]) / (2.0 * (times[1] - times[0]))
     inner = slice(1, -1)
     lead = 0.75 * (w.eigenvalue(p) - w.drift) ** 2
+    gsq = terms["forcing_sq"][inner]
     parts = (lead * terms["mass"][inner],
-             -c1 * terms["forcing_sq"][inner],
+             -c1 * gsq,
              2.0 * terms["kinetic"][inner],
              (w.drift + p.m ** (2.0 * p.s)) * terms["form_s"][inner],
              -terms["form_2s"][inner])
     rhs = sum(parts)
     scale = sum(np.abs(part) for part in parts) + np.abs(ddot) + 1e-300
-    return ddot, rhs, scale
+    forced = gsq > 0.0
+    need = (float(np.max((rhs - ddot)[forced] / gsq[forced])) + c1
+            if forced.any() else 0.0)
+    return ddot, rhs, scale, (ddot - rhs) / scale, need
 
 
 # ----------------------------------------------------------------------
@@ -406,8 +414,10 @@ def _ledger(times: np.ndarray, series: dict, w: LinearWeight,
     persistence bound, trading it for 1/|a| extra units of forcing.
     ``flagged`` lists terms the inequality needs nonnegative that came out
     negative beyond FLAG_TOL of the ledger's scale.  Slacks are normalized
-    by the total magnitude of all terms, so 0 means exactly tight.  A
-    non-finite term raises ConfigError.
+    by the total magnitude of all terms, so 0 means exactly tight.
+    ``c1_need`` is the least C1 at which both forms hold, whatever ``c1``
+    is: the larger of their deficits over the bare forcing integral (0
+    without forcing).  A non-finite term raises ConfigError.
     """
     dt = _uniform_spacing(times, "ledger trajectory")
     shape = times * (1.0 - times)
@@ -454,6 +464,12 @@ def _ledger(times: np.ndarray, series: dict, w: LinearWeight,
                  + sum(abs(v) for v in corollary_rhs.values()) + 1e-300)
     cor_slack = (sum(corollary_rhs.values())
                  - sum(corollary_lhs.values())) / cor_scale
+    deficits = (sum(lhs_terms.values()) - rhs_terms["initial_mass"]
+                - rhs_terms["final_mass"],
+                sum(corollary_lhs.values()) - corollary_rhs["initial_mass"]
+                - forcing_integral / gap)
+    c1_need = (max(deficits) / forcing_integral if forcing_integral > 0.0
+               else 0.0)
     return {
         "lhs_terms": lhs_terms,
         "rhs_terms": rhs_terms,
@@ -466,6 +482,7 @@ def _ledger(times: np.ndarray, series: dict, w: LinearWeight,
         "flagged": flagged,
         "slack": slack,
         "corollary_slack": cor_slack,
+        "c1_need": c1_need,
         "passed": slack >= -FLAG_TOL,
         "corollary_passed": cor_slack >= -FLAG_TOL,
     }
@@ -488,8 +505,8 @@ def carleman_linear_check(u0: GridFunction, V: PotentialField,
     through the persistence bound; the report passes when both hold.  All
     time integrals are trapezoid sums over the solver's uniform step grid
     of spacing LEDGER_DT.  C1 and C2 are the frozen table's.  The report
-    measures both slacks and the flagged terms (see _ledger); a failing
-    report carries the whole ledger as its witness.
+    measures both slacks, the flagged terms and the C1 the draw needs (see
+    _ledger); a failing report carries the whole ledger as its witness.
     """
     c1, c2 = _admissible_constants(p, w)
     v = V.sample(u0)
@@ -504,7 +521,8 @@ def carleman_linear_check(u0: GridFunction, V: PotentialField,
         inputs={"lam": w.lam, "drift": w.drift, "s": p.s, "m": p.m},
         measured={"slack": ledger["slack"],
                   "corollary_slack": ledger["corollary_slack"],
-                  "flagged": ledger["flagged"]},
+                  "flagged": ledger["flagged"],
+                  "c1_need": ledger["c1_need"]},
         tolerance=0.0,
         passed=passed,
         witness=None if passed else ledger)
@@ -557,46 +575,27 @@ def calibrate_constants(p: OperatorParams, lam: float, *, draws: int,
         coarse.append(tilted_series(u0, evolve_with_potential(
             u0, v, 1.0, p, dt=LEDGER_DT), lam, p, v).checked())
 
-    def ddot_stats(flow, drift, c1):
-        terms = flow.weighted(drift)
-        ddot, rhs, scale = _production_rate(
-            flow.times, terms, LinearWeight(lam, drift), p, c1)
-        # deficit: extra forcing weight the bound still needs
-        gsq = terms["forcing_sq"][1:-1]
-        forced = gsq > 0.0
-        deficits = (rhs - ddot)[forced] / gsq[forced] + c1
-        return (float(np.min((ddot - rhs) / scale)),
-                float(np.max(deficits, initial=0.0)))
+    # the scan's C1; the ledger's c1_need does not depend on it
+    probe_c1 = 1.0
 
-    def ledger_stats(flow, drift):
-        # the ledger at C1 = 1, so its forcing term is the bare integral,
+    def ledger(flow, drift):
         # with the C2 this drift would freeze
         gap = abs(drift - mu)
-        led = _ledger(flow.times, flow.weighted(drift),
-                      LinearWeight(lam, drift), p, 1.0,
-                      (gap / zero_order) ** 2, {})
-        forcing = led["rhs_terms"]["forcing"]
-        deficit_main = (sum(led["lhs_terms"].values())
-                        - led["rhs_terms"]["initial_mass"]
-                        - led["rhs_terms"]["final_mass"])
-        deficit_cor = (sum(led["corollary_lhs_terms"].values())
-                       - led["corollary_rhs_terms"]["initial_mass"]
-                       - forcing / gap)
-        need = 0.0
-        if forcing > 0.0:
-            need = max(deficit_main / forcing, deficit_cor / forcing)
-        return min(led["slack"], led["corollary_slack"]), need
+        return _ledger(flow.times, flow.weighted(drift),
+                       LinearWeight(lam, drift), p, probe_c1,
+                       (gap / zero_order) ** 2, {})
 
-    probe_c1 = 1.0
     threshold_gap = None
     saturated = False
     for offset in _GAP_OFFSETS:
         drift = -(zero_order + offset)
         ok = True
         for f_flow, c_flow in zip(fine, coarse):
-            slack_d, _ = ddot_stats(f_flow, drift, probe_c1)
-            slack_l, _ = ledger_stats(c_flow, drift)
-            if slack_d < -_DDOT_TOLERANCE or slack_l < -FLAG_TOL:
+            slack_d = float(np.min(_production_rate(
+                f_flow, LinearWeight(lam, drift), p, probe_c1)[3]))
+            led = ledger(c_flow, drift)
+            if slack_d < -_DDOT_TOLERANCE or \
+                    min(led["slack"], led["corollary_slack"]) < -FLAG_TOL:
                 ok = False
                 break
         if ok:
@@ -611,9 +610,9 @@ def calibrate_constants(p: OperatorParams, lam: float, *, draws: int,
     c1_need = 0.0
     for drift in (-(zero_order + _OPERATING_OFFSET), mu - threshold_gap):
         for f_flow, c_flow in zip(fine, coarse):
-            _, need_d = ddot_stats(f_flow, drift, 0.0)
-            _, need_l = ledger_stats(c_flow, drift)
-            c1_need = max(c1_need, need_d, need_l)
+            c1_need = max(c1_need, _production_rate(
+                f_flow, LinearWeight(lam, drift), p, 0.0)[4],
+                ledger(c_flow, drift)["c1_need"])
     c1 = max(1.0, 2.0 * c1_need)
     return {
         "dim": 1, "s": p.s, "m": p.m, "lam": lam,

@@ -87,8 +87,9 @@ ANNULUS_OUTER = 4.0
 # annulus, or on the four outermost slices of its time window: roundoff.
 _SUPPORT_LEAK_TOL = 1e-12
 
-# Relative step of the finite-difference bracket cross-checks.
-_FD_BRACKET_STEP = 1e-4
+# Relative step of parabolic_bracket_fd.  At 1e-4 its truncation error
+# reaches 1.3e-5 of the bracket at some points of the run's sample.
+_FD_BRACKET_STEP = 1e-5
 
 # Offset triples per parabolic_bracket call of the Garding check: 48
 # triples of 225 sample points make each temporary about 86 KB.
@@ -373,6 +374,37 @@ def parabolic_bracket_fd(w: QuadraticWeight, p: OperatorParams, sigma, t,
     return (a_xi * b_x - a_x * b_xi, phi_tx * b_xi - a_t, phi_tt)
 
 
+def bracket_fd_check(rng, tolerance: float) -> CheckReport:
+    """parabolic_bracket against parabolic_bracket_fd, piece by piece, at
+    200 random points (weight, s, m, t, offset, xi) drawn from ``rng``;
+    singular points are skipped, each error is relative to the bracket."""
+    worst = dict.fromkeys(("base", "mixed", "curvature", "total"), 0.0)
+    kept = 0
+    for _ in range(200):
+        a = float(rng.uniform(0.5, 8.0))
+        r = float(rng.uniform(0.5, 2.0))
+        w = QuadraticWeight.decaying(a, r)
+        pp = OperatorParams(float(rng.uniform(0.55, 0.95)),
+                            float(rng.uniform(0.0, 2.0 * a / r)))
+        t = float(rng.uniform(0.0, 2.0))
+        sig = float(rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 4.0))
+        xi = float(rng.choice([-1.0, 1.0]) * rng.uniform(1e-2, 1e2) * a / r)
+        br = parabolic_bracket(w, pp, sig, t, xi)
+        if br.core.singular():
+            continue
+        kept += 1
+        fd = parabolic_bracket_fd(w, pp, sig, t, xi)
+        closed = (br.base, 2.0 * br.mixed, br.curv_psi1 + br.curv_psi2,
+                  br.total)
+        scale = max(abs(float(br.total)), 1e-30)
+        for key, c, f in zip(worst, closed, fd + (sum(fd),)):
+            worst[key] = max(worst[key], abs(float(c) - f) / scale)
+    measured = {"rel_error": worst.pop("total")}
+    measured.update((f"rel_error_{key}", v) for key, v in worst.items())
+    return finish_report({"points": kept}, measured, tolerance,
+                         measured["rel_error"], None)
+
+
 # ---------------------------------------------------------------------------
 # frozen calibration table
 
@@ -599,6 +631,20 @@ def positivity_sweep(w: QuadraticWeight, p: OperatorParams, *,
     return finish_report(inputs, measured, 0.0, violation, witness)
 
 
+def falsification_witness_check(p: OperatorParams) -> CheckReport:
+    """Expected negative: the positivity sweep at constants (1, 1) of an
+    oscillating profile, outside the admissible set.  Passes when the sweep
+    fails its gate and its ratio dips below zero; the sweep's numbers are
+    the report's."""
+    rep = positivity_sweep(QuadraticWeight.oscillating(2.0, 1.0, rate=3.0),
+                           p, constants=(1.0, 1.0))
+    return CheckReport(
+        inputs=rep.inputs, measured=rep.measured, tolerance=0.0,
+        passed=bool((not rep.measured["gate_ok"])
+                    and rep.measured["ratio_min"] < 0.0),
+        witness=rep.witness)
+
+
 # ---------------------------------------------------------------------------
 # derivative bounds for the Garding hypothesis
 
@@ -788,6 +834,29 @@ def s1_commutator_target(w: QuadraticWeight, p: OperatorParams,
     lap = spectral_operator_matrix(L, n, OperatorParams(1.0, 0.0))
     px = np.asarray(w.phi_x(0.0, grid_points(L, n)), dtype=float)
     return 4.0 * w.phi_xx * (lap + np.diag(px * px))
+
+
+def s1_commutator_check(n: int, tolerance: float) -> CheckReport:
+    """[S, A] of the s = 1 conjugated matrix, applied as S (A f) - A (S f),
+    against s1_commutator_target on the box of length 8 with n nodes, for
+    four constant weights and seven analytic operands centred where the
+    weight is moderate (the periodic seam stays quiet)."""
+    L, p1 = 8.0, OperatorParams(1.0, 1.0)
+    x = grid_points(L, n)
+    core = np.exp(-((x / 0.35) ** 2))
+    fs = [core] + [core * wave(2.0 * np.pi * k * x / 3.0)
+                   for k in (1, 2, 3) for wave in (np.cos, np.sin)]
+    worst = 0.0
+    for a, level in ((0.05, 0.0), (0.2, 0.0), (0.4, 0.0), (0.05, 3.0)):
+        w = QuadraticWeight.constant(a, 1.0, level)
+        S, A = matrix_parts(conjugated_operator_matrix(w, p1, L, n))
+        T = s1_commutator_target(w, p1, L, n)
+        for f in fs:
+            target = T @ f
+            worst = max(worst, float(np.linalg.norm(
+                S @ (A @ f) - A @ (S @ f) - target) / np.linalg.norm(target)))
+    return finish_report({"n": n}, {"rel_error": worst}, tolerance, worst,
+                         None)
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,8 @@ from fracrel.operator import (OperatorParams, _kernel_weights,
 from fracrel.report import CheckReport, finish_report
 from fracrel import heat, operator as op, special
 from fracrel.special import _kv_quadrature, macdonald_k
-from fracrel.symbols import (_FD_BRACKET_STEP, _SUPPORT_LEAK_TOL,
-                             ANNULUS_INNER, ANNULUS_OUTER, SINGULAR_FLOOR,
+from fracrel.symbols import (_SUPPORT_LEAK_TOL, ANNULUS_INNER,
+                             ANNULUS_OUTER, SINGULAR_FLOOR,
                              QuadraticWeight, _bracket_ab, _fd_stencil,
                              _grid_exponent, _sigma_branches, _symbol_ab,
                              _symbol_core, _time_derivative,
@@ -699,10 +699,7 @@ def ddot_lower_bound_check(traj: SpaceTimeFunction, w: LinearWeight,
             f"need spacing <= 2.5e-3 for the centered differences, "
             f"got {dt:g}")
     flow = stored_series(traj, w.lam, p, V)
-    times = flow.times
-    ddot, rhs, scale = _production_rate(
-        times, flow.weighted(w.drift), w, p, c1)
-    slacks = (ddot - rhs) / scale
+    ddot, rhs, scale, slacks, _ = _production_rate(flow, w, p, c1)
     k = int(np.argmin(slacks))
     return finish_report(
         {"s": p.s, "m": p.m, "lam": w.lam, "drift": w.drift, "C1": c1,
@@ -711,7 +708,7 @@ def ddot_lower_bound_check(traj: SpaceTimeFunction, w: LinearWeight,
         {"worst_slack": float(slacks[k]),
          "median_slack": float(np.median(slacks))},
         _DDOT_TOLERANCE, -float(slacks[k]),
-        {"t": float(times[k + 1]), "ddot": float(ddot[k]),
+        {"t": float(flow.times[k + 1]), "ddot": float(ddot[k]),
          "rhs": float(rhs[k]), "scale": float(scale[k])})
 
 
@@ -729,6 +726,11 @@ def ledger_terms(u0: GridFunction, V: PotentialField, w: LinearWeight,
 
 # ----------------------------------------------------------------------
 # symbols
+
+# Relative step of the finite-difference brackets here.  At the 1e-5 of
+# symbols.parabolic_bracket_fd, roundoff lifts the pieces that
+# parabolic_bracket_terms_fd differences to 6.6e-5 of the bracket.
+_FD_BRACKET_STEP = 1e-4
 
 
 class SymbolPoint(NamedTuple):

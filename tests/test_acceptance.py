@@ -26,11 +26,10 @@ from fracrel.operator import (OperatorParams, apply_singular_integral,
                               frequencies, symbol)
 from fracrel.special import macdonald_k
 from fracrel.symbols import (QuadraticWeight, appendix_conjugation_check,
-                             carleman_quadratic_check,
-                             conjugated_operator_matrix, elliptic_test_family,
-                             matrix_parts, parabolic_test_family,
-                             positivity_constants, positivity_sweep,
-                             quadratic_constants, s1_commutator_target)
+                             carleman_quadratic_check, elliptic_test_family,
+                             parabolic_test_family, positivity_constants,
+                             positivity_sweep, quadratic_constants,
+                             s1_commutator_check)
 from oracles import (SymbolPoint, bessel_identity_check, bracket_singular,
                      collect, ddot_lower_bound_check, eigenfunction_residual,
                      fundamental_solution, half_kernel_explicit, mass_series,
@@ -288,16 +287,6 @@ def _bracket_points(count, seed):
     return kept
 
 
-def _commutator_operands(n, L):
-    x = -L / 2 + (L / n) * np.arange(n)
-    core = np.exp(-((x / 0.35) ** 2))
-    ops = [core]
-    for k in (1, 2, 3):
-        ops.append(core * np.cos(2 * np.pi * k * x / 3.0))
-        ops.append(core * np.sin(2 * np.pi * k * x / 3.0))
-    return ops
-
-
 def test_criterion_10_symbol_layer():
     bad = []
     worst = 0.0
@@ -308,19 +297,9 @@ def test_criterion_10_symbol_layer():
     if worst > 1e-5:
         bad.append(f"bracket fd rel={worst:.2e}")
 
-    n, L = 256, 8.0
-    comm_worst = 0.0
-    for alpha, level in ((0.05, 0.0), (0.2, 0.0), (0.4, 0.0), (0.05, 3.0)):
-        w = QuadraticWeight.constant(alpha, 1.0, level)
-        p1 = OperatorParams(1.0, 1.0)
-        S, A = matrix_parts(conjugated_operator_matrix(w, p1, L, n))
-        comm = S @ A - A @ S
-        T = s1_commutator_target(w, p1, L, n)
-        comm_worst = max(comm_worst, max(
-            np.linalg.norm(comm @ f - T @ f) / np.linalg.norm(T @ f)
-            for f in _commutator_operands(n, L)))
-    if comm_worst > 1e-8:
-        bad.append(f"s=1 commutator rel={comm_worst:.2e}")
+    comm = s1_commutator_check(256, 1e-8)
+    if not comm.passed:
+        bad.append(f"s=1 commutator rel={comm.measured['rel_error']:.2e}")
 
     c_hyp, c_min = positivity_constants(0.75, 0.0)
     if not c_min > 0.0:

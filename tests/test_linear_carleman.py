@@ -436,8 +436,7 @@ def test_production_difference_is_the_production_rate():
     d = functional_D(traj, W_MAIN, P_HALF)
     flow = stored_series(traj, W_MAIN.lam, P_HALF, None)
     times = flow.times
-    ddot, _, _ = _production_rate(
-        times, flow.weighted(W_MAIN.drift), W_MAIN, P_HALF, 1.0)
+    ddot = _production_rate(flow, W_MAIN, P_HALF, 1.0)[0]
     assert np.array_equal((d[2:] - d[:-2]) / (2.0 * (times[1] - times[0])),
                           ddot)
 
@@ -699,7 +698,8 @@ def test_ledger_forced_draw():
 # the keys of the ledger a failing report carries as its witness
 LEDGER_KEYS = {"lhs_terms", "rhs_terms", "corollary_lhs_terms",
                "corollary_rhs_terms", "constants", "inputs", "flagged",
-               "slack", "corollary_slack", "passed", "corollary_passed"}
+               "slack", "corollary_slack", "c1_need", "passed",
+               "corollary_passed"}
 
 
 def test_failing_ledger_report_carries_the_whole_ledger(monkeypatch):
@@ -712,7 +712,8 @@ def test_failing_ledger_report_carries_the_whole_ledger(monkeypatch):
                         lambda p, lam: dict(frozen, C1=-1e6))
     rep = carleman_linear_check(u0, V, W_MAIN, P_HALF)
     assert not rep.passed
-    assert set(rep.measured) == {"slack", "corollary_slack", "flagged"}
+    assert set(rep.measured) == {"slack", "corollary_slack", "flagged",
+                                 "c1_need"}
     led = rep.witness
     assert set(led) == LEDGER_KEYS
     assert not led["passed"] and not led["corollary_passed"]
@@ -727,6 +728,32 @@ def test_failing_ledger_report_carries_the_whole_ledger(monkeypatch):
                                      "energy_kinetic", "energy_order_2s",
                                      "energy_order_s"}
     assert set(led["rhs_terms"]) == {"initial_mass", "final_mass", "forcing"}
+
+
+def test_c1_needs_are_the_least_forcing_constants(monkeypatch):
+    # negative control of the needs the ledger and the production-rate
+    # bound report on a forced draw: at C1 = need the inequality holds with
+    # one form tight, and a thousandth below the need it fails
+    u0, V = corpus_draw(0)
+    need = carleman_linear_check(u0, V, W_MAIN, P_HALF).measured["c1_need"]
+    frozen = load_calibration(P_HALF, W_MAIN.lam)
+    for c1, holds in ((need, True), (need - 1e-3 * (1.0 + abs(need)), False)):
+        monkeypatch.setattr(linear_carleman, "load_calibration",
+                            lambda p, lam: dict(frozen, C1=c1))
+        rep = carleman_linear_check(u0, V, W_MAIN, P_HALF)
+        worst = min(rep.measured["slack"], rep.measured["corollary_slack"])
+        assert rep.passed is holds
+        assert rep.measured["c1_need"] == need
+        assert abs(worst) <= 1e-12 if holds else worst < -1e-5
+
+    traj, V = fine_trajectory("0")
+    flow = stored_series(traj, W_MAIN.lam, P_HALF, V)
+    need = _production_rate(flow, W_MAIN, P_HALF, 0.0)[4]
+    for c1, holds in ((need, True), (need - 1e-3 * (1.0 + abs(need)), False)):
+        *_, slack, at_c1 = _production_rate(flow, W_MAIN, P_HALF, c1)
+        assert at_c1 == pytest.approx(need, rel=1e-12)
+        assert abs(np.min(slack)) <= 1e-12 if holds \
+            else np.min(slack) < -1e-5
 
 
 def test_ledger_check_peak_memory():

@@ -16,7 +16,7 @@ from fracrel.errors import (AdmissibilityError, CalibrationError,
                             FracrelError, OverflowGuardError,
                             PreconditionError, SupportError)
 from fracrel import symbols
-from fracrel.grid import GridFunction, SpaceTimeFunction
+from fracrel.grid import GridFunction, SpaceTimeFunction, grid_points
 from fracrel.operator import OperatorParams
 from fracrel.symbols import (QuadraticWeight, appendix_conjugation_check,
                              calibrate_garding, calibrate_positivity,
@@ -837,31 +837,8 @@ def test_matrix_parts_recompose():
     assert np.max(np.abs(S + A - M)) < 1e-12 * np.max(np.abs(M))
 
 
-def commutator_operands(n, L=8.0):
-    x = -L / 2 + (L / n) * np.arange(n)
-    core = np.exp(-((x / 0.35) ** 2))
-    ops = [core]
-    for k in (1, 2, 3):
-        ops.append(core * np.cos(2 * np.pi * k * x / 3.0))
-        ops.append(core * np.sin(2 * np.pi * k * x / 3.0))
-    return ops
-
-
 def test_s1_commutator_matches_closed_form():
-    """[sym, antisym] applied to analytic operands concentrated where the
-    weight is moderate; centered profiles keep the periodic seam quiet."""
-    n, L = 256, 8.0
-    for alpha, level in ((0.05, 0.0), (0.2, 0.0), (0.4, 0.0), (0.05, 3.0)):
-        w = QuadraticWeight.constant(alpha, 1.0, level)
-        p = OperatorParams(1.0, 1.0)
-        M = conjugated_operator_matrix(w, p, L, n)
-        S, A = matrix_parts(M)
-        comm = S @ A - A @ S
-        T = s1_commutator_target(w, p, L, n)
-        worst = max(
-            np.linalg.norm(comm @ f - T @ f) / np.linalg.norm(T @ f)
-            for f in commutator_operands(n, L))
-        assert worst < 1e-8
+    assert symbols.s1_commutator_check(256, 1e-8).measured["rel_error"] < 1e-8
 
 
 def test_s1_commutator_target_rejects_fractional_s():
@@ -880,8 +857,8 @@ def test_decomposition_identity():
         M = conjugated_operator_matrix(w, OperatorParams(s, 1.0), L, n)
         S, A = matrix_parts(M)
         comm = S @ A - A @ S
-        for f in (commutator_operands(n, L)[0],
-                  rng.standard_normal(n) * commutator_operands(n, L)[0]):
+        core = np.exp(-((grid_points(L, n) / 0.35) ** 2))
+        for f in (core, rng.standard_normal(n) * core):
             lhs = float(np.sum((M @ f) ** 2))
             rhs = (float(np.sum((S @ f) ** 2)) + float(np.sum((A @ f) ** 2))
                    + float(f @ (comm @ f)))
