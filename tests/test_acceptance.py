@@ -10,11 +10,10 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from fracrel.cli import main as cli_main
-from fracrel.grid import (GridFunction, SpaceTimeFunction,
-                          band_limited_noise, gaussian, smooth_window)
+from fracrel.grid import (SpaceTimeFunction, band_limited_noise, gaussian,
+                          smooth_window)
 from fracrel.heat import (energy_identity_check, evolve_free,
                           evolve_with_potential, log_convexity_check,
                           weighted_decay_check)

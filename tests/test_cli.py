@@ -20,13 +20,14 @@ import pytest
 
 import fracrel
 from fracrel import cli, grid, heat, linear_carleman, report, symbols
-from fracrel.cli import (DEFAULTS, SUITES, _split_rng, cmd_calibrate,
-                         load_config, main, write_outputs)
+from fracrel.cli import (DEFAULTS, SUITES, _split_rng, load_config, main,
+                         write_outputs)
 from fracrel.errors import CalibrationError, ConfigError
 from fracrel.grid import GridFunction
 from fracrel.operator import OperatorParams, apply_spectral
 from fracrel.report import frozen_entry
 
+import reference
 from oracles import calibration_tables
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -538,13 +539,45 @@ def misspelled(found) -> list:
 
 
 @pytest.fixture(scope="module")
-def emitted_names(tmp_path_factory):
-    out = tmp_path_factory.mktemp("names")
-    cfg = write_config(out, **{"suite": "all", "sweep.count": 1,
-                               "output.dir": str(out / "run")})
-    assert main(["run", str(cfg)]) == 0
-    body = json.loads((out / "run" / "report.json").read_text())["body"]
-    return sorted({r["name"] for r in body["reports"]})
+def default_reports(tmp_path_factory):
+    """The report list of ``fracrel run {}``, run once for this module."""
+    return reference.default_reports(tmp_path_factory.mktemp("default"))
+
+
+@pytest.fixture(scope="module")
+def emitted_names(default_reports):
+    return sorted({r["name"] for r in default_reports})
+
+
+def test_default_run_matches_the_reference(default_reports):
+    # tests/data/run_default.json; a change that moves numbers on purpose
+    # regenerates it (see tests/reference.py), and its diff lists them
+    moved = reference.moved(default_reports, reference.load())
+    assert not moved, "moved from the reference:\n" + "\n".join(moved)
+
+
+def test_negative_control_a_moved_value_is_named():
+    want = reference.load()
+    got = json.loads(json.dumps(want))
+    got[53]["measured"]["rel_error"] *= 1.0 + 1e-8
+    got[54]["measured"]["rel_frobenius"] = 2e-13
+    got[0]["inputs"]["n"] = 2048
+    del got[1]["measured"]["violation"]
+    assert reference.moved(got, want) == [
+        "[0] equivalence.spectral_vs_singular inputs: {'L': 40.0, 'm': 0.5, "
+        "'n': 2048, 's': 0.3}, reference {'L': 40.0, 'm': 0.5, 'n': 4096, "
+        "'s': 0.3}",
+        "[1] equivalence.spectral_vs_subordination measured keys: "
+        "['rel_error'], reference ['rel_error', 'violation']",
+        f"[53] symbol.s1_commutator measured.rel_error: "
+        f"{got[53]['measured']['rel_error']!r}, reference "
+        f"{want[53]['measured']['rel_error']!r}",
+        "[54] symbols.appendix_conjugation measured.rel_frobenius: 2e-13, "
+        f"reference {want[54]['measured']['rel_frobenius']!r}"]
+    # roundoff-level values only have to stay below their floor
+    got = json.loads(json.dumps(want))
+    got[54]["measured"]["rel_frobenius"] = 9e-14
+    assert reference.moved(got, want) == []
 
 
 def test_each_report_name_is_spelled_once_in_the_runner(emitted_names):
