@@ -107,10 +107,6 @@ class GridFunction:
         object.__setattr__(self, "values", vals)
 
     @property
-    def h(self) -> float:
-        return self.L / self.n
-
-    @property
     def x(self) -> np.ndarray:
         return grid_points(self.L, self.n)
 
@@ -235,10 +231,4 @@ def band_limited_noise(L: float, n: int, k_max: int, rng: np.random.Generator,
     vals = np.fft.irfft(spec, n)
     vals *= amplitude / max(np.max(np.abs(vals)), 1e-300)
     return GridFunction(L, n, vals)
-
-
-def centered_d2(g: GridFunction) -> np.ndarray:
-    """Second derivative by periodic centered differences."""
-    v = g.values
-    return (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / (g.h * g.h)
 

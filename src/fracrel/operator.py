@@ -9,9 +9,11 @@ Three equivalent realizations are provided and cross-checked:
   Macdonald kernel.  The PV is realized by pairing y <-> 2x - y; each
   kernel cell weight is the exact integral of the kernel over that cell,
   the innermost half-cell and the first KERNEL_NEAR_CELLS cells get
-  Taylor corrections proportional to f'', and the kernel is truncated at
-  distance KERNEL_FAR_CUTOFF / m, where its exponential tail is
-  negligible.  The weights are cached per (params, grid).
+  Taylor corrections proportional to the second difference of f, and the
+  kernel is truncated at distance KERNEL_FAR_CUTOFF / m, where its
+  exponential tail is negligible.  The cell sum and the correction are
+  translation invariant, so the route is one Fourier multiplier, built
+  from the weights and cached read-only per (params, grid).
 * ``apply_subordination``: the heat-semigroup average
   (1/Gamma(-s)) int_0^inf (e^(t(lap - m^2)) f - f) t^(-1-s) dt
   by trapezoid on a log-uniform time grid.  It runs on the Macdonald
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .grid import GridFunction, centered_d2
+from .grid import GridFunction
 from .special import _refined_trapezoid, frac_power_constant, macdonald_k
 
 
@@ -140,10 +142,15 @@ def _kernel_radial(p: OperatorParams, z: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _kernel_weights(p: OperatorParams, L: float, n: int) -> dict:
-    """Cell-integrated kernel weights, Taylor moments and the stencil
-    transform, cached per (params, grid) for the 16 latest keys.  The cell
-    rules KERNEL_GL and _FAR_GL are literals: leggauss would load numpy's
-    polynomial package and call LAPACK in every process for 16 numbers."""
+    """The singular route's multiplier and its parts, cached per (params,
+    grid) for the 16 latest keys: ``w``, the weights of cells 1..k_far;
+    ``moment``, the near cells' Taylor second moment; ``c_full``, C(1, s)
+    m^(1/2+s); and the read-only rfft-layout ``multiplier``, c_full
+    (sum(stencil) - stencil^ - moment (2 cos(xi h) - 2)/h^2) + m^(2s),
+    where stencil^ is the transform of w placed on both sides of the
+    origin (the antipodal cell once).  The cell rules KERNEL_GL and
+    _FAR_GL are literals: leggauss would load numpy's polynomial package
+    and call LAPACK in every process for 16 numbers."""
     h = L / n
     r_far = min(KERNEL_FAR_CUTOFF / p.m, 0.5 * L)
     k_far = min(n // 2, int(math.floor(r_far / h)))
@@ -186,18 +193,15 @@ def _kernel_weights(p: OperatorParams, L: float, n: int) -> dict:
         stencil[n - k_far + 1 :] += w[-2::-1]
     else:
         stencil[n - k_far :] += w[::-1]
-    w0 = float(stencil.sum())
-    stencil_hat = np.fft.rfft(stencil)
-
-    out = {
-        "h": h,
-        "w": w,
-        "w0": w0,
-        "stencil_hat": stencil_hat,
-        "moment": jin + j2_total,
-        "c_full": frac_power_constant(p.s) * p.m ** (0.5 + p.s),
-    }
-    return out
+    moment = jin + j2_total
+    c_full = frac_power_constant(p.s) * p.m ** (0.5 + p.s)
+    d2 = (2.0 * np.cos(2.0 * math.pi * np.fft.rfftfreq(n)) - 2.0) / (h * h)
+    # the stencil is even, so its transform is real
+    multiplier = c_full * (stencil.sum() - np.fft.rfft(stencil).real
+                           - moment * d2) + p.m ** (2.0 * p.s)
+    multiplier.flags.writeable = False
+    return {"w": w, "moment": moment, "c_full": c_full,
+            "multiplier": multiplier}
 
 
 def _require_singular_ok(p: OperatorParams) -> None:
@@ -209,14 +213,11 @@ def _require_singular_ok(p: OperatorParams) -> None:
 
 def apply_singular_integral(f: GridFunction, p: OperatorParams
                             ) -> GridFunction:
-    """Apply the operator through its principal-value kernel integral."""
+    """Apply the operator through its principal-value kernel integral,
+    as the kernel cells' Fourier multiplier."""
     _require_singular_ok(p)
-    kw = _kernel_weights(p, f.L, f.n)
-    v = f.values
-    conv = np.fft.irfft(kw["stencil_hat"] * np.fft.rfft(v), f.n)
-    pv = kw["w0"] * v - conv - centered_d2(f) * kw["moment"]
-    out = kw["c_full"] * pv + p.m ** (2.0 * p.s) * v
-    return f.with_values(out)
+    mult = _kernel_weights(p, f.L, f.n)["multiplier"]
+    return f.with_values(np.fft.irfft(mult * np.fft.rfft(f.values), f.n))
 
 
 # ----------------------------------------------------------------------

@@ -1178,12 +1178,14 @@ def appendix_conjugation_check(dim_matrix: int, s: float, phi_values,
 
         E A^s E^{-1}   against   (E A E^{-1})^s,
 
-    the left side through the eigendecomposition of A, the right side
-    through the similarity route: E A E^{-1} is diagonalized by the
-    conjugated eigenbasis E V, with eigenvalues recovered from the
-    explicitly formed product.  s in (-1, 1] excluding 0; negative powers
-    run through the same factorization.  The check guards finite precision
-    and conditioning, not the algebra.
+    the left side through A's eigenpairs, known in closed form (the sine
+    basis of the Dirichlet second difference), the right side through the
+    similarity route: E A E^{-1} is diagonalized by the conjugated
+    eigenbasis E V, with eigenvalues recovered from the explicitly formed
+    product.  s in (-1, 1] excluding 0; negative powers run through the
+    same factorization.  The check guards the similarity route's finite
+    precision and conditioning, not the algebra and not an eigensolver:
+    its products are einsums, so no LAPACK or matrix-matrix BLAS runs.
     """
     nd = int(dim_matrix)
     if nd < 2:
@@ -1199,17 +1201,19 @@ def appendix_conjugation_check(dim_matrix: int, s: float, phi_values,
             f"e^(max phi - min phi) = e^{spread:.3g} exceeds {CONDITION_CAP:g}")
 
     m = 1.0
-    A = (np.diag(2.0 * np.ones(nd)) - np.diag(np.ones(nd - 1), 1)
-         - np.diag(np.ones(nd - 1), -1) + m * m * np.eye(nd))
-    vals, V = np.linalg.eigh(A)
+    A = np.diag(np.full(nd, 2.0 + m * m)) - np.eye(nd, k=1) - np.eye(nd, k=-1)
+    k = np.arange(1, nd + 1)
+    vals = 2.0 + m * m - 2.0 * np.cos(k * math.pi / (nd + 1))
+    V = math.sqrt(2.0 / (nd + 1)) * np.sin(np.outer(k, k) * math.pi / (nd + 1))
     e_ph = np.exp(phi - np.min(phi))
-    lhs = e_ph[:, None] * ((V * vals ** s) @ V.T) * (1.0 / e_ph)[None, :]
+    lhs = (e_ph[:, None] * np.einsum("ik,k,jk->ij", V, vals ** s, V)
+           * (1.0 / e_ph)[None, :])
 
     B = e_ph[:, None] * A * (1.0 / e_ph)[None, :]
     EV = e_ph[:, None] * V
     EV_inv = V.T * (1.0 / e_ph)[None, :]
-    recovered = np.diag(EV_inv @ B @ EV)
-    rhs = (EV * recovered ** s) @ EV_inv
+    recovered = np.einsum("ki,ij,jk->k", EV_inv, B, EV)
+    rhs = np.einsum("ik,k,kj->ij", EV, recovered ** s, EV_inv)
 
     diff = float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs))
     measured = {"rel_frobenius": diff, "spread": spread,

@@ -72,7 +72,7 @@ def calibration_tables() -> dict:
 def trapezoid(g: GridFunction) -> float:
     """Integral over the box; on a periodic grid the trapezoid rule is a
     plain Riemann sum."""
-    return float(g.h * g.values.sum())
+    return float(g.L / g.n * g.values.sum())
 
 
 def fourier_mode(L: float, n: int, k: int, kind: str = "cos") -> GridFunction:
@@ -104,11 +104,21 @@ def windowed_noise(L: float, n: int, k_max: int,
 def centered_d1(g: GridFunction) -> np.ndarray:
     """First derivative by periodic centered differences."""
     v = g.values
-    return (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * g.h)
+    return (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * g.L / g.n)
 
 
 # ----------------------------------------------------------------------
 # operator
+
+
+def cell_stencil(w: np.ndarray, n: int) -> np.ndarray:
+    """The periodic kernel-cell stencil of ``w``: weight w[k - 1] at the
+    offsets k and -k.  It is assigned, not added, so the antipodal offset
+    n/2, which the cells reach when len(w) = n/2, carries its weight once."""
+    stencil = np.zeros(n)
+    k = np.arange(1, len(w) + 1)
+    stencil[k] = stencil[-k] = w
+    return stencil
 
 
 def apply_singular_at(f: GridFunction, p: OperatorParams,
@@ -123,14 +133,14 @@ def apply_singular_at(f: GridFunction, p: OperatorParams,
     _require_singular_ok(p)
     idx = np.asarray(indices, dtype=int)
     kw = _kernel_weights(p, f.L, f.n)
+    stencil = cell_stencil(kw["w"], f.n)
     v = f.values
     vi = v[idx]
     acc = np.zeros(len(idx))
-    for k in range(1, len(kw["w"]) + 1):
-        acc += kw["w"][k - 1] * (2.0 * vi - np.take(v, idx + k, mode="wrap")
-                                 - np.take(v, idx - k, mode="wrap"))
+    for k in np.flatnonzero(stencil):
+        acc += stencil[k] * (vi - np.take(v, idx + k, mode="wrap"))
     d2 = (np.take(v, idx + 1, mode="wrap") - 2.0 * vi
-          + np.take(v, idx - 1, mode="wrap")) / kw["h"] ** 2
+          + np.take(v, idx - 1, mode="wrap")) / (f.L / f.n) ** 2
     return kw["c_full"] * (acc - d2 * kw["moment"]) + p.m ** (2.0 * p.s) * vi
 
 
@@ -146,12 +156,15 @@ def carre_du_champ(f: GridFunction, g: GridFunction, p: OperatorParams
     if (f.L, f.n) != (g.L, g.n):
         raise PreconditionError("operands must share one grid")
     kw = _kernel_weights(p, f.L, f.n)
+    stencil = cell_stencil(kw["w"], f.n)
+    stencil_hat = np.fft.rfft(stencil)
     fv, gv = f.values, g.values
 
     def conv(v):
-        return np.fft.irfft(kw["stencil_hat"] * np.fft.rfft(v), f.n)
+        return np.fft.irfft(stencil_hat * np.fft.rfft(v), f.n)
 
-    pair = kw["w0"] * fv * gv - fv * conv(gv) - gv * conv(fv) + conv(fv * gv)
+    pair = stencil.sum() * fv * gv - fv * conv(gv) - gv * conv(fv) \
+        + conv(fv * gv)
     pair += 2.0 * centered_d1(f) * centered_d1(g) * kw["moment"]
     return f.with_values(-kw["c_full"] * pair - p.m ** (2.0 * p.s) * fv * gv)
 
@@ -918,9 +931,9 @@ def operand_terms(i: int, f, w: QuadraticWeight, p: OperatorParams,
             raise SupportError(
                 f"operand {i} leaks mass fraction {leak:.3g} outside the annulus")
         out = _conjugated_apply(f.values, f.L, f.n, w, p, 0.0)
-        return (float(np.sum(out * out) * f.h),
+        return (float(np.sum(out * out) * (f.L / f.n)),
                 _order_applied_sq(f.values, f.L, f.n, p.m, s - 0.5),
-                float(np.sum(f.values ** 2) * f.h))
+                float(np.sum(f.values ** 2) * (f.L / f.n)))
     if not isinstance(f, SpaceTimeFunction):
         raise ConfigError("parabolic operands must be SpaceTimeFunction")
     if f.nt < 9:

@@ -8,7 +8,6 @@ from fracrel.grid import (
     GridFunction,
     SpaceTimeFunction,
     band_limited_noise,
-    centered_d2,
     gaussian,
     require_seam_decay,
     seam_magnitude,
@@ -21,10 +20,9 @@ from oracles import (centered_d1, fourier_mode, state_at, trapezoid,
 
 def test_grid_layout():
     g = GridFunction(10.0, 8, np.zeros(8))
-    assert g.h == pytest.approx(1.25)
     assert g.x[0] == -5.0
     assert g.x[-1] == pytest.approx(5.0 - 1.25)
-    np.testing.assert_allclose(np.diff(g.x), g.h)
+    np.testing.assert_allclose(np.diff(g.x), 1.25)
 
 
 def test_grid_validation():
@@ -153,9 +151,7 @@ def test_centered_derivatives_converge():
     x = f.x
     core = np.exp(-x * x / 8.0)
     d1 = centered_d1(f)
-    d2 = centered_d2(f)
     assert np.max(np.abs(d1 - (-0.25 * x * core))) < 1e-4
-    assert np.max(np.abs(d2 - ((-0.25 + x * x / 16.0) * core))) < 1e-4
 
 
 def test_report_serialization():

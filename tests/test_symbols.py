@@ -6,7 +6,9 @@ high-order central differences for every derivative and bracket, the s=1
 case where all symbols are polynomials and the operator commutator has an
 elementary closed form, and exact scaling laws of the quadratic weight.
 """
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1137,6 +1139,63 @@ def test_appendix_domain_and_conditioning_guards():
     phi = np.linspace(0.0, 20.0, 16)
     with pytest.raises(ConditioningError):
         appendix_conjugation_check(16, 0.5, phi)
+
+
+def spectral_apply_faults(sources: dict) -> list:
+    """The numpy.linalg routines other than norm that the modules of
+    ``sources`` (name -> text) call, and the matrix products in
+    appendix_conjugation_check: the operators the run applies go through
+    their known spectra, so no LAPACK eigensolver or matrix-matrix BLAS
+    call is on its path."""
+    faults = []
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute) and (
+                    isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "linalg"
+                    or isinstance(node.value, ast.Name)
+                    and node.value.id == "linalg"):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module == "numpy.linalg":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            faults += [f"{module} calls numpy.linalg.{name}"
+                       for name in names if name != "norm"]
+    fn = next(node for node in ast.walk(ast.parse(sources["symbols"]))
+              if isinstance(node, ast.FunctionDef)
+              and node.name == "appendix_conjugation_check")
+    for node in ast.walk(fn):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) \
+                and isinstance(node.op, ast.MatMult):
+            faults.append("appendix_conjugation_check uses @")
+        elif isinstance(node, ast.Attribute) and node.attr in ("matmul",
+                                                               "dot"):
+            faults.append(f"appendix_conjugation_check uses {node.attr}")
+    return faults
+
+
+def _package_sources() -> dict:
+    return {path.stem: path.read_text()
+            for path in sorted(Path(symbols.__file__).parent.glob("*.py"))}
+
+
+def test_spectral_applies_call_no_eigensolver_and_no_matrix_product():
+    assert spectral_apply_faults(_package_sources()) == []
+
+
+@pytest.mark.parametrize("line, fault", [
+    ("vals, V = np.linalg.eigh(A)", "symbols calls numpy.linalg.eigh"),
+    ("rhs = EV @ EV_inv", "appendix_conjugation_check uses @"),
+    ("rhs = np.dot(EV, EV_inv)", "appendix_conjugation_check uses dot")])
+def test_negative_control_an_eigensolver_or_product_fails(line, fault):
+    sources = _package_sources()
+    anchor = "    diff = float(np.linalg.norm(lhs - rhs)"
+    assert sources["symbols"].count(anchor) == 1
+    sources["symbols"] = sources["symbols"].replace(
+        anchor, f"    {line}\n{anchor}")
+    assert spectral_apply_faults(sources) == [fault]
 
 
 # ------------------------------------------------------------- tables
