@@ -15,15 +15,24 @@ prints every moved value and exits 1 if there is one:
 order, suites, ``passed``, ``inputs``, tolerances and key sets must match
 exactly, and so must every string, integer and flag.  Every float must lie
 within REL_TOL of its reference, relative to it, except a roundoff-level
-one: where the reference lies at or below FLOOR times its report's
-tolerance, the value only has to stay at or below that floor.  A value a
-thousand times under its tolerance decides nothing, and errors measured
-that far down are set by rounding: the appendix errors read about 1e-15
-against a tolerance of 1e-10, the subordination equivalence errors 1e-10
-against 1e-3.  The file holds the numbers of one numpy build on one CPU.
-Values above the floor that are rounding errors themselves (the s = 1
-commutator's, the Garding check's order-7 residual) follow the SIMD and
-BLAS kernels a machine selects, so another machine may list them as moved.
+one: where the reference lies at or below its report's floor, the value
+only has to stay at or below that floor.  The floor is FLOOR times the
+report's tolerance: a value a thousand times under its tolerance decides
+nothing, and errors measured that far down are set by rounding (the
+appendix errors read about 1e-15 against a tolerance of 1e-10, the
+subordination equivalence errors 1e-10 against 1e-3).  Two reports hold
+rounding errors above that floor, and ROUNDING_FLOORS gives them their own.
+
+The file holds the numbers of one numpy build on one CPU, and the SIMD and
+BLAS kernels another CPU selects move the rounding in many reports.  With
+numpy's AVX-512 paths disabled (NPY_DISABLE_CPU_FEATURES, as on a CPU with
+AVX2 only) and each of OPENBLAS_CORETYPE Zen, Haswell, Prescott and
+Sandybridge, the largest moves were: 8.8e-9 relative for a quadratic
+headroom, a ratio of numbers near 1e57 (hence REL_TOL 1e-7, not tighter);
+the s = 1 commutator's error 3.4e-10 -> 3.9e-10 against a tolerance of
+1e-8; and the Garding check's order-7 residual, 2.2e-7 relative at 1e-10.
+The singular route's truncation moves its errors by 0.7 % and more when
+KERNEL_FAR_CUTOFF drops from 25 to 9, far above REL_TOL.
 """
 import json
 import sys
@@ -33,8 +42,17 @@ from pathlib import Path
 from fracrel.cli import main
 
 REFERENCE = Path(__file__).resolve().parent / "data" / "run_default.json"
-REL_TOL = 1e-9
+REL_TOL = 1e-7
 FLOOR = 1e-3
+# absolute floors of the reports whose small values are rounding errors
+# themselves, kept above the moves other CPUs' kernels make in them
+ROUNDING_FLOORS = {
+    # the s = 1 commutator is exact; it reads 3.4e-10 against 1e-8
+    "symbol.s1_commutator": 1e-9,
+    # tolerance 0; the order-6 and order-7 difference residuals read 3.4e-9
+    # and 1.1e-10 against a bound of 1.2e-5
+    "symbols.garding_hypothesis": 1e-8,
+}
 
 
 def default_reports(workdir) -> list:
@@ -87,7 +105,7 @@ def moved(got: list, want: list) -> list:
             if g[key] != w[key]:
                 lines.append(f"{label} {key}: {g[key]!r}, reference "
                              f"{w[key]!r}")
-        floor = FLOOR * w["tolerance"]
+        floor = ROUNDING_FLOORS.get(w["name"], FLOOR * w["tolerance"])
         for key in ("measured", "witness"):
             lines += _moved_values(g[key], w[key], f"{label} {key}", floor)
     return lines

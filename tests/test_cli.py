@@ -559,7 +559,8 @@ def test_default_run_matches_the_reference(default_reports):
 def test_negative_control_a_moved_value_is_named():
     want = reference.load()
     got = json.loads(json.dumps(want))
-    got[53]["measured"]["rel_error"] *= 1.0 + 1e-8
+    got[9]["measured"]["rel_error"] *= 1.0 + 1e-6
+    got[53]["measured"]["rel_error"] = 2e-9
     got[54]["measured"]["rel_frobenius"] = 2e-13
     got[0]["inputs"]["n"] = 2048
     del got[1]["measured"]["violation"]
@@ -569,14 +570,20 @@ def test_negative_control_a_moved_value_is_named():
         "'s': 0.3}",
         "[1] equivalence.spectral_vs_subordination measured keys: "
         "['rel_error'], reference ['rel_error', 'violation']",
-        f"[53] symbol.s1_commutator measured.rel_error: "
-        f"{got[53]['measured']['rel_error']!r}, reference "
+        f"[9] equivalence.spectral_vs_singular measured.rel_error: "
+        f"{got[9]['measured']['rel_error']!r}, reference "
+        f"{want[9]['measured']['rel_error']!r}",
+        "[53] symbol.s1_commutator measured.rel_error: 2e-09, reference "
         f"{want[53]['measured']['rel_error']!r}",
         "[54] symbols.appendix_conjugation measured.rel_frobenius: 2e-13, "
         f"reference {want[54]['measured']['rel_frobenius']!r}"]
-    # roundoff-level values only have to stay below their floor
+    # roundoff-level values only have to stay below their floor, and the
+    # moves other CPUs' kernels make stay inside the comparison
     got = json.loads(json.dumps(want))
     got[54]["measured"]["rel_frobenius"] = 9e-14
+    got[53]["measured"]["rel_error"] = 9e-10
+    got[51]["measured"]["order_max"]["7"] *= 50.0
+    got[63]["measured"]["headroom"] *= 1.0 + 5e-8
     assert reference.moved(got, want) == []
 
 
