@@ -21,8 +21,9 @@ Three equivalent realizations are provided and cross-checked:
   level evaluates only the new odd nodes) until SUBORDINATION_REL_TOL
   holds per Fourier mode, stopped by the node cap SUBORDINATION_MAX_NODES,
   with the (modes x nodes) integrand built and row-summed one tile of
-  special._ROW_TILE modes at a time in one reused buffer.  Where expm1 is
-  exactly -1 (_EXPM1_SATURATED) the integrand is filled, not evaluated.
+  special._TILE_ELEMS // nodes modes at a time (173 at the default grid's
+  377 nodes) in one reused buffer.  Where expm1 is exactly -1
+  (_EXPM1_SATURATED) the integrand is filled, not evaluated.
 
 Every discretization control is a module constant below: one value of
 each is in use, so none is a parameter.  The identity checks and the

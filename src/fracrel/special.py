@@ -25,8 +25,11 @@ range [z_lo, z_hi]:
 Each block runs on _refined_trapezoid, the one driver that the subordination
 multiplier shares: nested doubling adds only the new odd nodes to half the
 previous sum until every point meets QUAD_REL_TOL (QuadratureError before
-any level past MAX_QUAD_NODES), each level row-summed one tile of _ROW_TILE
-rows at a time in one reused buffer.
+any level past MAX_QUAD_NODES), each level row-summed one tile at a time in
+one reused buffer of at most _TILE_ELEMS doubles: _TILE_ELEMS // nodes rows
+(at least one).  A Macdonald level of 12-80 nodes takes a 2048-point block
+in at most 3 tiles; a subordination level of 377 nodes takes 173 rows per
+tile.
 """
 from __future__ import annotations
 
@@ -44,19 +47,23 @@ MAX_QUAD_NODES = 20000
 # block converges on its own.
 _QUAD_BLOCK = 2048
 _BLOCK_Z_RATIO = 16.0
-# Rows per tile of _refined_trapezoid's row sums, for both quadratures: one
-# (tile x nodes) buffer stands in for the (rows x nodes) matrix, and each
-# row is computed and summed as on the full matrix.
-_ROW_TILE = 64
+# Elements per tile of _refined_trapezoid's row sums, for both quadratures
+# (65,536 doubles, 512 KB): one (tile x nodes) buffer stands in for the
+# (rows x nodes) matrix, and each row is computed and summed as on the full
+# matrix.
+_TILE_ELEMS = 65536
 
 
 def _row_tiles(n_rows: int, n_cols: int):
-    # (row slice, view) per tile of _ROW_TILE rows; the views share one
-    # C-contiguous (tile x n_cols) buffer, so a row sum over a view runs as
-    # over that row of the full matrix.
-    buf = np.empty((min(_ROW_TILE, n_rows), n_cols))
-    for start in range(0, n_rows, _ROW_TILE):
-        rows = slice(start, min(start + _ROW_TILE, n_rows))
+    # (row slice, view) per tile of max(1, _TILE_ELEMS // n_cols) rows: at
+    # most 3 tiles for a 2048-point Macdonald level of 12-80 nodes, 173 rows
+    # for a 377-node subordination level.  The views share one C-contiguous
+    # (tile x n_cols) buffer, so a row sum over a view runs as over that
+    # row of the full matrix.
+    tile = max(1, _TILE_ELEMS // n_cols)
+    buf = np.empty((min(tile, n_rows), n_cols))
+    for start in range(0, n_rows, tile):
+        rows = slice(start, min(start + tile, n_rows))
         yield rows, buf[: rows.stop - start]
 
 

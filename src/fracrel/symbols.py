@@ -31,7 +31,6 @@ data/calibration.json, next to the linear Carleman constants.
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -493,8 +492,8 @@ def _sweep_minima(w: QuadraticWeight, p: OperatorParams, xi_mag: np.ndarray,
     """The positivity sweep, one block per time and annulus branch.  Yields
     the running (ratio_min, witness, margins, singular_count,
     nonfinite_count) before each block and after the last, so the sweep and
-    its bisection probe fold the blocks by one rule: Python min against the
-    running value, which passes over a nan."""
+    the calibration's ladder probe fold the blocks by one rule: Python min
+    against the running value, which passes over a nan."""
     # the negative half of the signed grid; the positive half mirrors it
     xi = -xi_mag[::-1]
 
@@ -557,10 +556,10 @@ def _sweep_minima(w: QuadraticWeight, p: OperatorParams, xi_mag: np.ndarray,
 
 
 def _ladder_holds(w: QuadraticWeight, p: OperatorParams) -> bool:
-    """The bisection probe of calibrate_positivity: the ratio stays
-    positive and every dominance margin holds over the default sweep.  The
-    running minima only fall, so the first block that breaks either decides
-    the probe, and the blocks after it are never swept."""
+    """The ladder probe of calibrate_positivity: the ratio stays positive
+    and every dominance margin holds over the default sweep.  The running
+    minima only fall, so the first block that breaks either decides the
+    probe, and the blocks after it are never swept."""
     _require_sweep_params(p, "positivity sweep needs")
     return all(ratio_min > 0.0 and min(margins.values()) >= -_DOMINANCE_SLACK
                for ratio_min, _, margins, _, _ in _sweep_minima(
@@ -1235,16 +1234,14 @@ def calibrate_positivity(s: float, m_ratio: float) -> dict:
     steepnesses: the first admissible one and two doublings, each of which
     must pass the gate (a CalibrationError otherwise).
 
-    The first admissible grid point is found by a lower-bound bisection
-    over the grid indices, at most 6 probes (_ladder_holds).  A probe
-    follows the sweep block by block and stops at the first
-    block that breaks the ladder, which decides it; only a passing probe
-    sweeps every block.  This assumes the ladder predicate is monotone
-    along the grid: once it holds, it holds at every steeper point.
-    Measured over the whole grid, both frozen tables (s = 0.75, m_ratio 0
-    and 1) read 27 failures followed by 13 passes.  A grid on which the
-    predicate is not monotone could move alpha_floor; the CI step that
-    recalibrates the frozen tables catches any such change."""
+    The first admissible grid point is found by probing the grid upward
+    from its shallowest point (_ladder_holds) and stopping at the first
+    that passes, so the result does not depend on the ladder predicate
+    being monotone along the grid.  A probe follows the sweep block by
+    block and stops at the first block that breaks the ladder, which
+    decides it; only a passing probe sweeps every block.  On both frozen
+    tables (s = 0.75, m_ratio 0 and 1) the first 27 points fail after
+    one block each and the 28th passes after 21: 48 blocks."""
     R, safety = CALIBRATION_R, _CALIBRATION_SAFETY
     grid = np.geomspace(0.5, 400.0, 40)
 
@@ -1252,13 +1249,10 @@ def calibrate_positivity(s: float, m_ratio: float) -> dict:
         w = QuadraticWeight.decaying(float(a), R)
         return w, OperatorParams(s, m_ratio * 2.0 * w.alpha / w.R)
 
-    # first index whose ladder holds (False sorts before True), or
-    # len(grid) if none does
-    first = bisect.bisect_left(range(len(grid)), True,
-                               key=lambda i: _ladder_holds(*weight(grid[i])))
-    if first == len(grid):
+    breaking = next((float(a) for a in grid if _ladder_holds(*weight(a))),
+                    None)
+    if breaking is None:
         raise CalibrationError("no alpha in the scan satisfied the ladder")
-    breaking = float(grid[first])
     w_floor, _ = weight(breaking)
     c_hyp = safety * w_floor.slope(s) / w_floor.profile_norm()
     # admissibility with the safety factor starts at

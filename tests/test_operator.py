@@ -148,19 +148,26 @@ def test_subordination_reuses_its_coarse_level(row_tile_widths):
 
 
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
-def test_subordination_row_tiles_match_the_untiled_oracle(s, monkeypatch):
+def test_subordination_row_tiles_match_the_untiled_oracle(
+        s, monkeypatch, row_tile_widths):
     # each mode's row is written and summed as on the whole (modes x nodes)
-    # matrix, so the multiplier agrees bit for bit around the tile size and
-    # on the default grid's 2049 modes
+    # matrix, so the multiplier agrees bit for bit on one mode, on the
+    # default grid's 2049 modes, and one row either side of each level's
+    # tile size.  Every subset keeps the grid's last mode, so its window
+    # and node counts are the full grid's (377 and 376 at s = 0.7, tiles
+    # of 173 and 174 rows)
     xi = op.frequencies(L, N)
     gam = xi * xi + 0.25
-    tile = special._ROW_TILE
-    for rows in (1, tile - 1, tile, tile + 1, gam.size):
-        got = op.subordination_multiplier(gam[:rows], s)
+    op.subordination_multiplier(gam, s)
+    tiles = {special._TILE_ELEMS // w for w in row_tile_widths}
+    counts = {1, gam.size} | {t + d for t in tiles for d in (-1, 0, 1)}
+    for rows in sorted(counts):
+        modes = np.append(gam[: rows - 1], gam[-1])
+        got = op.subordination_multiplier(modes, s)
         with monkeypatch.context() as m:
             m.setattr(op, "_refined_trapezoid",
                       oracles.refined_trapezoid_untiled)
-            want = op.subordination_multiplier(gam[:rows], s)
+            want = op.subordination_multiplier(modes, s)
         assert np.array_equal(got, want), rows
 
 
@@ -437,3 +444,38 @@ def test_cold_kernel_build_sizes_quadrature_levels_to_the_integrand(
     op._kernel_weights.cache_clear()
     op._kernel_weights(op.OperatorParams(0.5, 1.0), L, N)
     assert row_tile_widths and max(row_tile_widths) <= 128, row_tile_widths
+
+
+def test_cold_kernel_build_tiles_by_element_count(monkeypatch):
+    # a tile holds _TILE_ELEMS // nodes rows, so no tile buffer passes
+    # _TILE_ELEMS doubles, and a 2048-point Macdonald level of at most 80
+    # nodes (819-row tiles) takes at most 3 tiles, not the 32 that 64-row
+    # tiles took
+    levels = []
+    row_tiles = special._row_tiles
+
+    def spy(n_rows, n_cols):
+        tiles = []
+        levels.append((n_rows, tiles))
+        for rows, v in row_tiles(n_rows, n_cols):
+            tiles.append(v.base.size)
+            yield rows, v
+
+    monkeypatch.setattr(special, "_row_tiles", spy)
+    op._kernel_weights.__wrapped__(op.OperatorParams(0.5, 1.0), L, N)
+    full = [tiles for n_rows, tiles in levels
+            if n_rows == special._QUAD_BLOCK]
+    assert full, [n_rows for n_rows, _ in levels]
+    assert max(max(tiles) for _, tiles in levels) <= special._TILE_ELEMS
+    assert max(map(len, full)) <= 3, [len(tiles) for tiles in full]
+
+
+def test_cold_kernel_weights_match_the_untiled_oracle(monkeypatch):
+    # the singular route's multiplier, built from every Macdonald block in
+    # tiles, is the one built from whole (points x nodes) matrices
+    p = op.OperatorParams(0.5, 1.0)
+    got = op._kernel_weights.__wrapped__(p, L, N)["multiplier"]
+    monkeypatch.setattr(special, "_refined_trapezoid",
+                        oracles.refined_trapezoid_untiled)
+    want = op._kernel_weights.__wrapped__(p, L, N)["multiplier"]
+    assert np.array_equal(got, want)

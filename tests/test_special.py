@@ -158,9 +158,9 @@ def test_quadrature_exponent_does_not_cancel_at_large_argument(z):
     assert abs(got - want) <= 1e-15 * want, f"rel err {abs(got/want - 1):.3e}"
 
 
-def test_quadrature_blocks_follow_their_z_range(monkeypatch):
-    # each block's window and first spacing come from its own z range, so
-    # 53 decades of z converge with no level near the node cap
+@pytest.fixture
+def row_tile_widths(monkeypatch):
+    # the node count of every quadrature level, read from its row tiles
     widths = []
     row_tiles = special._row_tiles
 
@@ -169,9 +169,16 @@ def test_quadrature_blocks_follow_their_z_range(monkeypatch):
         return row_tiles(n_rows, n_cols)
 
     monkeypatch.setattr(special, "_row_tiles", spy)
+    return widths
+
+
+def test_quadrature_blocks_follow_their_z_range(row_tile_widths):
+    # each block's window and first spacing come from its own z range, so
+    # 53 decades of z converge with no level near the node cap
     got = _kv_quadrature(1.5, np.logspace(-26, 27, 6000))
     assert np.all(np.isfinite(got))
-    assert max(widths) <= 512, f"widest level {max(widths)} nodes"
+    assert max(row_tile_widths) <= 512, (
+        f"widest level {max(row_tile_widths)} nodes")
 
 
 @pytest.mark.parametrize("nu", [0.8, 1.0, 1.2])
@@ -281,12 +288,21 @@ def test_large_evaluation_memory_is_bounded():
 
 
 @pytest.mark.parametrize("nu", [0.8, 1.0, 1.2])
-def test_quadrature_row_tiles_match_the_untiled_oracle(nu, monkeypatch):
+def test_quadrature_row_tiles_match_the_untiled_oracle(
+        nu, monkeypatch, row_tile_widths):
     # each point's row is written and summed as on the whole (points x
-    # nodes) matrix, so the values agree bit for bit around the tile size
-    # and on a full block
-    tile = special._ROW_TILE
-    for count in (1, tile - 1, tile, tile + 1, special._QUAD_BLOCK):
+    # nodes) matrix, so the values agree bit for bit on one point, on a
+    # full block, and one row either side of each level's tile size that
+    # fits in a block.  Every count spans z in [2, 29], so its levels have
+    # the full block's node counts: 22, 21 and 42, whose last takes tiles
+    # of 1560 rows
+    macdonald_k(nu, np.linspace(2.0, 29.0, special._QUAD_BLOCK))
+    tiles = {special._TILE_ELEMS // w for w in row_tile_widths}
+    tiles = {t for t in tiles if t < special._QUAD_BLOCK}
+    assert tiles, row_tile_widths
+    counts = {1, special._QUAD_BLOCK} | {
+        t + d for t in tiles for d in (-1, 0, 1)}
+    for count in sorted(counts):
         z = np.linspace(2.0, 29.0, count)
         got = macdonald_k(nu, z)
         with monkeypatch.context() as m:

@@ -1214,8 +1214,10 @@ def test_symbol_tables_recalibrate_to_the_frozen_constants():
     assert quadratic == frozen["quadratic"]
 
 
-def test_positivity_calibration_bisects_the_steepness_grid(monkeypatch):
-    # bisecting the 40-point grid takes at most 6 probes
+def test_positivity_calibration_scans_the_steepness_grid_upward(
+        monkeypatch):
+    # the scan probes the 40-point grid from its shallowest point up and
+    # stops at the first that passes, which is the floor: grid[0..27]
     probes = []
     real = symbols._ladder_holds
 
@@ -1226,13 +1228,10 @@ def test_positivity_calibration_bisects_the_steepness_grid(monkeypatch):
 
     monkeypatch.setattr(symbols, "_ladder_holds", counting)
     floor = calibrate_positivity(0.75, 1.0)["alpha_floor"]
-    assert len(probes) <= 6
-    # a lower-bound bisection evaluates the returned point, which passed,
-    # and the grid point just below it, which failed
     grid = np.geomspace(0.5, 400.0, 40)
-    below = float(grid[np.flatnonzero(grid == floor)[0] - 1])
-    assert (floor, True) in probes
-    assert (below, False) in probes
+    assert [alpha for alpha, _ in probes] == grid[:28].tolist()
+    assert [holds for _, holds in probes] == [False] * 27 + [True]
+    assert floor == grid[27]
 
 
 def test_positivity_calibration_refuses_an_operating_gate_failure(
@@ -1259,17 +1258,16 @@ def test_positivity_calibration_without_a_passing_steepness(monkeypatch):
     with pytest.raises(CalibrationError,
                        match="^no alpha in the scan satisfied the ladder$"):
         calibrate_positivity(0.75, 1.0)
-    # the search stops at the last grid point and goes no further
+    # the scan probes every grid point once, ascending, and goes no further
     grid = np.geomspace(0.5, 400.0, 40)
-    assert 0 < len(probes) <= 6
-    assert set(probes) <= set(grid.tolist())
-    assert max(probes) == grid[-1]
+    assert probes == grid.tolist()
 
 
 @pytest.mark.parametrize("m_ratio", [0.0, 1.0])
 def test_early_stopping_probe_is_the_full_sweep_verdict(m_ratio):
-    # the bisection visits indices 20, 30, 25, 28, 27 and 26 on both frozen
-    # tables; 0 and 39 are the ends of the grid
+    # the upward scan probes indices 0 to 27 on both frozen tables and
+    # stops at 27, the first that passes; 0 and 39 are the ends of the
+    # grid, and 28 and 30 lie past the floor, where the scan never probes
     grid = np.geomspace(0.5, 400.0, 40)
     indices = [0, 20, 25, 26, 27, 28, 30, 39]
     verdicts = []
@@ -1287,8 +1285,8 @@ def test_early_stopping_probe_is_the_full_sweep_verdict(m_ratio):
 
 
 def test_positivity_calibration_counts_its_blocks(monkeypatch):
-    # 21 blocks per full sweep: the 3 failing probes stop after their
-    # first block, the 3 passing probes and the 3 operating sweeps do not
+    # 21 blocks per full sweep: the 27 failing probes stop after their
+    # first block, the 1 passing probe and the 3 operating sweeps do not
     counts = {"parabolic_bracket": 0, "positivity_sweep": 0}
     for name in counts:
         real = getattr(symbols, name)
@@ -1299,7 +1297,7 @@ def test_positivity_calibration_counts_its_blocks(monkeypatch):
 
         monkeypatch.setattr(symbols, name, counting)
     calibrate_positivity(0.75, 1.0)
-    assert counts == {"parabolic_bracket": 129, "positivity_sweep": 3}
+    assert counts == {"parabolic_bracket": 111, "positivity_sweep": 3}
 
 
 def test_cached_stencils_are_read_only():
