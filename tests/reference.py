@@ -1,17 +1,25 @@
-"""The default run's reports, kept in tests/data/run_default.json.
+"""The default run's reports, kept in tests/data/run_default.json, and the
+calibrated linear table, kept in tests/data/calibrate_linear.json.
 
-``fracrel run {}`` must reproduce the committed report list.  After a
-change that moves numbers on purpose, regenerate the file with
+``fracrel run {}`` must reproduce the committed report list, and
+``fracrel calibrate {"suite": "linear-carleman", "sweep.count": 4}`` the
+committed ``linear`` table and provenance.  After a change that moves
+numbers on purpose, regenerate the files with
 
     PYTHONPATH=src python tests/reference.py --write
+    PYTHONPATH=src python tests/reference.py --write-calibration
 
-and its diff is the list of moved values.  Given the path of a run's
-report.json, the script compares that run's reports with the file instead,
-prints every moved value and exits 1 if there is one:
+and their diff is the list of moved values.  Given the path of a run's
+report.json, or of a calibration.json that holds a linear table (suite
+linear-carleman or all, at sweep.count 4), the script compares it with its
+file instead, prints every moved value and exits 1 if there is one:
 
     PYTHONPATH=src python tests/reference.py run-all/report.json
+    PYTHONPATH=src python tests/reference.py calibrate-all/calibration.json
 
-``moved`` is the one comparison, for tier-1 and for those commands.  Names,
+``moved`` is the one comparison, for tier-1 and for those commands; the
+linear table goes through its value rule (``moved_table``) with a floor of
+0, since it has no tolerance.  Names,
 order, suites, ``passed``, ``inputs``, tolerances and key sets must match
 exactly, and so must every string, integer and flag.  Every float must lie
 within REL_TOL of its reference, relative to it, except a roundoff-level
@@ -42,6 +50,7 @@ from pathlib import Path
 from fracrel.cli import main
 
 REFERENCE = Path(__file__).resolve().parent / "data" / "run_default.json"
+CALIBRATION = REFERENCE.with_name("calibrate_linear.json")
 REL_TOL = 1e-7
 FLOOR = 1e-3
 # absolute floors of the reports whose small values are rounding errors
@@ -66,8 +75,31 @@ def default_reports(workdir) -> list:
     return json.loads((out / "report.json").read_text())["body"]["reports"]
 
 
+def linear_table(body: dict) -> dict:
+    """The linear table and its provenance of a calibration's body."""
+    return {"table": body["tables"]["linear"],
+            "provenance": body["provenance"]["linear"]}
+
+
+def calibrated_linear_table(workdir) -> dict:
+    """linear_table of ``fracrel calibrate`` at suite linear-carleman and
+    sweep.count 4, written under ``workdir``; raises unless it exits 0."""
+    out = Path(workdir) / "calibrate"
+    config = Path(workdir) / "calibrate.json"
+    config.write_text(json.dumps({"suite": "linear-carleman",
+                                  "sweep.count": 4, "output.dir": str(out)}))
+    if main(["calibrate", str(config)]) != 0:
+        raise RuntimeError("the linear calibration did not pass")
+    return linear_table(
+        json.loads((out / "calibration.json").read_text())["body"])
+
+
 def load() -> list:
     return json.loads(REFERENCE.read_text())
+
+
+def load_calibration() -> dict:
+    return json.loads(CALIBRATION.read_text())
 
 
 def _moved_values(got, want, where: str, floor: float) -> list:
@@ -111,18 +143,37 @@ def moved(got: list, want: list) -> list:
     return lines
 
 
+def moved_table(got: dict, want: dict) -> list:
+    """One line per value of the linear table ``got`` (a linear_table)
+    that moved from the reference ``want``."""
+    return _moved_values(got, want, "linear", 0.0)
+
+
+def _write(path: Path, data, what: str) -> None:
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    print(f"{what} written to {path}")
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--write"]:
         with tempfile.TemporaryDirectory() as tmp:
             reports = default_reports(tmp)
-        REFERENCE.parent.mkdir(exist_ok=True)
-        REFERENCE.write_text(json.dumps(reports, indent=1, sort_keys=True)
-                             + "\n")
-        print(f"{len(reports)} reports written to {REFERENCE}")
+        _write(REFERENCE, reports, f"{len(reports)} reports")
+    elif sys.argv[1:] == ["--write-calibration"]:
+        with tempfile.TemporaryDirectory() as tmp:
+            _write(CALIBRATION, calibrated_linear_table(tmp), "linear table")
     elif len(sys.argv) == 2:
-        got = json.loads(Path(sys.argv[1]).read_text())["body"]["reports"]
-        lines = moved(got, load())
-        print("\n".join(lines) or f"{len(got)} reports match {REFERENCE}")
+        body = json.loads(Path(sys.argv[1]).read_text())["body"]
+        if "reports" in body:
+            got = body["reports"]
+            lines = moved(got, load())
+            done = f"{len(got)} reports match {REFERENCE}"
+        else:
+            lines = moved_table(linear_table(body), load_calibration())
+            done = f"the linear table matches {CALIBRATION}"
+        print("\n".join(lines) or done)
         sys.exit(1 if lines else 0)
     else:
-        sys.exit("usage: reference.py --write | reference.py REPORT_JSON")
+        sys.exit("usage: reference.py --write | --write-calibration | "
+                 "reference.py REPORT_JSON | CALIBRATION_JSON")

@@ -848,6 +848,32 @@ def test_calibrate_linear_matches_frozen_constants(tmp_path):
     assert len(table["body"]["provenance"]["linear"]["corpus_sha256"]) == 64
 
 
+def test_calibrated_linear_table_matches_the_reference(tmp_path):
+    # tests/data/calibrate_linear.json holds the linear table and its
+    # provenance at sweep.count 4; a change that moves them on purpose
+    # regenerates it (see tests/reference.py), and its diff lists them
+    got = reference.calibrated_linear_table(tmp_path)
+    moved = reference.moved_table(got, reference.load_calibration())
+    assert not moved, "moved from the reference:\n" + "\n".join(moved)
+
+
+def test_negative_control_a_moved_table_value_is_named():
+    want = reference.load_calibration()
+    got = json.loads(json.dumps(want))
+    got["table"]["C2"] *= 1.0 + 1e-6
+    got["table"]["empirical"]["c1_need"] = 1e-300
+    got["provenance"]["corpus_sha256"] = "0" * 64
+    assert reference.moved_table(got, want) == [
+        f"linear.provenance.corpus_sha256: {'0' * 64!r}, reference "
+        f"{want['provenance']['corpus_sha256']!r}",
+        f"linear.table.C2: {got['table']['C2']!r}, reference "
+        f"{want['table']['C2']!r}",
+        "linear.table.empirical.c1_need: 1e-300, reference 0.0"]
+    got = json.loads(json.dumps(want))
+    got["table"]["C2"] *= 1.0 + 5e-8
+    assert reference.moved_table(got, want) == []
+
+
 def test_calibrate_rejects_suite_without_constants(tmp_path, capsys):
     cfg = write_config(tmp_path, **{
         "suite": "equivalence", "output.dir": str(tmp_path / "cal")})
