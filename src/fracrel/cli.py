@@ -252,7 +252,9 @@ def _suite_heat(cfg) -> list:
 def _suite_linear(cfg) -> list:
     """The free-flow checks and one ledger per corpus draw, as jobs on one
     thread per CPU this process may use (the transforms and large array
-    loops release the GIL); reports come back in job order."""
+    loops release the GIL): the free flow, then one job per group of
+    heat.CHUNK_ROWS draws, whose flows are stepped together.  Reports come
+    back in job order, a group's in draw order."""
     from . import heat, linear_carleman  # before any job is submitted
     L, n = cfg["linear.L"], int(cfg["linear.n"])
     p = OperatorParams(cfg["operator.s"], cfg["operator.m"])
@@ -262,7 +264,7 @@ def _suite_linear(cfg) -> list:
         # the series of one free stream serve both checks; the tent
         # residual is quadratic in the spacing, so it needs the fine one
         u0 = gaussian(L, n, sigma=2.0)
-        free = linear_carleman.tilted_series(
+        [free] = linear_carleman.tilted_series(
             u0, heat.evolve_free(u0, np.linspace(0.0, 1.0, 1001), p), w.lam,
             p, None, with_energy=False)
         return [_checked("linear_carleman.monotonicity",
@@ -272,28 +274,45 @@ def _suite_linear(cfg) -> list:
                          lambda: linear_carleman.tent_identity_check(
                              free, w, tolerance=cfg["tolerance.tent"]))]
 
-    def ledger(i, f0, V):
-        def check():
-            rep = linear_carleman.carleman_linear_check(f0, V, w, p)
-            rep.inputs["draw"] = i
+    def ledgers(first, group):
+        # the group's flows are stepped inside its first draw's check, so
+        # that report's wall time holds the group's stepping; a failure
+        # before any stepping leaves them unstepped, and each draw's check
+        # meets it again
+        flows = []
+
+        def check(j):
+            if not flows:
+                flows[:] = linear_carleman.ledger_series(group, w, p)
+            rep = linear_carleman.carleman_linear_check(flows[j],
+                                                        group[j][1], w, p)
+            rep.inputs["draw"] = first + j
             return rep
-        return _checked("linear_carleman.ledger", check)
+        return [_checked("linear_carleman.ledger", lambda: check(j))
+                for j in range(len(group))]
 
     # imported here, so the suites that run no jobs do not pay for it
     from concurrent.futures import ThreadPoolExecutor
-    workers = len(os.sched_getaffinity(0))
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:
+        # macOS and Windows builds of CPython have no affinity call
+        workers = os.cpu_count() or 1
     corpus = linear_carleman.carleman_corpus(L, n, int(cfg["sweep.count"]),
                                              _corpus_seed(cfg))
     with ThreadPoolExecutor(workers) as pool:
-        # the long free flow starts first, outside the window of draws, so
-        # no thread waits on it; draws are made as their jobs are submitted
-        free, pending, ledgers = pool.submit(free_flow), [], []
-        for i, (f0, V) in enumerate(corpus):
-            if len(pending) == 2 * workers:
-                ledgers.append(pending.pop(0).result())
-            pending.append(pool.submit(ledger, i, f0, V))
-        ledgers += [job.result() for job in pending]
-        return free.result() + ledgers
+        # the long free flow starts first, outside the window of groups, so
+        # no thread waits on it; a group is drawn once the window has room
+        free, pending, reports = pool.submit(free_flow), [], []
+        first = 0
+        for group in linear_carleman.draw_groups(corpus):
+            pending.append(pool.submit(ledgers, first, group))
+            first += len(group)
+            if len(pending) == workers:
+                reports += pending.pop(0).result()
+        for job in pending:
+            reports += job.result()
+        return free.result() + reports
 
 
 def _suite_symbol(cfg) -> list:

@@ -6,8 +6,9 @@ semigroup property hold to rounding on the grid.
 A bounded time-independent potential V, given by its samples, enters
 through the Duhamel form, whose per-step equation is pointwise diagonal
 and is solved in closed form; one sample of V serves a flow's steps and
-integrands.  Both flows are streams of chunks of states, integrated as
-they are made; the heat layer stores no flow.
+integrands.  A group of draws on one grid is stepped together, one
+transform pair per step for the group.  Both flows are streams of chunks
+of states, integrated as they are made; the heat layer stores no flow.
 Weighted energies refuse to integrate data that has not decayed at the
 periodic seam, since the exponential weight would turn wrap-around into
 silent garbage.
@@ -25,9 +26,11 @@ from .grid import SEAM_TOL, GridFunction, require_seam_decay, seam_magnitude
 from .operator import OperatorParams, frequencies, symbol
 from .report import CheckReport, finish_report
 
-# States per chunk of the evolution stream.  Four batch the transforms and
-# row sums about as well as 8 or 64 do, and keep a chunk's arrays near 1 MB
-# (six integrands at n = 4096), which is what the peak memory sees.
+# Rows per chunk of an evolution stream: CHUNK_ROWS consecutive states of
+# one flow, or one state of a group of CHUNK_ROWS draws stepped together.
+# Four batch the transforms and row sums about as well as 8 or 64 do, and
+# keep a chunk's arrays near 1 MB (six integrands at n = 4096), which is
+# what the peak memory sees.
 CHUNK_ROWS = 4
 
 # Tolerance of the weighted decay check; the bound holds exactly for the
@@ -145,7 +148,8 @@ def energy_identity_check(u0: GridFunction, p: OperatorParams,
 
 
 class TiltedSeries(NamedTuple):
-    """Tilted integrals along a stream of states (see tilted_integrals)."""
+    """Tilted integrals along one draw's stream of states (see
+    tilted_integrals)."""
 
     grid: GridFunction
     times: np.ndarray
@@ -165,64 +169,98 @@ class TiltedSeries(NamedTuple):
         return {name: weight * values for name, values in self.terms.items()}
 
 
+def _scan_failures(tilted: np.ndarray, sums: np.ndarray, live: int,
+                   lam: float, what: tuple[str, ...], failures: list) -> int:
+    """Append to ``failures`` those of one draw's chunk among its first
+    ``live`` integrands: ``tilted`` holds its (states, integrands, n)
+    tilted values and ``sums`` their row sums.  Returns how many leading
+    integrands are still live."""
+    states = len(tilted)
+    while live:
+        # row i is state i // live, integrand i % live: the loop order
+        rows = tilted[:, :live].reshape(-1, tilted.shape[-1])
+        # a non-finite sum comes from non-finite values or from finite
+        # ones overflowing; only the first is an error, the second is inf
+        stop = next((int(i) for i in np.flatnonzero(
+            ~np.isfinite(sums[:, :live])) if not np.all(
+                np.isfinite(rows[i]))), len(rows))
+        err = None
+        try:
+            if lam != 0.0:
+                require_seam_decay(rows[:stop], what[:live] * states)
+        except SeamLeakError as exc:
+            err = exc
+            stop = int(np.argmax(seam_magnitude(rows[:stop]) > SEAM_TOL))
+        if stop == len(rows):
+            break
+        live = stop % live
+        failures.append((live, err or ConfigError("values must be finite")))
+    return live
+
+
 def tilted_integrals(grid, chunks: Iterable, lam: float,
                      what: tuple[str, ...],
                      integrands: Callable[[np.ndarray], Iterable[np.ndarray]]
-                     ) -> TiltedSeries:
+                     ) -> list[TiltedSeries]:
     """Integrals of e^(lam x) I over ``grid``'s box at every state of the
     stream ``chunks`` of (times, rows), read to its end, for each integrand
-    I named in ``what``: the terms, by name, and the failures met as (index
-    in ``what``, error) pairs.  ``integrands(rows)`` yields, in the order of
-    ``what``, each integrand's values on a chunk's rows.
+    I named in ``what``: one TiltedSeries per draw of the stream, each with
+    its terms, by name, and the failures met as (index in ``what``, error)
+    pairs.  A chunk's rows hold, draw after draw, each draw's states at its
+    times, so a stream of one draw has as many rows as times and a group's
+    stream (evolve_with_potential) one time and a row per draw.
+    ``integrands(rows)`` yields, in the order of ``what``, each integrand's
+    values on a chunk's rows.
 
     Every integrand row is guarded on its own: it must be finite
     (ConfigError) and, at lam != 0, decayed at the seam (SeamLeakError).
-    The first failure is the one a state-by-state loop meets first: the
-    earliest state, and within it the earliest integrand.  The integrands
-    before it go on, so a leading part of ``what`` fails as a pass over it
-    alone would; the failed one and those after it are void.
+    Each draw's first failure is the one a state-by-state loop over that
+    draw meets first: the earliest state, and within it the earliest
+    integrand.  Its integrands before it go on, so a leading part of
+    ``what`` fails as a pass over it alone would; the failed one and those
+    after it are void.  No draw's failure touches another draw's series.
     """
     tilt = np.exp(lam * grid.x)
-    live, failures, times, parts = len(what), [], [], []
+    live, failures, times, parts = [], [], [], []
     # one buffer serves the stream, sized by its longest chunk so far
     buffer = np.empty((0, len(what), grid.n))
     for t, chunk in chunks:
+        if not live:
+            draws = len(chunk) // len(t)
+            live, failures = [len(what)] * draws, [[] for _ in range(draws)]
         if len(buffer) < len(chunk):
             buffer = np.empty((len(chunk), len(what), grid.n))
         tilted = buffer[:len(chunk)]
         for j, values in enumerate(integrands(chunk)):
             np.multiply(tilt, values, out=tilted[:, j])
         sums = tilted.sum(axis=2)
-        while live:
-            # row i is state i // live, integrand i % live: the loop order
-            rows = tilted[:, :live].reshape(-1, grid.n)
-            # a non-finite sum comes from non-finite values or from finite
-            # ones overflowing; only the first is an error, the second is inf
-            stop = next((int(i) for i in np.flatnonzero(
-                ~np.isfinite(sums[:, :live])) if not np.all(
-                    np.isfinite(rows[i]))), len(rows))
-            err = None
-            try:
-                if lam != 0.0:
-                    require_seam_decay(rows[:stop], what[:live] * len(chunk))
-            except SeamLeakError as exc:
-                err = exc
-                stop = int(np.argmax(seam_magnitude(rows[:stop]) > SEAM_TOL))
-            if stop == len(rows):
-                break
-            live = stop % live
-            failures.append((live, err or ConfigError("values must be finite")))
+        # the whole chunk is guarded at once; each draw is scanned on its
+        # own only when it or a group mate has failed
+        clean = min(live) == len(what) and bool(np.all(np.isfinite(sums)))
+        try:
+            if clean and lam != 0.0:
+                require_seam_decay(tilted.reshape(-1, grid.n))
+        except SeamLeakError:
+            clean = False
+        for d in range(0 if clean else len(live)):
+            block = slice(d * len(t), (d + 1) * len(t))
+            live[d] = _scan_failures(tilted[block], sums[block], live[d],
+                                     lam, what, failures[d])
         times.append(t)
-        parts.append((grid.L / grid.n * sums).T)
-    return TiltedSeries(grid, np.concatenate(times), dict(
-        zip(what, np.concatenate(parts, axis=1))), failures)
+        # (draws, integrands, states) of the chunk
+        parts.append(sums.reshape(len(live), len(t), -1).transpose(0, 2, 1))
+    times = np.concatenate(times)
+    terms = grid.L / grid.n * np.concatenate(parts, axis=2)
+    return [TiltedSeries(grid, times, dict(zip(what, rows)), failed)
+            for rows, failed in zip(terms, failures)]
 
 
 def _tilted_energy(grid, chunks, lam: float, what: str) -> np.ndarray:
     """Integral of e^(lam x) u^2 at every state of the stream ``chunks``,
     each guarded against seam leakage; the first failure is raised."""
-    return tilted_integrals(grid, chunks, lam, (what,),
-                            lambda rows: [rows ** 2]).checked().terms[what]
+    [flow] = tilted_integrals(grid, chunks, lam, (what,),
+                              lambda rows: [rows ** 2])
+    return flow.checked().terms[what]
 
 
 def weighted_decay_check(u0: GridFunction, lam: float,
@@ -287,54 +325,73 @@ def log_convexity_check(u0: GridFunction, lam: float, p: OperatorParams,
     )
 
 
-def evolve_with_potential(u0: GridFunction, v: np.ndarray, T: float,
-                          p: OperatorParams, dt: float = 1e-2
+def evolve_with_potential(u0, v: np.ndarray, T: float, p: OperatorParams,
+                          dt: float = 1e-2
                           ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """March the potential problem with the trapezoid Duhamel step.
 
-    V is time-independent, so ``v``, its samples on u0's grid, taken once
-    by the caller for the flow's integrands too, serve both ends of every
+    ``u0`` is one draw's data, a GridFunction, or a group's, a sequence of
+    GridFunctions on one grid (else PreconditionError); ``v`` holds each
+    draw's potential sampled on that grid, a row per draw in u0's order
+    (shape (n,) for one draw).  V is time-independent, so ``v``, taken once
+    by the caller for the flow's integrands too, serves both ends of every
     step.  Each step solves
 
         u_{k+1} = K_dt (u_k + (dt/2) V u_k) + (dt/2) V u_{k+1},
 
     which is pointwise diagonal in u_{k+1}, so it is solved exactly by one
-    division; max |v| dt < 1/2 keeps the divisor above 3/4.  Steps are dt
+    division; max |v| dt < 1/2 keeps the divisor above 3/4.  A group's
+    states are stepped together, one transform pair per step, and each of
+    its rows takes the operations one draw's row takes.  Steps are dt
     except a final shorter one that lands on T.  Yields the states at t = 0
-    and after every step as (times, rows) chunks of CHUNK_ROWS states, each
-    stepped when it is asked for; bad arguments raise at the first chunk.
+    and after every step as (times, rows) chunks, each stepped when it is
+    asked for: CHUNK_ROWS states of one draw, or one state of a group, a
+    row per draw; bad arguments raise at the first chunk.
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ConfigError(f"dt must be positive and finite, got {dt!r}")
     if T <= 0.0:
         raise DomainError(f"horizon must be positive, got T={T:g}")
-    peak = float(np.max(np.abs(v)))
-    if peak * dt >= 0.5:
+    draws = [u0] if isinstance(u0, GridFunction) else list(u0)
+    grid = draws[0]
+    if any((g.L, g.n) != (grid.L, grid.n) for g in draws):
+        raise PreconditionError("the draws of a group share one grid")
+    v = np.reshape(v, (len(draws), grid.n))
+    peaks = np.max(np.abs(v), axis=1) * dt
+    if np.any(peaks >= 0.5):
         raise PreconditionError(
-            f"need ||V|| * dt < 1/2 for the step, got {peak * dt:g}")
+            f"need ||V|| * dt < 1/2 for the step, got "
+            f"{peaks[np.argmax(peaks >= 0.5)]:g}")
     times, steps = [0.0], []
     t = 0.0
     while t < T - 1e-12 * max(1.0, T):
         steps.append(min(dt, T - t))
         t += steps[-1]
         times.append(t)
-    sig = symbol(p, frequencies(u0.L, u0.n))
-
-    def factors(step):
-        half_v = 0.5 * step * v
-        return np.exp(-step * sig), half_v, 1.0 - half_v
-
-    # every step but a shorter final one shares the full step's factors
-    full = factors(dt)
+    sig = symbol(p, frequencies(grid.L, grid.n))
+    # every step but a shorter final one shares the full step's decay
+    full = np.exp(-dt * sig)
+    # a chunk is `per` states of every draw; one of the two counts is 1, so
+    # its (per, draws, n) block is its rows in stream order
+    per = CHUNK_ROWS if len(draws) == 1 else 1
     # each state is written into its chunk, which goes out once full
-    rows, filled, u = np.empty((CHUNK_ROWS, u0.n)), 1, u0.values
-    rows[0] = u
+    rows, filled = np.empty((per, len(draws), grid.n)), 1
+    np.stack([g.values for g in draws], out=rows[0])
+    u = rows[0]
     for k, step in enumerate(steps, 1):
-        if filled == CHUNK_ROWS:
-            yield np.array(times[k - CHUNK_ROWS:k]), rows
-            rows, filled = np.empty((CHUNK_ROWS, u0.n)), 0
-        decay, half_v, divisor = full if step == dt else factors(step)
-        u = np.divide(np.fft.irfft(np.fft.rfft(u + half_v * u) * decay,
-                                   u0.n), divisor, out=rows[filled])
+        if filled == per:
+            yield np.array(times[k - per:k]), rows.reshape(-1, grid.n)
+            rows, filled = np.empty((per, len(draws), grid.n)), 0
+        # one scratch array per step holds u + half_v u, then the divisor
+        # 1 - half_v, with half_v = (step / 2) v formed as the step is taken
+        scratch = 0.5 * step * v
+        scratch *= u
+        scratch += u
+        spec = np.fft.rfft(scratch)
+        spec *= full if step == dt else np.exp(-step * sig)
+        np.multiply(0.5 * step, v, out=scratch)
+        np.subtract(1.0, scratch, out=scratch)
+        u = np.divide(np.fft.irfft(spec, grid.n), scratch, out=rows[filled])
         filled += 1
-    yield np.array(times[len(times) - filled:]), rows[:filled]
+    yield (np.array(times[len(times) - filled:]),
+           rows[:filled].reshape(-1, grid.n))

@@ -21,9 +21,10 @@ the seam guard restricts it honestly to mild tilt-times-box products.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .errors import (
 from . import grid
 from .grid import GridFunction, band_limited_noise, smooth_window
 from .heat import (
+    CHUNK_ROWS,
     PotentialField,
     TiltedSeries,
     _cumulative_trapezoid,
@@ -123,13 +125,14 @@ class LinearWeight:
 
 def tilted_series(grid, chunks, lam: float, p: OperatorParams,
                   v: np.ndarray | None, with_energy: bool = True
-                  ) -> TiltedSeries:
+                  ) -> list[TiltedSeries]:
     """Raw tilted integrals at every state of the stream ``chunks`` on
-    ``grid``'s box, drift factored out, with the failures met (unraised).
+    ``grid``'s box, drift factored out, with the failures met (unraised):
+    one series per draw of the stream, a group's in its order.
 
-    ``v`` holds the samples on ``grid`` of the potential the states were
-    evolved with, the ones the stepper used (None for no forcing).  Each
-    chunk is integrated as it comes
+    ``v`` holds the samples on ``grid`` of the potentials the states were
+    evolved with, the ones the stepper used, a row per draw (None for no
+    forcing).  Each chunk is integrated as it comes
     (heat.tilted_integrals), the mass first: one batched transform serves
     both operator orders, and each integral is a row sum over the chunk.
 
@@ -180,19 +183,23 @@ def tilted_series(grid, chunks, lam: float, p: OperatorParams,
             yield f_vals * f_vals
             yield u * f_vals
 
-    flow = tilted_integrals(grid, chunks, lam, what, integrands)
-    mass, op_pair, *rest = flow.terms.values()
-    series = {"mass": mass, "op_pair": op_pair,
-              "form_s": mu * mass - 2.0 * op_pair,
-              "forcing_sq": np.zeros_like(mass), "cross": np.zeros_like(mass)}
-    if with_energy:
-        kinetic, pairing_2s, *rest = rest
-        series["kinetic"] = kinetic
-        series["form_2s"] = mu * mu * mass - 2.0 * pairing_2s
-    if v is not None:
-        series["forcing_sq"], cross = rest
-        series["cross"] = 2.0 * cross
-    return flow._replace(terms=series)
+    def terms(flow):
+        mass, op_pair, *rest = flow.terms.values()
+        series = {"mass": mass, "op_pair": op_pair,
+                  "form_s": mu * mass - 2.0 * op_pair,
+                  "forcing_sq": np.zeros_like(mass),
+                  "cross": np.zeros_like(mass)}
+        if with_energy:
+            kinetic, pairing_2s, *rest = rest
+            series["kinetic"] = kinetic
+            series["form_2s"] = mu * mu * mass - 2.0 * pairing_2s
+        if v is not None:
+            series["forcing_sq"], cross = rest
+            series["cross"] = 2.0 * cross
+        return flow._replace(terms=series)
+
+    return [terms(flow) for flow in
+            tilted_integrals(grid, chunks, lam, what, integrands)]
 
 
 def _production(terms: dict, drift: float) -> np.ndarray:
@@ -488,12 +495,48 @@ def _ledger(times: np.ndarray, series: dict, w: LinearWeight,
     }
 
 
-def carleman_linear_check(u0: GridFunction, V: PotentialField,
+def draw_groups(draws: Iterable) -> Iterator[list]:
+    """``draws`` in lists of CHUNK_ROWS, the last one possibly shorter: the
+    groups the ledger and the calibration step together."""
+    draws = iter(draws)
+    while group := list(itertools.islice(draws, CHUNK_ROWS)):
+        yield group
+
+
+def ledger_series(draws: list, w: LinearWeight, p: OperatorParams
+                  ) -> list[TiltedSeries]:
+    """The series carleman_linear_check reads, for each draw (u0, V) of
+    ``draws``: tilted_series, at the weight's lam with the energy terms and
+    the forcing, of the flow under V (sampled on u0's grid) over [0, 1] at
+    LEDGER_DT.
+
+    The ledger's preconditions (s <= 1/2, the frozen entry, admissibility)
+    raise before any stepping.  The draws, a group on one grid, are then
+    stepped together (heat.evolve_with_potential) and each keeps its own
+    failures.  If the step refuses the group (a potential with ||V|| dt >=
+    1/2, or one off its draw's grid), each draw is stepped alone, and the
+    series of one it refuses holds that error as its one failure, with no
+    states: no draw's failure changes another draw's series.
+    """
+    _admissible_constants(p, w)
+    u0s = [u0 for u0, _ in draws]
+    try:
+        v = np.array([V.sample(u0) for u0, V in draws])
+        stream = evolve_with_potential(u0s, v, 1.0, p, dt=LEDGER_DT)
+        return tilted_series(u0s[0], stream, w.lam, p, v)
+    except PreconditionError as exc:
+        if len(draws) == 1:
+            return [TiltedSeries(u0s[0], np.empty(0), {}, [(0, exc)])]
+    return [flow for draw in draws for flow in ledger_series([draw], w, p)]
+
+
+def carleman_linear_check(flow: TiltedSeries, V: PotentialField,
                           w: LinearWeight, p: OperatorParams
                           ) -> CheckReport:
-    """Evolve the flow under V (sampled on u0's grid) over [0, 1] and fill
-    the inequality ledger.
+    """Fill the inequality ledger of one draw's flow under V over [0, 1].
 
+    ``flow`` is the draw's series from ledger_series, read here the way
+    monotonicity_check reads the free flow's; its first failure raises.
     Asserted is
 
         1/2 int H + 3/8 (mu - A)^2 int t(1-t) H
@@ -504,17 +547,16 @@ def carleman_linear_check(u0: GridFunction, V: PotentialField,
     together with the corollary form in which the final mass is absorbed
     through the persistence bound; the report passes when both hold.  All
     time integrals are trapezoid sums over the solver's uniform step grid
-    of spacing LEDGER_DT.  C1 and C2 are the frozen table's.  The report
+    of spacing LEDGER_DT.  C1 and C2 are the frozen table's, and the
+    ledger's preconditions raise before the flow is read.  The report
     measures both slacks, the flagged terms and the C1 the draw needs (see
     _ledger); a failing report carries the whole ledger as its witness.
     """
     c1, c2 = _admissible_constants(p, w)
-    v = V.sample(u0)
-    stream = evolve_with_potential(u0, v, 1.0, p, dt=LEDGER_DT)
-    flow = tilted_series(u0, stream, w.lam, p, v).checked()
+    flow = flow.checked()
     ledger = _ledger(flow.times, flow.weighted(w.drift), w, p, c1, c2,
                      {"s": p.s, "m": p.m, "lam": w.lam, "drift": w.drift,
-                      "L": u0.L, "n": u0.n, "dt": LEDGER_DT,
+                      "L": flow.grid.L, "n": flow.grid.n, "dt": LEDGER_DT,
                       "sup_v": V.sup_norm})
     passed = ledger["passed"] and ledger["corollary_passed"]
     return CheckReport(
@@ -556,8 +598,9 @@ def calibrate_constants(p: OperatorParams, lam: float, *, draws: int,
     """Empirical sweep that fixes the two free constants.
 
     For each corpus draw the trajectory and its tilted integrals are
-    computed once with the drift factored out; candidate drifts then reuse
-    them.  The admissibility threshold is the least drift gap (scanned
+    computed once with the drift factored out, the draws stepped in the
+    ledger's groups (draw_groups); candidate drifts then reuse them.  The
+    admissibility threshold is the least drift gap (scanned
     over _GAP_OFFSETS below -m^(2s)) at which the production-rate bound
     and both ledger inequalities hold corpus-wide with C1 free, and C2
     freezes its square.  C1 freezes at twice the worst forcing deficit
@@ -568,12 +611,16 @@ def calibrate_constants(p: OperatorParams, lam: float, *, draws: int,
     mu = LinearWeight(lam, 0.0).eigenvalue(p)
     zero_order = p.m ** (2.0 * p.s)
     fine, coarse = [], []
-    for u0, V in carleman_corpus(L, n, draws, seed):
-        v = V.sample(u0)
-        fine.append(tilted_series(u0, evolve_with_potential(
-            u0, v, _FINE_T, p, dt=_FINE_DT), lam, p, v).checked())
-        coarse.append(tilted_series(u0, evolve_with_potential(
-            u0, v, 1.0, p, dt=LEDGER_DT), lam, p, v).checked())
+    for group in draw_groups(carleman_corpus(L, n, draws, seed)):
+        u0s = [u0 for u0, _ in group]
+        v = np.array([V.sample(u0) for u0, V in group])
+        flows = [tilted_series(u0s[0], evolve_with_potential(
+            u0s, v, T, p, dt=dt), lam, p, v)
+            for T, dt in ((_FINE_T, _FINE_DT), (1.0, LEDGER_DT))]
+        # draw by draw, as the first failure of a draw-by-draw sweep
+        for f_flow, c_flow in zip(*flows):
+            fine.append(f_flow.checked())
+            coarse.append(c_flow.checked())
 
     # the scan's C1; the ledger's c1_need does not depend on it
     probe_c1 = 1.0

@@ -15,8 +15,9 @@ and integrated from it, the slice-by-slice quadratic Carleman operand
 terms and the per-operand headroom, the whole-matrix refined trapezoid of
 the Macdonald and subordination quadratures, the positivity sweep block
 by block with a_xi beside b_xi, the subordination multiplier with expm1
-on every node, the whole ledger behind a linear Carleman report) and five
-checks that no suite runs.  The checks keep their report names.
+on every node, the whole ledger behind a linear Carleman report, and that
+report for one draw stepped alone) and five checks that no suite runs.
+The checks keep their report names.
 """
 from __future__ import annotations
 
@@ -33,13 +34,13 @@ from fracrel.grid import (GridFunction, SpaceTimeFunction,
                           band_limited_noise, grid_points,
                           require_seam_decay, smooth_window)
 from fracrel.heat import (CHUNK_ROWS, PotentialField, TiltedSeries,
-                          _tilted_energy, evolve_with_potential,
-                          tilted_integrals)
-from fracrel.linear_carleman import (_DDOT_TOLERANCE, LEDGER_DT,
-                                     LinearWeight, _admissible_constants,
-                                     _ledger, _production, _production_rate,
+                          _tilted_energy, tilted_integrals)
+from fracrel.linear_carleman import (_DDOT_TOLERANCE, LinearWeight,
+                                     _admissible_constants, _ledger,
+                                     _production, _production_rate,
                                      _require_energy_split,
-                                     _uniform_spacing, tilted_series)
+                                     _uniform_spacing, carleman_linear_check,
+                                     ledger_series, tilted_series)
 from fracrel.operator import (OperatorParams, _kernel_weights,
                               _require_singular_ok, apply_spectral,
                               frequencies, symbol)
@@ -656,16 +657,17 @@ def stored_series(traj: SpaceTimeFunction, lam: float, p: OperatorParams,
                   with_energy: bool = True) -> TiltedSeries:
     """linear_carleman.tilted_series of a stored trajectory, read chunk by
     chunk; the first failure of the pass is raised."""
-    return tilted_series(traj, stored_chunks(traj), lam, p,
-                         None if V is None else V.sample(traj),
-                         with_energy).checked()
+    [flow] = tilted_series(traj, stored_chunks(traj), lam, p,
+                           None if V is None else V.sample(traj),
+                           with_energy)
+    return flow.checked()
 
 
 def mass_series(grid, chunks, lam: float) -> TiltedSeries:
     """The tilted mass alone along a stream of states: the one term that
     linear_carleman.tent_identity_check reads, without the production."""
-    flow = tilted_integrals(grid, chunks, lam, ("tilted mass integrand",),
-                            lambda rows: [rows ** 2])
+    [flow] = tilted_integrals(grid, chunks, lam, ("tilted mass integrand",),
+                              lambda rows: [rows ** 2])
     return flow._replace(terms={"mass": flow.terms["tilted mass integrand"]})
 
 
@@ -725,15 +727,22 @@ def ddot_lower_bound_check(traj: SpaceTimeFunction, w: LinearWeight,
          "rhs": float(rhs[k]), "scale": float(scale[k])})
 
 
+def ledger_check(u0: GridFunction, V: PotentialField, w: LinearWeight,
+                 p: OperatorParams) -> CheckReport:
+    """linear_carleman.carleman_linear_check of the one draw (u0, V), its
+    flow stepped alone (linear_carleman.ledger_series)."""
+    [flow] = ledger_series([(u0, V)], w, p)
+    return carleman_linear_check(flow, V, w, p)
+
+
 def ledger_terms(u0: GridFunction, V: PotentialField, w: LinearWeight,
                  p: OperatorParams) -> dict:
     """The whole ledger linear_carleman.carleman_linear_check fills for
     (u0, V), at the frozen constants and on the same flow, which its report
     carries only when it fails; ``inputs`` is left empty."""
     c1, c2 = _admissible_constants(p, w)
-    v = V.sample(u0)
-    flow = tilted_series(u0, evolve_with_potential(
-        u0, v, 1.0, p, dt=LEDGER_DT), w.lam, p, v).checked()
+    [flow] = ledger_series([(u0, V)], w, p)
+    flow = flow.checked()
     return _ledger(flow.times, flow.weighted(w.drift), w, p, c1, c2, {})
 
 

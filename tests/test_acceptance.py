@@ -19,6 +19,7 @@ from fracrel.heat import (energy_identity_check, evolve_free,
                           weighted_decay_check)
 from fracrel.linear_carleman import (LinearWeight, calibrate_constants,
                                      carleman_corpus, carleman_linear_check,
+                                     draw_groups, ledger_series,
                                      load_calibration, tent_identity_check)
 from fracrel.operator import (OperatorParams, apply_singular_integral,
                               apply_spectral, apply_subordination,
@@ -239,8 +240,11 @@ def test_criterion_09_linear_carleman():
     bad = []
     w = LinearWeight(0.5, -11.0)
     corpus = carleman_corpus(128.0, 4096, 50, SEED)
-    for i, (u0, V) in enumerate(corpus):
-        led = carleman_linear_check(u0, V, w, P_HALF)
+    # the draws in the runner's groups, the last of two
+    draws = [(draw, flow) for group in draw_groups(corpus)
+             for draw, flow in zip(group, ledger_series(group, w, P_HALF))]
+    for i, ((u0, V), flow) in enumerate(draws):
+        led = carleman_linear_check(flow, V, w, P_HALF)
         if not led.passed:
             bad.append(f"ledger draw {i} slack={led.measured['slack']:.3e}")
         traj = collect(u0, evolve_with_potential(u0, V.sample(u0), 0.05,

@@ -28,7 +28,7 @@ from fracrel.operator import OperatorParams, apply_spectral
 from fracrel.report import frozen_entry
 
 import reference
-from oracles import calibration_tables
+from oracles import calibration_tables, ledger_check
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -340,17 +340,19 @@ def test_heat_suite_passes_on_seeds_0_to_39():
 
 def test_linear_suite_evolves_each_trajectory_once(monkeypatch):
     # the series of one exact free stream feed both the monotonicity and
-    # the tent check, and each ledger draw's stream is stepped once: one
+    # the tent check, and the ledger draws' group is stepped once: one
     # stream per flow, each read to its end, and V sampled once per draw;
-    # the jobs run concurrently, so the streams may start in any order
+    # the two draws of sweep.count 2 form one group, whose stream is one
+    # chunk per state, a row per draw; the jobs run concurrently, so the
+    # streams may start in any order
     free, stepped, samples = [], [], []
 
     def counting(streams, evolve):
         def stream(*args, **kwargs):
-            states = []
-            streams.append(states)
+            chunks = []
+            streams.append(chunks)
             for times, rows in evolve(*args, **kwargs):
-                states.append(len(rows))
+                chunks.append((len(times), len(rows)))
                 yield times, rows
         return stream
 
@@ -362,8 +364,9 @@ def test_linear_suite_evolves_each_trajectory_once(monkeypatch):
                         lambda V, grid: samples.append(1) or sample(V, grid))
     cfg = dict(DEFAULTS, **{"sweep.count": 2})
     reports = cli._suite_linear(cfg)
-    assert [sum(states) for states in free] == [1001]
-    assert sorted(sum(states) for states in stepped) == [101, 101]
+    assert [sum(t for t, _ in chunks) for chunks in free] == [1001]
+    assert [sum(t for t, _ in chunks) for chunks in stepped] == [101]
+    assert {shape for chunks in stepped for shape in chunks} == {(1, 2)}
     assert len(samples) == cfg["sweep.count"]
     assert [r.name for r in reports[:2]] == [
         "linear_carleman.monotonicity", "linear_carleman.tent_identity"]
@@ -395,6 +398,73 @@ def test_linear_suite_output_does_not_depend_on_the_cpus(tmp_path,
     assert outputs[0] == outputs[1] == outputs[2]
     assert [r["inputs"].get("draw") for r in json.loads(
         outputs[0][0])["reports"]] == [None, None, 0, 1, 2, 3]
+
+
+def test_linear_suite_runs_without_sched_getaffinity(monkeypatch):
+    # macOS and Windows builds of CPython have no os.sched_getaffinity; the
+    # suite sizes its pool by os.cpu_count there
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    reports = cli._suite_linear(dict(DEFAULTS, **{"sweep.count": 2}))
+    assert [r.name for r in reports] == [
+        "linear_carleman.monotonicity", "linear_carleman.tent_identity",
+        "linear_carleman.ledger", "linear_carleman.ledger"]
+    assert all(r.passed for r in reports)
+
+
+def ledger_dicts(reports) -> list:
+    """The ledger reports' dicts, without their wall times."""
+    return [{k: v for k, v in r.to_dict().items() if k != "wall_time_s"}
+            for r in reports if r.name == "linear_carleman.ledger"]
+
+
+def test_ledger_reports_do_not_depend_on_the_grouping():
+    # draw 4 is alone in its group at sweep.count 5 and stepped with draws
+    # 5 to 7 at sweep.count 8; draws 0 to 3 are one group in both
+    five, eight = (ledger_dicts(cli._suite_linear(
+        dict(DEFAULTS, **{"sweep.count": count}))) for count in (5, 8))
+    assert [d["inputs"]["draw"] for d in eight] == list(range(8))
+    assert five == eight[:5]
+
+
+def solo_dict(draw, u0, V, cfg) -> dict:
+    """The ledger report of the draw (u0, V) stepped alone, as the runner
+    names and stamps it, without its wall time."""
+    w = linear_carleman.LinearWeight(cfg["linear.lam"], cfg["linear.drift"])
+    p = OperatorParams(cfg["operator.s"], cfg["operator.m"])
+
+    def check():
+        rep = ledger_check(u0, V, w, p)
+        rep.inputs["draw"] = draw
+        return rep
+    return ledger_dicts([cli._checked("linear_carleman.ledger", check)])[0]
+
+
+@pytest.mark.parametrize("fail, error", [
+    # the potential past ||V|| dt < 1/2 refuses the group's step
+    (lambda u0, V: (u0, heat.PotentialField(
+        V.profile.with_values(60.0 * V.profile.values))),
+     "PreconditionError: need ||V|| * dt < 1/2 for the step, got 0.6"),
+    # unwindowed data leak at the seam at the first state
+    (lambda u0, V: (u0.with_values(u0.values + 1e-3), V),
+     "SeamLeakError: tilted mass integrand has relative magnitude ")])
+def test_one_failing_draw_leaves_its_group_mates(monkeypatch, fail, error):
+    # draw 2 of the group of draws 0 to 3 fails: its report is the error it
+    # meets stepped alone, and each other draw's report is its solo one
+    cfg = dict(DEFAULTS, **{"sweep.count": 5})
+    corpus = linear_carleman.carleman_corpus
+
+    def failing_corpus(*args):
+        for i, (u0, V) in enumerate(corpus(*args)):
+            yield fail(u0, V) if i == 2 else (u0, V)
+
+    monkeypatch.setattr(linear_carleman, "carleman_corpus", failing_corpus)
+    got = ledger_dicts(cli._suite_linear(cfg))
+    draws = list(failing_corpus(cfg["linear.L"], int(cfg["linear.n"]),
+                                cfg["sweep.count"], cli._corpus_seed(cfg)))
+    assert got == [solo_dict(i, u0, V, cfg) for i, (u0, V)
+                   in enumerate(draws)]
+    assert got[2]["measured"]["error"].startswith(error)
+    assert [d["passed"] for d in got] == [True, True, False, True, True]
 
 
 def test_linear_suite_holds_no_trajectory():

@@ -28,13 +28,15 @@ from fracrel.linear_carleman import (LinearWeight, TILTED_MASS_COEFF,
                                      _tent_residuals,
                                      calibrate_constants,
                                      carleman_corpus, carleman_linear_check,
+                                     ledger_series,
                                      load_calibration, monotonicity_check,
                                      tent_identity_check, tilted_series)
 from fracrel import operator as op
 from fracrel.operator import OperatorParams, apply_spectral
 from oracles import (carre_du_champ, collect, constant_potential,
                      ddot_lower_bound_check, fourier_mode, functional_D,
-                     functional_H, ledger_terms, mass_series,
+                     functional_H, ledger_check, ledger_terms,
+                     mass_series,
                      spectral_carre, state_at, stored_chunks,
                      stored_evolution, stored_series,
                      trapezoid, weighted_integral, weighted_l2,
@@ -70,15 +72,17 @@ def fine_flow(u0, V, T):
 def fine_series(u0, V, T, lam):
     """The tilted series without the energy terms, integrated as the flow
     is stepped: the input of the monotonicity and tent checks."""
-    return tilted_series(u0, fine_stream(u0, V, T), lam, P_HALF,
-                         None if V is None else V.sample(u0),
-                         with_energy=False)
+    [flow] = tilted_series(u0, fine_stream(u0, V, T), lam, P_HALF,
+                           None if V is None else V.sample(u0),
+                           with_energy=False)
+    return flow
 
 
 def stored_input(traj, lam):
     """The same input from a stored free trajectory."""
-    return tilted_series(traj, stored_chunks(traj), lam, P_HALF, None,
-                         with_energy=False)
+    [flow] = tilted_series(traj, stored_chunks(traj), lam, P_HALF, None,
+                           with_energy=False)
+    return flow
 
 
 def one_row(g, t=0.0):
@@ -227,8 +231,9 @@ def assert_streamed_series_equal_the_stored_route(T, dt, forced,
     pot = V if forced else constant_potential(u0, 0.0)
     V = V if forced else None
     v = pot.sample(u0)
-    flow = tilted_series(u0, evolve_with_potential(u0, v, T, P_HALF, dt=dt),
-                         lam, P_HALF, v if forced else None, with_energy)
+    [flow] = tilted_series(u0, evolve_with_potential(u0, v, T, P_HALF,
+                                                     dt=dt),
+                           lam, P_HALF, v if forced else None, with_energy)
     traj = stored_evolution(u0, pot, T, P_HALF, dt)
     stored = stored_series(traj, lam, P_HALF, V, with_energy)
     want = per_row_series(traj, lam, P_HALF, V, with_energy)
@@ -269,6 +274,35 @@ def test_chunked_series_after_a_shorter_final_step(forced, with_energy,
         0.305, 1e-2, forced, with_energy, lam) == 32
 
 
+@pytest.mark.parametrize("draws", [2, heat.CHUNK_ROWS])
+@pytest.mark.parametrize("T", [0.1, 0.305])
+def test_group_stream_is_its_draws_streams(draws, T):
+    # a group stepped together, one chunk per state and a row per draw,
+    # holds each draw's states and series bit for bit as stepped alone,
+    # after 0.305's shorter final step too
+    group = list(carleman_corpus(64.0, 512, draws=draws, seed=3))
+    u0s = [u0 for u0, _ in group]
+    v = np.array([V.sample(u0) for u0, V in group])
+    chunks = list(evolve_with_potential(u0s, v, T, P_HALF, dt=1e-2))
+    assert {(len(t), len(rows)) for t, rows in chunks} == {(1, draws)}
+    flows = tilted_series(u0s[0], iter(chunks), 0.5, P_HALF, v)
+    assert len(flows) == draws
+    for d, u0 in enumerate(u0s):
+        alone = collect(u0, evolve_with_potential(u0, v[d], T, P_HALF,
+                                                  dt=1e-2))
+        assert np.array_equal(np.concatenate([t for t, _ in chunks]),
+                              alone.times)
+        assert np.array_equal([rows[d] for _, rows in chunks], alone.values)
+        [want] = tilted_series(u0, evolve_with_potential(
+            u0, v[d], T, P_HALF, dt=1e-2), 0.5, P_HALF, v[d])
+        assert flows[d].failures == want.failures == []
+        assert np.array_equal(flows[d].times, want.times)
+        assert list(flows[d].terms) == list(want.terms)
+        for name in want.terms:
+            assert np.array_equal(flows[d].terms[name],
+                                  want.terms[name]), name
+
+
 def indexed_states(nt, L=64.0, n=512):
     """nt constant states whose values are their indices 0, 1, ..., so a
     chunk's rows name their states."""
@@ -279,7 +313,9 @@ def indexed_states(nt, L=64.0, n=512):
 def integrate(traj, lam, what, integrands):
     """tilted_integrals over a stored trajectory, CHUNK_ROWS states at a
     time."""
-    return tilted_integrals(traj, stored_chunks(traj), lam, what, integrands)
+    [flow] = tilted_integrals(traj, stored_chunks(traj), lam, what,
+                              integrands)
+    return flow
 
 
 def by_state(integrands):
@@ -652,7 +688,7 @@ def test_tent_identity_needs_unit_interval():
 def test_ledger_zero_data():
     z = GridFunction(128.0, 4096, np.zeros(4096))
     zero = constant_potential(z, 0.0)
-    rep = carleman_linear_check(z, zero, W_MAIN, P_HALF)
+    rep = ledger_check(z, zero, W_MAIN, P_HALF)
     assert rep.passed and rep.witness is None
     assert rep.measured["flagged"] == []
     led = ledger_terms(z, zero, W_MAIN, P_HALF)
@@ -665,7 +701,7 @@ def test_ledger_zero_data():
 def test_ledger_free_flow_floor():
     u0, _ = corpus_draw(0)
     zero = constant_potential(u0, 0.0)
-    assert carleman_linear_check(u0, zero, W_MAIN, P_HALF).passed
+    assert ledger_check(u0, zero, W_MAIN, P_HALF).passed
     led = ledger_terms(u0, zero, W_MAIN, P_HALF)
     assert led["passed"] and led["corollary_passed"]
     assert led["rhs_terms"]["forcing"] == 0.0
@@ -675,7 +711,7 @@ def test_ledger_free_flow_floor():
 
 def test_ledger_forced_draw():
     u0, V = corpus_draw(1)
-    rep = carleman_linear_check(u0, V, W_MAIN, P_HALF)
+    rep = ledger_check(u0, V, W_MAIN, P_HALF)
     assert rep.passed and rep.witness is None
     assert rep.inputs == {"lam": 0.5, "drift": -11.0, "s": 0.5, "m": 1.0}
     assert rep.tolerance == 0.0
@@ -710,7 +746,7 @@ def test_failing_ledger_report_carries_the_whole_ledger(monkeypatch):
     frozen = load_calibration(P_HALF, W_MAIN.lam)
     monkeypatch.setattr(linear_carleman, "load_calibration",
                         lambda p, lam: dict(frozen, C1=-1e6))
-    rep = carleman_linear_check(u0, V, W_MAIN, P_HALF)
+    rep = ledger_check(u0, V, W_MAIN, P_HALF)
     assert not rep.passed
     assert set(rep.measured) == {"slack", "corollary_slack", "flagged",
                                  "c1_need"}
@@ -735,12 +771,12 @@ def test_c1_needs_are_the_least_forcing_constants(monkeypatch):
     # bound report on a forced draw: at C1 = need the inequality holds with
     # one form tight, and a thousandth below the need it fails
     u0, V = corpus_draw(0)
-    need = carleman_linear_check(u0, V, W_MAIN, P_HALF).measured["c1_need"]
+    need = ledger_check(u0, V, W_MAIN, P_HALF).measured["c1_need"]
     frozen = load_calibration(P_HALF, W_MAIN.lam)
     for c1, holds in ((need, True), (need - 1e-3 * (1.0 + abs(need)), False)):
         monkeypatch.setattr(linear_carleman, "load_calibration",
                             lambda p, lam: dict(frozen, C1=c1))
-        rep = carleman_linear_check(u0, V, W_MAIN, P_HALF)
+        rep = ledger_check(u0, V, W_MAIN, P_HALF)
         worst = min(rep.measured["slack"], rep.measured["corollary_slack"])
         assert rep.passed is holds
         assert rep.measured["c1_need"] == need
@@ -762,15 +798,38 @@ def test_ledger_check_peak_memory():
     # 2.2 MiB (2.7 MiB with a buffer per chunk, made while the last one
     # still lived, and states copied from a list into each chunk)
     u0, V = corpus_draw(1)
-    carleman_linear_check(u0, V, W_MAIN, P_HALF)
+    ledger_check(u0, V, W_MAIN, P_HALF)
     tracemalloc.start()
     try:
-        rep = carleman_linear_check(u0, V, W_MAIN, P_HALF)
+        rep = ledger_check(u0, V, W_MAIN, P_HALF)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rep.passed
     assert peak <= 2.2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_ledger_group_peak_memory():
+    # a group of four draws is stepped together, one state of each per
+    # chunk, and its series are integrated as it is stepped: series and
+    # checks peak at 2.13 MiB, where the group's 101 states stored
+    # (101 x 4 x 4096 doubles, 12.6 MiB) peak at 14.4 MiB
+    group = [corpus_draw(i) for i in range(heat.CHUNK_ROWS)]
+
+    def checks():
+        flows = ledger_series(group, W_MAIN, P_HALF)
+        return [carleman_linear_check(flow, V, W_MAIN, P_HALF)
+                for flow, (_, V) in zip(flows, group)]
+
+    checks()
+    tracemalloc.start()
+    try:
+        reports = checks()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(rep.passed for rep in reports)
+    assert peak <= 3.0 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_ledger_scaling_covariance():
@@ -791,7 +850,7 @@ def test_ledger_corpus_sweep():
     min_slack = math.inf
     for i in range(6):
         u0, V = corpus_draw(i)
-        rep = carleman_linear_check(u0, V, W_MAIN, P_HALF)
+        rep = ledger_check(u0, V, W_MAIN, P_HALF)
         assert rep.passed, f"draw {i}"
         assert rep.measured["flagged"] == [], f"draw {i}"
         min_slack = min(min_slack, rep.measured["slack"],
@@ -804,11 +863,11 @@ def test_ledger_gatekeeping():
     u0, _ = corpus_draw(0)
     zero = constant_potential(u0, 0.0)
     with pytest.raises(AdmissibilityError):
-        carleman_linear_check(u0, zero, LinearWeight(0.5, -0.9), P_HALF)
+        ledger_check(u0, zero, LinearWeight(0.5, -0.9), P_HALF)
     with pytest.raises(PreconditionError):
-        carleman_linear_check(u0, zero, W_MAIN, OperatorParams(0.6, 1.0))
+        ledger_check(u0, zero, W_MAIN, OperatorParams(0.6, 1.0))
     with pytest.raises(CalibrationError):
-        carleman_linear_check(u0, zero, LinearWeight(0.3, -11.0), P_HALF)
+        ledger_check(u0, zero, LinearWeight(0.3, -11.0), P_HALF)
 
 
 def test_ledger_rejects_nonfinite_terms():
