@@ -6,9 +6,11 @@ semigroup property hold to rounding on the grid.
 A bounded time-independent potential V, given by its samples, enters
 through the Duhamel form, whose per-step equation is pointwise diagonal
 and is solved in closed form; one sample of V serves a flow's steps and
-integrands.  A group of draws on one grid is stepped together, one
-transform pair per step for the group.  Both flows are streams of chunks
-of states, integrated as they are made; the heat layer stores no flow.
+integrands.  It steps a group of draws on one grid, a lone draw being a
+group of one, with one transform pair per step for the group.  Both flows
+are streams of chunks of states, integrated as they are made: the free
+flow's chunks hold CHUNK_ROWS of its states, the potential flow's one
+state of its group; the heat layer stores no flow.
 Weighted energies refuse to integrate data that has not decayed at the
 periodic seam, since the exponential weight would turn wrap-around into
 silent garbage.
@@ -26,8 +28,9 @@ from .grid import SEAM_TOL, GridFunction, require_seam_decay, seam_magnitude
 from .operator import OperatorParams, frequencies, symbol
 from .report import CheckReport, finish_report
 
-# Rows per chunk of an evolution stream: CHUNK_ROWS consecutive states of
-# one flow, or one state of a group of CHUNK_ROWS draws stepped together.
+# Rows per chunk of a stream: CHUNK_ROWS consecutive states of the free
+# flow (evolve_free), or one state of a group of at most CHUNK_ROWS draws
+# stepped together (evolve_with_potential, in linear_carleman's groups).
 # Four batch the transforms and row sums about as well as 8 or 64 do, and
 # keep a chunk's arrays near 1 MB (six integrands at n = 4096), which is
 # what the peak memory sees.
@@ -207,8 +210,9 @@ def tilted_integrals(grid, chunks: Iterable, lam: float,
     I named in ``what``: one TiltedSeries per draw of the stream, each with
     its terms, by name, and the failures met as (index in ``what``, error)
     pairs.  A chunk's rows hold, draw after draw, each draw's states at its
-    times, so a stream of one draw has as many rows as times and a group's
-    stream (evolve_with_potential) one time and a row per draw.
+    times: a free flow's stream (evolve_free) has as many rows as times,
+    and a potential flow's (evolve_with_potential) one time and a row per
+    draw of its group.
     ``integrands(rows)`` yields, in the order of ``what``, each integrand's
     values on a chunk's rows.
 
@@ -325,34 +329,33 @@ def log_convexity_check(u0: GridFunction, lam: float, p: OperatorParams,
     )
 
 
-def evolve_with_potential(u0, v: np.ndarray, T: float, p: OperatorParams,
+def evolve_with_potential(draws, v: np.ndarray, T: float, p: OperatorParams,
                           dt: float = 1e-2
                           ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """March the potential problem with the trapezoid Duhamel step.
 
-    ``u0`` is one draw's data, a GridFunction, or a group's, a sequence of
-    GridFunctions on one grid (else PreconditionError); ``v`` holds each
-    draw's potential sampled on that grid, a row per draw in u0's order
-    (shape (n,) for one draw).  V is time-independent, so ``v``, taken once
-    by the caller for the flow's integrands too, serves both ends of every
-    step.  Each step solves
+    ``draws`` is a group's data, a sequence of GridFunctions on one grid
+    (else PreconditionError), a lone draw being a group of one; ``v`` holds
+    each draw's potential sampled on that grid, a row per draw in the
+    group's order.  V is time-independent, so ``v``, taken once by the
+    caller for the flow's integrands too, serves both ends of every step.
+    Each step solves
 
         u_{k+1} = K_dt (u_k + (dt/2) V u_k) + (dt/2) V u_{k+1},
 
     which is pointwise diagonal in u_{k+1}, so it is solved exactly by one
-    division; max |v| dt < 1/2 keeps the divisor above 3/4.  A group's
-    states are stepped together, one transform pair per step, and each of
-    its rows takes the operations one draw's row takes.  Steps are dt
-    except a final shorter one that lands on T.  Yields the states at t = 0
-    and after every step as (times, rows) chunks, each stepped when it is
-    asked for: CHUNK_ROWS states of one draw, or one state of a group, a
-    row per draw; bad arguments raise at the first chunk.
+    division; max |v| dt < 1/2 keeps the divisor above 3/4.  The group's
+    states are stepped together, one transform pair per step, each row by
+    the same operations.  Steps are dt except a final shorter one that
+    lands on T.  Yields the states at t = 0 and after every step, each
+    stepped when it is asked for, as (times, rows) chunks of one state of
+    the group: one time and a row per draw, in an array of its own; bad
+    arguments raise at the first chunk.
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ConfigError(f"dt must be positive and finite, got {dt!r}")
     if T <= 0.0:
         raise DomainError(f"horizon must be positive, got T={T:g}")
-    draws = [u0] if isinstance(u0, GridFunction) else list(u0)
     grid = draws[0]
     if any((g.L, g.n) != (grid.L, grid.n) for g in draws):
         raise PreconditionError("the draws of a group share one grid")
@@ -362,26 +365,13 @@ def evolve_with_potential(u0, v: np.ndarray, T: float, p: OperatorParams,
         raise PreconditionError(
             f"need ||V|| * dt < 1/2 for the step, got "
             f"{peaks[np.argmax(peaks >= 0.5)]:g}")
-    times, steps = [0.0], []
-    t = 0.0
-    while t < T - 1e-12 * max(1.0, T):
-        steps.append(min(dt, T - t))
-        t += steps[-1]
-        times.append(t)
     sig = symbol(p, frequencies(grid.L, grid.n))
     # every step but a shorter final one shares the full step's decay
     full = np.exp(-dt * sig)
-    # a chunk is `per` states of every draw; one of the two counts is 1, so
-    # its (per, draws, n) block is its rows in stream order
-    per = CHUNK_ROWS if len(draws) == 1 else 1
-    # each state is written into its chunk, which goes out once full
-    rows, filled = np.empty((per, len(draws), grid.n)), 1
-    np.stack([g.values for g in draws], out=rows[0])
-    u = rows[0]
-    for k, step in enumerate(steps, 1):
-        if filled == per:
-            yield np.array(times[k - per:k]), rows.reshape(-1, grid.n)
-            rows, filled = np.empty((per, len(draws), grid.n)), 0
+    t, u = 0.0, np.stack([g.values for g in draws])
+    yield np.array([t]), u
+    while t < T - 1e-12 * max(1.0, T):
+        step = min(dt, T - t)
         # one scratch array per step holds u + half_v u, then the divisor
         # 1 - half_v, with half_v = (step / 2) v formed as the step is taken
         scratch = 0.5 * step * v
@@ -391,7 +381,7 @@ def evolve_with_potential(u0, v: np.ndarray, T: float, p: OperatorParams,
         spec *= full if step == dt else np.exp(-step * sig)
         np.multiply(0.5 * step, v, out=scratch)
         np.subtract(1.0, scratch, out=scratch)
-        u = np.divide(np.fft.irfft(spec, grid.n), scratch, out=rows[filled])
-        filled += 1
-    yield (np.array(times[len(times) - filled:]),
-           rows[:filled].reshape(-1, grid.n))
+        u = np.fft.irfft(spec, grid.n)
+        u /= scratch
+        t += step
+        yield np.array([t]), u

@@ -512,11 +512,12 @@ def ledger_series(draws: list, w: LinearWeight, p: OperatorParams
 
     The ledger's preconditions (s <= 1/2, the frozen entry, admissibility)
     raise before any stepping.  The draws, a group on one grid, are then
-    stepped together (heat.evolve_with_potential) and each keeps its own
-    failures.  If the step refuses the group (a potential with ||V|| dt >=
-    1/2, or one off its draw's grid), each draw is stepped alone, and the
-    series of one it refuses holds that error as its one failure, with no
-    states: no draw's failure changes another draw's series.
+    stepped together (heat.evolve_with_potential), each chunk one state of
+    the group, and each draw keeps its own failures.  If the step refuses
+    the group (a potential with ||V|| dt >= 1/2, or one off its draw's
+    grid), each draw is stepped again as a group of one, and the series of
+    one it refuses holds that error as its one failure, with no states: no
+    draw's failure changes another draw's series.
     """
     _admissible_constants(p, w)
     u0s = [u0 for u0, _ in draws]

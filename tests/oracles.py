@@ -16,8 +16,8 @@ terms and the per-operand headroom, the whole-matrix refined trapezoid of
 the Macdonald and subordination quadratures, the positivity sweep block
 by block with a_xi beside b_xi, the subordination multiplier with expm1
 on every node, the whole ledger behind a linear Carleman report, and that
-report for one draw stepped alone) and five checks that no suite runs.
-The checks keep their report names.
+report for one draw stepped as a group of one) and five checks that no
+suite runs.  The checks keep their report names.
 """
 from __future__ import annotations
 
@@ -730,7 +730,7 @@ def ddot_lower_bound_check(traj: SpaceTimeFunction, w: LinearWeight,
 def ledger_check(u0: GridFunction, V: PotentialField, w: LinearWeight,
                  p: OperatorParams) -> CheckReport:
     """linear_carleman.carleman_linear_check of the one draw (u0, V), its
-    flow stepped alone (linear_carleman.ledger_series)."""
+    flow stepped as a group of one (linear_carleman.ledger_series)."""
     [flow] = ledger_series([(u0, V)], w, p)
     return carleman_linear_check(flow, V, w, p)
 

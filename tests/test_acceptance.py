@@ -202,7 +202,7 @@ def _residual_draws(count):
     for _ in range(count):
         prof = band_limited_noise(40.0, 2048, k_max=30, rng=rng)
         yield (collect(u0, evolve_with_potential(
-            u0, prof.values, 0.5, P_HALF,
+            [u0], prof.values, 0.5, P_HALF,
             dt=1e-2)),
             prof.values)
 
@@ -213,7 +213,7 @@ def test_criterion_08_mild_solution():
     free = collect(u0, evolve_free(u0, [1.0], P_HALF)).values[-1]
     for c in (1.0, -1.0, 0.5):
         traj = collect(u0, evolve_with_potential(
-            u0, np.full(u0.n, c), 1.0, P_HALF,
+            [u0], np.full(u0.n, c), 1.0, P_HALF,
             dt=5e-3))
         want = math.exp(c) * free
         rel = np.max(np.abs(traj.values[-1] - want)) / np.max(np.abs(want))
@@ -247,14 +247,14 @@ def test_criterion_09_linear_carleman():
         led = carleman_linear_check(flow, V, w, P_HALF)
         if not led.passed:
             bad.append(f"ledger draw {i} slack={led.measured['slack']:.3e}")
-        traj = collect(u0, evolve_with_potential(u0, V.sample(u0), 0.05,
+        traj = collect(u0, evolve_with_potential([u0], V.sample(u0), 0.05,
                                                  P_HALF, dt=1e-3))
         rep = ddot_lower_bound_check(traj, w, P_HALF, V=V)
         if not rep.passed:
             bad.append(f"production-rate bound draw {i}")
     u0 = gaussian(128.0, 4096, sigma=2.0)
     mass = mass_series(u0, evolve_with_potential(
-        u0, np.full(u0.n, 0.0), 1.0, P_HALF,
+        [u0], np.full(u0.n, 0.0), 1.0, P_HALF,
         dt=1e-3), w.lam)
     tent = tent_identity_check(mass, w, tolerance=1e-4)
     if tent.measured["max_residual"] > 1e-4:

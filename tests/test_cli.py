@@ -418,8 +418,8 @@ def ledger_dicts(reports) -> list:
 
 
 def test_ledger_reports_do_not_depend_on_the_grouping():
-    # draw 4 is alone in its group at sweep.count 5 and stepped with draws
-    # 5 to 7 at sweep.count 8; draws 0 to 3 are one group in both
+    # draw 4 is a group of one at sweep.count 5 and stepped with draws 5
+    # to 7 at sweep.count 8; draws 0 to 3 are one group in both
     five, eight = (ledger_dicts(cli._suite_linear(
         dict(DEFAULTS, **{"sweep.count": count}))) for count in (5, 8))
     assert [d["inputs"]["draw"] for d in eight] == list(range(8))
@@ -427,8 +427,8 @@ def test_ledger_reports_do_not_depend_on_the_grouping():
 
 
 def solo_dict(draw, u0, V, cfg) -> dict:
-    """The ledger report of the draw (u0, V) stepped alone, as the runner
-    names and stamps it, without its wall time."""
+    """The ledger report of the draw (u0, V) stepped as a group of one, as
+    the runner names and stamps it, without its wall time."""
     w = linear_carleman.LinearWeight(cfg["linear.lam"], cfg["linear.drift"])
     p = OperatorParams(cfg["operator.s"], cfg["operator.m"])
 
@@ -449,7 +449,7 @@ def solo_dict(draw, u0, V, cfg) -> dict:
      "SeamLeakError: tilted mass integrand has relative magnitude ")])
 def test_one_failing_draw_leaves_its_group_mates(monkeypatch, fail, error):
     # draw 2 of the group of draws 0 to 3 fails: its report is the error it
-    # meets stepped alone, and each other draw's report is its solo one
+    # meets as a group of one, and each other draw's report is its solo one
     cfg = dict(DEFAULTS, **{"sweep.count": 5})
     corpus = linear_carleman.carleman_corpus
 

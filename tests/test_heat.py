@@ -316,7 +316,7 @@ def test_log_convexity_zero_data_trivial():
 def test_picard_zero_potential_matches_free():
     u0 = gaussian(40.0, 4096, sigma=2.0)
     traj = collect(u0, evolve_with_potential(
-        u0, np.full(u0.n, 0.0), 1.0, P_HALF))
+        [u0], np.full(u0.n, 0.0), 1.0, P_HALF))
     free = free_states(u0, [1.0])
     assert traj.times[-1] == pytest.approx(1.0)
     assert np.max(np.abs(traj.values[-1] - free.values[-1])) <= 1e-9
@@ -325,7 +325,7 @@ def test_picard_zero_potential_matches_free():
     # largest gap is 1.6e-14 of max |u0|)
     u0 = gaussian(128.0, 4096, sigma=2.0)
     traj = collect(u0, evolve_with_potential(
-        u0, np.full(u0.n, 0.0), 1.0, P_HALF, dt=1e-3))
+        [u0], np.full(u0.n, 0.0), 1.0, P_HALF, dt=1e-3))
     free = free_states(u0, np.linspace(0.0, 1.0, 1001))
     assert traj.nt == free.nt == 1001
     np.testing.assert_allclose(traj.times, free.times, rtol=0.0, atol=1e-12)
@@ -342,7 +342,7 @@ def test_steps_are_the_closed_form_bit_for_bit():
     v = prof.values
     sig = symbol(P_HALF, frequencies(40.0, 1024))
     traj = collect(u0, evolve_with_potential(
-        u0, prof.values, 0.305, P_HALF))
+        [u0], prof.values, 0.305, P_HALF))
     # the step grid: dt until the horizon is within one step
     steps = [min(1e-2, 0.305 - t) for t in traj.times[:-1]]
     assert steps[0] == 1e-2 and steps[-1] < 1e-2
@@ -360,7 +360,7 @@ def test_picard_constant_potential_oracle():
     free = free_states(u0, [1.0]).values[-1]
     for c in (1.0, -1.0, 0.5):
         traj = collect(u0, evolve_with_potential(
-            u0, np.full(u0.n, c), 1.0, P_HALF,
+            [u0], np.full(u0.n, c), 1.0, P_HALF,
             dt=5e-3))
         want = math.exp(c) * free
         rel = np.max(np.abs(traj.values[-1] - want)) / np.max(np.abs(want))
@@ -376,7 +376,7 @@ def test_step_solves_duhamel_equation():
         prof = band_limited_noise(40.0, 2048, k_max=30, rng=rng)
         v = prof.values
         traj = collect(u0, evolve_with_potential(
-            u0, prof.values, 0.5, P_HALF))
+            [u0], prof.values, 0.5, P_HALF))
         assert traj.nt == 51
         for k, dt in enumerate(np.diff(traj.times)):
             now, nxt = traj.values[k], traj.values[k + 1]
@@ -391,25 +391,26 @@ def test_picard_preconditions():
     u0 = gaussian(40.0, 1024)
     with pytest.raises(PreconditionError):
         next(evolve_with_potential(
-            u0, np.full(u0.n, 2.0), 1.0, P_HALF,
+            [u0], np.full(u0.n, 2.0), 1.0, P_HALF,
             dt=0.3))
     with pytest.raises(DomainError):
         next(evolve_with_potential(
-            u0, np.full(u0.n, 0.1), -1.0, P_HALF))
+            [u0], np.full(u0.n, 0.1), -1.0, P_HALF))
 
 
 def test_positivity_preserved():
     u0 = gaussian(40.0, 4096, sigma=1.0)
     traj = collect(u0, evolve_with_potential(
-        u0, np.full(u0.n, 0.3), 1.0, P_HALF))
+        [u0], np.full(u0.n, 0.3), 1.0, P_HALF))
     assert traj.values.min() >= -1e-10
 
 
 def test_evolution_trajectory_layout_and_single_sampling(monkeypatch):
-    # CHUNK_ROWS states per chunk on the solver's step grid, each chunk
-    # stepped only when it is asked for and written into an array of its
-    # own, so a chunk held on is not overwritten by the next; V is sampled
-    # once, by the caller, and the stepper reads the samples
+    # one state of the group per chunk, on the solver's step grid: the
+    # first is u0 as one row, before any transform, and each further chunk
+    # costs one rfft, stepped only when it is asked for and written into an
+    # array of its own, so a chunk held on is not overwritten by the next;
+    # V is sampled once, by the caller, and the stepper reads the samples
     u0 = gaussian(40.0, 1024, sigma=2.0)
     calls, steps = [], []
     real_sample, real_rfft = PotentialField.sample, np.fft.rfft
@@ -418,21 +419,24 @@ def test_evolution_trajectory_layout_and_single_sampling(monkeypatch):
     monkeypatch.setattr(np.fft, "rfft",
                         lambda *a, **k: steps.append(1) or real_rfft(*a, **k))
     v = PotentialField(u0.with_values(0.2 * np.cos(u0.x))).sample(u0)
-    stream = evolve_with_potential(u0, v, 0.22, P_HALF, dt=0.04)
+    stream = evolve_with_potential([u0], v, 0.22, P_HALF, dt=0.04)
     assert calls == [1024] and steps == []
-    times, rows = next(stream)
-    first = rows.copy()
-    assert len(steps) == heat.CHUNK_ROWS - 1
-    chunks = [(times, rows)] + list(stream)
+    chunks = [next(stream)]
+    assert steps == []
+    np.testing.assert_array_equal(chunks[0][0], [0.0])
+    np.testing.assert_array_equal(chunks[0][1], [u0.values])
+    for chunk in stream:
+        chunks.append(chunk)
+        assert len(steps) == len(chunks) - 1
     assert calls == [1024]
-    assert [r.shape for _, r in chunks] == [(heat.CHUNK_ROWS, 1024),
-                                            (7 - heat.CHUNK_ROWS, 1024)]
+    assert [(t.shape, r.shape) for t, r in chunks] == [((1,), (1, 1024))] * 7
     np.testing.assert_allclose(np.concatenate([t for t, _ in chunks]),
                                [0.0, 0.04, 0.08, 0.12, 0.16, 0.2, 0.22],
                                rtol=1e-14)
-    np.testing.assert_array_equal(rows[0], u0.values)
-    np.testing.assert_array_equal(rows, first)
-    assert not np.shares_memory(rows, chunks[1][1])
+    # the first chunk, held while the stream stepped on, is still u0
+    np.testing.assert_array_equal(chunks[0][1], [u0.values])
+    assert not any(np.shares_memory(a, b)
+                   for (_, a), (_, b) in zip(chunks, chunks[1:]))
 
 
 def test_potential_field_contract():
@@ -460,7 +464,7 @@ def test_step_size_validation():
     for dt in (0.0, -1.0, math.nan):
         with pytest.raises(ConfigError):
             next(evolve_with_potential(
-                u0, np.full(u0.n, 0.1), 1.0, P_HALF,
+                [u0], np.full(u0.n, 0.1), 1.0, P_HALF,
                 dt=dt))
 
 
@@ -469,7 +473,7 @@ def test_step_size_validation():
 def test_backward_uc_free():
     u0 = gaussian(40.0, 4096)
     traj = collect(u0, evolve_with_potential(
-        u0, np.full(u0.n, 0.0), 1.0, P_HALF))
+        [u0], np.full(u0.n, 0.0), 1.0, P_HALF))
     rep = backward_uc_check(traj, None, P_HALF)
     assert rep.passed
     assert rep.measured["kappa"] <= 1.0 + 1e-8
@@ -479,7 +483,7 @@ def test_backward_uc_with_potential_reports_kappa():
     rng = np.random.default_rng(11)
     V = PotentialField(band_limited_noise(40.0, 4096, k_max=20, rng=rng))
     u0 = gaussian(40.0, 4096)
-    traj = collect(u0, evolve_with_potential(u0, V.sample(u0), 1.0,
+    traj = collect(u0, evolve_with_potential([u0], V.sample(u0), 1.0,
                                              P_HALF))
     rep = backward_uc_check(traj, V, P_HALF)
     assert rep.passed  # report-only path

@@ -61,7 +61,7 @@ def fine_stream(u0, V, T):
     """The stream of the flow under V (None for none) at the fine step
     1e-3."""
     v = np.full(u0.n, 0.0) if V is None else V.sample(u0)
-    return evolve_with_potential(u0, v, T, P_HALF, dt=1e-3)
+    return evolve_with_potential([u0], v, T, P_HALF, dt=1e-3)
 
 
 def fine_flow(u0, V, T):
@@ -231,7 +231,7 @@ def assert_streamed_series_equal_the_stored_route(T, dt, forced,
     pot = V if forced else constant_potential(u0, 0.0)
     V = V if forced else None
     v = pot.sample(u0)
-    [flow] = tilted_series(u0, evolve_with_potential(u0, v, T, P_HALF,
+    [flow] = tilted_series(u0, evolve_with_potential([u0], v, T, P_HALF,
                                                      dt=dt),
                            lam, P_HALF, v if forced else None, with_energy)
     traj = stored_evolution(u0, pot, T, P_HALF, dt)
@@ -244,7 +244,7 @@ def assert_streamed_series_equal_the_stored_route(T, dt, forced,
         assert np.array_equal(flow.terms[name], stored.terms[name]), name
         assert np.array_equal(flow.terms[name], want[name]), name
     assert np.array_equal(collect(u0, evolve_with_potential(
-        u0, v, T, P_HALF, dt=dt)).values, traj.values)
+        [u0], v, T, P_HALF, dt=dt)).values, traj.values)
     assert np.array_equal(
         weighted_l2(traj, lam),
         [weighted_integral(state_at(traj, i), row ** 2, lam)
@@ -259,7 +259,9 @@ def assert_streamed_series_equal_the_stored_route(T, dt, forced,
 @pytest.mark.parametrize("lam", [0.5, 0.0])
 def test_chunked_series_equal_the_per_row_loop(nt, forced, with_energy,
                                                lam):
-    # states either side of a chunk boundary, and many chunks
+    # the stepper's chunks are one state each, so the nt either side of
+    # CHUNK_ROWS probe the chunk boundaries of the stored route
+    # (oracles.stored_chunks); 101 and 1001 states make many chunks
     assert assert_streamed_series_equal_the_stored_route(
         (nt - 1) * 1e-3, 1e-3, forced, with_energy, lam) == nt
 
@@ -274,12 +276,13 @@ def test_chunked_series_after_a_shorter_final_step(forced, with_energy,
         0.305, 1e-2, forced, with_energy, lam) == 32
 
 
-@pytest.mark.parametrize("draws", [2, heat.CHUNK_ROWS])
+@pytest.mark.parametrize("draws", [1, 2, 3, heat.CHUNK_ROWS])
 @pytest.mark.parametrize("T", [0.1, 0.305])
 def test_group_stream_is_its_draws_streams(draws, T):
     # a group stepped together, one chunk per state and a row per draw,
-    # holds each draw's states and series bit for bit as stepped alone,
-    # after 0.305's shorter final step too
+    # holds each draw's states and series bit for bit as the state-by-state
+    # reference steps and integrates them, a group of one and a partial
+    # group of three too, after 0.305's shorter final step too
     group = list(carleman_corpus(64.0, 512, draws=draws, seed=3))
     u0s = [u0 for u0, _ in group]
     v = np.array([V.sample(u0) for u0, V in group])
@@ -287,14 +290,12 @@ def test_group_stream_is_its_draws_streams(draws, T):
     assert {(len(t), len(rows)) for t, rows in chunks} == {(1, draws)}
     flows = tilted_series(u0s[0], iter(chunks), 0.5, P_HALF, v)
     assert len(flows) == draws
-    for d, u0 in enumerate(u0s):
-        alone = collect(u0, evolve_with_potential(u0, v[d], T, P_HALF,
-                                                  dt=1e-2))
+    for d, (u0, V) in enumerate(group):
+        traj = stored_evolution(u0, V, T, P_HALF, 1e-2)
         assert np.array_equal(np.concatenate([t for t, _ in chunks]),
-                              alone.times)
-        assert np.array_equal([rows[d] for _, rows in chunks], alone.values)
-        [want] = tilted_series(u0, evolve_with_potential(
-            u0, v[d], T, P_HALF, dt=1e-2), 0.5, P_HALF, v[d])
+                              traj.times)
+        assert np.array_equal([rows[d] for _, rows in chunks], traj.values)
+        want = stored_series(traj, 0.5, P_HALF, V)
         assert flows[d].failures == want.failures == []
         assert np.array_equal(flows[d].times, want.times)
         assert list(flows[d].terms) == list(want.terms)
