@@ -22,7 +22,7 @@ checkout (null outside a git checkout).
 
 Cold start: every command runs in a fresh process, so this module imports
 at load time only what config validation and every suite need.  The heat
-flow, the linear Carleman and symbol layers, ``concurrent.futures`` and
+flow, the linear Carleman and symbol layers, ``pickle``, ``traceback`` and
 ``subprocess`` are imported inside the functions that use them, and their
 functions are read as module attributes when called.  ``hashlib`` comes
 from ``grid._load_hashlib`` when a seed or corpus is hashed, and every
@@ -30,6 +30,7 @@ generator from ``grid.rng``, so a seeded run loads no OpenSSL.
 """
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -249,30 +250,111 @@ def _suite_heat(cfg) -> list:
     return out
 
 
+def _free_slices(times: np.ndarray, count: int) -> list:
+    """``times`` cut into ``count`` slices of nearly equal numbers of
+    heat.CHUNK_ROWS-state chunks, so that each slice's chunks are those of
+    one pass over ``times``."""
+    from .heat import CHUNK_ROWS
+    chunks = -(-len(times) // CHUNK_ROWS)
+    cuts = [k * chunks // count * CHUNK_ROWS for k in range(count + 1)]
+    return [times[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _work(share: list, fd_in: int, fd_out: int) -> None:
+    """A forked child's whole life: run ``share``'s jobs, pickle their
+    results into the pipe ``fd_out`` and leave by os._exit, with status 0,
+    or 1 (after printing the traceback of an error), so that the child
+    never returns into the parent's stack nor runs its exit handlers."""
+    status = 1
+    try:
+        os.close(fd_in)
+        import pickle
+        data = pickle.dumps([job() for job in share])
+        with open(fd_out, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    except Exception:
+        import traceback
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
+
+
+def _forked(shares: list) -> list:
+    """Each share's results, in share order: the return values of its jobs
+    (callables taking no argument), in order.  This process runs share 0,
+    and a child forked for each other share runs it and pickles its results
+    into a pipe (_work); a share whose fork fails (OSError) runs here too.
+    Every pipe is read and every child reaped before this returns or
+    raises, also when a share run here raises; a child that failed or died
+    raises RuntimeError."""
+    import pickle
+    results, here, children = [None] * len(shares), [0], []
+    # a child must not write what this process has buffered
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        for k in range(1, len(shares)):
+            fd_in, fd_out = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(fd_in)
+                os.close(fd_out)
+                here.append(k)
+                continue
+            if pid == 0:
+                _work(shares[k], fd_in, fd_out)
+            os.close(fd_out)
+            children.append((k, pid, fd_in))
+        for k in here:
+            results[k] = [job() for job in shares[k]]
+    finally:
+        piped = []
+        for k, pid, fd_in in children:
+            with open(fd_in, "rb") as pipe:
+                data = pipe.read()
+            piped.append((k, pid, data,
+                          os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+    failed = [f"share {k} (pid {pid}) "
+              + (f"exited with status {code}" if code > 0
+                 else f"was killed by signal {-code}")
+              for k, pid, _, code in piped if code]
+    if failed:
+        raise RuntimeError("linear suite worker failed: " + "; ".join(failed))
+    for k, _, data, _ in piped:
+        results[k] = pickle.loads(data)
+    return results
+
+
 def _suite_linear(cfg) -> list:
-    """The free-flow checks and one ledger per corpus draw, as jobs on one
-    thread per CPU this process may use (the transforms and large array
-    loops release the GIL): the free flow, then one job per group of
-    heat.CHUNK_ROWS draws, whose flows are stepped together.  Reports come
-    back in job order, a group's in draw order."""
-    from . import heat, linear_carleman  # before any job is submitted
+    """The free-flow checks and one ledger per corpus draw, as jobs dealt
+    round-robin to one worker per CPU this process may use (_forked), at
+    most one more than the groups of heat.CHUNK_ROWS draws, whose flows
+    are stepped together, and one where the platform has no affinity call.
+    The free flow's states are cut into one time slice per worker
+    (_free_slices); the jobs are the slices, then one per group, so share 0
+    holds the first slice and the first group.  The slices' series are
+    joined into the one both free-flow checks read.  Reports come back in
+    job order, a group's in draw order."""
+    from . import heat, linear_carleman  # before any job is made
     L, n = cfg["linear.L"], int(cfg["linear.n"])
     p = OperatorParams(cfg["operator.s"], cfg["operator.m"])
     w = linear_carleman.LinearWeight(cfg["linear.lam"], cfg["linear.drift"])
-
-    def free_flow():
-        # the series of one free stream serve both checks; the tent
-        # residual is quadratic in the spacing, so it needs the fine one
-        u0 = gaussian(L, n, sigma=2.0)
-        [free] = linear_carleman.tilted_series(
-            u0, heat.evolve_free(u0, np.linspace(0.0, 1.0, 1001), p), w.lam,
-            p, None, with_energy=False)
-        return [_checked("linear_carleman.monotonicity",
-                         lambda: linear_carleman.monotonicity_check(
-                             free, None, w, p)),
-                _checked("linear_carleman.tent_identity",
-                         lambda: linear_carleman.tent_identity_check(
-                             free, w, tolerance=cfg["tolerance.tent"]))]
+    groups = list(linear_carleman.draw_groups(linear_carleman.carleman_corpus(
+        L, n, int(cfg["sweep.count"]), _corpus_seed(cfg))))
+    # the tent residual is quadratic in the spacing, so the free flow needs
+    # the fine one
+    times = np.linspace(0.0, 1.0, 1001)
+    try:
+        # no more workers than slices with a chunk each
+        workers = min(len(os.sched_getaffinity(0)), len(groups) + 1,
+                      -(-len(times) // heat.CHUNK_ROWS))
+    except AttributeError:
+        # macOS and Windows builds of CPython have no affinity call, and
+        # nothing is forked there
+        workers = 1
 
     def ledgers(first, group):
         # the group's flows are stepped inside its first draw's check, so
@@ -291,28 +373,27 @@ def _suite_linear(cfg) -> list:
         return [_checked("linear_carleman.ledger", lambda: check(j))
                 for j in range(len(group))]
 
-    # imported here, so the suites that run no jobs do not pay for it
-    from concurrent.futures import ThreadPoolExecutor
-    try:
-        workers = len(os.sched_getaffinity(0))
-    except AttributeError:
-        # macOS and Windows builds of CPython have no affinity call
-        workers = os.cpu_count() or 1
-    corpus = linear_carleman.carleman_corpus(L, n, int(cfg["sweep.count"]),
-                                             _corpus_seed(cfg))
-    with ThreadPoolExecutor(workers) as pool:
-        # the long free flow starts first, outside the window of groups, so
-        # no thread waits on it; a group is drawn once the window has room
-        free, pending, reports = pool.submit(free_flow), [], []
-        first = 0
-        for group in linear_carleman.draw_groups(corpus):
-            pending.append(pool.submit(ledgers, first, group))
-            first += len(group)
-            if len(pending) == workers:
-                reports += pending.pop(0).result()
-        for job in pending:
-            reports += job.result()
-        return free.result() + reports
+    u0 = gaussian(L, n, sigma=2.0)
+    jobs = [functools.partial(linear_carleman.free_series, u0, t, w.lam, p)
+            for t in _free_slices(times, workers)]
+    first = 0
+    for group in groups:
+        jobs.append(functools.partial(ledgers, first, group))
+        first += len(group)
+    done = [None] * len(jobs)
+    for k, results in enumerate(_forked([jobs[k::workers]
+                                         for k in range(workers)])):
+        done[k::workers] = results
+    free = heat.joined_series(done[:workers])
+    reports = [_checked("linear_carleman.monotonicity",
+                        lambda: linear_carleman.monotonicity_check(
+                            free, None, w, p)),
+               _checked("linear_carleman.tent_identity",
+                        lambda: linear_carleman.tent_identity_check(
+                            free, w, tolerance=cfg["tolerance.tent"]))]
+    for group_reports in done[workers:]:
+        reports += group_reports
+    return reports
 
 
 def _suite_symbol(cfg) -> list:

@@ -10,7 +10,9 @@ integrands.  It steps a group of draws on one grid, a lone draw being a
 group of one, with one transform pair per step for the group.  Both flows
 are streams of chunks of states, integrated as they are made: the free
 flow's chunks hold CHUNK_ROWS of its states, the potential flow's one
-state of its group; the heat layer stores no flow.
+state of its group; the heat layer stores no flow.  A stream cut into
+time slices, each integrated on its own, is joined back into the series
+of one pass (joined_series).
 Weighted energies refuse to integrate data that has not decayed at the
 periodic seam, since the exponential weight would turn wrap-around into
 silent garbage.
@@ -29,7 +31,9 @@ from .operator import OperatorParams, frequencies, symbol
 from .report import CheckReport, finish_report
 
 # Rows per chunk of a stream: CHUNK_ROWS consecutive states of the free
-# flow (evolve_free), or one state of a group of at most CHUNK_ROWS draws
+# flow (_free_modes, read by evolve_free and linear_carleman.free_series,
+# whose time slices are cut at multiples of it so each slice keeps one
+# pass's chunks), or one state of a group of at most CHUNK_ROWS draws
 # stepped together (evolve_with_potential, in linear_carleman's groups).
 # Four batch the transforms and row sums about as well as 8 or 64 do, and
 # keep a chunk's arrays near 1 MB (six integrands at n = 4096), which is
@@ -257,6 +261,26 @@ def tilted_integrals(grid, chunks: Iterable, lam: float,
     terms = grid.L / grid.n * np.concatenate(parts, axis=2)
     return [TiltedSeries(grid, times, dict(zip(what, rows)), failed)
             for rows, failed in zip(terms, failures)]
+
+
+def joined_series(parts: list[TiltedSeries]) -> TiltedSeries:
+    """One draw's series from its stream's consecutive time slices, each
+    integrated on its own (tilted_integrals): the slices' times and terms
+    in order, and the failures one pass over the whole stream meets.  That
+    pass no longer reads an integrand once it has failed, nor those after
+    it, so a slice's failure counts only if its integrand index is below
+    every one kept before it."""
+    failures, live = [], math.inf
+    for part in parts:
+        for j, exc in part.failures:
+            if j < live:
+                failures.append((j, exc))
+                live = j
+    return TiltedSeries(
+        parts[0].grid, np.concatenate([part.times for part in parts]),
+        {name: np.concatenate([part.terms[name] for part in parts])
+         for name in parts[0].terms},
+        failures)
 
 
 def _tilted_energy(grid, chunks, lam: float, what: str) -> np.ndarray:

@@ -42,10 +42,11 @@ from .heat import (
     PotentialField,
     TiltedSeries,
     _cumulative_trapezoid,
+    _free_modes,
     evolve_with_potential,
     tilted_integrals,
 )
-from .operator import OperatorParams, apply_spectral
+from .operator import OperatorParams, apply_spectral, frequencies, symbol
 from .report import CheckReport, finish_report, frozen_entry
 
 # Coefficient of the t(1-t)-weighted mass on the ledger's left side.  The
@@ -124,17 +125,16 @@ class LinearWeight:
 # tilted series along a trajectory
 
 def tilted_series(grid, chunks, lam: float, p: OperatorParams,
-                  v: np.ndarray | None, with_energy: bool = True
-                  ) -> list[TiltedSeries]:
+                  v: np.ndarray) -> list[TiltedSeries]:
     """Raw tilted integrals at every state of the stream ``chunks`` on
     ``grid``'s box, drift factored out, with the failures met (unraised):
     one series per draw of the stream, a group's in its order.
 
     ``v`` holds the samples on ``grid`` of the potentials the states were
-    evolved with, the ones the stepper used, a row per draw (None for no
-    forcing).  Each chunk is integrated as it comes
-    (heat.tilted_integrals), the mass first: one batched transform serves
-    both operator orders, and each integral is a row sum over the chunk.
+    evolved with, the ones the stepper used, a row per draw.  Each chunk is
+    integrated as it comes (heat.tilted_integrals), the mass first: one
+    batched transform serves both operator orders, and each integral is a
+    row sum over the chunk.
 
     Every integral carries exp(lam x) only; the caller multiplies by
     exp(drift t) (or sweeps over drifts without re-integrating).  The
@@ -156,50 +156,78 @@ def tilted_series(grid, chunks, lam: float, p: OperatorParams,
         form_s      int e^(lam x) H_s(u, u), via transfer
         forcing_sq  int e^(lam x) F^2
         cross       2 int e^(lam x) u F
-        kinetic     int e^(lam x) (u_t)^2          (with_energy only)
-        form_2s     int e^(lam x) H_2s(u, u)       (with_energy only)
+        kinetic     int e^(lam x) (u_t)^2
+        form_2s     int e^(lam x) H_2s(u, u)
     """
     mu = LinearWeight(lam, 0.0).eigenvalue(p) if abs(lam) < p.m else math.nan
-    doubled = OperatorParams(2.0 * p.s, p.m) if with_energy else None
-    what = ("tilted mass integrand", "production integrand")
-    if with_energy:
-        what += ("kinetic integrand", "order-2s pairing integrand")
-    if v is not None:
-        what += ("forcing integrand", "cross integrand")
+    doubled = OperatorParams(2.0 * p.s, p.m)
+    what = ("tilted mass integrand", "production integrand",
+            "kinetic integrand", "order-2s pairing integrand",
+            "forcing integrand", "cross integrand")
 
     def integrands(u):
-        if with_energy:
-            lsu, l2su = apply_spectral(u, p, doubled, L=grid.L)
-        else:
-            lsu = apply_spectral(u, p, L=grid.L)
-        f_vals = None if v is None else v * u
+        lsu, l2su = apply_spectral(u, p, doubled, L=grid.L)
+        f_vals = v * u
         yield u ** 2
         yield u * lsu
-        if with_energy:
-            u_t = -lsu if f_vals is None else f_vals - lsu
-            yield u_t * u_t
-            yield u * l2su
-        if f_vals is not None:
-            yield f_vals * f_vals
-            yield u * f_vals
+        u_t = f_vals - lsu
+        yield u_t * u_t
+        yield u * l2su
+        yield f_vals * f_vals
+        yield u * f_vals
 
     def terms(flow):
-        mass, op_pair, *rest = flow.terms.values()
-        series = {"mass": mass, "op_pair": op_pair,
-                  "form_s": mu * mass - 2.0 * op_pair,
-                  "forcing_sq": np.zeros_like(mass),
-                  "cross": np.zeros_like(mass)}
-        if with_energy:
-            kinetic, pairing_2s, *rest = rest
-            series["kinetic"] = kinetic
-            series["form_2s"] = mu * mu * mass - 2.0 * pairing_2s
-        if v is not None:
-            series["forcing_sq"], cross = rest
-            series["cross"] = 2.0 * cross
-        return flow._replace(terms=series)
+        mass, op_pair, kinetic, pairing_2s, forcing_sq, cross = (
+            flow.terms.values())
+        return flow._replace(terms={
+            "mass": mass, "op_pair": op_pair,
+            "form_s": mu * mass - 2.0 * op_pair,
+            "forcing_sq": forcing_sq, "cross": 2.0 * cross,
+            "kinetic": kinetic,
+            "form_2s": mu * mu * mass - 2.0 * pairing_2s})
 
     return [terms(flow) for flow in
             tilted_integrals(grid, chunks, lam, what, integrands)]
+
+
+def free_series(u0: GridFunction, times, lam: float, p: OperatorParams
+                ) -> TiltedSeries:
+    """The terms of tilted_series that monotonicity_check and
+    tent_identity_check read, along the free flow from u0 at ``times``,
+    with the failures met (unraised): mass, op_pair, form_s, and
+    forcing_sq and cross at zero.
+
+    The states and L^s u come from the exact semigroup's modes
+    (heat._free_modes): one inverse transform of a chunk's modes stacked on
+    sig times them forms both, with no transform back to Fourier space.
+    Each state keeps the bits evolve_free gives it, whatever times it is
+    read with; a run may cut ``times`` into slices at multiples of
+    CHUNK_ROWS and join their series (heat.joined_series).
+    """
+    mu = LinearWeight(lam, 0.0).eigenvalue(p) if abs(lam) < p.m else math.nan
+    sig = symbol(p, frequencies(u0.L, u0.n))
+    lsu = None
+
+    def states():
+        nonlocal lsu
+        for t, modes in _free_modes(u0, times, sig):
+            both = np.fft.irfft(np.concatenate([modes, sig * modes]), u0.n,
+                                axis=1)
+            lsu = both[len(t):]
+            yield t, both[:len(t)]
+
+    def integrands(u):
+        yield u ** 2
+        yield u * lsu
+
+    [flow] = tilted_integrals(u0, states(), lam, ("tilted mass integrand",
+                                                  "production integrand"),
+                              integrands)
+    mass, op_pair = flow.terms.values()
+    return flow._replace(terms={
+        "mass": mass, "op_pair": op_pair,
+        "form_s": mu * mass - 2.0 * op_pair,
+        "forcing_sq": np.zeros_like(mass), "cross": np.zeros_like(mass)})
 
 
 def _production(terms: dict, drift: float) -> np.ndarray:
@@ -229,9 +257,9 @@ def monotonicity_check(flow: TiltedSeries, V: PotentialField | None,
                        w: LinearWeight, p: OperatorParams) -> CheckReport:
     """Gronwall accounting of the tilted mass along the forced flow.
 
-    ``flow`` is tilted_series, at the weight's lam without energy terms, of
-    the flow under V (None for none) from t = 0 on a uniform step grid; the
-    callers use dt = 1e-3.
+    ``flow`` is the series, at the weight's lam, of the flow under V from
+    t = 0 on a uniform step grid: tilted_series, or free_series for the
+    free flow (V None); the callers use dt = 1e-3.
 
     Writing a = drift - (m^2 - lam^2)^s and Phi = -int w H_s(u, u) >= 0,
     the flow satisfies the exact balance
@@ -329,7 +357,7 @@ def _admissible_constants(p: OperatorParams,
 def _production_rate(flow: TiltedSeries, w: LinearWeight,
                      p: OperatorParams, c1: float):
     """Centered dD/dt and its five-term lower bound at the interior times
-    of ``flow``, tilted_series at the weight's lam with the energy terms.
+    of ``flow``, tilted_series at the weight's lam.
 
     Returns (ddot, rhs, scale, slack, need): scale sums the magnitudes of
     the five terms and of ddot, slack is (ddot - rhs) / scale, and need is
@@ -388,7 +416,7 @@ def _tent_residuals(times: np.ndarray, h_values: np.ndarray
 def tent_identity_check(flow: TiltedSeries, w: LinearWeight,
                         tolerance: float = 1e-4) -> CheckReport:
     """Verify the tent representation of the tilted mass of ``flow``
-    (tilted_series at the weight's lam) on [0, 1]."""
+    (free_series or tilted_series at the weight's lam) on [0, 1]."""
     times = flow.times
     h = np.exp(w.drift * times) * flow.checked(1).terms["mass"]
     residuals = _tent_residuals(times, h)
@@ -506,9 +534,8 @@ def draw_groups(draws: Iterable) -> Iterator[list]:
 def ledger_series(draws: list, w: LinearWeight, p: OperatorParams
                   ) -> list[TiltedSeries]:
     """The series carleman_linear_check reads, for each draw (u0, V) of
-    ``draws``: tilted_series, at the weight's lam with the energy terms and
-    the forcing, of the flow under V (sampled on u0's grid) over [0, 1] at
-    LEDGER_DT.
+    ``draws``: tilted_series, at the weight's lam, of the flow under V
+    (sampled on u0's grid) over [0, 1] at LEDGER_DT.
 
     The ledger's preconditions (s <= 1/2, the frozen entry, admissibility)
     raise before any stepping.  The draws, a group on one grid, are then

@@ -653,13 +653,12 @@ def spectral_carre(f: GridFunction, p: OperatorParams) -> GridFunction:
 
 
 def stored_series(traj: SpaceTimeFunction, lam: float, p: OperatorParams,
-                  V: PotentialField | None,
-                  with_energy: bool = True) -> TiltedSeries:
-    """linear_carleman.tilted_series of a stored trajectory, read chunk by
-    chunk; the first failure of the pass is raised."""
+                  V: PotentialField | None) -> TiltedSeries:
+    """linear_carleman.tilted_series of a stored trajectory under V (None
+    for none, sampled as zeros), read chunk by chunk; the first failure of
+    the pass is raised."""
     [flow] = tilted_series(traj, stored_chunks(traj), lam, p,
-                           None if V is None else V.sample(traj),
-                           with_energy)
+                           np.zeros(traj.n) if V is None else V.sample(traj))
     return flow.checked()
 
 
@@ -681,7 +680,7 @@ def functional_D(traj: SpaceTimeFunction, w: LinearWeight,
                  p: OperatorParams) -> np.ndarray:
     """Production int (w_t - L^s w) u^2 dx + int w H(u, u) dx at every
     state, through the weight's eigen relation drift H - 2 int w u L^s u."""
-    flow = stored_series(traj, w.lam, p, None, with_energy=False)
+    flow = stored_series(traj, w.lam, p, None)
     return _production(flow.weighted(w.drift), w.drift)
 
 

@@ -10,6 +10,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -338,35 +339,43 @@ def test_heat_suite_passes_on_seeds_0_to_39():
     assert failed == {}
 
 
+def fork_fails(*args):
+    raise OSError("no fork here")
+
+
 def test_linear_suite_evolves_each_trajectory_once(monkeypatch):
-    # the series of one exact free stream feed both the monotonicity and
-    # the tent check, and the ledger draws' group is stepped once: one
-    # stream per flow, each read to its end, and V sampled once per draw;
-    # the two draws of sweep.count 2 form one group, whose stream is one
-    # chunk per state, a row per draw; the jobs run concurrently, so the
-    # streams may start in any order
+    # every fork fails, so this process runs both shares of two CPUs and
+    # the counters see every job: the free flow's two time slices cover
+    # its 1001 times once, in chunks of CHUNK_ROWS states read from the
+    # modes, the two draws of sweep.count 2 form one group, stepped once,
+    # whose stream is one chunk per state, a row per draw, and V is sampled
+    # once per draw
     free, stepped, samples = [], [], []
 
-    def counting(streams, evolve):
-        def stream(*args, **kwargs):
-            chunks = []
-            streams.append(chunks)
-            for times, rows in evolve(*args, **kwargs):
-                chunks.append((len(times), len(rows)))
+    def counting(chunks, stream):
+        def counted(*args, **kwargs):
+            for times, rows in stream(*args, **kwargs):
+                chunks.append((times, rows.shape))
                 yield times, rows
-        return stream
+        return counted
 
     sample = heat.PotentialField.sample
-    monkeypatch.setattr(heat, "evolve_free", counting(free, heat.evolve_free))
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cli.os, "fork", fork_fails)
+    monkeypatch.setattr(linear_carleman, "_free_modes",
+                        counting(free, heat._free_modes))
     monkeypatch.setattr(linear_carleman, "evolve_with_potential",
                         counting(stepped, heat.evolve_with_potential))
     monkeypatch.setattr(heat.PotentialField, "sample",
                         lambda V, grid: samples.append(1) or sample(V, grid))
     cfg = dict(DEFAULTS, **{"sweep.count": 2})
     reports = cli._suite_linear(cfg)
-    assert [sum(t for t, _ in chunks) for chunks in free] == [1001]
-    assert [sum(t for t, _ in chunks) for chunks in stepped] == [101]
-    assert {shape for chunks in stepped for shape in chunks} == {(1, 2)}
+    assert np.array_equal(np.concatenate([t for t, _ in free]),
+                          np.linspace(0.0, 1.0, 1001))
+    assert {len(t) for t, _ in free[:-1]} == {heat.CHUNK_ROWS}
+    assert len(stepped) == 101
+    assert {(len(t), shape) for t, shape in stepped} == {
+        (1, (2, cfg["linear.n"]))}
     assert len(samples) == cfg["sweep.count"]
     assert [r.name for r in reports[:2]] == [
         "linear_carleman.monotonicity", "linear_carleman.tent_identity"]
@@ -376,39 +385,117 @@ def test_linear_suite_evolves_each_trajectory_once(monkeypatch):
 
 def test_linear_suite_output_does_not_depend_on_the_cpus(tmp_path,
                                                          monkeypatch):
-    # one thread per CPU runs the jobs; the body and the table come out
-    # byte-identical on one CPU, on two, and on eight threads (more than
-    # the cores and the jobs) that switch every microsecond
+    # one worker per CPU, at most one more than the groups, runs the jobs;
+    # the body and the table come out byte-identical on one CPU, on two
+    # (a forked worker), on eight (two workers for the one group), and on
+    # two whose fork fails, so that this process runs both shares
     cfg = dict(DEFAULTS, **{"suite": "linear-carleman", "sweep.count": 4})
-    outputs, interval = [], sys.getswitchinterval()
-    try:
-        for cpus, switch in (({0}, interval), ({0, 1}, interval),
-                             (set(range(8)), 1e-6)):
-            monkeypatch.setattr(cli.os, "sched_getaffinity",
-                                lambda pid: cpus)
-            sys.setswitchinterval(switch)
-            out = tmp_path / f"cpus{len(cpus)}"
-            assert write_outputs(out, cfg, [("linear-carleman",
-                                             cli._suite_linear(cfg))])
-            body = json.loads((out / "report.json").read_text())["body"]
-            outputs.append((json.dumps(body, sort_keys=True),
-                            (out / "reports.csv").read_bytes()))
-    finally:
-        sys.setswitchinterval(interval)
-    assert outputs[0] == outputs[1] == outputs[2]
+    outputs = []
+    for cpus, fork in (({0}, os.fork), ({0, 1}, os.fork),
+                       (set(range(8)), os.fork), ({0, 1}, fork_fails)):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(cli.os, "fork", fork)
+        out = tmp_path / f"cpus{len(outputs)}"
+        assert write_outputs(out, cfg, [("linear-carleman",
+                                         cli._suite_linear(cfg))])
+        body = json.loads((out / "report.json").read_text())["body"]
+        outputs.append((json.dumps(body, sort_keys=True),
+                        (out / "reports.csv").read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
     assert [r["inputs"].get("draw") for r in json.loads(
         outputs[0][0])["reports"]] == [None, None, 0, 1, 2, 3]
 
 
 def test_linear_suite_runs_without_sched_getaffinity(monkeypatch):
-    # macOS and Windows builds of CPython have no os.sched_getaffinity; the
-    # suite sizes its pool by os.cpu_count there
+    # macOS and Windows builds of CPython have no os.sched_getaffinity;
+    # the suite runs every job in this process there and forks nothing
+    def no_fork():
+        pytest.fail("os.fork called without os.sched_getaffinity")
+
     monkeypatch.delattr(cli.os, "sched_getaffinity")
+    monkeypatch.setattr(cli.os, "fork", no_fork)
     reports = cli._suite_linear(dict(DEFAULTS, **{"sweep.count": 2}))
     assert [r.name for r in reports] == [
         "linear_carleman.monotonicity", "linear_carleman.tent_identity",
         "linear_carleman.ledger", "linear_carleman.ledger"]
     assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("slices", [1, 2, 3, 8])
+@pytest.mark.parametrize("overrides", [
+    {}, {"linear.L": 24.0}, {"linear.lam": 1.0}])
+def test_free_flow_slices_join_into_the_one_pass_series(overrides, slices):
+    # the free flow cut into time slices at CHUNK_ROWS boundaries, each
+    # integrated on its own, joins into the series of one pass bit for bit:
+    # terms, times and failures, also where the box leaks at the seam and
+    # where lam = m leaves mu nan
+    cfg = dict(DEFAULTS, **overrides)
+    u0 = grid.gaussian(cfg["linear.L"], cfg["linear.n"], sigma=2.0)
+    p = OperatorParams(cfg["operator.s"], cfg["operator.m"])
+    times = np.linspace(0.0, 1.0, 1001)
+    parts = cli._free_slices(times, slices)
+    assert len(parts) == slices
+    assert all(len(t) % heat.CHUNK_ROWS == 0 for t in parts[:-1])
+    assert np.array_equal(np.concatenate(parts), times)
+    lam = cfg["linear.lam"]
+    got = heat.joined_series([linear_carleman.free_series(u0, t, lam, p)
+                              for t in parts])
+    want = linear_carleman.free_series(u0, times, lam, p)
+
+    def bits(flow):
+        return (flow.times.tobytes(),
+                {name: values.tobytes() for name, values in
+                 flow.terms.items()},
+                [(j, type(exc), str(exc)) for j, exc in flow.failures])
+    assert bits(got) == bits(want)
+    assert bool(want.failures) == bool(overrides)
+
+
+def faulty_ledgers(monkeypatch, fault, in_worker):
+    """Two CPUs, and ``fault()`` called in every ledger check that runs in
+    a forked worker (``in_worker``) or in this process (not ``in_worker``)."""
+    parent, check = os.getpid(), linear_carleman.carleman_linear_check
+
+    def faulty(*args):
+        if (os.getpid() != parent) == in_worker:
+            fault()
+        return check(*args)
+
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(linear_carleman, "carleman_linear_check", faulty)
+
+
+def raise_value_error():
+    raise ValueError("a fault no check catches")
+
+
+def kill_by_signal():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("fault, death", [
+    (raise_value_error, "exited with status 1"),
+    (kill_by_signal, f"was killed by signal {int(signal.SIGKILL)}")])
+def test_a_failing_worker_fails_the_suite(monkeypatch, fault, death):
+    # at sweep.count 8 the second group is the forked worker's: a job of
+    # it that raises an error no check catches, or a worker killed by a
+    # signal, makes the suite raise once every worker is reaped
+    faulty_ledgers(monkeypatch, fault, in_worker=True)
+    with pytest.raises(RuntimeError, match=f"^linear suite worker failed: "
+                                           f"share 1 \\(pid \\d+\\) {death}$"):
+        cli._suite_linear(dict(DEFAULTS, **{"sweep.count": 8}))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_error_in_this_process_reaps_the_workers(monkeypatch):
+    # an error raised by the share this process runs propagates after the
+    # forked worker is reaped
+    faulty_ledgers(monkeypatch, raise_value_error, in_worker=False)
+    with pytest.raises(ValueError, match="^a fault no check catches$"):
+        cli._suite_linear(dict(DEFAULTS, **{"sweep.count": 8}))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def ledger_dicts(reports) -> list:

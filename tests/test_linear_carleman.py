@@ -29,7 +29,8 @@ from fracrel.linear_carleman import (LinearWeight, TILTED_MASS_COEFF,
                                      calibrate_constants,
                                      carleman_corpus, carleman_linear_check,
                                      ledger_series,
-                                     load_calibration, monotonicity_check,
+                                     free_series, load_calibration,
+                                     monotonicity_check,
                                      tent_identity_check, tilted_series)
 from fracrel import operator as op
 from fracrel.operator import OperatorParams, apply_spectral
@@ -70,19 +71,19 @@ def fine_flow(u0, V, T):
 
 
 def fine_series(u0, V, T, lam):
-    """The tilted series without the energy terms, integrated as the flow
-    is stepped: the input of the monotonicity and tent checks."""
+    """The input of the monotonicity and tent checks at the fine spacing
+    1e-3: the series of the flow under V, integrated as it is stepped, or
+    for V None the free flow's (free_series)."""
+    if V is None:
+        return free_series(u0, fine_times(T), lam, P_HALF)
     [flow] = tilted_series(u0, fine_stream(u0, V, T), lam, P_HALF,
-                           None if V is None else V.sample(u0),
-                           with_energy=False)
+                           V.sample(u0))
     return flow
 
 
-def stored_input(traj, lam):
-    """The same input from a stored free trajectory."""
-    [flow] = tilted_series(traj, stored_chunks(traj), lam, P_HALF, None,
-                           with_energy=False)
-    return flow
+def fine_times(T):
+    """The times 0, 1e-3, ..., T."""
+    return np.linspace(0.0, T, round(T / 1e-3) + 1)
 
 
 def one_row(g, t=0.0):
@@ -177,13 +178,12 @@ def test_tilted_mass_is_the_series_mass_column():
 
 # ---------------------------------------------------------------- chunked series
 
-def per_row_series(traj, lam, p, V, with_energy):
+def per_row_series(traj, lam, p, V):
     """The tilted series of tilted_series, one state and one
     weighted_integral at a time: the oracle of the chunked engine."""
     mu = LinearWeight(lam, 0.0).eigenvalue(p)
-    names = ("mass", "op_pair", "form_s", "forcing_sq", "cross")
-    if with_energy:
-        names += ("kinetic", "form_2s")
+    names = ("mass", "op_pair", "form_s", "forcing_sq", "cross", "kinetic",
+             "form_2s")
     series = {name: np.zeros(traj.nt) for name in names}
     v = None if V is None else V.sample(traj)
     for i in range(traj.nt):
@@ -200,12 +200,11 @@ def per_row_series(traj, lam, p, V, with_energy):
         series["mass"][i] = mass
         series["op_pair"][i] = op_pair
         series["form_s"][i] = mu * mass - 2.0 * op_pair
-        if with_energy:
-            u_t = -lsu if f_vals is None else f_vals - lsu
-            series["kinetic"][i] = integral(u_t * u_t, "kinetic integrand")
-            l2su = apply_spectral(g, OperatorParams(2.0 * p.s, p.m)).values
-            series["form_2s"][i] = mu * mu * mass - 2.0 * integral(
-                u * l2su, "order-2s pairing integrand")
+        u_t = -lsu if f_vals is None else f_vals - lsu
+        series["kinetic"][i] = integral(u_t * u_t, "kinetic integrand")
+        l2su = apply_spectral(g, OperatorParams(2.0 * p.s, p.m)).values
+        series["form_2s"][i] = mu * mu * mass - 2.0 * integral(
+            u * l2su, "order-2s pairing integrand")
         if f_vals is not None:
             series["forcing_sq"][i] = integral(f_vals * f_vals,
                                                "forcing integrand")
@@ -221,9 +220,11 @@ def small_draw():
     return u0, V
 
 
-def assert_streamed_series_equal_the_stored_route(T, dt, forced,
-                                                  with_energy, lam):
-    """The series integrated as the small draw's flow is stepped, against
+def assert_streamed_series_equal_the_stored_route(T, dt, forced, sliced,
+                                                  lam):
+    """The series integrated as the small draw's flow is stepped, in one
+    pass or in slices (cut after the first state and at the middle one,
+    each integrated on its own and joined by heat.joined_series), against
     the whole trajectory stepped into one array and integrated afterwards,
     and against one state and one integral at a time; returns the number
     of states."""
@@ -231,12 +232,15 @@ def assert_streamed_series_equal_the_stored_route(T, dt, forced,
     pot = V if forced else constant_potential(u0, 0.0)
     V = V if forced else None
     v = pot.sample(u0)
-    [flow] = tilted_series(u0, evolve_with_potential([u0], v, T, P_HALF,
-                                                     dt=dt),
-                           lam, P_HALF, v if forced else None, with_energy)
+    chunks = list(evolve_with_potential([u0], v, T, P_HALF, dt=dt))
+    cuts = [0, *sorted({1, len(chunks) // 2}), len(chunks)] if sliced \
+        else [0, len(chunks)]
+    flow = heat.joined_series([
+        tilted_series(u0, iter(chunks[a:b]), lam, P_HALF, v)[0]
+        for a, b in zip(cuts, cuts[1:])])
     traj = stored_evolution(u0, pot, T, P_HALF, dt)
-    stored = stored_series(traj, lam, P_HALF, V, with_energy)
-    want = per_row_series(traj, lam, P_HALF, V, with_energy)
+    stored = stored_series(traj, lam, P_HALF, V)
+    want = per_row_series(traj, lam, P_HALF, V)
     assert flow.failures == []
     assert np.array_equal(flow.times, traj.times)
     assert list(flow.terms) == list(stored.terms) == list(want)
@@ -255,25 +259,24 @@ def assert_streamed_series_equal_the_stored_route(T, dt, forced,
 @pytest.mark.parametrize("nt", [heat.CHUNK_ROWS - 1, heat.CHUNK_ROWS, 101,
                                 1001, heat.CHUNK_ROWS + 1])
 @pytest.mark.parametrize("forced", [True, False])
-@pytest.mark.parametrize("with_energy", [True, False])
+@pytest.mark.parametrize("sliced", [True, False])
 @pytest.mark.parametrize("lam", [0.5, 0.0])
-def test_chunked_series_equal_the_per_row_loop(nt, forced, with_energy,
-                                               lam):
+def test_chunked_series_equal_the_per_row_loop(nt, forced, sliced, lam):
     # the stepper's chunks are one state each, so the nt either side of
     # CHUNK_ROWS probe the chunk boundaries of the stored route
-    # (oracles.stored_chunks); 101 and 1001 states make many chunks
+    # (oracles.stored_chunks); 101 and 1001 states make many chunks, and
+    # 3 states cut after the first make two slices, the others three
     assert assert_streamed_series_equal_the_stored_route(
-        (nt - 1) * 1e-3, 1e-3, forced, with_energy, lam) == nt
+        (nt - 1) * 1e-3, 1e-3, forced, sliced, lam) == nt
 
 
 @pytest.mark.parametrize("forced", [True, False])
-@pytest.mark.parametrize("with_energy", [True, False])
+@pytest.mark.parametrize("sliced", [True, False])
 @pytest.mark.parametrize("lam", [0.5, 0.0])
-def test_chunked_series_after_a_shorter_final_step(forced, with_energy,
-                                                   lam):
+def test_chunked_series_after_a_shorter_final_step(forced, sliced, lam):
     # 30 steps of dt and a final one of dt / 2, with factors of its own
     assert assert_streamed_series_equal_the_stored_route(
-        0.305, 1e-2, forced, with_energy, lam) == 32
+        0.305, 1e-2, forced, sliced, lam) == 32
 
 
 @pytest.mark.parametrize("draws", [1, 2, 3, heat.CHUNK_ROWS])
@@ -356,6 +359,34 @@ def test_chunk_failure_is_the_first_in_state_order():
                               what[j])
         assert str(chunked.value) == str(one_state.value)
     assert str(chunked.value).startswith("tilted mass integrand has ")
+
+
+@pytest.mark.parametrize("cut", [1, 2, 3, 5])
+def test_joined_slices_keep_the_failures_of_one_pass(cut):
+    # state i leaks by 0.01 (i + 1) in the integrands (i, j) of ``leaks``;
+    # one pass meets (1, 1) and then, its second integrand void, (4, 0).
+    # Cut into two slices, each integrated on its own, the second slice
+    # may also meet (2, 1) or (5, 1), which the join drops
+    traj = indexed_states(8)
+    what = ("tilted mass integrand", "production integrand")
+    leaks = {(1, 1), (2, 1), (4, 0), (5, 1)}
+    decayed = gaussian(traj.L, traj.n, sigma=2.0).values
+    values = [np.array([decayed + (0.01 * (i + 1) if (i, j) in leaks
+                                   else 0.0) for i in range(traj.nt)])
+              for j in range(2)]
+    one = integrate(traj, 0.5, what, by_state(values))
+    joined = heat.joined_series([
+        integrate(rows(traj, part), 0.5, what, by_state(values))
+        for part in (slice(0, cut), slice(cut, None))])
+
+    def failures(flow):
+        return [(j, type(exc), str(exc)) for j, exc in flow.failures]
+    assert [j for j, _ in one.failures] == [1, 0]
+    assert failures(joined) == failures(one)
+    assert str(one.failures[0][1]) != str(one.failures[1][1])
+    assert np.array_equal(joined.times, one.times)
+    for name in what:
+        assert joined.terms[name].tobytes() == one.terms[name].tobytes()
 
 
 def test_later_integrand_failure_leaves_the_first_whole():
@@ -577,17 +608,17 @@ def test_monotonicity_forced_draws():
 
 def test_monotonicity_rejects_overflowing_drift():
     u0 = gaussian(40.0, 1024, sigma=1.5)
-    traj = fine_flow(u0, None, 1.0)
+    times = fine_times(1.0)
     with pytest.raises(OverflowGuardError):
-        monotonicity_check(stored_input(traj, 0.0), None,
+        monotonicity_check(free_series(u0, times, 0.0, P_HALF), None,
                            LinearWeight(0.0, -3000.0), P_HALF)
     # the balance is anchored at H(0): a trajectory starting later is refused
     with pytest.raises(PreconditionError, match="starts at t = 0"):
-        monotonicity_check(stored_input(rows(traj, slice(1, None)), 0.0),
+        monotonicity_check(free_series(u0, times[1:], 0.0, P_HALF),
                            None, LinearWeight(0.0, -2.0), P_HALF)
     with pytest.raises(PreconditionError, match="uniform time grid"):
-        monotonicity_check(stored_input(rows(traj, [0, 1, 3]), 0.0), None,
-                           LinearWeight(0.0, -2.0), P_HALF)
+        monotonicity_check(free_series(u0, times[[0, 1, 3]], 0.0, P_HALF),
+                           None, LinearWeight(0.0, -2.0), P_HALF)
 
 
 def test_monotonicity_tilted_mode_leaks():
